@@ -32,7 +32,6 @@ from .entropy import (
     cond_tsallis_first,
     cond_tsallis_second,
     conditional_entropy,
-    generalized_entropy,
     renyi_entropy,
     shannon_entropy,
     tsallis_entropy,
@@ -66,23 +65,16 @@ from .noise_disturbance import (
 )
 from .quantum import (
     Channel,
-    InstrumentBranch,
-    ObservableBranch,
-    Povm,
     ProjectiveObservable,
     QuantumInstrument,
-    ZeroProbabilityOutcome,
     apply_cp,
     basis_observable,
-    flag_map,
+    flag_apply,
     luders_instrument,
     observable_from_basis,
-    outcome_probability,
-    post_measurement_state,
     sample_haar_unitary,
     sample_random_instrument,
     sample_random_observable,
-    spectral_decompose,
     trivial_instrument,
 )
 

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import SHANNON_BRANCH, EntropyOrder, alpha_log
-from .noise_disturbance import (
-    CorrectionSearchResult,
-    SearchConfig,
-    _pair_overlap,
-    disturbance,
-    noise,
-)
+from .linalg import pair_overlaps
+from .noise_disturbance import CorrectionSearchResult, SearchConfig, disturbance, noise
 from .quantum import ProjectiveObservable, QuantumInstrument
 
 MARGIN_SLACK = 1e-7
@@ -79,8 +74,11 @@ class TradeoffCertificate:
     """Record of one noise + disturbance >= bound check.
 
     The disturbance entry is the best value found by the correction
-    search, hence an upper bound on the true disturbance; a certificate
-    that passes with a one-sided disturbance is therefore conservative.
+    search, hence an upper bound on the true disturbance.  A margin below
+    zero therefore refutes the relation for this instance, but a
+    nonnegative margin does not certify it: that needs a lower bound on
+    the disturbance (ROADMAP direction 1).  ``passed`` records only
+    noise + upper disturbance >= bound.
     """
 
     relation: str
@@ -193,10 +191,7 @@ def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> Overlap
     """
     if x_obs.dim != z_obs.dim:
         raise ValueError(f"dimension mismatch: {x_obs.dim} vs {z_obs.dim}")
-    norms = np.empty((len(x_obs.branches), len(z_obs.branches)))
-    for i, px in enumerate(x_obs.projectors):
-        for k, pz in enumerate(z_obs.projectors):
-            norms[i, k] = _pair_overlap(px, pz)
+    norms = pair_overlaps(x_obs.projectors, z_obs.projectors)
     c = float(norms.max())
     c = min(c, 1.0)
     if x_obs.nondegenerate and z_obs.nondegenerate:

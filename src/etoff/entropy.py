@@ -8,8 +8,13 @@ Conventions used throughout:
 * orders within ``SHANNON_BRANCH`` of 1 are evaluated with the Shannon
   formulas, which avoids the 1/(1-alpha) cancellation;
 * conditioning columns with zero probability are skipped;
+* each column's entropy is clamped at 0 from below;
 * probability vectors may carry roundoff negatives down to -1e-12, which
   are clipped before renormalisation; anything worse is rejected.
+
+Every entropy here, conditional or not, is a weighted sum of per-column
+entropies from one kernel, so each formula is written out once.  A joint
+table is checked once, by ``check_table``, and not again per column.
 
 Two conditional Tsallis forms exist, differing in the conditioning
 weights (p(y)**alpha versus p(y)).  The second form is the one entering
@@ -54,16 +59,6 @@ def clean_probs(p) -> np.ndarray:
     return arr / total
 
 
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 0:
-        raise ValueError(f"entropic order must be positive, got {alpha!r}")
-
-
-def _power_sum(p: np.ndarray, alpha: float) -> float:
-    mask = p > 0.0
-    return float(np.sum(p[mask] ** alpha))
-
-
 def alpha_log(xi: float, alpha: float) -> float:
     """Deformed logarithm ln_alpha(xi) = (xi**(1-alpha) - 1)/(1-alpha).
 
@@ -71,37 +66,77 @@ def alpha_log(xi: float, alpha: float) -> float:
     """
     if xi <= 0:
         raise ValueError(f"alpha_log needs xi > 0, got {xi!r}")
-    _check_alpha(alpha)
+    if not alpha > 0:
+        raise ValueError(f"entropic order must be positive, got {alpha!r}")
     if abs(alpha - 1.0) < SHANNON_BRANCH:
         return math.log(xi)
     return math.expm1((1.0 - alpha) * math.log(xi)) / (1.0 - alpha)
 
 
+def check_table(table) -> np.ndarray:
+    """Validate a joint probability table; return it clipped and renormalised.
+
+    The table must be 2-d and finite, with entries no more negative than
+    -1e-12 and a total within 1e-9 of 1.
+    """
+    t = np.asarray(table, dtype=float)
+    if t.ndim != 2:
+        raise ValueError(f"joint table must be 2-d, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("joint table has non-finite entries")
+    if t.min() < -CLIP_NEG:
+        raise ValueError(f"joint entry {t.min():.3e} below -{CLIP_NEG:.0e}")
+    t = np.clip(t, 0.0, None)
+    total = t.sum()
+    if total <= 0.0 or abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"joint table sums to {total!r}, expected 1")
+    return t / total
+
+
+def _column_entropies(cond: np.ndarray, order: EntropyOrder) -> np.ndarray:
+    """Entropy of each column of a column-stochastic array, in the given order.
+
+    The one place the Renyi, Tsallis and Shannon formulas are written out.
+    """
+    alpha = order.alpha
+    if math.isinf(alpha):
+        h = -np.log(cond.max(axis=0))
+    else:
+        # p = 0 terms are dropped: 1 stands in for them, and 1 * ln 1 = 0
+        support = cond > 0.0
+        p = np.where(support, cond, 1.0)
+        if abs(alpha - 1.0) < SHANNON_BRANCH:
+            h = -np.sum(p * np.log(p), axis=0)
+        else:
+            power_sum = np.sum(np.where(support, p ** alpha, 0.0), axis=0)
+            if order.family == "renyi":
+                h = np.log(power_sum) / (1.0 - alpha)
+            else:
+                h = (power_sum - 1.0) / (1.0 - alpha)
+    return np.maximum(h, 0.0)
+
+
+def _weighted_entropy(table: np.ndarray, order: EntropyOrder, power: float = 1.0) -> float:
+    """sum over columns y with p(y) > 0 of p(y)**power * H(X | Y = y)."""
+    weights = table.sum(axis=0)
+    keep = weights > 0.0
+    h = _column_entropies(table[:, keep] / weights[keep], order)
+    return float(np.sum(weights[keep] ** power * h))
+
+
 def shannon_entropy(p) -> float:
     """-sum p ln p over the support."""
-    p = clean_probs(p)
-    p = p[p > 0.0]
-    return float(max(0.0, -np.sum(p * np.log(p))))
+    return entropy(p, EntropyOrder.shannon())
 
 
 def renyi_entropy(p, alpha: float) -> float:
     """Renyi entropy of order alpha; Shannon at alpha ~ 1, min-entropy at inf."""
-    p = clean_probs(p)
-    if math.isinf(alpha):
-        return max(0.0, -math.log(float(p.max())))
-    _check_alpha(alpha)
-    if abs(alpha - 1.0) < SHANNON_BRANCH:
-        return shannon_entropy(p)
-    return max(0.0, math.log(_power_sum(p, alpha)) / (1.0 - alpha))
+    return entropy(p, EntropyOrder.renyi(alpha))
 
 
 def tsallis_entropy(p, alpha: float) -> float:
     """Tsallis entropy of degree alpha; maximal value alpha_log(d) at uniform."""
-    p = clean_probs(p)
-    _check_alpha(alpha)
-    if abs(alpha - 1.0) < SHANNON_BRANCH:
-        return shannon_entropy(p)
-    return max(0.0, (_power_sum(p, alpha) - 1.0) / (1.0 - alpha))
+    return entropy(p, EntropyOrder.tsallis(alpha))
 
 
 def binary_tsallis(q: float, alpha: float) -> float:
@@ -109,36 +144,6 @@ def binary_tsallis(q: float, alpha: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     return tsallis_entropy(np.array([q, 1.0 - q]), alpha)
-
-
-# --- generalized single-parameter entropies -------------------------------
-#
-# E_alpha^f(p) = f(sum p**alpha) / (1 - alpha) for a continuous, strictly
-# increasing f with f(1) = 0.  The registry ships the two choices that
-# reproduce the Renyi (f = ln) and Tsallis (f = xi - 1) families.  The
-# Shannon branch needs f'(1), so registry entries carry it.
-
-_F_REGISTRY: dict[str, tuple] = {
-    "renyi": (math.log, 1.0),
-    "tsallis": (lambda xi: xi - 1.0, 1.0),
-}
-
-
-def register_f(name: str, func, slope_at_one: float = 1.0) -> None:
-    """Add a monotone map to the generalized-entropy registry."""
-    _F_REGISTRY[name] = (func, float(slope_at_one))
-
-
-def generalized_entropy(p, alpha: float, f: str) -> float:
-    """Generalized entropy f(sum p**alpha)/(1-alpha) for a registered f."""
-    if f not in _F_REGISTRY:
-        raise ValueError(f"unknown entropy map {f!r}; registered: {sorted(_F_REGISTRY)}")
-    func, slope = _F_REGISTRY[f]
-    p = clean_probs(p)
-    _check_alpha(alpha)
-    if abs(alpha - 1.0) < SHANNON_BRANCH:
-        return slope * shannon_entropy(p)
-    return func(_power_sum(p, alpha)) / (1.0 - alpha)
 
 
 # --- joint distributions ---------------------------------------------------
@@ -149,8 +154,8 @@ class JointDistribution:
     """Finite joint probability table p(x, y).
 
     Rows index the variable X whose uncertainty is measured; columns index
-    the conditioning variable Y.  The table is clipped and renormalised on
-    construction under the same tolerances as probability vectors.
+    the conditioning variable Y.  The table is checked, clipped and
+    renormalised on construction by ``check_table``.
     """
 
     table: np.ndarray
@@ -158,23 +163,13 @@ class JointDistribution:
     col_labels: tuple
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != 2:
-            raise ValueError(f"joint table must be 2-d, got shape {t.shape}")
+        t = check_table(self.table)
         if t.shape != (len(self.row_labels), len(self.col_labels)):
             raise ValueError(
                 f"table shape {t.shape} does not match labels "
                 f"({len(self.row_labels)}, {len(self.col_labels)})"
             )
-        if not np.all(np.isfinite(t)):
-            raise ValueError("joint table has non-finite entries")
-        if t.min() < -CLIP_NEG:
-            raise ValueError(f"joint entry {t.min():.3e} below -{CLIP_NEG:.0e}")
-        t = np.clip(t, 0.0, None)
-        total = t.sum()
-        if total <= 0.0 or abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"joint table sums to {total!r}, expected 1")
-        object.__setattr__(self, "table", t / total)
+        object.__setattr__(self, "table", t)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
 
@@ -195,32 +190,18 @@ class JointDistribution:
         """p(y) = sum_x p(x, y)."""
         return self.table.sum(axis=0)
 
-    def column_conditionals(self):
-        """Yield (weight p(y), conditional vector p(.|y)) for columns with p(y) > 0."""
-        weights = self.marginal_cols()
-        for k, w in enumerate(weights):
-            if w > 0.0:
-                yield float(w), self.table[:, k] / w
-
     def transposed(self) -> "JointDistribution":
         return JointDistribution(self.table.T.copy(), self.col_labels, self.row_labels)
 
 
 def cond_shannon(j: JointDistribution) -> float:
     """Standard conditional entropy H(X|Y)."""
-    total = 0.0
-    for w, cond in j.column_conditionals():
-        total += w * shannon_entropy(cond)
-    return total
+    return _weighted_entropy(j.table, EntropyOrder.shannon())
 
 
 def cond_tsallis_first(j: JointDistribution, alpha: float) -> float:
     """Conditional Tsallis entropy with weights p(y)**alpha; obeys the chain rule."""
-    _check_alpha(alpha)
-    total = 0.0
-    for w, cond in j.column_conditionals():
-        total += w ** alpha * tsallis_entropy(cond, alpha)
-    return total
+    return _weighted_entropy(j.table, EntropyOrder.tsallis(alpha), power=alpha)
 
 
 def cond_tsallis_second(j: JointDistribution, alpha: float) -> float:
@@ -229,11 +210,7 @@ def cond_tsallis_second(j: JointDistribution, alpha: float) -> float:
     This is the form for which conditioning on more variables can only
     reduce the entropy, for every alpha > 0.
     """
-    _check_alpha(alpha)
-    total = 0.0
-    for w, cond in j.column_conditionals():
-        total += w * tsallis_entropy(cond, alpha)
-    return total
+    return _weighted_entropy(j.table, EntropyOrder.tsallis(alpha))
 
 
 def cond_renyi(j: JointDistribution, alpha: float) -> float:
@@ -242,12 +219,7 @@ def cond_renyi(j: JointDistribution, alpha: float) -> float:
     alpha = inf gives the conditional min-entropy, built from the largest
     conditional probability in each column.
     """
-    if not math.isinf(alpha):
-        _check_alpha(alpha)
-    total = 0.0
-    for w, cond in j.column_conditionals():
-        total += w * renyi_entropy(cond, alpha)
-    return total
+    return _weighted_entropy(j.table, EntropyOrder.renyi(alpha))
 
 
 # --- entropic orders --------------------------------------------------------
@@ -286,21 +258,18 @@ class EntropyOrder:
 
 def entropy(p, order: EntropyOrder) -> float:
     """Unconditional entropy of a distribution in the given order."""
-    if order.family == "renyi":
-        return renyi_entropy(p, order.alpha)
-    if order.family == "tsallis":
-        return tsallis_entropy(p, order.alpha)
-    return shannon_entropy(p)
+    return _weighted_entropy(clean_probs(p)[:, None], order)
 
 
 def conditional_entropy(j: JointDistribution, order: EntropyOrder) -> float:
     """Conditional entropy of the row variable given the column variable.
 
-    Dispatches to the conditional Renyi form, the second conditional
-    Tsallis form, or the standard conditional entropy.
+    The conditional Renyi form, the second conditional Tsallis form, or
+    the standard conditional entropy, according to the order's family.
     """
-    if order.family == "renyi":
-        return cond_renyi(j, order.alpha)
-    if order.family == "tsallis":
-        return cond_tsallis_second(j, order.alpha)
-    return cond_shannon(j)
+    return table_conditional_entropy(j.table, order)
+
+
+def table_conditional_entropy(table: np.ndarray, order: EntropyOrder) -> float:
+    """``conditional_entropy`` of a table already returned by ``check_table``."""
+    return _weighted_entropy(table, order)

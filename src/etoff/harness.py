@@ -16,7 +16,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import bounds, quantum
-from .bounds import RELATIONS, TradeoffCertificate, certify, certify_grid, mu_bounds, overlap
+from .bounds import RELATIONS, TradeoffCertificate, certify, certify_grid, mu_bounds
 from .decision import fano_upper_bounds, lower_bounds, standard_decision
 from .entropy import (
     JointDistribution,
@@ -24,16 +24,8 @@ from .entropy import (
     cond_shannon,
     cond_tsallis_second,
 )
-from .noise_disturbance import (
-    SearchConfig,
-    disturbance_experiment,
-    error_and_fidelity,
-    reprepare_correction,
-    ricochet_oracle,
-)
+from .noise_disturbance import SearchConfig, reprepare_correction, ricochet_oracle
 from .quantum import (
-    ProjectiveObservable,
-    QuantumInstrument,
     instrument_from_json,
     instrument_to_json,
     luders_instrument,
@@ -156,7 +148,7 @@ def sample_instance(dim: int, seed) -> tuple:
 # --- sweep ------------------------------------------------------------------------
 
 
-def _sweep_task(args) -> tuple[list[dict], int]:
+def _sweep_task(args) -> tuple[list[TradeoffCertificate], int]:
     cfg_dict, index = args
     cfg = RunConfig(**_normalise_config(cfg_dict))
     sample_seed = np.random.SeedSequence([cfg.seed, index])
@@ -169,7 +161,7 @@ def _sweep_task(args) -> tuple[list[dict], int]:
     certs, skipped = certify_grid(
         x_obs, z_obs, inst, cfg.relations, cfg.alphas, cfg.betas, search, seed=cfg.seed
     )
-    return [c.to_json_dict() for c in certs], skipped
+    return certs, skipped
 
 
 def run_sweep(cfg: RunConfig):
@@ -189,8 +181,8 @@ def run_sweep(cfg: RunConfig):
         results = [_sweep_task(t) for t in tasks]
     certs: list[TradeoffCertificate] = []
     skipped = 0
-    for rows, sk in results:
-        certs.extend(TradeoffCertificate.from_json_dict(r) for r in rows)
+    for sample_certs, sk in results:
+        certs.extend(sample_certs)
         skipped += sk
     failures = sum(1 for c in certs if not c.passed)
     summary = {

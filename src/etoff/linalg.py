@@ -29,9 +29,20 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_stack(a, name: str = "stack") -> np.ndarray:
+    """Copy to a read-only, finite 3-d complex array of matrices."""
+    s = np.array(a, dtype=complex)
+    if s.ndim != 3:
+        raise ValueError(f"{name} must be a stack of matrices, got array of shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    s.flags.writeable = False
+    return s
+
+
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def max_abs(m) -> float:
@@ -43,12 +54,7 @@ def max_abs(m) -> float:
 def hermitize(m) -> np.ndarray:
     """Hermitian part (m + m†)/2."""
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
-
-
-def is_hermitian(m, tol: float = STRUCT_TOL) -> bool:
-    m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= tol
+    return (m + dagger(m)) / 2
 
 
 def assert_hermitian(m, tol: float = STRUCT_TOL, name: str = "matrix") -> np.ndarray:
@@ -59,18 +65,6 @@ def assert_hermitian(m, tol: float = STRUCT_TOL, name: str = "matrix") -> np.nda
     if dev > tol:
         raise ValueError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
     return m
-
-
-def assert_density(rho, tol: float = STRUCT_TOL, name: str = "state") -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD up to tol, unit trace."""
-    rho = assert_hermitian(rho, tol=tol, name=name)
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -tol:
-        raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1")
-    return rho
 
 
 def eigh(m, tol: float = STRUCT_TOL):
@@ -114,6 +108,20 @@ def spectral_norm(m) -> float:
     return float(s[0])
 
 
+def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Table of spectral norms ||p q|| over two stacks of projectors.
+
+    Each pair is multiplied in both orders and the larger norm kept, so
+    swapping the two stacks transposes the table exactly.
+    """
+    try:
+        pq = np.linalg.svd(ps[:, None] @ qs[None, :], compute_uv=False)[..., 0]
+        qp = np.linalg.svd(qs[None, :] @ ps[:, None], compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"svd did not converge: {exc}") from exc
+    return np.maximum(pq, qp)
+
+
 def trace_norm(m) -> float:
     """Sum of singular values (Schatten 1-norm)."""
     m = as_matrix(m)
@@ -124,10 +132,6 @@ def trace_norm(m) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
     return float(s.sum())
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(m, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -16,8 +16,13 @@ closed form; ``disturbance`` reports the best value found over a family
 of candidates (flag-discarding identity, classical repreparation by
 outcome, and a continuously parametrised Kraus family refined by
 derivative-free search).  The result is an upper bound on the true
-disturbance, which is the safe direction for certifying trade-off
-relations.
+disturbance.  An upper bound can only refute a trade-off relation
+(N + D_upper < B); it cannot certify one, which needs a lower bound on
+the disturbance (ROADMAP direction 1).
+
+Both joint tables are computed from the stacked arrays of the objects in
+``quantum`` with batched matrix products, and the search objective checks
+each table once, as a whole, before taking its conditional entropy.
 """
 
 from __future__ import annotations
@@ -29,17 +34,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import linalg
-from .decision import standard_decision
-from .entropy import EntropyOrder, JointDistribution, conditional_entropy
-from .linalg import as_matrix, dagger, hermitize, max_abs
-from .quantum import (
-    Channel,
-    ProjectiveObservable,
-    QuantumInstrument,
-    apply_cp,
-    flag_apply,
-    flag_vector,
+from .entropy import (
+    EntropyOrder,
+    JointDistribution,
+    check_table,
+    conditional_entropy,
+    table_conditional_entropy,
 )
+from .linalg import dagger, hermitize, max_abs
+from .quantum import Channel, ProjectiveObservable, QuantumInstrument, apply_cp, flag_apply
 
 _RANGE_TOL = 1e-12
 
@@ -143,19 +146,18 @@ def noise_joint(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> JointDi
     """
     if x_obs.dim != inst.dim_in:
         raise ValueError(f"observable dim {x_obs.dim} != instrument input dim {inst.dim_in}")
-    d = x_obs.dim
-    table = np.empty((len(x_obs.branches), inst.n_outcomes))
-    for i, br in enumerate(x_obs.branches):
-        for k, mbr in enumerate(inst.branches):
-            # p(x, m) = (d_x / d) * p(m | x) with input state Pi(x)/d_x
-            table[i, k] = float(np.trace(apply_cp(mbr.kraus, br.projector)).real) / d
+    # p(x, m) = (d_x / d) * p(m | x) with input state Pi(x)/d_x: the trace
+    # of flag block m of the flagged evolution of Pi(x), over d
+    flagged = flag_apply(inst, x_obs.projectors)
+    diag = np.diagonal(flagged, axis1=1, axis2=2).real
+    table = diag.reshape(len(diag), inst.dim_out, inst.n_outcomes).sum(axis=1) / x_obs.dim
     return JointDistribution(table, x_obs.eigenvalues, inst.labels)
 
 
 def noise_experiment(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> NoiseExperiment:
     j = noise_joint(x_obs, inst)
     marg = j.marginal_rows()
-    expect = np.array([br.degeneracy / x_obs.dim for br in x_obs.branches])
+    expect = np.array(x_obs.degeneracies) / x_obs.dim
     if np.max(np.abs(marg - expect)) > 1e-9:
         raise ValueError("noise joint marginal deviates from d_x/d")
     return NoiseExperiment(x_obs, inst, j)
@@ -175,22 +177,15 @@ def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, order: EntropyOr
 # --- the second experiment: disturbance --------------------------------------
 
 
-def _flagged_projectors(z_obs: ProjectiveObservable, inst: QuantumInstrument):
-    """Phi_M(Lambda(z)) for every eigenvalue of Z, on the output ⊗ flag space."""
-    return [flag_apply(inst, br.projector) for br in z_obs.branches]
+def _correction_table(z_obs: ProjectiveObservable, flagged, kraus) -> np.ndarray:
+    """Unnormalised p(z, z') = (1/d) Tr[Lambda(z') Psi(Phi_M(Lambda(z)))].
 
-
-def _correction_joint(z_obs, flagged, kraus) -> JointDistribution:
-    d = z_obs.dim
-    projectors = z_obs.projectors
-    n = len(projectors)
-    table = np.empty((n, n))
-    for i, g in enumerate(flagged):
-        sigma = apply_cp(kraus, g)
-        for k, lam in enumerate(projectors):
-            # p(z, z') = (1/d) Tr[Lambda(z') Psi(Phi_M(Lambda(z)))]
-            table[i, k] = float(np.trace(lam @ sigma).real) / d
-    return JointDistribution(table, z_obs.eigenvalues, z_obs.eigenvalues)
+    ``flagged`` is the stack of Phi_M(Lambda(z)) on the output ⊗ flag
+    space and ``kraus`` the Kraus stack of the correction Psi.
+    """
+    sigma = apply_cp(kraus, flagged)
+    lam = z_obs.projectors
+    return np.trace(lam[None] @ sigma[:, None], axis1=-2, axis2=-1).real / z_obs.dim
 
 
 def disturbance_joint(
@@ -198,7 +193,8 @@ def disturbance_joint(
 ) -> JointDistribution:
     """Joint p(z, z') of input eigenvalue and corrected re-measurement outcome."""
     _check_correction_dims(z_obs, inst, correction)
-    return _correction_joint(z_obs, _flagged_projectors(z_obs, inst), correction.kraus)
+    table = _correction_table(z_obs, flag_apply(inst, z_obs.projectors), correction.kraus)
+    return JointDistribution(table, z_obs.eigenvalues, z_obs.eigenvalues)
 
 
 def _check_correction_dims(z_obs, inst, correction) -> None:
@@ -220,7 +216,7 @@ def disturbance_experiment(
 ) -> DisturbanceExperiment:
     j = disturbance_joint(z_obs, inst, correction)
     marg = j.marginal_rows()
-    expect = np.array([br.degeneracy / z_obs.dim for br in z_obs.branches])
+    expect = np.array(z_obs.degeneracies) / z_obs.dim
     if np.max(np.abs(marg - expect)) > 1e-9:
         raise ValueError("disturbance joint marginal deviates from d_z/d")
     return DisturbanceExperiment(z_obs, inst, correction, j)
@@ -236,50 +232,38 @@ def discard_flag_correction(inst: QuantumInstrument, target_dim: int) -> Channel
         return None
     n = inst.n_outcomes
     d = inst.dim_out
-    kraus = tuple(np.kron(np.eye(d, dtype=complex), flag_vector(n, m).conj().T) for m in range(n))
+    # Kraus operator m is I ⊗ <m|: rows (a, m) of the identity on output ⊗ flag
+    kraus = np.eye(d * n, dtype=complex).reshape(d, n, d * n).swapaxes(0, 1)
     return Channel(d * n, d, kraus)
-
-
-def _prepare_states_correction(states, dim_sys: int, n_flags: int, dim_out: int) -> Channel:
-    """Measure the flag and reprepare a fixed state per outcome."""
-    kraus = []
-    for m, sigma in enumerate(states):
-        w, v = linalg.eigh(sigma)
-        w = linalg.clip_spectrum(w)
-        fm = flag_vector(n_flags, m).conj().T
-        for i in range(len(w)):
-            if w[i] <= 0.0:
-                continue
-            ket = math.sqrt(w[i]) * v[:, i : i + 1]
-            for b in range(dim_sys):
-                bra = np.zeros((1, dim_sys), dtype=complex)
-                bra[0, b] = 1.0
-                kraus.append(ket @ np.kron(bra, fm))
-    return Channel(dim_sys * n_flags, dim_out, tuple(kraus))
 
 
 def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -> Channel:
     """Classical correction: for each outcome, reprepare the most likely Z eigenstate.
 
-    The most likely eigenvalue per outcome comes from the standard
-    decision on the pre-correction joint of (input eigenvalue, outcome).
+    The most likely eigenvalue per outcome is the standard decision on the
+    pre-correction joint of (input eigenvalue, outcome): the largest entry
+    of each column, ties going to the smallest row.  The flag is measured
+    and the chosen state prepared, with Kraus operators
+    sqrt(w_i) |v_i><b, m| for each eigenpair (w_i > 0, v_i) of the state
+    of outcome m and each basis vector b of the output.
     """
-    j = noise_joint(z_obs, inst)
-    rule = standard_decision(j).rule
-    by_label = {br.eigenvalue: br for br in z_obs.branches}
-    states = []
-    for mbr in inst.branches:
-        zb = by_label[rule.guess[mbr.label]]
-        states.append(np.asarray(zb.projector) / zb.degeneracy)
-    return _prepare_states_correction(states, inst.dim_out, inst.n_outcomes, z_obs.dim)
+    n, d_sys, d_z = inst.n_outcomes, inst.dim_out, z_obs.dim
+    best = np.argmax(noise_joint(z_obs, inst).table, axis=0)
+    states = z_obs.projectors[best] / np.array(z_obs.degeneracies)[best, None, None]
+    w, v = np.linalg.eigh(states)
+    w = linalg.clip_spectrum(w)
+    flags, cols = np.nonzero(w > 0.0)
+    kets = np.sqrt(w[flags, cols])[:, None] * v[flags, :, cols]
+    bras = np.eye(d_sys * n).reshape(d_sys, n, d_sys * n)[:, flags].swapaxes(0, 1)
+    kraus = kets[:, None, :, None] * bras[:, :, None, :]
+    return Channel(d_sys * n, d_z, kraus.reshape(-1, d_z, d_sys * n))
 
 
-def _params_to_kraus(params: np.ndarray, c_out: int, n_env: int, c_in: int):
+def _params_to_kraus(params: np.ndarray, c_out: int, n_env: int, c_in: int) -> np.ndarray:
     half = params.size // 2
     g = (params[:half] + 1j * params[half:]).reshape(c_out * n_env, c_in)
     q, _ = np.linalg.qr(g)
-    v = q.reshape(c_out, n_env, c_in)
-    return tuple(np.ascontiguousarray(v[:, e, :]) for e in range(n_env))
+    return np.ascontiguousarray(q.reshape(c_out, n_env, c_in).swapaxes(0, 1))
 
 
 def disturbance(
@@ -298,10 +282,11 @@ def disturbance(
     """
     search = search or SearchConfig()
     check_order(order, z_obs.dim)
-    flagged = _flagged_projectors(z_obs, inst)
+    flagged = flag_apply(inst, z_obs.projectors)
 
-    def value_of(kraus) -> float:
-        return conditional_entropy(_correction_joint(z_obs, flagged, kraus), order)
+    def value_of(kraus: np.ndarray) -> float:
+        table = check_table(_correction_table(z_obs, flagged, kraus))
+        return table_conditional_entropy(table, order)
 
     candidates: list[tuple[str, Channel]] = []
     ident = discard_flag_correction(inst, z_obs.dim)
@@ -378,12 +363,10 @@ def error_and_fidelity(exp: DisturbanceExperiment) -> tuple[float, float]:
     q_e = min(max(q_e, 0.0), 1.0)
     if not exp.observable.nondegenerate:
         raise DegenerateObservable("average correction fidelity needs non-degenerate Z")
-    d = exp.observable.dim
-    total = 0.0
-    for br in exp.observable.branches:
-        out = apply_cp(exp.correction.kraus, flag_apply(exp.instrument, br.projector))
-        total += linalg.fidelity(hermitize(out), br.projector)
-    return q_e, total / d
+    projectors = exp.observable.projectors
+    outs = apply_cp(exp.correction.kraus, flag_apply(exp.instrument, projectors))
+    total = sum(linalg.fidelity(hermitize(out), p) for out, p in zip(outs, projectors))
+    return q_e, total / exp.observable.dim
 
 
 # --- combined-estimation consistency oracle ------------------------------------
@@ -406,14 +389,15 @@ def estimation_povm(
     d_in = inst.dim_in
     n = inst.n_outcomes
     elements: dict = {}
-    for mi, mbr in enumerate(inst.branches):
-        em = flag_vector(n, mi)
-        lifted = [l_op @ np.kron(k_op, em) for k_op in mbr.kraus for l_op in correction.kraus]
-        for zbr in z_obs.branches:
+    for mi, label in enumerate(inst.labels):
+        em = np.eye(n, dtype=complex)[:, mi : mi + 1]
+        kraus_m = inst.kraus[inst.outcome == mi]
+        lifted = [l_op @ np.kron(k_op, em) for k_op in kraus_m for l_op in correction.kraus]
+        for zval, zproj in zip(z_obs.eigenvalues, z_obs.projectors):
             e = np.zeros((d_in, d_in), dtype=complex)
             for s in lifted:
-                e += dagger(s) @ zbr.projector @ s
-            key = (mbr.label, zbr.eigenvalue)
+                e += dagger(s) @ zproj @ s
+            key = (label, zval)
             if estimator is not None:
                 key = estimator(*key)
             if key in elements:
@@ -421,11 +405,6 @@ def estimation_povm(
             else:
                 elements[key] = hermitize(e)
     return elements
-
-
-def _pair_overlap(p, q) -> float:
-    # max of the two orientations, so that swapping arguments is exact
-    return max(linalg.spectral_norm(p @ q), linalg.spectral_norm(q @ p))
 
 
 def ricochet_oracle(
@@ -471,14 +450,14 @@ def ricochet_oracle(
     gap_x = 0.0
     gap_z = 0.0
     direct_x = {}
-    for xbr in x_obs.branches:
-        d1 = direct(xbr.projector)
-        d2 = mirrored(xbr.projector)
-        direct_x[xbr.eigenvalue] = d1
+    for xval, xproj in zip(x_obs.eigenvalues, x_obs.projectors):
+        d1 = direct(xproj)
+        d2 = mirrored(xproj)
+        direct_x[xval] = d1
         gap_x = max(gap_x, max(abs(d1[u] - d2[u]) for u in povm))
-    for zbr in z_obs.branches:
-        d1 = direct(zbr.projector)
-        d2 = mirrored(zbr.projector)
+    for zproj in z_obs.projectors:
+        d1 = direct(zproj)
+        d2 = mirrored(zproj)
         gap_z = max(gap_z, max(abs(d1[u] - d2[u]) for u in povm))
 
     gap_cond = 0.0
@@ -489,19 +468,15 @@ def ricochet_oracle(
         if p_u <= 1e-12 or p_u_direct <= 1e-12:
             continue
         rho_u = linalg.partial_trace(lifted, (d, d), keep="B") / p_u
-        for xbr in x_obs.branches:
-            lhs = direct_x[xbr.eigenvalue][u] / p_u_direct
-            rhs = float(np.trace(np.asarray(xbr.projector).T @ rho_u).real)
+        for xval, xproj in zip(x_obs.eigenvalues, x_obs.projectors):
+            lhs = direct_x[xval][u] / p_u_direct
+            rhs = float(np.trace(xproj.T @ rho_u).real)
             gap_cond = max(gap_cond, abs(lhs - rhs))
 
-    c_plain = max(
-        _pair_overlap(px, pz) for px in x_obs.projectors for pz in z_obs.projectors
-    )
-    c_transposed = max(
-        _pair_overlap(np.asarray(px).T, np.asarray(pz).T)
-        for px in x_obs.projectors
-        for pz in z_obs.projectors
-    )
+    c_plain = float(linalg.pair_overlaps(x_obs.projectors, z_obs.projectors).max())
+    x_t = x_obs.projectors.swapaxes(-1, -2)
+    z_t = z_obs.projectors.swapaxes(-1, -2)
+    c_transposed = float(linalg.pair_overlaps(x_t, z_t).max())
 
     return ConsistencyReport(
         max_joint_x_gap=gap_x,

@@ -1,342 +1,216 @@
-"""Observables, POVMs, channels and instruments as concrete Kraus data.
+"""Observables, channels and instruments as stacked numpy arrays.
 
-All objects validate their structural invariants on construction:
-projectors must be idempotent, mutually orthogonal and complete; POVM
-elements positive and complete; Kraus sets trace-preserving.  Complete
-positivity is automatic from the Kraus form.  Sampling takes explicit
-seeds so parallel sweeps can partition the seed space.
+Every object holds its matrices in one array: an observable an (n, d, d)
+stack of projectors, a channel an (r, d_out, d_in) stack of Kraus
+operators, and an instrument an (R, d_out, d_in) Kraus stack together with
+an (R,) index naming the outcome each Kraus operator belongs to, so that
+outcomes may have different numbers of Kraus operators.  The structural
+invariants are checked once, on construction: projectors must be
+Hermitian, idempotent, mutually orthogonal and complete; Kraus sets
+trace-preserving.  Complete positivity is automatic from the Kraus form.
+The stacks are stored as read-only copies, so nothing downstream needs to
+validate them again.  Sampling takes explicit seeds so parallel sweeps can
+partition the seed space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .linalg import DECOMP_TOL, NumericalFailure, as_matrix, dagger, hermitize, max_abs
+from .linalg import DECOMP_TOL, as_matrix, as_stack, dagger, hermitize, max_abs
 
-CLUSTER_TOL = 1e-8      # relative eigenvalue gap separating degenerate clusters
 DEGENERACY_TOL = 1e-6   # projector trace must be this close to an integer
-ZERO_PROB = 1e-12
 
 
-class ZeroProbabilityOutcome(ValueError):
-    """Requested the post-measurement state of an outcome with p ~ 0."""
+def _first_over(deviation: np.ndarray, tol: float):
+    """Index of the first entry of ``deviation`` above ``tol``, or None."""
+    over = np.argwhere(deviation > tol)
+    return tuple(int(i) for i in over[0]) if len(over) else None
+
+
+def _kraus_stack(kraus, dim_in: int, dim_out: int, what: str) -> np.ndarray:
+    """Validate an (r, dim_out, dim_in) Kraus stack as jointly trace-preserving."""
+    k = as_stack(kraus, "Kraus stack")
+    if k.shape[1:] != (dim_out, dim_in):
+        raise ValueError(f"Kraus shape {k.shape[1:]} does not match ({dim_out}, {dim_in})")
+    res = max_abs((dagger(k) @ k).sum(axis=0) - np.eye(dim_in))
+    if res > DECOMP_TOL:
+        raise ValueError(f"{what} completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}")
+    return k
 
 
 # --- observables ------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class ObservableBranch:
-    eigenvalue: float
-    projector: np.ndarray
-    degeneracy: int
-
-
-@dataclass(frozen=True, eq=False)
 class ProjectiveObservable:
-    """Eigenvalue-labelled orthogonal projectors resolving the identity."""
+    """Eigenvalue-labelled orthogonal projectors resolving the identity.
 
-    dim: int
-    branches: tuple[ObservableBranch, ...]
+    ``projectors[i]`` projects onto the eigenspace of ``eigenvalues[i]``;
+    ``degeneracies`` are the projector ranks, read off their traces.
+    """
+
+    eigenvalues: tuple[float, ...]
+    projectors: np.ndarray
+    degeneracies: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        seen = set()
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for br in self.branches:
-            p = as_matrix(br.projector)
-            if p.shape != (self.dim, self.dim):
-                raise ValueError(f"projector shape {p.shape} does not match dim {self.dim}")
-            if max_abs(p - p.conj().T) > DECOMP_TOL:
-                raise ValueError(f"projector for eigenvalue {br.eigenvalue} is not Hermitian")
-            if max_abs(p @ p - p) > DECOMP_TOL:
-                raise ValueError(f"projector for eigenvalue {br.eigenvalue} is not idempotent")
-            tr = float(np.trace(p).real)
-            if abs(tr - round(tr)) > DEGENERACY_TOL or round(tr) != br.degeneracy:
-                raise ValueError(
-                    f"projector trace {tr!r} inconsistent with degeneracy {br.degeneracy}"
-                )
-            if br.eigenvalue in seen:
-                raise ValueError(f"duplicate eigenvalue label {br.eigenvalue!r}")
-            seen.add(br.eigenvalue)
-            total += p
-        for i, a in enumerate(self.branches):
-            for b in self.branches[i + 1 :]:
-                if max_abs(as_matrix(a.projector) @ as_matrix(b.projector)) > DECOMP_TOL:
-                    raise ValueError(
-                        f"projectors for {a.eigenvalue} and {b.eigenvalue} are not orthogonal"
-                    )
-        if max_abs(total - np.eye(self.dim)) > DECOMP_TOL:
+        labels = tuple(float(v) for v in self.eigenvalues)
+        p = as_stack(self.projectors, "projector stack")
+        n, d = p.shape[:2]
+        if p.shape[2] != d:
+            raise ValueError(f"projectors must be square, got shape {p.shape[1:]}")
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} eigenvalue labels for {n} projectors")
+        bad = _first_over(np.abs(p - dagger(p)).max(axis=(1, 2)), DECOMP_TOL)
+        if bad is not None:
+            raise ValueError(f"projector for eigenvalue {labels[bad[0]]} is not Hermitian")
+        bad = _first_over(np.abs(p @ p - p).max(axis=(1, 2)), DECOMP_TOL)
+        if bad is not None:
+            raise ValueError(f"projector for eigenvalue {labels[bad[0]]} is not idempotent")
+        traces = np.trace(p, axis1=1, axis2=2).real
+        bad = _first_over(np.abs(traces - np.round(traces)), DEGENERACY_TOL)
+        if bad is not None:
+            raise ValueError(
+                f"projector trace {float(traces[bad[0]])!r} for eigenvalue "
+                f"{labels[bad[0]]} is not an integer rank"
+            )
+        if len(set(labels)) != n:
+            raise ValueError(f"duplicate eigenvalue label in {labels}")
+        overlaps = np.triu(np.abs(p[:, None] @ p[None, :]).max(axis=(2, 3)), k=1)
+        bad = _first_over(overlaps, DECOMP_TOL)
+        if bad is not None:
+            i, k = bad
+            raise ValueError(f"projectors for {labels[i]} and {labels[k]} are not orthogonal")
+        if max_abs(p.sum(axis=0) - np.eye(d)) > DECOMP_TOL:
             raise ValueError("projectors do not resolve the identity")
-        if sum(br.degeneracy for br in self.branches) != self.dim:
+        degeneracies = tuple(int(round(t)) for t in traces)
+        if sum(degeneracies) != d:
             raise ValueError("degeneracies do not sum to the dimension")
-
-    @classmethod
-    def from_pairs(cls, dim: int, pairs) -> "ProjectiveObservable":
-        """Build from (eigenvalue, projector) pairs, inferring degeneracies."""
-        branches = []
-        for val, proj in pairs:
-            proj = as_matrix(proj)
-            deg = int(round(float(np.trace(proj).real)))
-            branches.append(ObservableBranch(float(val), proj, deg))
-        return cls(dim, tuple(branches))
+        object.__setattr__(self, "eigenvalues", labels)
+        object.__setattr__(self, "projectors", p)
+        object.__setattr__(self, "degeneracies", degeneracies)
 
     @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(br.eigenvalue for br in self.branches)
-
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(br.projector for br in self.branches)
-
-    @property
-    def degeneracies(self) -> tuple[int, ...]:
-        return tuple(br.degeneracy for br in self.branches)
+    def dim(self) -> int:
+        return self.projectors.shape[1]
 
     @property
     def nondegenerate(self) -> bool:
-        return all(br.degeneracy == 1 for br in self.branches)
+        return all(g == 1 for g in self.degeneracies)
 
 
 def basis_observable(dim: int) -> ProjectiveObservable:
     """Computational-basis observable with eigenvalue labels 0, 1, ..."""
-    eye = np.eye(dim, dtype=complex)
-    pairs = [(float(i), np.outer(eye[:, i], eye[:, i].conj())) for i in range(dim)]
-    return ProjectiveObservable.from_pairs(dim, pairs)
+    return observable_from_basis(np.eye(dim, dtype=complex))
 
 
 def observable_from_basis(columns: np.ndarray) -> ProjectiveObservable:
     """Rank-1 observable from the columns of a unitary, labelled 0, 1, ..."""
     u = as_matrix(columns)
-    d = u.shape[0]
-    pairs = [(float(i), np.outer(u[:, i], u[:, i].conj())) for i in range(d)]
-    return ProjectiveObservable.from_pairs(d, pairs)
+    projectors = np.einsum("ai,bi->iab", u, u.conj())
+    return ProjectiveObservable(tuple(float(i) for i in range(u.shape[1])), projectors)
 
 
-# --- POVMs, channels, instruments -------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Povm:
-    dim: int
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, e in enumerate(self.elements):
-            e = as_matrix(e)
-            if e.shape != (self.dim, self.dim):
-                raise ValueError(f"element {k} has shape {e.shape}, expected ({self.dim}, {self.dim})")
-            if max_abs(e - e.conj().T) > linalg.STRUCT_TOL * 10:
-                raise ValueError(f"element {k} is not Hermitian")
-            w = np.linalg.eigvalsh(hermitize(e))
-            if w.min() < -linalg.STRUCT_TOL:
-                raise ValueError(f"element {k} has negative eigenvalue {w.min():.3e}")
-            total += e
-        if max_abs(total - np.eye(self.dim)) > DECOMP_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
+# --- channels and instruments -----------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Trace-preserving completely positive map in Kraus form."""
+    """Trace-preserving completely positive map with an (r, dim_out, dim_in) Kraus stack."""
 
     dim_in: int
     dim_out: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "kraus", tuple(as_matrix(k) for k in self.kraus))
-        if not self.kraus:
+        if not len(self.kraus):
             raise ValueError("a channel needs at least one Kraus operator")
-        acc = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for k in self.kraus:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus shape {k.shape} does not match ({self.dim_out}, {self.dim_in})"
-                )
-            acc += dagger(k) @ k
-        res = max_abs(acc - np.eye(self.dim_in))
-        if res > DECOMP_TOL:
-            raise ValueError(f"Kraus completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}")
-
-    def apply(self, rho) -> np.ndarray:
-        return apply_cp(self.kraus, rho)
-
-
-@dataclass(frozen=True, eq=False)
-class InstrumentBranch:
-    label: str
-    kraus: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kraus", tuple(as_matrix(k) for k in self.kraus))
+        k = _kraus_stack(self.kraus, self.dim_in, self.dim_out, "Kraus")
+        object.__setattr__(self, "kraus", k)
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumInstrument:
-    """Outcome-indexed Kraus sets that are jointly trace-preserving."""
+    """Outcome-labelled Kraus operators that are jointly trace-preserving.
+
+    ``kraus`` is one (R, dim_out, dim_in) stack and ``outcome[r]`` the
+    index into ``labels`` of the outcome Kraus operator r belongs to.
+    """
 
     dim_in: int
     dim_out: int
-    branches: tuple[InstrumentBranch, ...]
+    labels: tuple[str, ...]
+    kraus: np.ndarray
+    outcome: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
+        labels = tuple(self.labels)
+        if not labels:
             raise ValueError("an instrument needs at least one outcome")
-        labels = [br.label for br in self.branches]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate outcome labels in {labels}")
-        acc = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for br in self.branches:
-            for k in br.kraus:
-                if k.shape != (self.dim_out, self.dim_in):
-                    raise ValueError(
-                        f"branch {br.label!r}: Kraus shape {k.shape} does not match "
-                        f"({self.dim_out}, {self.dim_in})"
-                    )
-                acc += dagger(k) @ k
-        res = max_abs(acc - np.eye(self.dim_in))
-        if res > DECOMP_TOL:
+            raise ValueError(f"duplicate outcome labels in {list(labels)}")
+        k = _kraus_stack(self.kraus, self.dim_in, self.dim_out, "instrument")
+        idx = np.array(self.outcome)
+        if (
+            idx.shape != (len(k),)
+            or idx.dtype.kind not in "iu"
+            or np.any(idx < 0)
+            or np.any(idx >= len(labels))
+        ):
             raise ValueError(
-                f"instrument completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}"
+                f"the outcome index must give each of the {len(k)} Kraus operators "
+                f"one of the {len(labels)} outcomes"
             )
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(br.label for br in self.branches)
+        idx.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "kraus", k)
+        object.__setattr__(self, "outcome", idx)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.branches)
-
-    def branch(self, label: str) -> InstrumentBranch:
-        for br in self.branches:
-            if br.label == label:
-                return br
-        raise KeyError(f"unknown outcome label {label!r}")
+        return len(self.labels)
 
 
 def luders_instrument(obs: ProjectiveObservable) -> QuantumInstrument:
     """Projective (Lueders) measurement of an observable; labels m0, m1, ..."""
-    branches = [
-        InstrumentBranch(f"m{i}", (br.projector,)) for i, br in enumerate(obs.branches)
-    ]
-    return QuantumInstrument(obs.dim, obs.dim, tuple(branches))
+    n = len(obs.eigenvalues)
+    labels = tuple(f"m{i}" for i in range(n))
+    return QuantumInstrument(obs.dim, obs.dim, labels, obs.projectors, np.arange(n))
 
 
 def trivial_instrument(dim: int) -> QuantumInstrument:
     """Single-outcome identity instrument: no information, no disturbance."""
-    return QuantumInstrument(dim, dim, (InstrumentBranch("m0", (np.eye(dim, dtype=complex),)),))
+    return QuantumInstrument(dim, dim, ("m0",), np.eye(dim)[None], np.zeros(1, dtype=int))
 
 
 # --- acting on states --------------------------------------------------------
 
 
-def apply_cp(kraus, rho) -> np.ndarray:
-    """Apply a completely positive map sum_n K(n) rho K(n)† in Kraus form."""
-    rho = as_matrix(rho)
-    out = None
-    for k in kraus:
-        k = as_matrix(k)
-        if k.shape[1] != rho.shape[0]:
-            raise ValueError(f"Kraus shape {k.shape} incompatible with state {rho.shape}")
-        term = k @ rho @ dagger(k)
-        out = term if out is None else out + term
-    if out is None:
-        raise ValueError("empty Kraus set")
-    return out
+def apply_cp(kraus: np.ndarray, rho) -> np.ndarray:
+    """Apply the completely positive map sum_r K_r rho K_r† of an (r, d_out, d_in) Kraus stack.
 
-
-def outcome_probability(inst: QuantumInstrument, label: str, rho) -> float:
-    """p(m) = Tr(Phi^(m)(rho))."""
-    rho = linalg.assert_density(rho)
-    p = float(np.trace(apply_cp(inst.branch(label).kraus, rho)).real)
-    return min(max(p, 0.0), 1.0)
-
-
-def post_measurement_state(inst: QuantumInstrument, label: str, rho) -> np.ndarray:
-    """Normalised output state for one outcome; rejects p(m) ~ 0."""
-    rho = linalg.assert_density(rho)
-    raw = apply_cp(inst.branch(label).kraus, rho)
-    p = float(np.trace(raw).real)
-    if p <= ZERO_PROB:
-        raise ZeroProbabilityOutcome(f"outcome {label!r} has probability {p:.3e}")
-    return linalg.assert_density(hermitize(raw) / p)
-
-
-def flag_vector(n: int, idx: int) -> np.ndarray:
-    v = np.zeros((n, 1), dtype=complex)
-    v[idx, 0] = 1.0
-    return v
-
-
-def flag_map(inst: QuantumInstrument, rho) -> np.ndarray:
-    """Flagged evolution sum_m Phi^(m)(rho) ⊗ |m><m| on the output ⊗ flag space.
-
-    Trace-preserving; the trace of flag block m equals the outcome
-    probability p(m).
+    ``rho`` may carry leading batch axes; the result keeps them.
     """
-    rho = linalg.assert_density(rho)
-    return flag_apply(inst, rho)
+    rho = np.asarray(rho)[..., None, :, :]
+    return (kraus @ rho @ dagger(kraus)).sum(axis=-3)
 
 
 def flag_apply(inst: QuantumInstrument, op) -> np.ndarray:
-    """flag_map extended by linearity to arbitrary operators."""
-    op = as_matrix(op)
-    n = inst.n_outcomes
-    d = inst.dim_out
-    out = np.zeros((d * n, d * n), dtype=complex)
-    for i, br in enumerate(inst.branches):
-        flag = np.zeros((n, n), dtype=complex)
-        flag[i, i] = 1.0
-        out += np.kron(apply_cp(br.kraus, op), flag)
-    return out
+    """Flagged evolution sum_m Phi^(m)(op) ⊗ |m><m| on the output ⊗ flag space.
 
-
-def flag_block(m: np.ndarray, dim_out: int, n_outcomes: int, idx: int) -> np.ndarray:
-    """Extract flag block idx from an operator on the output ⊗ flag space."""
-    m = as_matrix(m)
-    t = m.reshape(dim_out, n_outcomes, dim_out, n_outcomes)
-    return np.ascontiguousarray(t[:, idx, :, idx])
-
-
-# --- spectral decomposition --------------------------------------------------
-
-
-def spectral_decompose(h, cluster_tol: float = CLUSTER_TOL) -> ProjectiveObservable:
-    """Spectral decomposition with eigenvalue clustering for degeneracies.
-
-    Consecutive eigenvalues closer than ``cluster_tol`` (relative to their
-    magnitude, floored at 1) are merged into one branch; the branch label
-    is the cluster mean.
+    Batched over leading axes of ``op``.  The flagged map is itself in
+    Kraus form, with operators K_r ⊗ |m_r> for Kraus operator r of outcome
+    m_r; it is trace-preserving, and the trace of flag block m is the
+    outcome probability p(m).
     """
-    h = as_matrix(h)
-    w, v = linalg.eigh(h)
-    d = h.shape[0]
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, d):
-        scale = max(1.0, abs(w[i]), abs(w[i - 1]))
-        if w[i] - w[i - 1] > cluster_tol * scale:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-    pairs = []
-    for idxs in clusters:
-        block = v[:, idxs]
-        proj = hermitize(block @ block.conj().T)
-        pairs.append((float(np.mean(w[idxs])), proj))
-    obs = ProjectiveObservable.from_pairs(d, pairs)
-    recon = sum(br.eigenvalue * br.projector for br in obs.branches)
-    if max_abs(recon - h) > 1e-8 * max(1.0, max_abs(h)):
-        raise NumericalFailure("spectral reconstruction residual too large")
-    return obs
+    r, n = len(inst.kraus), inst.n_outcomes
+    lifted = np.zeros((r, inst.dim_out, n, inst.dim_in), dtype=complex)
+    lifted[np.arange(r), :, inst.outcome, :] = inst.kraus
+    return apply_cp(lifted.reshape(r, inst.dim_out * n, inst.dim_in), op)
 
 
 # --- sampling -----------------------------------------------------------------
@@ -362,13 +236,15 @@ def sample_random_observable(dim: int, degeneracies=None, seed=None) -> Projecti
     if any(g < 1 for g in degeneracies) or sum(degeneracies) != dim:
         raise ValueError(f"degeneracy profile {degeneracies} does not fit dimension {dim}")
     u = sample_haar_unitary(dim, seed)
-    pairs = []
+    projectors = []
     start = 0
-    for i, g in enumerate(degeneracies):
+    for g in degeneracies:
         block = u[:, start : start + g]
-        pairs.append((float(i), hermitize(block @ block.conj().T)))
+        projectors.append(hermitize(block @ block.conj().T))
         start += g
-    return ProjectiveObservable.from_pairs(dim, pairs)
+    return ProjectiveObservable(
+        tuple(float(i) for i in range(len(degeneracies))), np.stack(projectors)
+    )
 
 
 def sample_random_instrument(
@@ -378,7 +254,7 @@ def sample_random_instrument(
 
     The isometry maps the input space into output ⊗ environment ⊗ outcome
     register; splitting by outcome and tracing the environment gives
-    ``kraus_per_outcome`` Kraus operators per branch, with completeness
+    ``kraus_per_outcome`` Kraus operators per outcome, with completeness
     holding exactly up to roundoff.
     """
     if min(dim_in, dim_out, n_outcomes, kraus_per_outcome) < 1:
@@ -392,11 +268,11 @@ def sample_random_instrument(
     v = u[:, :dim_in]
     # row index convention: ((b * kraus_per_outcome + e) * n_outcomes + m)
     v = v.reshape(dim_out, kraus_per_outcome, n_outcomes, dim_in)
-    branches = []
-    for m in range(n_outcomes):
-        kraus = tuple(np.ascontiguousarray(v[:, e, m, :]) for e in range(kraus_per_outcome))
-        branches.append(InstrumentBranch(f"m{m}", kraus))
-    return QuantumInstrument(dim_in, dim_out, tuple(branches))
+    # Kraus operator m * kraus_per_outcome + e is v[:, e, m, :]
+    kraus = v.transpose(2, 1, 0, 3).reshape(-1, dim_out, dim_in)
+    labels = tuple(f"m{m}" for m in range(n_outcomes))
+    outcome = np.repeat(np.arange(n_outcomes), kraus_per_outcome)
+    return QuantumInstrument(dim_in, dim_out, labels, kraus, outcome)
 
 
 # --- JSON (de)serialization ---------------------------------------------------
@@ -407,7 +283,7 @@ def sample_random_instrument(
 
 def matrix_to_json(m) -> list:
     m = as_matrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -421,39 +297,23 @@ def observable_to_json(obs: ProjectiveObservable) -> dict:
     return {
         "dim": obs.dim,
         "branches": [
-            {"eigenvalue": br.eigenvalue, "projector": matrix_to_json(br.projector)}
-            for br in obs.branches
+            {"eigenvalue": v, "projector": matrix_to_json(p)}
+            for v, p in zip(obs.eigenvalues, obs.projectors)
         ],
     }
 
 
 def observable_from_json(data: dict) -> ProjectiveObservable:
-    pairs = [(b["eigenvalue"], matrix_from_json(b["projector"])) for b in data["branches"]]
-    return ProjectiveObservable.from_pairs(int(data["dim"]), pairs)
-
-
-def povm_to_json(p: Povm) -> dict:
-    return {"dim": p.dim, "elements": [matrix_to_json(e) for e in p.elements]}
-
-
-def povm_from_json(data: dict) -> Povm:
-    return Povm(int(data["dim"]), tuple(matrix_from_json(e) for e in data["elements"]))
-
-
-def channel_to_json(ch: Channel) -> dict:
-    return {
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "kraus": [matrix_to_json(k) for k in ch.kraus],
-    }
-
-
-def channel_from_json(data: dict) -> Channel:
-    return Channel(
-        int(data["dim_in"]),
-        int(data["dim_out"]),
-        tuple(matrix_from_json(k) for k in data["kraus"]),
+    branches = data["branches"]
+    obs = ProjectiveObservable(
+        tuple(b["eigenvalue"] for b in branches),
+        np.stack([matrix_from_json(b["projector"]) for b in branches]),
     )
+    if obs.dim != int(data["dim"]):
+        raise ValueError(
+            f"projector shape {obs.projectors.shape[1:]} does not match dim {data['dim']}"
+        )
+    return obs
 
 
 def instrument_to_json(inst: QuantumInstrument) -> dict:
@@ -461,15 +321,23 @@ def instrument_to_json(inst: QuantumInstrument) -> dict:
         "dim_in": inst.dim_in,
         "dim_out": inst.dim_out,
         "branches": [
-            {"label": br.label, "kraus": [matrix_to_json(k) for k in br.kraus]}
-            for br in inst.branches
+            {
+                "label": label,
+                "kraus": [matrix_to_json(k) for k in inst.kraus[inst.outcome == m]],
+            }
+            for m, label in enumerate(inst.labels)
         ],
     }
 
 
 def instrument_from_json(data: dict) -> QuantumInstrument:
-    branches = tuple(
-        InstrumentBranch(str(b["label"]), tuple(matrix_from_json(k) for k in b["kraus"]))
-        for b in data["branches"]
+    branches = data["branches"]
+    kraus = [matrix_from_json(k) for b in branches for k in b["kraus"]]
+    outcome = np.repeat(np.arange(len(branches)), [len(b["kraus"]) for b in branches])
+    return QuantumInstrument(
+        int(data["dim_in"]),
+        int(data["dim_out"]),
+        tuple(str(b["label"]) for b in branches),
+        np.array(kraus),
+        outcome,
     )
-    return QuantumInstrument(int(data["dim_in"]), int(data["dim_out"]), branches)

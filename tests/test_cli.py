@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -201,13 +200,10 @@ def test_selftest_negative_fixture(broken_file, capsys):
     assert "validation error" in capsys.readouterr().out
 
 
-def test_selftest_shipped_fixture_rejected():
-    import etoff
-
-    fixture = os.path.join(os.path.dirname(etoff.__file__), "fixtures",
-                           "broken_instrument.json")
-    assert os.path.exists(fixture)
-    assert main(["selftest", "--fixture", fixture]) == 1
+def test_selftest_shipped_fixture_rejected(broken_file):
+    # the negative fixture ships as harness.broken_instrument_json(), which
+    # the broken_file fixture writes out
+    assert main(["selftest", "--fixture", broken_file]) == 1
 
 
 def test_usage_error_exits_two():

@@ -147,11 +147,6 @@ def test_fidelity_symmetric(rng):
         assert abs(linalg.fidelity(a, b) - linalg.fidelity(b, a)) < 1e-9
 
 
-def test_assert_density_rejects_bad_trace():
-    with pytest.raises(ValueError):
-        linalg.assert_density(np.eye(2))
-
-
 def test_as_matrix_rejects_nan():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -1,0 +1,235 @@
+"""The stacked-array core against plain loop implementations.
+
+The references below compute the noise joint, the corrected disturbance
+joint, the flagged evolution and the conditional entropies one Kraus
+operator, one projector and one column at a time, the way the package
+computed them before its objects became stacked arrays.  The array code
+must agree with them to 1e-12 on every case: dimensions 2, 3 and 4,
+dim_out != dim_in, outcomes with different numbers of Kraus operators
+(none at all, included), a degenerate Z, and zero-probability columns.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from etoff.entropy import (
+    SHANNON_BRANCH,
+    EntropyOrder,
+    JointDistribution,
+    check_table,
+    cond_tsallis_first,
+    conditional_entropy,
+    entropy,
+)
+from etoff.noise_disturbance import (
+    disturbance_joint,
+    discard_flag_correction,
+    noise_joint,
+    reprepare_correction,
+)
+from etoff.quantum import (
+    Channel,
+    QuantumInstrument,
+    basis_observable,
+    flag_apply,
+    sample_random_instrument,
+    sample_random_observable,
+    trivial_instrument,
+)
+
+TOL = 1e-12
+NEAR_ONE = (1.0 - 1e-8, 1.0, 1.0 + 1e-8)
+ORDERS = (
+    [EntropyOrder.renyi(a) for a in (0.3, *NEAR_ONE, 2.0, math.inf)]
+    + [EntropyOrder.tsallis(a) for a in (0.3, *NEAR_ONE, 2.0)]
+    + [EntropyOrder(a, "shannon") for a in NEAR_ONE]
+)
+
+
+# --- loop references ---------------------------------------------------------------
+
+
+def outcome_kraus(inst, m):
+    return [k for k, o in zip(inst.kraus, inst.outcome) if o == m]
+
+
+def loop_apply_cp(kraus, rho, d_out):
+    out = np.zeros((d_out, d_out), dtype=complex)
+    for k in kraus:
+        out = out + k @ rho @ k.conj().T
+    return out
+
+
+def loop_flag_apply(inst, op):
+    n, d = inst.n_outcomes, inst.dim_out
+    out = np.zeros((d * n, d * n), dtype=complex)
+    for m in range(n):
+        flag = np.zeros((n, n), dtype=complex)
+        flag[m, m] = 1.0
+        out += np.kron(loop_apply_cp(outcome_kraus(inst, m), op, d), flag)
+    return out
+
+
+def loop_noise_table(x_obs, inst):
+    table = np.empty((len(x_obs.projectors), inst.n_outcomes))
+    for i, p in enumerate(x_obs.projectors):
+        for m in range(inst.n_outcomes):
+            block = loop_apply_cp(outcome_kraus(inst, m), p, inst.dim_out)
+            table[i, m] = float(np.trace(block).real) / x_obs.dim
+    return table
+
+
+def loop_correction_table(z_obs, inst, correction):
+    n = len(z_obs.projectors)
+    table = np.empty((n, n))
+    for i, pz in enumerate(z_obs.projectors):
+        sigma = loop_apply_cp(correction.kraus, loop_flag_apply(inst, pz), z_obs.dim)
+        for k, lam in enumerate(z_obs.projectors):
+            table[i, k] = float(np.trace(lam @ sigma).real) / z_obs.dim
+    return table
+
+
+def loop_entropy(p, order):
+    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    p = p / p.sum()
+    alpha = order.alpha
+    if math.isinf(alpha):
+        return max(0.0, -math.log(float(p.max())))
+    q = p[p > 0.0]
+    if abs(alpha - 1.0) < SHANNON_BRANCH:
+        return max(0.0, float(-np.sum(q * np.log(q))))
+    s = float(np.sum(q ** alpha))
+    if order.family == "renyi":
+        return max(0.0, math.log(s) / (1.0 - alpha))
+    return max(0.0, (s - 1.0) / (1.0 - alpha))
+
+
+def loop_conditional(table, order, first_form=False):
+    total = 0.0
+    for k, w in enumerate(table.sum(axis=0)):
+        if w > 0.0:
+            weight = w ** order.alpha if first_form else w
+            total += weight * loop_entropy(table[:, k] / w, order)
+    return total
+
+
+# --- cases -------------------------------------------------------------------------
+
+
+def _channel_into(c_in, c_out, seed):
+    """A random channel from a c_in space to a c_out one."""
+    rank = -(-c_in // c_out) + 1
+    return Channel(c_in, c_out, sample_random_instrument(c_in, c_out, 1, rank, seed).kraus)
+
+
+def _uneven(inst, outcome, labels):
+    """The same Kraus stack regrouped into outcomes of different sizes."""
+    return QuantumInstrument(inst.dim_in, inst.dim_out, labels, inst.kraus, outcome)
+
+
+def _with_idle_outcomes(inst):
+    """Append an outcome with a zero Kraus operator and one with no Kraus operator."""
+    zero = np.zeros((1, inst.dim_out, inst.dim_in))
+    return QuantumInstrument(
+        inst.dim_in,
+        inst.dim_out,
+        inst.labels + ("zero", "empty"),
+        np.concatenate([inst.kraus, zero]),
+        np.append(inst.outcome, inst.n_outcomes),
+    )
+
+
+def cases():
+    out = []
+    for d in (2, 3, 4):
+        x_obs = sample_random_observable(d, None, seed=10 + d)
+        z_obs = sample_random_observable(d, None, seed=20 + d)
+        out.append((f"d{d}", x_obs, z_obs, sample_random_instrument(d, d, d, 2, 30 + d)))
+        wide = sample_random_instrument(d, d + 1, 2, 2, 40 + d)
+        out.append((f"d{d}-dim_out", x_obs, z_obs, wide))
+        four = sample_random_instrument(d, d, 4, 1, 50 + d)
+        out.append((f"d{d}-uneven", x_obs, z_obs, _uneven(four, [0, 1, 1, 1], ("a", "b"))))
+        out.append((f"d{d}-idle", x_obs, z_obs, _with_idle_outcomes(wide)))
+        out.append((f"d{d}-trivial", x_obs, basis_observable(d), trivial_instrument(d)))
+    for d, profile in ((3, (2, 1)), (4, (2, 1, 1))):
+        z_deg = sample_random_observable(d, profile, seed=60 + d)
+        x_obs = sample_random_observable(d, None, seed=70 + d)
+        inst = sample_random_instrument(d, d, 2, 2, 80 + d)
+        out.append((f"d{d}-degenerate", x_obs, z_deg, inst))
+        out.append((f"d{d}-degenerate-x", z_deg, x_obs, inst))
+    return out
+
+
+CASES = cases()
+
+
+def corrections(z_obs, inst, seed):
+    c_in = inst.dim_out * inst.n_outcomes
+    found = [reprepare_correction(z_obs, inst), _channel_into(c_in, z_obs.dim, seed)]
+    ident = discard_flag_correction(inst, z_obs.dim)
+    if ident is not None:
+        found.append(ident)
+    return found
+
+
+def assert_entropies_agree(table):
+    table = check_table(table)
+    j = JointDistribution.from_table(table)
+    for order in ORDERS:
+        assert conditional_entropy(j, order) == pytest.approx(
+            loop_conditional(table, order), abs=TOL
+        )
+        if order.family == "tsallis":
+            assert cond_tsallis_first(j, order.alpha) == pytest.approx(
+                loop_conditional(table, order, first_form=True), abs=TOL
+            )
+
+
+# --- agreement ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, x_obs, z_obs, inst", CASES, ids=[c[0] for c in CASES])
+def test_flag_apply_matches_loop(name, x_obs, z_obs, inst):
+    got = flag_apply(inst, z_obs.projectors)
+    for g, p in zip(got, z_obs.projectors):
+        assert np.max(np.abs(g - loop_flag_apply(inst, p))) <= TOL
+
+
+@pytest.mark.parametrize("name, x_obs, z_obs, inst", CASES, ids=[c[0] for c in CASES])
+def test_noise_joint_matches_loop(name, x_obs, z_obs, inst):
+    ref = loop_noise_table(x_obs, inst)
+    j = noise_joint(x_obs, inst)
+    assert np.max(np.abs(j.table - ref)) <= TOL
+    assert_entropies_agree(ref)
+
+
+@pytest.mark.parametrize("name, x_obs, z_obs, inst", CASES, ids=[c[0] for c in CASES])
+def test_correction_joint_matches_loop(name, x_obs, z_obs, inst):
+    for correction in corrections(z_obs, inst, seed=len(name)):
+        ref = loop_correction_table(z_obs, inst, correction)
+        j = disturbance_joint(z_obs, inst, correction)
+        assert np.max(np.abs(j.table - ref)) <= TOL
+        assert_entropies_agree(ref)
+
+
+def test_cases_cover_the_edges():
+    idle = [c for c in CASES if c[0].endswith("-idle")]
+    assert all(np.all(noise_joint(x, m).table[:, -2:] == 0.0) for _, x, _, m in idle)
+    # repreparing one basis state after a single-outcome instrument leaves
+    # every other Z' column empty
+    _, _, z_obs, inst = next(c for c in CASES if c[0] == "d3-trivial")
+    j = disturbance_joint(z_obs, inst, reprepare_correction(z_obs, inst))
+    assert np.sum(j.marginal_cols() == 0.0) == 2
+
+
+def test_unconditional_entropies_match_loop(rng):
+    for _ in range(50):
+        p = rng.random(int(rng.integers(2, 6)))
+        p[rng.random(p.size) < 0.3] = 0.0
+        if p.sum() == 0.0:
+            continue
+        p /= p.sum()
+        for order in ORDERS:
+            assert entropy(p, order) == pytest.approx(loop_entropy(p, order), abs=TOL)

@@ -7,34 +7,34 @@ import pytest
 from etoff import linalg
 from etoff.quantum import (
     Channel,
-    InstrumentBranch,
-    Povm,
     ProjectiveObservable,
     QuantumInstrument,
-    ZeroProbabilityOutcome,
     apply_cp,
     basis_observable,
-    channel_from_json,
-    channel_to_json,
-    flag_block,
-    flag_map,
+    flag_apply,
     instrument_from_json,
     instrument_to_json,
     luders_instrument,
     observable_from_json,
     observable_to_json,
-    outcome_probability,
-    post_measurement_state,
-    povm_from_json,
-    povm_to_json,
     sample_haar_unitary,
     sample_random_instrument,
     sample_random_observable,
-    spectral_decompose,
     trivial_instrument,
 )
 
 from conftest import random_hermitian
+
+
+def outcome_blocks(inst, rho):
+    """Flag block m of the flagged evolution, Phi^(m)(rho), for every outcome m."""
+    d, n = inst.dim_out, inst.n_outcomes
+    out = flag_apply(inst, rho).reshape(d, n, d, n)
+    return [out[:, m, :, m] for m in range(n)]
+
+
+def outcome_probabilities(inst, rho):
+    return [float(np.trace(b).real) for b in outcome_blocks(inst, rho)]
 
 
 # --- type invariants -------------------------------------------------------------
@@ -43,45 +43,48 @@ from conftest import random_hermitian
 def test_observable_rejects_incomplete_projectors():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        ProjectiveObservable.from_pairs(2, [(0.0, p0)])
+        ProjectiveObservable((0.0,), p0[None])
 
 
 def test_observable_rejects_non_orthogonal():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     plus = np.full((2, 2), 0.5, dtype=complex)
     with pytest.raises(ValueError):
-        ProjectiveObservable.from_pairs(2, [(0.0, p0), (1.0, plus)])
-
-
-def test_povm_validation():
-    half = np.eye(2, dtype=complex) / 2
-    Povm(2, (half, half))
-    with pytest.raises(ValueError):
-        Povm(2, (half,))
-    with pytest.raises(ValueError):
-        Povm(2, (np.diag([1.5, 1.0]).astype(complex), np.diag([-0.5, 0.0]).astype(complex)))
+        ProjectiveObservable((0.0, 1.0), np.stack([p0, plus]))
 
 
 def test_channel_completeness_enforced():
     with pytest.raises(ValueError):
-        Channel(2, 2, (0.5 * np.eye(2, dtype=complex),))
+        Channel(2, 2, (0.5 * np.eye(2, dtype=complex))[None])
 
 
 def test_instrument_completeness_enforced():
     eye = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        QuantumInstrument(
-            2, 2,
-            (InstrumentBranch("m0", (eye,)), InstrumentBranch("m1", (0.5 * eye,))),
-        )
+        QuantumInstrument(2, 2, ("m0", "m1"), np.stack([eye, 0.5 * eye]), [0, 1])
 
 
 def test_instrument_rejects_duplicate_labels():
     eye = np.eye(2, dtype=complex) / math.sqrt(2)
     with pytest.raises(ValueError):
-        QuantumInstrument(
-            2, 2, (InstrumentBranch("m0", (eye,)), InstrumentBranch("m0", (eye,)))
-        )
+        QuantumInstrument(2, 2, ("m0", "m0"), np.stack([eye, eye]), [0, 1])
+
+
+def test_instrument_rejects_bad_outcome_index():
+    eye = np.eye(2, dtype=complex) / math.sqrt(2)
+    kraus = np.stack([eye, eye])
+    for outcome in ([0, 2], [0], [0.0, 1.0], [-1, 0]):
+        with pytest.raises(ValueError):
+            QuantumInstrument(2, 2, ("m0", "m1"), kraus, outcome)
+
+
+def test_validated_stacks_are_read_only_copies():
+    p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    obs = ProjectiveObservable((0.0, 1.0), p)
+    assert not obs.projectors.flags.writeable
+    assert p.flags.writeable
+    inst = luders_instrument(obs)
+    assert not inst.kraus.flags.writeable and not inst.outcome.flags.writeable
 
 
 # --- acting on states ---------------------------------------------------------------
@@ -91,40 +94,38 @@ def test_apply_cp_identity_channel(rng):
     rho = random_hermitian(rng, 3)
     rho = rho @ rho.conj().T
     rho /= np.trace(rho)
-    out = apply_cp((np.eye(3, dtype=complex),), rho)
+    out = apply_cp(np.eye(3, dtype=complex)[None], rho)
     assert np.allclose(out, rho, atol=1e-12)
 
 
 def test_apply_cp_zero_kraus():
-    out = apply_cp((np.zeros((2, 2), dtype=complex),), np.eye(2) / 2)
+    out = apply_cp(np.zeros((1, 2, 2), dtype=complex), np.eye(2) / 2)
     assert np.allclose(out, 0.0)
 
 
 def test_apply_cp_trace_preserving_for_channels(rng):
     inst = sample_random_instrument(3, 3, 2, 2, rng)
-    kraus = tuple(k for br in inst.branches for k in br.kraus)
     rho = random_hermitian(rng, 3)
     rho = rho @ rho.conj().T
     rho /= np.trace(rho)
-    out = apply_cp(kraus, rho)
+    out = apply_cp(inst.kraus, rho)
     assert abs(np.trace(out).real - 1.0) < 1e-10
 
 
 def test_outcome_probability_eigenstate(anchor):
     _, z_obs, inst = anchor
-    ket0 = z_obs.branches[0].projector
-    assert outcome_probability(inst, "m0", ket0) == pytest.approx(1.0, abs=1e-12)
-    assert outcome_probability(inst, "m1", ket0) == pytest.approx(0.0, abs=1e-12)
+    ket0 = z_obs.projectors[0]
+    p0, p1 = outcome_probabilities(inst, ket0)
+    assert p0 == pytest.approx(1.0, abs=1e-12)
+    assert p1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_outcome_probability_maximally_mixed():
     obs = sample_random_observable(4, (2, 1, 1), seed=3)
     inst = luders_instrument(obs)
     rho = np.eye(4, dtype=complex) / 4
-    for label, br in zip(inst.labels, obs.branches):
-        assert outcome_probability(inst, label, rho) == pytest.approx(
-            br.degeneracy / 4, abs=1e-12
-        )
+    for p, g in zip(outcome_probabilities(inst, rho), obs.degeneracies):
+        assert p == pytest.approx(g / 4, abs=1e-12)
 
 
 def test_outcome_probabilities_normalised(rng):
@@ -132,15 +133,16 @@ def test_outcome_probabilities_normalised(rng):
     rho = random_hermitian(rng, 3)
     rho = rho @ rho.conj().T
     rho /= np.trace(rho)
-    ps = [outcome_probability(inst, lab, rho) for lab in inst.labels]
+    ps = outcome_probabilities(inst, rho)
     assert all(p >= -1e-10 for p in ps)
     assert sum(ps) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_post_measurement_state_projective(anchor):
     _, z_obs, inst = anchor
-    ket0 = z_obs.branches[0].projector
-    out = post_measurement_state(inst, "m0", ket0)
+    ket0 = z_obs.projectors[0]
+    block = outcome_blocks(inst, ket0)[0]
+    out = block / np.trace(block).real
     assert np.allclose(out, ket0, atol=1e-12)
 
 
@@ -148,21 +150,15 @@ def test_post_measurement_state_degenerate_branch():
     obs = sample_random_observable(4, (2, 2), seed=11)
     inst = luders_instrument(obs)
     rho = np.eye(4, dtype=complex) / 4
-    out = post_measurement_state(inst, "m0", rho)
-    assert np.allclose(out, obs.branches[0].projector / 2, atol=1e-10)
-
-
-def test_post_measurement_state_zero_probability(anchor):
-    _, z_obs, inst = anchor
-    ket0 = z_obs.branches[0].projector
-    with pytest.raises(ZeroProbabilityOutcome):
-        post_measurement_state(inst, "m1", ket0)
+    block = outcome_blocks(inst, rho)[0]
+    out = block / np.trace(block).real
+    assert np.allclose(out, obs.projectors[0] / 2, atol=1e-10)
 
 
 def test_flag_map_single_outcome():
     inst = trivial_instrument(2)
     rho = np.diag([0.7, 0.3]).astype(complex)
-    out = flag_map(inst, rho)
+    out = flag_apply(inst, rho)
     assert np.allclose(out, np.kron(rho, [[1.0]]), atol=1e-12)
 
 
@@ -171,48 +167,20 @@ def test_flag_map_block_traces_are_outcome_probabilities(rng):
     rho = random_hermitian(rng, 3)
     rho = rho @ rho.conj().T
     rho /= np.trace(rho)
-    out = flag_map(inst, rho)
-    assert abs(np.trace(out).real - 1.0) < 1e-9
-    for i, lab in enumerate(inst.labels):
-        block = flag_block(out, 3, 3, i)
-        assert abs(np.trace(block).real - outcome_probability(inst, lab, rho)) < 1e-10
+    assert abs(np.trace(flag_apply(inst, rho)).real - 1.0) < 1e-9
+    for m, p in enumerate(outcome_probabilities(inst, rho)):
+        direct = sum(
+            np.trace(k @ rho @ k.conj().T).real for k in inst.kraus[inst.outcome == m]
+        )
+        assert abs(p - direct) < 1e-10
 
 
 def test_flag_map_projective_on_maximally_mixed():
     obs = basis_observable(2)
     inst = luders_instrument(obs)
-    out = flag_map(inst, np.eye(2, dtype=complex) / 2)
-    for i, br in enumerate(obs.branches):
-        block = flag_block(out, 2, 2, i)
-        assert np.allclose(block, br.projector / 2, atol=1e-12)
-
-
-# --- spectral decomposition ------------------------------------------------------------
-
-
-def test_spectral_decompose_pauli_like():
-    obs = spectral_decompose(np.diag([1.0, -1.0]).astype(complex))
-    assert obs.degeneracies == (1, 1)
-    assert obs.eigenvalues == (-1.0, 1.0)
-
-
-def test_spectral_decompose_identity():
-    obs = spectral_decompose(np.eye(3, dtype=complex))
-    assert len(obs.branches) == 1
-    assert obs.branches[0].degeneracy == 3
-
-
-def test_spectral_decompose_clusters_near_degenerate():
-    obs = spectral_decompose(np.diag([1.0, 1.0 + 1e-12, -1.0]).astype(complex))
-    assert sorted(obs.degeneracies) == [1, 2]
-
-
-def test_spectral_decompose_round_trip(rng):
-    for _ in range(50):
-        h = random_hermitian(rng, int(rng.integers(2, 6)))
-        obs = spectral_decompose(h)
-        recon = sum(br.eigenvalue * br.projector for br in obs.branches)
-        assert linalg.max_abs(recon - h) <= 1e-8
+    blocks = outcome_blocks(inst, np.eye(2, dtype=complex) / 2)
+    for block, proj in zip(blocks, obs.projectors):
+        assert np.allclose(block, proj / 2, atol=1e-12)
 
 
 # --- sampling ------------------------------------------------------------------------------
@@ -235,16 +203,15 @@ def test_sampled_instruments_complete(rng):
     for _ in range(500):
         d = int(rng.integers(2, 4))
         inst = sample_random_instrument(d, d, int(rng.integers(1, 4)), int(rng.integers(1, 3)), rng)
-        acc = sum(k.conj().T @ k for br in inst.branches for k in br.kraus)
+        acc = sum(k.conj().T @ k for k in inst.kraus)
         assert linalg.max_abs(acc - np.eye(d)) <= 1e-9
 
 
 def test_sampled_instrument_deterministic():
     a = sample_random_instrument(2, 2, 2, 1, seed=77)
     b = sample_random_instrument(2, 2, 2, 1, seed=77)
-    for ba, bb in zip(a.branches, b.branches):
-        for ka, kb in zip(ba.kraus, bb.kraus):
-            assert np.array_equal(ka, kb)
+    assert np.array_equal(a.kraus, b.kraus)
+    assert np.array_equal(a.outcome, b.outcome)
 
 
 def test_sampled_instrument_invalid_shape():
@@ -264,12 +231,11 @@ def test_choi_matrix_positive(rng):
     for _ in range(100):
         d = int(rng.integers(2, 4))
         inst = sample_random_instrument(d, d, 2, 2, rng)
-        kraus = tuple(k for br in inst.branches for k in br.kraus)
         phi = np.zeros(d * d, dtype=complex)
         for i in range(d):
             phi[i * d + i] = 1.0 / math.sqrt(d)
         ent = np.outer(phi, phi.conj())
-        lifted = tuple(np.kron(k, np.eye(d, dtype=complex)) for k in kraus)
+        lifted = np.array([np.kron(k, np.eye(d, dtype=complex)) for k in inst.kraus])
         choi = apply_cp(lifted, ent)
         w = np.linalg.eigvalsh(linalg.hermitize(choi))
         assert w.min() >= -1e-9
@@ -283,29 +249,46 @@ def test_observable_json_round_trip(rng):
     data = json.loads(json.dumps(observable_to_json(obs)))
     back = observable_from_json(data)
     assert back.dim == obs.dim
-    for a, b in zip(obs.branches, back.branches):
-        assert a.eigenvalue == b.eigenvalue
-        assert np.array_equal(a.projector, b.projector)
+    assert back.eigenvalues == obs.eigenvalues
+    assert back.degeneracies == obs.degeneracies
+    assert np.array_equal(back.projectors, obs.projectors)
 
 
-def test_povm_json_round_trip():
-    p = Povm(2, (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2))
-    back = povm_from_json(json.loads(json.dumps(povm_to_json(p))))
-    for a, b in zip(p.elements, back.elements):
-        assert np.array_equal(a, b)
-
-
-def test_channel_json_round_trip(rng):
-    u = sample_haar_unitary(3, rng)
-    ch = Channel(3, 3, (u,))
-    back = channel_from_json(json.loads(json.dumps(channel_to_json(ch))))
-    assert np.array_equal(back.kraus[0], u)
+def test_observable_json_rejects_wrong_dim():
+    data = observable_to_json(basis_observable(2))
+    data["dim"] = 3
+    with pytest.raises(ValueError):
+        observable_from_json(data)
 
 
 def test_instrument_json_round_trip(rng):
     inst = sample_random_instrument(3, 2, 3, 2, rng)
     back = instrument_from_json(json.loads(json.dumps(instrument_to_json(inst))))
     assert back.labels == inst.labels
-    for ba, bb in zip(inst.branches, back.branches):
-        for ka, kb in zip(ba.kraus, bb.kraus):
-            assert np.array_equal(ka, kb)
+    assert np.array_equal(back.kraus, inst.kraus)
+    assert np.array_equal(back.outcome, inst.outcome)
+
+
+def test_instrument_json_round_trip_uneven_kraus_counts():
+    # outcome "keep" has one Kraus operator and outcome "flip" two, from a
+    # qubit into a qutrit; the JSON (written as [re, im] pairs, the layout
+    # of earlier releases) must come back byte for byte
+    def pairs(m):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+
+    h = 1 / math.sqrt(2)
+    keep = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    flip_a = [[0.0, 0.0], [0.0, 0.0], [0.0, h]]
+    flip_b = [[0.0, 1j * h], [0.0, 0.0], [0.0, 0.0]]
+    data = {
+        "dim_in": 2,
+        "dim_out": 3,
+        "branches": [
+            {"label": "keep", "kraus": [pairs(keep)]},
+            {"label": "flip", "kraus": [pairs(flip_a), pairs(flip_b)]},
+        ],
+    }
+    text = json.dumps(data)
+    inst = instrument_from_json(json.loads(text))
+    assert inst.outcome.tolist() == [0, 1, 1]
+    assert json.dumps(instrument_to_json(inst)) == text
