@@ -9,10 +9,8 @@ from .bounds import (
     bbar_bound,
     certify,
     certify_grid,
-    classic_bound,
     mu_bounds,
     overlap,
-    parametric_sum,
 )
 from .decision import (
     DecisionRule,
@@ -41,7 +39,6 @@ from .linalg import (
     eigh,
     fidelity,
     partial_trace,
-    spectral_norm,
     trace_norm,
 )
 from .noise_disturbance import (

@@ -5,10 +5,14 @@ The overlap characteristic of two observables is the largest spectral
 norm among products of their eigenprojectors; for non-degenerate pairs
 this is the maximal eigenstate overlap, ranging between d**-1/2 and 1.
 Two families of state-independent lower bounds on entropy sums are
-provided: a minimised two-parameter bound built from a piecewise-smooth
-parametric sum, and Maassen-Uffink-type bounds under the conjugacy
-constraint 1/alpha + 1/beta = 2.  Certificates combine a noise value, a
-(one-sided) disturbance value and the applicable bound into a margin.
+provided: a minimised two-parameter bound, and Maassen-Uffink-type bounds
+under the conjugacy constraint 1/alpha + 1/beta = 2.  The minimised bound
+sums the entropies of two parametric distributions, each a value
+repeated n times plus a remainder; they go through the column kernel of
+``entropy`` as 2-row columns with multiplicities, so no entropy formula
+is written out here, and a whole grid of orders is minimised at once.
+Certificates combine a noise value, a (one-sided) disturbance value and
+the applicable bound into a margin.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SHANNON_BRANCH, EntropyOrder, alpha_log
+from .entropy import EntropyOrder, _column_entropies, alpha_log
 from .linalg import pair_overlaps
 from .noise_disturbance import CorrectionSearchResult, SearchConfig, disturbance, noise
 from .quantum import ProjectiveObservable, QuantumInstrument
@@ -125,38 +129,6 @@ class TradeoffCertificate:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TradeoffCertificate":
-        b = data["bound"]
-        return cls(
-            relation=data["relation"],
-            dim=int(data["dim"]),
-            alpha=float(data["alpha"]),
-            beta=float(data["beta"]),
-            family=data["family"],
-            c=float(data["c"]),
-            noise=float(data["noise"]),
-            disturbance=float(data["disturbance"]),
-            bound=BoundValue(
-                bound_id=b["id"],
-                value=float(b["value"]),
-                alpha=float(data["alpha"]),
-                beta=float(data["beta"]),
-                c=float(data["c"]),
-                mu=None if b.get("mu") is None else float(b["mu"]),
-                argmin_theta=(
-                    None if b.get("argmin_theta") is None else float(b["argmin_theta"])
-                ),
-            ),
-            margin=float(data["margin"]),
-            passed=bool(data["passed"]),
-            disturbance_is_upper_bound=bool(data.get("disturbance_is_upper_bound", True)),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-            restarts=int(data["search"]["restarts"]),
-            iterations=int(data["search"]["iterations"]),
-            converged=bool(data["search"]["converged"]),
-        )
-
     CSV_HEADER = "relation,d,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"
 
     def to_csv_row(self) -> str:
@@ -207,139 +179,127 @@ def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> Overlap
     )
 
 
-# --- the parametric sum and its minimised bound ---------------------------------
+# --- the minimised bound ---------------------------------------------------------
+
+SCAN = 65  # grid points per bracket, in the scan of a piece and at every zoom step
+THETA_TOL = 1e-12  # a bracket narrower than this counts as refined
+_MAX_POINTS = 1 << 17  # objective values per zoom step; more pieces go in chunks
 
 
-def parametric_sum(theta: float, alpha: float) -> float:
-    """floor(1/cos^2) copies of cos^2 raised to alpha, plus the remainder term.
+def _breakpoints(c: float) -> np.ndarray:
+    """theta_k = arccos(k**-1/2) for k = 1, 2, ..., on to two beyond arccos(c)."""
+    return np.arccos(1.0 / np.sqrt(np.arange(1.0, math.floor(c ** -2) + 3)))
 
-    The underlying distribution (cos^2, ..., cos^2, remainder) varies
-    continuously in theta, so the sum is continuous with breakpoints
-    where 1/cos^2 crosses an integer.
+
+def _parametric_column(theta: np.ndarray, breaks: np.ndarray):
+    """The parametric distribution at each theta, as a 2-row column.
+
+    Returns (probs, mult), each of shape (2,) + theta.shape: cos^2 theta
+    with multiplicity n = floor(1/cos^2 theta), then the remainder with
+    multiplicity 1.  n counts the breakpoints theta_k = arccos(k**-1/2)
+    in ``breaks`` (ascending from theta_1 = 0) at or below theta, and the
+    remainder 1 - n cos^2 theta is written n sin(theta - theta_n)
+    sin(theta + theta_n): it is exactly 0 at a breakpoint, and it keeps
+    its relative precision near theta = 0, where 1 - cos^2 theta cancels.
     """
-    if not 0.0 <= theta < math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2), got {theta!r}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
-    t = math.cos(theta) ** 2
-    n = math.floor(1.0 / t)
-    r = max(1.0 - n * t, 0.0)
-    if alpha == 0.0:
-        return float(n + (1 if r > 0.0 else 0))
-    return n * t ** alpha + (r ** alpha if r > 0.0 else 0.0)
+    n = np.searchsorted(breaks, theta, side="right")
+    theta_n = breaks[n - 1]
+    probs = np.stack([np.cos(theta) ** 2, n * np.sin(theta - theta_n) * np.sin(theta + theta_n)])
+    return probs, np.stack([n, np.ones_like(n)])
 
 
-def _piece_entropy(theta: float, alpha: float, family: str) -> float:
-    """f(parametric sum)/(1 - alpha): the entropy of (cos^2, ..., remainder)."""
-    t = math.cos(theta) ** 2
-    n = math.floor(1.0 / t)
-    r = max(1.0 - n * t, 0.0)
-    if abs(alpha - 1.0) < SHANNON_BRANCH:
-        h = -n * t * math.log(t)
-        if r > 0.0:
-            h -= r * math.log(r)
-        return max(0.0, h)
-    if alpha == 0.0:
-        s = float(n + (1 if r > 0.0 else 0))
-    else:
-        s = n * t ** alpha + (r ** alpha if r > 0.0 else 0.0)
-    if family == "renyi":
-        return max(0.0, math.log(s) / (1.0 - alpha))
-    return max(0.0, (s - 1.0) / (1.0 - alpha))
+def _term(theta: np.ndarray, order: float, family: str, breaks: np.ndarray) -> np.ndarray:
+    probs, mult = _parametric_column(theta, breaks)
+    return _column_entropies(probs, order, family, mult)
 
 
-def _breakpoints(eta: float) -> list[float]:
-    """Sorted breakpoints of both objective terms inside [0, eta]."""
-    points = {0.0, eta}
-    k = 2
+def _objective(theta, eta, alphas, betas, family, breaks) -> np.ndarray:
+    """The alpha term at theta plus the beta term at eta - theta, per (alpha, beta).
+
+    ``theta`` has shape (len(alphas), len(betas), ...).
+    """
+    phi = eta - theta
+    first = np.stack([_term(theta[i], a, family, breaks) for i, a in enumerate(alphas)])
+    second = np.stack([_term(phi[:, j], b, family, breaks) for j, b in enumerate(betas)], axis=1)
+    return first + second
+
+
+def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(a, index, -1)[..., 0]
+
+
+def _zoom(lo: np.ndarray, hi: np.ndarray, f):
+    """Minimise f on every bracket [lo, hi] at once by grid zoom.
+
+    Each step evaluates SCAN evenly spaced points across every bracket
+    and shrinks it to the two grid cells around its smallest value (the
+    first one on ties), until every bracket is narrower than THETA_TOL.
+    Returns the last step's best point and value per bracket.
+    """
     while True:
-        theta_k = math.acos(1.0 / math.sqrt(k))
-        if theta_k >= eta:
-            break
-        points.add(theta_k)
-        points.add(eta - theta_k)
-        k += 1
-    return sorted(points)
+        grid = np.linspace(lo, hi, SCAN, axis=-1)
+        vals = f(grid)
+        i = np.argmin(vals, axis=-1)[..., None]
+        lo = _at(grid, np.maximum(i - 1, 0))
+        hi = _at(grid, np.minimum(i + 1, SCAN - 1))
+        if np.max(hi - lo) < THETA_TOL:
+            return _at(grid, i), _at(vals, i)
 
 
-def golden_section(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 200):
-    """Golden-section minimisation on [a, b]; returns (x, f(x))."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if abs(b - a) < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+def bbar_bound(c: float, alphas, betas, family: str) -> dict:
+    """Minimised two-parameter uncertainty bound over a grid of orders.
 
-
-def _minimize_piecewise(f, eta: float, scan: int = 65):
-    """Global minimum of a piecewise-smooth objective on [0, eta].
-
-    Every smooth piece between consecutive breakpoints is scanned on a
-    coarse grid, the best bracket is refined by golden-section search,
-    and all piece endpoints are evaluated explicitly.
-    """
-    if eta <= 0.0:
-        return 0.0, f(0.0)
-    pts = _breakpoints(eta)
-    best_x, best_f = 0.0, f(0.0)
-    for x in pts[1:]:
-        fx = f(min(x, eta))
-        if fx < best_f:
-            best_x, best_f = x, fx
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a < 1e-14:
-            continue
-        grid = np.linspace(a, b, scan)
-        vals = [f(x) for x in grid]
-        i = int(np.argmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, scan - 1)]
-        x, fx = golden_section(f, lo, hi)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
-
-
-def bbar_bound(c: float, alpha: float, beta: float, family: str) -> BoundValue:
-    """Minimised two-parameter uncertainty bound for the given family.
-
-    Minimises the sum of the alpha term at theta and the beta term at
-    eta - theta over theta in [0, eta], eta = arccos(c).  Zero when
-    c = 1.
+    For every alpha in ``alphas`` and beta in ``betas``, minimises the
+    alpha term at theta plus the beta term at eta - theta over theta in
+    [0, eta], eta = arccos(c); a term is the entropy of the parametric
+    distribution (``_parametric_column``).  The breakpoints of both
+    terms are evaluated first, the smallest theta winning ties.  Every
+    smooth piece between them is then scanned on SCAN points and refined
+    by grid zoom, for all pairs at once, and a piece replaces the best
+    value only if strictly lower.  Returns {(alpha, beta): BoundValue};
+    every value is zero when c = 1.
     """
     if family not in ("renyi", "tsallis"):
         raise ValueError(f"family must be 'renyi' or 'tsallis', got {family!r}")
     if not 0.0 < c <= 1.0:
         raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")
-    if alpha < 0 or beta < 0:
-        raise ValueError("orders must be nonnegative")
+    alphas, betas = list(alphas), list(betas)
+    if not all(0.0 <= v < math.inf for v in alphas + betas):
+        raise ValueError("orders must be finite and nonnegative")
     eta = math.acos(c)
+    breaks = _breakpoints(c)
+    inner = breaks[(breaks > 0.0) & (breaks < eta)]
+    pts = np.unique(np.concatenate([[0.0, eta], inner, eta - inner]))
+    shape = (len(alphas), len(betas))
+    ends = np.broadcast_to(pts, shape + pts.shape)
+    vals = _objective(ends, eta, alphas, betas, family, breaks)
+    k = np.argmin(vals, axis=-1)[..., None]  # ties go to the smallest theta
+    best_x, best_f = _at(ends, k), _at(vals, k)
+
+    keep = pts[1:] - pts[:-1] >= 1e-14
+    lo, hi = pts[:-1][keep], pts[1:][keep]
+    chunk = max(1, _MAX_POINTS // (shape[0] * shape[1] * SCAN))
+    for s in range(0, lo.size, chunk):
+        piece_shape = shape + lo[s:s + chunk].shape
+        x, fx = _zoom(
+            np.broadcast_to(lo[s:s + chunk], piece_shape),
+            np.broadcast_to(hi[s:s + chunk], piece_shape),
+            lambda t: _objective(t, eta, alphas, betas, family, breaks),
+        )
+        k = np.argmin(fx, axis=-1)[..., None]
+        better = _at(fx, k) < best_f
+        best_x = np.where(better, _at(x, k), best_x)
+        best_f = np.where(better, _at(fx, k), best_f)
+
     bound_id = "B_R" if family == "renyi" else "B_T"
-
-    def objective(theta: float) -> float:
-        return _piece_entropy(theta, alpha, family) + _piece_entropy(eta - theta, beta, family)
-
-    theta_star, value = _minimize_piecewise(objective, eta)
-    return BoundValue(
-        bound_id=bound_id,
-        value=max(0.0, value),
-        alpha=alpha,
-        beta=beta,
-        c=c,
-        argmin_theta=theta_star,
-    )
+    return {
+        (a, b): BoundValue(
+            bound_id, max(0.0, float(best_f[i, j])), a, b, c,
+            argmin_theta=float(best_x[i, j]),
+        )
+        for i, a in enumerate(alphas)
+        for j, b in enumerate(betas)
+    }
 
 
 def mu_bounds(c: float, alpha: float, beta: float) -> tuple[BoundValue, BoundValue]:
@@ -361,13 +321,6 @@ def mu_bounds(c: float, alpha: float, beta: float) -> tuple[BoundValue, BoundVal
     mu_t = BoundValue("MU_T", max(0.0, alpha_log(c ** -2, mu)), alpha, beta, c, mu=mu)
     mu_r = BoundValue("MU_R", max(0.0, -2.0 * math.log(c)), alpha, beta, c, mu=mu)
     return mu_t, mu_r
-
-
-def classic_bound(c: float) -> BoundValue:
-    """The order-1 trade-off bound -2 ln c."""
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")
-    return BoundValue("STND", max(0.0, -2.0 * math.log(c)), 1.0, 1.0, c, mu=1.0)
 
 
 # --- certification ----------------------------------------------------------------
@@ -407,15 +360,20 @@ def check_admissible(relation: str, alpha: float, beta: float, dim: int) -> None
             )
 
 
-def _bound_for(relation: str, c: float, alpha: float, beta: float) -> BoundValue:
-    if relation == "Prop1":
-        return bbar_bound(c, alpha, beta, "tsallis")
-    if relation == "Prop2":
-        return bbar_bound(c, alpha, beta, "renyi")
+def _bounds_for(relation: str, c: float, pairs) -> dict:
+    """The relation's bound at every (alpha, beta) in ``pairs``, keyed by the pair.
+
+    The minimised bounds of Prop1 and Prop2 come from one ``bbar_bound``
+    call over the orders that occur in ``pairs``.
+    """
+    if relation in ("Prop1", "Prop2"):
+        alphas = sorted({a for a, _ in pairs})
+        betas = sorted({b for _, b in pairs})
+        return bbar_bound(c, alphas, betas, relation_family(relation))
     if relation == "Prop3":
-        return mu_bounds(c, alpha, beta)[0]
-    mu = max(alpha, beta)
-    return BoundValue("STND_R1", max(0.0, -2.0 * math.log(c)), alpha, beta, c, mu=mu)
+        return {(a, b): mu_bounds(c, a, b)[0] for a, b in pairs}
+    value = max(0.0, -2.0 * math.log(c))
+    return {(a, b): BoundValue("STND_R1", value, a, b, c, mu=max(a, b)) for a, b in pairs}
 
 
 def _assemble(
@@ -427,9 +385,9 @@ def _assemble(
     c: float,
     noise_value: float,
     dist: CorrectionSearchResult,
+    bound: BoundValue,
     seed: int | None,
 ) -> TradeoffCertificate:
-    bound = _bound_for(relation, c, alpha, beta)
     margin = noise_value + dist.best_value - bound.value
     return TradeoffCertificate(
         relation=relation,
@@ -474,7 +432,8 @@ def certify(
     c = overlap(x_obs, z_obs).c
     noise_value = noise(x_obs, inst, EntropyOrder(alpha, family))
     dist = disturbance(z_obs, inst, EntropyOrder(beta, family), search)
-    return _assemble(relation, x_obs.dim, alpha, beta, family, c, noise_value, dist, seed)
+    bound = _bounds_for(relation, c, [(alpha, beta)])[alpha, beta]
+    return _assemble(relation, x_obs.dim, alpha, beta, family, c, noise_value, dist, bound, seed)
 
 
 def certify_grid(
@@ -491,8 +450,9 @@ def certify_grid(
 
     Noise and disturbance values are cached per (family, order), so a
     full grid costs one correction search per distinct disturbance order
-    rather than one per certificate.  Returns (certificates, skipped)
-    where skipped counts inadmissible grid combinations.
+    rather than one per certificate, and each relation's bounds come
+    from one call over its admissible orders.  Returns (certificates,
+    skipped) where skipped counts inadmissible grid combinations.
     """
     dim = x_obs.dim
     c = overlap(x_obs, z_obs).c
@@ -502,6 +462,7 @@ def certify_grid(
     skipped = 0
     for relation in relations:
         family = relation_family(relation)
+        pairs = []
         for alpha in alphas:
             for beta in betas:
                 try:
@@ -509,18 +470,21 @@ def certify_grid(
                 except AdmissibilityError:
                     skipped += 1
                     continue
-                nkey = (family, alpha)
-                if nkey not in noise_cache:
-                    noise_cache[nkey] = noise(x_obs, inst, EntropyOrder(alpha, family))
-                dkey = (family, beta)
-                if dkey not in dist_cache:
-                    dist_cache[dkey] = disturbance(
-                        z_obs, inst, EntropyOrder(beta, family), search
-                    )
-                certs.append(
-                    _assemble(
-                        relation, dim, alpha, beta, family, c,
-                        noise_cache[nkey], dist_cache[dkey], seed,
-                    )
+                pairs.append((alpha, beta))
+        if not pairs:
+            continue
+        bounds = _bounds_for(relation, c, pairs)
+        for alpha, beta in pairs:
+            nkey = (family, alpha)
+            if nkey not in noise_cache:
+                noise_cache[nkey] = noise(x_obs, inst, EntropyOrder(alpha, family))
+            dkey = (family, beta)
+            if dkey not in dist_cache:
+                dist_cache[dkey] = disturbance(z_obs, inst, EntropyOrder(beta, family), search)
+            certs.append(
+                _assemble(
+                    relation, dim, alpha, beta, family, c,
+                    noise_cache[nkey], dist_cache[dkey], bounds[alpha, beta], seed,
                 )
+            )
     return certs, skipped

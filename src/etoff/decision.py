@@ -18,6 +18,7 @@ import numpy as np
 from .entropy import (
     SHANNON_BRANCH,
     JointDistribution,
+    _column_entropies,
     alpha_log,
     binary_tsallis,
 )
@@ -146,8 +147,8 @@ def fano_upper_bounds(
                 raise ValueError(
                     "the Renyi upper bound for alpha < 1 requires the standard decision"
                 )
-            inner = (1.0 - pe_std) ** alpha
-            if pe_std > 0.0 and d > 1:
-                inner += (d - 1) ** (1.0 - alpha) * pe_std ** alpha
-            out.append(("renyi_power_mean", math.log(inner) / (1.0 - alpha)))
+            # Renyi entropy of 1 - pe followed by d - 1 equal shares of pe
+            column = np.array([1.0 - pe_std, pe_std / max(d - 1, 1)])
+            value = _column_entropies(column, alpha, "renyi", np.array([1, d - 1]))
+            out.append(("renyi_power_mean", float(value)))
     return out

@@ -13,7 +13,10 @@ Conventions used throughout:
   are clipped before renormalisation; anything worse is rejected.
 
 Every entropy here, conditional or not, is a weighted sum of per-column
-entropies from one kernel, so each formula is written out once.  A joint
+entropies from one kernel, so each formula is written out once.  The
+kernel also takes a multiplicity per entry, which lets ``bounds``
+evaluate the parametric distributions of the minimised bound (one value
+repeated n times, plus a remainder) as 2-row columns.  A joint
 table is checked once, by ``check_table``, and not again per column.
 
 Two conditional Tsallis forms exist, differing in the conditioning
@@ -93,12 +96,16 @@ def check_table(table) -> np.ndarray:
     return t / total
 
 
-def _column_entropies(cond: np.ndarray, order: EntropyOrder) -> np.ndarray:
+def _column_entropies(cond: np.ndarray, alpha: float, family: str, mult=1) -> np.ndarray:
     """Entropy of each column of a column-stochastic array, in the given order.
 
     The one place the Renyi, Tsallis and Shannon formulas are written out.
+    ``mult`` is an integer multiplicity per entry (broadcast against
+    ``cond``): a column stands for the distribution in which each entry
+    is repeated that many times.  Orders are not checked here (alpha = 0
+    gives the Hartley forms); ``EntropyOrder`` checks them where they
+    enter the program.
     """
-    alpha = order.alpha
     if math.isinf(alpha):
         h = -np.log(cond.max(axis=0))
     else:
@@ -106,10 +113,10 @@ def _column_entropies(cond: np.ndarray, order: EntropyOrder) -> np.ndarray:
         support = cond > 0.0
         p = np.where(support, cond, 1.0)
         if abs(alpha - 1.0) < SHANNON_BRANCH:
-            h = -np.sum(p * np.log(p), axis=0)
+            h = -np.sum(mult * p * np.log(p), axis=0)
         else:
-            power_sum = np.sum(np.where(support, p ** alpha, 0.0), axis=0)
-            if order.family == "renyi":
+            power_sum = np.sum(mult * np.where(support, p ** alpha, 0.0), axis=0)
+            if family == "renyi":
                 h = np.log(power_sum) / (1.0 - alpha)
             else:
                 h = (power_sum - 1.0) / (1.0 - alpha)
@@ -120,7 +127,7 @@ def _weighted_entropy(table: np.ndarray, order: EntropyOrder, power: float = 1.0
     """sum over columns y with p(y) > 0 of p(y)**power * H(X | Y = y)."""
     weights = table.sum(axis=0)
     keep = weights > 0.0
-    h = _column_entropies(table[:, keep] / weights[keep], order)
+    h = _column_entropies(table[:, keep] / weights[keep], order.alpha, order.family)
     return float(np.sum(weights[keep] ** power * h))
 
 
@@ -189,9 +196,6 @@ class JointDistribution:
     def marginal_cols(self) -> np.ndarray:
         """p(y) = sum_x p(x, y)."""
         return self.table.sum(axis=0)
-
-    def transposed(self) -> "JointDistribution":
-        return JointDistribution(self.table.T.copy(), self.col_labels, self.row_labels)
 
 
 def cond_shannon(j: JointDistribution) -> float:

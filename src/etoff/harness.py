@@ -230,10 +230,11 @@ def tabulate_bounds(c_grid, alphas, betas) -> str:
             raise ValueError(f"orders must be nonnegative, got {v!r}")
     lines = [BOUNDS_CSV_HEADER]
     for c in c_grid:
+        b_tsallis = bounds.bbar_bound(c, alphas, betas, "tsallis")
+        b_renyi = bounds.bbar_bound(c, alphas, betas, "renyi")
         for alpha in alphas:
             for beta in betas:
-                bt = bounds.bbar_bound(c, alpha, beta, "tsallis")
-                br = bounds.bbar_bound(c, alpha, beta, "renyi")
+                bt, br = b_tsallis[alpha, beta], b_renyi[alpha, beta]
                 mu_t = mu_r = ""
                 if alpha > 0 and beta > 0 and abs(1 / alpha + 1 / beta - 2.0) <= 1e-9:
                     mt, mr = mu_bounds(c, alpha, beta)

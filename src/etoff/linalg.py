@@ -96,18 +96,6 @@ def psd_sqrt(m) -> np.ndarray:
     return (v * s) @ v.conj().T
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value."""
-    m = as_matrix(m)
-    if not m.size or not np.any(m):
-        return 0.0
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"svd did not converge: {exc}") from exc
-    return float(s[0])
-
-
 def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Table of spectral norms ||p q|| over two stacks of projectors.
 

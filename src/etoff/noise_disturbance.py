@@ -59,16 +59,14 @@ class DegenerateObservable(ValueError):
 class SearchConfig:
     """Budget for the correction-channel search.
 
-    ``kraus_rank`` is the environment dimension of the parametrised
-    isometry; None picks the smallest viable one.  With a seed the whole
-    search is deterministic, and restart r depends only on (seed, r), so
-    growing the budget can never worsen the reported minimum.
+    With a seed the whole search is deterministic, and restart r depends
+    only on (seed, r), so growing the budget can never worsen the
+    reported minimum.
     """
 
     restarts: int = 8
     iterations: int = 2000
     seed: int | None = None
-    kraus_rank: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,9 +301,7 @@ def disturbance(
 
     c_in = inst.dim_out * inst.n_outcomes
     c_out = z_obs.dim
-    n_env = search.kraus_rank or max(2, -(-c_in // c_out))
-    if c_out * n_env < c_in:
-        raise ValueError(f"kraus_rank {n_env} too small: need c_out * rank >= {c_in}")
+    n_env = max(2, -(-c_in // c_out))  # Kraus rank: at least 2, with c_out * n_env >= c_in
     n_params = 2 * c_out * n_env * c_in
 
     def objective(params: np.ndarray) -> float:

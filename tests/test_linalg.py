@@ -43,20 +43,23 @@ def test_eigh_reconstruction_residual(rng):
 
 
 def test_spectral_norm_identity():
-    assert linalg.spectral_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
+    eye = np.eye(5)[None]
+    assert linalg.pair_overlaps(eye, eye)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_norm_zero():
-    assert linalg.spectral_norm(np.zeros((3, 3))) == 0.0
+    zero = np.zeros((1, 3, 3))
+    assert linalg.pair_overlaps(zero, np.eye(3)[None])[0, 0] == 0.0
 
 
 def test_spectral_norm_rank_one_product():
-    # |a><a| |b><b| has norm |<a|b>|; oracle: the explicit inner product
+    # || |a><a| |b><b| || = |<a|b>|; oracle: the explicit inner product
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    prod = np.outer(a, a.conj()) @ np.outer(b, b.conj())
+    pa = np.outer(a, a.conj())[None]
+    pb = np.outer(b, b.conj())[None]
     overlap = abs(np.vdot(a, b))
-    assert linalg.spectral_norm(prod) == pytest.approx(overlap, abs=1e-9)
+    assert linalg.pair_overlaps(pa, pb)[0, 0] == pytest.approx(overlap, abs=1e-9)
     assert overlap == pytest.approx(0.70710678, abs=1e-8)
 
 
@@ -71,17 +74,8 @@ def test_unitary_norms_haar(rng):
     for _ in range(50):
         d = int(rng.integers(2, 9))
         u = sample_haar_unitary(d, rng)
-        assert linalg.spectral_norm(u) == pytest.approx(1.0, abs=1e-9)
+        assert linalg.pair_overlaps(u[None], np.eye(d)[None])[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert linalg.trace_norm(u) == pytest.approx(d, abs=1e-9)
-
-
-def test_adjoint_preserves_spectral_norm(rng):
-    for _ in range(200):
-        d = int(rng.integers(2, 7))
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        assert abs(
-            linalg.spectral_norm(m) - linalg.spectral_norm(m.conj().T)
-        ) < 1e-9
 
 
 def test_partial_trace_entangled_pair():
