@@ -183,6 +183,19 @@ def test_bbar_matches_grid_oracle():
                 assert b.value == pytest.approx(want, abs=1e-6), (c, fam, alpha, beta)
 
 
+def test_bbar_matches_grid_oracle_order_one():
+    for c in (0.3, 1 / math.sqrt(2), 0.9):
+        for fam in ("renyi", "tsallis"):
+            b = bbar(c, 1.0, 1.0, fam)
+            assert b.value == pytest.approx(grid_oracle(c, 1.0, 1.0, fam), abs=1e-6)
+
+
+def test_bbar_matches_grid_oracle_renyi_two():
+    c = 1 / math.sqrt(2)
+    b = bbar(c, 2.0, 2.0, "renyi")
+    assert b.value == pytest.approx(grid_oracle(c, 2.0, 2.0, "renyi"), abs=1e-6)
+
+
 def test_bbar_closed_form_at_conjugate_qubit_overlap():
     # at c = 1/sqrt(2) both low-order minima sit at theta = 0, where the
     # second distribution is (1/2, 1/2)
