@@ -431,7 +431,7 @@ def certify(
     family = relation_family(relation)
     c = overlap(x_obs, z_obs).c
     noise_value = noise(x_obs, inst, EntropyOrder(alpha, family))
-    dist = disturbance(z_obs, inst, EntropyOrder(beta, family), search)
+    dist = disturbance(z_obs, inst, [EntropyOrder(beta, family)], search)[0]
     bound = _bounds_for(relation, c, [(alpha, beta)])[alpha, beta]
     return _assemble(relation, x_obs.dim, alpha, beta, family, c, noise_value, dist, bound, seed)
 
@@ -448,20 +448,18 @@ def certify_grid(
 ):
     """Certify every admissible (relation, alpha, beta) combination.
 
-    Noise and disturbance values are cached per (family, order), so a
-    full grid costs one correction search per distinct disturbance order
-    rather than one per certificate, and each relation's bounds come
-    from one call over its admissible orders.  Returns (certificates,
-    skipped) where skipped counts inadmissible grid combinations.
+    Noise and disturbance values are cached per entropy actually computed
+    (``EntropyOrder.computed``: every order within ``SHANNON_BRANCH`` of
+    1 is Shannon, whatever the family), one ``disturbance`` call searches
+    all of the sample's disturbance orders at once, and each relation's
+    bounds come from one call over its admissible orders.  Returns
+    (certificates, skipped) where skipped counts inadmissible grid
+    combinations.
     """
     dim = x_obs.dim
     c = overlap(x_obs, z_obs).c
-    noise_cache: dict = {}
-    dist_cache: dict = {}
-    certs = []
-    skipped = 0
+    plan, skipped = [], 0
     for relation in relations:
-        family = relation_family(relation)
         pairs = []
         for alpha in alphas:
             for beta in betas:
@@ -471,20 +469,22 @@ def certify_grid(
                     skipped += 1
                     continue
                 pairs.append((alpha, beta))
-        if not pairs:
-            continue
+        if pairs:
+            plan.append((relation, relation_family(relation), pairs))
+    betas_computed = [EntropyOrder(b, family).computed for _, family, pairs in plan for _, b in pairs]
+    orders = list(dict.fromkeys(betas_computed))
+    dist_cache = dict(zip(orders, disturbance(z_obs, inst, orders, search)))
+    noise_cache, certs = {}, []
+    for relation, family, pairs in plan:
         bounds = _bounds_for(relation, c, pairs)
         for alpha, beta in pairs:
-            nkey = (family, alpha)
+            nkey = EntropyOrder(alpha, family).computed
             if nkey not in noise_cache:
-                noise_cache[nkey] = noise(x_obs, inst, EntropyOrder(alpha, family))
-            dkey = (family, beta)
-            if dkey not in dist_cache:
-                dist_cache[dkey] = disturbance(z_obs, inst, EntropyOrder(beta, family), search)
+                noise_cache[nkey] = noise(x_obs, inst, nkey)
             certs.append(
                 _assemble(
-                    relation, dim, alpha, beta, family, c,
-                    noise_cache[nkey], dist_cache[dkey], bounds[alpha, beta], seed,
+                    relation, dim, alpha, beta, family, c, noise_cache[nkey],
+                    dist_cache[EntropyOrder(beta, family).computed], bounds[alpha, beta], seed,
                 )
             )
     return certs, skipped

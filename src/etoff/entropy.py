@@ -18,6 +18,10 @@ kernel also takes a multiplicity per entry, which lets ``bounds``
 evaluate the parametric distributions of the minimised bound (one value
 repeated n times, plus a remainder) as 2-row columns.  A joint
 table is checked once, by ``check_table``, and not again per column.
+``check_table`` and the conditional entropies also take stacks of
+tables, and ``table_entropy_gradient`` adds the derivative with respect
+to each entry from the kernel's gradient companion, for the disturbance
+search.
 
 Two conditional Tsallis forms exist, differing in the conditioning
 weights (p(y)**alpha versus p(y)).  The second form is the one entering
@@ -41,25 +45,11 @@ FAMILIES = ("renyi", "tsallis", "shannon")
 
 
 def clean_probs(p) -> np.ndarray:
-    """Validate and normalise a probability vector.
-
-    Clips entries in (-1e-12, 0) to zero, rejects larger violations,
-    requires the total to be within 1e-9 of 1, and renormalises exactly.
-    """
+    """Validate and normalise a probability vector: ``check_table`` on one column."""
     arr = np.asarray(p, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty probability vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("probability vector has non-finite entries")
-    if arr.min() < -CLIP_NEG:
-        raise ValueError(f"probability {arr.min():.3e} below -{CLIP_NEG:.0e}")
-    arr = np.clip(arr, 0.0, None)
-    total = arr.sum()
-    if total <= 0.0:
-        raise ValueError("all-zero probability vector")
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return arr / total
+    return check_table(arr[:, None])[:, 0]
 
 
 def alpha_log(xi: float, alpha: float) -> float:
@@ -77,22 +67,23 @@ def alpha_log(xi: float, alpha: float) -> float:
 
 
 def check_table(table) -> np.ndarray:
-    """Validate a joint probability table; return it clipped and renormalised.
+    """Validate a joint probability table, or a stack of them; return it clipped and renormalised.
 
-    The table must be 2-d and finite, with entries no more negative than
-    -1e-12 and a total within 1e-9 of 1.
+    Each table (the last two axes) must be finite, with entries no more
+    negative than -1e-12 and a total within 1e-9 of 1.
     """
     t = np.asarray(table, dtype=float)
-    if t.ndim != 2:
+    if t.ndim < 2:
         raise ValueError(f"joint table must be 2-d, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("joint table has non-finite entries")
     if t.min() < -CLIP_NEG:
         raise ValueError(f"joint entry {t.min():.3e} below -{CLIP_NEG:.0e}")
     t = np.clip(t, 0.0, None)
-    total = t.sum()
-    if total <= 0.0 or abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"joint table sums to {total!r}, expected 1")
+    total = t.sum(axis=(-2, -1), keepdims=True)
+    bad = (total <= 0.0) | (np.abs(total - 1.0) > SUM_TOL)
+    if np.any(bad):
+        raise ValueError(f"joint table sums to {total[bad][0]!r}, expected 1")
     return t / total
 
 
@@ -123,12 +114,46 @@ def _column_entropies(cond: np.ndarray, alpha: float, family: str, mult=1) -> np
     return np.maximum(h, 0.0)
 
 
-def _weighted_entropy(table: np.ndarray, order: EntropyOrder, power: float = 1.0) -> float:
-    """sum over columns y with p(y) > 0 of p(y)**power * H(X | Y = y)."""
-    weights = table.sum(axis=0)
+def _column_gradients(cond: np.ndarray, alpha: float, family: str) -> np.ndarray:
+    """Gradient companion of ``_column_entropies``: d[p(y) H(X | Y = y)] / dp(x, y).
+
+    With S = sum p**alpha over the column and q = alpha p**(alpha - 1):
+    -ln p (Shannon), (ln S + q/S - alpha)/(1 - alpha) (Renyi) and
+    S + (q - 1)/(1 - alpha) (Tsallis); alpha is finite.  At p = 0, where
+    it is infinite for alpha <= 1, ln p and q read 0 (exact for alpha > 1).
+    """
+    support = cond > 0.0
+    p = np.where(support, cond, 1.0)
+    if abs(alpha - 1.0) < SHANNON_BRANCH:
+        return -np.log(p)
+    q = np.where(support, p ** (alpha - 1.0), 0.0)
+    power_sum = np.sum(p * q, axis=0)
+    q *= alpha
+    if family == "renyi":
+        return (np.log(power_sum) + q / power_sum - alpha) / (1.0 - alpha)
+    return power_sum + (q - 1.0) / (1.0 - alpha)
+
+
+def _weighted_entropy(
+    table: np.ndarray, order: EntropyOrder, power: float = 1.0, gradient: bool = False
+):
+    """sum over columns y with p(y) > 0 of p(y)**power * H(X | Y = y), per table of a stack.
+
+    With ``gradient`` (power 1) the derivative with respect to each entry
+    is returned too; it is 0 in columns with p(y) = 0, where none exists.
+    """
+    weights = table.sum(axis=-2)
     keep = weights > 0.0
-    h = _column_entropies(table[:, keep] / weights[keep], order.alpha, order.family)
-    return float(np.sum(weights[keep] ** power * h))
+    cond = np.moveaxis(table, -2, 0)[:, keep] / weights[keep]
+    terms = np.zeros(weights.shape)
+    terms[keep] = weights[keep] ** power * _column_entropies(cond, order.alpha, order.family)
+    total = terms.sum(axis=-1)
+    total = float(total) if total.ndim == 0 else total
+    if not gradient:
+        return total
+    grad = np.zeros(table.shape)
+    np.moveaxis(grad, -2, 0)[:, keep] = _column_gradients(cond, order.alpha, order.family)
+    return total, grad
 
 
 def shannon_entropy(p) -> float:
@@ -259,6 +284,11 @@ class EntropyOrder:
     def shannon(cls) -> "EntropyOrder":
         return cls(1.0, "shannon")
 
+    @property
+    def computed(self) -> "EntropyOrder":
+        """The order whose formulas are evaluated: Shannon within ``SHANNON_BRANCH`` of 1."""
+        return EntropyOrder.shannon() if abs(self.alpha - 1.0) < SHANNON_BRANCH else self
+
 
 def entropy(p, order: EntropyOrder) -> float:
     """Unconditional entropy of a distribution in the given order."""
@@ -274,6 +304,11 @@ def conditional_entropy(j: JointDistribution, order: EntropyOrder) -> float:
     return table_conditional_entropy(j.table, order)
 
 
-def table_conditional_entropy(table: np.ndarray, order: EntropyOrder) -> float:
-    """``conditional_entropy`` of a table already returned by ``check_table``."""
+def table_conditional_entropy(table: np.ndarray, order: EntropyOrder):
+    """``conditional_entropy`` of a table, or a stack of tables, already returned by ``check_table``."""
     return _weighted_entropy(table, order)
+
+
+def table_entropy_gradient(table: np.ndarray, order: EntropyOrder):
+    """``table_conditional_entropy`` and its gradient with respect to each entry."""
+    return _weighted_entropy(table, order, gradient=True)

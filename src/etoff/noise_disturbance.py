@@ -11,18 +11,20 @@ back-action, Z is measured again, and the disturbance is the conditional
 entropy of the input eigenvalue given the final outcome, minimised over
 correction channels.
 
-The exact minimum over all correction channels is not computable in
-closed form; ``disturbance`` reports the best value found over a family
-of candidates (flag-discarding identity, classical repreparation by
-outcome, and a continuously parametrised Kraus family refined by
-derivative-free search).  The result is an upper bound on the true
-disturbance.  An upper bound can only refute a trade-off relation
-(N + D_upper < B); it cannot certify one, which needs a lower bound on
-the disturbance (ROADMAP direction 1).
+A correction followed by the Z re-measurement acts as a |Z|-outcome POVM
+on output ⊗ flag, and measure-and-prepare realises every such POVM, so
+the minimum over corrections is a minimum over POVMs.  ``disturbance``
+reports the best value found among two fixed corrections (flag-discarding
+identity, classical repreparation by outcome) and a Riemannian gradient
+descent over the POVM's Naimark isometry, run for all requested orders
+and restarts of an instance as one stacked computation.  The result is
+an upper bound on the true disturbance.  An upper bound can only refute a
+trade-off relation (N + D_upper < B); it cannot certify one, which needs
+a lower bound on the disturbance (ROADMAP direction 1).
 
-Both joint tables are computed from the stacked arrays of the objects in
-``quantum`` with batched matrix products, and the search objective checks
-each table once, as a whole, before taking its conditional entropy.
+Both joint tables come from the stacked arrays of the objects in
+``quantum`` by batched matrix products; every table the search evaluates
+is checked by ``check_table``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .entropy import (
@@ -39,7 +40,7 @@ from .entropy import (
     JointDistribution,
     check_table,
     conditional_entropy,
-    table_conditional_entropy,
+    table_entropy_gradient,
 )
 from .linalg import dagger, hermitize, max_abs
 from .quantum import Channel, ProjectiveObservable, QuantumInstrument, apply_cp, flag_apply
@@ -57,7 +58,7 @@ class DegenerateObservable(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget for the correction-channel search.
+    """Budget for the correction-channel search: restarts, and evaluations per restart.
 
     With a seed the whole search is deterministic, and restart r depends
     only on (seed, r), so growing the budget can never worsen the
@@ -235,115 +236,183 @@ def discard_flag_correction(inst: QuantumInstrument, target_dim: int) -> Channel
     return Channel(d * n, d, kraus)
 
 
+def _measure_prepare(states: np.ndarray, bras: np.ndarray, dim_in: int) -> Channel:
+    """Measure the rows of bras[j] (together a Naimark isometry), then prepare states[j].
+
+    Kraus operators sqrt(w) |v><b| for each eigenpair (w > 0, v) of
+    states[j] and each row b of bras[j], unconjugated.
+    """
+    w, v = np.linalg.eigh(states)
+    w = linalg.clip_spectrum(w)
+    js, cols = np.nonzero(w > 0.0)
+    kets = np.sqrt(w[js, cols])[:, None] * v[js, :, cols]
+    kraus = kets[:, None, :, None] * bras[js][:, :, None, :]
+    return Channel(dim_in, states.shape[-1], kraus.reshape(-1, states.shape[-1], dim_in))
+
+
 def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -> Channel:
     """Classical correction: for each outcome, reprepare the most likely Z eigenstate.
 
     The most likely eigenvalue per outcome is the standard decision on the
     pre-correction joint of (input eigenvalue, outcome): the largest entry
     of each column, ties going to the smallest row.  The flag is measured
-    and the chosen state prepared, with Kraus operators
-    sqrt(w_i) |v_i><b, m| for each eigenpair (w_i > 0, v_i) of the state
-    of outcome m and each basis vector b of the output.
+    and the chosen state prepared: bras <b, m| for each basis vector b of
+    the output.
     """
-    n, d_sys, d_z = inst.n_outcomes, inst.dim_out, z_obs.dim
+    n, d_sys = inst.n_outcomes, inst.dim_out
     best = np.argmax(noise_joint(z_obs, inst).table, axis=0)
     states = z_obs.projectors[best] / np.array(z_obs.degeneracies)[best, None, None]
-    w, v = np.linalg.eigh(states)
-    w = linalg.clip_spectrum(w)
-    flags, cols = np.nonzero(w > 0.0)
-    kets = np.sqrt(w[flags, cols])[:, None] * v[flags, :, cols]
-    bras = np.eye(d_sys * n).reshape(d_sys, n, d_sys * n)[:, flags].swapaxes(0, 1)
-    kraus = kets[:, None, :, None] * bras[:, :, None, :]
-    return Channel(d_sys * n, d_z, kraus.reshape(-1, d_z, d_sys * n))
+    bras = np.eye(d_sys * n).reshape(d_sys, n, d_sys * n).swapaxes(0, 1)
+    return _measure_prepare(states, bras, d_sys * n)
 
 
-def _params_to_kraus(params: np.ndarray, c_out: int, n_env: int, c_in: int) -> np.ndarray:
-    half = params.size // 2
-    g = (params[:half] + 1j * params[half:]).reshape(c_out * n_env, c_in)
-    q, _ = np.linalg.qr(g)
-    return np.ascontiguousarray(q.reshape(c_out, n_env, c_in).swapaxes(0, 1))
+# --- the POVM search ------------------------------------------------------------
+
+GRAD_TOL = 1e-5                   # Riemannian gradient norm that counts as stationary
+_LADDER = 0.3 ** np.arange(3)     # step multiples tried together in one iteration
+_ARMIJO = 1e-4                    # sufficient-decrease constant
+
+
+def _retract(y: np.ndarray) -> np.ndarray:
+    """QR retraction onto the Stiefel manifold, phases fixed so R has a positive diagonal."""
+    q, r = np.linalg.qr(y)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _riemannian_gradient(povm: np.ndarray, g: np.ndarray, rho: np.ndarray) -> tuple:
+    """(D, ||A D||) with Riemannian gradient A_z' D_z' at any A with A_z'† A_z' = E_z'.
+
+    The Euclidean gradient is G_z' = A_z' M_z', M_z' = sum_z g(z, z') rho_z
+    with g = dH/dp; G - A sym(A† G) is A_z' (M_z' - sym(sum E_z' M_z')),
+    and its norm, sum_z' Tr[D_z' E_z' D_z'], depends on A only through E.
+    """
+    m = (g.swapaxes(-1, -2) @ rho.reshape(len(rho), -1)).reshape(*g.shape[:-1], *rho.shape[1:])
+    d = m - hermitize((povm @ m).sum(axis=-3))[..., None, :, :]
+    sq = (d * (povm @ d).swapaxes(-1, -2)).sum(axis=(-3, -2, -1)).real
+    return d, np.sqrt(np.maximum(sq, 0.0))
+
+
+def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
+    """Riemannian descent over the Naimark isometry A of the re-measurement POVM.
+
+    A is a (|Z| c, c) isometry of c x c blocks, E_z' = A_z'† A_z' and
+    p(z, z') = Tr[E_z' rho_z].  Rows are (order, restart) pairs moving in
+    lockstep; only the entropy and its gradient are taken per order.  An
+    iteration evaluates the step ladder as one batch and takes the longest
+    step with Armijo decrease.  A row stops when its gradient norm is below
+    ``GRAD_TOL`` or its next ladder would overrun ``search.iterations``
+    evaluations.  Returns, per order, the best restart's blocks, its
+    index and the evaluations of all restarts.
+    """
+    nz, c, n_rest = len(rho), rho.shape[-1], search.restarts
+    which = np.repeat(np.arange(len(orders)), n_rest)
+    seeds = [None if search.seed is None else np.random.SeedSequence([search.seed, r])
+             for r in range(n_rest)]
+    gauss = np.array([np.random.default_rng(s).standard_normal((2, nz * c, c)) for s in seeds])
+    a = np.tile(_retract(gauss[:, 0] + 1j * gauss[:, 1]), (len(orders), 1, 1))
+    rho_t = rho.swapaxes(-1, -2).reshape(nz, -1).T
+
+    def evaluate(points, rows):
+        """Entropy, gradient and POVM at each point; ``rows`` name their orders."""
+        blocks = points.reshape(*points.shape[:-2], nz, c, c)
+        povm = dagger(blocks) @ blocks
+        tables = check_table((povm.reshape(*povm.shape[:-2], -1) @ rho_t).real.swapaxes(-1, -2))
+        cuts = np.split(np.arange(len(rows)), np.searchsorted(which[rows], range(1, len(orders))))
+        parts = [table_entropy_gradient(tables[i], o) for i, o in zip(cuts, orders) if len(i)]
+        return np.concatenate([v for v, _ in parts]), np.concatenate([g for _, g in parts]), povm
+
+    def direction(rows):
+        d, size = _riemannian_gradient(povm[rows], g[rows], rho)
+        return (a[rows].reshape(d.shape) @ d).reshape(-1, nz * c, c), size
+
+    rows = np.arange(len(a))
+    f, g, povm = evaluate(a, rows)
+    xi, norm = direction(rows)
+    step = 1.0 / np.maximum(norm, GRAD_TOL)
+    evals = np.ones(len(a), dtype=int)
+    active = norm >= GRAD_TOL
+    while True:
+        active &= evals + len(_LADDER) <= search.iterations
+        rows = np.nonzero(active)[0]
+        if not len(rows):
+            break
+        t = step[rows, None] * _LADDER
+        trial = _retract(a[rows, None] - t[..., None, None] * xi[rows, None])
+        ft, gt, pt = evaluate(trial, rows)
+        ok = ft <= f[rows, None] - _ARMIJO * t * norm[rows, None] ** 2
+        i, pick = np.nonzero(ok.any(axis=1))[0], ok.argmax(axis=1)
+        evals[rows] += len(_LADDER)
+        # the next ladder starts a rung above the step taken, or a rung below the ladder
+        step[rows] = t[:, -1] * _LADDER[1]
+        step[rows[i]] = t[i, pick[i]] / _LADDER[1]
+        rows, pick = rows[i], pick[i]
+        a[rows], f[rows], g[rows], povm[rows] = trial[i, pick], ft[i, pick], gt[i, pick], pt[i, pick]
+        xi[rows], norm[rows] = direction(rows)
+        active[rows] &= norm[rows] >= GRAD_TOL
+    best = f.reshape(len(orders), n_rest).argmin(axis=1)
+    evals = evals.reshape(len(orders), n_rest).sum(axis=1)
+    return [(a[o * n_rest + r].reshape(nz, c, c), r, int(evals[o])) for o, r in enumerate(best)]
+
+
+def _correction_povm(z_obs: ProjectiveObservable, kraus: np.ndarray) -> np.ndarray:
+    """POVM E_z' = sum_k K_k† Lambda(z') K_k on output ⊗ flag: a correction, then Z."""
+    return (dagger(kraus)[None] @ z_obs.projectors[:, None] @ kraus[None]).sum(axis=1)
 
 
 def disturbance(
     z_obs: ProjectiveObservable,
     inst: QuantumInstrument,
-    order: EntropyOrder,
+    orders: list,
     search: SearchConfig | None = None,
-) -> CorrectionSearchResult:
-    """Best-found disturbance: an upper bound on the minimum over corrections.
+) -> list:
+    """Best-found disturbance per order: an upper bound on the minimum over corrections.
 
-    The candidate family always contains the classical repreparation and,
-    when dimensions permit, the flag-discarding identity; those two are
-    exact minimisers in the zero-disturbance regimes.  Additional
-    restarts run a Nelder-Mead refinement over a parametrised isometry
-    family.
+    The candidates are the flag-discarding identity (when dimensions
+    permit) and the classical repreparation, exact in the
+    zero-disturbance regimes, and per restart a POVM descent run for all
+    orders at once (``_povm_search``), reported as its measure-and-prepare
+    channel.  Each is evaluated on the exact path; ties go to the fixed
+    corrections.  Orders computing the same entropy share one result.
+    ``converged`` means the Riemannian gradient norm at the reported
+    point, a stationarity test that saddle points pass too, is below
+    ``GRAD_TOL``.
     """
     search = search or SearchConfig()
-    check_order(order, z_obs.dim)
+    for order in orders:
+        check_order(order, z_obs.dim)
+    keys = list(dict.fromkeys(order.computed for order in orders))
     flagged = flag_apply(inst, z_obs.projectors)
 
-    def value_of(kraus: np.ndarray) -> float:
-        table = check_table(_correction_table(z_obs, flagged, kraus))
-        return table_conditional_entropy(table, order)
+    def option(name: str, channel: Channel) -> tuple:
+        table = check_table(_correction_table(z_obs, flagged, channel.kraus))
+        return name, channel, table, _correction_povm(z_obs, channel.kraus)
 
-    candidates: list[tuple[str, Channel]] = []
     ident = discard_flag_correction(inst, z_obs.dim)
-    if ident is not None:
-        candidates.append(("discard_flag", ident))
-    candidates.append(("reprepare", reprepare_correction(z_obs, inst)))
-
-    best_name, best_channel = candidates[0]
-    best_value = value_of(best_channel.kraus)
-    for name, ch in candidates[1:]:
-        val = value_of(ch.kraus)
-        if val < best_value:
-            best_name, best_channel, best_value = name, ch, val
-
-    c_in = inst.dim_out * inst.n_outcomes
-    c_out = z_obs.dim
-    n_env = max(2, -(-c_in // c_out))  # Kraus rank: at least 2, with c_out * n_env >= c_in
-    n_params = 2 * c_out * n_env * c_in
-
-    def objective(params: np.ndarray) -> float:
-        return value_of(_params_to_kraus(params, c_out, n_env, c_in))
-
-    total_evals = 0
-    converged = True
-    best_params = None
-    for r in range(search.restarts):
-        if search.seed is None:
-            rng = np.random.default_rng()
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([search.seed, r]))
-        x0 = rng.standard_normal(n_params)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": search.iterations,
-                "xatol": 1e-7,
-                "fatol": 1e-11,
-                "adaptive": True,
-            },
+    fixed = [] if ident is None else [option("discard_flag", ident)]
+    fixed.append(option("reprepare", reprepare_correction(z_obs, inst)))
+    rho = flagged / z_obs.dim
+    found = _povm_search(rho, keys, search) if search.restarts > 0 else [None] * len(keys)
+    states = z_obs.projectors / np.array(z_obs.degeneracies)[:, None, None]
+    results = {}
+    for key, hit in zip(keys, found):
+        options = list(fixed)
+        if hit is not None:
+            channel = _measure_prepare(states, hit[0], inst.dim_out * inst.n_outcomes)
+            options.append(option(f"parametrized_restart_{hit[1]}", channel))
+        scored = [table_entropy_gradient(table, key) for _, _, table, _ in options]
+        best = int(np.argmin([value for value, _ in scored]))
+        name, channel, _, povm = options[best]
+        _, norm = _riemannian_gradient(povm, scored[best][1], rho)
+        results[key] = CorrectionSearchResult(
+            best_value=max(0.0, scored[best][0]),
+            best_channel=channel,
+            restarts=search.restarts,
+            iterations=0 if hit is None else hit[2],
+            converged=bool(norm < GRAD_TOL),
+            best_candidate=name,
         )
-        total_evals += int(res.nfev)
-        converged = converged and bool(res.success)
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            best_params = np.array(res.x)
-            best_name = f"parametrized_restart_{r}"
-    if best_params is not None:
-        best_channel = Channel(c_in, c_out, _params_to_kraus(best_params, c_out, n_env, c_in))
-
-    return CorrectionSearchResult(
-        best_value=max(0.0, best_value),
-        best_channel=best_channel,
-        restarts=search.restarts,
-        iterations=total_evals,
-        converged=converged,
-        best_candidate=best_name,
-    )
+    return [results[order.computed] for order in orders]
 
 
 # --- error probability and fidelity of correction -----------------------------
@@ -382,24 +451,16 @@ def estimation_povm(
     same image are summed, which preserves completeness.
     """
     _check_correction_dims(z_obs, inst, correction)
-    d_in = inst.dim_in
-    n = inst.n_outcomes
+    n, d_out = inst.n_outcomes, inst.dim_out
+    # element (m, z') sums (K_r ⊗ |m>)† E_z' (K_r ⊗ |m>) over the Kraus operators of m
+    blocks = _correction_povm(z_obs, correction.kraus).reshape(-1, d_out, n, d_out, n)
+    pulled = dagger(inst.kraus)[:, None] @ blocks[:, :, inst.outcome, :, inst.outcome]
+    pulled = hermitize(pulled @ inst.kraus[:, None])
     elements: dict = {}
     for mi, label in enumerate(inst.labels):
-        em = np.eye(n, dtype=complex)[:, mi : mi + 1]
-        kraus_m = inst.kraus[inst.outcome == mi]
-        lifted = [l_op @ np.kron(k_op, em) for k_op in kraus_m for l_op in correction.kraus]
-        for zval, zproj in zip(z_obs.eigenvalues, z_obs.projectors):
-            e = np.zeros((d_in, d_in), dtype=complex)
-            for s in lifted:
-                e += dagger(s) @ zproj @ s
-            key = (label, zval)
-            if estimator is not None:
-                key = estimator(*key)
-            if key in elements:
-                elements[key] = elements[key] + hermitize(e)
-            else:
-                elements[key] = hermitize(e)
+        for zval, e in zip(z_obs.eigenvalues, pulled[inst.outcome == mi].sum(axis=0)):
+            key = (label, zval) if estimator is None else estimator(label, zval)
+            elements[key] = elements[key] + e if key in elements else e
     return elements
 
 
@@ -424,55 +485,32 @@ def ricochet_oracle(
     if x_obs.dim != z_obs.dim or x_obs.dim != inst.dim_in:
         raise ValueError("observables and instrument must share the input dimension")
     d = x_obs.dim
-    povm = estimation_povm(z_obs, inst, correction, estimator)
-
-    total = sum(povm.values())
-    povm_residual = max_abs(total - np.eye(d))
-
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / math.sqrt(d)
+    povm = np.array(list(estimation_povm(z_obs, inst, correction, estimator).values()))
+    povm_residual = max_abs(povm.sum(axis=0) - np.eye(d))
+    phi = np.eye(d, dtype=complex).reshape(d * d) / math.sqrt(d)
     ent = np.outer(phi, phi.conj())
 
-    def direct(proj) -> dict:
-        return {u: float(np.trace(e @ proj).real) / d for u, e in povm.items()}
+    nx = len(x_obs.projectors)
+    projs = np.concatenate([x_obs.projectors, z_obs.projectors])
+    direct = np.trace(povm[:, None] @ projs[None], axis1=-2, axis2=-1).real / d
+    # route two: <phi| E(u) ⊗ P^T |phi> on the system and its mirror
+    kron = np.einsum("uab,xcd->uxacbd", povm, projs.swapaxes(-1, -2))
+    kron = kron.reshape(len(povm), len(projs), d * d, d * d)
+    gap = np.abs(direct - np.trace(kron @ ent, axis1=-2, axis2=-1).real)
+    direct_x, gap_x, gap_z = direct[:, :nx], max_abs(gap[:, :nx]), max_abs(gap[:, nx:])
 
-    def mirrored(proj) -> dict:
-        pt = np.asarray(proj).T
-        return {
-            u: float(np.trace(np.kron(e, pt) @ ent).real) for u, e in povm.items()
-        }
-
-    gap_x = 0.0
-    gap_z = 0.0
-    direct_x = {}
-    for xval, xproj in zip(x_obs.eigenvalues, x_obs.projectors):
-        d1 = direct(xproj)
-        d2 = mirrored(xproj)
-        direct_x[xval] = d1
-        gap_x = max(gap_x, max(abs(d1[u] - d2[u]) for u in povm))
-    for zproj in z_obs.projectors:
-        d1 = direct(zproj)
-        d2 = mirrored(zproj)
-        gap_z = max(gap_z, max(abs(d1[u] - d2[u]) for u in povm))
-
-    gap_cond = 0.0
-    for u, e in povm.items():
-        p_u_direct = sum(direct_x[xv][u] for xv in x_obs.eigenvalues)
-        lifted = np.kron(e, np.eye(d, dtype=complex)) @ ent
-        p_u = float(np.trace(lifted).real)
-        if p_u <= 1e-12 or p_u_direct <= 1e-12:
-            continue
-        rho_u = linalg.partial_trace(lifted, (d, d), keep="B") / p_u
-        for xval, xproj in zip(x_obs.eigenvalues, x_obs.projectors):
-            lhs = direct_x[xval][u] / p_u_direct
-            rhs = float(np.trace(xproj.T @ rho_u).real)
-            gap_cond = max(gap_cond, abs(lhs - rhs))
+    lifted = np.kron(povm, np.eye(d, dtype=complex)) @ ent
+    p_u = np.trace(lifted, axis1=-2, axis2=-1).real
+    p_u_direct = direct_x.sum(axis=1)
+    keep = (p_u > 1e-12) & (p_u_direct > 1e-12)
+    rho_u = np.array([linalg.partial_trace(m, (d, d), keep="B") for m in lifted[keep]])
+    rhs = np.trace(x_obs.projectors.swapaxes(-1, -2)[None] @ rho_u[:, None], axis1=-2, axis2=-1)
+    lhs = direct_x[keep] / p_u_direct[keep, None]
+    gap_cond = max_abs(lhs - rhs.real / p_u[keep, None])
 
     c_plain = float(linalg.pair_overlaps(x_obs.projectors, z_obs.projectors).max())
-    x_t = x_obs.projectors.swapaxes(-1, -2)
-    z_t = z_obs.projectors.swapaxes(-1, -2)
-    c_transposed = float(linalg.pair_overlaps(x_t, z_t).max())
+    transposed = (o.projectors.swapaxes(-1, -2) for o in (x_obs, z_obs))
+    c_transposed = float(linalg.pair_overlaps(*transposed).max())
 
     return ConsistencyReport(
         max_joint_x_gap=gap_x,

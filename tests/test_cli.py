@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import etoff
 from etoff.bounds import TradeoffCertificate
 from etoff.cli import main
 from etoff.harness import (
@@ -213,3 +218,11 @@ def test_selftest_shipped_fixture_rejected(broken_file):
 def test_usage_error_exits_two():
     assert main(["certify"]) == 2
     assert main(["nonsense"]) == 2
+
+
+def test_cli_imports_without_scipy():
+    # the package needs numpy only; a fresh interpreter shows what importing it pulls in
+    src = str(Path(etoff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import etoff.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

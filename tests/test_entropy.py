@@ -14,8 +14,11 @@ from etoff.entropy import (
     cond_shannon,
     cond_tsallis_first,
     cond_tsallis_second,
+    check_table,
     renyi_entropy,
     shannon_entropy,
+    table_conditional_entropy,
+    table_entropy_gradient,
     tsallis_entropy,
 )
 
@@ -306,3 +309,64 @@ def test_entropy_order_validation():
         EntropyOrder(math.inf, "tsallis")
     assert EntropyOrder.renyi(math.inf).alpha == math.inf
     assert EntropyOrder.shannon().alpha == 1.0
+
+
+# --- gradient of the conditional entropy --------------------------------------------
+
+GRADIENT_ORDERS = [
+    EntropyOrder(alpha, family)
+    for family in ("renyi", "tsallis", "shannon")
+    for alpha in (0.3, 1 - 1e-8, 1.0, 1 + 1e-8, 2.0)
+    if family != "shannon" or abs(alpha - 1.0) < 1e-7
+]
+
+
+@pytest.mark.parametrize("order", GRADIENT_ORDERS, ids=repr)
+def test_entropy_gradient_matches_finite_differences(order):
+    rng = np.random.default_rng(12)
+    t = 0.1 + rng.random((3, 4))
+    t[0, 1] = t[2, 0] = 0.0  # zero-probability entries in occupied columns
+    t[:, 3] = 0.0  # and a zero-probability column
+    t /= t.sum()
+    value, grad = table_entropy_gradient(t, order)
+    assert value == table_conditional_entropy(t, order)
+    h = 1e-6
+    for x, y in zip(*np.nonzero(t)):
+        e = np.zeros_like(t)
+        e[x, y] = h
+        fd = (table_conditional_entropy(t + e, order) - table_conditional_entropy(t - e, order)) / (2 * h)
+        assert grad[x, y] == pytest.approx(fd, abs=1e-7)
+    assert np.all(grad[:, 3] == 0.0)
+    if order.alpha > 1.5:
+        # at p = 0 the one-sided derivative is finite (and exact) only for alpha > 1
+        for x, y in ((0, 1), (2, 0)):
+            e = np.zeros_like(t)
+            e[x, y] = h
+            fd = (table_conditional_entropy(t + e, order) - value) / h
+            assert grad[x, y] == pytest.approx(fd, abs=1e-5)
+
+
+def test_entropy_and_gradient_of_a_stack_match_each_table():
+    rng = np.random.default_rng(5)
+    stack = rng.random((2, 3, 3, 2))
+    stack[0, 1, :, 1] = 0.0
+    stack = check_table(stack / stack.sum(axis=(-2, -1), keepdims=True))
+    order = EntropyOrder.renyi(0.5)
+    values, grads = table_entropy_gradient(stack, order)
+    for i in np.ndindex(stack.shape[:2]):
+        value, grad = table_entropy_gradient(stack[i], order)
+        assert values[i] == pytest.approx(value, abs=1e-15)
+        assert np.allclose(grads[i], grad, atol=1e-15, rtol=0)
+
+
+def test_check_table_rejects_one_bad_table_of_a_stack():
+    stack = np.full((3, 2, 2), 0.25)
+    stack[1, 0, 0] = 0.3
+    with pytest.raises(ValueError, match="sums to"):
+        check_table(stack)
+
+
+def test_computed_order_is_shannon_on_the_branch():
+    assert EntropyOrder.renyi(1 + 1e-8).computed == EntropyOrder.shannon()
+    assert EntropyOrder.tsallis(1.0).computed == EntropyOrder.shannon()
+    assert EntropyOrder.tsallis(1 + 1e-6).computed == EntropyOrder.tsallis(1 + 1e-6)

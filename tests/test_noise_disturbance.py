@@ -113,23 +113,23 @@ def test_disturbance_joint_conjugate_measurement(qubit_pair):
 
 def test_disturbance_identity_instrument_zero():
     z_obs = basis_observable(2)
-    res = disturbance(z_obs, trivial_instrument(2), EntropyOrder.shannon(),
-                      SearchConfig(restarts=0))
+    (res,) = disturbance(z_obs, trivial_instrument(2), [EntropyOrder.shannon()],
+                         SearchConfig(restarts=0))
     assert res.best_value == pytest.approx(0.0, abs=1e-12)
     assert res.best_candidate == "discard_flag"
 
 
 def test_disturbance_projective_z_zero_via_reprepare(anchor):
     _, z_obs, inst = anchor
-    res = disturbance(z_obs, inst, EntropyOrder.tsallis(1.3), SearchConfig(restarts=0))
+    (res,) = disturbance(z_obs, inst, [EntropyOrder.tsallis(1.3)], SearchConfig(restarts=0))
     assert res.best_value <= 1e-9
 
 
 def test_disturbance_conjugate_measurement_saturates(qubit_pair):
     x_obs, z_obs = qubit_pair
     inst = luders_instrument(x_obs)
-    res = disturbance(z_obs, inst, EntropyOrder.shannon(),
-                      SearchConfig(restarts=2, iterations=150, seed=4))
+    (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()],
+                         SearchConfig(restarts=2, iterations=150, seed=4))
     # the trade-off pins the disturbance at ln 2 because the noise is zero
     assert res.best_value >= LN2 - 1e-7
     assert res.best_value <= LN2 + 1e-9
@@ -139,8 +139,8 @@ def test_disturbance_more_restarts_never_worse():
     _, z_obs, inst = sample_instance(2, 17)
     vals = []
     for r in (0, 1, 2):
-        res = disturbance(z_obs, inst, EntropyOrder.tsallis(2.0),
-                          SearchConfig(restarts=r, iterations=120, seed=99))
+        (res,) = disturbance(z_obs, inst, [EntropyOrder.tsallis(2.0)],
+                             SearchConfig(restarts=r, iterations=120, seed=99))
         vals.append(res.best_value)
     assert vals[1] <= vals[0] + 1e-12
     assert vals[2] <= vals[1] + 1e-12
@@ -151,15 +151,83 @@ def test_disturbance_bounded_by_identity_correction():
     ident = discard_flag_correction(inst, 2)
     order = EntropyOrder.tsallis(1.0)
     ident_val = conditional_entropy(disturbance_joint(z_obs, inst, ident), order)
-    res = disturbance(z_obs, inst, order, SearchConfig(restarts=1, iterations=100, seed=2))
+    (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=1, iterations=100, seed=2))
     assert res.best_value <= ident_val + 1e-12
+
+
+def test_disturbance_one_order_equals_that_order_in_a_grid():
+    _, z_obs, inst = sample_instance(2, 23)
+    orders = [EntropyOrder.tsallis(a) for a in (0.3, 0.5, 1.0, 1.5, 2.0)]
+    orders += [EntropyOrder.renyi(a) for a in (0.3, 0.5, 1.5, 2.0)]
+    search = SearchConfig(restarts=2, iterations=90, seed=8)
+    grid = disturbance(z_obs, inst, orders, search)
+    for order, res in zip(orders, grid):
+        (one,) = disturbance(z_obs, inst, [order], search)
+        assert one.best_value == pytest.approx(res.best_value, abs=1e-12)
+        assert one.best_candidate == res.best_candidate
+        assert one.iterations == res.iterations
+
+
+def test_disturbance_value_is_the_reported_channel_on_the_exact_path():
+    for dim, seed in ((2, 3), (3, 4), (4, 5)):
+        _, z_obs, inst = sample_instance(dim, seed)
+        orders = [EntropyOrder.tsallis(0.5), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
+        results = disturbance(z_obs, inst, orders, SearchConfig(restarts=2, iterations=60, seed=1))
+        for order, res in zip(orders, results):
+            j = disturbance_joint(z_obs, inst, res.best_channel)
+            assert res.best_value == pytest.approx(conditional_entropy(j, order), abs=1e-12)
+
+
+def test_disturbance_search_beats_both_fixed_corrections_at_d3():
+    _, z_obs, inst = sample_instance(3, 0)
+    order = EntropyOrder.tsallis(2.0)
+    fixed = [discard_flag_correction(inst, 3), reprepare_correction(z_obs, inst)]
+    fixed_values = [conditional_entropy(disturbance_joint(z_obs, inst, ch), order) for ch in fixed]
+    (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=1, iterations=150, seed=1))
+    assert res.best_candidate == "parametrized_restart_0"
+    assert res.best_value < min(fixed_values) - 0.1
+
+
+def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
+    x_obs, z_obs = qubit_pair
+    # measuring the conjugate basis leaves every flagged Z state equal, so
+    # every POVM is stationary and the generous search reports convergence
+    (res,) = disturbance(z_obs, luders_instrument(x_obs), [EntropyOrder.shannon()],
+                         SearchConfig(restarts=2, iterations=2000, seed=4))
+    assert res.converged
+    assert res.best_value == pytest.approx(LN2, abs=1e-12)
+    # with one evaluation the search cannot move off its start, and the
+    # best candidate (the flag-discarding identity here) is not stationary
+    _, z_obs, inst = sample_instance(2, 1)
+    (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()],
+                         SearchConfig(restarts=1, iterations=1, seed=4))
+    assert res.iterations == 1
+    assert not res.converged
+    (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()],
+                         SearchConfig(restarts=1, iterations=2000, seed=4))
+    assert res.converged
+
+
+def test_disturbance_shares_one_search_per_computed_entropy():
+    _, z_obs, inst = sample_instance(2, 9)
+    orders = [EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1 + 1e-8), EntropyOrder.shannon()]
+    results = disturbance(z_obs, inst, orders, SearchConfig(restarts=1, iterations=60, seed=2))
+    assert results[0] is results[1] is results[2]
+    assert results[0].iterations <= 60
+
+
+def test_disturbance_without_restarts_runs_no_search():
+    _, z_obs, inst = sample_instance(2, 9)
+    (res,) = disturbance(z_obs, inst, [EntropyOrder.renyi(0.5)], SearchConfig(restarts=0, seed=2))
+    assert res.iterations == 0
+    assert res.best_candidate in ("discard_flag", "reprepare")
 
 
 def test_noise_disturbance_shannon_agreement(anchor):
     x_obs, z_obs, inst = anchor
     for order in (EntropyOrder.shannon(), EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1.0)):
         assert noise(x_obs, inst, order) == pytest.approx(LN2, abs=1e-9)
-        res = disturbance(z_obs, inst, order, SearchConfig(restarts=0))
+        (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=0))
         assert res.best_value == pytest.approx(0.0, abs=1e-9)
 
 
