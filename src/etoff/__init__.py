@@ -45,17 +45,13 @@ from .noise_disturbance import (
     ConsistencyReport,
     CorrectionSearchResult,
     DegenerateObservable,
-    DisturbanceExperiment,
-    NoiseExperiment,
     OrderOutOfRange,
     SearchConfig,
     discard_flag_correction,
     disturbance,
-    disturbance_experiment,
     disturbance_joint,
     error_and_fidelity,
     noise,
-    noise_experiment,
     noise_joint,
     reprepare_correction,
     ricochet_oracle,

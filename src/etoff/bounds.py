@@ -82,7 +82,9 @@ class TradeoffCertificate:
     zero therefore refutes the relation for this instance, but a
     nonnegative margin does not certify it: that needs a lower bound on
     the disturbance (ROADMAP direction 1).  ``passed`` records only
-    noise + upper disturbance >= bound.
+    noise + upper disturbance >= bound.  ``best_candidate`` names the
+    correction that gave the disturbance value: ``discard_flag``,
+    ``reprepare`` or ``parametrized_restart_<r>``.
     """
 
     relation: str
@@ -101,6 +103,7 @@ class TradeoffCertificate:
     restarts: int = 0
     iterations: int = 0
     converged: bool = True
+    best_candidate: str = ""
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,29 +129,18 @@ class TradeoffCertificate:
                 "restarts": self.restarts,
                 "iterations": self.iterations,
                 "converged": self.converged,
+                "best_candidate": self.best_candidate,
             },
         }
 
     CSV_HEADER = "relation,d,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"
 
     def to_csv_row(self) -> str:
-        num = "{:.9g}".format
+        numbers = (self.alpha, self.beta, self.c, self.noise, self.disturbance,
+                   self.bound.value, self.margin)
         seed = "" if self.seed is None else str(self.seed)
-        return ",".join(
-            [
-                self.relation,
-                str(self.dim),
-                num(self.alpha),
-                num(self.beta),
-                num(self.c),
-                num(self.noise),
-                num(self.disturbance),
-                num(self.bound.value),
-                num(self.margin),
-                str(self.passed).lower(),
-                seed,
-            ]
-        )
+        return ",".join([self.relation, str(self.dim), *map("{:.9g}".format, numbers),
+                         str(self.passed).lower(), seed])
 
 
 # --- overlap characteristic ----------------------------------------------------
@@ -202,26 +194,35 @@ def _parametric_column(theta: np.ndarray, breaks: np.ndarray):
     sin(theta + theta_n): it is exactly 0 at a breakpoint, and it keeps
     its relative precision near theta = 0, where 1 - cos^2 theta cancels.
     """
-    n = np.searchsorted(breaks, theta, side="right")
+    # n is at most len(breaks): the smallest integer type holding that keeps mult small
+    mult = np.ones((2,) + np.shape(theta), dtype=np.min_scalar_type(breaks.size))
+    n = mult[0, ...]
+    n[...] = np.searchsorted(breaks, theta, side="right")
     theta_n = breaks[n - 1]
-    probs = np.stack([np.cos(theta) ** 2, n * np.sin(theta - theta_n) * np.sin(theta + theta_n)])
-    return probs, np.stack([n, np.ones_like(n)])
+    probs = np.empty(mult.shape)
+    first, remainder = probs[0, ...], probs[1, ...]
+    np.square(np.cos(theta, out=first), out=first)
+    np.sin(np.subtract(theta, theta_n, out=remainder), out=remainder)
+    remainder *= n
+    remainder *= np.sin(theta + theta_n)
+    return probs, mult
 
 
-def _term(theta: np.ndarray, order: float, family: str, breaks: np.ndarray) -> np.ndarray:
+def _term(theta: np.ndarray, orders: np.ndarray, family: str, breaks: np.ndarray) -> np.ndarray:
     probs, mult = _parametric_column(theta, breaks)
-    return _column_entropies(probs, order, family, mult)
+    return _column_entropies(probs, orders, family, mult)
 
 
 def _objective(theta, eta, alphas, betas, family, breaks) -> np.ndarray:
     """The alpha term at theta plus the beta term at eta - theta, per (alpha, beta).
 
-    ``theta`` has shape (len(alphas), len(betas), ...).
+    ``theta`` has shape (len(alphas), len(betas), ...); each term is one
+    kernel call over the whole grid, with its order per column.
     """
-    phi = eta - theta
-    first = np.stack([_term(theta[i], a, family, breaks) for i, a in enumerate(alphas)])
-    second = np.stack([_term(phi[:, j], b, family, breaks) for j, b in enumerate(betas)], axis=1)
-    return first + second
+    axes = (1,) * (theta.ndim - 2)
+    total = _term(theta, np.reshape(alphas, (-1, 1) + axes), family, breaks)
+    total += _term(eta - theta, np.reshape(betas, (1, -1) + axes), family, breaks)
+    return total
 
 
 def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -405,6 +406,7 @@ def _assemble(
         restarts=dist.restarts,
         iterations=dist.iterations,
         converged=dist.converged,
+        best_candidate=dist.best_candidate,
     )
 
 
@@ -422,18 +424,14 @@ def certify(
 
     Computes the noise of the instrument against X, the best-found
     disturbance against Z, and the bound selected by the relation, then
-    records the margin.  Raises AdmissibilityError when (relation, alpha,
-    beta, d) fall outside the admitted region.
+    records the margin: ``certify_grid`` on the one combination.  Raises
+    AdmissibilityError when (relation, alpha, beta, d) fall outside the
+    admitted region.
     """
     if x_obs.dim != z_obs.dim or x_obs.dim != inst.dim_in:
         raise ValueError("observables and instrument must share the input dimension")
     check_admissible(relation, alpha, beta, x_obs.dim)
-    family = relation_family(relation)
-    c = overlap(x_obs, z_obs).c
-    noise_value = noise(x_obs, inst, EntropyOrder(alpha, family))
-    dist = disturbance(z_obs, inst, [EntropyOrder(beta, family)], search)[0]
-    bound = _bounds_for(relation, c, [(alpha, beta)])[alpha, beta]
-    return _assemble(relation, x_obs.dim, alpha, beta, family, c, noise_value, dist, bound, seed)
+    return certify_grid(x_obs, z_obs, inst, [relation], [alpha], [beta], search, seed)[0][0]
 
 
 def certify_grid(
@@ -448,17 +446,16 @@ def certify_grid(
 ):
     """Certify every admissible (relation, alpha, beta) combination.
 
-    Noise and disturbance values are cached per entropy actually computed
-    (``EntropyOrder.computed``: every order within ``SHANNON_BRANCH`` of
-    1 is Shannon, whatever the family), one ``disturbance`` call searches
-    all of the sample's disturbance orders at once, and each relation's
+    One ``noise`` call evaluates every certificate's noise order and one
+    ``disturbance`` call searches all of its disturbance orders at once
+    (orders computing the same entropy share one search); each relation's
     bounds come from one call over its admissible orders.  Returns
     (certificates, skipped) where skipped counts inadmissible grid
     combinations.
     """
     dim = x_obs.dim
     c = overlap(x_obs, z_obs).c
-    plan, skipped = [], 0
+    grid, bounds, skipped = [], {}, 0
     for relation in relations:
         pairs = []
         for alpha in alphas:
@@ -470,21 +467,12 @@ def certify_grid(
                     continue
                 pairs.append((alpha, beta))
         if pairs:
-            plan.append((relation, relation_family(relation), pairs))
-    betas_computed = [EntropyOrder(b, family).computed for _, family, pairs in plan for _, b in pairs]
-    orders = list(dict.fromkeys(betas_computed))
-    dist_cache = dict(zip(orders, disturbance(z_obs, inst, orders, search)))
-    noise_cache, certs = {}, []
-    for relation, family, pairs in plan:
-        bounds = _bounds_for(relation, c, pairs)
-        for alpha, beta in pairs:
-            nkey = EntropyOrder(alpha, family).computed
-            if nkey not in noise_cache:
-                noise_cache[nkey] = noise(x_obs, inst, nkey)
-            certs.append(
-                _assemble(
-                    relation, dim, alpha, beta, family, c, noise_cache[nkey],
-                    dist_cache[EntropyOrder(beta, family).computed], bounds[alpha, beta], seed,
-                )
-            )
+            bounds[relation] = _bounds_for(relation, c, pairs)
+            grid += [(relation, relation_family(relation), a, b) for a, b in pairs]
+    noises = noise(x_obs, inst, [EntropyOrder(a, family) for _, family, a, _ in grid])
+    dists = disturbance(z_obs, inst, [EntropyOrder(b, family) for _, family, _, b in grid], search)
+    certs = [
+        _assemble(relation, dim, a, b, family, c, n, dist, bounds[relation][a, b], seed)
+        for (relation, family, a, b), n, dist in zip(grid, noises, dists)
+    ]
     return certs, skipped

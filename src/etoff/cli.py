@@ -87,12 +87,7 @@ def cmd_sweep(args) -> int:
         if args.config:
             cfg = RunConfig.from_file(args.config, **overrides)
         else:
-            defaults = RunConfig()
-            merged = {
-                k: (v if v is not None else getattr(defaults, k))
-                for k, v in overrides.items()
-            }
-            cfg = RunConfig(**merged)
+            cfg = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
         cfg.seed = _resolve_seed(args.seed if args.seed is not None else cfg.seed)
         certs, summary = harness.run_sweep(cfg)
     except (OSError, json.JSONDecodeError, ValueError) as exc:

@@ -14,14 +14,18 @@ Conventions used throughout:
 
 Every entropy here, conditional or not, is a weighted sum of per-column
 entropies from one kernel, so each formula is written out once.  The
-kernel also takes a multiplicity per entry, which lets ``bounds``
-evaluate the parametric distributions of the minimised bound (one value
-repeated n times, plus a remainder) as 2-row columns.  A joint
-table is checked once, by ``check_table``, and not again per column.
-``check_table`` and the conditional entropies also take stacks of
-tables, and ``table_entropy_gradient`` adds the derivative with respect
-to each entry from the kernel's gradient companion, for the disturbance
-search.
+kernel takes an order per column, so one call evaluates a whole grid of
+orders: the conditional entropies take one ``EntropyOrder`` or one per
+table of a stack, and ``bounds`` passes an order array.  A column of
+order 2 or 0.5 is raised to its power by numpy's scalar square and sqrt
+paths, as a single-order call would be, so its value does not depend on
+the orders beside it.  The kernel also takes a multiplicity per entry,
+which lets ``bounds`` evaluate the parametric distributions of the
+minimised bound (one value repeated n times, plus a remainder) as 2-row
+columns.  A joint table is checked once, by ``check_table``, and not
+again per column.  ``table_entropy_gradient`` adds the derivative with
+respect to each entry from the kernel's gradient companion, for the
+disturbance search.
 
 Two conditional Tsallis forms exist, differing in the conditioning
 weights (p(y)**alpha versus p(y)).  The second form is the one entering
@@ -87,72 +91,118 @@ def check_table(table) -> np.ndarray:
     return t / total
 
 
-def _column_entropies(cond: np.ndarray, alpha: float, family: str, mult=1) -> np.ndarray:
-    """Entropy of each column of a column-stochastic array, in the given order.
+def _power(base: np.ndarray, exponent, out: np.ndarray, where) -> None:
+    """out = base ** exponent wherever ``where``, the exponent broadcast against base.
+
+    numpy takes a scalar exponent 2 or 0.5 by square and sqrt, an array of
+    exponents by pow (~4x slower, not bitwise equal): those two go in as scalars.
+    """
+    for e in (2.0, 0.5):
+        hit = where & (exponent == e)
+        if hit.any():
+            np.power(base, e, out=out, where=hit)
+            where = where & ~hit
+    np.power(base, exponent, out=out, where=where)
+
+
+def _branches(alpha, family) -> tuple:
+    """alpha as floats, and masks of the Shannon, min-entropy, power-sum and Renyi columns."""
+    alpha = np.asarray(alpha, dtype=float)
+    shannon, minimum = np.abs(alpha - 1.0) < SHANNON_BRANCH, np.isinf(alpha)
+    return alpha, shannon, minimum, ~(shannon | minimum), np.asarray(family) == "renyi"
+
+
+def _column_entropies(cond: np.ndarray, alpha, family, mult=1) -> np.ndarray:
+    """Entropy of each column of a column-stochastic array, each column in its own order.
 
     The one place the Renyi, Tsallis and Shannon formulas are written out.
-    ``mult`` is an integer multiplicity per entry (broadcast against
-    ``cond``): a column stands for the distribution in which each entry
-    is repeated that many times.  Orders are not checked here (alpha = 0
-    gives the Hartley forms); ``EntropyOrder`` checks them where they
-    enter the program.
+    ``alpha`` and ``family`` are scalars or arrays that broadcast to the
+    columns (``cond.shape[1:]``); every column follows its own order: the
+    Shannon form within ``SHANNON_BRANCH`` of 1, the min-entropy at
+    alpha = inf, the Hartley form at alpha = 0, p = 0 terms dropped, the
+    clamp at 0.  Each form is evaluated only on its own columns (ufunc
+    ``where`` masks), so no discarded branch takes a log of 0 or divides
+    by 1 - alpha = 0.  ``mult`` is an integer multiplicity per entry
+    (broadcast against ``cond``): a column stands for the distribution in
+    which each entry is repeated that many times.  Orders are not checked
+    here; ``EntropyOrder`` checks them where they enter the program.
     """
-    if math.isinf(alpha):
-        h = -np.log(cond.max(axis=0))
-    else:
-        # p = 0 terms are dropped: 1 stands in for them, and 1 * ln 1 = 0
-        support = cond > 0.0
-        p = np.where(support, cond, 1.0)
-        if abs(alpha - 1.0) < SHANNON_BRANCH:
-            h = -np.sum(mult * p * np.log(p), axis=0)
-        else:
-            power_sum = np.sum(mult * np.where(support, p ** alpha, 0.0), axis=0)
-            if family == "renyi":
-                h = np.log(power_sum) / (1.0 - alpha)
-            else:
-                h = (power_sum - 1.0) / (1.0 - alpha)
-    return np.maximum(h, 0.0)
+    alpha, shannon, minimum, power, renyi = _branches(alpha, family)
+    # per entry, p ln p or p**alpha; p = 0 drops out of both, as 0 ** alpha = 0 for alpha > 0
+    terms = np.zeros(cond.shape)
+    if shannon.any():
+        np.log(cond, out=terms, where=shannon & (cond > 0.0))
+        np.multiply(terms, cond, out=terms, where=shannon)
+    _power(cond, alpha, terms, power)
+    if (alpha == 0.0).any():  # Hartley: each nonzero entry counts 1
+        np.copyto(terms, cond > 0.0, where=alpha == 0.0)
+    terms *= mult
+    h = np.asarray(terms.sum(axis=0))
+    np.negative(h, out=h, where=shannon)
+    if minimum.any():
+        np.negative(np.log(cond.max(axis=0)), out=h, where=minimum)
+    np.log(h, out=h, where=power & renyi)
+    np.subtract(h, 1.0, out=h, where=power & ~renyi)
+    np.divide(h, 1.0 - alpha, out=h, where=power)
+    return np.maximum(h, 0.0, out=h)
 
 
-def _column_gradients(cond: np.ndarray, alpha: float, family: str) -> np.ndarray:
+def _column_gradients(cond: np.ndarray, alpha, family) -> np.ndarray:
     """Gradient companion of ``_column_entropies``: d[p(y) H(X | Y = y)] / dp(x, y).
 
     With S = sum p**alpha over the column and q = alpha p**(alpha - 1):
     -ln p (Shannon), (ln S + q/S - alpha)/(1 - alpha) (Renyi) and
-    S + (q - 1)/(1 - alpha) (Tsallis); alpha is finite.  At p = 0, where
+    S + (q - 1)/(1 - alpha) (Tsallis), each column in its own order as in
+    ``_column_entropies``; columns of order inf read 0.  At p = 0, where
     it is infinite for alpha <= 1, ln p and q read 0 (exact for alpha > 1).
     """
+    alpha, shannon, _, power, renyi = _branches(alpha, family)
     support = cond > 0.0
     p = np.where(support, cond, 1.0)
-    if abs(alpha - 1.0) < SHANNON_BRANCH:
-        return -np.log(p)
-    q = np.where(support, p ** (alpha - 1.0), 0.0)
+    grad = np.zeros(cond.shape)
+    np.negative(np.log(p, out=grad, where=shannon), out=grad, where=shannon)
+    q = np.zeros(grad.shape)
+    _power(p, alpha - 1.0, q, power & support)
     power_sum = np.sum(p * q, axis=0)
-    q *= alpha
-    if family == "renyi":
-        return (np.log(power_sum) + q / power_sum - alpha) / (1.0 - alpha)
-    return power_sum + (q - 1.0) / (1.0 - alpha)
+    np.multiply(q, alpha, out=q, where=power)
+    log_sum = np.log(power_sum, out=np.zeros(power_sum.shape), where=power & renyi)
+    ratio = np.divide(q, power_sum, out=np.zeros(q.shape), where=power & renyi)
+    part = np.where(renyi, log_sum + ratio - alpha, q - 1.0)
+    np.divide(part, 1.0 - alpha, out=part, where=power)
+    np.add(power_sum, part, out=grad, where=power & ~renyi)
+    np.copyto(grad, part, where=power & renyi)
+    return grad
 
 
-def _weighted_entropy(
-    table: np.ndarray, order: EntropyOrder, power: float = 1.0, gradient: bool = False
-):
+def _weighted_entropy(table: np.ndarray, order, power: float = 1.0, gradient: bool = False):
     """sum over columns y with p(y) > 0 of p(y)**power * H(X | Y = y), per table of a stack.
 
-    With ``gradient`` (power 1) the derivative with respect to each entry
-    is returned too; it is 0 in columns with p(y) = 0, where none exists.
+    ``order`` is one ``EntropyOrder``, or an array-like of them, one per
+    table (broadcast to ``table.shape[:-2]``); either way the kernel is
+    called once.  With ``gradient`` (power 1) the derivative with respect
+    to each entry is returned too; it is 0 in columns with p(y) = 0,
+    where none exists.
     """
+    if isinstance(order, EntropyOrder):
+        alpha, family = order.alpha, order.family
+    else:  # each column takes its table's order
+        orders = np.asarray(order, dtype=object)
+        alpha = np.array([o.alpha for o in orders.flat]).reshape(orders.shape + (1,))
+        family = np.array([o.family for o in orders.flat]).reshape(orders.shape + (1,))
     weights = table.sum(axis=-2)
     keep = weights > 0.0
-    cond = np.moveaxis(table, -2, 0)[:, keep] / weights[keep]
+    if np.ndim(alpha):
+        alpha = np.broadcast_to(alpha, keep.shape)[keep]
+        family = np.broadcast_to(family, keep.shape)[keep]
+    cond = table.swapaxes(-2, -1)[keep].T / weights[keep]
     terms = np.zeros(weights.shape)
-    terms[keep] = weights[keep] ** power * _column_entropies(cond, order.alpha, order.family)
+    terms[keep] = weights[keep] ** power * _column_entropies(cond, alpha, family)
     total = terms.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total
     if not gradient:
         return total
     grad = np.zeros(table.shape)
-    np.moveaxis(grad, -2, 0)[:, keep] = _column_gradients(cond, order.alpha, order.family)
+    grad.swapaxes(-2, -1)[keep] = _column_gradients(cond, alpha, family).T
     return total, grad
 
 
@@ -304,11 +354,14 @@ def conditional_entropy(j: JointDistribution, order: EntropyOrder) -> float:
     return table_conditional_entropy(j.table, order)
 
 
-def table_conditional_entropy(table: np.ndarray, order: EntropyOrder):
-    """``conditional_entropy`` of a table, or a stack of tables, already returned by ``check_table``."""
+def table_conditional_entropy(table: np.ndarray, order):
+    """``conditional_entropy`` of a table, or a stack of tables, already returned by ``check_table``.
+
+    ``order`` is one ``EntropyOrder``, or one per table of the stack.
+    """
     return _weighted_entropy(table, order)
 
 
-def table_entropy_gradient(table: np.ndarray, order: EntropyOrder):
+def table_entropy_gradient(table: np.ndarray, order):
     """``table_conditional_entropy`` and its gradient with respect to each entry."""
     return _weighted_entropy(table, order, gradient=True)

@@ -158,10 +158,9 @@ def _sweep_task(args) -> tuple[list[TradeoffCertificate], int]:
         iterations=cfg.iterations,
         seed=int(np.random.SeedSequence([cfg.seed, index, 1]).generate_state(1)[0]),
     )
-    certs, skipped = certify_grid(
+    return certify_grid(
         x_obs, z_obs, inst, cfg.relations, cfg.alphas, cfg.betas, search, seed=cfg.seed
     )
-    return certs, skipped
 
 
 def run_sweep(cfg: RunConfig):
@@ -179,18 +178,13 @@ def run_sweep(cfg: RunConfig):
             results = pool.map(_sweep_task, tasks)
     else:
         results = [_sweep_task(t) for t in tasks]
-    certs: list[TradeoffCertificate] = []
-    skipped = 0
-    for sample_certs, sk in results:
-        certs.extend(sample_certs)
-        skipped += sk
-    failures = sum(1 for c in certs if not c.passed)
+    certs = [cert for sample_certs, _ in results for cert in sample_certs]
     summary = {
         "samples": cfg.samples,
         "dim": cfg.dim,
         "certificates": len(certs),
-        "failures": failures,
-        "inadmissible_skipped": skipped,
+        "failures": sum(1 for c in certs if not c.passed),
+        "inadmissible_skipped": sum(skipped for _, skipped in results),
         "min_margin": min((c.margin for c in certs), default=float("nan")),
         "seed": cfg.seed,
     }

@@ -39,7 +39,7 @@ from .entropy import (
     EntropyOrder,
     JointDistribution,
     check_table,
-    conditional_entropy,
+    table_conditional_entropy,
     table_entropy_gradient,
 )
 from .linalg import dagger, hermitize, max_abs
@@ -78,21 +78,6 @@ class CorrectionSearchResult:
     iterations: int
     converged: bool
     best_candidate: str
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseExperiment:
-    observable: ProjectiveObservable
-    instrument: QuantumInstrument
-    joint: JointDistribution
-
-
-@dataclass(frozen=True, eq=False)
-class DisturbanceExperiment:
-    observable: ProjectiveObservable
-    instrument: QuantumInstrument
-    correction: Channel
-    joint: JointDistribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,24 +138,20 @@ def noise_joint(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> JointDi
     return JointDistribution(table, x_obs.eigenvalues, inst.labels)
 
 
-def noise_experiment(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> NoiseExperiment:
-    j = noise_joint(x_obs, inst)
-    marg = j.marginal_rows()
-    expect = np.array(x_obs.degeneracies) / x_obs.dim
-    if np.max(np.abs(marg - expect)) > 1e-9:
-        raise ValueError("noise joint marginal deviates from d_x/d")
-    return NoiseExperiment(x_obs, inst, j)
+def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) -> list:
+    """Information-theoretic noise per order: conditional entropy of X given the outcome.
 
-
-def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, order: EntropyOrder) -> float:
-    """Information-theoretic noise: conditional entropy of X given the outcome.
-
-    No optimisation over guessing functions is applied; the admitted
-    Renyi interval is exactly the one for which conditioning on more
-    variables cannot increase the entropy.
+    One joint table, evaluated in every order of ``orders`` by one call
+    of the entropy kernel; returns one float per order.  No optimisation
+    over guessing functions is applied; the admitted Renyi interval is
+    exactly the one for which conditioning on more variables cannot
+    increase the entropy.
     """
-    check_order(order, x_obs.dim)
-    return conditional_entropy(noise_joint(x_obs, inst), order)
+    for order in orders:
+        check_order(order, x_obs.dim)
+    table = noise_joint(x_obs, inst).table
+    stack = np.broadcast_to(table, (len(orders),) + table.shape)
+    return [float(v) for v in table_conditional_entropy(stack, orders)]
 
 
 # --- the second experiment: disturbance --------------------------------------
@@ -208,17 +189,6 @@ def _check_correction_dims(z_obs, inst, correction) -> None:
         )
     if z_obs.dim != inst.dim_in:
         raise ValueError(f"observable dim {z_obs.dim} != instrument input dim {inst.dim_in}")
-
-
-def disturbance_experiment(
-    z_obs: ProjectiveObservable, inst: QuantumInstrument, correction: Channel
-) -> DisturbanceExperiment:
-    j = disturbance_joint(z_obs, inst, correction)
-    marg = j.marginal_rows()
-    expect = np.array(z_obs.degeneracies) / z_obs.dim
-    if np.max(np.abs(marg - expect)) > 1e-9:
-        raise ValueError("disturbance joint marginal deviates from d_z/d")
-    return DisturbanceExperiment(z_obs, inst, correction, j)
 
 
 def discard_flag_correction(inst: QuantumInstrument, target_dim: int) -> Channel | None:
@@ -298,7 +268,8 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
 
     A is a (|Z| c, c) isometry of c x c blocks, E_z' = A_z'† A_z' and
     p(z, z') = Tr[E_z' rho_z].  Rows are (order, restart) pairs moving in
-    lockstep; only the entropy and its gradient are taken per order.  An
+    lockstep, and one kernel call per iteration takes the entropy and its
+    gradient of every row in that row's order.  An
     iteration evaluates the step ladder as one batch and takes the longest
     step with Armijo decrease.  A row stops when its gradient norm is below
     ``GRAD_TOL`` or its next ladder would overrun ``search.iterations``
@@ -306,7 +277,7 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
     index and the evaluations of all restarts.
     """
     nz, c, n_rest = len(rho), rho.shape[-1], search.restarts
-    which = np.repeat(np.arange(len(orders)), n_rest)
+    row_orders = np.repeat(np.array(orders, dtype=object), n_rest)
     seeds = [None if search.seed is None else np.random.SeedSequence([search.seed, r])
              for r in range(n_rest)]
     gauss = np.array([np.random.default_rng(s).standard_normal((2, nz * c, c)) for s in seeds])
@@ -314,13 +285,12 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
     rho_t = rho.swapaxes(-1, -2).reshape(nz, -1).T
 
     def evaluate(points, rows):
-        """Entropy, gradient and POVM at each point; ``rows`` name their orders."""
+        """Entropy, gradient and POVM at each point; point i of ``points`` is on row rows[i]."""
         blocks = points.reshape(*points.shape[:-2], nz, c, c)
         povm = dagger(blocks) @ blocks
         tables = check_table((povm.reshape(*povm.shape[:-2], -1) @ rho_t).real.swapaxes(-1, -2))
-        cuts = np.split(np.arange(len(rows)), np.searchsorted(which[rows], range(1, len(orders))))
-        parts = [table_entropy_gradient(tables[i], o) for i, o in zip(cuts, orders) if len(i)]
-        return np.concatenate([v for v, _ in parts]), np.concatenate([g for _, g in parts]), povm
+        at = row_orders[rows].reshape(rows.shape + (1,) * (points.ndim - 3))
+        return *table_entropy_gradient(tables, at), povm
 
     def direction(rows):
         d, size = _riemannian_gradient(povm[rows], g[rows], rho)
@@ -372,8 +342,9 @@ def disturbance(
     permit) and the classical repreparation, exact in the
     zero-disturbance regimes, and per restart a POVM descent run for all
     orders at once (``_povm_search``), reported as its measure-and-prepare
-    channel.  Each is evaluated on the exact path; ties go to the fixed
-    corrections.  Orders computing the same entropy share one result.
+    channel.  Each is evaluated on the exact path, the candidates of all
+    orders in one entropy-kernel call; ties go to the fixed corrections.
+    Orders computing the same entropy share one result.
     ``converged`` means the Riemannian gradient norm at the reported
     point, a stationarity test that saddle points pass too, is below
     ``GRAD_TOL``.
@@ -382,56 +353,62 @@ def disturbance(
     for order in orders:
         check_order(order, z_obs.dim)
     keys = list(dict.fromkeys(order.computed for order in orders))
+    if not keys:
+        return []
     flagged = flag_apply(inst, z_obs.projectors)
-
-    def option(name: str, channel: Channel) -> tuple:
-        table = check_table(_correction_table(z_obs, flagged, channel.kraus))
-        return name, channel, table, _correction_povm(z_obs, channel.kraus)
-
-    ident = discard_flag_correction(inst, z_obs.dim)
-    fixed = [] if ident is None else [option("discard_flag", ident)]
-    fixed.append(option("reprepare", reprepare_correction(z_obs, inst)))
     rho = flagged / z_obs.dim
-    found = _povm_search(rho, keys, search) if search.restarts > 0 else [None] * len(keys)
+    ident = discard_flag_correction(inst, z_obs.dim)
+    candidates = [] if ident is None else [("discard_flag", ident)]
+    candidates.append(("reprepare", reprepare_correction(z_obs, inst)))
+    n_fixed = len(candidates)
+    found = _povm_search(rho, keys, search) if search.restarts > 0 else []
     states = z_obs.projectors / np.array(z_obs.degeneracies)[:, None, None]
-    results = {}
-    for key, hit in zip(keys, found):
-        options = list(fixed)
-        if hit is not None:
-            channel = _measure_prepare(states, hit[0], inst.dim_out * inst.n_outcomes)
-            options.append(option(f"parametrized_restart_{hit[1]}", channel))
-        scored = [table_entropy_gradient(table, key) for _, _, table, _ in options]
-        best = int(np.argmin([value for value, _ in scored]))
-        name, channel, _, povm = options[best]
-        _, norm = _riemannian_gradient(povm, scored[best][1], rho)
-        results[key] = CorrectionSearchResult(
-            best_value=max(0.0, scored[best][0]),
-            best_channel=channel,
+    for blocks, restart, _ in found:
+        channel = _measure_prepare(states, blocks, inst.dim_out * inst.n_outcomes)
+        candidates.append((f"parametrized_restart_{restart}", channel))
+    tables = check_table(
+        np.array([_correction_table(z_obs, flagged, channel.kraus) for _, channel in candidates])
+    )
+    # the candidates of each computed order: the fixed corrections, then its own search result
+    pick = np.array([list(range(n_fixed)) + [n_fixed + k] * bool(found) for k in range(len(keys))])
+    values, grads = table_entropy_gradient(tables[pick], np.array(keys, dtype=object)[:, None])
+    best = np.argmin(values, axis=1)  # ties go to the fixed corrections
+    rows = np.arange(len(keys))
+    chosen = [candidates[i] for i in pick[rows, best]]
+    povms = np.array([_correction_povm(z_obs, channel.kraus) for _, channel in chosen])
+    _, norms = _riemannian_gradient(povms, grads[rows, best], rho)
+    results = {
+        key: CorrectionSearchResult(
+            best_value=max(0.0, float(values[k, best[k]])),
+            best_channel=chosen[k][1],
             restarts=search.restarts,
-            iterations=0 if hit is None else hit[2],
-            converged=bool(norm < GRAD_TOL),
-            best_candidate=name,
+            iterations=found[k][2] if found else 0,
+            converged=bool(norms[k] < GRAD_TOL),
+            best_candidate=chosen[k][0],
         )
+        for k, key in enumerate(keys)
+    }
     return [results[order.computed] for order in orders]
 
 
 # --- error probability and fidelity of correction -----------------------------
 
 
-def error_and_fidelity(exp: DisturbanceExperiment) -> tuple[float, float]:
+def error_and_fidelity(
+    z_obs: ProjectiveObservable, inst: QuantumInstrument, correction: Channel
+) -> tuple[float, float]:
     """Final-estimation error probability and average correction fidelity.
 
     For non-degenerate Z the two are tied together: 1 - q_e equals the
     average fidelity between the corrected eigenstates and the originals.
     """
-    q_e = 1.0 - float(np.trace(exp.joint.table))
+    q_e = 1.0 - float(np.trace(disturbance_joint(z_obs, inst, correction).table))
     q_e = min(max(q_e, 0.0), 1.0)
-    if not exp.observable.nondegenerate:
+    if not z_obs.nondegenerate:
         raise DegenerateObservable("average correction fidelity needs non-degenerate Z")
-    projectors = exp.observable.projectors
-    outs = apply_cp(exp.correction.kraus, flag_apply(exp.instrument, projectors))
-    total = sum(linalg.fidelity(hermitize(out), p) for out, p in zip(outs, projectors))
-    return q_e, total / exp.observable.dim
+    outs = apply_cp(correction.kraus, flag_apply(inst, z_obs.projectors))
+    total = sum(linalg.fidelity(hermitize(out), p) for out, p in zip(outs, z_obs.projectors))
+    return q_e, total / z_obs.dim
 
 
 # --- combined-estimation consistency oracle ------------------------------------

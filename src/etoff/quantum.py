@@ -223,9 +223,8 @@ def sample_haar_unitary(dim: int, seed=None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag /= np.abs(diag)
-    return q * diag
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def sample_random_observable(dim: int, degeneracies=None, seed=None) -> ProjectiveObservable:
@@ -235,13 +234,8 @@ def sample_random_observable(dim: int, degeneracies=None, seed=None) -> Projecti
     degeneracies = tuple(int(g) for g in degeneracies)
     if any(g < 1 for g in degeneracies) or sum(degeneracies) != dim:
         raise ValueError(f"degeneracy profile {degeneracies} does not fit dimension {dim}")
-    u = sample_haar_unitary(dim, seed)
-    projectors = []
-    start = 0
-    for g in degeneracies:
-        block = u[:, start : start + g]
-        projectors.append(hermitize(block @ block.conj().T))
-        start += g
+    blocks = np.split(sample_haar_unitary(dim, seed), np.cumsum(degeneracies)[:-1], axis=1)
+    projectors = [hermitize(block @ block.conj().T) for block in blocks]
     return ProjectiveObservable(
         tuple(float(i) for i in range(len(degeneracies))), np.stack(projectors)
     )

@@ -183,6 +183,17 @@ def test_bbar_matches_grid_oracle():
                 assert b.value == pytest.approx(want, abs=1e-6), (c, fam, alpha, beta)
 
 
+def test_bbar_grid_call_equals_one_call_per_pair():
+    # the grid minimises every pair through one order-per-column kernel call per term
+    orders = (0.0, 0.3, 1.0, 1.0 + 1e-8, 2.0, 5.0)
+    for c in (0.3, 1 / math.sqrt(3), 0.8, 0.999999):
+        for fam in ("renyi", "tsallis"):
+            with np.errstate(all="raise"):
+                grid = bbar_bound(c, orders, orders, fam)
+                for (alpha, beta), b in grid.items():
+                    assert abs(b.value - bbar(c, alpha, beta, fam).value) <= 1e-12
+
+
 def test_bbar_matches_grid_oracle_order_one():
     for c in (0.3, 1 / math.sqrt(2), 0.9):
         for fam in ("renyi", "tsallis"):
@@ -352,6 +363,7 @@ def test_certificate_json_and_csv_round_trip(anchor):
     assert data["bound"]["value"] == cert.bound.value
     assert data["bound"]["id"] == cert.bound.bound_id
     assert data["search"]["restarts"] == cert.restarts
+    assert data["search"]["best_candidate"] == cert.best_candidate == "discard_flag"
     assert cert.to_csv_row().split(",")[7] == "{:.9g}".format(cert.bound.value)
 
 

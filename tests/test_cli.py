@@ -137,6 +137,18 @@ def test_sweep_summary_counts_inadmissible(tmp_path, capsys):
     assert "inadmissible" in capsys.readouterr().out
 
 
+def test_sweep_with_no_admissible_combination_writes_no_certificates(tmp_path, capsys):
+    # Binary needs d = 2, so at d = 3 nothing is left to certify or search
+    path = tmp_path / "s.csv"
+    code = main(
+        ["sweep", "--dim", "3", "--samples", "1", "--seed", "1", "--relation", "Binary",
+         "--restarts", "1", "--out", str(path)]
+    )
+    assert code == 0
+    assert path.read_text().splitlines() == [TradeoffCertificate.CSV_HEADER]
+    assert "0 certificates" in capsys.readouterr().out
+
+
 def test_sweep_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -161,6 +173,22 @@ def test_sweep_json_format(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert len(data) == 1 and data[0]["relation"] == "Prop1"
+
+
+def test_sweep_json_names_the_winning_correction(tmp_path):
+    # without restarts only the two fixed corrections can win; the CSV header is unchanged
+    base = ["sweep", "--dim", "2", "--samples", "2", "--seed", "8", "--iterations", "40"]
+    out = tmp_path / "fixed.json"
+    assert main(base + ["--restarts", "0", "--format", "json", "--out", str(out)]) == 0
+    names = {cert["search"]["best_candidate"] for cert in json.loads(out.read_text())}
+    assert names and names <= {"discard_flag", "reprepare"}
+    out = tmp_path / "search.json"
+    assert main(base + ["--restarts", "1", "--format", "json", "--out", str(out)]) == 0
+    names = {cert["search"]["best_candidate"] for cert in json.loads(out.read_text())}
+    assert "parametrized_restart_0" in names
+    assert TradeoffCertificate.CSV_HEADER == (
+        "relation,d,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"
+    )
 
 
 def test_csv_round_trips_through_json(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from etoff.entropy import (
     EntropyOrder,
     JointDistribution,
+    _column_entropies,
+    _column_gradients,
     alpha_log,
     binary_tsallis,
     cond_renyi,
@@ -370,3 +372,85 @@ def test_computed_order_is_shannon_on_the_branch():
     assert EntropyOrder.renyi(1 + 1e-8).computed == EntropyOrder.shannon()
     assert EntropyOrder.tsallis(1.0).computed == EntropyOrder.shannon()
     assert EntropyOrder.tsallis(1 + 1e-6).computed == EntropyOrder.tsallis(1 + 1e-6)
+
+
+# --- one kernel call for many orders -------------------------------------------------
+
+MIXED_ORDERS = [
+    (alpha, family)
+    for family in ("renyi", "tsallis")
+    for alpha in (0.0, 0.3, 0.5, 1 - 1e-8, 1.0, 1 + 1e-8, 2.0)
+] + [(math.inf, "renyi"), (1.0, "shannon")]
+
+
+def column_entropy_formula(p, mult, alpha, family):
+    """One column's entropy written out directly, zero entries dropped."""
+    mult, p = mult[p > 0.0], p[p > 0.0]
+    if alpha == math.inf:
+        return -math.log(p.max())
+    if abs(alpha - 1.0) < 1e-7:
+        return -float(np.sum(mult * p * np.log(p)))
+    power_sum = float(np.sum(mult * p ** alpha))
+    value = math.log(power_sum) if family == "renyi" else power_sum - 1.0
+    return max(0.0, value / (1.0 - alpha))
+
+
+def test_kernel_with_an_order_per_column_matches_one_call_per_order():
+    rng = np.random.default_rng(31)
+    k = len(MIXED_ORDERS)
+    cond = rng.random((4, k, 6))
+    cond[0, :, 1] = cond[1:3, :, 2] = 0.0  # zero entries
+    cond[1:, :, 3] = 0.0  # a column holding all its mass in one entry
+    cond /= cond.sum(axis=0)
+    mult = rng.integers(1, 4, size=cond.shape)
+    # the orders rotate along both column axes, so neighbouring columns differ
+    pick = (np.arange(k)[:, None] + np.arange(6)) % k
+    alpha = np.array([a for a, _ in MIXED_ORDERS])[pick]
+    family = np.array([f for _, f in MIXED_ORDERS])[pick]
+    with np.errstate(all="raise"):
+        values = _column_entropies(cond, alpha, family, mult)
+        grads = _column_gradients(cond, alpha, family)
+        for i, j in np.ndindex(pick.shape):
+            a, f = MIXED_ORDERS[pick[i, j]]
+            one = _column_entropies(cond[:, i, j], a, f, mult[:, i, j])
+            assert abs(values[i, j] - one) <= 1e-12
+            formula = column_entropy_formula(cond[:, i, j], mult[:, i, j], a, f)
+            assert abs(values[i, j] - formula) <= 1e-12
+            if 0.0 < a < math.inf:
+                grad = _column_gradients(cond[:, i, j, None], a, f)[:, 0]
+                assert np.max(np.abs(grads[:, i, j] - grad)) <= 1e-12
+
+
+def test_orders_on_numpy_fast_paths_do_not_depend_on_their_neighbours():
+    # exponents 2 and 0.5 are raised by numpy's scalar square and sqrt also in a mixed call,
+    # so those columns are bitwise what a call of their order alone gives: the entropies
+    # of orders 2 and 0.5 and the gradients of orders 3 and 1.5 (exponents alpha - 1)
+    rng = np.random.default_rng(33)
+    cond = rng.random((3, 400))
+    cond /= cond.sum(axis=0)
+    alone = cond[:, 1::2]
+    for family in ("renyi", "tsallis"):
+        for kernel, alpha in [(_column_entropies, 2.0), (_column_entropies, 0.5),
+                              (_column_gradients, 3.0), (_column_gradients, 1.5)]:
+            mixed = np.where(np.arange(400) % 2, alpha, 0.3)
+            batched = kernel(cond, mixed, family)[..., 1::2]
+            assert np.array_equal(batched, kernel(alone, alpha, family))
+
+
+def test_table_entropy_with_an_order_per_table_matches_one_call_per_order():
+    rng = np.random.default_rng(32)
+    orders = [EntropyOrder(a, f) for a, f in MIXED_ORDERS if a > 0.0]
+    stack = rng.random((len(orders), 3, 4))
+    stack[:, 0, 1] = stack[:, 2, 0] = 0.0  # zero entries
+    stack[1::2, :, 3] = 0.0  # a zero column in every other table
+    stack = check_table(stack / stack.sum(axis=(-2, -1), keepdims=True))
+    finite = [i for i, o in enumerate(orders) if o.alpha < math.inf]
+    with np.errstate(all="raise"):
+        values = table_conditional_entropy(stack, orders)
+        f_values, f_grads = table_entropy_gradient(stack[finite], [orders[i] for i in finite])
+        for i, order in enumerate(orders):
+            assert abs(values[i] - table_conditional_entropy(stack[i], order)) <= 1e-12
+        for row, i in enumerate(finite):
+            value, grad = table_entropy_gradient(stack[i], orders[i])
+            assert abs(f_values[row] - value) <= 1e-12
+            assert np.max(np.abs(f_grads[row] - grad)) <= 1e-12

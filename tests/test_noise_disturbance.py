@@ -4,25 +4,34 @@ import numpy as np
 import pytest
 
 from etoff.decision import standard_decision
-from etoff.entropy import EntropyOrder, alpha_log, conditional_entropy
+from etoff.entropy import (
+    EntropyOrder,
+    alpha_log,
+    check_table,
+    conditional_entropy,
+    table_entropy_gradient,
+)
 from etoff.harness import sample_instance
 from etoff.noise_disturbance import (
+    GRAD_TOL,
     DegenerateObservable,
     OrderOutOfRange,
     SearchConfig,
+    _correction_povm,
+    _correction_table,
+    _riemannian_gradient,
     discard_flag_correction,
     disturbance,
-    disturbance_experiment,
     disturbance_joint,
     error_and_fidelity,
     noise,
-    noise_experiment,
     noise_joint,
     reprepare_correction,
     ricochet_oracle,
 )
 from etoff.quantum import (
     basis_observable,
+    flag_apply,
     luders_instrument,
     sample_random_instrument,
     sample_random_observable,
@@ -40,7 +49,7 @@ def test_noise_joint_projective_measurement_is_diagonal(qubit_pair):
     inst = luders_instrument(z_obs)
     j = noise_joint(z_obs, inst)
     assert np.allclose(j.table, np.diag([0.5, 0.5]), atol=1e-12)
-    assert noise(z_obs, inst, EntropyOrder.shannon()) == pytest.approx(0.0, abs=1e-12)
+    assert noise(z_obs, inst, [EntropyOrder.shannon()])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_noise_joint_trivial_instrument(qubit_pair):
@@ -48,8 +57,8 @@ def test_noise_joint_trivial_instrument(qubit_pair):
     inst = trivial_instrument(2)
     j = noise_joint(x_obs, inst)
     assert np.allclose(j.table, [[0.5], [0.5]], atol=1e-12)
-    assert noise(x_obs, inst, EntropyOrder.shannon()) == pytest.approx(LN2, abs=1e-12)
-    assert noise(x_obs, inst, EntropyOrder.tsallis(2.0)) == pytest.approx(
+    assert noise(x_obs, inst, [EntropyOrder.shannon()])[0] == pytest.approx(LN2, abs=1e-12)
+    assert noise(x_obs, inst, [EntropyOrder.tsallis(2.0)])[0] == pytest.approx(
         alpha_log(2.0, 2.0), abs=1e-12
     )
 
@@ -58,30 +67,39 @@ def test_noise_joint_conjugate_pair_uniform(anchor):
     x_obs, _, inst = anchor
     j = noise_joint(x_obs, inst)
     assert np.allclose(j.table, np.full((2, 2), 0.25), atol=1e-12)
-    assert noise(x_obs, inst, EntropyOrder.renyi(1.0)) == pytest.approx(LN2, abs=1e-9)
+    assert noise(x_obs, inst, [EntropyOrder.renyi(1.0)])[0] == pytest.approx(LN2, abs=1e-9)
 
 
 def test_noise_degenerate_observable_weights():
     obs = sample_random_observable(4, (2, 1, 1), seed=5)
-    exp = noise_experiment(obs, trivial_instrument(4))
-    assert np.allclose(exp.joint.marginal_rows(), [0.5, 0.25, 0.25], atol=1e-9)
+    joint = noise_joint(obs, trivial_instrument(4))
+    assert np.allclose(joint.marginal_rows(), [0.5, 0.25, 0.25], atol=1e-9)
 
 
 def test_noise_renyi_order_restrictions(anchor):
     x_obs, _, inst = anchor
-    noise(x_obs, inst, EntropyOrder.renyi(2.0))  # d = 2 admits up to 2
+    noise(x_obs, inst, [EntropyOrder.renyi(2.0)])  # d = 2 admits up to 2
     with pytest.raises(OrderOutOfRange):
-        noise(x_obs, inst, EntropyOrder.renyi(2.5))
+        noise(x_obs, inst, [EntropyOrder.renyi(2.5)])
     obs3 = sample_random_observable(3, None, seed=1)
     inst3 = trivial_instrument(3)
     with pytest.raises(OrderOutOfRange):
-        noise(obs3, inst3, EntropyOrder.renyi(1.5))
-    noise(obs3, inst3, EntropyOrder.renyi(1.0))
+        noise(obs3, inst3, [EntropyOrder.renyi(1.5)])
+    noise(obs3, inst3, [EntropyOrder.renyi(1.0)])
 
 
 def test_noise_tsallis_any_positive_order(anchor):
     x_obs, _, inst = anchor
-    assert noise(x_obs, inst, EntropyOrder.tsallis(7.0)) >= 0.0
+    assert noise(x_obs, inst, [EntropyOrder.tsallis(7.0)])[0] >= 0.0
+
+
+def test_noise_of_many_orders_equals_one_conditional_entropy_per_order():
+    x_obs, _, inst = sample_instance(2, 4)
+    orders = [EntropyOrder(a, f) for f in ("renyi", "tsallis") for a in (0.3, 1.0, 1 + 1e-8, 2.0)]
+    orders.append(EntropyOrder.shannon())
+    joint = noise_joint(x_obs, inst)
+    for order, value in zip(orders, noise(x_obs, inst, orders)):
+        assert abs(value - conditional_entropy(joint, order)) <= 1e-12
 
 
 # --- disturbance -------------------------------------------------------------------
@@ -208,6 +226,22 @@ def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
     assert res.converged
 
 
+def test_disturbance_converged_flag_is_taken_at_each_orders_reported_channel():
+    # one call scores every order's candidates together; each flag must still be the
+    # stationarity test of that order's own winner
+    _, z_obs, inst = sample_instance(2, 3)
+    orders = [EntropyOrder.tsallis(2.0), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
+    flagged = flag_apply(inst, z_obs.projectors)
+    for iterations in (1, 2000):
+        results = disturbance(z_obs, inst, orders, SearchConfig(2, iterations, seed=1))
+        for order, res in zip(orders, results):
+            kraus = res.best_channel.kraus
+            _, grad = table_entropy_gradient(check_table(_correction_table(z_obs, flagged, kraus)), order)
+            _, norm = _riemannian_gradient(_correction_povm(z_obs, kraus), grad, flagged / 2)
+            assert res.converged == bool(norm < GRAD_TOL)
+    assert all(res.converged and res.best_candidate.startswith("parametrized") for res in results)
+
+
 def test_disturbance_shares_one_search_per_computed_entropy():
     _, z_obs, inst = sample_instance(2, 9)
     orders = [EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1 + 1e-8), EntropyOrder.shannon()]
@@ -226,7 +260,7 @@ def test_disturbance_without_restarts_runs_no_search():
 def test_noise_disturbance_shannon_agreement(anchor):
     x_obs, z_obs, inst = anchor
     for order in (EntropyOrder.shannon(), EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1.0)):
-        assert noise(x_obs, inst, order) == pytest.approx(LN2, abs=1e-9)
+        assert noise(x_obs, inst, [order])[0] == pytest.approx(LN2, abs=1e-9)
         (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=0))
         assert res.best_value == pytest.approx(0.0, abs=1e-9)
 
@@ -234,7 +268,7 @@ def test_noise_disturbance_shannon_agreement(anchor):
 def test_renyi_noise_monotone_in_order(qubit_pair):
     x_obs, _ = qubit_pair
     inst = sample_random_instrument(2, 2, 2, 2, seed=8)
-    values = [noise(x_obs, inst, EntropyOrder.renyi(a)) for a in (0.5, 1.0, 1.5, 2.0)]
+    values = noise(x_obs, inst, [EntropyOrder.renyi(a) for a in (0.5, 1.0, 1.5, 2.0)])
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-10
 
@@ -243,11 +277,11 @@ def test_zero_noise_iff_zero_error(anchor):
     x_obs, z_obs, inst = anchor
     # the Z-measuring instrument identifies Z eigenstates perfectly ...
     nj = noise_joint(z_obs, inst)
-    assert noise(z_obs, inst, EntropyOrder.shannon()) < 1e-9
+    assert noise(z_obs, inst, [EntropyOrder.shannon()])[0] < 1e-9
     assert standard_decision(nj).p_error < 1e-9
     # ... and is maximally noisy for the conjugate observable
     nx = noise_joint(x_obs, inst)
-    assert noise(x_obs, inst, EntropyOrder.shannon()) > 0.5
+    assert noise(x_obs, inst, [EntropyOrder.shannon()])[0] > 0.5
     assert standard_decision(nx).p_error > 0.4
 
 
@@ -257,8 +291,7 @@ def test_zero_noise_iff_zero_error(anchor):
 def test_error_and_fidelity_perfect_correction(anchor):
     _, z_obs, inst = anchor
     psi = reprepare_correction(z_obs, inst)
-    exp = disturbance_experiment(z_obs, inst, psi)
-    q_e, avg_f = error_and_fidelity(exp)
+    q_e, avg_f = error_and_fidelity(z_obs, inst, psi)
     assert q_e == pytest.approx(0.0, abs=1e-10)
     assert avg_f == pytest.approx(1.0, abs=1e-8)
 
@@ -268,8 +301,7 @@ def test_error_and_fidelity_depolarized(qubit_pair):
     # measuring the conjugate basis and discarding the flag fully dephases Z
     inst = luders_instrument(x_obs)
     psi = discard_flag_correction(inst, 2)
-    exp = disturbance_experiment(z_obs, inst, psi)
-    q_e, avg_f = error_and_fidelity(exp)
+    q_e, avg_f = error_and_fidelity(z_obs, inst, psi)
     assert q_e == pytest.approx(0.5, abs=1e-10)
     assert avg_f == pytest.approx(0.5, abs=1e-8)
 
@@ -278,8 +310,7 @@ def test_error_and_fidelity_random_instances():
     for seed in range(20):
         x_obs, z_obs, inst = sample_instance(2, seed)
         psi = reprepare_correction(z_obs, inst)
-        exp = disturbance_experiment(z_obs, inst, psi)
-        q_e, avg_f = error_and_fidelity(exp)
+        q_e, avg_f = error_and_fidelity(z_obs, inst, psi)
         assert abs((1.0 - q_e) - avg_f) < 1e-8
 
 
@@ -287,9 +318,8 @@ def test_error_and_fidelity_rejects_degenerate():
     z_obs = sample_random_observable(4, (2, 2), seed=6)
     inst = trivial_instrument(4)
     psi = discard_flag_correction(inst, 4)
-    exp = disturbance_experiment(z_obs, inst, psi)
     with pytest.raises(DegenerateObservable):
-        error_and_fidelity(exp)
+        error_and_fidelity(z_obs, inst, psi)
 
 
 # --- combined-estimation consistency ----------------------------------------------------
