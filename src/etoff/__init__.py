@@ -4,7 +4,6 @@ from .bounds import (
     AdmissibilityError,
     BoundValue,
     ConstraintViolation,
-    OverlapCharacteristic,
     TradeoffCertificate,
     bbar_bound,
     certify,
@@ -13,9 +12,6 @@ from .bounds import (
     overlap,
 )
 from .decision import (
-    DecisionRule,
-    ErrorReport,
-    error_of_rule,
     fano_upper_bounds,
     lower_bounds,
     standard_decision,
@@ -27,7 +23,6 @@ from .entropy import (
     binary_tsallis,
     cond_renyi,
     cond_shannon,
-    cond_tsallis_first,
     cond_tsallis_second,
     conditional_entropy,
     renyi_entropy,
@@ -36,21 +31,16 @@ from .entropy import (
 )
 from .linalg import (
     NumericalFailure,
-    eigh,
-    fidelity,
     partial_trace,
-    trace_norm,
 )
 from .noise_disturbance import (
     ConsistencyReport,
     CorrectionSearchResult,
-    DegenerateObservable,
     OrderOutOfRange,
     SearchConfig,
     discard_flag_correction,
     disturbance,
     disturbance_joint,
-    error_and_fidelity,
     noise,
     noise_joint,
     reprepare_correction,

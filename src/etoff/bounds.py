@@ -24,7 +24,14 @@ import numpy as np
 
 from .entropy import EntropyOrder, _column_entropies, alpha_log
 from .linalg import pair_overlaps
-from .noise_disturbance import CorrectionSearchResult, SearchConfig, disturbance, noise
+from .noise_disturbance import (
+    CorrectionSearchResult,
+    OrderOutOfRange,
+    SearchConfig,
+    check_order,
+    disturbance,
+    noise,
+)
 from .quantum import ProjectiveObservable, QuantumInstrument
 
 MARGIN_SLACK = 1e-7
@@ -39,21 +46,6 @@ class AdmissibilityError(ValueError):
 
 class ConstraintViolation(ValueError):
     """The conjugacy constraint 1/alpha + 1/beta = 2 is not satisfied."""
-
-
-@dataclass(frozen=True, eq=False)
-class OverlapCharacteristic:
-    """Largest projector-product spectral norm, its angle, and the full table."""
-
-    c: float
-    eta: float
-    norms: np.ndarray
-    x_labels: tuple
-    z_labels: tuple
-
-    def __post_init__(self):
-        if abs(self.eta - math.acos(self.c)) > 1e-12:
-            raise ValueError("eta must equal arccos(c)")
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,7 @@ class TradeoffCertificate:
     search, hence an upper bound on the true disturbance.  A margin below
     zero therefore refutes the relation for this instance, but a
     nonnegative margin does not certify it: that needs a lower bound on
-    the disturbance (ROADMAP direction 1).  ``passed`` records only
+    the disturbance (ROADMAP direction A).  ``passed`` records only
     noise + upper disturbance >= bound.  ``best_candidate`` names the
     correction that gave the disturbance value: ``discard_flag``,
     ``reprepare`` or ``parametrized_restart_<r>``.
@@ -146,29 +138,21 @@ class TradeoffCertificate:
 # --- overlap characteristic ----------------------------------------------------
 
 
-def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> OverlapCharacteristic:
-    """Overlap characteristic c and angle eta = arccos(c) of two observables.
+def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> float:
+    """Overlap characteristic c of two observables, capped at 1.
 
-    Each table entry is the spectral norm of a projector product; it is
-    evaluated in both orders and maximised, so swapping the observables
-    returns exactly the same characteristic.
+    c is the largest spectral norm of a projector product; each product
+    is evaluated in both orders and maximised, so swapping the
+    observables returns exactly the same c.
     """
     if x_obs.dim != z_obs.dim:
         raise ValueError(f"dimension mismatch: {x_obs.dim} vs {z_obs.dim}")
-    norms = pair_overlaps(x_obs.projectors, z_obs.projectors)
-    c = float(norms.max())
-    c = min(c, 1.0)
+    c = min(float(pair_overlaps(x_obs.projectors, z_obs.projectors).max()), 1.0)
     if x_obs.nondegenerate and z_obs.nondegenerate:
         lo = 1.0 / math.sqrt(x_obs.dim)
         if c < lo - 1e-9:
             raise ValueError(f"overlap {c!r} below the unitarity floor {lo!r}")
-    return OverlapCharacteristic(
-        c=c,
-        eta=math.acos(c),
-        norms=norms,
-        x_labels=x_obs.eigenvalues,
-        z_labels=z_obs.eigenvalues,
-    )
+    return c
 
 
 # --- the minimised bound ---------------------------------------------------------
@@ -336,29 +320,26 @@ def relation_family(relation: str) -> str:
 
 
 def check_admissible(relation: str, alpha: float, beta: float, dim: int) -> None:
-    """Raise AdmissibilityError naming the violated constraint, if any."""
-    relation_family(relation)
+    """Raise AdmissibilityError naming the violated constraint, if any.
+
+    The Renyi relations admit exactly the orders ``check_order`` admits.
+    """
+    family = relation_family(relation)
     if alpha <= 0 or beta <= 0:
         raise AdmissibilityError(f"{relation}: orders must be positive, got ({alpha}, {beta})")
-    if relation == "Prop2":
-        limit = 2.0 if dim == 2 else 1.0
-        if alpha > limit + 1e-12 or beta > limit + 1e-12:
-            raise AdmissibilityError(
-                f"Prop2 at d={dim} requires alpha, beta in (0, {limit:g}], "
-                f"got ({alpha}, {beta})"
-            )
     if relation in ("Prop3", "Binary"):
         if abs(1.0 / alpha + 1.0 / beta - 2.0) > _CONSTRAINT_TOL:
             raise AdmissibilityError(
                 f"{relation} requires 1/alpha + 1/beta = 2, got {1.0 / alpha + 1.0 / beta!r}"
             )
-    if relation == "Binary":
-        if dim != 2:
-            raise AdmissibilityError(f"Binary requires d = 2, got d = {dim}")
-        if alpha > 2.0 + 1e-12 or beta > 2.0 + 1e-12:
-            raise AdmissibilityError(
-                f"Binary requires alpha, beta in (0, 2], got ({alpha}, {beta})"
-            )
+    if relation == "Binary" and dim != 2:
+        raise AdmissibilityError(f"Binary requires d = 2, got d = {dim}")
+    if family == "renyi":
+        try:
+            for order in (alpha, beta):
+                check_order(EntropyOrder.renyi(order), dim)
+        except OrderOutOfRange as exc:
+            raise AdmissibilityError(f"{relation}: {exc}") from exc
 
 
 def _bounds_for(relation: str, c: float, pairs) -> dict:
@@ -454,7 +435,7 @@ def certify_grid(
     combinations.
     """
     dim = x_obs.dim
-    c = overlap(x_obs, z_obs).c
+    c = overlap(x_obs, z_obs)
     grid, bounds, skipped = [], {}, 0
     for relation in relations:
         pairs = []

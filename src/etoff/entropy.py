@@ -27,10 +27,12 @@ again per column.  ``table_entropy_gradient`` adds the derivative with
 respect to each entry from the kernel's gradient companion, for the
 disturbance search.
 
-Two conditional Tsallis forms exist, differing in the conditioning
-weights (p(y)**alpha versus p(y)).  The second form is the one entering
-the noise and disturbance measures; the first one satisfies the chain
-rule.  The conditional Renyi entropy is the outcome-weighted average of
+Of the two conditional Tsallis forms, which weight the columns by
+p(y)**alpha or by p(y), only the second is implemented.  It is the one
+for which conditioning on more variables cannot raise the entropy, for
+every alpha > 0, so the noise and disturbance measures are built on it;
+the first obeys the chain rule instead, which the trade-off does not
+use.  The conditional Renyi entropy is the outcome-weighted average of
 per-column Renyi entropies and admits alpha = inf (min-entropy).
 """
 
@@ -174,14 +176,14 @@ def _column_gradients(cond: np.ndarray, alpha, family) -> np.ndarray:
     return grad
 
 
-def _weighted_entropy(table: np.ndarray, order, power: float = 1.0, gradient: bool = False):
-    """sum over columns y with p(y) > 0 of p(y)**power * H(X | Y = y), per table of a stack.
+def _weighted_entropy(table: np.ndarray, order, gradient: bool = False):
+    """sum over columns y with p(y) > 0 of p(y) * H(X | Y = y), per table of a stack.
 
     ``order`` is one ``EntropyOrder``, or an array-like of them, one per
     table (broadcast to ``table.shape[:-2]``); either way the kernel is
-    called once.  With ``gradient`` (power 1) the derivative with respect
-    to each entry is returned too; it is 0 in columns with p(y) = 0,
-    where none exists.
+    called once.  With ``gradient`` the derivative with respect to each
+    entry is returned too; it is 0 in columns with p(y) = 0, where none
+    exists.
     """
     if isinstance(order, EntropyOrder):
         alpha, family = order.alpha, order.family
@@ -196,7 +198,7 @@ def _weighted_entropy(table: np.ndarray, order, power: float = 1.0, gradient: bo
         family = np.broadcast_to(family, keep.shape)[keep]
     cond = table.swapaxes(-2, -1)[keep].T / weights[keep]
     terms = np.zeros(weights.shape)
-    terms[keep] = weights[keep] ** power * _column_entropies(cond, alpha, family)
+    terms[keep] = weights[keep] * _column_entropies(cond, alpha, family)
     total = terms.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total
     if not gradient:
@@ -276,11 +278,6 @@ class JointDistribution:
 def cond_shannon(j: JointDistribution) -> float:
     """Standard conditional entropy H(X|Y)."""
     return _weighted_entropy(j.table, EntropyOrder.shannon())
-
-
-def cond_tsallis_first(j: JointDistribution, alpha: float) -> float:
-    """Conditional Tsallis entropy with weights p(y)**alpha; obeys the chain rule."""
-    return _weighted_entropy(j.table, EntropyOrder.tsallis(alpha), power=alpha)
 
 
 def cond_tsallis_second(j: JointDistribution, alpha: float) -> float:

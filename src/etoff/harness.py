@@ -68,21 +68,19 @@ class RunConfig:
                 raise ValueError(f"unknown relation {rel!r}; known: {RELATIONS}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+        SearchConfig(self.restarts, self.iterations)  # rejects a bad search budget
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         merged = {**data, **{k: v for k, v in overrides.items() if v is not None}}
-        return cls(**_normalise_config(merged))
-
-
-def _normalise_config(data: dict) -> dict:
-    out = dict(data)
-    for key in ("relations", "alphas", "betas"):
-        if key in out and out[key] is not None:
-            out[key] = tuple(out[key])
-    return out
+        for key in ("relations", "alphas", "betas"):
+            if merged.get(key) is not None:
+                merged[key] = tuple(merged[key])
+        return cls(**merged)
 
 
 # --- instance files -------------------------------------------------------------
@@ -149,8 +147,7 @@ def sample_instance(dim: int, seed) -> tuple:
 
 
 def _sweep_task(args) -> tuple[list[TradeoffCertificate], int]:
-    cfg_dict, index = args
-    cfg = RunConfig(**_normalise_config(cfg_dict))
+    cfg, index = args  # a RunConfig validated once, in run_sweep's process
     sample_seed = np.random.SeedSequence([cfg.seed, index])
     x_obs, z_obs, inst = sample_instance(cfg.dim, sample_seed)
     search = SearchConfig(
@@ -171,7 +168,7 @@ def run_sweep(cfg: RunConfig):
     """
     if cfg.seed is None:
         raise ValueError("a randomized sweep needs a seed")
-    tasks = [(cfg.__dict__.copy(), i) for i in range(cfg.samples)]
+    tasks = [(cfg, i) for i in range(cfg.samples)]
     jobs = cfg.jobs or os.cpu_count() or 1
     if jobs > 1 and cfg.samples > 1:
         with Pool(processes=min(jobs, cfg.samples)) as pool:
@@ -303,7 +300,7 @@ def selftest_checks(seed: int = 20240901):
     worst = 0.0
     for _ in range(200):
         j = _random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        rule = standard_decision(j).rule
+        p_error = standard_decision(j)
         for alpha in (0.5, 1.0, 2.0):
             for family, ent in (
                 ("tsallis", cond_tsallis_second(j, alpha)),
@@ -311,7 +308,7 @@ def selftest_checks(seed: int = 20240901):
             ):
                 for _, lo in lower_bounds(j, alpha, family):
                     worst = max(worst, lo - ent)
-                for _, hi in fano_upper_bounds(j, alpha, family, rule):
+                for _, hi in fano_upper_bounds(j, alpha, family, p_error):
                     worst = max(worst, ent - hi)
     results.append(("entropy_error_sandwich", worst <= 1e-9, f"worst violation={worst:.3e}"))
 

@@ -1,10 +1,12 @@
 """Dense complex linear algebra for small Hilbert spaces (d <= ~16).
 
-Everything works on plain numpy arrays of complex dtype.  Structural
-properties (Hermiticity, unit trace, positivity) are checked against
-``STRUCT_TOL``; decomposition residuals get the looser ``DECOMP_TOL``.
-Small dimensions keep conditioning benign, so a single pair of module-wide
-constants is enough.
+Everything works on plain numpy arrays of complex dtype, mostly on
+stacks of matrices.  Callers diagonalise with ``np.linalg.eigh``
+directly: no eigendecomposition or Hermiticity-check wrapper is kept
+here.  Roundoff-negative spectra are clipped against ``STRUCT_TOL``;
+decomposition residuals get the looser ``DECOMP_TOL``.  Small dimensions
+keep conditioning benign, so a single pair of module-wide constants is
+enough.
 """
 
 from __future__ import annotations
@@ -57,43 +59,12 @@ def hermitize(m) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
-def assert_hermitian(m, tol: float = STRUCT_TOL, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} is not square: shape {m.shape}")
-    dev = max_abs(m - m.conj().T)
-    if dev > tol:
-        raise ValueError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
-    return m
-
-
-def eigh(m, tol: float = STRUCT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix V) with m = V diag(w) V†.
-    Raises NumericalFailure if the underlying iteration does not converge.
-    """
-    m = assert_hermitian(m, tol=tol)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigh did not converge: {exc}") from exc
-    return w, v
-
-
 def clip_spectrum(w, tol: float = STRUCT_TOL) -> np.ndarray:
     """Zero out roundoff-negative eigenvalues in (-tol, 0); reject worse ones."""
     w = np.asarray(w, dtype=float)
     if w.min() < -tol:
         raise ValueError(f"eigenvalue {w.min():.3e} below -{tol:.1e}, not a roundoff artifact")
     return np.clip(w, 0.0, None)
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Matrix square root of a PSD Hermitian matrix via eigh with clipped spectrum."""
-    w, v = eigh(m)
-    s = np.sqrt(clip_spectrum(w))
-    return (v * s) @ v.conj().T
 
 
 def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -108,18 +79,6 @@ def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
     return np.maximum(pq, qp)
-
-
-def trace_norm(m) -> float:
-    """Sum of singular values (Schatten 1-norm)."""
-    m = as_matrix(m)
-    if not m.size or not np.any(m):
-        return 0.0
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"svd did not converge: {exc}") from exc
-    return float(s.sum())
 
 
 def partial_trace(m, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -138,13 +97,3 @@ def partial_trace(m, dims: tuple[int, int], keep: str) -> np.ndarray:
     if keep == "B":
         return np.einsum("abad->bd", t)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def fidelity(rho, omega) -> float:
-    """Fidelity F(rho, omega) = ||sqrt(rho) sqrt(omega)||_1^2, in [0, 1]."""
-    rho = as_matrix(rho)
-    omega = as_matrix(omega)
-    if rho.shape != omega.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {omega.shape}")
-    f = trace_norm(psd_sqrt(rho) @ psd_sqrt(omega)) ** 2
-    return float(min(max(f, 0.0), 1.0))

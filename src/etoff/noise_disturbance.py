@@ -20,7 +20,7 @@ descent over the POVM's Naimark isometry, run for all requested orders
 and restarts of an instance as one stacked computation.  The result is
 an upper bound on the true disturbance.  An upper bound can only refute a
 trade-off relation (N + D_upper < B); it cannot certify one, which needs
-a lower bound on the disturbance (ROADMAP direction 1).
+a lower bound on the disturbance (ROADMAP direction A).
 
 Both joint tables come from the stacked arrays of the objects in
 ``quantum`` by batched matrix products; every table the search evaluates
@@ -52,10 +52,6 @@ class OrderOutOfRange(ValueError):
     """Entropic order outside the admitted interval for this dimension."""
 
 
-class DegenerateObservable(ValueError):
-    """Operation requires a non-degenerate observable."""
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget for the correction-channel search: restarts, and evaluations per restart.
@@ -68,6 +64,12 @@ class SearchConfig:
     restarts: int = 8
     iterations: int = 2000
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be at least 0, got {self.restarts}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,26 +391,6 @@ def disturbance(
         for k, key in enumerate(keys)
     }
     return [results[order.computed] for order in orders]
-
-
-# --- error probability and fidelity of correction -----------------------------
-
-
-def error_and_fidelity(
-    z_obs: ProjectiveObservable, inst: QuantumInstrument, correction: Channel
-) -> tuple[float, float]:
-    """Final-estimation error probability and average correction fidelity.
-
-    For non-degenerate Z the two are tied together: 1 - q_e equals the
-    average fidelity between the corrected eigenstates and the originals.
-    """
-    q_e = 1.0 - float(np.trace(disturbance_joint(z_obs, inst, correction).table))
-    q_e = min(max(q_e, 0.0), 1.0)
-    if not z_obs.nondegenerate:
-        raise DegenerateObservable("average correction fidelity needs non-degenerate Z")
-    outs = apply_cp(correction.kraus, flag_apply(inst, z_obs.projectors))
-    total = sum(linalg.fidelity(hermitize(out), p) for out, p in zip(outs, z_obs.projectors))
-    return q_e, total / z_obs.dim
 
 
 # --- combined-estimation consistency oracle ------------------------------------

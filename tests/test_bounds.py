@@ -15,8 +15,9 @@ from etoff.bounds import (
     mu_bounds,
     overlap,
 )
+from etoff.entropy import EntropyOrder
 from etoff.harness import sample_instance
-from etoff.noise_disturbance import SearchConfig
+from etoff.noise_disturbance import OrderOutOfRange, SearchConfig, check_order
 from etoff.quantum import (
     basis_observable,
     observable_from_basis,
@@ -84,31 +85,31 @@ def grid_oracle(c, alpha, beta, family, n=20001):
 
 def test_overlap_equal_observables_is_one():
     obs = basis_observable(3)
-    ch = overlap(obs, obs)
-    assert ch.c == pytest.approx(1.0, abs=1e-12)
-    assert ch.eta == pytest.approx(0.0, abs=1e-9)
+    c = overlap(obs, obs)
+    assert c == pytest.approx(1.0, abs=1e-12)
+    assert math.acos(c) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_overlap_conjugate_qubit(qubit_pair):
     x_obs, z_obs = qubit_pair
-    ch = overlap(x_obs, z_obs)
-    assert ch.c == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-    assert ch.eta == pytest.approx(math.pi / 4, abs=1e-9)
+    c = overlap(x_obs, z_obs)
+    assert c == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+    assert math.acos(c) == pytest.approx(math.pi / 4, abs=1e-9)
 
 
 def test_overlap_fourier_qutrit():
     d = 3
     omega = np.exp(2j * math.pi / d)
     f = np.array([[omega ** (j * k) for k in range(d)] for j in range(d)]) / math.sqrt(d)
-    ch = overlap(basis_observable(d), observable_from_basis(f))
-    assert ch.c == pytest.approx(1 / math.sqrt(3), abs=1e-9)
+    c = overlap(basis_observable(d), observable_from_basis(f))
+    assert c == pytest.approx(1 / math.sqrt(3), abs=1e-9)
 
 
 def test_overlap_symmetric_exactly(rng):
     for _ in range(10):
         a = sample_random_observable(3, None, rng)
         b = sample_random_observable(3, (2, 1), rng)
-        assert overlap(a, b).c == overlap(b, a).c
+        assert overlap(a, b) == overlap(b, a)
 
 
 def test_overlap_nondegenerate_range(rng):
@@ -116,7 +117,7 @@ def test_overlap_nondegenerate_range(rng):
         d = int(rng.integers(2, 5))
         a = sample_random_observable(d, None, rng)
         b = sample_random_observable(d, None, rng)
-        c = overlap(a, b).c
+        c = overlap(a, b)
         assert 1 / math.sqrt(d) - 1e-9 <= c <= 1.0 + 1e-12
 
 
@@ -304,6 +305,29 @@ def test_admissibility_rules():
         check_admissible("Prop1", -1.0, 1.0, 2)
     with pytest.raises(AdmissibilityError):
         check_admissible("Nope", 1.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("offset", [0.0, 1e-13, 1e-11, math.inf])
+def test_renyi_relations_admit_exactly_the_orders_check_order_admits(dim, offset):
+    alpha = (2.0 if dim == 2 else 1.0) + offset
+    try:
+        check_order(EntropyOrder.renyi(alpha), dim)
+        admitted = True
+    except OrderOutOfRange:
+        admitted = False
+    assert admitted == (offset < 1e-12)
+    cases = [("Prop2", alpha, 0.5), ("Prop2", 0.5, alpha)]
+    if dim == 2:  # Binary: d = 2 only, with 1/alpha + 1/beta = 2
+        conjugate = 1.0 / (2.0 - 1.0 / alpha)
+        cases += [("Binary", alpha, conjugate), ("Binary", conjugate, alpha)]
+    for relation, a, b in cases:
+        try:
+            check_admissible(relation, a, b, dim)
+        except AdmissibilityError as exc:
+            assert not admitted and relation in str(exc)
+        else:
+            assert admitted
 
 
 def test_certify_saturation_anchor(anchor):

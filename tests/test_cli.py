@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import etoff
+from etoff import harness
 from etoff.bounds import TradeoffCertificate
 from etoff.cli import main
 from etoff.harness import (
@@ -92,6 +93,16 @@ def test_certify_restarts_require_seed(anchor_file, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--restarts", "-1"), ("--iterations", "0")])
+def test_certify_rejects_a_bad_search_budget(anchor_file, capsys, flag, value):
+    code = main(
+        ["certify", anchor_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1",
+         "--seed", "1", flag, value]
+    )
+    assert code == 2
+    assert flag[2:] in capsys.readouterr().err
+
+
 def test_seed_env_fallback(anchor_file, monkeypatch, tmp_path):
     monkeypatch.setenv("ETOFF_SEED", "33")
     out = tmp_path / "cert.json"
@@ -107,6 +118,45 @@ def test_sweep_requires_seed(monkeypatch):
     monkeypatch.delenv("ETOFF_SEED", raising=False)
     code = main(["sweep", "--dim", "2", "--samples", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--restarts", "-1"), ("--iterations", "0"), ("--jobs", "0"), ("--jobs", "-2")]
+)
+def test_sweep_rejects_a_bad_budget_before_any_sample_runs(monkeypatch, capsys, flag, value):
+    ran = []
+    monkeypatch.setattr(harness, "_sweep_task", ran.append)
+    code = main(
+        ["sweep", "--dim", "2", "--samples", "2", "--seed", "1", "--jobs", "1", flag, value]
+    )
+    assert code == 2
+    assert flag[2:] in capsys.readouterr().err
+    assert ran == []
+
+
+def test_run_config_checks_the_search_budget_and_jobs():
+    for bad in ({"restarts": -1}, {"iterations": 0}, {"jobs": 0}, {"jobs": -2}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            RunConfig(**bad)
+    # the benchmark's budgets stay valid; jobs=None means all cores
+    for good in ({"restarts": 0}, {"restarts": 1, "iterations": 150}, {"jobs": 1}, {"jobs": None}):
+        RunConfig(**good)
+
+
+def test_sweep_tasks_carry_the_validated_config(monkeypatch):
+    # each task is (cfg, index) with the RunConfig itself; no task re-validates it
+    cfg = RunConfig(dim=2, samples=3, relations=("Prop3",), alphas=(1.0,), betas=(1.0,),
+                    seed=5, restarts=0, jobs=1)
+    tasks, validations = [], []
+    task = harness._sweep_task
+    post_init = RunConfig.__post_init__
+    monkeypatch.setattr(harness, "_sweep_task", lambda args: tasks.append(args) or task(args))
+    monkeypatch.setattr(RunConfig, "__post_init__",
+                        lambda self: validations.append(self) or post_init(self))
+    certs, _ = run_sweep(cfg)
+    assert [index for _, index in tasks] == [0, 1, 2]
+    assert all(task_cfg is cfg for task_cfg, _ in tasks)
+    assert validations == [] and len(certs) == 3
 
 
 def test_sweep_deterministic_across_runs_and_jobs(tmp_path):

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from etoff.decision import (
-    DecisionRule,
-    error_of_rule,
     fano_upper_bounds,
     lower_bounds,
     standard_decision,
@@ -22,64 +20,40 @@ from etoff.entropy import (
 from conftest import random_joint
 
 
-def enumerate_rules(j):
-    """Every deterministic rule for a joint; exponential, so keep d small."""
-    for combo in itertools.product(j.row_labels, repeat=len(j.col_labels)):
-        yield DecisionRule(dict(zip(j.col_labels, combo)))
+def enumerate_rule_errors(j):
+    """Error of every deterministic rule, a guessed row per column; exponential, so keep d small."""
+    cols = np.arange(j.table.shape[1])
+    for rows in itertools.product(range(j.table.shape[0]), repeat=len(cols)):
+        yield 1.0 - float(j.table[list(rows), cols].sum())
 
 
 def best_rule_by_enumeration(j):
-    return min(error_of_rule(j, r).p_error for r in enumerate_rules(j))
+    return min(enumerate_rule_errors(j))
 
 
 def test_standard_decision_deterministic_joint():
     j = JointDistribution.from_table(np.diag([0.3, 0.3, 0.4]))
-    rep = standard_decision(j)
-    assert rep.p_error == pytest.approx(0.0, abs=1e-12)
-    assert rep.rule.guess == {0: 0, 1: 1, 2: 2}
+    assert standard_decision(j) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_standard_decision_uniform_is_half():
     j = JointDistribution.from_table(np.full((2, 2), 0.25))
-    assert standard_decision(j).p_error == pytest.approx(0.5, abs=1e-12)
+    assert standard_decision(j) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_standard_decision_matches_enumeration_oracle():
     j = JointDistribution.from_table([[0.4, 0.1], [0.1, 0.4]])
-    assert standard_decision(j).p_error == pytest.approx(0.2, abs=1e-12)
+    assert standard_decision(j) == pytest.approx(0.2, abs=1e-12)
     assert best_rule_by_enumeration(j) == pytest.approx(0.2, abs=1e-12)
-
-
-def test_tie_breaking_prefers_smallest_row_index():
-    j = JointDistribution.from_table([[0.25, 0.25], [0.25, 0.25]])
-    rep = standard_decision(j)
-    assert rep.rule.guess == {0: 0, 1: 0}
-
-
-def test_error_of_rule_identity_and_constant():
-    j = JointDistribution.from_table(np.diag([0.5, 0.5]))
-    ident = DecisionRule({0: 0, 1: 1})
-    assert error_of_rule(j, ident).p_error == pytest.approx(0.0, abs=1e-12)
-    uniform = JointDistribution.from_table(np.full((2, 2), 0.25))
-    const = DecisionRule({0: 0, 1: 0})
-    assert error_of_rule(uniform, const).p_error == pytest.approx(0.5, abs=1e-12)
-
-
-def test_error_of_rule_rejects_partial_rules():
-    j = JointDistribution.from_table(np.full((2, 2), 0.25))
-    with pytest.raises(ValueError):
-        error_of_rule(j, DecisionRule({0: 0}))
-    with pytest.raises(ValueError):
-        error_of_rule(j, DecisionRule({0: 7, 1: 0}))
 
 
 def test_standard_decision_is_bayes_optimal(rng):
     for _ in range(50):
         j = random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        std = standard_decision(j).p_error
+        std = standard_decision(j)
         assert std <= best_rule_by_enumeration(j) + 1e-12
-        for r in enumerate_rules(j):
-            assert error_of_rule(j, r).p_error >= std - 1e-12
+        for p_error in enumerate_rule_errors(j):
+            assert p_error >= std - 1e-12
 
 
 # --- lower bounds -----------------------------------------------------------------
@@ -121,9 +95,9 @@ def test_lower_bounds_binary_extras():
 
 def test_fano_zero_error_bounds_vanish():
     j = JointDistribution.from_table(np.diag([0.4, 0.6]))
-    rule = standard_decision(j).rule
+    p_error = standard_decision(j)
     for family, alpha in (("shannon", 1.0), ("tsallis", 0.5), ("tsallis", 3.0), ("renyi", 0.5)):
-        for _, val in fano_upper_bounds(j, alpha, family, rule):
+        for _, val in fano_upper_bounds(j, alpha, family, p_error):
             assert val == pytest.approx(0.0, abs=1e-12)
         ent = {
             "shannon": cond_shannon(j),
@@ -135,45 +109,43 @@ def test_fano_zero_error_bounds_vanish():
 
 def test_fano_shannon_binary_half_error():
     j = JointDistribution.from_table(np.full((2, 2), 0.25))
-    rule = standard_decision(j).rule
-    vals = dict(fano_upper_bounds(j, 1.0, "shannon", rule))
+    vals = dict(fano_upper_bounds(j, 1.0, "shannon", standard_decision(j)))
     assert vals["fano_shannon"] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_renyi_power_mean_value():
     j = JointDistribution.from_table(np.array([[0.8], [0.1], [0.1]]))
-    rule = standard_decision(j).rule
-    vals = dict(fano_upper_bounds(j, 0.5, "renyi", rule))
+    vals = dict(fano_upper_bounds(j, 0.5, "renyi", standard_decision(j)))
     expected = (1.0 / 0.5) * math.log(0.8 ** 0.5 + 2.0 ** 0.5 * 0.2 ** 0.5)
     assert vals["renyi_power_mean"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_renyi_low_order_requires_standard_rule():
     j = JointDistribution.from_table([[0.4, 0.1], [0.1, 0.4]])
-    bad = DecisionRule({0: 1, 1: 0})
+    # the error of the rule guessing the other row in each column: 0.8, above the standard 0.2
     with pytest.raises(ValueError):
-        fano_upper_bounds(j, 0.5, "renyi", bad)
+        fano_upper_bounds(j, 0.5, "renyi", 0.8)
 
 
 def test_sandwich_on_random_joints(rng):
     for _ in range(200):
         j = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        rule = standard_decision(j).rule
+        p_error = standard_decision(j)
         for alpha in (0.3, 0.7, 1.0, 1.5, 2.0, 3.0):
             ent = cond_tsallis_second(j, alpha)
             for _, lo in lower_bounds(j, alpha, "tsallis"):
                 assert lo <= ent + 1e-9
-            for _, hi in fano_upper_bounds(j, alpha, "tsallis", rule):
+            for _, hi in fano_upper_bounds(j, alpha, "tsallis", p_error):
                 assert ent <= hi + 1e-9
             ent = cond_renyi(j, alpha)
             for _, lo in lower_bounds(j, alpha, "renyi"):
                 assert lo <= ent + 1e-9
-            for _, hi in fano_upper_bounds(j, alpha, "renyi", rule):
+            for _, hi in fano_upper_bounds(j, alpha, "renyi", p_error):
                 assert ent <= hi + 1e-9
         ent = cond_shannon(j)
         for _, lo in lower_bounds(j, 1.0, "shannon"):
             assert lo <= ent + 1e-9
-        for _, hi in fano_upper_bounds(j, 1.0, "shannon", rule):
+        for _, hi in fano_upper_bounds(j, 1.0, "shannon", p_error):
             assert ent <= hi + 1e-9
 
 
@@ -181,8 +153,8 @@ def test_fano_holds_for_arbitrary_rules(rng):
     # the Shannon and Tsallis Fano bounds accept any rule's error
     for _ in range(30):
         j = random_joint(rng, 3, 3)
-        for r in enumerate_rules(j):
-            for _, hi in fano_upper_bounds(j, 1.0, "shannon", r):
+        for p_error in enumerate_rule_errors(j):
+            for _, hi in fano_upper_bounds(j, 1.0, "shannon", p_error):
                 assert cond_shannon(j) <= hi + 1e-9
-            for _, hi in fano_upper_bounds(j, 1.7, "tsallis", r):
+            for _, hi in fano_upper_bounds(j, 1.7, "tsallis", p_error):
                 assert cond_tsallis_second(j, 1.7) <= hi + 1e-9

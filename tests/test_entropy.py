@@ -14,7 +14,6 @@ from etoff.entropy import (
     binary_tsallis,
     cond_renyi,
     cond_shannon,
-    cond_tsallis_first,
     cond_tsallis_second,
     check_table,
     renyi_entropy,
@@ -131,7 +130,6 @@ def test_cond_forms_deterministic():
     j = JointDistribution.from_table(np.diag([0.3, 0.3, 0.4]))
     assert cond_shannon(j) == 0.0
     for a in ALPHA_GRID:
-        assert cond_tsallis_first(j, a) == 0.0
         assert cond_tsallis_second(j, a) == 0.0
         assert cond_renyi(j, a) == 0.0
 
@@ -142,9 +140,6 @@ def test_cond_tsallis_two_by_two_hand_value():
     h2_col = (1.0 - (0.8 ** 2 + 0.2 ** 2)) / (2.0 - 1.0)
     assert cond_tsallis_second(j, 2.0) == pytest.approx(
         0.5 * h2_col + 0.5 * h2_col, abs=1e-12
-    )
-    assert cond_tsallis_first(j, 2.0) == pytest.approx(
-        0.5 ** 2 * h2_col + 0.5 ** 2 * h2_col, abs=1e-12
     )
 
 
@@ -162,7 +157,6 @@ def test_cond_shannon_matches_order_one_limits(rng):
         for a in (1.0 - 1e-8, 1.0 + 1e-8):
             assert abs(h1 - cond_renyi(j, a)) < 1e-5
             assert abs(h1 - cond_tsallis_second(j, a)) < 1e-5
-            assert abs(h1 - cond_tsallis_first(j, a)) < 1e-5
 
 
 def test_cond_renyi_monotone_in_alpha(rng):
@@ -177,18 +171,6 @@ def test_zero_probability_columns_skipped():
     j = JointDistribution.from_table([[0.5, 0.0], [0.5, 0.0]])
     assert cond_shannon(j) == pytest.approx(math.log(2), abs=1e-12)
     assert cond_tsallis_second(j, 2.0) == pytest.approx(0.5, abs=1e-12)
-
-
-# --- chain rule for the first Tsallis form ------------------------------------------
-
-
-def test_chain_rule_first_form(rng):
-    for _ in range(100):
-        j = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        for a in ALPHA_GRID:
-            joint_h = tsallis_entropy(j.table.ravel(), a)
-            chain = cond_tsallis_first(j, a) + tsallis_entropy(j.marginal_cols(), a)
-            assert abs(joint_h - chain) <= 1e-10
 
 
 # --- conditioning on more -------------------------------------------------------------

@@ -9,39 +9,6 @@ from etoff.quantum import sample_haar_unitary
 from conftest import random_hermitian
 
 
-def test_eigh_identity():
-    w, _ = linalg.eigh(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0])
-
-
-def test_eigh_diagonal_sorted_ascending():
-    w, v = linalg.eigh(np.diag([3.0, -1.0]))
-    assert np.allclose(w, [-1.0, 3.0])
-    # eigenvectors form a permuted identity
-    assert np.allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_eigh_trace_matches_eigenvalue_sum(rng):
-    h = random_hermitian(rng, 4)
-    w, _ = linalg.eigh(h)
-    assert abs(w.sum() - np.trace(h).real) < 1e-9
-
-
-def test_eigh_rejects_non_square():
-    with pytest.raises(ValueError):
-        linalg.eigh(np.zeros((2, 3)))
-
-
-def test_eigh_reconstruction_residual(rng):
-    for _ in range(200):
-        d = int(rng.integers(2, 9))
-        h = random_hermitian(rng, d)
-        w, v = linalg.eigh(h)
-        recon = (v * w) @ v.conj().T
-        assert linalg.max_abs(recon - h) <= 1e-9
-        assert linalg.max_abs(v.conj().T @ v - np.eye(d)) <= 1e-9
-
-
 def test_spectral_norm_identity():
     eye = np.eye(5)[None]
     assert linalg.pair_overlaps(eye, eye)[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -63,19 +30,11 @@ def test_spectral_norm_rank_one_product():
     assert overlap == pytest.approx(0.70710678, abs=1e-8)
 
 
-def test_trace_norm_values(rng):
-    assert linalg.trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-12)
-    assert linalg.trace_norm(np.diag([2.0, -3.0])) == pytest.approx(5.0, abs=1e-12)
-    u = sample_haar_unitary(3, rng)
-    assert linalg.trace_norm(u) == pytest.approx(3.0, abs=1e-9)
-
-
 def test_unitary_norms_haar(rng):
     for _ in range(50):
         d = int(rng.integers(2, 9))
         u = sample_haar_unitary(d, rng)
         assert linalg.pair_overlaps(u[None], np.eye(d)[None])[0, 0] == pytest.approx(1.0, abs=1e-9)
-        assert linalg.trace_norm(u) == pytest.approx(d, abs=1e-9)
 
 
 def test_partial_trace_entangled_pair():
@@ -108,37 +67,6 @@ def test_partial_trace_composition_gives_scalar_trace(rng):
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         linalg.partial_trace(np.eye(5), (2, 3), keep="A")
-
-
-def test_fidelity_self_is_one(rng):
-    h = random_hermitian(rng, 3)
-    rho = h @ h.conj().T
-    rho /= np.trace(rho)
-    assert linalg.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fidelity_orthogonal_pure_states():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    assert linalg.fidelity(p0, p1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fidelity_mixed_vs_pure():
-    # ||sqrt(I/2) sqrt(|0><0|)||_1^2 = 1/2 by direct singular values
-    rho = np.eye(2, dtype=complex) / 2
-    omega = np.diag([1.0, 0.0]).astype(complex)
-    assert linalg.fidelity(rho, omega) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_fidelity_symmetric(rng):
-    for _ in range(20):
-        a = random_hermitian(rng, 3)
-        a = a @ a.conj().T
-        a /= np.trace(a)
-        b = random_hermitian(rng, 3)
-        b = b @ b.conj().T
-        b /= np.trace(b)
-        assert abs(linalg.fidelity(a, b) - linalg.fidelity(b, a)) < 1e-9
 
 
 def test_as_matrix_rejects_nan():

@@ -14,7 +14,6 @@ from etoff.entropy import (
 from etoff.harness import sample_instance
 from etoff.noise_disturbance import (
     GRAD_TOL,
-    DegenerateObservable,
     OrderOutOfRange,
     SearchConfig,
     _correction_povm,
@@ -23,7 +22,6 @@ from etoff.noise_disturbance import (
     discard_flag_correction,
     disturbance,
     disturbance_joint,
-    error_and_fidelity,
     noise,
     noise_joint,
     reprepare_correction,
@@ -278,48 +276,39 @@ def test_zero_noise_iff_zero_error(anchor):
     # the Z-measuring instrument identifies Z eigenstates perfectly ...
     nj = noise_joint(z_obs, inst)
     assert noise(z_obs, inst, [EntropyOrder.shannon()])[0] < 1e-9
-    assert standard_decision(nj).p_error < 1e-9
+    assert standard_decision(nj) < 1e-9
     # ... and is maximally noisy for the conjugate observable
     nx = noise_joint(x_obs, inst)
     assert noise(x_obs, inst, [EntropyOrder.shannon()])[0] > 0.5
-    assert standard_decision(nx).p_error > 0.4
+    assert standard_decision(nx) > 0.4
 
 
-# --- error probability and fidelity ---------------------------------------------------
+# --- error probability of the corrected re-measurement ------------------------------
 
 
-def test_error_and_fidelity_perfect_correction(anchor):
+def test_corrected_error_probability_perfect_correction(anchor):
+    # 1 - Tr p(z, z'): zero after repreparation on the anchor
     _, z_obs, inst = anchor
-    psi = reprepare_correction(z_obs, inst)
-    q_e, avg_f = error_and_fidelity(z_obs, inst, psi)
-    assert q_e == pytest.approx(0.0, abs=1e-10)
-    assert avg_f == pytest.approx(1.0, abs=1e-8)
+    table = disturbance_joint(z_obs, inst, reprepare_correction(z_obs, inst)).table
+    assert 1.0 - np.trace(table) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_error_and_fidelity_depolarized(qubit_pair):
-    x_obs, z_obs = qubit_pair
+def test_corrected_error_probability_depolarized(qubit_pair):
     # measuring the conjugate basis and discarding the flag fully dephases Z
+    x_obs, z_obs = qubit_pair
     inst = luders_instrument(x_obs)
-    psi = discard_flag_correction(inst, 2)
-    q_e, avg_f = error_and_fidelity(z_obs, inst, psi)
-    assert q_e == pytest.approx(0.5, abs=1e-10)
-    assert avg_f == pytest.approx(0.5, abs=1e-8)
+    table = disturbance_joint(z_obs, inst, discard_flag_correction(inst, 2)).table
+    assert 1.0 - np.trace(table) == pytest.approx(0.5, abs=1e-10)
 
 
-def test_error_and_fidelity_random_instances():
-    for seed in range(20):
-        x_obs, z_obs, inst = sample_instance(2, seed)
-        psi = reprepare_correction(z_obs, inst)
-        q_e, avg_f = error_and_fidelity(z_obs, inst, psi)
-        assert abs((1.0 - q_e) - avg_f) < 1e-8
-
-
-def test_error_and_fidelity_rejects_degenerate():
-    z_obs = sample_random_observable(4, (2, 2), seed=6)
-    inst = trivial_instrument(4)
-    psi = discard_flag_correction(inst, 4)
-    with pytest.raises(DegenerateObservable):
-        error_and_fidelity(z_obs, inst, psi)
+def test_search_config_rejects_a_bad_budget():
+    with pytest.raises(ValueError, match="restarts"):
+        SearchConfig(restarts=-1)
+    with pytest.raises(ValueError, match="iterations"):
+        SearchConfig(iterations=0)
+    # the smallest budgets stay valid: no restarts, one evaluation per restart
+    cfg = SearchConfig(restarts=0, iterations=1)
+    assert (cfg.restarts, cfg.iterations) == (0, 1)
 
 
 # --- combined-estimation consistency ----------------------------------------------------
