@@ -47,7 +47,6 @@ from .noise_disturbance import (
     ricochet_oracle,
 )
 from .quantum import (
-    Channel,
     ProjectiveObservable,
     QuantumInstrument,
     apply_cp,

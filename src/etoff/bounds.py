@@ -76,7 +76,9 @@ class TradeoffCertificate:
     the disturbance (ROADMAP direction A).  ``passed`` records only
     noise + upper disturbance >= bound.  ``best_candidate`` names the
     correction that gave the disturbance value: ``discard_flag``,
-    ``reprepare`` or ``parametrized_restart_<r>``.
+    ``reprepare`` or ``parametrized_restart_<r>``.  ``iterations`` counts
+    the evaluations of the search's best restart, so it is at most the
+    per-restart budget, and 0 when no search ran.
     """
 
     relation: str

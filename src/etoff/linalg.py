@@ -1,12 +1,12 @@
 """Dense complex linear algebra for small Hilbert spaces (d <= ~16).
 
 Everything works on plain numpy arrays of complex dtype, mostly on
-stacks of matrices.  Callers diagonalise with ``np.linalg.eigh``
-directly: no eigendecomposition or Hermiticity-check wrapper is kept
-here.  Roundoff-negative spectra are clipped against ``STRUCT_TOL``;
-decomposition residuals get the looser ``DECOMP_TOL``.  Small dimensions
-keep conditioning benign, so a single pair of module-wide constants is
-enough.
+stacks of matrices.  No eigendecomposition wrapper is kept here: the
+only eigenvalues the package computes are ``np.linalg.eigvalsh`` of a
+user-supplied POVM, checked by ``clip_spectrum``.  Roundoff-negative
+spectra are clipped against ``STRUCT_TOL``; decomposition residuals get
+the looser ``DECOMP_TOL``.  Small dimensions keep conditioning benign,
+so a single pair of module-wide constants is enough.
 """
 
 from __future__ import annotations

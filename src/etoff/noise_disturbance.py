@@ -11,20 +11,22 @@ back-action, Z is measured again, and the disturbance is the conditional
 entropy of the input eigenvalue given the final outcome, minimised over
 correction channels.
 
-A correction followed by the Z re-measurement acts as a |Z|-outcome POVM
-on output ⊗ flag, and measure-and-prepare realises every such POVM, so
-the minimum over corrections is a minimum over POVMs.  ``disturbance``
-reports the best value found among two fixed corrections (flag-discarding
-identity, classical repreparation by outcome) and a Riemannian gradient
-descent over the POVM's Naimark isometry, run for all requested orders
-and restarts of an instance as one stacked computation.  The result is
-an upper bound on the true disturbance.  An upper bound can only refute a
-trade-off relation (N + D_upper < B); it cannot certify one, which needs
-a lower bound on the disturbance (ROADMAP direction A).
+A correction followed by the Z re-measurement acts only through a
+|Z|-outcome POVM on output ⊗ flag, and measure-and-prepare realises
+every such POVM, so the minimum over corrections is a minimum over POVMs
+and a correction is kept as its POVM, a (|Z|, c, c) stack with
+c = dim_out * n_outcomes.  ``disturbance`` reports the best value found
+among two fixed corrections (flag-discarding identity, classical
+repreparation by outcome) and a Riemannian gradient descent over the
+POVM's Naimark isometry, run for all requested orders and restarts of an
+instance as one stacked computation.  The result is an upper bound on
+the true disturbance.  An upper bound can only refute a trade-off
+relation (N + D_upper < B); it cannot certify one, which needs a lower
+bound on the disturbance (ROADMAP direction A).
 
 Both joint tables come from the stacked arrays of the objects in
-``quantum`` by batched matrix products; every table the search evaluates
-is checked by ``check_table``.
+``quantum`` by batched matrix products; every disturbance table,
+p(z, z') = Tr[E_z' rho_z], comes from ``_table``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from .entropy import (
     table_conditional_entropy,
     table_entropy_gradient,
 )
-from .linalg import dagger, hermitize, max_abs
-from .quantum import Channel, ProjectiveObservable, QuantumInstrument, apply_cp, flag_apply
+from .linalg import DECOMP_TOL, dagger, hermitize, max_abs
+from .quantum import ProjectiveObservable, QuantumInstrument, flag_apply
 
 _RANGE_TOL = 1e-12
 
@@ -54,11 +56,12 @@ class OrderOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget for the correction-channel search: restarts, and evaluations per restart.
+    """Budget for the correction search: restarts, and evaluations per restart.
 
     With a seed the whole search is deterministic, and restart r depends
     only on (seed, r), so growing the budget can never worsen the
-    reported minimum.
+    reported minimum.  A restart scores its start, then one step ladder
+    per iteration, so it needs 1 + len(_LADDER) evaluations for one step.
     """
 
     restarts: int = 8
@@ -70,12 +73,17 @@ class SearchConfig:
             raise ValueError(f"restarts must be at least 0, got {self.restarts}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        if self.restarts > 0 and self.iterations < 1 + len(_LADDER):
+            raise ValueError(f"iterations must be at least {1 + len(_LADDER)} when restarts "
+                             f"> 0, got {self.iterations}")
 
 
 @dataclass(frozen=True, eq=False)
 class CorrectionSearchResult:
+    """The best correction's POVM; ``iterations`` counts the best restart's evaluations."""
+
     best_value: float
-    best_channel: Channel
+    best_povm: np.ndarray
     restarts: int
     iterations: int
     converged: bool
@@ -159,83 +167,66 @@ def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) ->
 # --- the second experiment: disturbance --------------------------------------
 
 
-def _correction_table(z_obs: ProjectiveObservable, flagged, kraus) -> np.ndarray:
-    """Unnormalised p(z, z') = (1/d) Tr[Lambda(z') Psi(Phi_M(Lambda(z)))].
+def _table(povm: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Checked p(z, z') = Tr[E_z' rho_z] for POVM stacks (..., |Z|, c, c) and rho (|Z|, c, c)."""
+    rho_t = rho.swapaxes(-1, -2).reshape(len(rho), -1).T
+    return check_table((povm.reshape(*povm.shape[:-2], -1) @ rho_t).real.swapaxes(-1, -2))
 
-    ``flagged`` is the stack of Phi_M(Lambda(z)) on the output ⊗ flag
-    space and ``kraus`` the Kraus stack of the correction Psi.
-    """
-    sigma = apply_cp(kraus, flagged)
-    lam = z_obs.projectors
-    return np.trace(lam[None] @ sigma[:, None], axis1=-2, axis2=-1).real / z_obs.dim
+
+def _checked_povm(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) -> np.ndarray:
+    """Validate a re-measurement POVM: |Z| Hermitian positive c x c elements summing to I."""
+    if z_obs.dim != inst.dim_in:
+        raise ValueError(f"observable dim {z_obs.dim} != instrument input dim {inst.dim_in}")
+    e, c = linalg.as_stack(povm, "POVM"), inst.dim_out * inst.n_outcomes
+    if e.shape != (len(z_obs.projectors), c, c):
+        raise ValueError(f"POVM shape {e.shape} is not (|Z|, c, c) with c = {c}")
+    if max_abs(e - dagger(e)) > DECOMP_TOL:
+        raise ValueError("POVM elements are not Hermitian")
+    res = max_abs(e.sum(axis=0) - np.eye(c))
+    if res > DECOMP_TOL:
+        raise ValueError(f"POVM completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}")
+    linalg.clip_spectrum(np.linalg.eigvalsh(e))
+    return e
 
 
 def disturbance_joint(
-    z_obs: ProjectiveObservable, inst: QuantumInstrument, correction: Channel
+    z_obs: ProjectiveObservable, inst: QuantumInstrument, povm
 ) -> JointDistribution:
-    """Joint p(z, z') of input eigenvalue and corrected re-measurement outcome."""
-    _check_correction_dims(z_obs, inst, correction)
-    table = _correction_table(z_obs, flag_apply(inst, z_obs.projectors), correction.kraus)
+    """Joint p(z, z') of input eigenvalue and corrected re-measurement outcome.
+
+    ``povm`` is the correction's (|Z|, c, c) re-measurement POVM on
+    output ⊗ flag; it is validated here.
+    """
+    povm = _checked_povm(z_obs, inst, povm)
+    table = _table(povm, flag_apply(inst, z_obs.projectors) / z_obs.dim)
     return JointDistribution(table, z_obs.eigenvalues, z_obs.eigenvalues)
 
 
-def _check_correction_dims(z_obs, inst, correction) -> None:
-    c_in = inst.dim_out * inst.n_outcomes
-    if correction.dim_in != c_in:
-        raise ValueError(
-            f"correction input dim {correction.dim_in} != output ⊗ flag dim {c_in}"
-        )
-    if correction.dim_out != z_obs.dim:
-        raise ValueError(
-            f"correction output dim {correction.dim_out} != observable dim {z_obs.dim}"
-        )
-    if z_obs.dim != inst.dim_in:
-        raise ValueError(f"observable dim {z_obs.dim} != instrument input dim {inst.dim_in}")
+def discard_flag_correction(
+    z_obs: ProjectiveObservable, inst: QuantumInstrument
+) -> np.ndarray | None:
+    """Trace out the outcome flag and measure Z on the quantum output: E_z' = Lambda(z') ⊗ I.
 
-
-def discard_flag_correction(inst: QuantumInstrument, target_dim: int) -> Channel | None:
-    """Trace out the outcome flag and return the quantum output unchanged.
-
-    Only available when the instrument's output space matches the target
+    Only available when the instrument's output space matches the Z
     system; returns None otherwise.
     """
-    if inst.dim_out != target_dim:
+    if inst.dim_out != z_obs.dim:
         return None
-    n = inst.n_outcomes
-    d = inst.dim_out
-    # Kraus operator m is I ⊗ <m|: rows (a, m) of the identity on output ⊗ flag
-    kraus = np.eye(d * n, dtype=complex).reshape(d, n, d * n).swapaxes(0, 1)
-    return Channel(d * n, d, kraus)
+    return np.kron(z_obs.projectors, np.eye(inst.n_outcomes))
 
 
-def _measure_prepare(states: np.ndarray, bras: np.ndarray, dim_in: int) -> Channel:
-    """Measure the rows of bras[j] (together a Naimark isometry), then prepare states[j].
-
-    Kraus operators sqrt(w) |v><b| for each eigenpair (w > 0, v) of
-    states[j] and each row b of bras[j], unconjugated.
-    """
-    w, v = np.linalg.eigh(states)
-    w = linalg.clip_spectrum(w)
-    js, cols = np.nonzero(w > 0.0)
-    kets = np.sqrt(w[js, cols])[:, None] * v[js, :, cols]
-    kraus = kets[:, None, :, None] * bras[js][:, :, None, :]
-    return Channel(dim_in, states.shape[-1], kraus.reshape(-1, states.shape[-1], dim_in))
-
-
-def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -> Channel:
+def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -> np.ndarray:
     """Classical correction: for each outcome, reprepare the most likely Z eigenstate.
 
     The most likely eigenvalue per outcome is the standard decision on the
     pre-correction joint of (input eigenvalue, outcome): the largest entry
-    of each column, ties going to the smallest row.  The flag is measured
-    and the chosen state prepared: bras <b, m| for each basis vector b of
-    the output.
+    of each column, ties going to the smallest row.  Re-measuring Z then
+    reads that eigenvalue, so E_z' = I ⊗ sum of |m><m| over the outcomes
+    m whose decision is z'.
     """
-    n, d_sys = inst.n_outcomes, inst.dim_out
     best = np.argmax(noise_joint(z_obs, inst).table, axis=0)
-    states = z_obs.projectors[best] / np.array(z_obs.degeneracies)[best, None, None]
-    bras = np.eye(d_sys * n).reshape(d_sys, n, d_sys * n).swapaxes(0, 1)
-    return _measure_prepare(states, bras, d_sys * n)
+    flags = np.eye(inst.n_outcomes) * (best == np.arange(len(z_obs.projectors))[:, None, None])
+    return np.kron(np.eye(inst.dim_out), flags)
 
 
 # --- the POVM search ------------------------------------------------------------
@@ -275,8 +266,8 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
     iteration evaluates the step ladder as one batch and takes the longest
     step with Armijo decrease.  A row stops when its gradient norm is below
     ``GRAD_TOL`` or its next ladder would overrun ``search.iterations``
-    evaluations.  Returns, per order, the best restart's blocks, its
-    index and the evaluations of all restarts.
+    evaluations.  Returns, per order, the best restart's POVM, its index
+    and its number of evaluations.
     """
     nz, c, n_rest = len(rho), rho.shape[-1], search.restarts
     row_orders = np.repeat(np.array(orders, dtype=object), n_rest)
@@ -284,15 +275,13 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
              for r in range(n_rest)]
     gauss = np.array([np.random.default_rng(s).standard_normal((2, nz * c, c)) for s in seeds])
     a = np.tile(_retract(gauss[:, 0] + 1j * gauss[:, 1]), (len(orders), 1, 1))
-    rho_t = rho.swapaxes(-1, -2).reshape(nz, -1).T
 
     def evaluate(points, rows):
         """Entropy, gradient and POVM at each point; point i of ``points`` is on row rows[i]."""
         blocks = points.reshape(*points.shape[:-2], nz, c, c)
         povm = dagger(blocks) @ blocks
-        tables = check_table((povm.reshape(*povm.shape[:-2], -1) @ rho_t).real.swapaxes(-1, -2))
         at = row_orders[rows].reshape(rows.shape + (1,) * (points.ndim - 3))
-        return *table_entropy_gradient(tables, at), povm
+        return *table_entropy_gradient(_table(povm, rho), at), povm
 
     def direction(rows):
         d, size = _riemannian_gradient(povm[rows], g[rows], rho)
@@ -322,14 +311,8 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
         a[rows], f[rows], g[rows], povm[rows] = trial[i, pick], ft[i, pick], gt[i, pick], pt[i, pick]
         xi[rows], norm[rows] = direction(rows)
         active[rows] &= norm[rows] >= GRAD_TOL
-    best = f.reshape(len(orders), n_rest).argmin(axis=1)
-    evals = evals.reshape(len(orders), n_rest).sum(axis=1)
-    return [(a[o * n_rest + r].reshape(nz, c, c), r, int(evals[o])) for o, r in enumerate(best)]
-
-
-def _correction_povm(z_obs: ProjectiveObservable, kraus: np.ndarray) -> np.ndarray:
-    """POVM E_z' = sum_k K_k† Lambda(z') K_k on output ⊗ flag: a correction, then Z."""
-    return (dagger(kraus)[None] @ z_obs.projectors[:, None] @ kraus[None]).sum(axis=1)
+    rows = np.arange(len(orders)) * n_rest + f.reshape(len(orders), n_rest).argmin(axis=1)
+    return [(povm[i], i % n_rest, int(evals[i])) for i in rows]
 
 
 def disturbance(
@@ -343,12 +326,13 @@ def disturbance(
     The candidates are the flag-discarding identity (when dimensions
     permit) and the classical repreparation, exact in the
     zero-disturbance regimes, and per restart a POVM descent run for all
-    orders at once (``_povm_search``), reported as its measure-and-prepare
-    channel.  Each is evaluated on the exact path, the candidates of all
-    orders in one entropy-kernel call; ties go to the fixed corrections.
-    Orders computing the same entropy share one result.
+    orders at once (``_povm_search``).  Every candidate is its
+    re-measurement POVM, and the candidates of all orders are scored by
+    one ``_table`` and one entropy-kernel call; ties go to the fixed
+    corrections.  Orders computing the same entropy share one result.
+    ``iterations`` is the evaluation count of the search's best restart.
     ``converged`` means the Riemannian gradient norm at the reported
-    point, a stationarity test that saddle points pass too, is below
+    POVM, a stationarity test that saddle points pass too, is below
     ``GRAD_TOL``.
     """
     search = search or SearchConfig()
@@ -357,36 +341,30 @@ def disturbance(
     keys = list(dict.fromkeys(order.computed for order in orders))
     if not keys:
         return []
-    flagged = flag_apply(inst, z_obs.projectors)
-    rho = flagged / z_obs.dim
-    ident = discard_flag_correction(inst, z_obs.dim)
+    rho = flag_apply(inst, z_obs.projectors) / z_obs.dim
+    ident = discard_flag_correction(z_obs, inst)
     candidates = [] if ident is None else [("discard_flag", ident)]
     candidates.append(("reprepare", reprepare_correction(z_obs, inst)))
     n_fixed = len(candidates)
     found = _povm_search(rho, keys, search) if search.restarts > 0 else []
-    states = z_obs.projectors / np.array(z_obs.degeneracies)[:, None, None]
-    for blocks, restart, _ in found:
-        channel = _measure_prepare(states, blocks, inst.dim_out * inst.n_outcomes)
-        candidates.append((f"parametrized_restart_{restart}", channel))
-    tables = check_table(
-        np.array([_correction_table(z_obs, flagged, channel.kraus) for _, channel in candidates])
-    )
+    candidates += [(f"parametrized_restart_{restart}", povm) for povm, restart, _ in found]
+    povms = np.array([povm for _, povm in candidates])
+    tables = _table(povms, rho)
     # the candidates of each computed order: the fixed corrections, then its own search result
     pick = np.array([list(range(n_fixed)) + [n_fixed + k] * bool(found) for k in range(len(keys))])
     values, grads = table_entropy_gradient(tables[pick], np.array(keys, dtype=object)[:, None])
     best = np.argmin(values, axis=1)  # ties go to the fixed corrections
     rows = np.arange(len(keys))
-    chosen = [candidates[i] for i in pick[rows, best]]
-    povms = np.array([_correction_povm(z_obs, channel.kraus) for _, channel in chosen])
-    _, norms = _riemannian_gradient(povms, grads[rows, best], rho)
+    chosen = pick[rows, best]
+    _, norms = _riemannian_gradient(povms[chosen], grads[rows, best], rho)
     results = {
         key: CorrectionSearchResult(
             best_value=max(0.0, float(values[k, best[k]])),
-            best_channel=chosen[k][1],
+            best_povm=povms[chosen[k]],
             restarts=search.restarts,
             iterations=found[k][2] if found else 0,
             converged=bool(norms[k] < GRAD_TOL),
-            best_candidate=chosen[k][0],
+            best_candidate=candidates[chosen[k]][0],
         )
         for k, key in enumerate(keys)
     }
@@ -399,20 +377,19 @@ def disturbance(
 def estimation_povm(
     z_obs: ProjectiveObservable,
     inst: QuantumInstrument,
-    correction: Channel,
+    povm,
     estimator=None,
 ) -> dict:
     """POVM on the input system realising (outcome, corrected Z estimate) jointly.
 
-    Element for (m, z') is the Heisenberg-picture pull-back of the final
-    projector through the correction and the flagged branch map.  An
-    optional estimator maps (m, z') to a coarser label; elements with the
-    same image are summed, which preserves completeness.
+    Element for (m, z') is the Heisenberg-picture pull-back of the
+    correction's re-measurement element E_z' through the flagged branch
+    map.  An optional estimator maps (m, z') to a coarser label; elements
+    with the same image are summed, which preserves completeness.
     """
-    _check_correction_dims(z_obs, inst, correction)
     n, d_out = inst.n_outcomes, inst.dim_out
     # element (m, z') sums (K_r ⊗ |m>)† E_z' (K_r ⊗ |m>) over the Kraus operators of m
-    blocks = _correction_povm(z_obs, correction.kraus).reshape(-1, d_out, n, d_out, n)
+    blocks = _checked_povm(z_obs, inst, povm).reshape(-1, d_out, n, d_out, n)
     pulled = dagger(inst.kraus)[:, None] @ blocks[:, :, inst.outcome, :, inst.outcome]
     pulled = hermitize(pulled @ inst.kraus[:, None])
     elements: dict = {}
@@ -427,7 +404,7 @@ def ricochet_oracle(
     x_obs: ProjectiveObservable,
     z_obs: ProjectiveObservable,
     inst: QuantumInstrument,
-    correction: Channel,
+    povm,
     estimator=None,
 ) -> ConsistencyReport:
     """Double-compute the combined-estimation statistics and report gaps.
@@ -444,21 +421,21 @@ def ricochet_oracle(
     if x_obs.dim != z_obs.dim or x_obs.dim != inst.dim_in:
         raise ValueError("observables and instrument must share the input dimension")
     d = x_obs.dim
-    povm = np.array(list(estimation_povm(z_obs, inst, correction, estimator).values()))
-    povm_residual = max_abs(povm.sum(axis=0) - np.eye(d))
+    elements = np.array(list(estimation_povm(z_obs, inst, povm, estimator).values()))
+    povm_residual = max_abs(elements.sum(axis=0) - np.eye(d))
     phi = np.eye(d, dtype=complex).reshape(d * d) / math.sqrt(d)
     ent = np.outer(phi, phi.conj())
 
     nx = len(x_obs.projectors)
     projs = np.concatenate([x_obs.projectors, z_obs.projectors])
-    direct = np.trace(povm[:, None] @ projs[None], axis1=-2, axis2=-1).real / d
+    direct = np.trace(elements[:, None] @ projs[None], axis1=-2, axis2=-1).real / d
     # route two: <phi| E(u) ⊗ P^T |phi> on the system and its mirror
-    kron = np.einsum("uab,xcd->uxacbd", povm, projs.swapaxes(-1, -2))
-    kron = kron.reshape(len(povm), len(projs), d * d, d * d)
+    kron = np.einsum("uab,xcd->uxacbd", elements, projs.swapaxes(-1, -2))
+    kron = kron.reshape(len(elements), len(projs), d * d, d * d)
     gap = np.abs(direct - np.trace(kron @ ent, axis1=-2, axis2=-1).real)
     direct_x, gap_x, gap_z = direct[:, :nx], max_abs(gap[:, :nx]), max_abs(gap[:, nx:])
 
-    lifted = np.kron(povm, np.eye(d, dtype=complex)) @ ent
+    lifted = np.kron(elements, np.eye(d, dtype=complex)) @ ent
     p_u = np.trace(lifted, axis1=-2, axis2=-1).real
     p_u_direct = direct_x.sum(axis=1)
     keep = (p_u > 1e-12) & (p_u_direct > 1e-12)

@@ -1,13 +1,14 @@
-"""Observables, channels and instruments as stacked numpy arrays.
+"""Observables and instruments as stacked numpy arrays.
 
 Every object holds its matrices in one array: an observable an (n, d, d)
-stack of projectors, a channel an (r, d_out, d_in) stack of Kraus
-operators, and an instrument an (R, d_out, d_in) Kraus stack together with
-an (R,) index naming the outcome each Kraus operator belongs to, so that
-outcomes may have different numbers of Kraus operators.  The structural
-invariants are checked once, on construction: projectors must be
-Hermitian, idempotent, mutually orthogonal and complete; Kraus sets
-trace-preserving.  Complete positivity is automatic from the Kraus form.
+stack of projectors, and an instrument an (R, d_out, d_in) Kraus stack
+together with an (R,) index naming the outcome each Kraus operator
+belongs to, so that outcomes may have different numbers of Kraus
+operators.  (A correction is not an object here: ``noise_disturbance``
+keeps it as its re-measurement POVM.)  The structural invariants are
+checked once, on construction: projectors must be Hermitian, idempotent,
+mutually orthogonal and complete; Kraus sets trace-preserving.  Complete
+positivity is automatic from the Kraus form.
 The stacks are stored as read-only copies, so nothing downstream needs to
 validate them again.  Sampling takes explicit seeds so parallel sweeps can
 partition the seed space.
@@ -29,17 +30,6 @@ def _first_over(deviation: np.ndarray, tol: float):
     """Index of the first entry of ``deviation`` above ``tol``, or None."""
     over = np.argwhere(deviation > tol)
     return tuple(int(i) for i in over[0]) if len(over) else None
-
-
-def _kraus_stack(kraus, dim_in: int, dim_out: int, what: str) -> np.ndarray:
-    """Validate an (r, dim_out, dim_in) Kraus stack as jointly trace-preserving."""
-    k = as_stack(kraus, "Kraus stack")
-    if k.shape[1:] != (dim_out, dim_in):
-        raise ValueError(f"Kraus shape {k.shape[1:]} does not match ({dim_out}, {dim_in})")
-    res = max_abs((dagger(k) @ k).sum(axis=0) - np.eye(dim_in))
-    if res > DECOMP_TOL:
-        raise ValueError(f"{what} completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}")
-    return k
 
 
 # --- observables ------------------------------------------------------------
@@ -115,22 +105,7 @@ def observable_from_basis(columns: np.ndarray) -> ProjectiveObservable:
     return ProjectiveObservable(tuple(float(i) for i in range(u.shape[1])), projectors)
 
 
-# --- channels and instruments -----------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Channel:
-    """Trace-preserving completely positive map with an (r, dim_out, dim_in) Kraus stack."""
-
-    dim_in: int
-    dim_out: int
-    kraus: np.ndarray
-
-    def __post_init__(self):
-        if not len(self.kraus):
-            raise ValueError("a channel needs at least one Kraus operator")
-        k = _kraus_stack(self.kraus, self.dim_in, self.dim_out, "Kraus")
-        object.__setattr__(self, "kraus", k)
+# --- instruments ---------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +128,16 @@ class QuantumInstrument:
             raise ValueError("an instrument needs at least one outcome")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate outcome labels in {list(labels)}")
-        k = _kraus_stack(self.kraus, self.dim_in, self.dim_out, "instrument")
+        k = as_stack(self.kraus, "Kraus stack")
+        if k.shape[1:] != (self.dim_out, self.dim_in):
+            raise ValueError(
+                f"Kraus shape {k.shape[1:]} does not match ({self.dim_out}, {self.dim_in})"
+            )
+        res = max_abs((dagger(k) @ k).sum(axis=0) - np.eye(self.dim_in))
+        if res > DECOMP_TOL:
+            raise ValueError(
+                f"instrument completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}"
+            )
         idx = np.array(self.outcome)
         if (
             idx.shape != (len(k),)

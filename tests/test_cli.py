@@ -93,14 +93,23 @@ def test_certify_restarts_require_seed(anchor_file, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--restarts", "-1"), ("--iterations", "0")])
-def test_certify_rejects_a_bad_search_budget(anchor_file, capsys, flag, value):
+# a search with fewer than 4 evaluations per restart could not take a single step
+BAD_BUDGETS = [
+    pytest.param(["--restarts", "-1"], "restarts", id="--restarts--1"),
+    pytest.param(["--iterations", "0"], "iterations", id="--iterations-0"),
+    pytest.param(["--restarts", "2", "--iterations", "3"], "iterations must be at least 4",
+                 id="--restarts-2--iterations-3"),
+]
+
+
+@pytest.mark.parametrize("budget, named", BAD_BUDGETS)
+def test_certify_rejects_a_bad_search_budget(anchor_file, capsys, budget, named):
     code = main(
         ["certify", anchor_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1",
-         "--seed", "1", flag, value]
+         "--seed", "1", *budget]
     )
     assert code == 2
-    assert flag[2:] in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_seed_env_fallback(anchor_file, monkeypatch, tmp_path):
@@ -121,26 +130,44 @@ def test_sweep_requires_seed(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--restarts", "-1"), ("--iterations", "0"), ("--jobs", "0"), ("--jobs", "-2")]
+    "budget, named",
+    BAD_BUDGETS + [pytest.param(["--jobs", "0"], "jobs", id="--jobs-0"),
+                   pytest.param(["--jobs", "-2"], "jobs", id="--jobs--2")],
 )
-def test_sweep_rejects_a_bad_budget_before_any_sample_runs(monkeypatch, capsys, flag, value):
+def test_sweep_rejects_a_bad_budget_before_any_sample_runs(monkeypatch, capsys, budget, named):
     ran = []
     monkeypatch.setattr(harness, "_sweep_task", ran.append)
     code = main(
-        ["sweep", "--dim", "2", "--samples", "2", "--seed", "1", "--jobs", "1", flag, value]
+        ["sweep", "--dim", "2", "--samples", "2", "--seed", "1", "--jobs", "1", *budget]
     )
     assert code == 2
-    assert flag[2:] in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert ran == []
 
 
 def test_run_config_checks_the_search_budget_and_jobs():
-    for bad in ({"restarts": -1}, {"iterations": 0}, {"jobs": 0}, {"jobs": -2}):
+    for bad in ({"restarts": -1}, {"iterations": 0}, {"iterations": 3}, {"jobs": 0},
+                {"jobs": -2}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             RunConfig(**bad)
     # the benchmark's budgets stay valid; jobs=None means all cores
-    for good in ({"restarts": 0}, {"restarts": 1, "iterations": 150}, {"jobs": 1}, {"jobs": None}):
+    for good in ({"restarts": 0}, {"restarts": 0, "iterations": 1},
+                 {"restarts": 1, "iterations": 4}, {"restarts": 1, "iterations": 150},
+                 {"jobs": 1}, {"jobs": None}):
         RunConfig(**good)
+
+
+def test_sweep_reports_the_evaluations_of_one_restart(tmp_path):
+    # iterations is a per-restart budget, and the JSON reports the best restart's count
+    out = tmp_path / "o.json"
+    code = main(
+        ["sweep", "--dim", "2", "--samples", "2", "--seed", "1", "--restarts", "3",
+         "--iterations", "4", "--relation", "Prop3", "--alpha", "1", "--beta", "1",
+         "--format", "json", "--out", str(out)]
+    )
+    assert code == 0
+    counts = [cert["search"]["iterations"] for cert in json.loads(out.read_text())]
+    assert counts and all(1 <= n <= 4 for n in counts)
 
 
 def test_sweep_tasks_carry_the_validated_config(monkeypatch):
@@ -270,9 +297,11 @@ def test_bounds_command(tmp_path, capsys):
     assert float(row_conj["mu_renyi"]) == pytest.approx(math.log(2), abs=1e-8)
 
 
-def test_bounds_rejects_invalid_grid():
-    assert main(["bounds", "--c", "0.0", "--alpha", "1", "--beta", "1"]) == 2
-    assert main(["bounds", "--c", "0.5", "--alpha", "-1", "--beta", "1"]) == 2
+def test_bounds_rejects_invalid_grid(capsys):
+    for c, alpha in (("0.0", "1"), ("0.5", "-1"), ("1.5", "1"), ("0.5", "inf")):
+        assert main(["bounds", "--c", c, "--alpha", alpha, "--beta", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
 
 
 def test_selftest_passes(capsys):

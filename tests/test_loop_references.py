@@ -7,6 +7,12 @@ computed them before its objects became stacked arrays.  The array code
 must agree with them to 1e-12 on every case: dimensions 2, 3 and 4,
 dim_out != dim_in, outcomes with different numbers of Kraus operators
 (none at all, included), a degenerate Z, and zero-probability columns.
+
+The package keeps a correction as its re-measurement POVM.  The
+corrections here are Kraus lists (flag discarding, measure-and-prepare
+by outcome, measure-and-prepare of a random Naimark isometry, a random
+channel), applied by the loop route and compared with the package
+evaluating their pulled-back POVM E_z' = sum_k K_k† Lambda(z') K_k.
 """
 
 import math
@@ -29,10 +35,10 @@ from etoff.noise_disturbance import (
     reprepare_correction,
 )
 from etoff.quantum import (
-    Channel,
     QuantumInstrument,
     basis_observable,
     flag_apply,
+    sample_haar_unitary,
     sample_random_instrument,
     sample_random_observable,
     trivial_instrument,
@@ -80,14 +86,19 @@ def loop_noise_table(x_obs, inst):
     return table
 
 
-def loop_correction_table(z_obs, inst, correction):
+def loop_correction_table(z_obs, inst, kraus):
     n = len(z_obs.projectors)
     table = np.empty((n, n))
     for i, pz in enumerate(z_obs.projectors):
-        sigma = loop_apply_cp(correction.kraus, loop_flag_apply(inst, pz), z_obs.dim)
+        sigma = loop_apply_cp(kraus, loop_flag_apply(inst, pz), z_obs.dim)
         for k, lam in enumerate(z_obs.projectors):
             table[i, k] = float(np.trace(lam @ sigma).real) / z_obs.dim
     return table
+
+
+def loop_pull_back(z_obs, kraus):
+    """Re-measurement POVM of a correction: E_z' = sum_k K_k† Lambda(z') K_k."""
+    return np.array([sum(k.conj().T @ lam @ k for k in kraus) for lam in z_obs.projectors])
 
 
 def loop_entropy(p, order):
@@ -116,10 +127,49 @@ def loop_conditional(table, order):
 # --- cases -------------------------------------------------------------------------
 
 
-def _channel_into(c_in, c_out, seed):
-    """A random channel from a c_in space to a c_out one."""
+def random_channel(c_in, c_out, seed):
+    """Kraus list of a random channel from a c_in space to a c_out one."""
     rank = -(-c_in // c_out) + 1
-    return Channel(c_in, c_out, sample_random_instrument(c_in, c_out, 1, rank, seed).kraus)
+    return list(sample_random_instrument(c_in, c_out, 1, rank, seed).kraus)
+
+
+def measure_prepare(z_obs, bras):
+    """Measure with the rows of bras[j], then prepare the Z eigenstate Pi(j)/d_j.
+
+    Kraus operators sqrt(w) |v><b| for each eigenpair (w > 0, v) of the
+    prepared state and each row b of bras[j].
+    """
+    kraus = []
+    for j, rows in enumerate(bras):
+        w, v = np.linalg.eigh(z_obs.projectors[j] / z_obs.degeneracies[j])
+        for wi, vi in zip(w, v.T):
+            if wi > 1e-12:
+                kraus += [math.sqrt(wi) * np.outer(vi, b) for b in rows]
+    return kraus
+
+
+def discard_flag_kraus(inst):
+    """Kraus operators I ⊗ <m| that trace out the outcome flag."""
+    eye = np.eye(inst.dim_out * inst.n_outcomes)
+    return [eye[m::inst.n_outcomes] for m in range(inst.n_outcomes)]
+
+
+def reprepare_kraus(z_obs, inst):
+    """Read the flag, then prepare the Z eigenstate the standard decision picks."""
+    n, d = inst.n_outcomes, inst.dim_out
+    best = loop_noise_table(z_obs, inst).argmax(axis=0)
+    eye = np.eye(d * n)
+    bras = [np.zeros((0, d * n)) for _ in z_obs.projectors]
+    for m in range(n):
+        bras[best[m]] = np.concatenate([bras[best[m]], eye[m::n]])
+    return measure_prepare(z_obs, bras)
+
+
+def naimark_kraus(z_obs, inst, seed):
+    """Measure-and-prepare of a random Naimark isometry A; its POVM is A_j† A_j."""
+    c = inst.dim_out * inst.n_outcomes
+    blocks = sample_haar_unitary(len(z_obs.projectors) * c, seed)[:, :c].reshape(-1, c, c)
+    return measure_prepare(z_obs, blocks), blocks
 
 
 def _uneven(inst, outcome, labels):
@@ -164,11 +214,18 @@ CASES = cases()
 
 
 def corrections(z_obs, inst, seed):
+    """Kraus lists of corrections on the case, each with the POVM the package gives it."""
     c_in = inst.dim_out * inst.n_outcomes
-    found = [reprepare_correction(z_obs, inst), _channel_into(c_in, z_obs.dim, seed)]
-    ident = discard_flag_correction(inst, z_obs.dim)
-    if ident is not None:
-        found.append(ident)
+    naimark, blocks = naimark_kraus(z_obs, inst, seed)
+    found = [
+        (reprepare_kraus(z_obs, inst), reprepare_correction(z_obs, inst)),
+        (naimark, np.conj(blocks).swapaxes(-1, -2) @ blocks),
+        (random_channel(c_in, z_obs.dim, seed), None),
+    ]
+    if inst.dim_out == z_obs.dim:
+        found.append((discard_flag_kraus(inst), discard_flag_correction(z_obs, inst)))
+    else:
+        assert discard_flag_correction(z_obs, inst) is None
     return found
 
 
@@ -201,9 +258,12 @@ def test_noise_joint_matches_loop(name, x_obs, z_obs, inst):
 
 @pytest.mark.parametrize("name, x_obs, z_obs, inst", CASES, ids=[c[0] for c in CASES])
 def test_correction_joint_matches_loop(name, x_obs, z_obs, inst):
-    for correction in corrections(z_obs, inst, seed=len(name)):
-        ref = loop_correction_table(z_obs, inst, correction)
-        j = disturbance_joint(z_obs, inst, correction)
+    for kraus, povm in corrections(z_obs, inst, seed=len(name)):
+        pulled = loop_pull_back(z_obs, kraus)
+        if povm is not None:
+            assert np.max(np.abs(povm - pulled)) <= TOL
+        ref = loop_correction_table(z_obs, inst, kraus)
+        j = disturbance_joint(z_obs, inst, pulled)
         assert np.max(np.abs(j.table - ref)) <= TOL
         assert_entropies_agree(ref)
 

@@ -16,8 +16,6 @@ from etoff.noise_disturbance import (
     GRAD_TOL,
     OrderOutOfRange,
     SearchConfig,
-    _correction_povm,
-    _correction_table,
     _riemannian_gradient,
     discard_flag_correction,
     disturbance,
@@ -106,14 +104,14 @@ def test_noise_of_many_orders_equals_one_conditional_entropy_per_order():
 def test_disturbance_joint_identity_instrument():
     z_obs = basis_observable(2)
     inst = trivial_instrument(2)
-    psi = discard_flag_correction(inst, 2)
+    psi = discard_flag_correction(z_obs, inst)
     j = disturbance_joint(z_obs, inst, psi)
     assert np.allclose(j.table, np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_disturbance_joint_projective_z(anchor):
     _, z_obs, inst = anchor
-    psi = discard_flag_correction(inst, 2)
+    psi = discard_flag_correction(z_obs, inst)
     j = disturbance_joint(z_obs, inst, psi)
     # Z eigenstates pass through the Z measurement untouched
     assert np.allclose(j.table, np.diag([0.5, 0.5]), atol=1e-12)
@@ -122,7 +120,7 @@ def test_disturbance_joint_projective_z(anchor):
 def test_disturbance_joint_conjugate_measurement(qubit_pair):
     x_obs, z_obs = qubit_pair
     inst = luders_instrument(x_obs)
-    psi = discard_flag_correction(inst, 2)
+    psi = discard_flag_correction(z_obs, inst)
     j = disturbance_joint(z_obs, inst, psi)
     assert np.allclose(j.table, np.full((2, 2), 0.25), atol=1e-12)
 
@@ -164,7 +162,7 @@ def test_disturbance_more_restarts_never_worse():
 
 def test_disturbance_bounded_by_identity_correction():
     _, z_obs, inst = sample_instance(2, 31)
-    ident = discard_flag_correction(inst, 2)
+    ident = discard_flag_correction(z_obs, inst)
     order = EntropyOrder.tsallis(1.0)
     ident_val = conditional_entropy(disturbance_joint(z_obs, inst, ident), order)
     (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=1, iterations=100, seed=2))
@@ -184,20 +182,23 @@ def test_disturbance_one_order_equals_that_order_in_a_grid():
         assert one.iterations == res.iterations
 
 
-def test_disturbance_value_is_the_reported_channel_on_the_exact_path():
-    for dim, seed in ((2, 3), (3, 4), (4, 5)):
+def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
+    winners = set()
+    for dim, seed in ((2, 1), (2, 3), (3, 4), (4, 5)):
         _, z_obs, inst = sample_instance(dim, seed)
         orders = [EntropyOrder.tsallis(0.5), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
-        results = disturbance(z_obs, inst, orders, SearchConfig(restarts=2, iterations=60, seed=1))
-        for order, res in zip(orders, results):
-            j = disturbance_joint(z_obs, inst, res.best_channel)
-            assert res.best_value == pytest.approx(conditional_entropy(j, order), abs=1e-12)
+        for search in (SearchConfig(restarts=0), SearchConfig(restarts=2, iterations=60, seed=1)):
+            for order, res in zip(orders, disturbance(z_obs, inst, orders, search)):
+                j = disturbance_joint(z_obs, inst, res.best_povm)
+                assert res.best_value == pytest.approx(conditional_entropy(j, order), abs=1e-12)
+                winners.add(res.best_candidate.rstrip("0123456789"))
+    assert winners == {"discard_flag", "reprepare", "parametrized_restart_"}
 
 
 def test_disturbance_search_beats_both_fixed_corrections_at_d3():
     _, z_obs, inst = sample_instance(3, 0)
     order = EntropyOrder.tsallis(2.0)
-    fixed = [discard_flag_correction(inst, 3), reprepare_correction(z_obs, inst)]
+    fixed = [discard_flag_correction(z_obs, inst), reprepare_correction(z_obs, inst)]
     fixed_values = [conditional_entropy(disturbance_joint(z_obs, inst, ch), order) for ch in fixed]
     (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=1, iterations=150, seed=1))
     assert res.best_candidate == "parametrized_restart_0"
@@ -212,30 +213,29 @@ def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
                          SearchConfig(restarts=2, iterations=2000, seed=4))
     assert res.converged
     assert res.best_value == pytest.approx(LN2, abs=1e-12)
-    # with one evaluation the search cannot move off its start, and the
-    # best candidate (the flag-discarding identity here) is not stationary
+    # without a search the best candidate (the flag-discarding identity
+    # here) is not stationary
     _, z_obs, inst = sample_instance(2, 1)
-    (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()],
-                         SearchConfig(restarts=1, iterations=1, seed=4))
-    assert res.iterations == 1
+    (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=0))
+    assert res.iterations == 0 and res.best_candidate == "discard_flag"
     assert not res.converged
     (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()],
                          SearchConfig(restarts=1, iterations=2000, seed=4))
     assert res.converged
 
 
-def test_disturbance_converged_flag_is_taken_at_each_orders_reported_channel():
+def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
     # one call scores every order's candidates together; each flag must still be the
     # stationarity test of that order's own winner
     _, z_obs, inst = sample_instance(2, 3)
     orders = [EntropyOrder.tsallis(2.0), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
-    flagged = flag_apply(inst, z_obs.projectors)
-    for iterations in (1, 2000):
-        results = disturbance(z_obs, inst, orders, SearchConfig(2, iterations, seed=1))
+    rho = flag_apply(inst, z_obs.projectors) / 2
+    for search in (SearchConfig(restarts=0), SearchConfig(2, 2000, seed=1)):
+        results = disturbance(z_obs, inst, orders, search)
         for order, res in zip(orders, results):
-            kraus = res.best_channel.kraus
-            _, grad = table_entropy_gradient(check_table(_correction_table(z_obs, flagged, kraus)), order)
-            _, norm = _riemannian_gradient(_correction_povm(z_obs, kraus), grad, flagged / 2)
+            table = disturbance_joint(z_obs, inst, res.best_povm).table
+            _, grad = table_entropy_gradient(check_table(table), order)
+            _, norm = _riemannian_gradient(res.best_povm, grad, rho)
             assert res.converged == bool(norm < GRAD_TOL)
     assert all(res.converged and res.best_candidate.startswith("parametrized") for res in results)
 
@@ -297,7 +297,7 @@ def test_corrected_error_probability_depolarized(qubit_pair):
     # measuring the conjugate basis and discarding the flag fully dephases Z
     x_obs, z_obs = qubit_pair
     inst = luders_instrument(x_obs)
-    table = disturbance_joint(z_obs, inst, discard_flag_correction(inst, 2)).table
+    table = disturbance_joint(z_obs, inst, discard_flag_correction(z_obs, inst)).table
     assert 1.0 - np.trace(table) == pytest.approx(0.5, abs=1e-10)
 
 
@@ -306,9 +306,30 @@ def test_search_config_rejects_a_bad_budget():
         SearchConfig(restarts=-1)
     with pytest.raises(ValueError, match="iterations"):
         SearchConfig(iterations=0)
-    # the smallest budgets stay valid: no restarts, one evaluation per restart
+    # a restart needs its start and one step ladder to take any step
+    for iterations in (1, 3):
+        with pytest.raises(ValueError, match="iterations must be at least 4"):
+            SearchConfig(restarts=2, iterations=iterations)
+    # the smallest budgets stay valid: no restarts, or one ladder per restart
     cfg = SearchConfig(restarts=0, iterations=1)
     assert (cfg.restarts, cfg.iterations) == (0, 1)
+    SearchConfig(restarts=1, iterations=4)
+
+
+def test_disturbance_joint_rejects_a_non_povm(anchor):
+    _, z_obs, inst = anchor
+    good = reprepare_correction(z_obs, inst)
+    disturbance_joint(z_obs, inst, good)
+    half = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])) / 2
+    bad = {
+        "shape": good[:, :2, :2],
+        "completeness": good * 0.9,
+        "Hermitian": good + np.triu(np.ones((4, 4)), 1)[None] * 0.1,
+        "eigenvalue": good + np.stack([half, -half]),
+    }
+    for match, povm in bad.items():
+        with pytest.raises(ValueError, match=match):
+            disturbance_joint(z_obs, inst, povm)
 
 
 # --- combined-estimation consistency ----------------------------------------------------
@@ -317,7 +338,7 @@ def test_search_config_rejects_a_bad_budget():
 def test_ricochet_trivial_instrument(qubit_pair):
     x_obs, z_obs = qubit_pair
     inst = trivial_instrument(2)
-    rep = ricochet_oracle(x_obs, z_obs, inst, discard_flag_correction(inst, 2))
+    rep = ricochet_oracle(x_obs, z_obs, inst, discard_flag_correction(z_obs, inst))
     assert rep.max_gap < 1e-12
     assert rep.povm_residual < 1e-12
 

@@ -6,7 +6,6 @@ import pytest
 
 from etoff import linalg
 from etoff.quantum import (
-    Channel,
     ProjectiveObservable,
     QuantumInstrument,
     apply_cp,
@@ -51,11 +50,6 @@ def test_observable_rejects_non_orthogonal():
     plus = np.full((2, 2), 0.5, dtype=complex)
     with pytest.raises(ValueError):
         ProjectiveObservable((0.0, 1.0), np.stack([p0, plus]))
-
-
-def test_channel_completeness_enforced():
-    with pytest.raises(ValueError):
-        Channel(2, 2, (0.5 * np.eye(2, dtype=complex))[None])
 
 
 def test_instrument_completeness_enforced():
