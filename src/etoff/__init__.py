@@ -18,16 +18,11 @@ from .decision import (
 )
 from .entropy import (
     EntropyOrder,
-    JointDistribution,
     alpha_log,
     binary_tsallis,
-    cond_renyi,
-    cond_shannon,
-    cond_tsallis_second,
+    check_table,
     conditional_entropy,
-    renyi_entropy,
-    shannon_entropy,
-    tsallis_entropy,
+    entropy,
 )
 from .linalg import (
     NumericalFailure,

@@ -289,6 +289,11 @@ def bbar_bound(c: float, alphas, betas, family: str) -> dict:
     }
 
 
+def conjugate_orders(alpha: float, beta: float) -> bool:
+    """Whether the orders are positive and 1/alpha + 1/beta = 2, within ``_CONSTRAINT_TOL``."""
+    return alpha > 0 and beta > 0 and abs(1.0 / alpha + 1.0 / beta - 2.0) <= _CONSTRAINT_TOL
+
+
 def mu_bounds(c: float, alpha: float, beta: float) -> tuple[BoundValue, BoundValue]:
     """Maassen-Uffink-type bounds under the constraint 1/alpha + 1/beta = 2.
 
@@ -300,7 +305,7 @@ def mu_bounds(c: float, alpha: float, beta: float) -> tuple[BoundValue, BoundVal
         raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")
     if alpha <= 0 or beta <= 0:
         raise ValueError("orders must be positive")
-    if abs(1.0 / alpha + 1.0 / beta - 2.0) > _CONSTRAINT_TOL:
+    if not conjugate_orders(alpha, beta):
         raise ConstraintViolation(
             f"1/alpha + 1/beta = {1.0 / alpha + 1.0 / beta!r}, expected 2"
         )
@@ -329,11 +334,10 @@ def check_admissible(relation: str, alpha: float, beta: float, dim: int) -> None
     family = relation_family(relation)
     if alpha <= 0 or beta <= 0:
         raise AdmissibilityError(f"{relation}: orders must be positive, got ({alpha}, {beta})")
-    if relation in ("Prop3", "Binary"):
-        if abs(1.0 / alpha + 1.0 / beta - 2.0) > _CONSTRAINT_TOL:
-            raise AdmissibilityError(
-                f"{relation} requires 1/alpha + 1/beta = 2, got {1.0 / alpha + 1.0 / beta!r}"
-            )
+    if relation in ("Prop3", "Binary") and not conjugate_orders(alpha, beta):
+        raise AdmissibilityError(
+            f"{relation} requires 1/alpha + 1/beta = 2, got {1.0 / alpha + 1.0 / beta!r}"
+        )
     if relation == "Binary" and dim != 2:
         raise AdmissibilityError(f"Binary requires d = 2, got d = {dim}")
     if family == "renyi":

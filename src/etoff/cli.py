@@ -1,8 +1,10 @@
 """Command-line front end: certify, sweep, bounds, selftest.
 
-Exit codes: 0 = all checks passed, 1 = a certified check failed,
-2 = input or usage error.  Randomized commands require a seed, taken
-from --seed or from the ETOFF_SEED environment variable.
+Exit codes: 0 = no relation refuted, 1 = a relation refuted on an
+instance (noise + upper disturbance < bound - MARGIN_SLACK; an upper
+bound on the disturbance can refute a relation, never certify it) or a
+self-test failed, 2 = input or usage error.  Randomized commands need a
+non-negative seed, from --seed or the ETOFF_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -28,15 +30,17 @@ class UsageError(ValueError):
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if value is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            raise UsageError(f"a seed is required: pass --seed or set {SEED_ENV_VAR}")
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    raise UsageError(f"a seed is required: pass --seed or set {SEED_ENV_VAR}")
+    if value < 0:
+        raise UsageError(f"the seed (--seed or {SEED_ENV_VAR}) must not be negative, got {value}")
+    return value
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -50,7 +54,7 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_certify(args) -> int:
     try:
         x_obs, z_obs, inst = harness.load_instance(args.instance)
-        seed = _resolve_seed(args.seed) if args.restarts > 0 else args.seed
+        seed = _resolve_seed(args.seed) if args.restarts > 0 or args.seed is not None else None
         search = SearchConfig(
             restarts=args.restarts, iterations=args.iterations, seed=seed
         )
@@ -149,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etoff",
         description=(
-            "Certify entropic noise-disturbance trade-off relations for "
-            "finite-dimensional quantum instruments."
+            "Certify entropic noise-disturbance trade-off relations for finite-dimensional "
+            "quantum instruments.  Exit codes: 0 = no relation refuted, 1 = a relation "
+            "refuted or a self-test failed, 2 = input or usage error."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,7 +1,9 @@
 """Bayesian decisions on joint distributions, and the bounds linking
 conditional entropies to error probabilities.
 
-The standard decision guesses, for each observed column y, the row label
+A joint distribution is a table p(x, y) returned by ``entropy.check_table``,
+rows indexing the guessed variable X, so d = ``table.shape[0]``.  The
+standard decision guesses, for each observed column y, the row
 maximizing p(x|y); no decision rule achieves a smaller error probability.
 Every lower bound below is stated in terms of the standard decision's
 error.  The Fano-type upper bounds take an error probability directly:
@@ -16,7 +18,6 @@ import numpy as np
 
 from .entropy import (
     SHANNON_BRANCH,
-    JointDistribution,
     _column_entropies,
     alpha_log,
     binary_tsallis,
@@ -25,23 +26,23 @@ from .entropy import (
 _RULE_TOL = 1e-12
 
 
-def standard_decision(j: JointDistribution) -> float:
+def standard_decision(table: np.ndarray) -> float:
     """Error probability of the maximum a posteriori decision: 1 - sum of column maxima."""
-    return 1.0 - min(float(j.table.max(axis=0).sum()), 1.0)
+    return 1.0 - min(float(table.max(axis=0).sum()), 1.0)
 
 
-def lower_bounds(j: JointDistribution, alpha: float, family: str) -> list[tuple[str, float]]:
+def lower_bounds(table: np.ndarray, alpha: float, family: str) -> list[tuple[str, float]]:
     """Lower bounds on the conditional entropy in terms of the standard error.
 
     Returns (bound-id, value) pairs for every bound applicable to the
     given family, order and row cardinality d; inapplicable combinations
-    are simply omitted.  The matching conditional entropies are
-    cond_shannon, cond_tsallis_second and cond_renyi respectively.
+    are simply omitted.  The matching conditional entropy is
+    ``conditional_entropy`` in the family's order.
     """
     if family not in ("shannon", "tsallis", "renyi"):
         raise ValueError(f"unknown family {family!r}")
-    pe = standard_decision(j)
-    d = len(j.row_labels)
+    pe = standard_decision(table)
+    d = table.shape[0]
     out: list[tuple[str, float]] = []
 
     if family in ("shannon", "renyi"):
@@ -63,7 +64,7 @@ def lower_bounds(j: JointDistribution, alpha: float, family: str) -> list[tuple[
 
 
 def fano_upper_bounds(
-    j: JointDistribution, alpha: float, family: str, p_error: float
+    table: np.ndarray, alpha: float, family: str, p_error: float
 ) -> list[tuple[str, float]]:
     """Fano-type upper bounds on the conditional entropy, given an error probability.
 
@@ -73,7 +74,7 @@ def fano_upper_bounds(
     """
     if family not in ("shannon", "tsallis", "renyi"):
         raise ValueError(f"unknown family {family!r}")
-    d = len(j.row_labels)
+    d = table.shape[0]
 
     def _shannon_fano(q: float) -> float:
         tail = q * math.log(d - 1) if (q > 0.0 and d > 1) else 0.0
@@ -96,7 +97,7 @@ def fano_upper_bounds(
         if alpha >= 1.0 or abs(alpha - 1.0) < SHANNON_BRANCH:
             out.append(("fano_shannon", _shannon_fano(p_error)))
         else:
-            pe_std = standard_decision(j)
+            pe_std = standard_decision(table)
             if p_error > pe_std + _RULE_TOL:
                 raise ValueError(
                     "the Renyi upper bound for alpha < 1 requires the standard decision"

@@ -12,6 +12,12 @@ Conventions used throughout:
 * probability vectors may carry roundoff negatives down to -1e-12, which
   are clipped before renormalisation; anything worse is rejected.
 
+A joint distribution p(x, y) is the array ``check_table`` returns, checked
+once there: rows index X, whose uncertainty is measured, and columns the
+conditioning Y.  ``conditional_entropy`` takes such a table or a stack of
+them, and ``conditional_entropy_gradient`` adds the derivative with
+respect to each entry, for the disturbance search.
+
 Every entropy here, conditional or not, is a weighted sum of per-column
 entropies from one kernel, so each formula is written out once.  The
 kernel takes an order per column, so one call evaluates a whole grid of
@@ -22,18 +28,16 @@ paths, as a single-order call would be, so its value does not depend on
 the orders beside it.  The kernel also takes a multiplicity per entry,
 which lets ``bounds`` evaluate the parametric distributions of the
 minimised bound (one value repeated n times, plus a remainder) as 2-row
-columns.  A joint table is checked once, by ``check_table``, and not
-again per column.  ``table_entropy_gradient`` adds the derivative with
-respect to each entry from the kernel's gradient companion, for the
-disturbance search.
+columns.
 
-Of the two conditional Tsallis forms, which weight the columns by
-p(y)**alpha or by p(y), only the second is implemented.  It is the one
-for which conditioning on more variables cannot raise the entropy, for
-every alpha > 0, so the noise and disturbance measures are built on it;
-the first obeys the chain rule instead, which the trade-off does not
-use.  The conditional Renyi entropy is the outcome-weighted average of
-per-column Renyi entropies and admits alpha = inf (min-entropy).
+The order's family picks the conditional form.  Of the two conditional
+Tsallis forms, which weight the columns by p(y)**alpha or by p(y), only
+the second is implemented.  It is the one for which conditioning on more
+variables cannot raise the entropy, for every alpha > 0, so the noise
+and disturbance measures are built on it; the first obeys the chain rule
+instead, which the trade-off does not use.  The conditional Renyi entropy
+is the outcome-weighted average of per-column Renyi entropies and admits
+alpha = inf (min-entropy).
 """
 
 from __future__ import annotations
@@ -48,14 +52,6 @@ CLIP_NEG = 1e-12        # tolerated roundoff negativity of probabilities
 SUM_TOL = 1e-9          # tolerated deviation of a total probability from 1
 
 FAMILIES = ("renyi", "tsallis", "shannon")
-
-
-def clean_probs(p) -> np.ndarray:
-    """Validate and normalise a probability vector: ``check_table`` on one column."""
-    arr = np.asarray(p, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empty probability vector")
-    return check_table(arr[:, None])[:, 0]
 
 
 def alpha_log(xi: float, alpha: float) -> float:
@@ -79,8 +75,8 @@ def check_table(table) -> np.ndarray:
     negative than -1e-12 and a total within 1e-9 of 1.
     """
     t = np.asarray(table, dtype=float)
-    if t.ndim < 2:
-        raise ValueError(f"joint table must be 2-d, got shape {t.shape}")
+    if t.ndim < 2 or t.size == 0:
+        raise ValueError(f"joint table must be 2-d and non-empty, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("joint table has non-finite entries")
     if t.min() < -CLIP_NEG:
@@ -208,94 +204,11 @@ def _weighted_entropy(table: np.ndarray, order, gradient: bool = False):
     return total, grad
 
 
-def shannon_entropy(p) -> float:
-    """-sum p ln p over the support."""
-    return entropy(p, EntropyOrder.shannon())
-
-
-def renyi_entropy(p, alpha: float) -> float:
-    """Renyi entropy of order alpha; Shannon at alpha ~ 1, min-entropy at inf."""
-    return entropy(p, EntropyOrder.renyi(alpha))
-
-
-def tsallis_entropy(p, alpha: float) -> float:
-    """Tsallis entropy of degree alpha; maximal value alpha_log(d) at uniform."""
-    return entropy(p, EntropyOrder.tsallis(alpha))
-
-
 def binary_tsallis(q: float, alpha: float) -> float:
     """Tsallis entropy of the two-point distribution (q, 1-q)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    return tsallis_entropy(np.array([q, 1.0 - q]), alpha)
-
-
-# --- joint distributions ---------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Finite joint probability table p(x, y).
-
-    Rows index the variable X whose uncertainty is measured; columns index
-    the conditioning variable Y.  The table is checked, clipped and
-    renormalised on construction by ``check_table``.
-    """
-
-    table: np.ndarray
-    row_labels: tuple
-    col_labels: tuple
-
-    def __post_init__(self):
-        t = check_table(self.table)
-        if t.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ValueError(
-                f"table shape {t.shape} does not match labels "
-                f"({len(self.row_labels)}, {len(self.col_labels)})"
-            )
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
-
-    @classmethod
-    def from_table(cls, table, row_labels=None, col_labels=None) -> "JointDistribution":
-        t = np.asarray(table, dtype=float)
-        if row_labels is None:
-            row_labels = tuple(range(t.shape[0]))
-        if col_labels is None:
-            col_labels = tuple(range(t.shape[1]))
-        return cls(t, tuple(row_labels), tuple(col_labels))
-
-    def marginal_rows(self) -> np.ndarray:
-        """p(x) = sum_y p(x, y)."""
-        return self.table.sum(axis=1)
-
-    def marginal_cols(self) -> np.ndarray:
-        """p(y) = sum_x p(x, y)."""
-        return self.table.sum(axis=0)
-
-
-def cond_shannon(j: JointDistribution) -> float:
-    """Standard conditional entropy H(X|Y)."""
-    return _weighted_entropy(j.table, EntropyOrder.shannon())
-
-
-def cond_tsallis_second(j: JointDistribution, alpha: float) -> float:
-    """Conditional Tsallis entropy with weights p(y).
-
-    This is the form for which conditioning on more variables can only
-    reduce the entropy, for every alpha > 0.
-    """
-    return _weighted_entropy(j.table, EntropyOrder.tsallis(alpha))
-
-
-def cond_renyi(j: JointDistribution, alpha: float) -> float:
-    """Conditional Renyi entropy: average over y of the per-column Renyi entropy.
-
-    alpha = inf gives the conditional min-entropy, built from the largest
-    conditional probability in each column.
-    """
-    return _weighted_entropy(j.table, EntropyOrder.renyi(alpha))
+    return entropy([q, 1.0 - q], EntropyOrder.tsallis(alpha))
 
 
 # --- entropic orders --------------------------------------------------------
@@ -338,27 +251,21 @@ class EntropyOrder:
 
 
 def entropy(p, order: EntropyOrder) -> float:
-    """Unconditional entropy of a distribution in the given order."""
-    return _weighted_entropy(clean_probs(p)[:, None], order)
+    """Entropy of a probability vector in the given order, checked as a one-column table."""
+    return _weighted_entropy(check_table(np.ravel(p)[:, None]), order)
 
 
-def conditional_entropy(j: JointDistribution, order: EntropyOrder) -> float:
+def conditional_entropy(table: np.ndarray, order):
     """Conditional entropy of the row variable given the column variable.
 
-    The conditional Renyi form, the second conditional Tsallis form, or
-    the standard conditional entropy, according to the order's family.
-    """
-    return table_conditional_entropy(j.table, order)
-
-
-def table_conditional_entropy(table: np.ndarray, order):
-    """``conditional_entropy`` of a table, or a stack of tables, already returned by ``check_table``.
-
-    ``order`` is one ``EntropyOrder``, or one per table of the stack.
+    ``table`` is a joint table, or a stack of them, already returned by
+    ``check_table``; ``order`` is one ``EntropyOrder``, or one per table.
+    Its family picks the conditional Renyi form, the second conditional
+    Tsallis form or the standard conditional entropy.
     """
     return _weighted_entropy(table, order)
 
 
-def table_entropy_gradient(table: np.ndarray, order):
-    """``table_conditional_entropy`` and its gradient with respect to each entry."""
+def conditional_entropy_gradient(table: np.ndarray, order):
+    """``conditional_entropy`` and its gradient with respect to each entry."""
     return _weighted_entropy(table, order, gradient=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -18,16 +18,12 @@ import numpy as np
 from . import bounds, quantum
 from .bounds import RELATIONS, TradeoffCertificate, certify, certify_grid, mu_bounds
 from .decision import fano_upper_bounds, lower_bounds, standard_decision
-from .entropy import (
-    JointDistribution,
-    cond_renyi,
-    cond_shannon,
-    cond_tsallis_second,
-)
+from .entropy import EntropyOrder, check_table, conditional_entropy
 from .noise_disturbance import SearchConfig, reprepare_correction, ricochet_oracle
 from .quantum import (
     instrument_from_json,
     instrument_to_json,
+    json_entry,
     luders_instrument,
     observable_from_json,
     observable_to_json,
@@ -57,6 +53,14 @@ class RunConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        for name in ("dim", "samples", "restarts", "iterations", "jobs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and not (value is None and name in ("jobs", "seed")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not all(isinstance(v, (int, float)) for v in (*self.alphas, *self.betas)):
+            raise ValueError("alphas and betas must be numbers")
+        if not isinstance(self.out, (str, type(None))):
+            raise ValueError(f"out must be a file path, got {self.out!r}")
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if self.samples < 1:
@@ -76,11 +80,15 @@ class RunConfig:
     def from_file(cls, path: str, **overrides) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        merged = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+        if not isinstance(data, dict):
+            raise ValueError(f"sweep config {path} holds a {type(data).__name__}, not an object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"sweep config {path} has unknown keys {unknown}")
         for key in ("relations", "alphas", "betas"):
-            if merged.get(key) is not None:
-                merged[key] = tuple(merged[key])
-        return cls(**merged)
+            if key in data:
+                data[key] = tuple(json_entry(data, key, list, f"sweep config {path}"))
+        return cls(**{**data, **{k: v for k, v in overrides.items() if v is not None}})
 
 
 # --- instance files -------------------------------------------------------------
@@ -95,14 +103,8 @@ def instance_to_json(x_obs, z_obs, inst) -> dict:
 
 
 def instance_from_json(data: dict):
-    for key in ("X", "Z", "M"):
-        if key not in data:
-            raise ValueError(f"instance file is missing the {key!r} entry")
-    return (
-        observable_from_json(data["X"]),
-        observable_from_json(data["Z"]),
-        instrument_from_json(data["M"]),
-    )
+    x, z, m = (json_entry(data, key, dict, "instance file") for key in ("X", "Z", "M"))
+    return observable_from_json(x), observable_from_json(z), instrument_from_json(m)
 
 
 def load_instance(path: str):
@@ -222,7 +224,7 @@ def tabulate_bounds(c_grid, alphas, betas) -> str:
             for beta in betas:
                 bt, br = b_tsallis[alpha, beta], b_renyi[alpha, beta]
                 mu_t = mu_r = ""
-                if alpha > 0 and beta > 0 and abs(1 / alpha + 1 / beta - 2.0) <= 1e-9:
+                if bounds.conjugate_orders(alpha, beta):
                     mt, mr = mu_bounds(c, alpha, beta)
                     mu_t, mu_r = num(mt.value), num(mr.value)
                 lines.append(
@@ -258,9 +260,9 @@ def broken_instrument_json() -> dict:
     }
 
 
-def _random_joint(rng, nx: int, ny: int) -> JointDistribution:
+def _random_joint(rng, nx: int, ny: int) -> np.ndarray:
     t = rng.random((nx, ny))
-    return JointDistribution.from_table(t / t.sum())
+    return check_table(t / t.sum())
 
 
 def selftest_checks(seed: int = 20240901):
@@ -297,10 +299,8 @@ def selftest_checks(seed: int = 20240901):
         j = _random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         p_error = standard_decision(j)
         for alpha in (0.5, 1.0, 2.0):
-            for family, ent in (
-                ("tsallis", cond_tsallis_second(j, alpha)),
-                ("renyi", cond_renyi(j, alpha)),
-            ):
+            for family in ("tsallis", "renyi"):
+                ent = conditional_entropy(j, EntropyOrder(alpha, family))
                 for _, lo in lower_bounds(j, alpha, family):
                     worst = max(worst, lo - ent)
                 for _, hi in fano_upper_bounds(j, alpha, family, p_error):
@@ -311,10 +311,11 @@ def selftest_checks(seed: int = 20240901):
     worst_limit = 0.0
     for _ in range(100):
         j = _random_joint(rng, 3, 3)
-        h1 = cond_shannon(j)
+        h1 = conditional_entropy(j, EntropyOrder.shannon())
         for a in (1.0 - 1e-8, 1.0 + 1e-8):
-            worst_limit = max(worst_limit, abs(cond_tsallis_second(j, a) - h1))
-            worst_limit = max(worst_limit, abs(cond_renyi(j, a) - h1))
+            for family in ("tsallis", "renyi"):
+                gap = conditional_entropy(j, EntropyOrder(a, family)) - h1
+                worst_limit = max(worst_limit, abs(gap))
     results.append(("shannon_limit", worst_limit < 1e-5, f"worst gap={worst_limit:.3e}"))
 
     # the shipped negative fixture must be rejected by validation

@@ -37,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .entropy import (
-    EntropyOrder,
-    JointDistribution,
-    check_table,
-    table_conditional_entropy,
-    table_entropy_gradient,
-)
+from .entropy import EntropyOrder, check_table, conditional_entropy, conditional_entropy_gradient
 from .linalg import DECOMP_TOL, dagger, hermitize, max_abs
 from .quantum import ProjectiveObservable, QuantumInstrument, flag_apply
 
@@ -132,8 +126,8 @@ def check_order(order: EntropyOrder, dim: int) -> None:
 # --- the first experiment: noise ---------------------------------------------
 
 
-def noise_joint(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> JointDistribution:
-    """Joint distribution p(x, m) of input eigenvalue and instrument outcome.
+def noise_joint(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> np.ndarray:
+    """Checked joint table p(x, m) of input eigenvalue and instrument outcome.
 
     Rows are X eigenvalues, columns instrument outcomes, so conditional
     entropies of this joint are entropies of X given M.
@@ -145,7 +139,7 @@ def noise_joint(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> JointDi
     flagged = flag_apply(inst, x_obs.projectors)
     diag = np.diagonal(flagged, axis1=1, axis2=2).real
     table = diag.reshape(len(diag), inst.dim_out, inst.n_outcomes).sum(axis=1) / x_obs.dim
-    return JointDistribution(table, x_obs.eigenvalues, inst.labels)
+    return check_table(table)
 
 
 def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) -> list:
@@ -159,9 +153,9 @@ def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) ->
     """
     for order in orders:
         check_order(order, x_obs.dim)
-    table = noise_joint(x_obs, inst).table
+    table = noise_joint(x_obs, inst)
     stack = np.broadcast_to(table, (len(orders),) + table.shape)
-    return [float(v) for v in table_conditional_entropy(stack, orders)]
+    return [float(v) for v in conditional_entropy(stack, orders)]
 
 
 # --- the second experiment: disturbance --------------------------------------
@@ -189,17 +183,14 @@ def _checked_povm(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) ->
     return e
 
 
-def disturbance_joint(
-    z_obs: ProjectiveObservable, inst: QuantumInstrument, povm
-) -> JointDistribution:
-    """Joint p(z, z') of input eigenvalue and corrected re-measurement outcome.
+def disturbance_joint(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) -> np.ndarray:
+    """Checked joint table p(z, z') of input eigenvalue and corrected re-measurement outcome.
 
     ``povm`` is the correction's (|Z|, c, c) re-measurement POVM on
     output ⊗ flag; it is validated here.
     """
     povm = _checked_povm(z_obs, inst, povm)
-    table = _table(povm, flag_apply(inst, z_obs.projectors) / z_obs.dim)
-    return JointDistribution(table, z_obs.eigenvalues, z_obs.eigenvalues)
+    return _table(povm, flag_apply(inst, z_obs.projectors) / z_obs.dim)
 
 
 def discard_flag_correction(
@@ -224,7 +215,7 @@ def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -
     reads that eigenvalue, so E_z' = I ⊗ sum of |m><m| over the outcomes
     m whose decision is z'.
     """
-    best = np.argmax(noise_joint(z_obs, inst).table, axis=0)
+    best = np.argmax(noise_joint(z_obs, inst), axis=0)
     flags = np.eye(inst.n_outcomes) * (best == np.arange(len(z_obs.projectors))[:, None, None])
     return np.kron(np.eye(inst.dim_out), flags)
 
@@ -281,7 +272,7 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
         blocks = points.reshape(*points.shape[:-2], nz, c, c)
         povm = dagger(blocks) @ blocks
         at = row_orders[rows].reshape(rows.shape + (1,) * (points.ndim - 3))
-        return *table_entropy_gradient(_table(povm, rho), at), povm
+        return *conditional_entropy_gradient(_table(povm, rho), at), povm
 
     def direction(rows):
         d, size = _riemannian_gradient(povm[rows], g[rows], rho)
@@ -352,7 +343,8 @@ def disturbance(
     tables = _table(povms, rho)
     # the candidates of each computed order: the fixed corrections, then its own search result
     pick = np.array([list(range(n_fixed)) + [n_fixed + k] * bool(found) for k in range(len(keys))])
-    values, grads = table_entropy_gradient(tables[pick], np.array(keys, dtype=object)[:, None])
+    values, grads = conditional_entropy_gradient(
+        tables[pick], np.array(keys, dtype=object)[:, None])
     best = np.argmin(values, axis=1)  # ties go to the fixed corrections
     rows = np.arange(len(keys))
     chosen = pick[rows, best]

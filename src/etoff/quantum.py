@@ -259,13 +259,26 @@ def sample_random_instrument(
 # nested lists.  Round trips are lossless at double precision.
 
 
+def json_entry(data, key: str, kind, where: str):
+    """``data[key]``, checked to be of ``kind`` (a type, or a tuple for a number), or ValueError."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"{where} has no {key!r} entry")
+    if isinstance(data[key], bool) or not isinstance(data[key], kind):
+        name = getattr(kind, "__name__", "number")
+        raise ValueError(f"{where}: {key!r} must be of type {name}, got {data[key]!r:.40}")
+    return data[key]
+
+
 def matrix_to_json(m) -> list:
     m = as_matrix(m)
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except TypeError as exc:  # an entry that is no number, such as an object
+        raise ValueError(f"matrix JSON entry is not a number: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix JSON must be a nested list of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -282,12 +295,14 @@ def observable_to_json(obs: ProjectiveObservable) -> dict:
 
 
 def observable_from_json(data: dict) -> ProjectiveObservable:
-    branches = data["branches"]
+    branches = json_entry(data, "branches", list, "observable")
+    where = [f"observable branch {i}" for i in range(len(branches))]
     obs = ProjectiveObservable(
-        tuple(b["eigenvalue"] for b in branches),
-        np.stack([matrix_from_json(b["projector"]) for b in branches]),
+        tuple(json_entry(b, "eigenvalue", (int, float), w) for b, w in zip(branches, where)),
+        np.stack([matrix_from_json(json_entry(b, "projector", list, w))
+                  for b, w in zip(branches, where)]),
     )
-    if obs.dim != int(data["dim"]):
+    if obs.dim != json_entry(data, "dim", int, "observable"):
         raise ValueError(
             f"projector shape {obs.projectors.shape[1:]} does not match dim {data['dim']}"
         )
@@ -309,13 +324,13 @@ def instrument_to_json(inst: QuantumInstrument) -> dict:
 
 
 def instrument_from_json(data: dict) -> QuantumInstrument:
-    branches = data["branches"]
-    kraus = [matrix_from_json(k) for b in branches for k in b["kraus"]]
-    outcome = np.repeat(np.arange(len(branches)), [len(b["kraus"]) for b in branches])
+    branches = json_entry(data, "branches", list, "instrument")
+    sets = [json_entry(b, "kraus", list, f"instrument branch {i}") for i, b in enumerate(branches)]
+    outcome = np.repeat(np.arange(len(branches)), [len(k) for k in sets])
     return QuantumInstrument(
-        int(data["dim_in"]),
-        int(data["dim_out"]),
+        json_entry(data, "dim_in", int, "instrument"),
+        json_entry(data, "dim_out", int, "instrument"),
         tuple(str(b["label"]) for b in branches),
-        np.array(kraus),
+        np.array([matrix_from_json(k) for ks in sets for k in ks]),
         outcome,
     )

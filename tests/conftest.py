@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from etoff.entropy import JointDistribution
+from etoff.entropy import check_table
 from etoff.harness import conjugate_qubit_pair, saturation_instance
 
 
 def random_joint(rng, nx, ny):
     t = rng.random((nx, ny))
-    return JointDistribution.from_table(t / t.sum())
+    return check_table(t / t.sum())
 
 
 def random_hermitian(rng, d):

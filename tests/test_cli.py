@@ -84,6 +84,41 @@ def test_certify_inadmissible_exits_two(anchor_file, capsys):
     assert "Prop2" in capsys.readouterr().err
 
 
+# instance files (certify) and sweep config files (sweep --config) that are JSON but not
+# of the expected shape: each names its bad entry instead of failing with a TypeError
+MALFORMED_INPUTS = [
+    pytest.param("instance", lambda d: d["X"]["branches"][0].update(eigenvalue=None),
+                 "'eigenvalue'", id="null-eigenvalue"),
+    pytest.param("instance", lambda d: d["M"].update(dim_in=None), "'dim_in'", id="null-dim_in"),
+    pytest.param("instance", lambda d: d["M"]["branches"][0].update(kraus=5), "'kraus'",
+                 id="kraus-5"),
+    pytest.param("config", [{"dim": 2}], "not an object", id="config-list"),
+    pytest.param("config", {"dim": 2, "bogus": 1}, "'bogus'", id="config-unknown-key"),
+    pytest.param("config", {"dim": "2"}, "dim must be an integer", id="config-string-dim"),
+    pytest.param("config", {"out": 7}, "out must be a file path", id="config-number-out"),
+]
+
+
+@pytest.mark.parametrize("kind, content, named", MALFORMED_INPUTS)
+def test_malformed_input_file_exits_two(anchor_file, tmp_path, capsys, kind, content, named):
+    path = tmp_path / "input.json"
+    if kind == "instance":  # content edits the anchor instance in place
+        data = json.loads(Path(anchor_file).read_text())
+        content(data)
+        path.write_text(json.dumps(data))
+        argv = ["certify", str(path), "--relation", "Prop3", "--alpha", "1", "--beta", "1"]
+    else:
+        path.write_text(json.dumps(content))
+        argv = ["sweep", "--config", str(path), "--seed", "1", "--samples", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and named in captured.err
+    if kind == "instance":  # the fixture check reports the same file as a validation error
+        assert main(["selftest", "--fixture", str(path)]) == 1
+        assert "validation error" in capsys.readouterr().out
+
+
 def test_certify_restarts_require_seed(anchor_file, monkeypatch):
     monkeypatch.delenv("ETOFF_SEED", raising=False)
     code = main(
@@ -93,20 +128,26 @@ def test_certify_restarts_require_seed(anchor_file, monkeypatch):
     assert code == 2
 
 
-# a search with fewer than 4 evaluations per restart could not take a single step
+# (flags, ETOFF_SEED, part of the message): a search with fewer than 4 evaluations per
+# restart could not take a single step, and a negative seed would fail inside numpy's
+# SeedSequence, for a sweep in a worker process
 BAD_BUDGETS = [
-    pytest.param(["--restarts", "-1"], "restarts", id="--restarts--1"),
-    pytest.param(["--iterations", "0"], "iterations", id="--iterations-0"),
-    pytest.param(["--restarts", "2", "--iterations", "3"], "iterations must be at least 4",
+    pytest.param(["--restarts", "-1"], "1", "restarts", id="--restarts--1"),
+    pytest.param(["--iterations", "0"], "1", "iterations", id="--iterations-0"),
+    pytest.param(["--restarts", "2", "--iterations", "3"], "1", "iterations must be at least 4",
                  id="--restarts-2--iterations-3"),
+    pytest.param(["--restarts", "1", "--seed", "-1"], "1", "ETOFF_SEED) must not be negative",
+                 id="--seed--1"),
+    pytest.param(["--restarts", "1"], "-3", "ETOFF_SEED) must not be negative", id="ETOFF_SEED--3"),
 ]
 
 
-@pytest.mark.parametrize("budget, named", BAD_BUDGETS)
-def test_certify_rejects_a_bad_search_budget(anchor_file, capsys, budget, named):
+@pytest.mark.parametrize("budget, seed, named", BAD_BUDGETS)
+def test_certify_rejects_a_bad_search_budget(anchor_file, capsys, monkeypatch, budget, seed,
+                                             named):
+    monkeypatch.setenv("ETOFF_SEED", seed)
     code = main(
-        ["certify", anchor_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1",
-         "--seed", "1", *budget]
+        ["certify", anchor_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1", *budget]
     )
     assert code == 2
     assert named in capsys.readouterr().err
@@ -130,16 +171,16 @@ def test_sweep_requires_seed(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "budget, named",
-    BAD_BUDGETS + [pytest.param(["--jobs", "0"], "jobs", id="--jobs-0"),
-                   pytest.param(["--jobs", "-2"], "jobs", id="--jobs--2")],
+    "budget, seed, named",
+    BAD_BUDGETS + [pytest.param(["--jobs", "0"], "1", "jobs", id="--jobs-0"),
+                   pytest.param(["--jobs", "-2"], "1", "jobs", id="--jobs--2")],
 )
-def test_sweep_rejects_a_bad_budget_before_any_sample_runs(monkeypatch, capsys, budget, named):
+def test_sweep_rejects_a_bad_budget_before_any_sample_runs(monkeypatch, capsys, budget, seed,
+                                                           named):
     ran = []
     monkeypatch.setattr(harness, "_sweep_task", ran.append)
-    code = main(
-        ["sweep", "--dim", "2", "--samples", "2", "--seed", "1", "--jobs", "1", *budget]
-    )
+    monkeypatch.setenv("ETOFF_SEED", seed)
+    code = main(["sweep", "--dim", "2", "--samples", "2", "--jobs", "1", *budget])
     assert code == 2
     assert named in capsys.readouterr().err
     assert ran == []

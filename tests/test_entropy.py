@@ -7,25 +7,20 @@ from hypothesis import strategies as st
 
 from etoff.entropy import (
     EntropyOrder,
-    JointDistribution,
     _column_entropies,
     _column_gradients,
     alpha_log,
     binary_tsallis,
-    cond_renyi,
-    cond_shannon,
-    cond_tsallis_second,
     check_table,
-    renyi_entropy,
-    shannon_entropy,
-    table_conditional_entropy,
-    table_entropy_gradient,
-    tsallis_entropy,
+    conditional_entropy,
+    conditional_entropy_gradient,
+    entropy,
 )
 
 from conftest import random_joint
 
 ALPHA_GRID = (0.3, 0.5, 1.0, 1.5, 2.0, 5.0)
+renyi, tsallis, SHANNON = EntropyOrder.renyi, EntropyOrder.tsallis, EntropyOrder.shannon()
 
 
 # --- alpha_log ---------------------------------------------------------------
@@ -58,53 +53,53 @@ def test_alpha_log_rejects_nonpositive():
 
 
 def test_renyi_uniform_reaches_log_d():
-    assert renyi_entropy(np.full(4, 0.25), 2.0) == pytest.approx(math.log(4), abs=1e-12)
-    assert renyi_entropy(np.full(4, 0.25), 0.5) == pytest.approx(math.log(4), abs=1e-12)
+    assert entropy(np.full(4, 0.25), renyi(2.0)) == pytest.approx(math.log(4), abs=1e-12)
+    assert entropy(np.full(4, 0.25), renyi(0.5)) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_renyi_point_mass_is_zero():
-    assert renyi_entropy([1.0, 0.0, 0.0], 2.0) == 0.0
+    assert entropy([1.0, 0.0, 0.0], renyi(2.0)) == 0.0
 
 
 def test_renyi_half_half_order_two():
     # -ln sum p^2 = -ln(1/2)
-    assert renyi_entropy([0.5, 0.5], 2.0) == pytest.approx(math.log(2), abs=1e-12)
+    assert entropy([0.5, 0.5], renyi(2.0)) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_renyi_min_entropy():
-    assert renyi_entropy([0.8, 0.2], math.inf) == pytest.approx(-math.log(0.8), abs=1e-12)
+    assert entropy([0.8, 0.2], renyi(math.inf)) == pytest.approx(-math.log(0.8), abs=1e-12)
 
 
 def test_tsallis_uniform_order_two():
     for d in (2, 3, 5):
-        assert tsallis_entropy(np.full(d, 1.0 / d), 2.0) == pytest.approx(
+        assert entropy(np.full(d, 1.0 / d), tsallis(2.0)) == pytest.approx(
             1.0 - 1.0 / d, abs=1e-12
         )
 
 
 def test_tsallis_point_mass_and_half():
-    assert tsallis_entropy([0.0, 1.0], 2.0) == 0.0
-    assert tsallis_entropy([0.5, 0.5], 2.0) == pytest.approx(0.5, abs=1e-12)
+    assert entropy([0.0, 1.0], tsallis(2.0)) == 0.0
+    assert entropy([0.5, 0.5], tsallis(2.0)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_tsallis_uniform_attains_alpha_log_d():
     for d in (2, 4):
         for a in ALPHA_GRID:
-            assert tsallis_entropy(np.full(d, 1.0 / d), a) == pytest.approx(
+            assert entropy(np.full(d, 1.0 / d), tsallis(a)) == pytest.approx(
                 alpha_log(float(d), a), abs=1e-12
             )
 
 
 def test_all_zero_vector_rejected():
     with pytest.raises(ValueError):
-        renyi_entropy([0.0, 0.0], 2.0)
+        entropy([0.0, 0.0], renyi(2.0))
 
 
 def test_renyi_monotone_in_alpha(rng):
     for _ in range(500):
         p = rng.random(int(rng.integers(2, 7)))
         p /= p.sum()
-        vals = [renyi_entropy(p, a) for a in ALPHA_GRID]
+        vals = [entropy(p, renyi(a)) for a in ALPHA_GRID]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi + 1e-10
 
@@ -113,64 +108,64 @@ def test_renyi_monotone_in_alpha(rng):
 
 
 def product_joint(px, py):
-    return JointDistribution.from_table(np.outer(px, py))
+    return check_table(np.outer(px, py))
 
 
 def test_cond_forms_independence():
     px = np.array([0.2, 0.3, 0.5])
     py = np.array([0.6, 0.4])
     j = product_joint(px, py)
-    assert cond_shannon(j) == pytest.approx(shannon_entropy(px), abs=1e-12)
+    assert conditional_entropy(j, SHANNON) == pytest.approx(entropy(px, SHANNON), abs=1e-12)
     for a in (0.5, 2.0):
-        assert cond_tsallis_second(j, a) == pytest.approx(tsallis_entropy(px, a), abs=1e-12)
-        assert cond_renyi(j, a) == pytest.approx(renyi_entropy(px, a), abs=1e-12)
+        for order in (tsallis(a), renyi(a)):
+            assert conditional_entropy(j, order) == pytest.approx(entropy(px, order), abs=1e-12)
 
 
 def test_cond_forms_deterministic():
-    j = JointDistribution.from_table(np.diag([0.3, 0.3, 0.4]))
-    assert cond_shannon(j) == 0.0
+    j = check_table(np.diag([0.3, 0.3, 0.4]))
+    assert conditional_entropy(j, SHANNON) == 0.0
     for a in ALPHA_GRID:
-        assert cond_tsallis_second(j, a) == 0.0
-        assert cond_renyi(j, a) == 0.0
+        assert conditional_entropy(j, tsallis(a)) == 0.0
+        assert conditional_entropy(j, renyi(a)) == 0.0
 
 
 def test_cond_tsallis_two_by_two_hand_value():
     # columns each have weight 1/2 and conditionals (0.8, 0.2)
-    j = JointDistribution.from_table([[0.4, 0.1], [0.1, 0.4]])
+    j = check_table([[0.4, 0.1], [0.1, 0.4]])
     h2_col = (1.0 - (0.8 ** 2 + 0.2 ** 2)) / (2.0 - 1.0)
-    assert cond_tsallis_second(j, 2.0) == pytest.approx(
+    assert conditional_entropy(j, tsallis(2.0)) == pytest.approx(
         0.5 * h2_col + 0.5 * h2_col, abs=1e-12
     )
 
 
 def test_cond_renyi_min_entropy_column_maxima():
-    j = JointDistribution.from_table([[0.4, 0.1], [0.1, 0.4]])
+    j = check_table([[0.4, 0.1], [0.1, 0.4]])
     # max conditional is 0.8 in each column
-    assert cond_renyi(j, math.inf) == pytest.approx(-math.log(0.8), abs=1e-12)
+    assert conditional_entropy(j, renyi(math.inf)) == pytest.approx(-math.log(0.8), abs=1e-12)
     assert -math.log(0.8) == pytest.approx(0.2231, abs=1e-4)
 
 
 def test_cond_shannon_matches_order_one_limits(rng):
     for _ in range(50):
         j = random_joint(rng, 3, 4)
-        h1 = cond_shannon(j)
+        h1 = conditional_entropy(j, SHANNON)
         for a in (1.0 - 1e-8, 1.0 + 1e-8):
-            assert abs(h1 - cond_renyi(j, a)) < 1e-5
-            assert abs(h1 - cond_tsallis_second(j, a)) < 1e-5
+            assert abs(h1 - conditional_entropy(j, renyi(a))) < 1e-5
+            assert abs(h1 - conditional_entropy(j, tsallis(a))) < 1e-5
 
 
 def test_cond_renyi_monotone_in_alpha(rng):
     for _ in range(100):
         j = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        vals = [cond_renyi(j, a) for a in ALPHA_GRID]
+        vals = [conditional_entropy(j, renyi(a)) for a in ALPHA_GRID]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi + 1e-10
 
 
 def test_zero_probability_columns_skipped():
-    j = JointDistribution.from_table([[0.5, 0.0], [0.5, 0.0]])
-    assert cond_shannon(j) == pytest.approx(math.log(2), abs=1e-12)
-    assert cond_tsallis_second(j, 2.0) == pytest.approx(0.5, abs=1e-12)
+    j = check_table([[0.5, 0.0], [0.5, 0.0]])
+    assert conditional_entropy(j, SHANNON) == pytest.approx(math.log(2), abs=1e-12)
+    assert conditional_entropy(j, tsallis(2.0)) == pytest.approx(0.5, abs=1e-12)
 
 
 # --- conditioning on more -------------------------------------------------------------
@@ -179,12 +174,8 @@ def test_zero_probability_columns_skipped():
 def _triple(rng, nx, ny, nz):
     t = rng.random((nx, ny, nz))
     t /= t.sum()
-    flat = JointDistribution.from_table(
-        t.reshape(nx, ny * nz),
-        row_labels=tuple(range(nx)),
-        col_labels=tuple((y, z) for y in range(ny) for z in range(nz)),
-    )
-    marg = JointDistribution.from_table(t.sum(axis=2))
+    flat = check_table(t.reshape(nx, ny * nz))
+    marg = check_table(t.sum(axis=2))
     return flat, marg
 
 
@@ -192,14 +183,16 @@ def test_conditioning_on_more_tsallis_second(rng):
     for _ in range(100):
         flat, marg = _triple(rng, int(rng.integers(2, 4)), 3, 3)
         for a in ALPHA_GRID:
-            assert cond_tsallis_second(flat, a) <= cond_tsallis_second(marg, a) + 1e-10
+            order = tsallis(a)
+            assert conditional_entropy(flat, order) <= conditional_entropy(marg, order) + 1e-10
 
 
 def test_conditioning_on_more_renyi_low_order(rng):
     for _ in range(100):
         flat, marg = _triple(rng, int(rng.integers(2, 4)), 3, 3)
         for a in (0.3, 0.5, 1.0):
-            assert cond_renyi(flat, a) <= cond_renyi(marg, a) + 1e-10
+            order = renyi(a)
+            assert conditional_entropy(flat, order) <= conditional_entropy(marg, order) + 1e-10
 
 
 def test_conditioning_on_more_renyi_binary_extended_order(rng):
@@ -207,27 +200,26 @@ def test_conditioning_on_more_renyi_binary_extended_order(rng):
     for _ in range(100):
         flat, marg = _triple(rng, 2, 3, 3)
         for a in (1.5, 2.0):
-            assert cond_renyi(flat, a) <= cond_renyi(marg, a) + 1e-10
+            order = renyi(a)
+            assert conditional_entropy(flat, order) <= conditional_entropy(marg, order) + 1e-10
 
 
 # --- coarse graining of the conditioning variable ---------------------------------------
 
 
 def _merge_first_two_cols(j):
-    t = j.table
-    merged = np.column_stack([t[:, 0] + t[:, 1], t[:, 2:]])
-    return JointDistribution.from_table(merged)
+    return check_table(np.column_stack([j[:, 0] + j[:, 1], j[:, 2:]]))
 
 
 def test_coarse_graining_cannot_reduce_entropies(rng):
     for _ in range(100):
         j = random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(3, 5)))
         g = _merge_first_two_cols(j)
-        assert cond_shannon(g) >= cond_shannon(j) - 1e-10
+        assert conditional_entropy(g, SHANNON) >= conditional_entropy(j, SHANNON) - 1e-10
         for a in ALPHA_GRID:
-            assert cond_tsallis_second(g, a) >= cond_tsallis_second(j, a) - 1e-10
+            assert conditional_entropy(g, tsallis(a)) >= conditional_entropy(j, tsallis(a)) - 1e-10
         for a in (0.3, 0.5, 1.0):
-            assert cond_renyi(g, a) >= cond_renyi(j, a) - 1e-10
+            assert conditional_entropy(g, renyi(a)) >= conditional_entropy(j, renyi(a)) - 1e-10
 
 
 # --- binary entropy -----------------------------------------------------------------------
@@ -247,8 +239,8 @@ def test_binary_tsallis_symmetric(q, a):
     # Swap the entries of one exactly representable pair: comparing q with
     # 1 - (1 - q) would compare two different inputs, and near q = 0 the
     # slope q**(a-1) magnifies their roundoff gap beyond any fixed tolerance.
-    assert tsallis_entropy([q, 1.0 - q], a) == pytest.approx(
-        tsallis_entropy([1.0 - q, q], a), abs=1e-12
+    assert entropy([q, 1.0 - q], tsallis(a)) == pytest.approx(
+        entropy([1.0 - q, q], tsallis(a)), abs=1e-12
     )
 
 
@@ -266,22 +258,22 @@ def test_entropies_nonnegative(values):
     p = np.asarray(values)
     p = p / p.sum()
     for a in (0.5, 1.0, 2.0):
-        assert renyi_entropy(p, a) >= 0.0
-        assert tsallis_entropy(p, a) >= 0.0
+        assert entropy(p, renyi(a)) >= 0.0
+        assert entropy(p, tsallis(a)) >= 0.0
 
 
 def test_clipping_small_negatives():
     p = np.array([0.5, 0.5, -1e-13])
-    assert renyi_entropy(p, 2.0) == pytest.approx(math.log(2), abs=1e-9)
+    assert entropy(p, renyi(2.0)) == pytest.approx(math.log(2), abs=1e-9)
     with pytest.raises(ValueError):
-        renyi_entropy(np.array([0.6, 0.5, -0.1]), 2.0)
+        entropy(np.array([0.6, 0.5, -0.1]), renyi(2.0))
 
 
 def test_joint_rejects_bad_tables():
     with pytest.raises(ValueError):
-        JointDistribution.from_table([[0.5, 0.6], [0.2, 0.2]])
+        check_table([[0.5, 0.6], [0.2, 0.2]])
     with pytest.raises(ValueError):
-        JointDistribution.from_table([[0.9, -0.2], [0.2, 0.1]])
+        check_table([[0.9, -0.2], [0.2, 0.1]])
 
 
 def test_entropy_order_validation():
@@ -312,13 +304,13 @@ def test_entropy_gradient_matches_finite_differences(order):
     t[0, 1] = t[2, 0] = 0.0  # zero-probability entries in occupied columns
     t[:, 3] = 0.0  # and a zero-probability column
     t /= t.sum()
-    value, grad = table_entropy_gradient(t, order)
-    assert value == table_conditional_entropy(t, order)
+    value, grad = conditional_entropy_gradient(t, order)
+    assert value == conditional_entropy(t, order)
     h = 1e-6
     for x, y in zip(*np.nonzero(t)):
         e = np.zeros_like(t)
         e[x, y] = h
-        fd = (table_conditional_entropy(t + e, order) - table_conditional_entropy(t - e, order)) / (2 * h)
+        fd = (conditional_entropy(t + e, order) - conditional_entropy(t - e, order)) / (2 * h)
         assert grad[x, y] == pytest.approx(fd, abs=1e-7)
     assert np.all(grad[:, 3] == 0.0)
     if order.alpha > 1.5:
@@ -326,7 +318,7 @@ def test_entropy_gradient_matches_finite_differences(order):
         for x, y in ((0, 1), (2, 0)):
             e = np.zeros_like(t)
             e[x, y] = h
-            fd = (table_conditional_entropy(t + e, order) - value) / h
+            fd = (conditional_entropy(t + e, order) - value) / h
             assert grad[x, y] == pytest.approx(fd, abs=1e-5)
 
 
@@ -336,9 +328,9 @@ def test_entropy_and_gradient_of_a_stack_match_each_table():
     stack[0, 1, :, 1] = 0.0
     stack = check_table(stack / stack.sum(axis=(-2, -1), keepdims=True))
     order = EntropyOrder.renyi(0.5)
-    values, grads = table_entropy_gradient(stack, order)
+    values, grads = conditional_entropy_gradient(stack, order)
     for i in np.ndindex(stack.shape[:2]):
-        value, grad = table_entropy_gradient(stack[i], order)
+        value, grad = conditional_entropy_gradient(stack[i], order)
         assert values[i] == pytest.approx(value, abs=1e-15)
         assert np.allclose(grads[i], grad, atol=1e-15, rtol=0)
 
@@ -428,11 +420,11 @@ def test_table_entropy_with_an_order_per_table_matches_one_call_per_order():
     stack = check_table(stack / stack.sum(axis=(-2, -1), keepdims=True))
     finite = [i for i, o in enumerate(orders) if o.alpha < math.inf]
     with np.errstate(all="raise"):
-        values = table_conditional_entropy(stack, orders)
-        f_values, f_grads = table_entropy_gradient(stack[finite], [orders[i] for i in finite])
+        values = conditional_entropy(stack, orders)
+        f_values, f_grads = conditional_entropy_gradient(stack[finite], [orders[i] for i in finite])
         for i, order in enumerate(orders):
-            assert abs(values[i] - table_conditional_entropy(stack[i], order)) <= 1e-12
+            assert abs(values[i] - conditional_entropy(stack[i], order)) <= 1e-12
         for row, i in enumerate(finite):
-            value, grad = table_entropy_gradient(stack[i], orders[i])
+            value, grad = conditional_entropy_gradient(stack[i], orders[i])
             assert abs(f_values[row] - value) <= 1e-12
             assert np.max(np.abs(f_grads[row] - grad)) <= 1e-12
