@@ -3,8 +3,8 @@
 from .bounds import (
     AdmissibilityError,
     BoundValue,
-    ConstraintViolation,
     TradeoffCertificate,
+    admissible_grid,
     bbar_bound,
     certify,
     certify_grid,
@@ -31,7 +31,6 @@ from .linalg import (
 from .noise_disturbance import (
     ConsistencyReport,
     CorrectionSearchResult,
-    OrderOutOfRange,
     SearchConfig,
     discard_flag_correction,
     disturbance,

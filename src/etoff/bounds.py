@@ -11,12 +11,16 @@ sums the entropies of two parametric distributions, each a value
 repeated n times plus a remainder; they go through the column kernel of
 ``entropy`` as 2-row columns with multiplicities, so no entropy formula
 is written out here, and a whole grid of orders is minimised at once.
-Certificates combine a noise value, a (one-sided) disturbance value and
-the applicable bound into a margin.
+A certificate keeps a noise value, a (one-sided) disturbance value and
+the applicable bound, and derives its margin and verdict from them.
+``admissible_grid`` checks a (relation, alpha, beta) grid against the
+relations' admissible regions once; ``certify_grid`` only evaluates an
+admissible grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,14 +28,7 @@ import numpy as np
 
 from .entropy import EntropyOrder, _column_entropies, alpha_log
 from .linalg import pair_overlaps
-from .noise_disturbance import (
-    CorrectionSearchResult,
-    OrderOutOfRange,
-    SearchConfig,
-    check_order,
-    disturbance,
-    noise,
-)
+from .noise_disturbance import AdmissibilityError, SearchConfig, check_order, disturbance, noise
 from .quantum import ProjectiveObservable, QuantumInstrument
 
 MARGIN_SLACK = 1e-7
@@ -40,23 +37,12 @@ RELATIONS = ("Prop1", "Prop2", "Prop3", "Binary")
 _CONSTRAINT_TOL = 1e-9
 
 
-class AdmissibilityError(ValueError):
-    """Relation requested outside its admissible (alpha, beta, d) region."""
-
-
-class ConstraintViolation(ValueError):
-    """The conjugacy constraint 1/alpha + 1/beta = 2 is not satisfied."""
-
-
 @dataclass(frozen=True)
 class BoundValue:
-    """One evaluated lower bound with its parameters."""
+    """One evaluated lower bound, with the conjugacy order or the minimising theta."""
 
     bound_id: str
     value: float
-    alpha: float
-    beta: float
-    c: float
     mu: float | None = None
     argmin_theta: float | None = None
 
@@ -69,35 +55,46 @@ class BoundValue:
 class TradeoffCertificate:
     """Record of one noise + disturbance >= bound check.
 
-    The disturbance entry is the best value found by the correction
-    search, hence an upper bound on the true disturbance.  A margin below
-    zero therefore refutes the relation for this instance, but a
-    nonnegative margin does not certify it: that needs a lower bound on
-    the disturbance (ROADMAP direction A).  ``passed`` records only
-    noise + upper disturbance >= bound.  ``best_candidate`` names the
-    correction that gave the disturbance value: ``discard_flag``,
-    ``reprepare`` or ``parametrized_restart_<r>``.  ``iterations`` counts
-    the evaluations of the search's best restart, so it is at most the
-    per-restart budget, and 0 when no search ran.
+    ``margin`` (noise + disturbance - bound) and ``passed`` (margin at
+    least -MARGIN_SLACK) are derived from the stored values, and
+    ``family`` from the relation.  The disturbance entry is the best
+    value found by the correction search, hence an upper bound on the
+    true disturbance.  A margin below zero therefore refutes the relation
+    for this instance, but a nonnegative margin does not certify it: that
+    needs a lower bound on the disturbance (ROADMAP direction A).
+    ``passed`` records only noise + upper disturbance >= bound, and the
+    JSON marks the disturbance as an upper bound.  ``best_candidate``
+    names the correction that gave the disturbance value:
+    ``discard_flag``, ``reprepare`` or ``parametrized_restart_<r>``.
+    ``iterations`` counts the evaluations of the search's best restart,
+    so it is at most the per-restart budget, and 0 when no search ran.
     """
 
     relation: str
     dim: int
     alpha: float
     beta: float
-    family: str
     c: float
     noise: float
     disturbance: float
     bound: BoundValue
-    margin: float
-    passed: bool
-    disturbance_is_upper_bound: bool = True
     seed: int | None = None
     restarts: int = 0
     iterations: int = 0
     converged: bool = True
     best_candidate: str = ""
+
+    @property
+    def family(self) -> str:
+        return relation_family(self.relation)
+
+    @property
+    def margin(self) -> float:
+        return self.noise + self.disturbance - self.bound.value
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= -MARGIN_SLACK
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,7 +106,7 @@ class TradeoffCertificate:
             "c": self.c,
             "noise": self.noise,
             "disturbance": self.disturbance,
-            "disturbance_is_upper_bound": self.disturbance_is_upper_bound,
+            "disturbance_is_upper_bound": True,
             "bound": {
                 "id": self.bound.bound_id,
                 "value": self.bound.value,
@@ -280,10 +277,8 @@ def bbar_bound(c: float, alphas, betas, family: str) -> dict:
 
     bound_id = "B_R" if family == "renyi" else "B_T"
     return {
-        (a, b): BoundValue(
-            bound_id, max(0.0, float(best_f[i, j])), a, b, c,
-            argmin_theta=float(best_x[i, j]),
-        )
+        (a, b): BoundValue(bound_id, max(0.0, float(best_f[i, j])),
+                           argmin_theta=float(best_x[i, j]))
         for i, a in enumerate(alphas)
         for j, b in enumerate(betas)
     }
@@ -303,15 +298,13 @@ def mu_bounds(c: float, alpha: float, beta: float) -> tuple[BoundValue, BoundVal
     """
     if not 0.0 < c <= 1.0:
         raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("orders must be positive")
     if not conjugate_orders(alpha, beta):
-        raise ConstraintViolation(
-            f"1/alpha + 1/beta = {1.0 / alpha + 1.0 / beta!r}, expected 2"
+        raise AdmissibilityError(
+            f"the MU bounds need positive orders with 1/alpha + 1/beta = 2, got ({alpha}, {beta})"
         )
     mu = max(alpha, beta)
-    mu_t = BoundValue("MU_T", max(0.0, alpha_log(c ** -2, mu)), alpha, beta, c, mu=mu)
-    mu_r = BoundValue("MU_R", max(0.0, -2.0 * math.log(c)), alpha, beta, c, mu=mu)
+    mu_t = BoundValue("MU_T", max(0.0, alpha_log(c ** -2, mu)), mu=mu)
+    mu_r = BoundValue("MU_R", max(0.0, -2.0 * math.log(c)), mu=mu)
     return mu_t, mu_r
 
 
@@ -327,7 +320,7 @@ def relation_family(relation: str) -> str:
 
 
 def check_admissible(relation: str, alpha: float, beta: float, dim: int) -> None:
-    """Raise AdmissibilityError naming the violated constraint, if any.
+    """Raise AdmissibilityError naming the relation and its violated constraint, if any.
 
     The Renyi relations admit exactly the orders ``check_order`` admits.
     """
@@ -344,8 +337,26 @@ def check_admissible(relation: str, alpha: float, beta: float, dim: int) -> None
         try:
             for order in (alpha, beta):
                 check_order(EntropyOrder.renyi(order), dim)
-        except OrderOutOfRange as exc:
+        except AdmissibilityError as exc:
             raise AdmissibilityError(f"{relation}: {exc}") from exc
+
+
+def admissible_grid(relations, alphas, betas, dim: int):
+    """The admissible (relation, alpha, beta) combinations at dimension ``dim``.
+
+    Returns (grid, skipped): the combinations that pass
+    ``check_admissible``, ordered by relation, alpha, then beta, and the
+    count of the others.
+    """
+    grid, skipped = [], 0
+    for relation, alpha, beta in itertools.product(relations, alphas, betas):
+        try:
+            check_admissible(relation, alpha, beta, dim)
+        except AdmissibilityError:
+            skipped += 1
+        else:
+            grid.append((relation, alpha, beta))
+    return grid, skipped
 
 
 def _bounds_for(relation: str, c: float, pairs) -> dict:
@@ -361,40 +372,7 @@ def _bounds_for(relation: str, c: float, pairs) -> dict:
     if relation == "Prop3":
         return {(a, b): mu_bounds(c, a, b)[0] for a, b in pairs}
     value = max(0.0, -2.0 * math.log(c))
-    return {(a, b): BoundValue("STND_R1", value, a, b, c, mu=max(a, b)) for a, b in pairs}
-
-
-def _assemble(
-    relation: str,
-    dim: int,
-    alpha: float,
-    beta: float,
-    family: str,
-    c: float,
-    noise_value: float,
-    dist: CorrectionSearchResult,
-    bound: BoundValue,
-    seed: int | None,
-) -> TradeoffCertificate:
-    margin = noise_value + dist.best_value - bound.value
-    return TradeoffCertificate(
-        relation=relation,
-        dim=dim,
-        alpha=alpha,
-        beta=beta,
-        family=family,
-        c=c,
-        noise=noise_value,
-        disturbance=dist.best_value,
-        bound=bound,
-        margin=margin,
-        passed=margin >= -MARGIN_SLACK,
-        seed=seed,
-        restarts=dist.restarts,
-        iterations=dist.iterations,
-        converged=dist.converged,
-        best_candidate=dist.best_candidate,
-    )
+    return {(a, b): BoundValue("STND_R1", value, mu=max(a, b)) for a, b in pairs}
 
 
 def certify(
@@ -410,56 +388,46 @@ def certify(
     """Certify one trade-off relation on a concrete (X, Z, M) instance.
 
     Computes the noise of the instrument against X, the best-found
-    disturbance against Z, and the bound selected by the relation, then
-    records the margin: ``certify_grid`` on the one combination.  Raises
-    AdmissibilityError when (relation, alpha, beta, d) fall outside the
-    admitted region.
+    disturbance against Z, and the bound selected by the relation:
+    ``certify_grid`` on the one combination.  Raises AdmissibilityError
+    when (relation, alpha, beta, d) fall outside the admitted region.
     """
     if x_obs.dim != z_obs.dim or x_obs.dim != inst.dim_in:
         raise ValueError("observables and instrument must share the input dimension")
     check_admissible(relation, alpha, beta, x_obs.dim)
-    return certify_grid(x_obs, z_obs, inst, [relation], [alpha], [beta], search, seed)[0][0]
+    return certify_grid(x_obs, z_obs, inst, [(relation, alpha, beta)], search, seed)[0]
 
 
 def certify_grid(
     x_obs: ProjectiveObservable,
     z_obs: ProjectiveObservable,
     inst: QuantumInstrument,
-    relations,
-    alphas,
-    betas,
+    grid,
     search: SearchConfig | None = None,
     seed: int | None = None,
-):
-    """Certify every admissible (relation, alpha, beta) combination.
+) -> list[TradeoffCertificate]:
+    """Certify every (relation, alpha, beta) of an admissible grid, in its order.
 
-    One ``noise`` call evaluates every certificate's noise order and one
-    ``disturbance`` call searches all of its disturbance orders at once
-    (orders computing the same entropy share one search); each relation's
-    bounds come from one call over its admissible orders.  Returns
-    (certificates, skipped) where skipped counts inadmissible grid
-    combinations.
+    ``grid`` is checked already (``admissible_grid``, or
+    ``check_admissible`` per combination); nothing is checked again
+    here.  One ``noise`` call evaluates every certificate's noise order
+    and one ``disturbance`` call searches all of its disturbance orders
+    at once (orders computing the same entropy share one search); each
+    relation's bounds come from one call over its orders.
     """
-    dim = x_obs.dim
     c = overlap(x_obs, z_obs)
-    grid, bounds, skipped = [], {}, 0
-    for relation in relations:
-        pairs = []
-        for alpha in alphas:
-            for beta in betas:
-                try:
-                    check_admissible(relation, alpha, beta, dim)
-                except AdmissibilityError:
-                    skipped += 1
-                    continue
-                pairs.append((alpha, beta))
-        if pairs:
-            bounds[relation] = _bounds_for(relation, c, pairs)
-            grid += [(relation, relation_family(relation), a, b) for a, b in pairs]
-    noises = noise(x_obs, inst, [EntropyOrder(a, family) for _, family, a, _ in grid])
-    dists = disturbance(z_obs, inst, [EntropyOrder(b, family) for _, family, _, b in grid], search)
-    certs = [
-        _assemble(relation, dim, a, b, family, c, n, dist, bounds[relation][a, b], seed)
-        for (relation, family, a, b), n, dist in zip(grid, noises, dists)
+    bounds = {
+        relation: _bounds_for(relation, c, [(a, b) for r, a, b in grid if r == relation])
+        for relation in dict.fromkeys(r for r, _, _ in grid)
+    }
+    noises = noise(x_obs, inst, [EntropyOrder(a, relation_family(r)) for r, a, _ in grid])
+    dists = disturbance(
+        z_obs, inst, [EntropyOrder(b, relation_family(r)) for r, _, b in grid], search
+    )
+    return [
+        TradeoffCertificate(
+            relation, x_obs.dim, a, b, c, n, dist.best_value, bounds[relation][a, b], seed,
+            dist.restarts, dist.iterations, dist.converged, dist.best_candidate,
+        )
+        for (relation, a, b), n, dist in zip(grid, noises, dists)
     ]
-    return certs, skipped

@@ -15,31 +15,22 @@ import os
 import sys
 
 from . import harness
-from .bounds import RELATIONS, AdmissibilityError, ConstraintViolation, certify
+from .bounds import RELATIONS, certify
 from .harness import SEED_ENV_VAR, RunConfig
-from .noise_disturbance import (
-    OrderOutOfRange,
-    SearchConfig,
-    reprepare_correction,
-    ricochet_oracle,
-)
-
-
-class UsageError(ValueError):
-    pass
+from .noise_disturbance import SearchConfig, reprepare_correction, ricochet_oracle
 
 
 def _resolve_seed(value) -> int:
     if value is None:
         env = os.environ.get(SEED_ENV_VAR)
         if env is None:
-            raise UsageError(f"a seed is required: pass --seed or set {SEED_ENV_VAR}")
+            raise ValueError(f"a seed is required: pass --seed or set {SEED_ENV_VAR}")
         try:
             value = int(env)
         except ValueError as exc:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
     if value < 0:
-        raise UsageError(f"the seed (--seed or {SEED_ENV_VAR}) must not be negative, got {value}")
+        raise ValueError(f"the seed (--seed or {SEED_ENV_VAR}) must not be negative, got {value}")
     return value
 
 
@@ -63,7 +54,7 @@ def cmd_certify(args) -> int:
             search, seed=seed,
         )
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        # AdmissibilityError / OrderOutOfRange / validation are ValueError subclasses
+        # AdmissibilityError and the input validation errors are ValueError subclasses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
@@ -208,14 +199,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AdmissibilityError, ConstraintViolation, OrderOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ def check_table(table) -> np.ndarray:
     total = t.sum(axis=(-2, -1), keepdims=True)
     bad = (total <= 0.0) | (np.abs(total - 1.0) > SUM_TOL)
     if np.any(bad):
-        raise ValueError(f"joint table sums to {total[bad][0]!r}, expected 1")
+        raise ValueError(f"joint table sums to {float(total[bad][0])!r}, expected 1")
     return t / total
 
 

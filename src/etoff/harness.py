@@ -104,7 +104,11 @@ def instance_to_json(x_obs, z_obs, inst) -> dict:
 
 def instance_from_json(data: dict):
     x, z, m = (json_entry(data, key, dict, "instance file") for key in ("X", "Z", "M"))
-    return observable_from_json(x), observable_from_json(z), instrument_from_json(m)
+    x_obs, z_obs, inst = observable_from_json(x), observable_from_json(z), instrument_from_json(m)
+    if not x_obs.dim == z_obs.dim == inst.dim_in:
+        raise ValueError(f"instance dimensions differ: X has dim {x_obs.dim}, Z has dim "
+                         f"{z_obs.dim}, M has dim_in {inst.dim_in}")
+    return x_obs, z_obs, inst
 
 
 def load_instance(path: str):
@@ -148,8 +152,8 @@ def sample_instance(dim: int, seed) -> tuple:
 # --- sweep ------------------------------------------------------------------------
 
 
-def _sweep_task(args) -> tuple[list[TradeoffCertificate], int]:
-    cfg, index = args  # a RunConfig validated once, in run_sweep's process
+def _sweep_task(args) -> list[TradeoffCertificate]:
+    cfg, index, grid = args  # the RunConfig and its grid, both checked once in run_sweep
     sample_seed = np.random.SeedSequence([cfg.seed, index])
     x_obs, z_obs, inst = sample_instance(cfg.dim, sample_seed)
     search = SearchConfig(
@@ -157,33 +161,33 @@ def _sweep_task(args) -> tuple[list[TradeoffCertificate], int]:
         iterations=cfg.iterations,
         seed=int(np.random.SeedSequence([cfg.seed, index, 1]).generate_state(1)[0]),
     )
-    return certify_grid(
-        x_obs, z_obs, inst, cfg.relations, cfg.alphas, cfg.betas, search, seed=cfg.seed
-    )
+    return certify_grid(x_obs, z_obs, inst, grid, search, seed=cfg.seed)
 
 
 def run_sweep(cfg: RunConfig):
     """Run the sweep; returns (certificates, summary dict).
 
     Certificates come back ordered by (sample index, relation, alpha,
-    beta) regardless of worker count.
+    beta) regardless of worker count.  The admissible grid is the same
+    for every sample, so it is checked once, here.
     """
     if cfg.seed is None:
         raise ValueError("a randomized sweep needs a seed")
-    tasks = [(cfg, i) for i in range(cfg.samples)]
+    grid, skipped = bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
+    tasks = [(cfg, i, grid) for i in range(cfg.samples)]
     jobs = cfg.jobs or os.cpu_count() or 1
     if jobs > 1 and cfg.samples > 1:
         with Pool(processes=min(jobs, cfg.samples)) as pool:
             results = pool.map(_sweep_task, tasks)
     else:
         results = [_sweep_task(t) for t in tasks]
-    certs = [cert for sample_certs, _ in results for cert in sample_certs]
+    certs = [cert for sample_certs in results for cert in sample_certs]
     summary = {
         "samples": cfg.samples,
         "dim": cfg.dim,
         "certificates": len(certs),
         "failures": sum(1 for c in certs if not c.passed),
-        "inadmissible_skipped": sum(skipped for _, skipped in results),
+        "inadmissible_skipped": skipped * cfg.samples,
         "min_margin": min((c.margin for c in certs), default=float("nan")),
         "seed": cfg.seed,
     }

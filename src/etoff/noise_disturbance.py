@@ -44,8 +44,8 @@ from .quantum import ProjectiveObservable, QuantumInstrument, flag_apply
 _RANGE_TOL = 1e-12
 
 
-class OrderOutOfRange(ValueError):
-    """Entropic order outside the admitted interval for this dimension."""
+class AdmissibilityError(ValueError):
+    """An order, or a relation at its orders, outside its admitted (alpha, beta, d) region."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def check_order(order: EntropyOrder, dim: int) -> None:
         return
     limit = 2.0 if dim == 2 else 1.0
     if math.isinf(order.alpha) or order.alpha > limit + _RANGE_TOL:
-        raise OrderOutOfRange(
+        raise AdmissibilityError(
             f"Renyi order {order.alpha} not admitted at dimension {dim} "
             f"(allowed interval (0, {limit:g}])"
         )

@@ -325,12 +325,13 @@ def instrument_to_json(inst: QuantumInstrument) -> dict:
 
 def instrument_from_json(data: dict) -> QuantumInstrument:
     branches = json_entry(data, "branches", list, "instrument")
-    sets = [json_entry(b, "kraus", list, f"instrument branch {i}") for i, b in enumerate(branches)]
+    where = [f"instrument branch {i}" for i in range(len(branches))]
+    sets = [json_entry(b, "kraus", list, w) for b, w in zip(branches, where)]
     outcome = np.repeat(np.arange(len(branches)), [len(k) for k in sets])
     return QuantumInstrument(
         json_entry(data, "dim_in", int, "instrument"),
         json_entry(data, "dim_out", int, "instrument"),
-        tuple(str(b["label"]) for b in branches),
+        tuple(json_entry(b, "label", str, w) for b, w in zip(branches, where)),
         np.array([matrix_from_json(k) for ks in sets for k in ks]),
         outcome,
     )

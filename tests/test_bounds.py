@@ -5,9 +5,9 @@ import pytest
 
 from etoff.bounds import (
     AdmissibilityError,
-    ConstraintViolation,
     _breakpoints,
     _parametric_column,
+    admissible_grid,
     bbar_bound,
     certify,
     certify_grid,
@@ -17,7 +17,7 @@ from etoff.bounds import (
 )
 from etoff.entropy import EntropyOrder
 from etoff.harness import sample_instance
-from etoff.noise_disturbance import OrderOutOfRange, SearchConfig, check_order
+from etoff.noise_disturbance import SearchConfig, check_order
 from etoff.quantum import (
     basis_observable,
     observable_from_basis,
@@ -261,7 +261,7 @@ def test_mu_bounds_order_two():
 
 
 def test_mu_bounds_constraint_enforced():
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(AdmissibilityError):
         mu_bounds(0.5, 2.0, 2.0)
 
 
@@ -314,7 +314,7 @@ def test_renyi_relations_admit_exactly_the_orders_check_order_admits(dim, offset
     try:
         check_order(EntropyOrder.renyi(alpha), dim)
         admitted = True
-    except OrderOutOfRange:
+    except AdmissibilityError:
         admitted = False
     assert admitted == (offset < 1e-12)
     cases = [("Prop2", alpha, 0.5), ("Prop2", 0.5, alpha)]
@@ -366,11 +366,8 @@ def test_certify_binary_relation(anchor):
 
 def test_certify_grid_skips_inadmissible():
     x_obs, z_obs, inst = sample_instance(3, 55)
-    certs, skipped = certify_grid(
-        x_obs, z_obs, inst,
-        ("Prop1", "Prop2"), (0.5, 1.0, 2.0), (0.5, 1.0),
-        SearchConfig(restarts=0), seed=55,
-    )
+    grid, skipped = admissible_grid(("Prop1", "Prop2"), (0.5, 1.0, 2.0), (0.5, 1.0), 3)
+    certs = certify_grid(x_obs, z_obs, inst, grid, SearchConfig(restarts=0), seed=55)
     # Prop1 takes all six combinations; Prop2 at d=3 drops alpha = 2
     assert len(certs) == 6 + 4
     assert skipped == 2

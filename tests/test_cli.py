@@ -18,6 +18,7 @@ from etoff.harness import (
     run_sweep,
     saturation_instance,
 )
+from etoff.quantum import basis_observable, observable_to_json
 
 
 @pytest.fixture
@@ -92,6 +93,14 @@ MALFORMED_INPUTS = [
     pytest.param("instance", lambda d: d["M"].update(dim_in=None), "'dim_in'", id="null-dim_in"),
     pytest.param("instance", lambda d: d["M"]["branches"][0].update(kraus=5), "'kraus'",
                  id="kraus-5"),
+    pytest.param("instance", lambda d: d["M"]["branches"][0].pop("label"),
+                 "instrument branch 0", id="missing-label"),
+    pytest.param("instance", lambda d: d["M"]["branches"][0].update(label=None),
+                 "instrument branch 0", id="null-label"),
+    # X and Z at d = 3 with the anchor's qubit instrument
+    pytest.param("instance", lambda d: d.update(X=observable_to_json(basis_observable(3)),
+                                                Z=observable_to_json(basis_observable(3))),
+                 "dimensions differ", id="dim-mismatch"),
     pytest.param("config", [{"dim": 2}], "not an object", id="config-list"),
     pytest.param("config", {"dim": 2, "bogus": 1}, "'bogus'", id="config-unknown-key"),
     pytest.param("config", {"dim": "2"}, "dim must be an integer", id="config-string-dim"),
@@ -212,19 +221,24 @@ def test_sweep_reports_the_evaluations_of_one_restart(tmp_path):
 
 
 def test_sweep_tasks_carry_the_validated_config(monkeypatch):
-    # each task is (cfg, index) with the RunConfig itself; no task re-validates it
-    cfg = RunConfig(dim=2, samples=3, relations=("Prop3",), alphas=(1.0,), betas=(1.0,),
+    # each task is (cfg, index, grid) with the RunConfig itself and one admissible grid,
+    # checked once per sweep; no task re-validates either
+    cfg = RunConfig(dim=2, samples=3, relations=("Prop3",), alphas=(1.0, 2.0), betas=(1.0,),
                     seed=5, restarts=0, jobs=1)
-    tasks, validations = [], []
+    tasks, validations, grids = [], [], []
     task = harness._sweep_task
     post_init = RunConfig.__post_init__
+    admissible_grid = harness.bounds.admissible_grid
     monkeypatch.setattr(harness, "_sweep_task", lambda args: tasks.append(args) or task(args))
     monkeypatch.setattr(RunConfig, "__post_init__",
                         lambda self: validations.append(self) or post_init(self))
-    certs, _ = run_sweep(cfg)
-    assert [index for _, index in tasks] == [0, 1, 2]
-    assert all(task_cfg is cfg for task_cfg, _ in tasks)
-    assert validations == [] and len(certs) == 3
+    monkeypatch.setattr(harness.bounds, "admissible_grid",
+                        lambda *args: grids.append(args) or admissible_grid(*args))
+    certs, summary = run_sweep(cfg)
+    assert [index for _, index, _ in tasks] == [0, 1, 2]
+    assert all(task_cfg is cfg and grid == [("Prop3", 1.0, 1.0)] for task_cfg, _, grid in tasks)
+    assert validations == [] and len(grids) == 1 and len(certs) == 3
+    assert summary["inadmissible_skipped"] == 3  # Prop3 at (2, 1) is not conjugate
 
 
 def test_sweep_deterministic_across_runs_and_jobs(tmp_path):

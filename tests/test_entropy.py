@@ -272,6 +272,8 @@ def test_clipping_small_negatives():
 def test_joint_rejects_bad_tables():
     with pytest.raises(ValueError):
         check_table([[0.5, 0.6], [0.2, 0.2]])
+    with pytest.raises(ValueError, match=r"^joint table sums to 5\.0, expected 1$"):
+        entropy(5, EntropyOrder.shannon())
     with pytest.raises(ValueError):
         check_table([[0.9, -0.2], [0.2, 0.1]])
 

@@ -14,7 +14,7 @@ from etoff.entropy import (
 from etoff.harness import sample_instance
 from etoff.noise_disturbance import (
     GRAD_TOL,
-    OrderOutOfRange,
+    AdmissibilityError,
     SearchConfig,
     _riemannian_gradient,
     discard_flag_correction,
@@ -75,11 +75,11 @@ def test_noise_degenerate_observable_weights():
 def test_noise_renyi_order_restrictions(anchor):
     x_obs, _, inst = anchor
     noise(x_obs, inst, [EntropyOrder.renyi(2.0)])  # d = 2 admits up to 2
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(AdmissibilityError):
         noise(x_obs, inst, [EntropyOrder.renyi(2.5)])
     obs3 = sample_random_observable(3, None, seed=1)
     inst3 = trivial_instrument(3)
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(AdmissibilityError):
         noise(obs3, inst3, [EntropyOrder.renyi(1.5)])
     noise(obs3, inst3, [EntropyOrder.renyi(1.0)])
 
