@@ -20,6 +20,7 @@ admissible grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -196,7 +197,7 @@ def _term(theta: np.ndarray, orders: np.ndarray, family: str, breaks: np.ndarray
     return _column_entropies(probs, orders, family, mult)
 
 
-def _objective(theta, eta, alphas, betas, family, breaks) -> np.ndarray:
+def _objective(alphas, betas, family, breaks, theta, eta) -> np.ndarray:
     """The alpha term at theta plus the beta term at eta - theta, per (alpha, beta).
 
     ``theta`` has shape (len(alphas), len(betas), ...); each term is one
@@ -212,26 +213,38 @@ def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take_along_axis(a, index, -1)[..., 0]
 
 
-def _zoom(lo: np.ndarray, hi: np.ndarray, f):
-    """Minimise f on every bracket [lo, hi] at once by grid zoom.
+def _zoom(lo: np.ndarray, hi: np.ndarray, eta: np.ndarray, groups, f):
+    """Minimise f(theta, eta) on every bracket [lo, hi] at once by grid zoom.
 
-    Each step evaluates SCAN evenly spaced points across every bracket
-    and shrinks it to the two grid cells around its smallest value (the
-    first one on ties), until every bracket is narrower than THETA_TOL.
-    Returns the last step's best point and value per bracket.
+    Each step evaluates SCAN evenly spaced points across every bracket and
+    shrinks it to the two grid cells around its smallest value (the first
+    one on ties).  ``groups`` counts the consecutive brackets of each
+    group; a group stops, keeping that step's best point and value, once
+    its widest bracket is narrower than THETA_TOL, whatever the others do.
     """
-    while True:
+    x, fx = np.empty(lo.shape), np.empty(lo.shape)
+    live, groups = np.arange(lo.shape[-1]), np.array(groups)
+    eta = np.broadcast_to(eta, lo.shape).copy()  # laid out as the grid, for a fast eta - theta
+    while live.size:
+        # the spacing, width / 64, is exact in both of linspace's branches: no bracket moves another
         grid = np.linspace(lo, hi, SCAN, axis=-1)
-        vals = f(grid)
+        vals = f(grid, eta[..., None])
         i = np.argmin(vals, axis=-1)[..., None]
         lo = _at(grid, np.maximum(i - 1, 0))
         hi = _at(grid, np.minimum(i + 1, SCAN - 1))
-        if np.max(hi - lo) < THETA_TOL:
-            return _at(grid, i), _at(vals, i)
+        width = (hi - lo).reshape(-1, live.size).max(axis=0)
+        stop = np.maximum.reduceat(width, np.cumsum(groups) - groups) < THETA_TOL
+        if stop.any():
+            done = np.repeat(stop, groups)
+            x[..., live[done]] = _at(grid, i)[..., done]
+            fx[..., live[done]] = _at(vals, i)[..., done]
+            lo, hi, eta = lo[..., ~done], hi[..., ~done], eta[..., ~done]
+            live, groups = live[~done], groups[~stop]
+    return x, fx
 
 
-def bbar_bound(c: float, alphas, betas, family: str) -> dict:
-    """Minimised two-parameter uncertainty bound over a grid of orders.
+def bbar_bound(cs, alphas, betas, family: str) -> list:
+    """Minimised two-parameter uncertainty bound over a grid of orders, at every c of ``cs``.
 
     For every alpha in ``alphas`` and beta in ``betas``, minimises the
     alpha term at theta plus the beta term at eta - theta over theta in
@@ -239,49 +252,71 @@ def bbar_bound(c: float, alphas, betas, family: str) -> dict:
     distribution (``_parametric_column``).  The breakpoints of both
     terms are evaluated first, the smallest theta winning ties.  Every
     smooth piece between them is then scanned on SCAN points and refined
-    by grid zoom, for all pairs at once, and a piece replaces the best
-    value only if strictly lower.  Returns {(alpha, beta): BoundValue};
-    every value is zero when c = 1.
+    by grid zoom, for all pairs and every c at once (at most ``_MAX_POINTS``
+    values per step), and a piece replaces the best value only if strictly
+    lower.  Returns one {(alpha, beta): BoundValue} per c, bit for bit that
+    of a call with that c alone; every value is zero when c = 1.
     """
     if family not in ("renyi", "tsallis"):
         raise ValueError(f"family must be 'renyi' or 'tsallis', got {family!r}")
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")
-    alphas, betas = list(alphas), list(betas)
+    cs, alphas, betas = list(cs), list(alphas), list(betas)
+    for c in cs:
+        if not 0.0 < c <= 1.0:
+            raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")
     if not all(0.0 <= v < math.inf for v in alphas + betas):
         raise ValueError("orders must be finite and nonnegative")
-    eta = math.acos(c)
-    breaks = _breakpoints(c)
-    inner = breaks[(breaks > 0.0) & (breaks < eta)]
-    pts = np.unique(np.concatenate([[0.0, eta], inner, eta - inner]))
+    # theta_k does not depend on c, so the table of the smallest c serves every c
+    breaks = _breakpoints(min(cs))
+    etas = [math.acos(c) for c in cs]
+    ends, lo, hi = [], [], []
+    for eta in etas:
+        inner = breaks[(breaks > 0.0) & (breaks < eta)]
+        pts = np.unique(np.concatenate([[0.0, eta], inner, eta - inner]))
+        keep = pts[1:] - pts[:-1] >= 1e-14
+        ends.append(pts)
+        lo.append(pts[:-1][keep])
+        hi.append(pts[1:][keep])
     shape = (len(alphas), len(betas))
-    ends = np.broadcast_to(pts, shape + pts.shape)
-    vals = _objective(ends, eta, alphas, betas, family, breaks)
-    k = np.argmin(vals, axis=-1)[..., None]  # ties go to the smallest theta
-    best_x, best_f = _at(ends, k), _at(vals, k)
+    n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in lo]
+    objective = functools.partial(_objective, alphas, betas, family, breaks)
+    end_pts = np.concatenate(ends)
+    end_vals = objective(np.broadcast_to(end_pts, shape + end_pts.shape), np.repeat(etas, n_ends))
 
-    keep = pts[1:] - pts[:-1] >= 1e-14
-    lo, hi = pts[:-1][keep], pts[1:][keep]
+    # a c with more pieces than fit one step is zoomed as several groups, as on its own
     chunk = max(1, _MAX_POINTS // (shape[0] * shape[1] * SCAN))
-    for s in range(0, lo.size, chunk):
-        piece_shape = shape + lo[s:s + chunk].shape
-        x, fx = _zoom(
-            np.broadcast_to(lo[s:s + chunk], piece_shape),
-            np.broadcast_to(hi[s:s + chunk], piece_shape),
-            lambda t: _objective(t, eta, alphas, betas, family, breaks),
-        )
-        k = np.argmin(fx, axis=-1)[..., None]
-        better = _at(fx, k) < best_f
-        best_x = np.where(better, _at(x, k), best_x)
-        best_f = np.where(better, _at(fx, k), best_f)
+    groups = [min(chunk, n - s) for n in n_pieces for s in range(0, n, chunk)]
+    piece_lo, piece_hi = np.concatenate(lo), np.concatenate(hi)
+    piece_eta = np.repeat(etas, n_pieces)
+    piece_x, piece_f = np.empty(shape + piece_lo.shape), np.empty(shape + piece_lo.shape)
+    batches = [[]]  # whole groups, at most `chunk` pieces per zoom
+    for n in groups:
+        if sum(batches[-1]) + n > chunk:
+            batches.append([])
+        batches[-1].append(n)
+    starts = np.cumsum([0] + [sum(batch) for batch in batches])
+    for batch, s, e in zip(batches, starts, starts[1:]):
+        piece_x[..., s:e], piece_f[..., s:e] = _zoom(
+            np.broadcast_to(piece_lo[s:e], shape + (e - s,)),
+            np.broadcast_to(piece_hi[s:e], shape + (e - s,)), piece_eta[s:e], batch, objective)
 
     bound_id = "B_R" if family == "renyi" else "B_T"
-    return {
-        (a, b): BoundValue(bound_id, max(0.0, float(best_f[i, j])),
-                           argmin_theta=float(best_x[i, j]))
-        for i, a in enumerate(alphas)
-        for j, b in enumerate(betas)
-    }
+    results = []
+    cut_ends, cut_pieces = np.cumsum(n_ends)[:-1], np.cumsum(n_pieces)[:-1]
+    for pts, f_end, x_piece, f_piece in zip(ends, np.split(end_vals, cut_ends, -1),
+                                            np.split(piece_x, cut_pieces, -1),
+                                            np.split(piece_f, cut_pieces, -1)):
+        # the first smallest value, ends before pieces: ties go to the smallest end theta
+        vals = np.concatenate([f_end, f_piece], -1)
+        k = np.argmin(vals, axis=-1)[..., None]
+        best_x = _at(np.concatenate([np.broadcast_to(pts, f_end.shape), x_piece], -1), k)
+        best_f = _at(vals, k)
+        results.append({
+            (a, b): BoundValue(bound_id, max(0.0, float(best_f[i, j])),
+                               argmin_theta=float(best_x[i, j]))
+            for i, a in enumerate(alphas)
+            for j, b in enumerate(betas)
+        })
+    return results
 
 
 def conjugate_orders(alpha: float, beta: float) -> bool:
@@ -325,8 +360,9 @@ def check_admissible(relation: str, alpha: float, beta: float, dim: int) -> None
     The Renyi relations admit exactly the orders ``check_order`` admits.
     """
     family = relation_family(relation)
-    if alpha <= 0 or beta <= 0:
-        raise AdmissibilityError(f"{relation}: orders must be positive, got ({alpha}, {beta})")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):  # NaN fails too
+        raise AdmissibilityError(
+            f"{relation}: orders must be positive and finite, got ({alpha}, {beta})")
     if relation in ("Prop3", "Binary") and not conjugate_orders(alpha, beta):
         raise AdmissibilityError(
             f"{relation} requires 1/alpha + 1/beta = 2, got {1.0 / alpha + 1.0 / beta!r}"
@@ -359,20 +395,20 @@ def admissible_grid(relations, alphas, betas, dim: int):
     return grid, skipped
 
 
-def _bounds_for(relation: str, c: float, pairs) -> dict:
-    """The relation's bound at every (alpha, beta) in ``pairs``, keyed by the pair.
+def _bounds_for(relation: str, cs, pairs) -> list:
+    """The relation's bound at every (alpha, beta) in ``pairs``, one dict keyed by the pair per c.
 
     The minimised bounds of Prop1 and Prop2 come from one ``bbar_bound``
-    call over the orders that occur in ``pairs``.
+    call over every c and the orders that occur in ``pairs``.
     """
     if relation in ("Prop1", "Prop2"):
         alphas = sorted({a for a, _ in pairs})
         betas = sorted({b for _, b in pairs})
-        return bbar_bound(c, alphas, betas, relation_family(relation))
+        return bbar_bound(cs, alphas, betas, relation_family(relation))
     if relation == "Prop3":
-        return {(a, b): mu_bounds(c, a, b)[0] for a, b in pairs}
-    value = max(0.0, -2.0 * math.log(c))
-    return {(a, b): BoundValue("STND_R1", value, mu=max(a, b)) for a, b in pairs}
+        return [{(a, b): mu_bounds(c, a, b)[0] for a, b in pairs} for c in cs]
+    return [{(a, b): BoundValue("STND_R1", max(0.0, -2.0 * math.log(c)), mu=max(a, b))
+             for a, b in pairs} for c in cs]
 
 
 def certify(
@@ -389,45 +425,43 @@ def certify(
 
     Computes the noise of the instrument against X, the best-found
     disturbance against Z, and the bound selected by the relation:
-    ``certify_grid`` on the one combination.  Raises AdmissibilityError
-    when (relation, alpha, beta, d) fall outside the admitted region.
+    ``certify_grid`` on a chunk of one instance and one combination.
+    Raises AdmissibilityError when (relation, alpha, beta, d) fall
+    outside the admitted region.
     """
     if x_obs.dim != z_obs.dim or x_obs.dim != inst.dim_in:
         raise ValueError("observables and instrument must share the input dimension")
     check_admissible(relation, alpha, beta, x_obs.dim)
-    return certify_grid(x_obs, z_obs, inst, [(relation, alpha, beta)], search, seed)[0]
+    chunk = [(x_obs, z_obs, inst)]
+    return certify_grid(chunk, [(relation, alpha, beta)], [search or SearchConfig()], seed)[0]
 
 
-def certify_grid(
-    x_obs: ProjectiveObservable,
-    z_obs: ProjectiveObservable,
-    inst: QuantumInstrument,
-    grid,
-    search: SearchConfig | None = None,
-    seed: int | None = None,
-) -> list[TradeoffCertificate]:
-    """Certify every (relation, alpha, beta) of an admissible grid, in its order.
+def certify_grid(chunk, grid, searches, seed: int | None = None) -> list[TradeoffCertificate]:
+    """Certify every (relation, alpha, beta) of an admissible grid on every instance of a chunk.
 
-    ``grid`` is checked already (``admissible_grid``, or
-    ``check_admissible`` per combination); nothing is checked again
-    here.  One ``noise`` call evaluates every certificate's noise order
-    and one ``disturbance`` call searches all of its disturbance orders
-    at once (orders computing the same entropy share one search); each
-    relation's bounds come from one call over its orders.
+    ``chunk`` holds (X, Z, M) instances of one shape, ``searches`` one
+    ``SearchConfig`` per instance, and ``grid`` is checked already
+    (``admissible_grid`` or ``check_admissible``).  One ``disturbance``
+    call searches every instance and order at once, and each relation's
+    bounds come from one call over every c; an instance's certificates
+    equal, bit for bit, those of a chunk of it alone.  They come back
+    ordered by instance, then in the grid's order.
     """
-    c = overlap(x_obs, z_obs)
+    cs = [overlap(x_obs, z_obs) for x_obs, z_obs, _ in chunk]
     bounds = {
-        relation: _bounds_for(relation, c, [(a, b) for r, a, b in grid if r == relation])
+        relation: _bounds_for(relation, cs, [(a, b) for r, a, b in grid if r == relation])
         for relation in dict.fromkeys(r for r, _, _ in grid)
     }
-    noises = noise(x_obs, inst, [EntropyOrder(a, relation_family(r)) for r, a, _ in grid])
     dists = disturbance(
-        z_obs, inst, [EntropyOrder(b, relation_family(r)) for r, _, b in grid], search
+        [(z_obs, inst) for _, z_obs, inst in chunk],
+        [EntropyOrder(b, relation_family(r)) for r, _, b in grid], searches,
     )
+    noise_orders = [EntropyOrder(a, relation_family(r)) for r, a, _ in grid]
     return [
         TradeoffCertificate(
-            relation, x_obs.dim, a, b, c, n, dist.best_value, bounds[relation][a, b], seed,
+            relation, x_obs.dim, a, b, c, n, dist.best_value, bounds[relation][i][a, b], seed,
             dist.restarts, dist.iterations, dist.converged, dist.best_candidate,
         )
-        for (relation, a, b), n, dist in zip(grid, noises, dists)
+        for i, ((x_obs, _, inst), c) in enumerate(zip(chunk, cs))
+        for (relation, a, b), n, dist in zip(grid, noise(x_obs, inst, noise_orders), dists[i])
     ]

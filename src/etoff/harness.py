@@ -1,8 +1,10 @@
 """Reproducible sweep and self-test machinery behind the command line.
 
-Every randomized task derives its generator from (master seed, sample
-index), so results are independent of worker count and can be merged in
-sample order; two runs with the same seed produce byte-identical output.
+A sweep task is a fixed chunk of ``CHUNK`` consecutive samples, certified
+in one lockstep computation.  Each sample derives its generators from
+(master seed, sample index), so results are deterministic per fixed
+chunk, whatever the worker count, and are merged in sample order; two
+runs with the same seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) and not (value is None and name in ("jobs", "seed")):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not all(isinstance(v, (int, float)) for v in (*self.alphas, *self.betas)):
-            raise ValueError("alphas and betas must be numbers")
+        for name in ("alphas", "betas"):
+            for v in getattr(self, name):
+                if not isinstance(v, (int, float)) or not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite numbers, got {v!r}")
         if not isinstance(self.out, (str, type(None))):
             raise ValueError(f"out must be a file path, got {self.out!r}")
         if self.dim < 2:
@@ -152,36 +156,37 @@ def sample_instance(dim: int, seed) -> tuple:
 # --- sweep ------------------------------------------------------------------------
 
 
+CHUNK = 8  # samples per sweep task; fixed, so that chunks do not depend on the worker count
+
+
 def _sweep_task(args) -> list[TradeoffCertificate]:
-    cfg, index, grid = args  # the RunConfig and its grid, both checked once in run_sweep
-    sample_seed = np.random.SeedSequence([cfg.seed, index])
-    x_obs, z_obs, inst = sample_instance(cfg.dim, sample_seed)
-    search = SearchConfig(
-        restarts=cfg.restarts,
-        iterations=cfg.iterations,
-        seed=int(np.random.SeedSequence([cfg.seed, index, 1]).generate_state(1)[0]),
-    )
-    return certify_grid(x_obs, z_obs, inst, grid, search, seed=cfg.seed)
+    cfg, indices, grid = args  # the RunConfig and its grid, both checked once in run_sweep
+    chunk = [sample_instance(cfg.dim, np.random.SeedSequence([cfg.seed, i])) for i in indices]
+    seeds = [int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0]) for i in indices]
+    searches = [SearchConfig(cfg.restarts, cfg.iterations, seed) for seed in seeds]
+    return certify_grid(chunk, grid, searches, seed=cfg.seed)
 
 
 def run_sweep(cfg: RunConfig):
     """Run the sweep; returns (certificates, summary dict).
 
-    Certificates come back ordered by (sample index, relation, alpha,
-    beta) regardless of worker count.  The admissible grid is the same
-    for every sample, so it is checked once, here.
+    Each task certifies one chunk of up to CHUNK samples in one
+    ``certify_grid`` call.  Certificates come back ordered by (sample
+    index, relation, alpha, beta) regardless of worker count.  The
+    admissible grid is the same for every sample, so it is checked once.
     """
     if cfg.seed is None:
         raise ValueError("a randomized sweep needs a seed")
     grid, skipped = bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
-    tasks = [(cfg, i, grid) for i in range(cfg.samples)]
+    tasks = [(cfg, range(start, min(start + CHUNK, cfg.samples)), grid)
+             for start in range(0, cfg.samples, CHUNK)]
     jobs = cfg.jobs or os.cpu_count() or 1
-    if jobs > 1 and cfg.samples > 1:
-        with Pool(processes=min(jobs, cfg.samples)) as pool:
+    if jobs > 1 and len(tasks) > 1:
+        with Pool(processes=min(jobs, len(tasks))) as pool:
             results = pool.map(_sweep_task, tasks)
     else:
         results = [_sweep_task(t) for t in tasks]
-    certs = [cert for sample_certs in results for cert in sample_certs]
+    certs = [cert for chunk_certs in results for cert in chunk_certs]
     summary = {
         "samples": cfg.samples,
         "dim": cfg.dim,
@@ -222,8 +227,8 @@ def tabulate_bounds(c_grid, alphas, betas) -> str:
     num = "{:.9g}".format
     lines = [BOUNDS_CSV_HEADER]
     for c in c_grid:
-        b_tsallis = bounds.bbar_bound(c, alphas, betas, "tsallis")
-        b_renyi = bounds.bbar_bound(c, alphas, betas, "renyi")
+        (b_tsallis,) = bounds.bbar_bound([c], alphas, betas, "tsallis")
+        (b_renyi,) = bounds.bbar_bound([c], alphas, betas, "renyi")
         for alpha in alphas:
             for beta in betas:
                 bt, br = b_tsallis[alpha, beta], b_renyi[alpha, beta]

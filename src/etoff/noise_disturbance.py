@@ -162,8 +162,8 @@ def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) ->
 
 
 def _table(povm: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Checked p(z, z') = Tr[E_z' rho_z] for POVM stacks (..., |Z|, c, c) and rho (|Z|, c, c)."""
-    rho_t = rho.swapaxes(-1, -2).reshape(len(rho), -1).T
+    """Checked p(z, z') = Tr[E_z' rho_z] for broadcasting POVM and rho stacks (..., |Z|, c, c)."""
+    rho_t = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], -1).swapaxes(-1, -2)
     return check_table((povm.reshape(*povm.shape[:-2], -1) @ rho_t).real.swapaxes(-1, -2))
 
 
@@ -241,41 +241,50 @@ def _riemannian_gradient(povm: np.ndarray, g: np.ndarray, rho: np.ndarray) -> tu
     with g = dH/dp; G - A sym(A† G) is A_z' (M_z' - sym(sum E_z' M_z')),
     and its norm, sum_z' Tr[D_z' E_z' D_z'], depends on A only through E.
     """
-    m = (g.swapaxes(-1, -2) @ rho.reshape(len(rho), -1)).reshape(*g.shape[:-1], *rho.shape[1:])
+    c = rho.shape[-1]
+    m = g.swapaxes(-1, -2) @ rho.reshape(*rho.shape[:-2], c * c)
+    m = m.reshape(*m.shape[:-1], c, c)
     d = m - hermitize((povm @ m).sum(axis=-3))[..., None, :, :]
     sq = (d * (povm @ d).swapaxes(-1, -2)).sum(axis=(-3, -2, -1)).real
     return d, np.sqrt(np.maximum(sq, 0.0))
 
 
-def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
+def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
     """Riemannian descent over the Naimark isometry A of the re-measurement POVM.
 
     A is a (|Z| c, c) isometry of c x c blocks, E_z' = A_z'† A_z' and
-    p(z, z') = Tr[E_z' rho_z].  Rows are (order, restart) pairs moving in
-    lockstep, and one kernel call per iteration takes the entropy and its
-    gradient of every row in that row's order.  An
-    iteration evaluates the step ladder as one batch and takes the longest
-    step with Armijo decrease.  A row stops when its gradient norm is below
-    ``GRAD_TOL`` or its next ladder would overrun ``search.iterations``
-    evaluations.  Returns, per order, the best restart's POVM, its index
-    and its number of evaluations.
+    p(z, z') = Tr[E_z' rho_z] with rho (instances, |Z|, c, c).  Rows are
+    (instance, order, restart) triples moving in lockstep, and one kernel
+    call per iteration takes the entropy and its gradient of every row in
+    that row's order.  Restart r of instance i starts from
+    (searches[i].seed, r) alone, and no row's arithmetic depends on
+    another row.  An iteration evaluates the step ladder as one batch and
+    takes the longest step with Armijo decrease.  A row stops when its
+    gradient norm is below ``GRAD_TOL`` or its next ladder would overrun
+    the shared evaluation budget.  Returns, per (instance, order), the
+    best restart's POVM, its index and its number of evaluations.
     """
-    nz, c, n_rest = len(rho), rho.shape[-1], search.restarts
-    row_orders = np.repeat(np.array(orders, dtype=object), n_rest)
-    seeds = [None if search.seed is None else np.random.SeedSequence([search.seed, r])
-             for r in range(n_rest)]
-    gauss = np.array([np.random.default_rng(s).standard_normal((2, nz * c, c)) for s in seeds])
-    a = np.tile(_retract(gauss[:, 0] + 1j * gauss[:, 1]), (len(orders), 1, 1))
+    nz, c = rho.shape[1], rho.shape[-1]
+    n_rest, budget = searches[0].restarts, searches[0].iterations
+    shape = (len(rho), len(orders), n_rest)
+    row_orders = np.tile(np.repeat(np.array(orders, dtype=object), n_rest), len(rho))
+    row_rho = np.repeat(np.arange(len(rho)), len(orders) * n_rest)
+    gauss = np.array([[np.random.default_rng(None if s.seed is None else [s.seed, r])
+                       .standard_normal((2, nz * c, c)) for r in range(n_rest)] for s in searches])
+    starts = _retract(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+    a = np.repeat(starts, len(orders), axis=0).reshape(-1, nz * c, c)
 
     def evaluate(points, rows):
         """Entropy, gradient and POVM at each point; point i of ``points`` is on row rows[i]."""
         blocks = points.reshape(*points.shape[:-2], nz, c, c)
         povm = dagger(blocks) @ blocks
-        at = row_orders[rows].reshape(rows.shape + (1,) * (points.ndim - 3))
-        return *conditional_entropy_gradient(_table(povm, rho), at), povm
+        axes = rows.shape + (1,) * (points.ndim - 3)
+        at = row_orders[rows].reshape(axes)
+        return *conditional_entropy_gradient(
+            _table(povm, rho[row_rho[rows]].reshape(axes + rho.shape[1:])), at), povm
 
     def direction(rows):
-        d, size = _riemannian_gradient(povm[rows], g[rows], rho)
+        d, size = _riemannian_gradient(povm[rows], g[rows], rho[row_rho[rows]])
         return (a[rows].reshape(d.shape) @ d).reshape(-1, nz * c, c), size
 
     rows = np.arange(len(a))
@@ -285,7 +294,7 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
     evals = np.ones(len(a), dtype=int)
     active = norm >= GRAD_TOL
     while True:
-        active &= evals + len(_LADDER) <= search.iterations
+        active &= evals + len(_LADDER) <= budget
         rows = np.nonzero(active)[0]
         if not len(rows):
             break
@@ -302,65 +311,76 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig) -> list:
         a[rows], f[rows], g[rows], povm[rows] = trial[i, pick], ft[i, pick], gt[i, pick], pt[i, pick]
         xi[rows], norm[rows] = direction(rows)
         active[rows] &= norm[rows] >= GRAD_TOL
-    rows = np.arange(len(orders)) * n_rest + f.reshape(len(orders), n_rest).argmin(axis=1)
-    return [(povm[i], i % n_rest, int(evals[i])) for i in rows]
+    best = f.reshape(shape).argmin(axis=-1)
+    rows = np.arange(shape[0] * shape[1]) * n_rest + best.ravel()
+    return povm[rows].reshape(shape[:2] + povm.shape[1:]), best, evals[rows].reshape(shape[:2])
 
 
-def disturbance(
-    z_obs: ProjectiveObservable,
-    inst: QuantumInstrument,
-    orders: list,
-    search: SearchConfig | None = None,
-) -> list:
-    """Best-found disturbance per order: an upper bound on the minimum over corrections.
+def disturbance(chunk, orders: list, searches: list) -> list:
+    """Best-found disturbance per instance and order: upper bounds on the minima over corrections.
 
-    The candidates are the flag-discarding identity (when dimensions
-    permit) and the classical repreparation, exact in the
-    zero-disturbance regimes, and per restart a POVM descent run for all
-    orders at once (``_povm_search``).  Every candidate is its
-    re-measurement POVM, and the candidates of all orders are scored by
-    one ``_table`` and one entropy-kernel call; ties go to the fixed
-    corrections.  Orders computing the same entropy share one result.
+    ``chunk`` holds (z_obs, inst) pairs of one shape, and ``searches`` one
+    ``SearchConfig`` per pair, all with one budget; a mixed chunk raises
+    ValueError.  The candidates are the flag-discarding identity (when
+    dimensions permit) and the classical repreparation, exact in the
+    zero-disturbance regimes, and per restart a POVM descent run for every
+    pair and order at once (``_povm_search``).  Every candidate is its
+    re-measurement POVM, all are scored by one ``_table`` and one
+    entropy-kernel call, each pair's against its own, and ties go to the
+    fixed corrections.  Orders computing the same entropy share one result,
+    and a pair's results equal, bit for bit, those of that pair alone.
     ``iterations`` is the evaluation count of the search's best restart.
     ``converged`` means the Riemannian gradient norm at the reported
     POVM, a stationarity test that saddle points pass too, is below
-    ``GRAD_TOL``.
+    ``GRAD_TOL``.  Returns one list per pair, one result per order.
     """
-    search = search or SearchConfig()
+    shapes = {(z.dim, len(z.projectors), inst.dim_out, inst.n_outcomes, s.restarts, s.iterations)
+              for (z, inst), s in zip(chunk, searches)}
+    if len(shapes) > 1 or len(searches) != len(chunk):
+        raise ValueError(f"a chunk's instances must share one shape and one search budget, got "
+                         f"(dim, |Z|, dim_out, outcomes, restarts, iterations) in {sorted(shapes)}")
     for order in orders:
-        check_order(order, z_obs.dim)
+        check_order(order, chunk[0][0].dim)
     keys = list(dict.fromkeys(order.computed for order in orders))
     if not keys:
-        return []
-    rho = flag_apply(inst, z_obs.projectors) / z_obs.dim
-    ident = discard_flag_correction(z_obs, inst)
-    candidates = [] if ident is None else [("discard_flag", ident)]
-    candidates.append(("reprepare", reprepare_correction(z_obs, inst)))
-    n_fixed = len(candidates)
-    found = _povm_search(rho, keys, search) if search.restarts > 0 else []
-    candidates += [(f"parametrized_restart_{restart}", povm) for povm, restart, _ in found]
-    povms = np.array([povm for _, povm in candidates])
-    tables = _table(povms, rho)
+        return [[] for _ in chunk]
+    rho = np.array([flag_apply(inst, z.projectors) / z.dim for z, inst in chunk])
+    names = ["discard_flag", "reprepare"]
+    fixed = [[discard_flag_correction(z, inst), reprepare_correction(z, inst)]
+             for z, inst in chunk]
+    if fixed[0][0] is None:  # no instrument of the chunk outputs the Z system
+        names, fixed = names[1:], [pair[1:] for pair in fixed]
+    povms = np.array(fixed)
+    n_fixed, restarts = len(names), searches[0].restarts
+    if restarts > 0:
+        found, restart, evals = _povm_search(rho, keys, searches)
+        povms = np.concatenate([povms, found], axis=1)
+    tables = _table(povms, rho[:, None])
     # the candidates of each computed order: the fixed corrections, then its own search result
-    pick = np.array([list(range(n_fixed)) + [n_fixed + k] * bool(found) for k in range(len(keys))])
+    pick = np.array([list(range(n_fixed)) + [n_fixed + k] * (restarts > 0)
+                     for k in range(len(keys))])
     values, grads = conditional_entropy_gradient(
-        tables[pick], np.array(keys, dtype=object)[:, None])
-    best = np.argmin(values, axis=1)  # ties go to the fixed corrections
-    rows = np.arange(len(keys))
-    chosen = pick[rows, best]
-    _, norms = _riemannian_gradient(povms[chosen], grads[rows, best], rho)
-    results = {
-        key: CorrectionSearchResult(
-            best_value=max(0.0, float(values[k, best[k]])),
-            best_povm=povms[chosen[k]],
-            restarts=search.restarts,
-            iterations=found[k][2] if found else 0,
-            converged=bool(norms[k] < GRAD_TOL),
-            best_candidate=candidates[chosen[k]][0],
-        )
-        for k, key in enumerate(keys)
-    }
-    return [results[order.computed] for order in orders]
+        tables[:, pick], np.array(keys, dtype=object)[:, None])
+    best = np.argmin(values, axis=-1)  # ties go to the fixed corrections
+    key_ix, results = np.arange(len(keys)), []
+    for i, b in enumerate(best):
+        chosen = pick[key_ix, b]
+        # one instance at a time: the gradients of a whole chunk at d = 4 take megabytes
+        _, norms = _riemannian_gradient(povms[i, chosen], grads[i, key_ix, b], rho[i])
+        by_key = {
+            key: CorrectionSearchResult(
+                best_value=max(0.0, float(values[i, k, b[k]])),
+                best_povm=povms[i, chosen[k]],
+                restarts=restarts,
+                iterations=int(evals[i, k]) if restarts > 0 else 0,
+                converged=bool(norms[k] < GRAD_TOL),
+                best_candidate=names[chosen[k]] if chosen[k] < n_fixed
+                else f"parametrized_restart_{restart[i, k]}",
+            )
+            for k, key in enumerate(keys)
+        }
+        results.append([by_key[order.computed] for order in orders])
+    return results
 
 
 # --- combined-estimation consistency oracle ------------------------------------

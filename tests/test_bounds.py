@@ -31,7 +31,8 @@ ORACLE_ORDERS = (0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 1.0 - 1e-8, 1.0 + 1e-8, 5.0)
 
 
 def bbar(c, alpha, beta, family):
-    return bbar_bound(c, [alpha], [beta], family)[alpha, beta]
+    (grid,) = bbar_bound([c], [alpha], [beta], family)
+    return grid[alpha, beta]
 
 
 def oracle_grid_points(eta, n):
@@ -178,7 +179,7 @@ def test_bbar_trivial_at_full_overlap():
 def test_bbar_matches_grid_oracle():
     for c in (0.3, 1 / math.sqrt(2), 0.9):
         for fam in ("renyi", "tsallis"):
-            grid = bbar_bound(c, ORACLE_ORDERS, ORACLE_ORDERS, fam)
+            (grid,) = bbar_bound([c], ORACLE_ORDERS, ORACLE_ORDERS, fam)
             for (alpha, beta), b in grid.items():
                 want = grid_oracle(c, alpha, beta, fam)
                 assert b.value == pytest.approx(want, abs=1e-6), (c, fam, alpha, beta)
@@ -190,9 +191,22 @@ def test_bbar_grid_call_equals_one_call_per_pair():
     for c in (0.3, 1 / math.sqrt(3), 0.8, 0.999999):
         for fam in ("renyi", "tsallis"):
             with np.errstate(all="raise"):
-                grid = bbar_bound(c, orders, orders, fam)
+                (grid,) = bbar_bound([c], orders, orders, fam)
                 for (alpha, beta), b in grid.items():
                     assert abs(b.value - bbar(c, alpha, beta, fam).value) <= 1e-12
+
+
+def test_bbar_over_many_c_equals_one_call_per_c():
+    # one call zooms the pieces of every c together (21 pieces at c = 0.3, none at c = 1;
+    # at c = 0.1 more than one zoom step holds), and each c keeps its own stopping rule
+    cs = (0.3, 0.55, 0.8, 0.99, 1.0, 0.1)
+    orders = (0.3, 0.5, 1.0, 1.5, 2.0)
+    for fam in ("renyi", "tsallis"):
+        with np.errstate(all="raise"):
+            together = bbar_bound(cs, orders, orders, fam)
+            for c, grid in zip(cs, together):
+                (alone,) = bbar_bound([c], orders, orders, fam)
+                assert grid == alone, (c, fam)
 
 
 def test_bbar_matches_grid_oracle_order_one():
@@ -305,6 +319,13 @@ def test_admissibility_rules():
         check_admissible("Prop1", -1.0, 1.0, 2)
     with pytest.raises(AdmissibilityError):
         check_admissible("Nope", 1.0, 1.0, 2)
+    # non-finite orders are named with the relation, not skipped or left to a bound
+    with pytest.raises(AdmissibilityError, match="Prop3: .*nan"):
+        check_admissible("Prop3", math.nan, 1.0, 2)
+    with pytest.raises(AdmissibilityError, match="Binary: .*inf"):
+        check_admissible("Binary", math.inf, 0.5, 2)
+    with pytest.raises(AdmissibilityError, match="Prop1: .*nan"):
+        check_admissible("Prop1", 1.0, math.nan, 3)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -367,7 +388,7 @@ def test_certify_binary_relation(anchor):
 def test_certify_grid_skips_inadmissible():
     x_obs, z_obs, inst = sample_instance(3, 55)
     grid, skipped = admissible_grid(("Prop1", "Prop2"), (0.5, 1.0, 2.0), (0.5, 1.0), 3)
-    certs = certify_grid(x_obs, z_obs, inst, grid, SearchConfig(restarts=0), seed=55)
+    certs = certify_grid([(x_obs, z_obs, inst)], grid, [SearchConfig(restarts=0)], seed=55)
     # Prop1 takes all six combinations; Prop2 at d=3 drops alpha = 2
     assert len(certs) == 6 + 4
     assert skipped == 2

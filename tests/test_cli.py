@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etoff
@@ -18,6 +19,7 @@ from etoff.harness import (
     run_sweep,
     saturation_instance,
 )
+from etoff.noise_disturbance import SearchConfig
 from etoff.quantum import basis_observable, observable_to_json
 
 
@@ -105,6 +107,8 @@ MALFORMED_INPUTS = [
     pytest.param("config", {"dim": 2, "bogus": 1}, "'bogus'", id="config-unknown-key"),
     pytest.param("config", {"dim": "2"}, "dim must be an integer", id="config-string-dim"),
     pytest.param("config", {"out": 7}, "out must be a file path", id="config-number-out"),
+    pytest.param("config", {"betas": [1.0, math.nan]}, "betas must be finite numbers, got nan",
+                 id="config-nan-beta"),
 ]
 
 
@@ -148,6 +152,11 @@ BAD_BUDGETS = [
     pytest.param(["--restarts", "1", "--seed", "-1"], "1", "ETOFF_SEED) must not be negative",
                  id="--seed--1"),
     pytest.param(["--restarts", "1"], "-3", "ETOFF_SEED) must not be negative", id="ETOFF_SEED--3"),
+    # non-finite orders: a sweep's config names the entry, certify the relation and the entry
+    pytest.param(["--relation", "Prop3", "--alpha", "nan", "--beta", "1"], "1", "nan",
+                 id="Prop3-alpha-nan"),
+    pytest.param(["--relation", "Binary", "--alpha", "inf", "--beta", "0.5"], "1", "inf",
+                 id="Binary-alpha-inf"),
 ]
 
 
@@ -221,10 +230,11 @@ def test_sweep_reports_the_evaluations_of_one_restart(tmp_path):
 
 
 def test_sweep_tasks_carry_the_validated_config(monkeypatch):
-    # each task is (cfg, index, grid) with the RunConfig itself and one admissible grid,
-    # checked once per sweep; no task re-validates either
-    cfg = RunConfig(dim=2, samples=3, relations=("Prop3",), alphas=(1.0, 2.0), betas=(1.0,),
-                    seed=5, restarts=0, jobs=1)
+    # each task is (cfg, indices, grid): the RunConfig itself, a fixed chunk of consecutive
+    # samples and the one admissible grid, checked once per sweep; no task re-validates either
+    samples = harness.CHUNK + 3
+    cfg = RunConfig(dim=2, samples=samples, relations=("Prop3",), alphas=(1.0, 2.0),
+                    betas=(1.0,), seed=5, restarts=0, jobs=1)
     tasks, validations, grids = [], [], []
     task = harness._sweep_task
     post_init = RunConfig.__post_init__
@@ -235,10 +245,31 @@ def test_sweep_tasks_carry_the_validated_config(monkeypatch):
     monkeypatch.setattr(harness.bounds, "admissible_grid",
                         lambda *args: grids.append(args) or admissible_grid(*args))
     certs, summary = run_sweep(cfg)
-    assert [index for _, index, _ in tasks] == [0, 1, 2]
+    assert [list(indices) for _, indices, _ in tasks] == [
+        list(range(harness.CHUNK)), list(range(harness.CHUNK, samples))]
     assert all(task_cfg is cfg and grid == [("Prop3", 1.0, 1.0)] for task_cfg, _, grid in tasks)
-    assert validations == [] and len(grids) == 1 and len(certs) == 3
-    assert summary["inadmissible_skipped"] == 3  # Prop3 at (2, 1) is not conjugate
+    assert validations == [] and len(grids) == 1 and len(certs) == samples
+    assert summary["inadmissible_skipped"] == samples  # Prop3 at (2, 1) is not conjugate
+
+
+def test_sweep_chunks_give_each_sample_its_own_certificates():
+    # 11 samples make one full chunk and a partial one; the certificates do not depend on
+    # the worker count, and each sample's equal those of its instance certified alone
+    cfg = RunConfig(dim=2, samples=11, relations=("Prop1", "Prop3"), alphas=(0.5, 1.0),
+                    betas=(0.5, 1.0), seed=7, restarts=2, iterations=40, jobs=1)
+    runs = []
+    for jobs in (1, 2, 3):
+        cfg.jobs = jobs
+        runs.append(run_sweep(cfg)[0])
+    assert runs[0] == runs[1] == runs[2]
+    grid, _ = harness.bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
+    alone = []
+    for i in range(cfg.samples):
+        instance = harness.sample_instance(cfg.dim, np.random.SeedSequence([cfg.seed, i]))
+        seed = int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0])
+        search = SearchConfig(cfg.restarts, cfg.iterations, seed)
+        alone += harness.certify_grid([instance], grid, [search], seed=cfg.seed)
+    assert runs[0] == alone
 
 
 def test_sweep_deterministic_across_runs_and_jobs(tmp_path):

@@ -37,6 +37,12 @@ from etoff.quantum import (
 LN2 = math.log(2)
 
 
+def disturbance_alone(z_obs, inst, orders, search):
+    """``disturbance`` on a chunk of one instance: its results, one per order."""
+    (results,) = disturbance([(z_obs, inst)], orders, [search])
+    return results
+
+
 # --- noise ---------------------------------------------------------------------
 
 
@@ -127,23 +133,23 @@ def test_disturbance_joint_conjugate_measurement(qubit_pair):
 
 def test_disturbance_identity_instrument_zero():
     z_obs = basis_observable(2)
-    (res,) = disturbance(z_obs, trivial_instrument(2), [EntropyOrder.shannon()],
-                         SearchConfig(restarts=0))
+    (res,) = disturbance_alone(z_obs, trivial_instrument(2), [EntropyOrder.shannon()],
+                               SearchConfig(restarts=0))
     assert res.best_value == pytest.approx(0.0, abs=1e-12)
     assert res.best_candidate == "discard_flag"
 
 
 def test_disturbance_projective_z_zero_via_reprepare(anchor):
     _, z_obs, inst = anchor
-    (res,) = disturbance(z_obs, inst, [EntropyOrder.tsallis(1.3)], SearchConfig(restarts=0))
+    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.tsallis(1.3)], SearchConfig(restarts=0))
     assert res.best_value <= 1e-9
 
 
 def test_disturbance_conjugate_measurement_saturates(qubit_pair):
     x_obs, z_obs = qubit_pair
     inst = luders_instrument(x_obs)
-    (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()],
-                         SearchConfig(restarts=2, iterations=150, seed=4))
+    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()],
+                               SearchConfig(restarts=2, iterations=150, seed=4))
     # the trade-off pins the disturbance at ln 2 because the noise is zero
     assert res.best_value >= LN2 - 1e-7
     assert res.best_value <= LN2 + 1e-9
@@ -153,8 +159,8 @@ def test_disturbance_more_restarts_never_worse():
     _, z_obs, inst = sample_instance(2, 17)
     vals = []
     for r in (0, 1, 2):
-        (res,) = disturbance(z_obs, inst, [EntropyOrder.tsallis(2.0)],
-                             SearchConfig(restarts=r, iterations=120, seed=99))
+        (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.tsallis(2.0)],
+                                   SearchConfig(restarts=r, iterations=120, seed=99))
         vals.append(res.best_value)
     assert vals[1] <= vals[0] + 1e-12
     assert vals[2] <= vals[1] + 1e-12
@@ -165,21 +171,38 @@ def test_disturbance_bounded_by_identity_correction():
     ident = discard_flag_correction(z_obs, inst)
     order = EntropyOrder.tsallis(1.0)
     ident_val = conditional_entropy(disturbance_joint(z_obs, inst, ident), order)
-    (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=1, iterations=100, seed=2))
+    (res,) = disturbance_alone(z_obs, inst, [order],
+                               SearchConfig(restarts=1, iterations=100, seed=2))
     assert res.best_value <= ident_val + 1e-12
 
 
 def test_disturbance_one_order_equals_that_order_in_a_grid():
+    # no row of the lockstep search depends on the rows beside it, bit for bit: neither on
+    # the other orders nor on the other instances of a chunk
     _, z_obs, inst = sample_instance(2, 23)
     orders = [EntropyOrder.tsallis(a) for a in (0.3, 0.5, 1.0, 1.5, 2.0)]
     orders += [EntropyOrder.renyi(a) for a in (0.3, 0.5, 1.5, 2.0)]
     search = SearchConfig(restarts=2, iterations=90, seed=8)
-    grid = disturbance(z_obs, inst, orders, search)
+    grid = disturbance_alone(z_obs, inst, orders, search)
     for order, res in zip(orders, grid):
-        (one,) = disturbance(z_obs, inst, [order], search)
-        assert one.best_value == pytest.approx(res.best_value, abs=1e-12)
+        (one,) = disturbance_alone(z_obs, inst, [order], search)
+        assert one.best_value == res.best_value
+        assert np.array_equal(one.best_povm, res.best_povm)
         assert one.best_candidate == res.best_candidate
         assert one.iterations == res.iterations
+    chunk = [sample_instance(2, seed)[1:] for seed in (23, 24, 25)]
+    searches = [SearchConfig(restarts=2, iterations=90, seed=seed) for seed in (8, 9, 10)]
+    for pair, search, results in zip(chunk, searches, disturbance(chunk, orders, searches)):
+        for res, alone in zip(results, disturbance_alone(*pair, orders, search)):
+            assert res.best_value == alone.best_value
+            assert np.array_equal(res.best_povm, alone.best_povm)
+            assert (res.best_candidate, res.iterations, res.converged) == (
+                alone.best_candidate, alone.iterations, alone.converged)
+    # a chunk shares one shape and one search budget
+    with pytest.raises(ValueError, match="one shape"):
+        disturbance([chunk[0], sample_instance(3, 1)[1:]], orders, searches[:2])
+    with pytest.raises(ValueError, match="one search budget"):
+        disturbance(chunk[:2], orders, [searches[0], SearchConfig(restarts=1, seed=9)])
 
 
 def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
@@ -188,7 +211,7 @@ def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
         _, z_obs, inst = sample_instance(dim, seed)
         orders = [EntropyOrder.tsallis(0.5), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
         for search in (SearchConfig(restarts=0), SearchConfig(restarts=2, iterations=60, seed=1)):
-            for order, res in zip(orders, disturbance(z_obs, inst, orders, search)):
+            for order, res in zip(orders, disturbance_alone(z_obs, inst, orders, search)):
                 j = disturbance_joint(z_obs, inst, res.best_povm)
                 assert res.best_value == pytest.approx(conditional_entropy(j, order), abs=1e-12)
                 winners.add(res.best_candidate.rstrip("0123456789"))
@@ -200,7 +223,8 @@ def test_disturbance_search_beats_both_fixed_corrections_at_d3():
     order = EntropyOrder.tsallis(2.0)
     fixed = [discard_flag_correction(z_obs, inst), reprepare_correction(z_obs, inst)]
     fixed_values = [conditional_entropy(disturbance_joint(z_obs, inst, ch), order) for ch in fixed]
-    (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=1, iterations=150, seed=1))
+    (res,) = disturbance_alone(z_obs, inst, [order],
+                               SearchConfig(restarts=1, iterations=150, seed=1))
     assert res.best_candidate == "parametrized_restart_0"
     assert res.best_value < min(fixed_values) - 0.1
 
@@ -209,18 +233,18 @@ def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
     x_obs, z_obs = qubit_pair
     # measuring the conjugate basis leaves every flagged Z state equal, so
     # every POVM is stationary and the generous search reports convergence
-    (res,) = disturbance(z_obs, luders_instrument(x_obs), [EntropyOrder.shannon()],
-                         SearchConfig(restarts=2, iterations=2000, seed=4))
+    (res,) = disturbance_alone(z_obs, luders_instrument(x_obs), [EntropyOrder.shannon()],
+                               SearchConfig(restarts=2, iterations=2000, seed=4))
     assert res.converged
     assert res.best_value == pytest.approx(LN2, abs=1e-12)
     # without a search the best candidate (the flag-discarding identity
     # here) is not stationary
     _, z_obs, inst = sample_instance(2, 1)
-    (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=0))
+    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=0))
     assert res.iterations == 0 and res.best_candidate == "discard_flag"
     assert not res.converged
-    (res,) = disturbance(z_obs, inst, [EntropyOrder.shannon()],
-                         SearchConfig(restarts=1, iterations=2000, seed=4))
+    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()],
+                               SearchConfig(restarts=1, iterations=2000, seed=4))
     assert res.converged
 
 
@@ -231,7 +255,7 @@ def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
     orders = [EntropyOrder.tsallis(2.0), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
     rho = flag_apply(inst, z_obs.projectors) / 2
     for search in (SearchConfig(restarts=0), SearchConfig(2, 2000, seed=1)):
-        results = disturbance(z_obs, inst, orders, search)
+        results = disturbance_alone(z_obs, inst, orders, search)
         for order, res in zip(orders, results):
             table = disturbance_joint(z_obs, inst, res.best_povm)
             _, grad = conditional_entropy_gradient(table, order)
@@ -243,14 +267,16 @@ def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
 def test_disturbance_shares_one_search_per_computed_entropy():
     _, z_obs, inst = sample_instance(2, 9)
     orders = [EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1 + 1e-8), EntropyOrder.shannon()]
-    results = disturbance(z_obs, inst, orders, SearchConfig(restarts=1, iterations=60, seed=2))
+    results = disturbance_alone(z_obs, inst, orders,
+                                SearchConfig(restarts=1, iterations=60, seed=2))
     assert results[0] is results[1] is results[2]
     assert results[0].iterations <= 60
 
 
 def test_disturbance_without_restarts_runs_no_search():
     _, z_obs, inst = sample_instance(2, 9)
-    (res,) = disturbance(z_obs, inst, [EntropyOrder.renyi(0.5)], SearchConfig(restarts=0, seed=2))
+    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.renyi(0.5)],
+                               SearchConfig(restarts=0, seed=2))
     assert res.iterations == 0
     assert res.best_candidate in ("discard_flag", "reprepare")
 
@@ -259,7 +285,7 @@ def test_noise_disturbance_shannon_agreement(anchor):
     x_obs, z_obs, inst = anchor
     for order in (EntropyOrder.shannon(), EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1.0)):
         assert noise(x_obs, inst, [order])[0] == pytest.approx(LN2, abs=1e-9)
-        (res,) = disturbance(z_obs, inst, [order], SearchConfig(restarts=0))
+        (res,) = disturbance_alone(z_obs, inst, [order], SearchConfig(restarts=0))
         assert res.best_value == pytest.approx(0.0, abs=1e-9)
 
 
