@@ -11,6 +11,9 @@ sums the entropies of two parametric distributions, each a value
 repeated n times plus a remainder; they go through the column kernel of
 ``entropy`` as 2-row columns with multiplicities, so no entropy formula
 is written out here, and a whole grid of orders is minimised at once.
+The points every pair of orders shares, the breakpoints and a first scan
+of each smooth piece, are evaluated once per order; only the narrow zoom
+that follows is evaluated per pair.
 A certificate keeps a noise value, a (one-sided) disturbance value and
 the applicable bound, and derives its margin and verdict from them.
 ``admissible_grid`` checks a (relation, alpha, beta) grid against the
@@ -157,8 +160,10 @@ def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> float:
 
 # --- the minimised bound ---------------------------------------------------------
 
-SCAN = 65  # grid points per bracket, in the scan of a piece and at every zoom step
-THETA_TOL = 1e-12  # a bracket narrower than this counts as refined
+SCAN = 65  # grid points per piece in the first scan, shared by every pair of orders
+ZOOM = 9  # grid points per bracket at every later zoom step
+THETA_TOL = 1e-9  # a bracket narrower than this counts as refined; below about 4e-8
+# rounding decides the argmin, so a finer stop buys no digit of the bound
 _MAX_POINTS = 1 << 17  # objective values per zoom step; more pieces go in chunks
 
 
@@ -200,38 +205,46 @@ def _term(theta: np.ndarray, orders: np.ndarray, family: str, breaks: np.ndarray
 def _objective(alphas, betas, family, breaks, theta, eta) -> np.ndarray:
     """The alpha term at theta plus the beta term at eta - theta, per (alpha, beta).
 
-    ``theta`` has shape (len(alphas), len(betas), ...); each term is one
-    kernel call over the whole grid, with its order per column.
+    ``theta`` has shape (len(alphas), len(betas), ...), or length 1 on
+    both pair axes for points shared by every pair; each term is one
+    kernel call over the whole grid, with its order per column, so on
+    shared points it is evaluated once per order, not once per pair.
     """
     axes = (1,) * (theta.ndim - 2)
-    total = _term(theta, np.reshape(alphas, (-1, 1) + axes), family, breaks)
-    total += _term(eta - theta, np.reshape(betas, (1, -1) + axes), family, breaks)
-    return total
+    alpha_term = _term(theta, np.reshape(alphas, (-1, 1) + axes), family, breaks)
+    return alpha_term + _term(eta - theta, np.reshape(betas, (1, -1) + axes), family, breaks)
 
 
 def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take_along_axis(a, index, -1)[..., 0]
 
 
-def _zoom(lo: np.ndarray, hi: np.ndarray, eta: np.ndarray, groups, f):
-    """Minimise f(theta, eta) on every bracket [lo, hi] at once by grid zoom.
+def _zoom(shape, lo: np.ndarray, hi: np.ndarray, eta: np.ndarray, groups, f):
+    """Minimise f(theta, eta) on every piece [lo, hi], for every pair of orders, by grid zoom.
 
-    Each step evaluates SCAN evenly spaced points across every bracket and
-    shrinks it to the two grid cells around its smallest value (the first
-    one on ties).  ``groups`` counts the consecutive brackets of each
-    group; a group stops, keeping that step's best point and value, once
-    its widest bracket is narrower than THETA_TOL, whatever the others do.
+    ``lo``, ``hi`` and ``eta`` hold one entry per piece; ``shape`` is the
+    (alphas, betas) shape of the pair axes.  The first step scans SCAN
+    evenly spaced points of each piece, shared by every pair; each later
+    step evaluates ZOOM evenly spaced points across each pair's own
+    bracket.  Every step shrinks a bracket to the two grid cells around
+    its smallest value (the first one on ties).  ``groups`` counts the
+    consecutive pieces of each group; a group stops, keeping that step's
+    best point and value, once its widest bracket over every pair is
+    narrower than THETA_TOL, whatever the others do.  Returns the best
+    theta and value, each of shape ``shape`` + lo.shape.
     """
-    x, fx = np.empty(lo.shape), np.empty(lo.shape)
-    live, groups = np.arange(lo.shape[-1]), np.array(groups)
-    eta = np.broadcast_to(eta, lo.shape).copy()  # laid out as the grid, for a fast eta - theta
+    x, fx = np.empty(shape + lo.shape), np.empty(shape + lo.shape)
+    live, groups = np.arange(lo.size), np.array(groups)
+    lo, hi, eta = lo[None, None], hi[None, None], eta[None, None]  # pair axes of length 1
+    points = SCAN
     while live.size:
-        # the spacing, width / 64, is exact in both of linspace's branches: no bracket moves another
-        grid = np.linspace(lo, hi, SCAN, axis=-1)
+        # the spacing, width / 64 or width / 8, is exact in both of linspace's branches:
+        # no bracket moves another
+        grid = np.linspace(lo, hi, points, axis=-1)
         vals = f(grid, eta[..., None])
         i = np.argmin(vals, axis=-1)[..., None]
         lo = _at(grid, np.maximum(i - 1, 0))
-        hi = _at(grid, np.minimum(i + 1, SCAN - 1))
+        hi = _at(grid, np.minimum(i + 1, points - 1))
         width = (hi - lo).reshape(-1, live.size).max(axis=0)
         stop = np.maximum.reduceat(width, np.cumsum(groups) - groups) < THETA_TOL
         if stop.any():
@@ -240,6 +253,7 @@ def _zoom(lo: np.ndarray, hi: np.ndarray, eta: np.ndarray, groups, f):
             fx[..., live[done]] = _at(vals, i)[..., done]
             lo, hi, eta = lo[..., ~done], hi[..., ~done], eta[..., ~done]
             live, groups = live[~done], groups[~stop]
+        points = ZOOM
     return x, fx
 
 
@@ -250,12 +264,16 @@ def bbar_bound(cs, alphas, betas, family: str) -> list:
     alpha term at theta plus the beta term at eta - theta over theta in
     [0, eta], eta = arccos(c); a term is the entropy of the parametric
     distribution (``_parametric_column``).  The breakpoints of both
-    terms are evaluated first, the smallest theta winning ties.  Every
-    smooth piece between them is then scanned on SCAN points and refined
-    by grid zoom, for all pairs and every c at once (at most ``_MAX_POINTS``
-    values per step), and a piece replaces the best value only if strictly
-    lower.  Returns one {(alpha, beta): BoundValue} per c, bit for bit that
-    of a call with that c alone; every value is zero when c = 1.
+    terms are evaluated first, once per order, the smallest theta winning
+    ties.  Every smooth piece between them is then scanned on SCAN points,
+    also once per order, and each pair's bracket refined by a ZOOM-point
+    grid zoom down to THETA_TOL (``_zoom``), for all pairs and every c at
+    once (at most ``_MAX_POINTS`` values per step); a piece replaces the
+    best value only if strictly lower.  Returns one {(alpha, beta):
+    BoundValue} per c, bit for bit that of a call with that c alone; every
+    value is zero when c = 1.  A pair's value matches a call with that pair
+    alone to within a few ulps, not bit for bit: a piece stops zooming on
+    its widest bracket over every pair.
     """
     if family not in ("renyi", "tsallis"):
         raise ValueError(f"family must be 'renyi' or 'tsallis', got {family!r}")
@@ -280,7 +298,7 @@ def bbar_bound(cs, alphas, betas, family: str) -> list:
     n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in lo]
     objective = functools.partial(_objective, alphas, betas, family, breaks)
     end_pts = np.concatenate(ends)
-    end_vals = objective(np.broadcast_to(end_pts, shape + end_pts.shape), np.repeat(etas, n_ends))
+    end_vals = objective(end_pts[None, None], np.repeat(etas, n_ends))
 
     # a c with more pieces than fit one step is zoomed as several groups, as on its own
     chunk = max(1, _MAX_POINTS // (shape[0] * shape[1] * SCAN))
@@ -296,8 +314,7 @@ def bbar_bound(cs, alphas, betas, family: str) -> list:
     starts = np.cumsum([0] + [sum(batch) for batch in batches])
     for batch, s, e in zip(batches, starts, starts[1:]):
         piece_x[..., s:e], piece_f[..., s:e] = _zoom(
-            np.broadcast_to(piece_lo[s:e], shape + (e - s,)),
-            np.broadcast_to(piece_hi[s:e], shape + (e - s,)), piece_eta[s:e], batch, objective)
+            shape, piece_lo[s:e], piece_hi[s:e], piece_eta[s:e], batch, objective)
 
     bound_id = "B_R" if family == "renyi" else "B_T"
     results = []

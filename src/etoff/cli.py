@@ -10,6 +10,7 @@ non-negative seed, from --seed or the ETOFF_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -34,12 +35,9 @@ def _resolve_seed(value) -> int:
     return value
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _open_out(out: str | None):
+    """Standard output, or the file ``out`` opened for writing (OSError if it cannot be)."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
 
 
 def cmd_certify(args) -> int:
@@ -53,15 +51,17 @@ def cmd_certify(args) -> int:
             x_obs, z_obs, inst, args.alpha, args.beta, args.relation,
             search, seed=seed,
         )
+        if args.format == "csv":
+            text = harness.certificates_to_csv([cert])
+        else:
+            text = json.dumps(cert.to_json_dict(), indent=2) + "\n"
+        with _open_out(args.out) as fh:
+            fh.write(text)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        # AdmissibilityError and the input validation errors are ValueError subclasses
+        # AdmissibilityError and the input validation errors are ValueError subclasses;
+        # an unwritable --out is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "csv":
-        text = harness.certificates_to_csv([cert])
-    else:
-        text = json.dumps(cert.to_json_dict(), indent=2) + "\n"
-    _write_out(text, args.out)
     return 0 if cert.passed else 1
 
 
@@ -84,15 +84,16 @@ def cmd_sweep(args) -> int:
         else:
             cfg = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
         cfg.seed = _resolve_seed(args.seed if args.seed is not None else cfg.seed)
-        certs, summary = harness.run_sweep(cfg)
+        # opened before the sweep runs, so an unwritable --out fails before any sample
+        with _open_out(cfg.out) as fh:
+            certs, summary = harness.run_sweep(cfg)
+            if cfg.fmt == "csv":
+                fh.write(harness.certificates_to_csv(certs))
+            else:
+                fh.write(harness.certificates_to_json(certs))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.fmt == "csv":
-        text = harness.certificates_to_csv(certs)
-    else:
-        text = harness.certificates_to_json(certs)
-    _write_out(text, cfg.out)
     dest = sys.stderr if cfg.out is None else sys.stdout
     print(
         "sweep: {certificates} certificates from {samples} samples (d={dim}), "
@@ -108,10 +109,11 @@ def cmd_sweep(args) -> int:
 def cmd_bounds(args) -> int:
     try:
         text = harness.tabulate_bounds(args.c, args.alpha, args.beta)
-    except ValueError as exc:
+        with _open_out(args.out) as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(text, args.out)
     return 0
 
 

@@ -22,7 +22,8 @@ Every entropy here, conditional or not, is a weighted sum of per-column
 entropies from one kernel, so each formula is written out once.  The
 kernel takes an order per column, so one call evaluates a whole grid of
 orders: the conditional entropies take one ``EntropyOrder`` or one per
-table of a stack, and ``bounds`` passes an order array.  A column of
+table of a stack, and ``bounds`` passes an order array, which broadcasts
+against columns shared by every order.  A column of
 order 2 or 0.5 is raised to its power by numpy's scalar square and sqrt
 paths, as a single-order call would be, so its value does not depend on
 the orders beside it.  The kernel also takes a multiplicity per entry,
@@ -114,11 +115,14 @@ def _column_entropies(cond: np.ndarray, alpha, family, mult=1) -> np.ndarray:
     """Entropy of each column of a column-stochastic array, each column in its own order.
 
     The one place the Renyi, Tsallis and Shannon formulas are written out.
-    ``alpha`` and ``family`` are scalars or arrays that broadcast to the
-    columns (``cond.shape[1:]``); every column follows its own order: the
-    Shannon form within ``SHANNON_BRANCH`` of 1, the min-entropy at
-    alpha = inf, the Hartley form at alpha = 0, p = 0 terms dropped, the
-    clamp at 0.  Each form is evaluated only on its own columns (ufunc
+    ``alpha`` and ``family`` are scalars or arrays that broadcast against
+    the columns (``cond.shape[1:]``): an order axis the columns lack (of
+    length 1 in ``cond``) evaluates every column once per order, bit for
+    bit as on columns broadcast out explicitly, and the result takes the
+    broadcast shape.  Every column follows its own order: the Shannon
+    form within ``SHANNON_BRANCH`` of 1, the min-entropy at alpha = inf,
+    the Hartley form at alpha = 0, p = 0 terms dropped, the clamp at 0.
+    Each form is evaluated only on its own columns (ufunc
     ``where`` masks), so no discarded branch takes a log of 0 or divides
     by 1 - alpha = 0.  ``mult`` is an integer multiplicity per entry
     (broadcast against ``cond``): a column stands for the distribution in
@@ -127,7 +131,7 @@ def _column_entropies(cond: np.ndarray, alpha, family, mult=1) -> np.ndarray:
     """
     alpha, shannon, minimum, power, renyi = _branches(alpha, family)
     # per entry, p ln p or p**alpha; p = 0 drops out of both, as 0 ** alpha = 0 for alpha > 0
-    terms = np.zeros(cond.shape)
+    terms = np.zeros(np.broadcast_shapes(cond.shape, (1,) + alpha.shape))
     if shannon.any():
         np.log(cond, out=terms, where=shannon & (cond > 0.0))
         np.multiply(terms, cond, out=terms, where=shannon)

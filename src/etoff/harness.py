@@ -221,14 +221,16 @@ BOUNDS_CSV_HEADER = (
 def tabulate_bounds(c_grid, alphas, betas) -> str:
     """CSV table of the minimised and conjugacy bounds over a parameter grid.
 
-    The conjugacy columns are populated only where 1/alpha + 1/beta = 2.
-    ``bounds.bbar_bound`` rejects any c or order outside its domain.
+    One ``bounds.bbar_bound`` call per family covers every c; its rows
+    equal those of one table per c.  The conjugacy columns are populated
+    only where 1/alpha + 1/beta = 2.  ``bounds.bbar_bound`` rejects any c
+    or order outside its domain.
     """
     num = "{:.9g}".format
     lines = [BOUNDS_CSV_HEADER]
-    for c in c_grid:
-        (b_tsallis,) = bounds.bbar_bound([c], alphas, betas, "tsallis")
-        (b_renyi,) = bounds.bbar_bound([c], alphas, betas, "renyi")
+    tsallis = bounds.bbar_bound(c_grid, alphas, betas, "tsallis")
+    renyi = bounds.bbar_bound(c_grid, alphas, betas, "renyi")
+    for c, b_tsallis, b_renyi in zip(c_grid, tsallis, renyi):
         for alpha in alphas:
             for beta in betas:
                 bt, br = b_tsallis[alpha, beta], b_renyi[alpha, beta]

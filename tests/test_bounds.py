@@ -6,6 +6,7 @@ import pytest
 from etoff.bounds import (
     AdmissibilityError,
     _breakpoints,
+    _objective,
     _parametric_column,
     admissible_grid,
     bbar_bound,
@@ -16,7 +17,7 @@ from etoff.bounds import (
     overlap,
 )
 from etoff.entropy import EntropyOrder
-from etoff.harness import sample_instance
+from etoff.harness import sample_instance, tabulate_bounds
 from etoff.noise_disturbance import SearchConfig, check_order
 from etoff.quantum import (
     basis_observable,
@@ -28,6 +29,10 @@ from etoff.quantum import (
 LN2 = math.log(2)
 # the six orders of the bounds-grid benchmark, both sides of the Shannon branch, and 5
 ORACLE_ORDERS = (0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 1.0 - 1e-8, 1.0 + 1e-8, 5.0)
+# at cos(pi/4 + 1e-11) the piece [pi/4, eta] is narrower than THETA_TOL
+PRECISION_CS = (0.1, 0.3, 1 / math.sqrt(3), 1 / math.sqrt(2), 0.8, 0.999999,
+                math.cos(math.pi / 4 + 1e-11))
+PRECISION_ORDERS = (0.0, 0.3, 1.0 - 1e-8, 1.0 + 1e-8, 2.0, 5.0)
 
 
 def bbar(c, alpha, beta, family):
@@ -207,6 +212,29 @@ def test_bbar_over_many_c_equals_one_call_per_c():
             for c, grid in zip(cs, together):
                 (alone,) = bbar_bound([c], orders, orders, fam)
                 assert grid == alone, (c, fam)
+
+
+@pytest.mark.parametrize("family", ["renyi", "tsallis"])
+@pytest.mark.parametrize("c", PRECISION_CS)
+def test_bbar_value_is_the_objective_at_its_argmin_and_no_nearby_theta_is_lower(c, family):
+    eta, breaks = math.acos(c), _breakpoints(c)
+    (grid,) = bbar_bound([c], PRECISION_ORDERS, PRECISION_ORDERS, family)
+    for (alpha, beta), b in grid.items():
+        at = _objective([alpha], [beta], family, breaks, np.array([[[b.argmin_theta]]]), eta)
+        assert b.value == at[0, 0, 0], (alpha, beta)
+        near = np.linspace(b.argmin_theta - 1e-6, b.argmin_theta + 1e-6, 2001)
+        vals = _objective([alpha], [beta], family, breaks, np.clip(near, 0.0, eta)[None, None], eta)
+        assert vals.min() >= b.value - 1e-13, (alpha, beta)
+
+
+def test_bound_table_over_many_c_equals_one_table_per_c():
+    # one bbar_bound call per family covers every c of the table
+    cs = (0.3, 1 / math.sqrt(2), 0.55, 0.999999, 1.0)
+    orders = (0.3, 0.5, 1.0, 2.0)
+    header, *rows = tabulate_bounds(cs, orders, orders).splitlines()
+    alone = [tabulate_bounds([c], orders, orders).splitlines() for c in cs]
+    assert all(table[0] == header for table in alone)
+    assert rows == [row for table in alone for row in table[1:]]
 
 
 def test_bbar_matches_grid_oracle_order_one():

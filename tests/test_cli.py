@@ -390,6 +390,28 @@ def test_bounds_rejects_invalid_grid(capsys):
         assert captured.out == "" and "error" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    pytest.param(["certify", "{anchor}", "--relation", "Prop3", "--alpha", "1", "--beta", "1"],
+                 id="certify"),
+    pytest.param(["sweep", "--dim", "2", "--samples", "2", "--seed", "1", "--restarts", "0",
+                  "--jobs", "1"], id="sweep"),
+    pytest.param(["bounds", "--c", "0.5", "--alpha", "1", "--beta", "1"], id="bounds"),
+])
+def test_unwritable_out_is_a_usage_error(command, anchor_file, tmp_path, capsys, monkeypatch):
+    # exit 1 means a refuted relation, so a path that cannot be written exits 2, and a
+    # sweep finds out before any sample runs
+    ran = []
+    task = harness._sweep_task
+    monkeypatch.setattr(harness, "_sweep_task", lambda args: ran.append(args) or task(args))
+    out = tmp_path / "missing" / "x.csv"
+    argv = [arg.format(anchor=anchor_file) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert str(out) in captured.err and not out.exists()
+    assert ran == []
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -413,6 +413,26 @@ def test_orders_on_numpy_fast_paths_do_not_depend_on_their_neighbours():
             assert np.array_equal(batched, kernel(alone, alpha, family))
 
 
+def test_orders_broadcast_against_columns_as_an_explicit_broadcast_does():
+    # columns with a length-1 order axis are evaluated once per order, bit for bit as the
+    # same columns broadcast out explicitly, copied or not
+    rng = np.random.default_rng(34)
+    cond = rng.random((4, 1, 6))
+    cond[0, :, 1] = cond[1:3, :, 2] = 0.0  # zero entries
+    cond[1:, :, 3] = 0.0  # a column holding all its mass in one entry
+    cond /= cond.sum(axis=0)
+    mult = rng.integers(1, 4, size=cond.shape)
+    alpha = np.array([a for a, _ in MIXED_ORDERS])[:, None]
+    family = np.array([f for _, f in MIXED_ORDERS])[:, None]
+    full = (4, len(MIXED_ORDERS), 6)
+    with np.errstate(all="raise"):
+        shared = _column_entropies(cond, alpha, family, mult)
+        assert shared.shape == full[1:]
+        for explicit in (np.broadcast_to(cond, full), np.broadcast_to(cond, full).copy()):
+            assert np.array_equal(
+                shared, _column_entropies(explicit, alpha, family, np.broadcast_to(mult, full)))
+
+
 def test_table_entropy_with_an_order_per_table_matches_one_call_per_order():
     rng = np.random.default_rng(32)
     orders = [EntropyOrder(a, f) for a, f in MIXED_ORDERS if a > 0.0]
