@@ -162,8 +162,9 @@ def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> float:
 
 SCAN = 65  # grid points per piece in the first scan, shared by every pair of orders
 ZOOM = 9  # grid points per bracket at every later zoom step
-THETA_TOL = 1e-9  # a bracket narrower than this counts as refined; below about 4e-8
-# rounding decides the argmin, so a finer stop buys no digit of the bound
+# a bracket narrower than THETA_TOL counts as refined; below about 4e-8 rounding decides the
+# argmin, so a finer stop buys no digit of the bound
+THETA_TOL = 1e-9
 _MAX_POINTS = 1 << 17  # objective values per zoom step; more pieces go in chunks
 
 
