@@ -24,12 +24,8 @@ from .entropy import (
     conditional_entropy,
     entropy,
 )
-from .linalg import (
-    NumericalFailure,
-    partial_trace,
-)
+from .linalg import NumericalFailure
 from .noise_disturbance import (
-    ConsistencyReport,
     CorrectionSearchResult,
     SearchConfig,
     discard_flag_correction,
@@ -38,7 +34,7 @@ from .noise_disturbance import (
     noise,
     noise_joint,
     reprepare_correction,
-    ricochet_oracle,
+    two_picture_gap,
 )
 from .quantum import (
     ProjectiveObservable,

@@ -279,6 +279,9 @@ def bbar_bound(cs, alphas, betas, family: str) -> list:
     if family not in ("renyi", "tsallis"):
         raise ValueError(f"family must be 'renyi' or 'tsallis', got {family!r}")
     cs, alphas, betas = list(cs), list(alphas), list(betas)
+    for name, values in (("cs", cs), ("alphas", alphas), ("betas", betas)):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
     for c in cs:
         if not 0.0 < c <= 1.0:
             raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")

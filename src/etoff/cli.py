@@ -18,7 +18,7 @@ import sys
 from . import harness
 from .bounds import RELATIONS, certify
 from .harness import SEED_ENV_VAR, RunConfig
-from .noise_disturbance import SearchConfig, reprepare_correction, ricochet_oracle
+from .noise_disturbance import SearchConfig
 
 
 def _resolve_seed(value) -> int:
@@ -124,12 +124,8 @@ def cmd_selftest(args) -> int:
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             print(f"selftest: validation error: {exc}")
             return 1
-        rep = ricochet_oracle(x_obs, z_obs, inst, reprepare_correction(z_obs, inst))
-        ok = rep.max_gap < 1e-9 and rep.povm_residual < 1e-9
-        print(
-            f"selftest fixture: estimation consistency "
-            f"{'PASS' if ok else 'FAIL'} (max gap {rep.max_gap:.3e})"
-        )
+        ok, detail = harness.two_picture_check(x_obs, z_obs, inst)
+        print(f"selftest fixture: two_pictures: {'PASS' if ok else 'FAIL'} ({detail})")
         return 0 if ok else 1
     failed = None
     for name, ok, detail in harness.selftest_checks():
@@ -189,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("selftest", help="run the built-in consistency checks")
-    p.add_argument("--fixture", default=None, help="run the oracle suite on an instance file")
+    p.add_argument("--fixture", default=None,
+                   help="instead, check that an instance file's noise and disturbance "
+                   "tables agree in the Schrödinger and Heisenberg pictures")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -21,7 +21,8 @@ from . import bounds, quantum
 from .bounds import RELATIONS, TradeoffCertificate, certify, certify_grid, mu_bounds
 from .decision import fano_upper_bounds, lower_bounds, standard_decision
 from .entropy import EntropyOrder, check_table, conditional_entropy
-from .noise_disturbance import SearchConfig, reprepare_correction, ricochet_oracle
+from .linalg import dagger
+from .noise_disturbance import SearchConfig, reprepare_correction, two_picture_gap
 from .quantum import (
     instrument_from_json,
     instrument_to_json,
@@ -57,11 +58,13 @@ class RunConfig:
     def __post_init__(self):
         for name in ("dim", "samples", "restarts", "iterations", "jobs", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) and not (value is None and name in ("jobs", "seed")):
+            if value is None and name in ("jobs", "seed"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):  # bool subclasses int
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("alphas", "betas"):
             for v in getattr(self, name):
-                if not isinstance(v, (int, float)) or not math.isfinite(v):
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                     raise ValueError(f"{name} must be finite numbers, got {v!r}")
         if not isinstance(self.out, (str, type(None))):
             raise ValueError(f"out must be a file path, got {self.out!r}")
@@ -271,12 +274,30 @@ def broken_instrument_json() -> dict:
     }
 
 
+SELFTEST_SEED = 20240901
+
+
+def two_picture_check(x_obs, z_obs, inst, seed: int = SELFTEST_SEED) -> tuple[bool, str]:
+    """(ok, detail) of ``two_picture_gap`` under two corrections, ok within 1e-9.
+
+    The corrections are the repreparation and a random Naimark POVM
+    E_z' = A_z'† A_z', A the first c columns of a Haar unitary drawn from
+    ``seed``.  The random POVM has no symmetry that could hide a
+    transposed table or a misplaced flag.
+    """
+    c = inst.dim_out * inst.n_outcomes
+    a = quantum.sample_haar_unitary(len(z_obs.projectors) * c, seed)[:, :c].reshape(-1, c, c)
+    gap = max(two_picture_gap(x_obs, z_obs, inst, povm)
+              for povm in (reprepare_correction(z_obs, inst), dagger(a) @ a))
+    return gap <= 1e-9, f"max gap={gap:.3e}"
+
+
 def _random_joint(rng, nx: int, ny: int) -> np.ndarray:
     t = rng.random((nx, ny))
     return check_table(t / t.sum())
 
 
-def selftest_checks(seed: int = 20240901):
+def selftest_checks(seed: int = SELFTEST_SEED):
     """Run the built-in consistency checks; yields (name, ok, detail)."""
     results = []
 
@@ -291,17 +312,10 @@ def selftest_checks(seed: int = 20240901):
         )
     )
 
-    # combined-estimation consistency on the anchor and on a random qutrit
-    psi = reprepare_correction(z_obs, inst)
-    rep = ricochet_oracle(x_obs, z_obs, inst, psi)
-    ok = rep.max_gap < 1e-9 and rep.povm_residual < 1e-9
-    results.append(("estimation_consistency_qubit", ok, f"max gap={rep.max_gap:.3e}"))
-
-    rng_seed = np.random.SeedSequence([seed, 3])
-    x3, z3, m3 = sample_instance(3, rng_seed)
-    rep3 = ricochet_oracle(x3, z3, m3, reprepare_correction(z3, m3))
-    ok3 = rep3.max_gap < 1e-9 and abs(rep3.overlap_c - rep3.overlap_c_transposed) < 1e-12
-    results.append(("estimation_consistency_qutrit", ok3, f"max gap={rep3.max_gap:.3e}"))
+    # both pictures of the noise and disturbance tables, on the anchor and a random qutrit
+    results.append(("two_pictures_qubit", *two_picture_check(x_obs, z_obs, inst, seed)))
+    qutrit = sample_instance(3, np.random.SeedSequence([seed, 3]))
+    results.append(("two_pictures_qutrit", *two_picture_check(*qutrit, seed)))
 
     # sandwich of conditional entropies between error-probability bounds
     rng = np.random.default_rng(seed)

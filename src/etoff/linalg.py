@@ -80,20 +80,3 @@ def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
     return np.maximum(pq, qp)
 
-
-def partial_trace(m, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Partial trace of an operator on a bipartite space of dimensions (dA, dB).
-
-    keep="A" traces out the second factor, keep="B" the first.  Linear and
-    trace-preserving: Tr(result) == Tr(m).
-    """
-    da, db = dims
-    m = as_matrix(m)
-    if m.shape != (da * db, da * db):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    t = m.reshape(da, db, da, db)
-    if keep == "A":
-        return np.einsum("abcb->ac", t)
-    if keep == "B":
-        return np.einsum("abad->bd", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")

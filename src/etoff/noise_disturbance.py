@@ -26,7 +26,9 @@ bound on the disturbance (ROADMAP direction A).
 
 Both joint tables come from the stacked arrays of the objects in
 ``quantum`` by batched matrix products; every disturbance table,
-p(z, z') = Tr[E_z' rho_z], comes from ``_table``.
+p(z, z') = Tr[E_z' rho_z], comes from ``_table``.  ``two_picture_gap``
+checks both tables against the same ones read off the POVM pulled back
+to the input system.
 """
 
 from __future__ import annotations
@@ -82,30 +84,6 @@ class CorrectionSearchResult:
     iterations: int
     converged: bool
     best_candidate: str
-
-
-@dataclass(frozen=True, eq=False)
-class ConsistencyReport:
-    """Cross-check of the combined-estimation statistics.
-
-    The joint distributions of (estimation outcome, input eigenvalue) are
-    computed twice: directly on the input system, and through a maximally
-    entangled pair where the observable acts transposed on the mirror
-    system.  The report carries the worst absolute discrepancies, the
-    completeness residual of the estimation POVM, and the overlap
-    characteristic computed from plain and transposed projectors.
-    """
-
-    max_joint_x_gap: float
-    max_joint_z_gap: float
-    max_conditional_gap: float
-    povm_residual: float
-    overlap_c: float
-    overlap_c_transposed: float
-
-    @property
-    def max_gap(self) -> float:
-        return max(self.max_joint_x_gap, self.max_joint_z_gap, self.max_conditional_gap)
 
 
 # --- admissible orders -------------------------------------------------------
@@ -383,88 +361,34 @@ def disturbance(chunk, orders: list, searches: list) -> list:
     return results
 
 
-# --- combined-estimation consistency oracle ------------------------------------
+# --- the two-picture check -------------------------------------------------------
 
 
-def estimation_povm(
-    z_obs: ProjectiveObservable,
-    inst: QuantumInstrument,
-    povm,
-    estimator=None,
-) -> dict:
-    """POVM on the input system realising (outcome, corrected Z estimate) jointly.
+def two_picture_gap(
+    x_obs: ProjectiveObservable, z_obs: ProjectiveObservable, inst: QuantumInstrument, povm
+) -> float:
+    """Largest difference between the noise and disturbance tables computed in two pictures.
 
-    Element for (m, z') is the Heisenberg-picture pull-back of the
-    correction's re-measurement element E_z' through the flagged branch
-    map.  An optional estimator maps (m, z') to a coarser label; elements
-    with the same image are summed, which preserves completeness.
+    The Schrödinger picture is ``noise_joint`` and ``disturbance_joint``,
+    which evolve the input eigenstates through the flagged instrument.
+    The Heisenberg picture pulls the correction's (|Z|, c, c) POVM back to
+    the input system instead, E(m, z') = sum over the Kraus operators r of
+    outcome m of K_r† E_z'^(m) K_r, with E_z'^(m) the flag block m of E_z',
+    and reads p(x, m) = sum_z' Tr[E(m, z') Pi(x)]/d and
+    p(z, z') = sum_m Tr[E(m, z') Pi(z)]/d off it.  The pictures share no
+    code past the Kraus and POVM stacks, so an error in the layout of the
+    flag or of either table shows as a gap far above roundoff.
     """
     n, d_out = inst.n_outcomes, inst.dim_out
-    # element (m, z') sums (K_r ⊗ |m>)† E_z' (K_r ⊗ |m>) over the Kraus operators of m
     blocks = _checked_povm(z_obs, inst, povm).reshape(-1, d_out, n, d_out, n)
+    # (R, |Z|, d, d): the share K_r† E_z'^(m_r) K_r of Kraus operator r in E(m_r, z')
     pulled = dagger(inst.kraus)[:, None] @ blocks[:, :, inst.outcome, :, inst.outcome]
-    pulled = hermitize(pulled @ inst.kraus[:, None])
-    elements: dict = {}
-    for mi, label in enumerate(inst.labels):
-        for zval, e in zip(z_obs.eigenvalues, pulled[inst.outcome == mi].sum(axis=0)):
-            key = (label, zval) if estimator is None else estimator(label, zval)
-            elements[key] = elements[key] + e if key in elements else e
-    return elements
+    pulled = pulled @ inst.kraus[:, None]
 
+    def read(obs):  # Tr[share Pi] / d: (projector, Kraus operator, z')
+        return np.einsum("rzab,pba->prz", pulled, obs.projectors).real / obs.dim
 
-def ricochet_oracle(
-    x_obs: ProjectiveObservable,
-    z_obs: ProjectiveObservable,
-    inst: QuantumInstrument,
-    povm,
-    estimator=None,
-) -> ConsistencyReport:
-    """Double-compute the combined-estimation statistics and report gaps.
-
-    Route one evaluates p(u, x) = (1/d) Tr(E(u) Pi(x)) with the estimation
-    POVM on the input system.  Route two prepares the maximally entangled
-    state of the system with a mirror copy and measures transposed
-    projectors on the mirror; linearity of the transpose makes the two
-    agree exactly, so any gap is numerical.  The report also compares the
-    direct conditionals p(x|u) with Tr(Pi(x)^T rho(u)) for the ensemble of
-    mirror states induced by the estimation, and the overlap
-    characteristic with its transposed variant.
-    """
-    if x_obs.dim != z_obs.dim or x_obs.dim != inst.dim_in:
-        raise ValueError("observables and instrument must share the input dimension")
-    d = x_obs.dim
-    elements = np.array(list(estimation_povm(z_obs, inst, povm, estimator).values()))
-    povm_residual = max_abs(elements.sum(axis=0) - np.eye(d))
-    phi = np.eye(d, dtype=complex).reshape(d * d) / math.sqrt(d)
-    ent = np.outer(phi, phi.conj())
-
-    nx = len(x_obs.projectors)
-    projs = np.concatenate([x_obs.projectors, z_obs.projectors])
-    direct = np.trace(elements[:, None] @ projs[None], axis1=-2, axis2=-1).real / d
-    # route two: <phi| E(u) ⊗ P^T |phi> on the system and its mirror
-    kron = np.einsum("uab,xcd->uxacbd", elements, projs.swapaxes(-1, -2))
-    kron = kron.reshape(len(elements), len(projs), d * d, d * d)
-    gap = np.abs(direct - np.trace(kron @ ent, axis1=-2, axis2=-1).real)
-    direct_x, gap_x, gap_z = direct[:, :nx], max_abs(gap[:, :nx]), max_abs(gap[:, nx:])
-
-    lifted = np.kron(elements, np.eye(d, dtype=complex)) @ ent
-    p_u = np.trace(lifted, axis1=-2, axis2=-1).real
-    p_u_direct = direct_x.sum(axis=1)
-    keep = (p_u > 1e-12) & (p_u_direct > 1e-12)
-    rho_u = np.array([linalg.partial_trace(m, (d, d), keep="B") for m in lifted[keep]])
-    rhs = np.trace(x_obs.projectors.swapaxes(-1, -2)[None] @ rho_u[:, None], axis1=-2, axis2=-1)
-    lhs = direct_x[keep] / p_u_direct[keep, None]
-    gap_cond = max_abs(lhs - rhs.real / p_u[keep, None])
-
-    c_plain = float(linalg.pair_overlaps(x_obs.projectors, z_obs.projectors).max())
-    transposed = (o.projectors.swapaxes(-1, -2) for o in (x_obs, z_obs))
-    c_transposed = float(linalg.pair_overlaps(*transposed).max())
-
-    return ConsistencyReport(
-        max_joint_x_gap=gap_x,
-        max_joint_z_gap=gap_z,
-        max_conditional_gap=gap_cond,
-        povm_residual=povm_residual,
-        overlap_c=c_plain,
-        overlap_c_transposed=c_transposed,
-    )
+    by_outcome = inst.outcome == np.arange(n)[:, None]
+    noise_gap = noise_joint(x_obs, inst) - read(x_obs).sum(axis=-1) @ by_outcome.T
+    disturbance_gap = disturbance_joint(z_obs, inst, povm) - read(z_obs).sum(axis=1)
+    return max(max_abs(noise_gap), max_abs(disturbance_gap))

@@ -279,6 +279,13 @@ def test_bbar_rejects_invalid_c():
         bbar(1.2, 1.0, 1.0, "tsallis")
 
 
+@pytest.mark.parametrize("empty", ["cs", "alphas", "betas"])
+def test_bbar_bound_names_an_empty_grid(empty):
+    grid = {"cs": [0.5], "alphas": [1.0], "betas": [1.0], empty: []}
+    with pytest.raises(ValueError, match=f"{empty} must not be empty"):
+        bbar_bound(grid["cs"], grid["alphas"], grid["betas"], "renyi")
+
+
 # --- conjugacy bounds ----------------------------------------------------------------
 
 

@@ -20,7 +20,12 @@ from etoff.harness import (
     saturation_instance,
 )
 from etoff.noise_disturbance import SearchConfig
-from etoff.quantum import basis_observable, observable_to_json
+from etoff.quantum import (
+    basis_observable,
+    observable_to_json,
+    sample_random_instrument,
+    sample_random_observable,
+)
 
 
 @pytest.fixture
@@ -109,6 +114,13 @@ MALFORMED_INPUTS = [
     pytest.param("config", {"out": 7}, "out must be a file path", id="config-number-out"),
     pytest.param("config", {"betas": [1.0, math.nan]}, "betas must be finite numbers, got nan",
                  id="config-nan-beta"),
+    # JSON booleans are Python ints, so each of these once ran as 1
+    pytest.param("config", {"restarts": True}, "restarts must be an integer, got True",
+                 id="config-bool-restarts"),
+    pytest.param("config", {"seed": True}, "seed must be an integer, got True",
+                 id="config-bool-seed"),
+    pytest.param("config", {"alphas": [True]}, "alphas must be finite numbers, got True",
+                 id="config-bool-alpha"),
 ]
 
 
@@ -416,6 +428,16 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_fixture_passes_on_a_qutrit_with_a_wider_output(tmp_path, capsys):
+    x_obs, z_obs = (sample_random_observable(3, None, seed) for seed in (1, 2))
+    inst = sample_random_instrument(3, 4, 2, 2, 3)
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps(instance_to_json(x_obs, z_obs, inst)))
+    assert main(["selftest", "--fixture", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "two_pictures: PASS" in out and "FAIL" not in out
 
 
 def test_selftest_negative_fixture(broken_file, capsys):

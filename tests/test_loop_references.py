@@ -12,7 +12,8 @@ The package keeps a correction as its re-measurement POVM.  The
 corrections here are Kraus lists (flag discarding, measure-and-prepare
 by outcome, measure-and-prepare of a random Naimark isometry, a random
 channel), applied by the loop route and compared with the package
-evaluating their pulled-back POVM E_z' = sum_k K_k† Lambda(z') K_k.
+evaluating their pulled-back POVM E_z' = sum_k K_k† Lambda(z') K_k,
+and with the package's check of both tables in the Heisenberg picture.
 """
 
 import math
@@ -27,14 +28,18 @@ from etoff.entropy import (
     conditional_entropy,
     entropy,
 )
+from etoff import noise_disturbance
+from etoff.harness import sample_instance
 from etoff.noise_disturbance import (
     disturbance_joint,
     discard_flag_correction,
     noise_joint,
     reprepare_correction,
+    two_picture_gap,
 )
 from etoff.quantum import (
     QuantumInstrument,
+    apply_cp,
     basis_observable,
     flag_apply,
     sample_haar_unitary,
@@ -264,6 +269,40 @@ def test_correction_joint_matches_loop(name, x_obs, z_obs, inst):
         j = disturbance_joint(z_obs, inst, pulled)
         assert np.max(np.abs(j - ref)) <= TOL
         assert_entropies_agree(ref)
+        assert two_picture_gap(x_obs, z_obs, inst, pulled) <= TOL
+
+
+def flag_major_flag_apply(inst, op):
+    """``flag_apply`` with flag ⊗ output in place of output ⊗ flag."""
+    r, n = len(inst.kraus), inst.n_outcomes
+    lifted = np.zeros((r, n, inst.dim_out, inst.dim_in), dtype=complex)
+    lifted[np.arange(r), inst.outcome] = inst.kraus
+    return apply_cp(lifted.reshape(r, n * inst.dim_out, inst.dim_in), op)
+
+
+def flag_major_noise_joint(x_obs, inst):
+    """``noise_joint`` summing each diagonal as if the flag were the leading factor."""
+    diag = np.diagonal(flag_apply(inst, x_obs.projectors), axis1=1, axis2=2).real
+    return diag.reshape(len(diag), inst.n_outcomes, inst.dim_out).sum(axis=-1) / x_obs.dim
+
+
+TABLE = noise_disturbance._table
+MUTATIONS = {
+    "flag_apply-flag-major": ("flag_apply", flag_major_flag_apply),
+    "noise_joint-flag-major": ("noise_joint", flag_major_noise_joint),
+    "table-of-rho-transposed": ("_table", lambda povm, rho: TABLE(povm, rho.swapaxes(-1, -2))),
+    "table-transposed": ("_table", lambda povm, rho: TABLE(povm, rho).swapaxes(-1, -2)),
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_two_pictures_catch_a_mutated_table(monkeypatch, name):
+    x_obs, z_obs, inst = sample_instance(3, 14)
+    _, blocks = naimark_kraus(z_obs, inst, seed=3)
+    povm = np.conj(blocks).swapaxes(-1, -2) @ blocks
+    assert two_picture_gap(x_obs, z_obs, inst, povm) <= TOL
+    monkeypatch.setattr(noise_disturbance, *MUTATIONS[name])
+    assert two_picture_gap(x_obs, z_obs, inst, povm) > 1e-3
 
 
 def test_cases_cover_the_edges():

@@ -23,7 +23,6 @@ from etoff.noise_disturbance import (
     noise,
     noise_joint,
     reprepare_correction,
-    ricochet_oracle,
 )
 from etoff.quantum import (
     basis_observable,
@@ -357,43 +356,3 @@ def test_disturbance_joint_rejects_a_non_povm(anchor):
         with pytest.raises(ValueError, match=match):
             disturbance_joint(z_obs, inst, povm)
 
-
-# --- combined-estimation consistency ----------------------------------------------------
-
-
-def test_ricochet_trivial_instrument(qubit_pair):
-    x_obs, z_obs = qubit_pair
-    inst = trivial_instrument(2)
-    rep = ricochet_oracle(x_obs, z_obs, inst, discard_flag_correction(z_obs, inst))
-    assert rep.max_gap < 1e-12
-    assert rep.povm_residual < 1e-12
-
-
-def test_ricochet_projective_x_with_reprepare(anchor):
-    x_obs, z_obs, inst = anchor
-    rep = ricochet_oracle(x_obs, z_obs, inst, reprepare_correction(z_obs, inst))
-    assert rep.max_gap < 1e-9
-    assert rep.overlap_c == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-    assert abs(rep.overlap_c - rep.overlap_c_transposed) < 1e-12
-
-
-def test_ricochet_random_qutrit():
-    x_obs, z_obs, inst = sample_instance(3, 14)
-    rep = ricochet_oracle(x_obs, z_obs, inst, reprepare_correction(z_obs, inst))
-    assert rep.max_gap < 1e-9
-    assert rep.povm_residual < 1e-9
-
-
-def test_ricochet_with_coarse_estimator(anchor):
-    x_obs, z_obs, inst = anchor
-    psi = reprepare_correction(z_obs, inst)
-    rep = ricochet_oracle(x_obs, z_obs, inst, psi, estimator=lambda m, z: z)
-    assert rep.max_gap < 1e-9
-    assert rep.povm_residual < 1e-9
-
-
-def test_ricochet_dimension_mismatch(anchor):
-    x_obs, z_obs, inst = anchor
-    obs3 = sample_random_observable(3, None, seed=2)
-    with pytest.raises(ValueError):
-        ricochet_oracle(obs3, z_obs, inst, reprepare_correction(z_obs, inst))
