@@ -39,7 +39,6 @@ from .noise_disturbance import (
 from .quantum import (
     ProjectiveObservable,
     QuantumInstrument,
-    apply_cp,
     basis_observable,
     flag_apply,
     luders_instrument,

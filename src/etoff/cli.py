@@ -122,8 +122,8 @@ def cmd_selftest(args) -> int:
         try:
             x_obs, z_obs, inst = harness.load_instance(args.fixture)
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            print(f"selftest: validation error: {exc}")
-            return 1
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         ok, detail = harness.two_picture_check(x_obs, z_obs, inst)
         print(f"selftest fixture: two_pictures: {'PASS' if ok else 'FAIL'} ({detail})")
         return 0 if ok else 1

@@ -280,13 +280,14 @@ SELFTEST_SEED = 20240901
 def two_picture_check(x_obs, z_obs, inst, seed: int = SELFTEST_SEED) -> tuple[bool, str]:
     """(ok, detail) of ``two_picture_gap`` under two corrections, ok within 1e-9.
 
-    The corrections are the repreparation and a random Naimark POVM
-    E_z' = A_z'† A_z', A the first c columns of a Haar unitary drawn from
-    ``seed``.  The random POVM has no symmetry that could hide a
-    transposed table or a misplaced flag.
+    The corrections are the repreparation and random Naimark POVMs
+    E_z'^(m) = A_z'^(m)† A_z'^(m), A^(m) the first d_out columns of its own
+    Haar unitary from ``seed``: they have no symmetry that could hide a
+    transposed table, and no outcome shares another's to hide a mix-up.
     """
-    c = inst.dim_out * inst.n_outcomes
-    a = quantum.sample_haar_unitary(len(z_obs.projectors) * c, seed)[:, :c].reshape(-1, c, c)
+    rng, d = np.random.default_rng(seed), inst.dim_out
+    a = np.array([quantum.sample_haar_unitary(len(z_obs.projectors) * d, rng)[:, :d]
+                  for _ in inst.labels]).reshape(inst.n_outcomes, -1, d, d)
     gap = max(two_picture_gap(x_obs, z_obs, inst, povm)
               for povm in (reprepare_correction(z_obs, inst), dagger(a) @ a))
     return gap <= 1e-9, f"max gap={gap:.3e}"

@@ -5,30 +5,31 @@ source emits eigenstates of an observable X (the state Pi(x)/d_x with
 probability d_x/d); the instrument's classical outcome m is correlated
 with the input eigenvalue, and the noise is the conditional entropy of X
 given M.  In the second, eigenstates of a second observable Z are fed
-through the instrument, a correction channel acting on the quantum
-output together with the outcome flag tries to undo the measurement
-back-action, Z is measured again, and the disturbance is the conditional
-entropy of the input eigenvalue given the final outcome, minimised over
-correction channels.
+through the instrument, a correction channel that may depend on the
+outcome m tries to undo the measurement back-action, Z is measured
+again, and the disturbance is the conditional entropy of the input
+eigenvalue given the final outcome, minimised over correction channels.
 
 A correction followed by the Z re-measurement acts only through a
-|Z|-outcome POVM on output ⊗ flag, and measure-and-prepare realises
-every such POVM, so the minimum over corrections is a minimum over POVMs
-and a correction is kept as its POVM, a (|Z|, c, c) stack with
-c = dim_out * n_outcomes.  ``disturbance`` reports the best value found
-among two fixed corrections (flag-discarding identity, classical
-repreparation by outcome) and a Riemannian gradient descent over the
-POVM's Naimark isometry, run for all requested orders and restarts of an
-instance as one stacked computation.  The result is an upper bound on
-the true disturbance.  An upper bound can only refute a trade-off
-relation (N + D_upper < B); it cannot certify one, which needs a lower
-bound on the disturbance (ROADMAP direction A).
+|Z|-outcome POVM, and measure-and-prepare realises every such POVM, so
+the minimum over corrections is a minimum over POVMs.  As m is
+classical, the flagged states sigma_z = sum_m Phi^(m)(Pi(z))/d ⊗ |m><m|
+are block diagonal; pinching a POVM onto the n flag blocks is unital and
+CP and keeps every Tr[E_z' sigma_z].  So a correction is one |Z|-outcome
+POVM per outcome, an (n, |Z|, d_out, d_out) stack.  ``disturbance``
+reports the best value found among two fixed corrections
+(flag-discarding identity, classical repreparation by outcome) and a
+Riemannian gradient descent over the blocks' Naimark isometries, run for
+all requested orders and restarts of an instance as one stacked
+computation.  The result is an upper bound on the true disturbance; it
+can refute a trade-off relation (N + D_upper < B) but not certify one,
+which needs a lower bound on the disturbance (ROADMAP direction A).
 
 Both joint tables come from the stacked arrays of the objects in
 ``quantum`` by batched matrix products; every disturbance table,
-p(z, z') = Tr[E_z' rho_z], comes from ``_table``.  ``two_picture_gap``
-checks both tables against the same ones read off the POVM pulled back
-to the input system.
+p(z, z') = sum_m Tr[E_z'^(m) sigma_z^(m)], comes from ``_table``.
+``two_picture_gap`` checks both tables against the same ones read off
+the POVMs pulled back to the input system.
 """
 
 from __future__ import annotations
@@ -113,11 +114,9 @@ def noise_joint(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> np.ndar
     if x_obs.dim != inst.dim_in:
         raise ValueError(f"observable dim {x_obs.dim} != instrument input dim {inst.dim_in}")
     # p(x, m) = (d_x / d) * p(m | x) with input state Pi(x)/d_x: the trace
-    # of flag block m of the flagged evolution of Pi(x), over d
-    flagged = flag_apply(inst, x_obs.projectors)
-    diag = np.diagonal(flagged, axis1=1, axis2=2).real
-    table = diag.reshape(len(diag), inst.dim_out, inst.n_outcomes).sum(axis=1) / x_obs.dim
-    return check_table(table)
+    # of block m of the evolution of Pi(x), over d
+    blocks = flag_apply(inst, x_obs.projectors)
+    return check_table(np.trace(blocks, axis1=-2, axis2=-1).real / x_obs.dim)
 
 
 def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) -> list:
@@ -140,21 +139,24 @@ def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) ->
 
 
 def _table(povm: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Checked p(z, z') = Tr[E_z' rho_z] for broadcasting POVM and rho stacks (..., |Z|, c, c)."""
-    rho_t = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], -1).swapaxes(-1, -2)
-    return check_table((povm.reshape(*povm.shape[:-2], -1) @ rho_t).real.swapaxes(-1, -2))
+    """Checked p(z, z') = sum_m Tr[E_z'^(m) rho_z^(m)] for broadcasting POVM stacks
+    (..., n, |Z|, d, d) and rho stacks (..., |Z|, n, d, d)."""
+    e = povm.swapaxes(-3, -4).reshape(*povm.shape[:-4], povm.shape[-3], -1)
+    rho_t = rho.swapaxes(-1, -2).reshape(*rho.shape[:-3], -1)
+    return check_table((rho_t @ e.swapaxes(-1, -2)).real)
 
 
 def _checked_povm(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) -> np.ndarray:
-    """Validate a re-measurement POVM: |Z| Hermitian positive c x c elements summing to I."""
+    """Validate a correction: per outcome, |Z| Hermitian positive elements summing to I."""
     if z_obs.dim != inst.dim_in:
         raise ValueError(f"observable dim {z_obs.dim} != instrument input dim {inst.dim_in}")
-    e, c = linalg.as_stack(povm, "POVM"), inst.dim_out * inst.n_outcomes
-    if e.shape != (len(z_obs.projectors), c, c):
-        raise ValueError(f"POVM shape {e.shape} is not (|Z|, c, c) with c = {c}")
+    shape = (inst.n_outcomes, len(z_obs.projectors), inst.dim_out, inst.dim_out)
+    if np.shape(povm) != shape:
+        raise ValueError(f"POVM shape {np.shape(povm)} is not (n, |Z|, d_out, d_out) = {shape}")
+    e = linalg.as_stack(np.reshape(povm, (-1,) + shape[2:]), "POVM").reshape(shape)
     if max_abs(e - dagger(e)) > DECOMP_TOL:
         raise ValueError("POVM elements are not Hermitian")
-    res = max_abs(e.sum(axis=0) - np.eye(c))
+    res = max_abs(e.sum(axis=1) - np.eye(inst.dim_out))
     if res > DECOMP_TOL:
         raise ValueError(f"POVM completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}")
     linalg.clip_spectrum(np.linalg.eigvalsh(e))
@@ -164,8 +166,8 @@ def _checked_povm(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) ->
 def disturbance_joint(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) -> np.ndarray:
     """Checked joint table p(z, z') of input eigenvalue and corrected re-measurement outcome.
 
-    ``povm`` is the correction's (|Z|, c, c) re-measurement POVM on
-    output ⊗ flag; it is validated here.
+    ``povm`` is the correction's (n_outcomes, |Z|, d_out, d_out)
+    re-measurement POVM, one per outcome; it is validated here.
     """
     povm = _checked_povm(z_obs, inst, povm)
     return _table(povm, flag_apply(inst, z_obs.projectors) / z_obs.dim)
@@ -174,14 +176,14 @@ def disturbance_joint(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm
 def discard_flag_correction(
     z_obs: ProjectiveObservable, inst: QuantumInstrument
 ) -> np.ndarray | None:
-    """Trace out the outcome flag and measure Z on the quantum output: E_z' = Lambda(z') ⊗ I.
+    """Ignore the outcome and measure Z on the quantum output: E_z'^(m) = Lambda(z') for every m.
 
     Only available when the instrument's output space matches the Z
     system; returns None otherwise.
     """
     if inst.dim_out != z_obs.dim:
         return None
-    return np.kron(z_obs.projectors, np.eye(inst.n_outcomes))
+    return np.broadcast_to(z_obs.projectors, (inst.n_outcomes,) + z_obs.projectors.shape)
 
 
 def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -> np.ndarray:
@@ -190,12 +192,12 @@ def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -
     The most likely eigenvalue per outcome is the standard decision on the
     pre-correction joint of (input eigenvalue, outcome): the largest entry
     of each column, ties going to the smallest row.  Re-measuring Z then
-    reads that eigenvalue, so E_z' = I ⊗ sum of |m><m| over the outcomes
-    m whose decision is z'.
+    reads that eigenvalue, so E_z'^(m) = I if the decision on m is z',
+    and 0 otherwise.
     """
     best = np.argmax(noise_joint(z_obs, inst), axis=0)
-    flags = np.eye(inst.n_outcomes) * (best == np.arange(len(z_obs.projectors))[:, None, None])
-    return np.kron(np.eye(inst.dim_out), flags)
+    picks = best[:, None] == np.arange(len(z_obs.projectors))
+    return picks[..., None, None] * np.eye(inst.dim_out)
 
 
 # --- the POVM search ------------------------------------------------------------
@@ -215,23 +217,23 @@ def _retract(y: np.ndarray) -> np.ndarray:
 def _riemannian_gradient(povm: np.ndarray, g: np.ndarray, rho: np.ndarray) -> tuple:
     """(D, ||A D||) with Riemannian gradient A_z' D_z' at any A with A_z'† A_z' = E_z'.
 
-    The Euclidean gradient is G_z' = A_z' M_z', M_z' = sum_z g(z, z') rho_z
+    The Euclidean gradient of block m is G_z' = A_z' M_z', M_z' = sum_z g(z, z') rho_z^(m)
     with g = dH/dp; G - A sym(A† G) is A_z' (M_z' - sym(sum E_z' M_z')),
-    and its norm, sum_z' Tr[D_z' E_z' D_z'], depends on A only through E.
+    and its squared norm, sum over m, z' of Tr[D_z' E_z' D_z'], depends on A only through E.
     """
-    c = rho.shape[-1]
-    m = g.swapaxes(-1, -2) @ rho.reshape(*rho.shape[:-2], c * c)
-    m = m.reshape(*m.shape[:-1], c, c)
+    m = g.swapaxes(-1, -2) @ rho.reshape(*rho.shape[:-3], math.prod(rho.shape[-3:]))
+    m = m.reshape(*m.shape[:-1], *rho.shape[-3:]).swapaxes(-3, -4)
     d = m - hermitize((povm @ m).sum(axis=-3))[..., None, :, :]
-    sq = (d * (povm @ d).swapaxes(-1, -2)).sum(axis=(-3, -2, -1)).real
+    sq = (d * (povm @ d).swapaxes(-1, -2)).sum(axis=(-4, -3, -2, -1)).real
     return d, np.sqrt(np.maximum(sq, 0.0))
 
 
 def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
-    """Riemannian descent over the Naimark isometry A of the re-measurement POVM.
+    """Riemannian descent over the Naimark isometries of the per-outcome POVMs.
 
-    A is a (|Z| c, c) isometry of c x c blocks, E_z' = A_z'† A_z' and
-    p(z, z') = Tr[E_z' rho_z] with rho (instances, |Z|, c, c).  Rows are
+    A point is on Stiefel(|Z| d, d)^n, the outcome m one more stacked
+    axis: E_z'^(m) = A_z'^(m)† A_z'^(m), with rho (instances, |Z|, n, d, d)
+    as in ``_table``.  Rows are
     (instance, order, restart) triples moving in lockstep, and one kernel
     call per iteration takes the entropy and its gradient of every row in
     that row's order.  Restart r of instance i starts from
@@ -242,28 +244,29 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
     the shared evaluation budget.  Returns, per (instance, order), the
     best restart's POVM, its index and its number of evaluations.
     """
-    nz, c = rho.shape[1], rho.shape[-1]
+    nz, n, d = rho.shape[1:4]
     n_rest, budget = searches[0].restarts, searches[0].iterations
     shape = (len(rho), len(orders), n_rest)
     row_orders = np.tile(np.repeat(np.array(orders, dtype=object), n_rest), len(rho))
     row_rho = np.repeat(np.arange(len(rho)), len(orders) * n_rest)
     gauss = np.array([[np.random.default_rng(None if s.seed is None else [s.seed, r])
-                       .standard_normal((2, nz * c, c)) for r in range(n_rest)] for s in searches])
+                       .standard_normal((2, n, nz * d, d)) for r in range(n_rest)]
+                      for s in searches])
     starts = _retract(gauss[:, :, 0] + 1j * gauss[:, :, 1])
-    a = np.repeat(starts, len(orders), axis=0).reshape(-1, nz * c, c)
+    a = np.repeat(starts, len(orders), axis=0).reshape(-1, n, nz * d, d)
 
     def evaluate(points, rows):
         """Entropy, gradient and POVM at each point; point i of ``points`` is on row rows[i]."""
-        blocks = points.reshape(*points.shape[:-2], nz, c, c)
+        blocks = points.reshape(*points.shape[:-2], nz, d, d)
         povm = dagger(blocks) @ blocks
-        axes = rows.shape + (1,) * (points.ndim - 3)
+        axes = rows.shape + (1,) * (points.ndim - 4)
         at = row_orders[rows].reshape(axes)
         return *conditional_entropy_gradient(
             _table(povm, rho[row_rho[rows]].reshape(axes + rho.shape[1:])), at), povm
 
     def direction(rows):
-        d, size = _riemannian_gradient(povm[rows], g[rows], rho[row_rho[rows]])
-        return (a[rows].reshape(d.shape) @ d).reshape(-1, nz * c, c), size
+        grad, size = _riemannian_gradient(povm[rows], g[rows], rho[row_rho[rows]])
+        return (a[rows].reshape(grad.shape) @ grad).reshape(a[rows].shape), size
 
     rows = np.arange(len(a))
     f, g, povm = evaluate(a, rows)
@@ -277,7 +280,7 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
         if not len(rows):
             break
         t = step[rows, None] * _LADDER
-        trial = _retract(a[rows, None] - t[..., None, None] * xi[rows, None])
+        trial = _retract(a[rows, None] - t[..., None, None, None] * xi[rows, None])
         ft, gt, pt = evaluate(trial, rows)
         ok = ft <= f[rows, None] - _ARMIJO * t * norm[rows, None] ** 2
         i, pick = np.nonzero(ok.any(axis=1))[0], ok.argmax(axis=1)
@@ -371,24 +374,22 @@ def two_picture_gap(
 
     The Schrödinger picture is ``noise_joint`` and ``disturbance_joint``,
     which evolve the input eigenstates through the flagged instrument.
-    The Heisenberg picture pulls the correction's (|Z|, c, c) POVM back to
-    the input system instead, E(m, z') = sum over the Kraus operators r of
-    outcome m of K_r† E_z'^(m) K_r, with E_z'^(m) the flag block m of E_z',
-    and reads p(x, m) = sum_z' Tr[E(m, z') Pi(x)]/d and
+    The Heisenberg picture pulls the correction's per-outcome POVMs back
+    to the input system instead, E(m, z') = sum over the Kraus operators r
+    of outcome m of K_r† E_z'^(m) K_r, and reads
+    p(x, m) = sum_z' Tr[E(m, z') Pi(x)]/d and
     p(z, z') = sum_m Tr[E(m, z') Pi(z)]/d off it.  The pictures share no
-    code past the Kraus and POVM stacks, so an error in the layout of the
-    flag or of either table shows as a gap far above roundoff.
+    code past the Kraus and POVM stacks, so an error in the outcome
+    layout or in either table shows as a gap far above roundoff.
     """
-    n, d_out = inst.n_outcomes, inst.dim_out
-    blocks = _checked_povm(z_obs, inst, povm).reshape(-1, d_out, n, d_out, n)
     # (R, |Z|, d, d): the share K_r† E_z'^(m_r) K_r of Kraus operator r in E(m_r, z')
-    pulled = dagger(inst.kraus)[:, None] @ blocks[:, :, inst.outcome, :, inst.outcome]
+    pulled = dagger(inst.kraus)[:, None] @ _checked_povm(z_obs, inst, povm)[inst.outcome]
     pulled = pulled @ inst.kraus[:, None]
 
     def read(obs):  # Tr[share Pi] / d: (projector, Kraus operator, z')
         return np.einsum("rzab,pba->prz", pulled, obs.projectors).real / obs.dim
 
-    by_outcome = inst.outcome == np.arange(n)[:, None]
+    by_outcome = inst.outcome == np.arange(inst.n_outcomes)[:, None]
     noise_gap = noise_joint(x_obs, inst) - read(x_obs).sum(axis=-1) @ by_outcome.T
     disturbance_gap = disturbance_joint(z_obs, inst, povm) - read(z_obs).sum(axis=1)
     return max(max_abs(noise_gap), max_abs(disturbance_gap))

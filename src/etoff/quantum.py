@@ -174,27 +174,18 @@ def trivial_instrument(dim: int) -> QuantumInstrument:
 # --- acting on states --------------------------------------------------------
 
 
-def apply_cp(kraus: np.ndarray, rho) -> np.ndarray:
-    """Apply the completely positive map sum_r K_r rho K_r† of an (r, d_out, d_in) Kraus stack.
-
-    ``rho`` may carry leading batch axes; the result keeps them.
-    """
-    rho = np.asarray(rho)[..., None, :, :]
-    return (kraus @ rho @ dagger(kraus)).sum(axis=-3)
-
-
 def flag_apply(inst: QuantumInstrument, op) -> np.ndarray:
-    """Flagged evolution sum_m Phi^(m)(op) ⊗ |m><m| on the output ⊗ flag space.
+    """Blocks Phi^(m)(op), the sum of K_r op K_r† over the Kraus operators r of outcome m.
 
-    Batched over leading axes of ``op``.  The flagged map is itself in
-    Kraus form, with operators K_r ⊗ |m_r> for Kraus operator r of outcome
-    m_r; it is trace-preserving, and the trace of flag block m is the
-    outcome probability p(m).
+    Batched over leading axes of ``op``: (..., n_outcomes, d_out, d_out).
+    They are the diagonal blocks of the flagged evolution
+    sum_m Phi^(m)(op) ⊗ |m><m|, which has no other entries; the trace of
+    block m is the outcome probability p(m).
     """
-    r, n = len(inst.kraus), inst.n_outcomes
-    lifted = np.zeros((r, inst.dim_out, n, inst.dim_in), dtype=complex)
-    lifted[np.arange(r), :, inst.outcome, :] = inst.kraus
-    return apply_cp(lifted.reshape(r, inst.dim_out * n, inst.dim_in), op)
+    terms = inst.kraus @ np.asarray(op)[..., None, :, :] @ dagger(inst.kraus)
+    by_outcome = inst.outcome == np.arange(inst.n_outcomes)[:, None]
+    flat = by_outcome @ terms.reshape(*terms.shape[:-2], inst.dim_out ** 2)
+    return flat.reshape(*flat.shape[:-1], inst.dim_out, inst.dim_out)
 
 
 # --- sampling -----------------------------------------------------------------
@@ -237,7 +228,7 @@ def sample_random_instrument(
     """
     if min(dim_in, dim_out, n_outcomes, kraus_per_outcome) < 1:
         raise ValueError("all instrument dimensions must be positive")
-    total = dim_out * kraus_per_outcome * n_outcomes
+    total = n_outcomes * kraus_per_outcome * dim_out
     if total < dim_in:
         raise ValueError(
             f"output ⊗ environment ⊗ register dimension {total} cannot embed input {dim_in}"

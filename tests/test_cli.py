@@ -139,9 +139,11 @@ def test_malformed_input_file_exits_two(anchor_file, tmp_path, capsys, kind, con
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("error:") and named in captured.err
-    if kind == "instance":  # the fixture check reports the same file as a validation error
-        assert main(["selftest", "--fixture", str(path)]) == 1
-        assert "validation error" in capsys.readouterr().out
+    if kind == "instance":  # the fixture check rejects the same file as an input error
+        assert main(["selftest", "--fixture", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and named in captured.err
 
 
 def test_certify_restarts_require_seed(anchor_file, monkeypatch):
@@ -442,14 +444,15 @@ def test_selftest_fixture_passes_on_a_qutrit_with_a_wider_output(tmp_path, capsy
 
 def test_selftest_negative_fixture(broken_file, capsys):
     code = main(["selftest", "--fixture", broken_file])
-    assert code == 1
-    assert "validation error" in capsys.readouterr().out
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_selftest_shipped_fixture_rejected(broken_file):
     # the negative fixture ships as harness.broken_instrument_json(), which
-    # the broken_file fixture writes out
-    assert main(["selftest", "--fixture", broken_file]) == 1
+    # the broken_file fixture writes out; a file that is no valid instance is an input error
+    assert main(["selftest", "--fixture", broken_file]) == 2
 
 
 def test_usage_error_exits_two():

@@ -8,12 +8,16 @@ must agree with them to 1e-12 on every case: dimensions 2, 3 and 4,
 dim_out != dim_in, outcomes with different numbers of Kraus operators
 (none at all, included), a degenerate Z, and zero-probability columns.
 
-The package keeps a correction as its re-measurement POVM.  The
-corrections here are Kraus lists (flag discarding, measure-and-prepare
-by outcome, measure-and-prepare of a random Naimark isometry, a random
-channel), applied by the loop route and compared with the package
-evaluating their pulled-back POVM E_z' = sum_k K_k† Lambda(z') K_k,
-and with the package's check of both tables in the Heisenberg picture.
+The references work on the full output ⊗ flag space, of dimension
+c = d_out n for n outcomes; the package keeps only the n diagonal
+blocks.  The corrections here are Kraus lists on the full space (flag
+discarding, measure-and-prepare by outcome, measure-and-prepare of a
+random Naimark isometry, a random channel that mixes the blocks),
+applied by the loop route.  The package evaluates the flag-block
+pinching of their pulled-back POVM E_z' = sum_k K_k† Lambda(z') K_k,
+one d_out x d_out POVM per outcome, and must give the loop table of the
+full correction, in both pictures: this is the evidence that keeping
+the blocks alone loses no correction.
 """
 
 import math
@@ -39,7 +43,6 @@ from etoff.noise_disturbance import (
 )
 from etoff.quantum import (
     QuantumInstrument,
-    apply_cp,
     basis_observable,
     flag_apply,
     sample_haar_unitary,
@@ -103,6 +106,26 @@ def loop_correction_table(z_obs, inst, kraus):
 def loop_pull_back(z_obs, kraus):
     """Re-measurement POVM of a correction: E_z' = sum_k K_k† Lambda(z') K_k."""
     return np.array([sum(k.conj().T @ lam @ k for k in kraus) for lam in z_obs.projectors])
+
+
+def loop_heisenberg_table(z_obs, inst, full):
+    """p(z, z') of a full-space POVM read off its pull-back through the lifted Kraus operators."""
+    table = np.zeros((len(z_obs.projectors), len(full)))
+    for k, m in zip(inst.kraus, inst.outcome):
+        flag = np.zeros((inst.n_outcomes, 1))
+        flag[m] = 1.0
+        lifted = np.kron(k, flag)  # K_r ⊗ |m_r>, from the input into output ⊗ flag
+        for i, pz in enumerate(z_obs.projectors):
+            for j, e in enumerate(full):
+                table[i, j] += float(np.trace(lifted.conj().T @ e @ lifted @ pz).real) / z_obs.dim
+    return table
+
+
+def pinch(full, inst):
+    """Flag-block pinching of a full-space POVM: (|Z|, c, c) -> (n, |Z|, d_out, d_out)."""
+    n, d = inst.n_outcomes, inst.dim_out
+    blocks = full.reshape(len(full), d, n, d, n)
+    return np.array([blocks[:, :, m, :, m] for m in range(n)])
 
 
 def loop_entropy(p, order):
@@ -218,7 +241,12 @@ CASES = cases()
 
 
 def corrections(z_obs, inst, seed):
-    """Kraus lists of corrections on the case, each with the POVM the package gives it."""
+    """Kraus lists of corrections on the case, each with a POVM it must pull back to.
+
+    The POVM is the package's per-outcome correction for the fixed
+    corrections, the full-space A_z'† A_z' for the Naimark one, and None
+    for the random channel.
+    """
     c_in = inst.dim_out * inst.n_outcomes
     naimark, blocks = naimark_kraus(z_obs, inst, seed)
     found = [
@@ -246,9 +274,16 @@ def assert_entropies_agree(table):
 
 @pytest.mark.parametrize("name, x_obs, z_obs, inst", CASES, ids=[c[0] for c in CASES])
 def test_flag_apply_matches_loop(name, x_obs, z_obs, inst):
+    # the package's blocks are the flag blocks of the full flagged evolution,
+    # and the full evolution has nothing outside them
+    n = inst.n_outcomes
     got = flag_apply(inst, z_obs.projectors)
+    assert got.shape == (len(z_obs.projectors), n, inst.dim_out, inst.dim_out)
     for g, p in zip(got, z_obs.projectors):
-        assert np.max(np.abs(g - loop_flag_apply(inst, p))) <= TOL
+        full = loop_flag_apply(inst, p)
+        assert np.max(np.abs(g - pinch(full[None], inst)[:, 0])) <= TOL
+        off_block = np.arange(len(full)) % n != np.arange(len(full))[:, None] % n
+        assert np.all(full[off_block] == 0.0)
 
 
 @pytest.mark.parametrize("name, x_obs, z_obs, inst", CASES, ids=[c[0] for c in CASES])
@@ -263,33 +298,23 @@ def test_noise_joint_matches_loop(name, x_obs, z_obs, inst):
 def test_correction_joint_matches_loop(name, x_obs, z_obs, inst):
     for kraus, povm in corrections(z_obs, inst, seed=len(name)):
         pulled = loop_pull_back(z_obs, kraus)
+        blocks = pinch(pulled, inst)
         if povm is not None:
-            assert np.max(np.abs(povm - pulled)) <= TOL
+            expected = pulled if povm.shape == pulled.shape else blocks
+            assert np.max(np.abs(povm - expected)) <= TOL
         ref = loop_correction_table(z_obs, inst, kraus)
-        j = disturbance_joint(z_obs, inst, pulled)
+        assert np.max(np.abs(loop_heisenberg_table(z_obs, inst, pulled) - ref)) <= TOL
+        j = disturbance_joint(z_obs, inst, blocks)
         assert np.max(np.abs(j - ref)) <= TOL
         assert_entropies_agree(ref)
-        assert two_picture_gap(x_obs, z_obs, inst, pulled) <= TOL
+        assert two_picture_gap(x_obs, z_obs, inst, blocks) <= TOL
 
 
-def flag_major_flag_apply(inst, op):
-    """``flag_apply`` with flag ⊗ output in place of output ⊗ flag."""
-    r, n = len(inst.kraus), inst.n_outcomes
-    lifted = np.zeros((r, n, inst.dim_out, inst.dim_in), dtype=complex)
-    lifted[np.arange(r), inst.outcome] = inst.kraus
-    return apply_cp(lifted.reshape(r, n * inst.dim_out, inst.dim_in), op)
-
-
-def flag_major_noise_joint(x_obs, inst):
-    """``noise_joint`` summing each diagonal as if the flag were the leading factor."""
-    diag = np.diagonal(flag_apply(inst, x_obs.projectors), axis1=1, axis2=2).real
-    return diag.reshape(len(diag), inst.n_outcomes, inst.dim_out).sum(axis=-1) / x_obs.dim
-
-
-TABLE = noise_disturbance._table
+FLAG_APPLY, TABLE = noise_disturbance.flag_apply, noise_disturbance._table
 MUTATIONS = {
-    "flag_apply-flag-major": ("flag_apply", flag_major_flag_apply),
-    "noise_joint-flag-major": ("noise_joint", flag_major_noise_joint),
+    "flag_apply-outcomes-rolled": (
+        "flag_apply", lambda inst, op: np.roll(FLAG_APPLY(inst, op), 1, axis=-3)),
+    "table-outcomes-reversed": ("_table", lambda povm, rho: TABLE(povm[..., ::-1, :, :, :], rho)),
     "table-of-rho-transposed": ("_table", lambda povm, rho: TABLE(povm, rho.swapaxes(-1, -2))),
     "table-transposed": ("_table", lambda povm, rho: TABLE(povm, rho).swapaxes(-1, -2)),
 }
@@ -299,7 +324,7 @@ MUTATIONS = {
 def test_two_pictures_catch_a_mutated_table(monkeypatch, name):
     x_obs, z_obs, inst = sample_instance(3, 14)
     _, blocks = naimark_kraus(z_obs, inst, seed=3)
-    povm = np.conj(blocks).swapaxes(-1, -2) @ blocks
+    povm = pinch(np.conj(blocks).swapaxes(-1, -2) @ blocks, inst)
     assert two_picture_gap(x_obs, z_obs, inst, povm) <= TOL
     monkeypatch.setattr(noise_disturbance, *MUTATIONS[name])
     assert two_picture_gap(x_obs, z_obs, inst, povm) > 1e-3

@@ -345,11 +345,13 @@ def test_disturbance_joint_rejects_a_non_povm(anchor):
     _, z_obs, inst = anchor
     good = reprepare_correction(z_obs, inst)
     disturbance_joint(z_obs, inst, good)
-    half = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])) / 2
+    # one POVM per outcome: (outcomes, |Z|, d_out, d_out)
+    assert good.shape == (2, 2, 2, 2)
+    half = np.diag([1.0, -1.0]) / 2
     bad = {
-        "shape": good[:, :2, :2],
+        "shape": good[:, :, :1, :1],
         "completeness": good * 0.9,
-        "Hermitian": good + np.triu(np.ones((4, 4)), 1)[None] * 0.1,
+        "Hermitian": good + np.triu(np.ones((2, 2)), 1) * 0.1,
         "eigenvalue": good + np.stack([half, -half]),
     }
     for match, povm in bad.items():
