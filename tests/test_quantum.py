@@ -144,6 +144,34 @@ def test_flag_map_block_traces_are_outcome_probabilities(rng):
         assert abs(p - direct) < 1e-10
 
 
+def test_flag_apply_blocks_match_kraus_sums(rng):
+    inst = sample_random_instrument(2, 3, 3, 2, rng)
+    rho = random_hermitian(rng, 2)
+    out = flag_apply(inst, rho)
+    assert out.shape == (3, 3, 3)
+    for m in range(3):
+        direct = sum(k @ rho @ k.conj().T for k in inst.kraus[inst.outcome == m])
+        assert np.allclose(out[m], direct, atol=1e-12)
+
+
+def test_flag_apply_keeps_batch_axes(rng):
+    inst = sample_random_instrument(3, 2, 2, 2, rng)
+    ops = np.array([[random_hermitian(rng, 3) for _ in range(4)] for _ in range(2)])
+    out = flag_apply(inst, ops)
+    assert out.shape == (2, 4, 2, 2, 2)
+    for i in range(2):
+        for j in range(4):
+            assert np.allclose(out[i, j], flag_apply(inst, ops[i, j]), atol=1e-12)
+
+
+def test_flag_apply_outcome_without_kraus_is_zero():
+    inst = QuantumInstrument(2, 2, ("m0", "m1"), np.eye(2)[None], np.zeros(1, dtype=int))
+    rho = np.diag([0.6, 0.4]).astype(complex)
+    out = flag_apply(inst, rho)
+    assert np.allclose(out[0], rho, atol=1e-12)
+    assert np.all(out[1] == 0.0)
+
+
 def test_flag_map_projective_on_maximally_mixed():
     obs = basis_observable(2)
     inst = luders_instrument(obs)
