@@ -10,10 +10,14 @@ under the conjugacy constraint 1/alpha + 1/beta = 2.  The minimised bound
 sums the entropies of two parametric distributions, each a value
 repeated n times plus a remainder; they go through the column kernel of
 ``entropy`` as 2-row columns with multiplicities, so no entropy formula
-is written out here, and a whole grid of orders is minimised at once.
-The points every pair of orders shares, the breakpoints and a first scan
-of each smooth piece, are evaluated once per order; only the narrow zoom
-that follows is evaluated per pair.
+is written out here, and a whole grid of families and orders is
+minimised at once, the family being one more pair axis beside alpha and
+beta.  The points every pair shares, the breakpoints and a first scan of
+each smooth piece, are evaluated once per family and order; only the
+narrow zoom that follows is evaluated per (family, alpha, beta).  A
+piece stops zooming on its widest bracket over the whole grid, so where
+the objective is flat a reported argmin_theta may move in its last ulps
+with the grid beside it.
 A certificate keeps a noise value, a (one-sided) disturbance value and
 the applicable bound, and derives its margin and verdict from them.
 ``admissible_grid`` checks a (relation, alpha, beta) grid against the
@@ -165,7 +169,7 @@ ZOOM = 9  # grid points per bracket at every later zoom step
 # a bracket narrower than THETA_TOL counts as refined; below about 4e-8 rounding decides the
 # argmin, so a finer stop buys no digit of the bound
 THETA_TOL = 1e-9
-_MAX_POINTS = 1 << 17  # objective values per zoom step; more pieces go in chunks
+_MAX_POINTS = 1 << 17  # objective values per family per zoom step; more pieces go in chunks
 
 
 def _breakpoints(c: float) -> np.ndarray:
@@ -198,22 +202,25 @@ def _parametric_column(theta: np.ndarray, breaks: np.ndarray):
     return probs, mult
 
 
-def _term(theta: np.ndarray, orders: np.ndarray, family: str, breaks: np.ndarray) -> np.ndarray:
+def _term(theta: np.ndarray, orders: np.ndarray, families: np.ndarray,
+          breaks: np.ndarray) -> np.ndarray:
     probs, mult = _parametric_column(theta, breaks)
-    return _column_entropies(probs, orders, family, mult)
+    return _column_entropies(probs, *np.broadcast_arrays(orders, families), mult)
 
 
-def _objective(alphas, betas, family, breaks, theta, eta) -> np.ndarray:
-    """The alpha term at theta plus the beta term at eta - theta, per (alpha, beta).
+def _objective(families, alphas, betas, breaks, theta, eta) -> np.ndarray:
+    """The alpha term at theta plus the beta term at eta - theta, per (family, alpha, beta).
 
-    ``theta`` has shape (len(alphas), len(betas), ...), or length 1 on
-    both pair axes for points shared by every pair; each term is one
-    kernel call over the whole grid, with its order per column, so on
-    shared points it is evaluated once per order, not once per pair.
+    ``theta`` has shape (len(families), len(alphas), len(betas), ...), or
+    length 1 on all three pair axes for points shared by every pair; each
+    term is one kernel call over the whole grid, with its family and order
+    per column, so on shared points it is evaluated once per family and
+    order, not once per pair.
     """
-    axes = (1,) * (theta.ndim - 2)
-    alpha_term = _term(theta, np.reshape(alphas, (-1, 1) + axes), family, breaks)
-    return alpha_term + _term(eta - theta, np.reshape(betas, (1, -1) + axes), family, breaks)
+    axes = (1,) * (theta.ndim - 3)
+    fam = np.reshape(families, (-1, 1, 1) + axes)
+    alpha_term = _term(theta, np.reshape(alphas, (1, -1, 1) + axes), fam, breaks)
+    return alpha_term + _term(eta - theta, np.reshape(betas, (1, 1, -1) + axes), fam, breaks)
 
 
 def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -221,22 +228,23 @@ def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _zoom(shape, lo: np.ndarray, hi: np.ndarray, eta: np.ndarray, groups, f):
-    """Minimise f(theta, eta) on every piece [lo, hi], for every pair of orders, by grid zoom.
+    """Minimise f(theta, eta) on every piece [lo, hi], for every pair, by grid zoom.
 
     ``lo``, ``hi`` and ``eta`` hold one entry per piece; ``shape`` is the
-    (alphas, betas) shape of the pair axes.  The first step scans SCAN
-    evenly spaced points of each piece, shared by every pair; each later
-    step evaluates ZOOM evenly spaced points across each pair's own
-    bracket.  Every step shrinks a bracket to the two grid cells around
-    its smallest value (the first one on ties).  ``groups`` counts the
-    consecutive pieces of each group; a group stops, keeping that step's
-    best point and value, once its widest bracket over every pair is
-    narrower than THETA_TOL, whatever the others do.  Returns the best
-    theta and value, each of shape ``shape`` + lo.shape.
+    (families, alphas, betas) shape of the pair axes, a pair being one
+    (family, alpha, beta).  The first step scans SCAN evenly spaced points
+    of each piece, shared by every pair; each later step evaluates ZOOM
+    evenly spaced points across each pair's own bracket.  Every step
+    shrinks a bracket to the two grid cells around its smallest value (the
+    first one on ties).  ``groups`` counts the consecutive pieces of each
+    group; a group stops, keeping that step's best point and value, once
+    its widest bracket over every pair is narrower than THETA_TOL, whatever
+    the others do.  Returns the best theta and value, each of shape
+    ``shape`` + lo.shape.
     """
     x, fx = np.empty(shape + lo.shape), np.empty(shape + lo.shape)
     live, groups = np.arange(lo.size), np.array(groups)
-    lo, hi, eta = lo[None, None], hi[None, None], eta[None, None]  # pair axes of length 1
+    lo, hi, eta = (v[None, None, None] for v in (lo, hi, eta))  # pair axes of length 1
     points = SCAN
     while live.size:
         # the spacing, width / 64 or width / 8, is exact in both of linspace's branches:
@@ -258,30 +266,36 @@ def _zoom(shape, lo: np.ndarray, hi: np.ndarray, eta: np.ndarray, groups, f):
     return x, fx
 
 
-def bbar_bound(cs, alphas, betas, family: str) -> list:
-    """Minimised two-parameter uncertainty bound over a grid of orders, at every c of ``cs``.
+def bbar_bound(cs, families, alphas, betas) -> list:
+    """Minimised two-parameter uncertainty bound over a grid of families and orders, at every c.
 
-    For every alpha in ``alphas`` and beta in ``betas``, minimises the
-    alpha term at theta plus the beta term at eta - theta over theta in
-    [0, eta], eta = arccos(c); a term is the entropy of the parametric
-    distribution (``_parametric_column``).  The breakpoints of both
-    terms are evaluated first, once per order, the smallest theta winning
-    ties.  Every smooth piece between them is then scanned on SCAN points,
-    also once per order, and each pair's bracket refined by a ZOOM-point
-    grid zoom down to THETA_TOL (``_zoom``), for all pairs and every c at
-    once (at most ``_MAX_POINTS`` values per step); a piece replaces the
-    best value only if strictly lower.  Returns one {(alpha, beta):
-    BoundValue} per c, bit for bit that of a call with that c alone; every
-    value is zero when c = 1.  A pair's value matches a call with that pair
-    alone to within a few ulps, not bit for bit: a piece stops zooming on
-    its widest bracket over every pair.
+    For every family in ``families`` ("tsallis", "renyi"), alpha in
+    ``alphas`` and beta in ``betas``, minimises the alpha term at theta
+    plus the beta term at eta - theta over theta in [0, eta], eta =
+    arccos(c); a term is the entropy of the parametric distribution
+    (``_parametric_column``) in that family.  The family is one more pair
+    axis: the breakpoints of both terms are evaluated first, once per
+    family and order, the smallest theta winning ties.  Every smooth piece
+    between them is then scanned on SCAN points, also once per family and
+    order, and each pair's bracket refined by a ZOOM-point grid zoom down
+    to THETA_TOL (``_zoom``), for both families, all pairs and every c at
+    once (at most ``_MAX_POINTS`` values per family per step); a piece
+    replaces the best value only if strictly lower.  Returns one
+    {(family, alpha, beta): BoundValue} per c, bit for bit that of a call
+    with that c alone; every value is zero when c = 1.  A pair's value
+    matches a call with that family and pair alone to within a few ulps,
+    not bit for bit: a piece stops zooming on its widest bracket over every
+    family and pair.  Where the objective is flat, its argmin_theta may move
+    in its last ulps with the grid beside it.
     """
-    if family not in ("renyi", "tsallis"):
-        raise ValueError(f"family must be 'renyi' or 'tsallis', got {family!r}")
-    cs, alphas, betas = list(cs), list(alphas), list(betas)
-    for name, values in (("cs", cs), ("alphas", alphas), ("betas", betas)):
+    families, cs, alphas, betas = list(families), list(cs), list(alphas), list(betas)
+    for name, values in (("families", families), ("cs", cs), ("alphas", alphas),
+                         ("betas", betas)):
         if not values:
             raise ValueError(f"{name} must not be empty")
+    for family in families:
+        if family not in ("renyi", "tsallis"):
+            raise ValueError(f"family must be 'renyi' or 'tsallis', got {family!r}")
     for c in cs:
         if not 0.0 < c <= 1.0:
             raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")
@@ -298,14 +312,14 @@ def bbar_bound(cs, alphas, betas, family: str) -> list:
         ends.append(pts)
         lo.append(pts[:-1][keep])
         hi.append(pts[1:][keep])
-    shape = (len(alphas), len(betas))
+    shape = (len(families), len(alphas), len(betas))
     n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in lo]
-    objective = functools.partial(_objective, alphas, betas, family, breaks)
+    objective = functools.partial(_objective, np.array(families), alphas, betas, breaks)
     end_pts = np.concatenate(ends)
-    end_vals = objective(end_pts[None, None], np.repeat(etas, n_ends))
+    end_vals = objective(end_pts[None, None, None], np.repeat(etas, n_ends))
 
     # a c with more pieces than fit one step is zoomed as several groups, as on its own
-    chunk = max(1, _MAX_POINTS // (shape[0] * shape[1] * SCAN))
+    chunk = max(1, _MAX_POINTS // (len(alphas) * len(betas) * SCAN))
     groups = [min(chunk, n - s) for n in n_pieces for s in range(0, n, chunk)]
     piece_lo, piece_hi = np.concatenate(lo), np.concatenate(hi)
     piece_eta = np.repeat(etas, n_pieces)
@@ -320,7 +334,6 @@ def bbar_bound(cs, alphas, betas, family: str) -> list:
         piece_x[..., s:e], piece_f[..., s:e] = _zoom(
             shape, piece_lo[s:e], piece_hi[s:e], piece_eta[s:e], batch, objective)
 
-    bound_id = "B_R" if family == "renyi" else "B_T"
     results = []
     cut_ends, cut_pieces = np.cumsum(n_ends)[:-1], np.cumsum(n_pieces)[:-1]
     for pts, f_end, x_piece, f_piece in zip(ends, np.split(end_vals, cut_ends, -1),
@@ -332,8 +345,10 @@ def bbar_bound(cs, alphas, betas, family: str) -> list:
         best_x = _at(np.concatenate([np.broadcast_to(pts, f_end.shape), x_piece], -1), k)
         best_f = _at(vals, k)
         results.append({
-            (a, b): BoundValue(bound_id, max(0.0, float(best_f[i, j])),
-                               argmin_theta=float(best_x[i, j]))
+            (family, a, b): BoundValue("B_R" if family == "renyi" else "B_T",
+                                       max(0.0, float(best_f[f, i, j])),
+                                       argmin_theta=float(best_x[f, i, j]))
+            for f, family in enumerate(families)
             for i, a in enumerate(alphas)
             for j, b in enumerate(betas)
         })
@@ -416,20 +431,21 @@ def admissible_grid(relations, alphas, betas, dim: int):
     return grid, skipped
 
 
-def _bounds_for(relation: str, cs, pairs) -> list:
-    """The relation's bound at every (alpha, beta) in ``pairs``, one dict keyed by the pair per c.
+def _bounds(grid, cs) -> list:
+    """Per c, the bound of each (relation, alpha, beta) of ``grid``, in the grid's order.
 
     The minimised bounds of Prop1 and Prop2 come from one ``bbar_bound``
-    call over every c and the orders that occur in ``pairs``.
+    call over every c, their families and the union of their orders.
     """
-    if relation in ("Prop1", "Prop2"):
-        alphas = sorted({a for a, _ in pairs})
-        betas = sorted({b for _, b in pairs})
-        return bbar_bound(cs, alphas, betas, relation_family(relation))
-    if relation == "Prop3":
-        return [{(a, b): mu_bounds(c, a, b)[0] for a, b in pairs} for c in cs]
-    return [{(a, b): BoundValue("STND_R1", max(0.0, -2.0 * math.log(c)), mu=max(a, b))
-             for a, b in pairs} for c in cs]
+    minimised = [(relation_family(r), a, b) for r, a, b in grid if r in ("Prop1", "Prop2")]
+    bbar = [{}] * len(cs)
+    if minimised:
+        bbar = bbar_bound(cs, *(sorted(set(axis)) for axis in zip(*minimised)))
+    return [[bbar_at_c[relation_family(r), a, b] if r in ("Prop1", "Prop2")
+             else mu_bounds(c, a, b)[0] if r == "Prop3"
+             else BoundValue("STND_R1", max(0.0, -2.0 * math.log(c)), mu=max(a, b))
+             for r, a, b in grid]
+            for c, bbar_at_c in zip(cs, bbar)]
 
 
 def certify(
@@ -463,16 +479,14 @@ def certify_grid(chunk, grid, searches, seed: int | None = None) -> list[Tradeof
     ``chunk`` holds (X, Z, M) instances of one shape, ``searches`` one
     ``SearchConfig`` per instance, and ``grid`` is checked already
     (``admissible_grid`` or ``check_admissible``).  One ``disturbance``
-    call searches every instance and order at once, and each relation's
-    bounds come from one call over every c; an instance's certificates
-    equal, bit for bit, those of a chunk of it alone.  They come back
-    ordered by instance, then in the grid's order.
+    call searches every instance and order at once, and the minimised
+    bounds of both families come from one ``bbar_bound`` call over every c
+    (``_bounds``); an instance's certificates equal, bit for bit, those of
+    a chunk of it alone.  They come back ordered by instance, then in the
+    grid's order.
     """
     cs = [overlap(x_obs, z_obs) for x_obs, z_obs, _ in chunk]
-    bounds = {
-        relation: _bounds_for(relation, cs, [(a, b) for r, a, b in grid if r == relation])
-        for relation in dict.fromkeys(r for r, _, _ in grid)
-    }
+    bounds = _bounds(grid, cs)
     dists = disturbance(
         [(z_obs, inst) for _, z_obs, inst in chunk],
         [EntropyOrder(b, relation_family(r)) for r, _, b in grid], searches,
@@ -480,9 +494,10 @@ def certify_grid(chunk, grid, searches, seed: int | None = None) -> list[Tradeof
     noise_orders = [EntropyOrder(a, relation_family(r)) for r, a, _ in grid]
     return [
         TradeoffCertificate(
-            relation, x_obs.dim, a, b, c, n, dist.best_value, bounds[relation][i][a, b], seed,
+            relation, x_obs.dim, a, b, c, n, dist.best_value, bound, seed,
             dist.restarts, dist.iterations, dist.converged, dist.best_candidate,
         )
-        for i, ((x_obs, _, inst), c) in enumerate(zip(chunk, cs))
-        for (relation, a, b), n, dist in zip(grid, noise(x_obs, inst, noise_orders), dists[i])
+        for (x_obs, _, inst), c, bounds_at_c, dists_at_c in zip(chunk, cs, bounds, dists)
+        for (relation, a, b), n, dist, bound in zip(
+            grid, noise(x_obs, inst, noise_orders), dists_at_c, bounds_at_c)
     ]

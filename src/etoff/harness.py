@@ -224,19 +224,17 @@ BOUNDS_CSV_HEADER = (
 def tabulate_bounds(c_grid, alphas, betas) -> str:
     """CSV table of the minimised and conjugacy bounds over a parameter grid.
 
-    One ``bounds.bbar_bound`` call per family covers every c; its rows
-    equal those of one table per c.  The conjugacy columns are populated
+    One ``bounds.bbar_bound`` call covers both families and every c; its
+    rows equal those of one table per c.  The conjugacy columns are populated
     only where 1/alpha + 1/beta = 2.  ``bounds.bbar_bound`` rejects any c
     or order outside its domain.
     """
     num = "{:.9g}".format
     lines = [BOUNDS_CSV_HEADER]
-    tsallis = bounds.bbar_bound(c_grid, alphas, betas, "tsallis")
-    renyi = bounds.bbar_bound(c_grid, alphas, betas, "renyi")
-    for c, b_tsallis, b_renyi in zip(c_grid, tsallis, renyi):
+    for c, bbar in zip(c_grid, bounds.bbar_bound(c_grid, ("tsallis", "renyi"), alphas, betas)):
         for alpha in alphas:
             for beta in betas:
-                bt, br = b_tsallis[alpha, beta], b_renyi[alpha, beta]
+                bt, br = bbar["tsallis", alpha, beta], bbar["renyi", alpha, beta]
                 mu_t = mu_r = ""
                 if bounds.conjugate_orders(alpha, beta):
                     mt, mr = mu_bounds(c, alpha, beta)

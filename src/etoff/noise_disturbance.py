@@ -21,9 +21,13 @@ reports the best value found among two fixed corrections
 (flag-discarding identity, classical repreparation by outcome) and a
 Riemannian gradient descent over the blocks' Naimark isometries, run for
 all requested orders and restarts of an instance as one stacked
-computation.  The result is an upper bound on the true disturbance; it
-can refute a trade-off relation (N + D_upper < B) but not certify one,
-which needs a lower bound on the disturbance (ROADMAP direction A).
+computation.  Each descent step tries a short ladder of step lengths
+whose top rung is the Barzilai-Borwein step of the row's last move where
+that step is defined (Wen & Yin, Math. Program. 142, 397 (2013)), and
+one rung above the step taken otherwise.  The result is an upper bound
+on the true disturbance; it can refute a trade-off relation
+(N + D_upper < B) but not certify one, which needs a lower bound on the
+disturbance (ROADMAP direction A).
 
 Both joint tables come from the stacked arrays of the objects in
 ``quantum`` by batched matrix products; every disturbance table,
@@ -56,7 +60,9 @@ class SearchConfig:
     """Budget for the correction search: restarts, and evaluations per restart.
 
     With a seed the whole search is deterministic, and restart r depends
-    only on (seed, r), so growing the budget can never worsen the
+    only on (seed, r); a restart's steps, Barzilai-Borwein lengths
+    included, depend only on its own path, so a bigger budget continues
+    the same descent and growing either number can never worsen the
     reported minimum.  A restart scores its start, then one step ladder
     per iteration, so it needs 1 + len(_LADDER) evaluations for one step.
     """
@@ -239,10 +245,17 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
     that row's order.  Restart r of instance i starts from
     (searches[i].seed, r) alone, and no row's arithmetic depends on
     another row.  An iteration evaluates the step ladder as one batch and
-    takes the longest step with Armijo decrease.  A row stops when its
-    gradient norm is below ``GRAD_TOL`` or its next ladder would overrun
-    the shared evaluation budget.  Returns, per (instance, order), the
-    best restart's POVM, its index and its number of evaluations.
+    takes the longest step with Armijo decrease.  After a step the next
+    ladder's top rung is the BB1 step <s, s>/<s, y> (Barzilai & Borwein,
+    IMA J. Numer. Anal. 8, 141 (1988); on Stiefel manifolds, Wen & Yin,
+    Math. Program. 142, 397 (2013)), with s the change in the row's
+    isometry, y the change in its Riemannian gradient, both in ambient
+    coordinates, and <., .> the real Frobenius product.  Where <s, y> <= 0
+    or the quotient is not finite, the ladder starts a rung above the step
+    taken instead; after a failed ladder, a rung below it.  A row stops
+    when its gradient norm is below ``GRAD_TOL`` or its next ladder would
+    overrun the shared evaluation budget.  Returns, per (instance, order),
+    the best restart's POVM, its index and its number of evaluations.
     """
     nz, n, d = rho.shape[1:4]
     n_rest, budget = searches[0].restarts, searches[0].iterations
@@ -285,13 +298,20 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
         ok = ft <= f[rows, None] - _ARMIJO * t * norm[rows, None] ** 2
         i, pick = np.nonzero(ok.any(axis=1))[0], ok.argmax(axis=1)
         evals[rows] += len(_LADDER)
-        # the next ladder starts a rung above the step taken, or a rung below the ladder
+        # without a BB step, the next ladder starts a rung above the step taken, or a rung
+        # below the ladder
         step[rows] = t[:, -1] * _LADDER[1]
         step[rows[i]] = t[i, pick[i]] / _LADDER[1]
         rows, pick = rows[i], pick[i]
+        a_old, xi_old = a[rows], xi[rows]
         a[rows], f[rows], g[rows], povm[rows] = trial[i, pick], ft[i, pick], gt[i, pick], pt[i, pick]
         xi[rows], norm[rows] = direction(rows)
         active[rows] &= norm[rows] >= GRAD_TOL
+        # the BB1 step <s, s>/<s, y>, where <s, y> > 0 and the quotient is finite and nonzero
+        s, y = a[rows] - a_old, xi[rows] - xi_old
+        ss, sy = ((s.conj() * v).real.sum(axis=(1, 2, 3)) for v in (s, y))
+        bb = np.divide(ss, sy, out=np.zeros(ss.shape), where=sy > ss / np.finfo(float).max)
+        step[rows[bb > 0]] = bb[bb > 0]
     best = f.reshape(shape).argmin(axis=-1)
     rows = np.arange(shape[0] * shape[1]) * n_rest + best.ravel()
     return povm[rows].reshape(shape[:2] + povm.shape[1:]), best, evals[rows].reshape(shape[:2])

@@ -36,8 +36,8 @@ PRECISION_ORDERS = (0.0, 0.3, 1.0 - 1e-8, 1.0 + 1e-8, 2.0, 5.0)
 
 
 def bbar(c, alpha, beta, family):
-    (grid,) = bbar_bound([c], [alpha], [beta], family)
-    return grid[alpha, beta]
+    (grid,) = bbar_bound([c], [family], [alpha], [beta])
+    return grid[family, alpha, beta]
 
 
 def oracle_grid_points(eta, n):
@@ -184,8 +184,8 @@ def test_bbar_trivial_at_full_overlap():
 def test_bbar_matches_grid_oracle():
     for c in (0.3, 1 / math.sqrt(2), 0.9):
         for fam in ("renyi", "tsallis"):
-            (grid,) = bbar_bound([c], ORACLE_ORDERS, ORACLE_ORDERS, fam)
-            for (alpha, beta), b in grid.items():
+            (grid,) = bbar_bound([c], [fam], ORACLE_ORDERS, ORACLE_ORDERS)
+            for (_, alpha, beta), b in grid.items():
                 want = grid_oracle(c, alpha, beta, fam)
                 assert b.value == pytest.approx(want, abs=1e-6), (c, fam, alpha, beta)
 
@@ -196,8 +196,8 @@ def test_bbar_grid_call_equals_one_call_per_pair():
     for c in (0.3, 1 / math.sqrt(3), 0.8, 0.999999):
         for fam in ("renyi", "tsallis"):
             with np.errstate(all="raise"):
-                (grid,) = bbar_bound([c], orders, orders, fam)
-                for (alpha, beta), b in grid.items():
+                (grid,) = bbar_bound([c], [fam], orders, orders)
+                for (_, alpha, beta), b in grid.items():
                     assert abs(b.value - bbar(c, alpha, beta, fam).value) <= 1e-12
 
 
@@ -208,9 +208,9 @@ def test_bbar_over_many_c_equals_one_call_per_c():
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
     for fam in ("renyi", "tsallis"):
         with np.errstate(all="raise"):
-            together = bbar_bound(cs, orders, orders, fam)
+            together = bbar_bound(cs, [fam], orders, orders)
             for c, grid in zip(cs, together):
-                (alone,) = bbar_bound([c], orders, orders, fam)
+                (alone,) = bbar_bound([c], [fam], orders, orders)
                 assert grid == alone, (c, fam)
 
 
@@ -218,17 +218,18 @@ def test_bbar_over_many_c_equals_one_call_per_c():
 @pytest.mark.parametrize("c", PRECISION_CS)
 def test_bbar_value_is_the_objective_at_its_argmin_and_no_nearby_theta_is_lower(c, family):
     eta, breaks = math.acos(c), _breakpoints(c)
-    (grid,) = bbar_bound([c], PRECISION_ORDERS, PRECISION_ORDERS, family)
-    for (alpha, beta), b in grid.items():
-        at = _objective([alpha], [beta], family, breaks, np.array([[[b.argmin_theta]]]), eta)
-        assert b.value == at[0, 0, 0], (alpha, beta)
+    (grid,) = bbar_bound([c], [family], PRECISION_ORDERS, PRECISION_ORDERS)
+    for (_, alpha, beta), b in grid.items():
+        at = _objective([family], [alpha], [beta], breaks, np.array([[[[b.argmin_theta]]]]), eta)
+        assert b.value == at[0, 0, 0, 0], (alpha, beta)
         near = np.linspace(b.argmin_theta - 1e-6, b.argmin_theta + 1e-6, 2001)
-        vals = _objective([alpha], [beta], family, breaks, np.clip(near, 0.0, eta)[None, None], eta)
+        vals = _objective([family], [alpha], [beta], breaks,
+                          np.clip(near, 0.0, eta)[None, None, None], eta)
         assert vals.min() >= b.value - 1e-13, (alpha, beta)
 
 
 def test_bound_table_over_many_c_equals_one_table_per_c():
-    # one bbar_bound call per family covers every c of the table
+    # one bbar_bound call covers both families and every c of the table
     cs = (0.3, 1 / math.sqrt(2), 0.55, 0.999999, 1.0)
     orders = (0.3, 0.5, 1.0, 2.0)
     header, *rows = tabulate_bounds(cs, orders, orders).splitlines()
@@ -279,11 +280,11 @@ def test_bbar_rejects_invalid_c():
         bbar(1.2, 1.0, 1.0, "tsallis")
 
 
-@pytest.mark.parametrize("empty", ["cs", "alphas", "betas"])
+@pytest.mark.parametrize("empty", ["cs", "families", "alphas", "betas"])
 def test_bbar_bound_names_an_empty_grid(empty):
-    grid = {"cs": [0.5], "alphas": [1.0], "betas": [1.0], empty: []}
+    grid = {"cs": [0.5], "families": ["renyi"], "alphas": [1.0], "betas": [1.0], empty: []}
     with pytest.raises(ValueError, match=f"{empty} must not be empty"):
-        bbar_bound(grid["cs"], grid["alphas"], grid["betas"], "renyi")
+        bbar_bound(grid["cs"], grid["families"], grid["alphas"], grid["betas"])
 
 
 # --- conjugacy bounds ----------------------------------------------------------------
@@ -428,6 +429,30 @@ def test_certify_grid_skips_inadmissible():
     assert len(certs) == 6 + 4
     assert skipped == 2
     assert all(c.passed for c in certs)
+
+
+def test_a_relations_bound_does_not_depend_on_the_family_sharing_its_zoom():
+    # Prop1 (Tsallis) and Prop2 (Renyi) share one B-bar zoom; a piece stops on its widest
+    # bracket over both families, which may move a value in its last ulps only
+    orders = (0.3, 0.5, 1.0, 1.5, 2.0)
+    for dim in (2, 3):
+        chunk = [sample_instance(dim, 100 + k) for k in range(8)]
+        searches = [SearchConfig(restarts=0)] * len(chunk)
+        alone = {}
+        for relation in ("Prop1", "Prop2"):
+            grid, _ = admissible_grid((relation,), orders, orders, dim)
+            alone[relation] = certify_grid(chunk, grid, searches)
+        grid, _ = admissible_grid(("Prop1", "Prop2"), orders, orders, dim)
+        shared = certify_grid(chunk, grid, searches)
+        per_instance = len(shared) // len(chunk)
+        split = [shared[k * per_instance:(k + 1) * per_instance] for k in range(len(chunk))]
+        for relation in ("Prop1", "Prop2"):
+            together = [c for certs in split for c in certs if c.relation == relation]
+            assert len(together) == len(alone[relation])
+            for a, b in zip(alone[relation], together):
+                assert (a.alpha, a.beta, a.c) == (b.alpha, b.beta, b.c)
+                assert abs(a.bound.value - b.bound.value) <= 1e-15, (dim, relation, a.alpha, a.beta)
+                assert a.to_csv_row() == b.to_csv_row()
 
 
 def test_certificate_json_and_csv_round_trip(anchor):
