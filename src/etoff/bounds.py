@@ -10,14 +10,13 @@ under the conjugacy constraint 1/alpha + 1/beta = 2.  The minimised bound
 sums the entropies of two parametric distributions, each a value
 repeated n times plus a remainder; they go through the column kernel of
 ``entropy`` as 2-row columns with multiplicities, so no entropy formula
-is written out here, and a whole grid of families and orders is
-minimised at once, the family being one more pair axis beside alpha and
-beta.  The points every pair shares, the breakpoints and a first scan of
-each smooth piece, are evaluated once per family and order; only the
-narrow zoom that follows is evaluated per (family, alpha, beta).  A
-piece stops zooming on its widest bracket over the whole grid, so where
-the objective is flat a reported argmin_theta may move in its last ulps
-with the grid beside it.
+is written out here, and a whole list of (family, alpha, beta) pairs is
+minimised at once.  The points every pair shares, the breakpoints and a
+first scan of each smooth piece, are evaluated once per family and
+order.  The zoom that follows works on one bracket per pair and piece:
+each is refined on its own, geometrically toward a piece end that holds
+its best point, and stops on its own, so a pair's bound and argmin_theta
+are bit for bit those of a call with that pair alone.
 A certificate keeps a noise value, a (one-sided) disturbance value and
 the applicable bound, and derives its margin and verdict from them.
 ``admissible_grid`` checks a (relation, alpha, beta) grid against the
@@ -169,7 +168,11 @@ ZOOM = 9  # grid points per bracket at every later zoom step
 # a bracket narrower than THETA_TOL counts as refined; below about 4e-8 rounding decides the
 # argmin, so a finer stop buys no digit of the bound
 THETA_TOL = 1e-9
-_MAX_POINTS = 1 << 17  # objective values per family per zoom step; more pieces go in chunks
+_MAX_POINTS = 1 << 17  # objective values per family per step; more pieces go in chunks
+# fractions of a bracket's width at which a zoom step evaluates it: evenly spaced, or, from
+# the end that holds the bracket's best point, that end, 8**-7, ..., 8**-1 and 1
+_EVEN = np.arange(ZOOM) / (ZOOM - 1)
+_TOWARD_END = np.concatenate([[0.0], (ZOOM - 1.0) ** -np.arange(ZOOM - 2, -1, -1)])
 
 
 def _breakpoints(c: float) -> np.ndarray:
@@ -202,97 +205,125 @@ def _parametric_column(theta: np.ndarray, breaks: np.ndarray):
     return probs, mult
 
 
-def _term(theta: np.ndarray, orders: np.ndarray, families: np.ndarray,
-          breaks: np.ndarray) -> np.ndarray:
+def _term(theta: np.ndarray, orders, families, breaks: np.ndarray) -> np.ndarray:
+    """The entropy of the parametric distribution at theta, per row's (family, order)."""
     probs, mult = _parametric_column(theta, breaks)
-    return _column_entropies(probs, *np.broadcast_arrays(orders, families), mult)
+    rows = (-1,) + (1,) * (theta.ndim - 1)
+    return _column_entropies(probs, np.reshape(orders, rows), np.reshape(families, rows), mult)
 
 
 def _objective(families, alphas, betas, breaks, theta, eta) -> np.ndarray:
     """The alpha term at theta plus the beta term at eta - theta, per (family, alpha, beta).
 
-    ``theta`` has shape (len(families), len(alphas), len(betas), ...), or
-    length 1 on all three pair axes for points shared by every pair; each
-    term is one kernel call over the whole grid, with its family and order
-    per column, so on shared points it is evaluated once per family and
-    order, not once per pair.
+    ``families``, ``alphas`` and ``betas`` list the pairs, a pair being one
+    (family, alpha, beta), and the leading axis of ``theta`` runs over them,
+    with ``eta`` broadcasting against it.  On points every pair shares, that
+    axis has length 1, and each term is one kernel call with one row per
+    distinct (family, order), so it is evaluated once per family and order
+    and each pair sums its own two terms; a column's entropy does not depend
+    on the columns beside it, so either way a pair's values are bit for bit
+    those of a call with that pair alone.
     """
-    axes = (1,) * (theta.ndim - 3)
-    fam = np.reshape(families, (-1, 1, 1) + axes)
-    alpha_term = _term(theta, np.reshape(alphas, (1, -1, 1) + axes), fam, breaks)
-    return alpha_term + _term(eta - theta, np.reshape(betas, (1, 1, -1) + axes), fam, breaks)
+    families = np.asarray(families)
+    if len(theta) == 1 < len(families):
+        alpha, beta = (_shared_terms(families, orders, at, breaks)
+                       for orders, at in ((alphas, theta), (betas, eta - theta)))
+    else:
+        alpha = _term(theta, alphas, families, breaks)
+        beta = _term(eta - theta, betas, families, breaks)
+    alpha += beta
+    return alpha
+
+
+def _shared_terms(families, orders, theta, breaks) -> np.ndarray:
+    """``_term`` of every pair at points they share, evaluated once per distinct (family, order)."""
+    keys = sorted(set(zip(families.tolist(), orders)))
+    index = {key: k for k, key in enumerate(keys)}
+    terms = _term(theta, [o for _, o in keys], [f for f, _ in keys], breaks)
+    return terms[[index[key] for key in zip(families.tolist(), orders)]]
 
 
 def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take_along_axis(a, index, -1)[..., 0]
 
 
-def _zoom(shape, lo: np.ndarray, hi: np.ndarray, eta: np.ndarray, groups, f):
-    """Minimise f(theta, eta) on every piece [lo, hi], for every pair, by grid zoom.
+def _shrink(grid: np.ndarray, vals: np.ndarray):
+    """The best point of each row and its bracket, the two grid cells around it.
 
-    ``lo``, ``hi`` and ``eta`` hold one entry per piece; ``shape`` is the
-    (families, alphas, betas) shape of the pair axes, a pair being one
-    (family, alpha, beta).  The first step scans SCAN evenly spaced points
-    of each piece, shared by every pair; each later step evaluates ZOOM
-    evenly spaced points across each pair's own bracket.  Every step
-    shrinks a bracket to the two grid cells around its smallest value (the
-    first one on ties).  ``groups`` counts the consecutive pieces of each
-    group; a group stops, keeping that step's best point and value, once
-    its widest bracket over every pair is narrower than THETA_TOL, whatever
-    the others do.  Returns the best theta and value, each of shape
-    ``shape`` + lo.shape.
+    ``vals`` holds the objective on ``grid`` (the two broadcast against
+    each other).  Returns the best theta and value, the first smallest
+    value winning ties, the bracket's lo and hi, and on which side of the
+    bracket the best point lies: -1 at lo, 1 at hi, 0 inside.
     """
-    x, fx = np.empty(shape + lo.shape), np.empty(shape + lo.shape)
-    live, groups = np.arange(lo.size), np.array(groups)
-    lo, hi, eta = (v[None, None, None] for v in (lo, hi, eta))  # pair axes of length 1
-    points = SCAN
+    last = grid.shape[-1] - 1
+    i = np.argmin(vals, axis=-1)[..., None]
+    side = (i[..., 0] == last).astype(np.int8) - (i[..., 0] == 0)
+    return (_at(grid, i), _at(vals, i), _at(grid, np.maximum(i - 1, 0)),
+            _at(grid, np.minimum(i + 1, last)), side)
+
+
+def _zoom(x, fx, lo, hi, side, eta, rows, objective):
+    """Refine every bracket [lo, hi] on its own, by grid zoom, until narrower than THETA_TOL.
+
+    Every argument but ``objective`` holds one entry per bracket: the best
+    theta and value found so far, the bracket, the side of it that point
+    lies on (as ``_shrink`` returns it), the piece's eta and the row of the
+    bracket's pair.  A step evaluates ZOOM points of each live bracket,
+    ``objective(rows, grid, eta)``, the first and last exactly lo and hi.
+    Where the best point lies inside the bracket, the points are evenly
+    spaced and the bracket shrinks to the two grid cells around the step's
+    best point (``_shrink``).  Where it lies at an end, the points run
+    geometrically toward that end (``_TOWARD_END``): while the end stays
+    best, the bracket shrinks to 8**-7 of its width, so it closes in a step
+    or two; once a lower point shows inside, the same bracket is zoomed
+    evenly next, as an interior one.  A bracket stops, keeping that step's
+    best point and value, once narrower than THETA_TOL, so its result
+    depends on its own entry alone.  Returns ``x`` and ``fx``, updated in
+    place to each bracket's final best theta and value.
+    """
+    live = np.flatnonzero(hi - lo >= THETA_TOL)
+    lo, hi, side, eta, rows = (v[live] for v in (lo, hi, side, eta, rows))
     while live.size:
-        # the spacing, width / 64 or width / 8, is exact in both of linspace's branches:
-        # no bracket moves another
-        grid = np.linspace(lo, hi, points, axis=-1)
-        vals = f(grid, eta[..., None])
-        i = np.argmin(vals, axis=-1)[..., None]
-        lo = _at(grid, np.maximum(i - 1, 0))
-        hi = _at(grid, np.minimum(i + 1, points - 1))
-        width = (hi - lo).reshape(-1, live.size).max(axis=0)
-        stop = np.maximum.reduceat(width, np.cumsum(groups) - groups) < THETA_TOL
-        if stop.any():
-            done = np.repeat(stop, groups)
-            x[..., live[done]] = _at(grid, i)[..., done]
-            fx[..., live[done]] = _at(vals, i)[..., done]
-            lo, hi, eta = lo[..., ~done], hi[..., ~done], eta[..., ~done]
-            live, groups = live[~done], groups[~stop]
-        points = ZOOM
+        width = (hi - lo)[:, None]
+        frac = np.where(side[:, None] == 0, _EVEN, _TOWARD_END)
+        grid = np.where(side[:, None] > 0, hi[:, None] - width * frac[:, ::-1],
+                        lo[:, None] + width * frac)
+        grid[:, 0], grid[:, -1] = lo, hi
+        x[live], fx[live], new_lo, new_hi, new_side = _shrink(
+            grid, objective(rows, grid, eta[:, None]))
+        back = (side != 0) & (new_side != side)
+        lo, hi = np.where(back, lo, new_lo), np.where(back, hi, new_hi)
+        side = np.where(back, 0, new_side)
+        keep = hi - lo >= THETA_TOL
+        live, lo, hi, side, eta, rows = (v[keep] for v in (live, lo, hi, side, eta, rows))
     return x, fx
 
 
-def bbar_bound(cs, families, alphas, betas) -> list:
-    """Minimised two-parameter uncertainty bound over a grid of families and orders, at every c.
+def bbar_bound(cs, pairs) -> list:
+    """Minimised two-parameter uncertainty bound of every (family, alpha, beta) pair, at every c.
 
-    For every family in ``families`` ("tsallis", "renyi"), alpha in
-    ``alphas`` and beta in ``betas``, minimises the alpha term at theta
-    plus the beta term at eta - theta over theta in [0, eta], eta =
-    arccos(c); a term is the entropy of the parametric distribution
-    (``_parametric_column``) in that family.  The family is one more pair
-    axis: the breakpoints of both terms are evaluated first, once per
-    family and order, the smallest theta winning ties.  Every smooth piece
-    between them is then scanned on SCAN points, also once per family and
-    order, and each pair's bracket refined by a ZOOM-point grid zoom down
-    to THETA_TOL (``_zoom``), for both families, all pairs and every c at
-    once (at most ``_MAX_POINTS`` values per family per step); a piece
-    replaces the best value only if strictly lower.  Returns one
-    {(family, alpha, beta): BoundValue} per c, bit for bit that of a call
-    with that c alone; every value is zero when c = 1.  A pair's value
-    matches a call with that family and pair alone to within a few ulps,
-    not bit for bit: a piece stops zooming on its widest bracket over every
-    family and pair.  Where the objective is flat, its argmin_theta may move
-    in its last ulps with the grid beside it.
+    For each pair, family "tsallis" or "renyi", minimises the alpha term
+    at theta plus the beta term at eta - theta over theta in [0, eta], eta
+    = arccos(c); a term is the entropy of the parametric distribution
+    (``_parametric_column``) in that family.  The breakpoints of both
+    terms are evaluated first, and every smooth piece between them is
+    scanned on SCAN evenly spaced points; both are shared by every pair,
+    so each term is evaluated there once per family and order.  Each
+    (pair, piece) bracket around the scan's best point is then refined on
+    its own by ``_zoom`` down to THETA_TOL, geometrically toward whichever
+    of its ends holds its best point, for every pair and every c at once
+    (at most ``_MAX_POINTS`` values per family per step); a piece
+    replaces the best value only if strictly lower, so ties go to the
+    breakpoints and to the smallest theta.  Returns one {(family, alpha,
+    beta): BoundValue} per c; every value is zero when c = 1.  A pair's
+    value and argmin_theta at a c are bit for bit those of a call with
+    that pair and that c alone.
     """
-    families, cs, alphas, betas = list(families), list(cs), list(alphas), list(betas)
-    for name, values in (("families", families), ("cs", cs), ("alphas", alphas),
-                         ("betas", betas)):
+    cs, pairs = list(cs), list(pairs)
+    for name, values in (("cs", cs), ("pairs", pairs)):
         if not values:
             raise ValueError(f"{name} must not be empty")
+    families, alphas, betas = (list(axis) for axis in zip(*pairs))
     for family in families:
         if family not in ("renyi", "tsallis"):
             raise ValueError(f"family must be 'renyi' or 'tsallis', got {family!r}")
@@ -312,27 +343,30 @@ def bbar_bound(cs, families, alphas, betas) -> list:
         ends.append(pts)
         lo.append(pts[:-1][keep])
         hi.append(pts[1:][keep])
-    shape = (len(families), len(alphas), len(betas))
     n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in lo]
-    objective = functools.partial(_objective, np.array(families), alphas, betas, breaks)
+    families, alphas, betas = np.array(families), np.array(alphas), np.array(betas)
+    objective = functools.partial(_objective, families, alphas, betas, breaks)
     end_pts = np.concatenate(ends)
-    end_vals = objective(end_pts[None, None, None], np.repeat(etas, n_ends))
+    end_vals = objective(end_pts[None], np.repeat(etas, n_ends))
 
-    # a c with more pieces than fit one step is zoomed as several groups, as on its own
-    chunk = max(1, _MAX_POINTS // (len(alphas) * len(betas) * SCAN))
-    groups = [min(chunk, n - s) for n in n_pieces for s in range(0, n, chunk)]
+    def per_bracket(rows, grid, eta):
+        return _objective(families[rows], alphas[rows], betas[rows], breaks, grid, eta)
+
     piece_lo, piece_hi = np.concatenate(lo), np.concatenate(hi)
     piece_eta = np.repeat(etas, n_pieces)
-    piece_x, piece_f = np.empty(shape + piece_lo.shape), np.empty(shape + piece_lo.shape)
-    batches = [[]]  # whole groups, at most `chunk` pieces per zoom
-    for n in groups:
-        if sum(batches[-1]) + n > chunk:
-            batches.append([])
-        batches[-1].append(n)
-    starts = np.cumsum([0] + [sum(batch) for batch in batches])
-    for batch, s, e in zip(batches, starts, starts[1:]):
-        piece_x[..., s:e], piece_f[..., s:e] = _zoom(
-            shape, piece_lo[s:e], piece_hi[s:e], piece_eta[s:e], batch, objective)
+    piece_x, piece_f = (np.empty((len(pairs), piece_lo.size)) for _ in range(2))
+    per_family = max(np.unique(families, return_counts=True)[1])
+    chunk = max(1, _MAX_POINTS // (int(per_family) * SCAN))
+    for s in range(0, piece_lo.size, chunk):
+        pieces = slice(s, s + chunk)
+        # the spacing, width / 64, is exact in both of linspace's branches: no piece moves another
+        grid = np.linspace(piece_lo[pieces], piece_hi[pieces], SCAN, axis=-1)
+        eta = piece_eta[pieces]
+        brackets = _shrink(grid[None], objective(grid[None], eta[:, None]))
+        shape = brackets[0].shape  # (pairs, pieces)
+        rows = np.repeat(np.arange(len(pairs)), shape[1])
+        x, fx = _zoom(*(v.ravel() for v in brackets), np.tile(eta, len(pairs)), rows, per_bracket)
+        piece_x[:, pieces], piece_f[:, pieces] = x.reshape(shape), fx.reshape(shape)
 
     results = []
     cut_ends, cut_pieces = np.cumsum(n_ends)[:-1], np.cumsum(n_pieces)[:-1]
@@ -345,12 +379,9 @@ def bbar_bound(cs, families, alphas, betas) -> list:
         best_x = _at(np.concatenate([np.broadcast_to(pts, f_end.shape), x_piece], -1), k)
         best_f = _at(vals, k)
         results.append({
-            (family, a, b): BoundValue("B_R" if family == "renyi" else "B_T",
-                                       max(0.0, float(best_f[f, i, j])),
-                                       argmin_theta=float(best_x[f, i, j]))
-            for f, family in enumerate(families)
-            for i, a in enumerate(alphas)
-            for j, b in enumerate(betas)
+            pair: BoundValue("B_R" if pair[0] == "renyi" else "B_T", max(0.0, float(f)),
+                             argmin_theta=float(x))
+            for pair, x, f in zip(pairs, best_x, best_f)
         })
     return results
 
@@ -435,12 +466,13 @@ def _bounds(grid, cs) -> list:
     """Per c, the bound of each (relation, alpha, beta) of ``grid``, in the grid's order.
 
     The minimised bounds of Prop1 and Prop2 come from one ``bbar_bound``
-    call over every c, their families and the union of their orders.
+    call over every c and exactly the (family, alpha, beta) pairs of those
+    relations in the grid.
     """
     minimised = [(relation_family(r), a, b) for r, a, b in grid if r in ("Prop1", "Prop2")]
     bbar = [{}] * len(cs)
     if minimised:
-        bbar = bbar_bound(cs, *(sorted(set(axis)) for axis in zip(*minimised)))
+        bbar = bbar_bound(cs, minimised)
     return [[bbar_at_c[relation_family(r), a, b] if r in ("Prop1", "Prop2")
              else mu_bounds(c, a, b)[0] if r == "Prop3"
              else BoundValue("STND_R1", max(0.0, -2.0 * math.log(c)), mu=max(a, b))

@@ -9,6 +9,7 @@ runs with the same seed produce byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -224,14 +225,16 @@ BOUNDS_CSV_HEADER = (
 def tabulate_bounds(c_grid, alphas, betas) -> str:
     """CSV table of the minimised and conjugacy bounds over a parameter grid.
 
-    One ``bounds.bbar_bound`` call covers both families and every c; its
-    rows equal those of one table per c.  The conjugacy columns are populated
+    One ``bounds.bbar_bound`` call covers both families, every pair of
+    orders and every c; its rows equal those of one table per c and pair of
+    orders.  The conjugacy columns are populated
     only where 1/alpha + 1/beta = 2.  ``bounds.bbar_bound`` rejects any c
     or order outside its domain.
     """
     num = "{:.9g}".format
     lines = [BOUNDS_CSV_HEADER]
-    for c, bbar in zip(c_grid, bounds.bbar_bound(c_grid, ("tsallis", "renyi"), alphas, betas)):
+    pairs = itertools.product(("tsallis", "renyi"), alphas, betas)
+    for c, bbar in zip(c_grid, bounds.bbar_bound(c_grid, pairs)):
         for alpha in alphas:
             for beta in betas:
                 bt, br = bbar["tsallis", alpha, beta], bbar["renyi", alpha, beta]

@@ -1,9 +1,13 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from etoff.bounds import (
+    RELATIONS,
+    SCAN,
     AdmissibilityError,
     _breakpoints,
     _objective,
@@ -17,7 +21,7 @@ from etoff.bounds import (
     overlap,
 )
 from etoff.entropy import EntropyOrder
-from etoff.harness import sample_instance, tabulate_bounds
+from etoff.harness import DEFAULT_ALPHAS, sample_instance, tabulate_bounds
 from etoff.noise_disturbance import SearchConfig, check_order
 from etoff.quantum import (
     basis_observable,
@@ -36,8 +40,12 @@ PRECISION_ORDERS = (0.0, 0.3, 1.0 - 1e-8, 1.0 + 1e-8, 2.0, 5.0)
 
 
 def bbar(c, alpha, beta, family):
-    (grid,) = bbar_bound([c], [family], [alpha], [beta])
+    (grid,) = bbar_bound([c], [(family, alpha, beta)])
     return grid[family, alpha, beta]
+
+
+def pairs_of(families, alphas, betas):
+    return list(itertools.product(families, alphas, betas))
 
 
 def oracle_grid_points(eta, n):
@@ -184,21 +192,25 @@ def test_bbar_trivial_at_full_overlap():
 def test_bbar_matches_grid_oracle():
     for c in (0.3, 1 / math.sqrt(2), 0.9):
         for fam in ("renyi", "tsallis"):
-            (grid,) = bbar_bound([c], [fam], ORACLE_ORDERS, ORACLE_ORDERS)
+            (grid,) = bbar_bound([c], pairs_of([fam], ORACLE_ORDERS, ORACLE_ORDERS))
             for (_, alpha, beta), b in grid.items():
                 want = grid_oracle(c, alpha, beta, fam)
                 assert b.value == pytest.approx(want, abs=1e-6), (c, fam, alpha, beta)
 
 
 def test_bbar_grid_call_equals_one_call_per_pair():
-    # the grid minimises every pair through one order-per-column kernel call per term
-    orders = (0.0, 0.3, 1.0, 1.0 + 1e-8, 2.0, 5.0)
-    for c in (0.3, 1 / math.sqrt(3), 0.8, 0.999999):
-        for fam in ("renyi", "tsallis"):
-            with np.errstate(all="raise"):
-                (grid,) = bbar_bound([c], [fam], orders, orders)
-                for (_, alpha, beta), b in grid.items():
-                    assert abs(b.value - bbar(c, alpha, beta, fam).value) <= 1e-12
+    # the grid minimises every pair through one order-per-column kernel call per term, and
+    # each bracket stops on its own; at the last two c, with the benchmark's orders, a
+    # bracket that stopped on the widest bracket of its piece moved argmin_theta by 2.4e-10
+    cases = [((0.3, 1 / math.sqrt(3), 0.8, 0.999999), (0.0, 0.3, 1.0, 1.0 + 1e-8, 2.0, 5.0)),
+             ((0.7684901429171704, 0.6982543424827681), (0.3, 0.5, 0.75, 1.0, 1.5, 2.0))]
+    for cs, orders in cases:
+        with np.errstate(all="raise"):
+            for c, grid in zip(cs, bbar_bound(cs, pairs_of(("renyi", "tsallis"), orders, orders))):
+                for (fam, alpha, beta), b in grid.items():
+                    alone = bbar(c, alpha, beta, fam)
+                    assert b.value == alone.value, (c, fam, alpha, beta)
+                    assert b.argmin_theta == alone.argmin_theta, (c, fam, alpha, beta)
 
 
 def test_bbar_over_many_c_equals_one_call_per_c():
@@ -208,9 +220,9 @@ def test_bbar_over_many_c_equals_one_call_per_c():
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
     for fam in ("renyi", "tsallis"):
         with np.errstate(all="raise"):
-            together = bbar_bound(cs, [fam], orders, orders)
+            together = bbar_bound(cs, pairs_of([fam], orders, orders))
             for c, grid in zip(cs, together):
-                (alone,) = bbar_bound([c], [fam], orders, orders)
+                (alone,) = bbar_bound([c], pairs_of([fam], orders, orders))
                 assert grid == alone, (c, fam)
 
 
@@ -218,13 +230,12 @@ def test_bbar_over_many_c_equals_one_call_per_c():
 @pytest.mark.parametrize("c", PRECISION_CS)
 def test_bbar_value_is_the_objective_at_its_argmin_and_no_nearby_theta_is_lower(c, family):
     eta, breaks = math.acos(c), _breakpoints(c)
-    (grid,) = bbar_bound([c], [family], PRECISION_ORDERS, PRECISION_ORDERS)
+    (grid,) = bbar_bound([c], pairs_of([family], PRECISION_ORDERS, PRECISION_ORDERS))
     for (_, alpha, beta), b in grid.items():
-        at = _objective([family], [alpha], [beta], breaks, np.array([[[[b.argmin_theta]]]]), eta)
-        assert b.value == at[0, 0, 0, 0], (alpha, beta)
+        at = _objective([family], [alpha], [beta], breaks, np.array([[b.argmin_theta]]), eta)
+        assert b.value == at[0, 0], (alpha, beta)
         near = np.linspace(b.argmin_theta - 1e-6, b.argmin_theta + 1e-6, 2001)
-        vals = _objective([family], [alpha], [beta], breaks,
-                          np.clip(near, 0.0, eta)[None, None, None], eta)
+        vals = _objective([family], [alpha], [beta], breaks, np.clip(near, 0.0, eta)[None], eta)
         assert vals.min() >= b.value - 1e-13, (alpha, beta)
 
 
@@ -273,6 +284,38 @@ def test_bbar_supports_order_zero():
     assert b.value >= 0.0
 
 
+@pytest.mark.parametrize("c, pair", [(0.767, ("renyi", 0.75, 1.0)),
+                                     (0.763, ("tsallis", 0.75, 1.5))])
+def test_bbar_finds_a_minimum_inside_the_end_cell_of_its_scan(c, pair):
+    # the scan's best point is theta = 0, yet the objective dips about 4.5e-4 below it inside
+    # the scan's first cell, so an end bracket must still be zoomed, not settled on its end
+    family, alpha, beta = pair
+    eta, breaks = math.acos(c), _breakpoints(c)
+
+    def f(theta):
+        return _objective([family], [alpha], [beta], breaks, theta[None], eta)[0]
+
+    scan = f(np.linspace(0.0, eta, SCAN))
+    assert np.argmin(scan) == 0
+    dense = f(np.linspace(0.0, eta / (SCAN - 1), 100_001)).min()
+    b = bbar(c, alpha, beta, family)
+    assert b.value <= scan[0] - 4e-4
+    assert abs(b.value - dense) <= 1e-9
+
+
+def test_bbar_bound_memory_stays_capped_at_many_pieces():
+    # at c = 0.02 each c has about 5000 pieces, zoomed in chunks of at most _MAX_POINTS
+    # objective values per family per step; uncapped, the first scan alone would hold 83 MB
+    orders = (0.3, 0.5, 1.0, 2.0)
+    tracemalloc.start()
+    try:
+        bbar_bound([0.02], pairs_of(("tsallis", "renyi"), orders, orders))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
 def test_bbar_rejects_invalid_c():
     with pytest.raises(ValueError):
         bbar(0.0, 1.0, 1.0, "renyi")
@@ -280,11 +323,11 @@ def test_bbar_rejects_invalid_c():
         bbar(1.2, 1.0, 1.0, "tsallis")
 
 
-@pytest.mark.parametrize("empty", ["cs", "families", "alphas", "betas"])
+@pytest.mark.parametrize("empty", ["cs", "pairs"])
 def test_bbar_bound_names_an_empty_grid(empty):
-    grid = {"cs": [0.5], "families": ["renyi"], "alphas": [1.0], "betas": [1.0], empty: []}
+    grid = {"cs": [0.5], "pairs": [("renyi", 1.0, 1.0)], empty: []}
     with pytest.raises(ValueError, match=f"{empty} must not be empty"):
-        bbar_bound(grid["cs"], grid["families"], grid["alphas"], grid["betas"])
+        bbar_bound(grid["cs"], grid["pairs"])
 
 
 # --- conjugacy bounds ----------------------------------------------------------------
@@ -421,6 +464,32 @@ def test_certify_binary_relation(anchor):
     assert cert.passed
 
 
+def test_certify_grid_requests_only_the_pairs_of_its_grid(monkeypatch):
+    # at d = 3 Prop2 admits only orders <= 1, so B-bar is minimised for 25 Tsallis and
+    # 9 Renyi pairs; every certificate is that of a call over both families' full grid
+    requested = []
+
+    def spy(cs, pairs):
+        requested.append(list(pairs))
+        return bbar_bound(cs, requested[-1])
+
+    monkeypatch.setattr("etoff.bounds.bbar_bound", spy)
+    for dim, want in ((2, 50), (3, 34)):
+        chunk = [sample_instance(dim, 300 + k) for k in range(3)]
+        grid, _ = admissible_grid(RELATIONS, DEFAULT_ALPHAS, DEFAULT_ALPHAS, dim)
+        certs = certify_grid(chunk, grid, [SearchConfig(restarts=0)] * len(chunk))
+        pairs = requested.pop()
+        assert not requested
+        assert len(pairs) == len(set(pairs)) == want
+        assert sorted(pairs) == sorted({(cert.family, cert.alpha, cert.beta) for cert in certs
+                                        if cert.relation in ("Prop1", "Prop2")})
+        cs = [cert.c for cert in certs[::len(grid)]]
+        full = bbar_bound(cs, pairs_of(("tsallis", "renyi"), DEFAULT_ALPHAS, DEFAULT_ALPHAS))
+        for k, cert in enumerate(certs):
+            if cert.relation in ("Prop1", "Prop2"):
+                assert cert.bound == full[k // len(grid)][cert.family, cert.alpha, cert.beta]
+
+
 def test_certify_grid_skips_inadmissible():
     x_obs, z_obs, inst = sample_instance(3, 55)
     grid, skipped = admissible_grid(("Prop1", "Prop2"), (0.5, 1.0, 2.0), (0.5, 1.0), 3)
@@ -432,8 +501,8 @@ def test_certify_grid_skips_inadmissible():
 
 
 def test_a_relations_bound_does_not_depend_on_the_family_sharing_its_zoom():
-    # Prop1 (Tsallis) and Prop2 (Renyi) share one B-bar zoom; a piece stops on its widest
-    # bracket over both families, which may move a value in its last ulps only
+    # Prop1 (Tsallis) and Prop2 (Renyi) share one B-bar call, whose brackets each stop on
+    # their own, so a bound is bit for bit that of its relation alone
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
     for dim in (2, 3):
         chunk = [sample_instance(dim, 100 + k) for k in range(8)]
@@ -451,7 +520,7 @@ def test_a_relations_bound_does_not_depend_on_the_family_sharing_its_zoom():
             assert len(together) == len(alone[relation])
             for a, b in zip(alone[relation], together):
                 assert (a.alpha, a.beta, a.c) == (b.alpha, b.beta, b.c)
-                assert abs(a.bound.value - b.bound.value) <= 1e-15, (dim, relation, a.alpha, a.beta)
+                assert a.bound == b.bound, (dim, relation, a.alpha, a.beta)
                 assert a.to_csv_row() == b.to_csv_row()
 
 
