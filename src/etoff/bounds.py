@@ -163,6 +163,10 @@ def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> float:
 
 # --- the minimised bound ---------------------------------------------------------
 
+# the least c that bbar_bound takes: c >= d**-1/2 for any two observables in dimension d, so
+# it covers every d <= 10**4, and it caps the cost, which grows as c**-2 (floor(c**-2) + 2
+# breakpoints, about 2 c**-2 pieces per pair)
+C_FLOOR = 0.01
 SCAN = 65  # grid points per piece in the first scan, shared by every pair of orders
 ZOOM = 9  # grid points per bracket at every later zoom step
 # a bracket narrower than THETA_TOL counts as refined; below about 4e-8 rounding decides the
@@ -317,7 +321,9 @@ def bbar_bound(cs, pairs) -> list:
     breakpoints and to the smallest theta.  Returns one {(family, alpha,
     beta): BoundValue} per c; every value is zero when c = 1.  A pair's
     value and argmin_theta at a c are bit for bit those of a call with
-    that pair and that c alone.
+    that pair and that c alone.  Each c must lie in [C_FLOOR, 1]: the
+    cost grows as c**-2, and the floor 0.01 is at most the overlap of any
+    two observables in dimension up to 10**4.
     """
     cs, pairs = list(cs), list(pairs)
     for name, values in (("cs", cs), ("pairs", pairs)):
@@ -328,8 +334,8 @@ def bbar_bound(cs, pairs) -> list:
         if family not in ("renyi", "tsallis"):
             raise ValueError(f"family must be 'renyi' or 'tsallis', got {family!r}")
     for c in cs:
-        if not 0.0 < c <= 1.0:
-            raise ValueError(f"overlap characteristic must lie in (0, 1], got {c!r}")
+        if not C_FLOOR <= c <= 1.0:
+            raise ValueError(f"overlap characteristic must lie in [{C_FLOOR}, 1], got {c!r}")
     if not all(0.0 <= v < math.inf for v in alphas + betas):
         raise ValueError("orders must be finite and nonnegative")
     # theta_k does not depend on c, so the table of the smallest c serves every c

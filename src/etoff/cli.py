@@ -3,8 +3,11 @@
 Exit codes: 0 = no relation refuted, 1 = a relation refuted on an
 instance (noise + upper disturbance < bound - MARGIN_SLACK; an upper
 bound on the disturbance can refute a relation, never certify it) or a
-self-test failed, 2 = input or usage error.  Randomized commands need a
-non-negative seed, from --seed or the ETOFF_SEED environment variable.
+self-test failed, 2 = input or usage error.  An input error is an
+OSError or ValueError out of a command, caught in ``main`` alone, which
+prints ``error: <message>``; any other exception is a bug and prints its
+traceback.  Randomized commands need a non-negative seed, from --seed or
+the ETOFF_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import harness
 from .bounds import RELATIONS, certify
@@ -41,90 +45,46 @@ def _open_out(out: str | None):
 
 
 def cmd_certify(args) -> int:
-    try:
-        x_obs, z_obs, inst = harness.load_instance(args.instance)
-        seed = _resolve_seed(args.seed) if args.restarts > 0 or args.seed is not None else None
-        search = SearchConfig(
-            restarts=args.restarts, iterations=args.iterations, seed=seed
-        )
-        cert = certify(
-            x_obs, z_obs, inst, args.alpha, args.beta, args.relation,
-            search, seed=seed,
-        )
-        if args.format == "csv":
-            text = harness.certificates_to_csv([cert])
-        else:
-            text = json.dumps(cert.to_json_dict(), indent=2) + "\n"
-        with _open_out(args.out) as fh:
-            fh.write(text)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        # AdmissibilityError and the input validation errors are ValueError subclasses;
-        # an unwritable --out is an OSError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    x_obs, z_obs, inst = harness.load_instance(args.instance)
+    seed = _resolve_seed(args.seed) if args.restarts > 0 or args.seed is not None else None
+    search = SearchConfig(restarts=args.restarts, iterations=args.iterations, seed=seed)
+    cert = certify(x_obs, z_obs, inst, args.alpha, args.beta, args.relation, search, seed=seed)
+    text = (harness.certificates_to_csv([cert]) if args.format == "csv"
+            else json.dumps(cert.to_json_dict(), indent=2) + "\n")
+    with _open_out(args.out) as fh:
+        fh.write(text)
     return 0 if cert.passed else 1
 
 
 def cmd_sweep(args) -> int:
-    try:
-        overrides = {
-            "dim": args.dim,
-            "samples": args.samples,
-            "relations": tuple(args.relation) if args.relation else None,
-            "alphas": tuple(args.alpha) if args.alpha else None,
-            "betas": tuple(args.beta) if args.beta else None,
-            "restarts": args.restarts,
-            "iterations": args.iterations,
-            "jobs": args.jobs,
-            "out": args.out,
-            "fmt": args.format,
-        }
-        if args.config:
-            cfg = RunConfig.from_file(args.config, **overrides)
-        else:
-            cfg = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
-        cfg.seed = _resolve_seed(args.seed if args.seed is not None else cfg.seed)
-        # opened before the sweep runs, so an unwritable --out fails before any sample
-        with _open_out(cfg.out) as fh:
-            certs, summary = harness.run_sweep(cfg)
-            if cfg.fmt == "csv":
-                fh.write(harness.certificates_to_csv(certs))
-            else:
-                fh.write(harness.certificates_to_json(certs))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    dest = sys.stderr if cfg.out is None else sys.stdout
-    print(
-        "sweep: {certificates} certificates from {samples} samples (d={dim}), "
-        "min margin {min_margin:.3e}, {failures} failures, "
-        "{inadmissible_skipped} inadmissible combinations skipped, seed {seed}".format(
-            **summary
-        ),
-        file=dest,
-    )
+    # the sweep flags are named after the RunConfig fields they set, and a flag left out is
+    # None; --seed is applied after RunConfig has checked a config file's seed
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "seed"}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    cfg = RunConfig.from_file(args.config, **flags) if args.config else RunConfig(**flags)
+    cfg.seed = _resolve_seed(args.seed if args.seed is not None else cfg.seed)
+    # opened before the sweep runs, so an unwritable --out fails before any sample
+    with _open_out(cfg.out) as fh:
+        certs, summary = harness.run_sweep(cfg)
+        to_text = harness.certificates_to_csv if cfg.fmt == "csv" else harness.certificates_to_json
+        fh.write(to_text(certs))
+    print("sweep: {certificates} certificates from {samples} samples (d={dim}), min margin "
+          "{min_margin:.3e}, {failures} failures, {inadmissible_skipped} inadmissible "
+          "combinations skipped, seed {seed}".format(**summary),
+          file=sys.stderr if cfg.out is None else sys.stdout)
     return 0 if summary["failures"] == 0 else 1
 
 
 def cmd_bounds(args) -> int:
-    try:
-        text = harness.tabulate_bounds(args.c, args.alpha, args.beta)
-        with _open_out(args.out) as fh:
-            fh.write(text)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text = harness.tabulate_bounds(args.c, args.alpha, args.beta)
+    with _open_out(args.out) as fh:
+        fh.write(text)
     return 0
 
 
 def cmd_selftest(args) -> int:
     if args.fixture:
-        try:
-            x_obs, z_obs, inst = harness.load_instance(args.fixture)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        ok, detail = harness.two_picture_check(x_obs, z_obs, inst)
+        ok, detail = harness.two_picture_check(*harness.load_instance(args.fixture))
         print(f"selftest fixture: two_pictures: {'PASS' if ok else 'FAIL'} ({detail})")
         return 0 if ok else 1
     failed = None
@@ -166,15 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file (flags override)")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--relation", type=str, nargs="+", choices=RELATIONS, default=None)
-    p.add_argument("--alpha", type=float, nargs="+", default=None)
-    p.add_argument("--beta", type=float, nargs="+", default=None)
+    p.add_argument("--relation", dest="relations", nargs="+", choices=RELATIONS, default=None)
+    p.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=float, nargs="+", default=None)
+    p.add_argument("--beta", dest="betas", metavar="BETA", type=float, nargs="+", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="tabulate uncertainty bounds over a grid")
@@ -199,7 +159,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    # an unreadable or unwritable file is an OSError; malformed JSON, a bad instance or
+    # config entry and an inadmissible order (AdmissibilityError) are ValueErrors
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -57,6 +57,8 @@ class RunConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        for name in ("relations", "alphas", "betas"):  # the command line passes lists
+            setattr(self, name, tuple(getattr(self, name)))
         for name in ("dim", "samples", "restarts", "iterations", "jobs", "seed"):
             value = getattr(self, name)
             if value is None and name in ("jobs", "seed"):
@@ -95,8 +97,8 @@ class RunConfig:
             raise ValueError(f"sweep config {path} has unknown keys {unknown}")
         for key in ("relations", "alphas", "betas"):
             if key in data:
-                data[key] = tuple(json_entry(data, key, list, f"sweep config {path}"))
-        return cls(**{**data, **{k: v for k, v in overrides.items() if v is not None}})
+                json_entry(data, key, list, f"sweep config {path}")
+        return cls(**{**data, **overrides})
 
 
 # --- instance files -------------------------------------------------------------

@@ -67,6 +67,17 @@ def clip_spectrum(w, tol: float = STRUCT_TOL) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+def qr_retract(y) -> np.ndarray:
+    """Q of y = QR, for a matrix or a stack, phases fixed so that R has a positive diagonal.
+
+    On a square complex Ginibre matrix this draws a Haar-random unitary;
+    on a tall matrix it is the QR retraction onto the Stiefel manifold.
+    """
+    q, r = np.linalg.qr(y)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Table of spectral norms ||p q|| over two stacks of projectors.
 

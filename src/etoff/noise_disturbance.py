@@ -45,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .entropy import EntropyOrder, check_table, conditional_entropy, conditional_entropy_gradient
-from .linalg import DECOMP_TOL, dagger, hermitize, max_abs
+from .linalg import DECOMP_TOL, dagger, hermitize, max_abs, qr_retract
 from .quantum import ProjectiveObservable, QuantumInstrument, flag_apply
 
 _RANGE_TOL = 1e-12
@@ -213,13 +213,6 @@ _LADDER = 0.3 ** np.arange(3)     # step multiples tried together in one iterati
 _ARMIJO = 1e-4                    # sufficient-decrease constant
 
 
-def _retract(y: np.ndarray) -> np.ndarray:
-    """QR retraction onto the Stiefel manifold, phases fixed so R has a positive diagonal."""
-    q, r = np.linalg.qr(y)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
-
-
 def _riemannian_gradient(povm: np.ndarray, g: np.ndarray, rho: np.ndarray) -> tuple:
     """(D, ||A D||) with Riemannian gradient A_z' D_z' at any A with A_z'† A_z' = E_z'.
 
@@ -265,7 +258,7 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
     gauss = np.array([[np.random.default_rng(None if s.seed is None else [s.seed, r])
                        .standard_normal((2, n, nz * d, d)) for r in range(n_rest)]
                       for s in searches])
-    starts = _retract(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+    starts = qr_retract(gauss[:, :, 0] + 1j * gauss[:, :, 1])
     a = np.repeat(starts, len(orders), axis=0).reshape(-1, n, nz * d, d)
 
     def evaluate(points, rows):
@@ -293,7 +286,7 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
         if not len(rows):
             break
         t = step[rows, None] * _LADDER
-        trial = _retract(a[rows, None] - t[..., None, None, None] * xi[rows, None])
+        trial = qr_retract(a[rows, None] - t[..., None, None, None] * xi[rows, None])
         ft, gt, pt = evaluate(trial, rows)
         ok = ft <= f[rows, None] - _ARMIJO * t * norm[rows, None] ** 2
         i, pick = np.nonzero(ok.any(axis=1))[0], ok.argmax(axis=1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DECOMP_TOL, as_matrix, as_stack, dagger, hermitize, max_abs
+from .linalg import DECOMP_TOL, as_matrix, as_stack, dagger, hermitize, max_abs, qr_retract
 
 DEGENERACY_TOL = 1e-6   # projector trace must be this close to an integer
 
@@ -197,9 +197,7 @@ def sample_haar_unitary(dim: int, seed=None) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return qr_retract(z)
 
 
 def sample_random_observable(dim: int, degeneracies=None, seed=None) -> ProjectiveObservable:

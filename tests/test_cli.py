@@ -70,11 +70,20 @@ def test_certify_csv_output(anchor_file, capsys):
     assert got[1].startswith("Prop3,2,1,1,")
 
 
-def test_certify_malformed_json_exits_two(tmp_path):
+@pytest.mark.parametrize("command", [
+    pytest.param(["certify", "{bad}", "--relation", "Prop1", "--alpha", "1", "--beta", "1"],
+                 id="certify"),
+    pytest.param(["sweep", "--config", "{bad}", "--seed", "1", "--samples", "1"], id="sweep"),
+    pytest.param(["selftest", "--fixture", "{bad}"], id="selftest"),
+])
+def test_certify_malformed_json_exits_two(command, tmp_path, capsys):
+    # a file that is not JSON is an input error for every command that reads one
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code = main(["certify", str(bad), "--relation", "Prop1", "--alpha", "1", "--beta", "1"])
-    assert code == 2
+    assert main([arg.format(bad=bad) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 def test_certify_broken_instrument_exits_two(broken_file):
@@ -398,7 +407,9 @@ def test_bounds_command(tmp_path, capsys):
 
 
 def test_bounds_rejects_invalid_grid(capsys):
-    for c, alpha in (("0.0", "1"), ("0.5", "-1"), ("1.5", "1"), ("0.5", "inf")):
+    # c below bounds.C_FLOOR is rejected before its breakpoint table (c**-2 entries) is built
+    for c, alpha in (("0.0", "1"), ("0.5", "-1"), ("1.5", "1"), ("0.5", "inf"), ("1e-300", "1"),
+                     ("0.005", "1")):
         assert main(["bounds", "--c", c, "--alpha", alpha, "--beta", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
