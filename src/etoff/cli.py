@@ -132,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="processes certifying chunks, this one included; default: the CPUs "
+                   "this process may use")
     p.add_argument("--out", default=None)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     p.set_defaults(func=cmd_sweep)

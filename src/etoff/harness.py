@@ -3,8 +3,11 @@
 A sweep task is a fixed chunk of ``CHUNK`` consecutive samples, certified
 in one lockstep computation.  Each sample derives its generators from
 (master seed, sample index), so results are deterministic per fixed
-chunk, whatever the worker count, and are merged in sample order; two
-runs with the same seed produce byte-identical output.
+chunk, whatever the worker count.  The chunks are split into one
+contiguous share per job: the calling process certifies the first share
+while one helper process per further share certifies the rest, and the
+shares are joined in sample order, so two runs with the same seed produce
+byte-identical output at any worker count.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 
 import numpy as np
 
@@ -173,12 +176,40 @@ def _sweep_task(args) -> list[TradeoffCertificate]:
     return certify_grid(chunk, grid, searches, seed=cfg.seed)
 
 
+def _certify_share(tasks) -> list[TradeoffCertificate]:
+    return [cert for task in tasks for cert in _sweep_task(task)]
+
+
+def _helper(tasks, conn) -> None:
+    """Certify a share in a helper process; send (ok, certificates or exception)."""
+    try:
+        result = (True, _certify_share(tasks))
+    except Exception as exc:  # the parent raises it again
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says; else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(cfg: RunConfig):
     """Run the sweep; returns (certificates, summary dict).
 
     Each task certifies one chunk of up to CHUNK samples in one
-    ``certify_grid`` call.  Certificates come back ordered by (sample
-    index, relation, alpha, beta) regardless of worker count.  The
+    ``certify_grid`` call.  The tasks are cut into ``jobs`` contiguous
+    shares, jobs being ``cfg.jobs`` (by default the CPUs this process may
+    use) but at most one per task.  This process certifies share 0 while
+    one helper process per further share certifies it and sends the
+    certificates back through its own pipe; one job or one chunk starts no
+    helper.  An exception in a helper is raised again here, a helper that
+    dies without a result raises RuntimeError, and every helper has ended
+    when run_sweep returns or raises.  Certificates come back ordered by
+    (sample index, relation, alpha, beta) regardless of worker count.  The
     admissible grid is the same for every sample, so it is checked once.
     """
     if cfg.seed is None:
@@ -186,13 +217,33 @@ def run_sweep(cfg: RunConfig):
     grid, skipped = bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
     tasks = [(cfg, range(start, min(start + CHUNK, cfg.samples)), grid)
              for start in range(0, cfg.samples, CHUNK)]
-    jobs = cfg.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            results = pool.map(_sweep_task, tasks)
-    else:
-        results = [_sweep_task(t) for t in tasks]
-    certs = [cert for chunk_certs in results for cert in chunk_certs]
+    jobs = min(cfg.jobs or _usable_cpus(), len(tasks))
+    shares = [tasks[len(tasks) * k // jobs:len(tasks) * (k + 1) // jobs] for k in range(jobs)]
+    helpers = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = Pipe(duplex=False)
+            helper = Process(target=_helper, args=(share, sender), daemon=True)
+            helper.start()
+            helpers.append((helper, receiver))
+            sender.close()  # so that a helper dying unheard reads as EOF, not a hang
+        certs = _certify_share(shares[0])
+        for helper, receiver in helpers:
+            try:
+                ok, result = receiver.recv()
+            except EOFError:
+                helper.join()
+                raise RuntimeError(f"a sweep helper process exited with code "
+                                   f"{helper.exitcode} before sending its certificates") from None
+            if not ok:
+                raise result
+            certs += result
+    finally:
+        for helper, receiver in helpers:
+            receiver.close()
+            if helper.is_alive():
+                helper.terminate()
+            helper.join()
     summary = {
         "samples": cfg.samples,
         "dim": cfg.dim,

@@ -1,8 +1,11 @@
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +235,7 @@ def test_run_config_checks_the_search_budget_and_jobs():
                 {"jobs": -2}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             RunConfig(**bad)
-    # the benchmark's budgets stay valid; jobs=None means all cores
+    # the benchmark's budgets stay valid; jobs=None means the CPUs this process may use
     for good in ({"restarts": 0}, {"restarts": 0, "iterations": 1},
                  {"restarts": 1, "iterations": 4}, {"restarts": 1, "iterations": 150},
                  {"jobs": 1}, {"jobs": None}):
@@ -276,15 +279,17 @@ def test_sweep_tasks_carry_the_validated_config(monkeypatch):
 
 
 def test_sweep_chunks_give_each_sample_its_own_certificates():
-    # 11 samples make one full chunk and a partial one; the certificates do not depend on
-    # the worker count, and each sample's equal those of its instance certified alone
-    cfg = RunConfig(dim=2, samples=11, relations=("Prop1", "Prop3"), alphas=(0.5, 1.0),
-                    betas=(0.5, 1.0), seed=7, restarts=2, iterations=40, jobs=1)
+    # 17 samples make two full chunks and a partial one, cut into uneven shares at 2 jobs
+    # and into fewer shares than jobs at 5; the certificates do not depend on the worker
+    # count, and each sample's equal those of its instance certified alone
+    cfg = RunConfig(dim=2, samples=2 * harness.CHUNK + 1, relations=("Prop1", "Prop3"),
+                    alphas=(0.5, 1.0), betas=(0.5, 1.0), seed=7, restarts=2, iterations=40,
+                    jobs=1)
     runs = []
-    for jobs in (1, 2, 3):
+    for jobs in (1, 2, 3, 5):
         cfg.jobs = jobs
         runs.append(run_sweep(cfg)[0])
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
     grid, _ = harness.bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
     alone = []
     for i in range(cfg.samples):
@@ -293,6 +298,102 @@ def test_sweep_chunks_give_each_sample_its_own_certificates():
         search = SearchConfig(cfg.restarts, cfg.iterations, seed)
         alone += harness.certify_grid([instance], grid, [search], seed=cfg.seed)
     assert runs[0] == alone
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a helper process sees the test's patches only when it is forked")
+
+
+@pytest.fixture
+def within_a_minute():
+    """Fail the test, instead of hanging it, if it has not ended after a minute."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not end within a minute")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def in_helpers_only(monkeypatch, act):
+    """Patch the sweep task to call act() in a helper process, and certify in this one."""
+    parent, task = os.getpid(), harness._sweep_task
+    monkeypatch.setattr(harness, "_sweep_task",
+                        lambda args: act() if os.getpid() != parent else task(args))
+
+
+def record_helpers(monkeypatch) -> list:
+    """Patch the helpers' Process class to list every helper it starts."""
+    started = []
+
+    class Recorded(multiprocessing.Process):
+        def start(self):
+            super().start()
+            started.append(self)
+
+    monkeypatch.setattr(harness, "Process", Recorded)
+    return started
+
+
+@fork_only
+def test_a_helper_that_dies_without_a_result_fails_the_sweep_at_once(monkeypatch,
+                                                                      within_a_minute):
+    in_helpers_only(monkeypatch, lambda: os._exit(3))
+    cfg = RunConfig(dim=2, samples=2 * harness.CHUNK, seed=1, restarts=0, jobs=2)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_sweep(cfg)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_an_input_error_in_a_helper_exits_two(monkeypatch, capsys, within_a_minute):
+    def bad_input():
+        raise ValueError("bad input in a helper")
+
+    in_helpers_only(monkeypatch, bad_input)
+    code = main(["sweep", "--dim", "2", "--samples", str(2 * harness.CHUNK), "--seed", "1",
+                 "--restarts", "0", "--jobs", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input in a helper") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_an_error_in_this_process_ends_every_helper(monkeypatch, within_a_minute):
+    # 3 chunks at 5 jobs start 2 helpers, which would certify for a minute if not ended
+    parent = os.getpid()
+
+    def task(args):
+        if os.getpid() == parent:
+            raise ValueError("bad input in this process")
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "_sweep_task", task)
+    started = record_helpers(monkeypatch)
+    cfg = RunConfig(dim=2, samples=2 * harness.CHUNK + 1, seed=1, restarts=0, jobs=5)
+    with pytest.raises(ValueError, match="this process"):
+        run_sweep(cfg)
+    assert [helper.exitcode for helper in started] == [-signal.SIGTERM] * 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
+def test_default_jobs_are_the_cpus_this_process_may_use(monkeypatch, affinity):
+    # one usable CPU starts no helper, even on a machine with more
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    started = record_helpers(monkeypatch)
+    cfg = RunConfig(dim=2, samples=2 * harness.CHUNK, seed=1, restarts=0)
+    certs, _ = run_sweep(cfg)
+    assert started == [] and len(certs) > 0
 
 
 def test_sweep_deterministic_across_runs_and_jobs(tmp_path):
