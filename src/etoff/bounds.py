@@ -12,8 +12,9 @@ repeated n times plus a remainder; they go through the column kernel of
 ``entropy`` as 2-row columns with multiplicities, so no entropy formula
 is written out here, and a whole list of (family, alpha, beta) pairs is
 minimised at once.  The points every pair shares, the breakpoints and a
-first scan of each smooth piece, are evaluated once per family and
-order.  The zoom that follows works on one bracket per pair and piece:
+first scan of each smooth piece, are evaluated once per family and order
+(``_shared_terms``).  The zoom that follows works on one bracket per pair
+and piece, evaluating each bracket's own pair alone (``_objective``):
 each is refined on its own, geometrically toward a piece end that holds
 its best point, and stops on its own, so a pair's bound and argmin_theta
 are bit for bit those of a call with that pair alone.
@@ -26,7 +27,6 @@ admissible grid.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -220,22 +220,13 @@ def _objective(families, alphas, betas, breaks, theta, eta) -> np.ndarray:
     """The alpha term at theta plus the beta term at eta - theta, per (family, alpha, beta).
 
     ``families``, ``alphas`` and ``betas`` list the pairs, a pair being one
-    (family, alpha, beta), and the leading axis of ``theta`` runs over them,
-    with ``eta`` broadcasting against it.  On points every pair shares, that
-    axis has length 1, and each term is one kernel call with one row per
-    distinct (family, order), so it is evaluated once per family and order
-    and each pair sums its own two terms; a column's entropy does not depend
-    on the columns beside it, so either way a pair's values are bit for bit
-    those of a call with that pair alone.
+    (family, alpha, beta), one per row of ``theta``, with ``eta``
+    broadcasting against it.  A column's entropy does not depend on the
+    columns beside it, so a pair's values are bit for bit those of a call
+    with that pair alone.
     """
-    families = np.asarray(families)
-    if len(theta) == 1 < len(families):
-        alpha, beta = (_shared_terms(families, orders, at, breaks)
-                       for orders, at in ((alphas, theta), (betas, eta - theta)))
-    else:
-        alpha = _term(theta, alphas, families, breaks)
-        beta = _term(eta - theta, betas, families, breaks)
-    alpha += beta
+    alpha = _term(theta, alphas, families, breaks)
+    alpha += _term(eta - theta, betas, families, breaks)
     return alpha
 
 
@@ -351,9 +342,15 @@ def bbar_bound(cs, pairs) -> list:
         hi.append(pts[1:][keep])
     n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in lo]
     families, alphas, betas = np.array(families), np.array(alphas), np.array(betas)
-    objective = functools.partial(_objective, families, alphas, betas, breaks)
+
+    def shared(theta, eta):
+        """The objective of every pair at points all pairs share, each term once per order."""
+        terms = _shared_terms(families, alphas, theta, breaks)
+        terms += _shared_terms(families, betas, eta - theta, breaks)
+        return terms
+
     end_pts = np.concatenate(ends)
-    end_vals = objective(end_pts[None], np.repeat(etas, n_ends))
+    end_vals = shared(end_pts[None], np.repeat(etas, n_ends))
 
     def per_bracket(rows, grid, eta):
         return _objective(families[rows], alphas[rows], betas[rows], breaks, grid, eta)
@@ -368,7 +365,7 @@ def bbar_bound(cs, pairs) -> list:
         # the spacing, width / 64, is exact in both of linspace's branches: no piece moves another
         grid = np.linspace(piece_lo[pieces], piece_hi[pieces], SCAN, axis=-1)
         eta = piece_eta[pieces]
-        brackets = _shrink(grid[None], objective(grid[None], eta[:, None]))
+        brackets = _shrink(grid[None], shared(grid[None], eta[:, None]))
         shape = brackets[0].shape  # (pairs, pieces)
         rows = np.repeat(np.arange(len(pairs)), shape[1])
         x, fx = _zoom(*(v.ravel() for v in brackets), np.tile(eta, len(pairs)), rows, per_bracket)

@@ -21,12 +21,12 @@ respect to each entry, for the disturbance search.
 Every entropy here, conditional or not, is a weighted sum of per-column
 entropies from one kernel, so each formula is written out once.  The
 kernel takes an order per column, so one call evaluates a whole grid of
-orders: the conditional entropies take one ``EntropyOrder`` or one per
-table of a stack, and ``bounds`` passes an order array, which broadcasts
-against columns shared by every order.  A column of
-order 2 or 0.5 is raised to its power by numpy's scalar square and sqrt
-paths, as a single-order call would be, so its value does not depend on
-the orders beside it.  The kernel also takes a multiplicity per entry,
+orders: the conditional entropies read one ``EntropyOrder``, or one per
+table of a stack, as an array of orders broadcast to the columns, and
+``bounds`` passes an order array, which broadcasts against columns
+shared by every order.  A column of order 2 or 0.5 is raised to its
+power by numpy's scalar square and sqrt paths, as a single-order call
+would be, so its value does not depend on the orders beside it.  The kernel also takes a multiplicity per entry,
 which lets ``bounds`` evaluate the parametric distributions of the
 minimised bound (one value repeated n times, plus a remainder) as 2-row
 columns.
@@ -180,22 +180,19 @@ def _weighted_entropy(table: np.ndarray, order, gradient: bool = False):
     """sum over columns y with p(y) > 0 of p(y) * H(X | Y = y), per table of a stack.
 
     ``order`` is one ``EntropyOrder``, or an array-like of them, one per
-    table (broadcast to ``table.shape[:-2]``); either way the kernel is
-    called once.  With ``gradient`` the derivative with respect to each
-    entry is returned too; it is 0 in columns with p(y) = 0, where none
-    exists.
+    table.  Either way it is read as an array of orders (one order as a
+    0-d array), broadcast to ``table.shape[:-2]``, and every kept column
+    takes its table's order, so there is one path and one kernel call.
+    With ``gradient`` the derivative with respect to each entry is
+    returned too; it is 0 in columns with p(y) = 0, where none exists.
     """
-    if isinstance(order, EntropyOrder):
-        alpha, family = order.alpha, order.family
-    else:  # each column takes its table's order
-        orders = np.asarray(order, dtype=object)
-        alpha = np.array([o.alpha for o in orders.flat]).reshape(orders.shape + (1,))
-        family = np.array([o.family for o in orders.flat]).reshape(orders.shape + (1,))
+    orders = np.asarray(order, dtype=object)
+    alpha = np.array([o.alpha for o in orders.flat]).reshape(orders.shape + (1,))
+    family = np.array([o.family for o in orders.flat]).reshape(orders.shape + (1,))
     weights = table.sum(axis=-2)
     keep = weights > 0.0
-    if np.ndim(alpha):
-        alpha = np.broadcast_to(alpha, keep.shape)[keep]
-        family = np.broadcast_to(family, keep.shape)[keep]
+    alpha = np.broadcast_to(alpha, keep.shape)[keep]
+    family = np.broadcast_to(family, keep.shape)[keep]
     cond = table.swapaxes(-2, -1)[keep].T / weights[keep]
     terms = np.zeros(weights.shape)
     terms[keep] = weights[keep] * _column_entropies(cond, alpha, family)

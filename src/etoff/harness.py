@@ -3,11 +3,12 @@
 A sweep task is a fixed chunk of ``CHUNK`` consecutive samples, certified
 in one lockstep computation.  Each sample derives its generators from
 (master seed, sample index), so results are deterministic per fixed
-chunk, whatever the worker count.  The chunks are split into one
-contiguous share per job: the calling process certifies the first share
-while one helper process per further share certifies the rest, and the
-shares are joined in sample order, so two runs with the same seed produce
-byte-identical output at any worker count.
+chunk, whatever the worker count.  A chunk is a range of sample indices,
+and the list of chunks is cut into one contiguous share per job: the
+calling process certifies the first share while one helper process per
+further share certifies the rest, each with the sweep's config and grid,
+and the shares are joined in sample order, so two runs with the same
+seed produce byte-identical output at any worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import bounds, quantum
 from .bounds import RELATIONS, TradeoffCertificate, certify, certify_grid, mu_bounds
 from .decision import fano_upper_bounds, lower_bounds, standard_decision
-from .entropy import EntropyOrder, check_table, conditional_entropy
+from .entropy import SHANNON_BRANCH, EntropyOrder, check_table, conditional_entropy
 from .linalg import dagger
 from .noise_disturbance import SearchConfig, reprepare_correction, two_picture_gap
 from .quantum import (
@@ -168,22 +169,22 @@ def sample_instance(dim: int, seed) -> tuple:
 CHUNK = 8  # samples per sweep task; fixed, so that chunks do not depend on the worker count
 
 
-def _sweep_task(args) -> list[TradeoffCertificate]:
-    cfg, indices, grid = args  # the RunConfig and its grid, both checked once in run_sweep
+def _sweep_task(cfg: RunConfig, grid, indices) -> list[TradeoffCertificate]:
+    """Certify the samples ``indices`` over ``grid``, both checked once in run_sweep."""
     chunk = [sample_instance(cfg.dim, np.random.SeedSequence([cfg.seed, i])) for i in indices]
     seeds = [int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0]) for i in indices]
     searches = [SearchConfig(cfg.restarts, cfg.iterations, seed) for seed in seeds]
     return certify_grid(chunk, grid, searches, seed=cfg.seed)
 
 
-def _certify_share(tasks) -> list[TradeoffCertificate]:
-    return [cert for task in tasks for cert in _sweep_task(task)]
+def _certify_share(cfg: RunConfig, grid, chunks) -> list[TradeoffCertificate]:
+    return [cert for indices in chunks for cert in _sweep_task(cfg, grid, indices)]
 
 
-def _helper(tasks, conn) -> None:
+def _helper(conn, cfg: RunConfig, grid, chunks) -> None:
     """Certify a share in a helper process; send (ok, certificates or exception)."""
     try:
-        result = (True, _certify_share(tasks))
+        result = (True, _certify_share(cfg, grid, chunks))
     except Exception as exc:  # the parent raises it again
         result = (False, exc)
     conn.send(result)
@@ -200,10 +201,11 @@ def _usable_cpus() -> int:
 def run_sweep(cfg: RunConfig):
     """Run the sweep; returns (certificates, summary dict).
 
-    Each task certifies one chunk of up to CHUNK samples in one
-    ``certify_grid`` call.  The tasks are cut into ``jobs`` contiguous
-    shares, jobs being ``cfg.jobs`` (by default the CPUs this process may
-    use) but at most one per task.  This process certifies share 0 while
+    Each chunk, a range of up to CHUNK sample indices, is certified in one
+    ``certify_grid`` call.  The list of chunks is cut into ``jobs``
+    contiguous shares, jobs being ``cfg.jobs`` (by default the CPUs this
+    process may use) but at most one per chunk.  This process certifies
+    share 0 while
     one helper process per further share certifies it and sends the
     certificates back through its own pipe; one job or one chunk starts no
     helper.  An exception in a helper is raised again here, a helper that
@@ -215,19 +217,19 @@ def run_sweep(cfg: RunConfig):
     if cfg.seed is None:
         raise ValueError("a randomized sweep needs a seed")
     grid, skipped = bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
-    tasks = [(cfg, range(start, min(start + CHUNK, cfg.samples)), grid)
-             for start in range(0, cfg.samples, CHUNK)]
-    jobs = min(cfg.jobs or _usable_cpus(), len(tasks))
-    shares = [tasks[len(tasks) * k // jobs:len(tasks) * (k + 1) // jobs] for k in range(jobs)]
+    chunks = [range(start, min(start + CHUNK, cfg.samples))
+              for start in range(0, cfg.samples, CHUNK)]
+    jobs = min(cfg.jobs or _usable_cpus(), len(chunks))
+    shares = [chunks[len(chunks) * k // jobs:len(chunks) * (k + 1) // jobs] for k in range(jobs)]
     helpers = []
     try:
         for share in shares[1:]:
             receiver, sender = Pipe(duplex=False)
-            helper = Process(target=_helper, args=(share, sender), daemon=True)
+            helper = Process(target=_helper, args=(sender, cfg, grid, share), daemon=True)
             helper.start()
             helpers.append((helper, receiver))
             sender.close()  # so that a helper dying unheard reads as EOF, not a hang
-        certs = _certify_share(shares[0])
+        certs = _certify_share(cfg, grid, shares[0])
         for helper, receiver in helpers:
             try:
                 ok, result = receiver.recv()
@@ -354,23 +356,15 @@ def _random_joint(rng, nx: int, ny: int) -> np.ndarray:
 
 def selftest_checks(seed: int = SELFTEST_SEED):
     """Run the built-in consistency checks; yields (name, ok, detail)."""
-    results = []
-
     # saturation anchor
     x_obs, z_obs, inst = saturation_instance()
     cert = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0, seed=seed))
-    results.append(
-        (
-            "saturation_margin",
-            abs(cert.margin) <= 1e-7,
-            f"margin={cert.margin:.3e}",
-        )
-    )
+    yield "saturation_margin", abs(cert.margin) <= 1e-7, f"margin={cert.margin:.3e}"
 
     # both pictures of the noise and disturbance tables, on the anchor and a random qutrit
-    results.append(("two_pictures_qubit", *two_picture_check(x_obs, z_obs, inst, seed)))
+    yield "two_pictures_qubit", *two_picture_check(x_obs, z_obs, inst, seed)
     qutrit = sample_instance(3, np.random.SeedSequence([seed, 3]))
-    results.append(("two_pictures_qutrit", *two_picture_check(*qutrit, seed)))
+    yield "two_pictures_qutrit", *two_picture_check(*qutrit, seed)
 
     # sandwich of conditional entropies between error-probability bounds
     rng = np.random.default_rng(seed)
@@ -385,25 +379,25 @@ def selftest_checks(seed: int = SELFTEST_SEED):
                     worst = max(worst, lo - ent)
                 for _, hi in fano_upper_bounds(j, alpha, family, p_error):
                     worst = max(worst, ent - hi)
-    results.append(("entropy_error_sandwich", worst <= 1e-9, f"worst violation={worst:.3e}"))
+    yield "entropy_error_sandwich", worst <= 1e-9, f"worst violation={worst:.3e}"
 
-    # order -> 1 limit consistency
+    # order -> 1 limit consistency, inside the Shannon branch and just outside it, where the
+    # Renyi and Tsallis formulas run
     worst_limit = 0.0
+    near = 2 * SHANNON_BRANCH
     for _ in range(100):
         j = _random_joint(rng, 3, 3)
         h1 = conditional_entropy(j, EntropyOrder.shannon())
-        for a in (1.0 - 1e-8, 1.0 + 1e-8):
+        for a in (1.0 - 1e-8, 1.0 + 1e-8, 1.0 - near, 1.0 + near):
             for family in ("tsallis", "renyi"):
                 gap = conditional_entropy(j, EntropyOrder(a, family)) - h1
                 worst_limit = max(worst_limit, abs(gap))
-    results.append(("shannon_limit", worst_limit < 1e-5, f"worst gap={worst_limit:.3e}"))
+    yield "shannon_limit", worst_limit < 1e-5, f"worst gap={worst_limit:.3e}"
 
     # the shipped negative fixture must be rejected by validation
     try:
         instance_from_json(broken_instrument_json())
     except ValueError as exc:
-        results.append(("negative_fixture_rejected", True, f"rejected: {exc}"))
+        yield "negative_fixture_rejected", True, f"rejected: {exc}"
     else:
-        results.append(("negative_fixture_rejected", False, "broken instrument accepted"))
-
-    return results
+        yield "negative_fixture_rejected", False, "broken instrument accepted"

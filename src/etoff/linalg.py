@@ -3,10 +3,10 @@
 Everything works on plain numpy arrays of complex dtype, mostly on
 stacks of matrices.  No eigendecomposition wrapper is kept here: the
 only eigenvalues the package computes are ``np.linalg.eigvalsh`` of a
-user-supplied POVM, checked by ``clip_spectrum``.  Roundoff-negative
-spectra are clipped against ``STRUCT_TOL``; decomposition residuals get
-the looser ``DECOMP_TOL``.  Small dimensions keep conditioning benign,
-so a single pair of module-wide constants is enough.
+user-supplied POVM, which the POVM check in ``noise_disturbance``
+admits down to -``STRUCT_TOL``; decomposition residuals get the looser
+``DECOMP_TOL``.  Small dimensions keep conditioning benign, so a single
+pair of module-wide constants is enough.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ def hermitize(m) -> np.ndarray:
     """Hermitian part (m + m†)/2."""
     m = np.asarray(m, dtype=complex)
     return (m + dagger(m)) / 2
-
-
-def clip_spectrum(w, tol: float = STRUCT_TOL) -> np.ndarray:
-    """Zero out roundoff-negative eigenvalues in (-tol, 0); reject worse ones."""
-    w = np.asarray(w, dtype=float)
-    if w.min() < -tol:
-        raise ValueError(f"eigenvalue {w.min():.3e} below -{tol:.1e}, not a roundoff artifact")
-    return np.clip(w, 0.0, None)
 
 
 def qr_retract(y) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .entropy import EntropyOrder, check_table, conditional_entropy, conditional_entropy_gradient
-from .linalg import DECOMP_TOL, dagger, hermitize, max_abs, qr_retract
+from .linalg import DECOMP_TOL, STRUCT_TOL, dagger, hermitize, max_abs, qr_retract
 from .quantum import ProjectiveObservable, QuantumInstrument, flag_apply
 
 _RANGE_TOL = 1e-12
@@ -165,7 +165,9 @@ def _checked_povm(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) ->
     res = max_abs(e.sum(axis=1) - np.eye(inst.dim_out))
     if res > DECOMP_TOL:
         raise ValueError(f"POVM completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}")
-    linalg.clip_spectrum(np.linalg.eigvalsh(e))
+    low = np.linalg.eigvalsh(e).min()
+    if low < -STRUCT_TOL:
+        raise ValueError(f"eigenvalue {low:.3e} below -{STRUCT_TOL:.1e}, not a roundoff artifact")
     return e
 
 

@@ -222,7 +222,7 @@ def test_sweep_requires_seed(monkeypatch):
 def test_sweep_rejects_a_bad_budget_before_any_sample_runs(monkeypatch, capsys, budget, seed,
                                                            named):
     ran = []
-    monkeypatch.setattr(harness, "_sweep_task", ran.append)
+    monkeypatch.setattr(harness, "_sweep_task", lambda *args: ran.append(args))
     monkeypatch.setenv("ETOFF_SEED", seed)
     code = main(["sweep", "--dim", "2", "--samples", "2", "--jobs", "1", *budget])
     assert code == 2
@@ -256,8 +256,9 @@ def test_sweep_reports_the_evaluations_of_one_restart(tmp_path):
 
 
 def test_sweep_tasks_carry_the_validated_config(monkeypatch):
-    # each task is (cfg, indices, grid): the RunConfig itself, a fixed chunk of consecutive
-    # samples and the one admissible grid, checked once per sweep; no task re-validates either
+    # each task gets (cfg, grid, indices): the RunConfig itself, the one admissible grid,
+    # checked once per sweep, and a fixed chunk of consecutive samples; no task re-validates
+    # the config or the grid
     samples = harness.CHUNK + 3
     cfg = RunConfig(dim=2, samples=samples, relations=("Prop3",), alphas=(1.0, 2.0),
                     betas=(1.0,), seed=5, restarts=0, jobs=1)
@@ -265,15 +266,15 @@ def test_sweep_tasks_carry_the_validated_config(monkeypatch):
     task = harness._sweep_task
     post_init = RunConfig.__post_init__
     admissible_grid = harness.bounds.admissible_grid
-    monkeypatch.setattr(harness, "_sweep_task", lambda args: tasks.append(args) or task(args))
+    monkeypatch.setattr(harness, "_sweep_task", lambda *args: tasks.append(args) or task(*args))
     monkeypatch.setattr(RunConfig, "__post_init__",
                         lambda self: validations.append(self) or post_init(self))
     monkeypatch.setattr(harness.bounds, "admissible_grid",
                         lambda *args: grids.append(args) or admissible_grid(*args))
     certs, summary = run_sweep(cfg)
-    assert [list(indices) for _, indices, _ in tasks] == [
+    assert [list(indices) for _, _, indices in tasks] == [
         list(range(harness.CHUNK)), list(range(harness.CHUNK, samples))]
-    assert all(task_cfg is cfg and grid == [("Prop3", 1.0, 1.0)] for task_cfg, _, grid in tasks)
+    assert all(task_cfg is cfg and grid == [("Prop3", 1.0, 1.0)] for task_cfg, grid, _ in tasks)
     assert validations == [] and len(grids) == 1 and len(certs) == samples
     assert summary["inadmissible_skipped"] == samples  # Prop3 at (2, 1) is not conjugate
 
@@ -322,7 +323,7 @@ def in_helpers_only(monkeypatch, act):
     """Patch the sweep task to call act() in a helper process, and certify in this one."""
     parent, task = os.getpid(), harness._sweep_task
     monkeypatch.setattr(harness, "_sweep_task",
-                        lambda args: act() if os.getpid() != parent else task(args))
+                        lambda *args: act() if os.getpid() != parent else task(*args))
 
 
 def record_helpers(monkeypatch) -> list:
@@ -367,7 +368,7 @@ def test_an_error_in_this_process_ends_every_helper(monkeypatch, within_a_minute
     # 3 chunks at 5 jobs start 2 helpers, which would certify for a minute if not ended
     parent = os.getpid()
 
-    def task(args):
+    def task(*args):
         if os.getpid() == parent:
             raise ValueError("bad input in this process")
         time.sleep(60)
@@ -528,7 +529,7 @@ def test_unwritable_out_is_a_usage_error(command, anchor_file, tmp_path, capsys,
     # sweep finds out before any sample runs
     ran = []
     task = harness._sweep_task
-    monkeypatch.setattr(harness, "_sweep_task", lambda args: ran.append(args) or task(args))
+    monkeypatch.setattr(harness, "_sweep_task", lambda *args: ran.append(args) or task(*args))
     out = tmp_path / "missing" / "x.csv"
     argv = [arg.format(anchor=anchor_file) for arg in command] + ["--out", str(out)]
     assert main(argv) == 2

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etoff.entropy import (
+    SHANNON_BRANCH,
     EntropyOrder,
     _column_entropies,
     _column_gradients,
@@ -21,6 +22,8 @@ from conftest import random_joint
 
 ALPHA_GRID = (0.3, 0.5, 1.0, 1.5, 2.0, 5.0)
 renyi, tsallis, SHANNON = EntropyOrder.renyi, EntropyOrder.tsallis, EntropyOrder.shannon()
+# orders inside the Shannon branch, and just outside it, where the Renyi and Tsallis formulas run
+NEAR_ONE = (1.0 - 1e-8, 1.0 + 1e-8, 1.0 - 2 * SHANNON_BRANCH, 1.0 + 2 * SHANNON_BRANCH)
 
 
 # --- alpha_log ---------------------------------------------------------------
@@ -36,7 +39,7 @@ def test_alpha_log_value():
     assert alpha_log(2.0, 2.0) == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("a", [1.0 - 1e-8, 1.0 + 1e-8])
+@pytest.mark.parametrize("a", NEAR_ONE)
 def test_alpha_log_limit(a):
     for d in (2, 3, 7):
         assert alpha_log(float(d), a) == pytest.approx(math.log(d), abs=1e-6)
@@ -149,7 +152,7 @@ def test_cond_shannon_matches_order_one_limits(rng):
     for _ in range(50):
         j = random_joint(rng, 3, 4)
         h1 = conditional_entropy(j, SHANNON)
-        for a in (1.0 - 1e-8, 1.0 + 1e-8):
+        for a in NEAR_ONE:
             assert abs(h1 - conditional_entropy(j, renyi(a))) < 1e-5
             assert abs(h1 - conditional_entropy(j, tsallis(a))) < 1e-5
 
@@ -324,6 +327,22 @@ def test_entropy_gradient_matches_finite_differences(order):
             assert grad[x, y] == pytest.approx(fd, abs=1e-5)
 
 
+@pytest.mark.parametrize("family", ["renyi", "tsallis"])
+def test_gradient_is_continuous_across_the_shannon_branch(rng, family):
+    # just outside the branch the Renyi and Tsallis gradients run and match the Shannon one.
+    # Entries with p = 0 are left out: there the exact derivative is about 1/(alpha - 1) for
+    # alpha > 1 (and infinite below 1), while the Shannon branch reads 0 by convention
+    for _ in range(50):
+        t = rng.random((3, 4))
+        t[rng.random(t.shape) < 0.2] = 0.0
+        t[0, 0] += 0.1  # never an all-zero table
+        t = check_table(t / t.sum())
+        _, shannon = conditional_entropy_gradient(t, SHANNON)
+        for a in (1.0 - 2 * SHANNON_BRANCH, 1.0 + 2 * SHANNON_BRANCH):
+            _, grad = conditional_entropy_gradient(t, EntropyOrder(a, family))
+            assert np.max(np.abs(grad - shannon)[t > 0.0]) <= 1e-4
+
+
 def test_entropy_and_gradient_of_a_stack_match_each_table():
     rng = np.random.default_rng(5)
     stack = rng.random((2, 3, 3, 2))
@@ -450,3 +469,25 @@ def test_table_entropy_with_an_order_per_table_matches_one_call_per_order():
             value, grad = conditional_entropy_gradient(stack[i], orders[i])
             assert abs(f_values[row] - value) <= 1e-12
             assert np.max(np.abs(f_grads[row] - grad)) <= 1e-12
+
+
+ONE_PATH_ORDERS = [
+    EntropyOrder(alpha, family)
+    for family in ("renyi", "tsallis")
+    for alpha in (0.3, 0.5, 0.75, 1.5, 2.0, 3.0, 1 - 1e-8, 1 + 2e-7)
+] + [renyi(math.inf), SHANNON]
+
+
+@pytest.mark.parametrize("order", ONE_PATH_ORDERS, ids=repr)
+def test_one_order_is_read_as_a_stack_of_one_table(rng, order):
+    # one order and a one-table stack with a list of one order take the same path, bit for
+    # bit, also at orders 2 and 0.5, which numpy raises by square and sqrt
+    for _ in range(20):
+        t = rng.random((3, 4))
+        t[rng.random(t.shape) < 0.3] = 0.0
+        t[1, 2] += 0.1  # never an all-zero table
+        t = check_table(t / t.sum())
+        assert conditional_entropy(t, order) == conditional_entropy(t[None], [order])[0]
+        value, grad = conditional_entropy_gradient(t, order)
+        values, grads = conditional_entropy_gradient(t[None], [order])
+        assert value == values[0] and np.array_equal(grad, grads[0])
