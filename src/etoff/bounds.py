@@ -144,21 +144,29 @@ class TradeoffCertificate:
 # --- overlap characteristic ----------------------------------------------------
 
 
-def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> float:
-    """Overlap characteristic c of two observables, capped at 1.
+def overlap(pairs) -> list[float]:
+    """Overlap characteristic c of each (X, Z) pair of observables, capped at 1.
 
-    c is the largest spectral norm of a projector product; each product
-    is evaluated in both orders and maximised, so swapping the
-    observables returns exactly the same c.
+    c is the largest spectral norm of a projector product, each product
+    evaluated in both orders and maximised, so swapping the observables
+    returns exactly the same c.  The pairs share one shape (else
+    ValueError names the shapes), so two SVD calls take every product of
+    every pair.  Nondegenerate pairs are checked against the unitarity
+    floor d**-1/2.
     """
-    if x_obs.dim != z_obs.dim:
-        raise ValueError(f"dimension mismatch: {x_obs.dim} vs {z_obs.dim}")
-    c = min(float(pair_overlaps(x_obs.projectors, z_obs.projectors).max()), 1.0)
-    if x_obs.nondegenerate and z_obs.nondegenerate:
-        lo = 1.0 / math.sqrt(x_obs.dim)
-        if c < lo - 1e-9:
+    shapes = sorted({(x_obs.projectors.shape, z_obs.projectors.shape) for x_obs, z_obs in pairs})
+    if len(shapes) > 1:
+        raise ValueError(f"the pairs must share one shape, got (X, Z) projectors in {shapes}")
+    (x_shape, z_shape), = shapes
+    if x_shape[1:] != z_shape[1:]:
+        raise ValueError(f"dimension mismatch: {x_shape[1]} vs {z_shape[1]}")
+    xs, zs = (np.array([pair[k].projectors for pair in pairs]) for k in (0, 1))
+    cs = [min(float(c), 1.0) for c in pair_overlaps(xs, zs).max(axis=(-2, -1))]
+    lo = 1.0 / math.sqrt(x_shape[1])
+    for (x_obs, z_obs), c in zip(pairs, cs):
+        if x_obs.nondegenerate and z_obs.nondegenerate and c < lo - 1e-9:
             raise ValueError(f"overlap {c!r} below the unitarity floor {lo!r}")
-    return c
+    return cs
 
 
 # --- the minimised bound ---------------------------------------------------------
@@ -513,26 +521,29 @@ def certify_grid(chunk, grid, searches, seed: int | None = None) -> list[Tradeof
 
     ``chunk`` holds (X, Z, M) instances of one shape, ``searches`` one
     ``SearchConfig`` per instance, and ``grid`` is checked already
-    (``admissible_grid`` or ``check_admissible``).  One ``disturbance``
-    call searches every instance and order at once, and the minimised
-    bounds of both families come from one ``bbar_bound`` call over every c
-    (``_bounds``); an instance's certificates equal, bit for bit, those of
-    a chunk of it alone.  They come back ordered by instance, then in the
-    grid's order.
+    (``admissible_grid`` or ``check_admissible``).  ``noise``,
+    ``overlap`` and ``disturbance`` each take the whole chunk as stacked
+    arrays, ``noise`` first, so that a chunk of mixed shapes raises
+    ValueError before any work; ``disturbance`` searches every instance
+    and order at once, and the minimised bounds of both families come
+    from one ``bbar_bound`` call over every c (``_bounds``).  An
+    instance's certificates equal, bit for bit, those of a chunk of it
+    alone.  They come back ordered by instance, then in the grid's order.
     """
-    cs = [overlap(x_obs, z_obs) for x_obs, z_obs, _ in chunk]
-    bounds = _bounds(grid, cs)
+    noises = noise([(x_obs, inst) for x_obs, _, inst in chunk],
+                   [EntropyOrder(a, relation_family(r)) for r, a, _ in grid])
+    cs = overlap([(x_obs, z_obs) for x_obs, z_obs, _ in chunk])
     dists = disturbance(
         [(z_obs, inst) for _, z_obs, inst in chunk],
         [EntropyOrder(b, relation_family(r)) for r, _, b in grid], searches,
     )
-    noise_orders = [EntropyOrder(a, relation_family(r)) for r, a, _ in grid]
+    bounds = _bounds(grid, cs)
     return [
         TradeoffCertificate(
             relation, x_obs.dim, a, b, c, n, dist.best_value, bound, seed,
             dist.restarts, dist.iterations, dist.converged, dist.best_candidate,
         )
-        for (x_obs, _, inst), c, bounds_at_c, dists_at_c in zip(chunk, cs, bounds, dists)
-        for (relation, a, b), n, dist, bound in zip(
-            grid, noise(x_obs, inst, noise_orders), dists_at_c, bounds_at_c)
+        for (x_obs, _, _), c, noises_at_c, bounds_at_c, dists_at_c
+        in zip(chunk, cs, noises, bounds, dists)
+        for (relation, a, b), n, dist, bound in zip(grid, noises_at_c, dists_at_c, bounds_at_c)
     ]

@@ -1,9 +1,10 @@
 """Reproducible sweep and self-test machinery behind the command line.
 
-A sweep task is a fixed chunk of ``CHUNK`` consecutive samples, certified
-in one lockstep computation.  Each sample derives its generators from
-(master seed, sample index), so results are deterministic per fixed
-chunk, whatever the worker count.  A chunk is a range of sample indices,
+A sweep task is a fixed chunk of ``CHUNK`` consecutive samples, sampled
+and certified as one stack of arrays; no sample's rows depend on the
+samples beside it.  Each sample derives its generators from (master
+seed, sample index), so results are deterministic per sample, whatever
+the worker count.  A chunk is a range of sample indices,
 and the list of chunks is cut into one contiguous share per job: the
 calling process certifies the first share while one helper process per
 further share certifies the rest, each with the sweep's config and grid,
@@ -35,8 +36,8 @@ from .quantum import (
     luders_instrument,
     observable_from_json,
     observable_to_json,
-    sample_random_instrument,
-    sample_random_observable,
+    sample_random_instruments,
+    sample_random_observables,
 )
 
 SEED_ENV_VAR = "ETOFF_SEED"
@@ -154,13 +155,16 @@ def saturation_instance():
     return x_obs, z_obs, inst
 
 
-def sample_instance(dim: int, seed) -> tuple:
-    """One random (X, Z, M) draw for the certification sweep."""
-    rng = np.random.default_rng(seed)
-    x_obs = sample_random_observable(dim, None, rng)
-    z_obs = sample_random_observable(dim, None, rng)
-    inst = sample_random_instrument(dim, dim, dim, 2, rng)
-    return x_obs, z_obs, inst
+def sample_instance(dim: int, seeds) -> list[tuple]:
+    """One random (X, Z, M) draw per seed for the certification sweep, sampled as one stack.
+
+    Each seed's generator draws X, Z and M in turn, so a sample depends on
+    its own seed alone; each kind is QR'd in one call for all seeds.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x_obs = sample_random_observables(dim, None, rngs)
+    z_obs = sample_random_observables(dim, None, rngs)
+    return list(zip(x_obs, z_obs, sample_random_instruments(dim, dim, dim, 2, rngs)))
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -170,8 +174,11 @@ CHUNK = 8  # samples per sweep task; fixed, so that chunks do not depend on the 
 
 
 def _sweep_task(cfg: RunConfig, grid, indices) -> list[TradeoffCertificate]:
-    """Certify the samples ``indices`` over ``grid``, both checked once in run_sweep."""
-    chunk = [sample_instance(cfg.dim, np.random.SeedSequence([cfg.seed, i])) for i in indices]
+    """Sample and certify the samples ``indices`` as one stack, over ``grid``.
+
+    ``grid`` and the config are checked once, in run_sweep.
+    """
+    chunk = sample_instance(cfg.dim, [np.random.SeedSequence([cfg.seed, i]) for i in indices])
     seeds = [int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0]) for i in indices]
     searches = [SearchConfig(cfg.restarts, cfg.iterations, seed) for seed in seeds]
     return certify_grid(chunk, grid, searches, seed=cfg.seed)
@@ -205,14 +212,14 @@ def run_sweep(cfg: RunConfig):
     ``certify_grid`` call.  The list of chunks is cut into ``jobs``
     contiguous shares, jobs being ``cfg.jobs`` (by default the CPUs this
     process may use) but at most one per chunk.  This process certifies
-    share 0 while
-    one helper process per further share certifies it and sends the
-    certificates back through its own pipe; one job or one chunk starts no
-    helper.  An exception in a helper is raised again here, a helper that
-    dies without a result raises RuntimeError, and every helper has ended
-    when run_sweep returns or raises.  Certificates come back ordered by
-    (sample index, relation, alpha, beta) regardless of worker count.  The
-    admissible grid is the same for every sample, so it is checked once.
+    share 0 while one helper process per further share certifies it and
+    sends the certificates back through its own pipe; one job or one chunk
+    starts no helper.  An exception in a helper is raised again here, a
+    helper that dies without a result raises RuntimeError, and every
+    helper has ended when run_sweep returns or raises.  Certificates come
+    back ordered by (sample index, relation, alpha, beta) regardless of
+    worker count.  The admissible grid is the same for every sample, so
+    it is checked once.
     """
     if cfg.seed is None:
         raise ValueError("a randomized sweep needs a seed")
@@ -363,7 +370,7 @@ def selftest_checks(seed: int = SELFTEST_SEED):
 
     # both pictures of the noise and disturbance tables, on the anchor and a random qutrit
     yield "two_pictures_qubit", *two_picture_check(x_obs, z_obs, inst, seed)
-    qutrit = sample_instance(3, np.random.SeedSequence([seed, 3]))
+    (qutrit,) = sample_instance(3, [np.random.SeedSequence([seed, 3])])
     yield "two_pictures_qutrit", *two_picture_check(*qutrit, seed)
 
     # sandwich of conditional entropies between error-probability bounds

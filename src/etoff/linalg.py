@@ -71,14 +71,17 @@ def qr_retract(y) -> np.ndarray:
 
 
 def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Table of spectral norms ||p q|| over two stacks of projectors.
+    """Table of spectral norms ||p q|| over two stacks of projectors, (..., |P|, |Q|).
 
-    Each pair is multiplied in both orders and the larger norm kept, so
+    The stacks are (..., |P|, d, d) and (..., |Q|, d, d), their leading
+    axes broadcasting, so one call takes a table per pair of stacks.  Each
+    pair is multiplied in both orders and the larger norm kept, so
     swapping the two stacks transposes the table exactly.
     """
+    ps, qs = ps[..., :, None, :, :], qs[..., None, :, :, :]
     try:
-        pq = np.linalg.svd(ps[:, None] @ qs[None, :], compute_uv=False)[..., 0]
-        qp = np.linalg.svd(qs[None, :] @ ps[:, None], compute_uv=False)[..., 0]
+        pq = np.linalg.svd(ps @ qs, compute_uv=False)[..., 0]
+        qp = np.linalg.svd(qs @ ps, compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
     return np.maximum(pq, qp)

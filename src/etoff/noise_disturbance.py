@@ -111,34 +111,58 @@ def check_order(order: EntropyOrder, dim: int) -> None:
 # --- the first experiment: noise ---------------------------------------------
 
 
+def _flagged(chunk) -> tuple[np.ndarray, np.ndarray]:
+    """Flagged blocks and checked joint tables of (observable, instrument) pairs of one shape.
+
+    The blocks Phi^(m)(Pi(o)), (n, |O|, n_outcomes, d_out, d_out), come
+    from one ``flag_apply`` over the stacked Kraus operators, and the
+    tables p(o, m) = Tr[Phi^(m)(Pi(o))]/d, (n, |O|, n_outcomes), from one
+    ``check_table``; a pair's equal, bit for bit, those of it alone.  A
+    chunk of mixed shapes raises ValueError naming them.
+    """
+    shapes = sorted({(obs.projectors.shape, inst.kraus.shape, inst.n_outcomes,
+                      tuple(inst.outcome.tolist())) for obs, inst in chunk})
+    if len(shapes) > 1:
+        raise ValueError(f"a chunk's instances must share one shape, got (projectors, Kraus "
+                         f"operators, outcomes, outcome index) in {shapes}")
+    obs, inst = chunk[0]
+    if obs.dim != inst.dim_in:
+        raise ValueError(f"observable dim {obs.dim} != instrument input dim {inst.dim_in}")
+    kraus = np.array([inst.kraus for _, inst in chunk])[:, None]
+    blocks = flag_apply(kraus, inst.by_outcome, np.array([obs.projectors for obs, _ in chunk]))
+    return blocks, check_table(np.trace(blocks, axis1=-2, axis2=-1).real / obs.dim)
+
+
 def noise_joint(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> np.ndarray:
     """Checked joint table p(x, m) of input eigenvalue and instrument outcome.
 
     Rows are X eigenvalues, columns instrument outcomes, so conditional
-    entropies of this joint are entropies of X given M.
+    entropies of this joint are entropies of X given M.  With input state
+    Pi(x)/d_x, p(x, m) = (d_x / d) p(m | x) is the trace of block m of the
+    evolution of Pi(x), over d, as ``_flagged`` computes it.
     """
-    if x_obs.dim != inst.dim_in:
-        raise ValueError(f"observable dim {x_obs.dim} != instrument input dim {inst.dim_in}")
-    # p(x, m) = (d_x / d) * p(m | x) with input state Pi(x)/d_x: the trace
-    # of block m of the evolution of Pi(x), over d
-    blocks = flag_apply(inst, x_obs.projectors)
-    return check_table(np.trace(blocks, axis1=-2, axis2=-1).real / x_obs.dim)
+    return _flagged([(x_obs, inst)])[1][0]
 
 
-def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) -> list:
-    """Information-theoretic noise per order: conditional entropy of X given the outcome.
+def noise(chunk, orders: list) -> list:
+    """Information-theoretic noise per instance and order: conditional entropy of X given M.
 
-    One joint table, evaluated in every order of ``orders`` by one call
-    of the entropy kernel; returns one float per order.  No optimisation
-    over guessing functions is applied; the admitted Renyi interval is
-    exactly the one for which conditioning on more variables cannot
-    increase the entropy.
+    ``chunk`` holds (x_obs, inst) pairs of one shape, whose joint tables
+    come from one ``_flagged`` call; the orders are checked once, and one
+    entropy-kernel call evaluates every table in every distinct computed
+    order.  Returns one list per pair, one float per order.  No
+    optimisation over guessing functions is applied; the admitted Renyi
+    interval is exactly the one for which conditioning on more variables
+    cannot increase the entropy.
     """
     for order in orders:
-        check_order(order, x_obs.dim)
-    table = noise_joint(x_obs, inst)
-    stack = np.broadcast_to(table, (len(orders),) + table.shape)
-    return [float(v) for v in conditional_entropy(stack, orders)]
+        check_order(order, chunk[0][0].dim)
+    tables = _flagged(chunk)[1]
+    keys = list(dict.fromkeys(order.computed for order in orders))
+    stack = np.broadcast_to(tables[:, None], (len(tables), len(keys)) + tables.shape[1:])
+    values = conditional_entropy(stack, np.array(keys, dtype=object))
+    column = [keys.index(order.computed) for order in orders]
+    return [[float(v) for v in row[column]] for row in values]
 
 
 # --- the second experiment: disturbance --------------------------------------
@@ -178,7 +202,7 @@ def disturbance_joint(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm
     re-measurement POVM, one per outcome; it is validated here.
     """
     povm = _checked_povm(z_obs, inst, povm)
-    return _table(povm, flag_apply(inst, z_obs.projectors) / z_obs.dim)
+    return _table(povm, _flagged([(z_obs, inst)])[0][0] / z_obs.dim)
 
 
 def discard_flag_correction(
@@ -203,9 +227,13 @@ def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -
     reads that eigenvalue, so E_z'^(m) = I if the decision on m is z',
     and 0 otherwise.
     """
-    best = np.argmax(noise_joint(z_obs, inst), axis=0)
-    picks = best[:, None] == np.arange(len(z_obs.projectors))
-    return picks[..., None, None] * np.eye(inst.dim_out)
+    return _reprepare(noise_joint(z_obs, inst), inst.dim_out)
+
+
+def _reprepare(joint: np.ndarray, dim_out: int) -> np.ndarray:
+    """``reprepare_correction`` read off joint tables p(z, m), or a stack of them."""
+    picks = np.argmax(joint, axis=-2)[..., None] == np.arange(joint.shape[-2])
+    return picks[..., None, None] * np.eye(dim_out)
 
 
 # --- the POVM search ------------------------------------------------------------
@@ -317,10 +345,12 @@ def disturbance(chunk, orders: list, searches: list) -> list:
 
     ``chunk`` holds (z_obs, inst) pairs of one shape, and ``searches`` one
     ``SearchConfig`` per pair, all with one budget; a mixed chunk raises
-    ValueError.  The candidates are the flag-discarding identity (when
+    ValueError.  The flagged states rho are the blocks of one ``_flagged``
+    call, over d.  The candidates are the flag-discarding identity (when
     dimensions permit) and the classical repreparation, exact in the
-    zero-disturbance regimes, and per restart a POVM descent run for every
-    pair and order at once (``_povm_search``).  Every candidate is its
+    zero-disturbance regimes, which decides on that call's tables, and
+    per restart a POVM descent run for every pair and order at once
+    (``_povm_search``).  Every candidate is its
     re-measurement POVM, all are scored by one ``_table`` and one
     entropy-kernel call, each pair's against its own, and ties go to the
     fixed corrections.  Orders computing the same entropy share one result,
@@ -330,23 +360,24 @@ def disturbance(chunk, orders: list, searches: list) -> list:
     POVM, a stationarity test that saddle points pass too, is below
     ``GRAD_TOL``.  Returns one list per pair, one result per order.
     """
-    shapes = {(z.dim, len(z.projectors), inst.dim_out, inst.n_outcomes, s.restarts, s.iterations)
-              for (z, inst), s in zip(chunk, searches)}
-    if len(shapes) > 1 or len(searches) != len(chunk):
-        raise ValueError(f"a chunk's instances must share one shape and one search budget, got "
-                         f"(dim, |Z|, dim_out, outcomes, restarts, iterations) in {sorted(shapes)}")
+    budgets = sorted({(s.restarts, s.iterations) for s in searches})
+    if len(budgets) > 1 or len(searches) != len(chunk):
+        raise ValueError(f"a chunk's instances must share one search budget, got "
+                         f"{len(searches)} searches for {len(chunk)} instances with "
+                         f"(restarts, iterations) in {budgets}")
     for order in orders:
         check_order(order, chunk[0][0].dim)
+    blocks, joints = _flagged(chunk)
     keys = list(dict.fromkeys(order.computed for order in orders))
     if not keys:
         return [[] for _ in chunk]
-    rho = np.array([flag_apply(inst, z.projectors) / z.dim for z, inst in chunk])
-    names = ["discard_flag", "reprepare"]
-    fixed = [[discard_flag_correction(z, inst), reprepare_correction(z, inst)]
-             for z, inst in chunk]
-    if fixed[0][0] is None:  # no instrument of the chunk outputs the Z system
-        names, fixed = names[1:], [pair[1:] for pair in fixed]
-    povms = np.array(fixed)
+    z_obs, inst = chunk[0]
+    rho = blocks / z_obs.dim
+    names, povms = ["reprepare"], [_reprepare(joints, inst.dim_out)]
+    if inst.dim_out == z_obs.dim:
+        names.insert(0, "discard_flag")
+        povms.insert(0, np.array([discard_flag_correction(z, m) for z, m in chunk]))
+    povms = np.stack(povms, axis=1)
     n_fixed, restarts = len(names), searches[0].restarts
     if restarts > 0:
         found, restart, evals = _povm_search(rho, keys, searches)
@@ -404,7 +435,6 @@ def two_picture_gap(
     def read(obs):  # Tr[share Pi] / d: (projector, Kraus operator, z')
         return np.einsum("rzab,pba->prz", pulled, obs.projectors).real / obs.dim
 
-    by_outcome = inst.outcome == np.arange(inst.n_outcomes)[:, None]
-    noise_gap = noise_joint(x_obs, inst) - read(x_obs).sum(axis=-1) @ by_outcome.T
+    noise_gap = noise_joint(x_obs, inst) - read(x_obs).sum(axis=-1) @ inst.by_outcome.T
     disturbance_gap = disturbance_joint(z_obs, inst, povm) - read(z_obs).sum(axis=1)
     return max(max_abs(noise_gap), max_abs(disturbance_gap))

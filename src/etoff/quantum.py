@@ -10,8 +10,9 @@ checked once, on construction: projectors must be Hermitian, idempotent,
 mutually orthogonal and complete; Kraus sets trace-preserving.  Complete
 positivity is automatic from the Kraus form.
 The stacks are stored as read-only copies, so nothing downstream needs to
-validate them again.  Sampling takes explicit seeds so parallel sweeps can
-partition the seed space.
+validate them again.  Sampling takes explicit seeds, or a list of
+generators for a stack of samples, so parallel sweeps can partition the
+seed space.
 """
 
 from __future__ import annotations
@@ -158,6 +159,11 @@ class QuantumInstrument:
     def n_outcomes(self) -> int:
         return len(self.labels)
 
+    @property
+    def by_outcome(self) -> np.ndarray:
+        """(n_outcomes, R) mask, True where Kraus operator r belongs to outcome m."""
+        return self.outcome == np.arange(self.n_outcomes)[:, None]
+
 
 def luders_instrument(obs: ProjectiveObservable) -> QuantumInstrument:
     """Projective (Lueders) measurement of an observable; labels m0, m1, ..."""
@@ -174,55 +180,76 @@ def trivial_instrument(dim: int) -> QuantumInstrument:
 # --- acting on states --------------------------------------------------------
 
 
-def flag_apply(inst: QuantumInstrument, op) -> np.ndarray:
+def flag_apply(kraus: np.ndarray, by_outcome: np.ndarray, op) -> np.ndarray:
     """Blocks Phi^(m)(op), the sum of K_r op K_r† over the Kraus operators r of outcome m.
 
-    Batched over leading axes of ``op``: (..., n_outcomes, d_out, d_out).
-    They are the diagonal blocks of the flagged evolution
-    sum_m Phi^(m)(op) ⊗ |m><m|, which has no other entries; the trace of
-    block m is the outcome probability p(m).
+    ``kraus`` is an instrument's (R, d_out, d_in) stack, or a stack of
+    them with leading axes broadcasting against those of ``op``, sharing
+    one ``QuantumInstrument.by_outcome`` mask; the result is (...,
+    n_outcomes, d_out, d_out).  They are the diagonal blocks of the
+    flagged evolution sum_m Phi^(m)(op) ⊗ |m><m|, which has no other
+    entries; the trace of block m is the outcome probability p(m).
     """
-    terms = inst.kraus @ np.asarray(op)[..., None, :, :] @ dagger(inst.kraus)
-    by_outcome = inst.outcome == np.arange(inst.n_outcomes)[:, None]
-    flat = by_outcome @ terms.reshape(*terms.shape[:-2], inst.dim_out ** 2)
-    return flat.reshape(*flat.shape[:-1], inst.dim_out, inst.dim_out)
+    terms = kraus @ np.asarray(op)[..., None, :, :] @ dagger(kraus)
+    flat = by_outcome @ terms.reshape(*terms.shape[:-2], -1)
+    return flat.reshape(*flat.shape[:-1], *terms.shape[-2:])
 
 
 # --- sampling -----------------------------------------------------------------
 
 
-def sample_haar_unitary(dim: int, seed=None) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
+def sample_haar_isometries(dim: int, cols: int, rngs) -> np.ndarray:
+    """The first ``cols`` columns of a Haar-random dim × dim unitary per generator, stacked.
+
+    Each generator draws the whole complex Ginibre matrix, so it moves on
+    as for the full unitary, but one QR call takes only the kept columns.
+    In exact arithmetic they are the full Q's first columns; on a large
+    matrix LAPACK may round them differently in the last place.
+    """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    return qr_retract(z)
+    z = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for rng in rngs]
+    return qr_retract(np.array(z)[..., :cols] / math.sqrt(2))
 
 
-def sample_random_observable(dim: int, degeneracies=None, seed=None) -> ProjectiveObservable:
-    """Haar-random observable with the given degeneracy profile (default rank-1)."""
+def sample_haar_unitary(dim: int, seed=None) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Ginibre matrix."""
+    return sample_haar_isometries(dim, dim, [np.random.default_rng(seed)])[0]
+
+
+def sample_random_observables(dim: int, degeneracies, rngs) -> list[ProjectiveObservable]:
+    """One Haar-random observable per generator with the degeneracy profile (default rank-1).
+
+    One QR call takes every generator's unitary, and one matrix product
+    per block of the profile the projectors of the whole stack.
+    """
     if degeneracies is None:
         degeneracies = (1,) * dim
     degeneracies = tuple(int(g) for g in degeneracies)
     if any(g < 1 for g in degeneracies) or sum(degeneracies) != dim:
         raise ValueError(f"degeneracy profile {degeneracies} does not fit dimension {dim}")
-    blocks = np.split(sample_haar_unitary(dim, seed), np.cumsum(degeneracies)[:-1], axis=1)
-    projectors = [hermitize(block @ block.conj().T) for block in blocks]
-    return ProjectiveObservable(
-        tuple(float(i) for i in range(len(degeneracies))), np.stack(projectors)
-    )
+    u = sample_haar_isometries(dim, dim, rngs)
+    blocks = np.split(u, np.cumsum(degeneracies)[:-1], axis=-1)
+    projectors = np.stack([hermitize(block @ dagger(block)) for block in blocks], axis=1)
+    labels = tuple(float(i) for i in range(len(degeneracies)))
+    return [ProjectiveObservable(labels, p) for p in projectors]
 
 
-def sample_random_instrument(
-    dim_in: int, dim_out: int, n_outcomes: int, kraus_per_outcome: int, seed=None
-) -> QuantumInstrument:
-    """Generic random instrument from a Haar-random isometry.
+def sample_random_observable(dim: int, degeneracies=None, seed=None) -> ProjectiveObservable:
+    """``sample_random_observables`` for the one generator of ``seed``."""
+    return sample_random_observables(dim, degeneracies, [np.random.default_rng(seed)])[0]
+
+
+def sample_random_instruments(
+    dim_in: int, dim_out: int, n_outcomes: int, kraus_per_outcome: int, rngs
+) -> list[QuantumInstrument]:
+    """One generic random instrument per generator, each from a Haar-random isometry.
 
     The isometry maps the input space into output ⊗ environment ⊗ outcome
     register; splitting by outcome and tracing the environment gives
     ``kraus_per_outcome`` Kraus operators per outcome, with completeness
-    holding exactly up to roundoff.
+    holding exactly up to roundoff.  The isometries are sampled as one
+    stack (``sample_haar_isometries``).
     """
     if min(dim_in, dim_out, n_outcomes, kraus_per_outcome) < 1:
         raise ValueError("all instrument dimensions must be positive")
@@ -231,15 +258,22 @@ def sample_random_instrument(
         raise ValueError(
             f"output ⊗ environment ⊗ register dimension {total} cannot embed input {dim_in}"
         )
-    u = sample_haar_unitary(total, seed)
-    v = u[:, :dim_in]
+    v = sample_haar_isometries(total, dim_in, rngs)
     # row index convention: ((b * kraus_per_outcome + e) * n_outcomes + m)
-    v = v.reshape(dim_out, kraus_per_outcome, n_outcomes, dim_in)
+    v = v.reshape(-1, dim_out, kraus_per_outcome, n_outcomes, dim_in)
     # Kraus operator m * kraus_per_outcome + e is v[:, e, m, :]
-    kraus = v.transpose(2, 1, 0, 3).reshape(-1, dim_out, dim_in)
+    kraus = v.transpose(0, 3, 2, 1, 4).reshape(len(v), -1, dim_out, dim_in)
     labels = tuple(f"m{m}" for m in range(n_outcomes))
     outcome = np.repeat(np.arange(n_outcomes), kraus_per_outcome)
-    return QuantumInstrument(dim_in, dim_out, labels, kraus, outcome)
+    return [QuantumInstrument(dim_in, dim_out, labels, k, outcome) for k in kraus]
+
+
+def sample_random_instrument(
+    dim_in: int, dim_out: int, n_outcomes: int, kraus_per_outcome: int, seed=None
+) -> QuantumInstrument:
+    """``sample_random_instruments`` for the one generator of ``seed``."""
+    rng = np.random.default_rng(seed)
+    return sample_random_instruments(dim_in, dim_out, n_outcomes, kraus_per_outcome, [rng])[0]
 
 
 # --- JSON (de)serialization ---------------------------------------------------

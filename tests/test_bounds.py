@@ -24,8 +24,10 @@ from etoff.entropy import EntropyOrder
 from etoff.harness import DEFAULT_ALPHAS, sample_instance, tabulate_bounds
 from etoff.noise_disturbance import SearchConfig, check_order
 from etoff.quantum import (
+    QuantumInstrument,
     basis_observable,
     observable_from_basis,
+    sample_random_instrument,
     sample_random_observable,
     trivial_instrument,
 )
@@ -99,14 +101,14 @@ def grid_oracle(c, alpha, beta, family, n=20001):
 
 def test_overlap_equal_observables_is_one():
     obs = basis_observable(3)
-    c = overlap(obs, obs)
+    (c,) = overlap([(obs, obs)])
     assert c == pytest.approx(1.0, abs=1e-12)
     assert math.acos(c) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_overlap_conjugate_qubit(qubit_pair):
     x_obs, z_obs = qubit_pair
-    c = overlap(x_obs, z_obs)
+    (c,) = overlap([(x_obs, z_obs)])
     assert c == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     assert math.acos(c) == pytest.approx(math.pi / 4, abs=1e-9)
 
@@ -115,7 +117,7 @@ def test_overlap_fourier_qutrit():
     d = 3
     omega = np.exp(2j * math.pi / d)
     f = np.array([[omega ** (j * k) for k in range(d)] for j in range(d)]) / math.sqrt(d)
-    c = overlap(basis_observable(d), observable_from_basis(f))
+    (c,) = overlap([(basis_observable(d), observable_from_basis(f))])
     assert c == pytest.approx(1 / math.sqrt(3), abs=1e-9)
 
 
@@ -123,7 +125,7 @@ def test_overlap_symmetric_exactly(rng):
     for _ in range(10):
         a = sample_random_observable(3, None, rng)
         b = sample_random_observable(3, (2, 1), rng)
-        assert overlap(a, b) == overlap(b, a)
+        assert overlap([(a, b)]) == overlap([(b, a)])
 
 
 def test_overlap_nondegenerate_range(rng):
@@ -131,13 +133,13 @@ def test_overlap_nondegenerate_range(rng):
         d = int(rng.integers(2, 5))
         a = sample_random_observable(d, None, rng)
         b = sample_random_observable(d, None, rng)
-        c = overlap(a, b)
+        (c,) = overlap([(a, b)])
         assert 1 / math.sqrt(d) - 1e-9 <= c <= 1.0 + 1e-12
 
 
 def test_overlap_dimension_mismatch():
     with pytest.raises(ValueError):
-        overlap(basis_observable(2), basis_observable(3))
+        overlap([(basis_observable(2), basis_observable(3))])
 
 
 # --- parametric distribution ---------------------------------------------------------
@@ -451,7 +453,7 @@ def test_certify_trivial_instrument_maximal_noise():
 
 
 def test_certify_rejects_inadmissible():
-    x_obs, z_obs, inst = sample_instance(3, 12)
+    x_obs, z_obs, inst = sample_instance(3, [12])[0]
     with pytest.raises(AdmissibilityError):
         certify(x_obs, z_obs, inst, 1.5, 1.0, "Prop2", SearchConfig(restarts=0))
 
@@ -475,7 +477,7 @@ def test_certify_grid_requests_only_the_pairs_of_its_grid(monkeypatch):
 
     monkeypatch.setattr("etoff.bounds.bbar_bound", spy)
     for dim, want in ((2, 50), (3, 34)):
-        chunk = [sample_instance(dim, 300 + k) for k in range(3)]
+        chunk = sample_instance(dim, [300 + k for k in range(3)])
         grid, _ = admissible_grid(RELATIONS, DEFAULT_ALPHAS, DEFAULT_ALPHAS, dim)
         certs = certify_grid(chunk, grid, [SearchConfig(restarts=0)] * len(chunk))
         pairs = requested.pop()
@@ -490,8 +492,27 @@ def test_certify_grid_requests_only_the_pairs_of_its_grid(monkeypatch):
                 assert cert.bound == full[k // len(grid)][cert.family, cert.alpha, cert.beta]
 
 
+def test_certify_grid_rejects_a_mixed_chunk_before_any_work(monkeypatch):
+    # a chunk is computed as one stack, so its instruments must share their Kraus count and
+    # outcome index; the error names the shapes, and nothing is computed before it
+    def no_work(*args):
+        raise AssertionError("work started on a mixed chunk")
+
+    monkeypatch.setattr("etoff.noise_disturbance.flag_apply", no_work)
+    monkeypatch.setattr("etoff.bounds.pair_overlaps", no_work)
+    monkeypatch.setattr("etoff.bounds.bbar_bound", no_work)
+    (x_obs, z_obs, inst), second = sample_instance(2, [1, 2])
+    fewer = sample_random_instrument(2, 2, 2, 1, 3)
+    reordered = QuantumInstrument(2, 2, inst.labels, inst.kraus, np.array([0, 1, 0, 1]))
+    grid, searches = [("Prop1", 1.0, 1.0)], [SearchConfig(restarts=0)] * 2
+    for other, shapes in ((fewer, r"\(2, 2, 2\), 2, \(0, 1\)\).*\(4, 2, 2\), 2, \(0, 0, 1, 1\)"),
+                          (reordered, r"\(0, 0, 1, 1\).*\(0, 1, 0, 1\)")):
+        with pytest.raises(ValueError, match="one shape, got .*" + shapes):
+            certify_grid([second, (x_obs, z_obs, other)], grid, searches)
+
+
 def test_certify_grid_skips_inadmissible():
-    x_obs, z_obs, inst = sample_instance(3, 55)
+    x_obs, z_obs, inst = sample_instance(3, [55])[0]
     grid, skipped = admissible_grid(("Prop1", "Prop2"), (0.5, 1.0, 2.0), (0.5, 1.0), 3)
     certs = certify_grid([(x_obs, z_obs, inst)], grid, [SearchConfig(restarts=0)], seed=55)
     # Prop1 takes all six combinations; Prop2 at d=3 drops alpha = 2
@@ -505,7 +526,7 @@ def test_a_relations_bound_does_not_depend_on_the_family_sharing_its_zoom():
     # their own, so a bound is bit for bit that of its relation alone
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
     for dim in (2, 3):
-        chunk = [sample_instance(dim, 100 + k) for k in range(8)]
+        chunk = sample_instance(dim, [100 + k for k in range(8)])
         searches = [SearchConfig(restarts=0)] * len(chunk)
         alone = {}
         for relation in ("Prop1", "Prop2"):

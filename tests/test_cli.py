@@ -280,25 +280,33 @@ def test_sweep_tasks_carry_the_validated_config(monkeypatch):
 
 
 def test_sweep_chunks_give_each_sample_its_own_certificates():
-    # 17 samples make two full chunks and a partial one, cut into uneven shares at 2 jobs
-    # and into fewer shares than jobs at 5; the certificates do not depend on the worker
-    # count, and each sample's equal those of its instance certified alone
-    cfg = RunConfig(dim=2, samples=2 * harness.CHUNK + 1, relations=("Prop1", "Prop3"),
-                    alphas=(0.5, 1.0), betas=(0.5, 1.0), seed=7, restarts=2, iterations=40,
-                    jobs=1)
-    runs = []
-    for jobs in (1, 2, 3, 5):
-        cfg.jobs = jobs
-        runs.append(run_sweep(cfg)[0])
-    assert runs[0] == runs[1] == runs[2] == runs[3]
-    grid, _ = harness.bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
-    alone = []
-    for i in range(cfg.samples):
-        instance = harness.sample_instance(cfg.dim, np.random.SeedSequence([cfg.seed, i]))
-        seed = int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0])
-        search = SearchConfig(cfg.restarts, cfg.iterations, seed)
-        alone += harness.certify_grid([instance], grid, [search], seed=cfg.seed)
-    assert runs[0] == alone
+    # at d = 2, 17 samples make two full chunks and a partial one, cut into uneven shares at
+    # 2 jobs and into fewer shares than jobs at 5; at d = 3, one full chunk and a partial one
+    # over the default grid with the fixed corrections alone.  The certificates do not
+    # depend on the worker count, and each sample's equal those of its instance certified
+    # alone, so no row of a stacked chunk leaks into another
+    settings = [
+        (dict(dim=2, samples=2 * harness.CHUNK + 1, relations=("Prop1", "Prop3"),
+              alphas=(0.5, 1.0), betas=(0.5, 1.0), restarts=2, iterations=40), (1, 2, 3, 5)),
+        (dict(dim=3, samples=harness.CHUNK + 3, restarts=0), (1, 2)),
+    ]
+    for setting, job_counts in settings:
+        cfg = RunConfig(**setting, seed=7, jobs=1)
+        runs = []
+        for jobs in job_counts:
+            cfg.jobs = jobs
+            runs.append(run_sweep(cfg)[0])
+        assert all(run == runs[0] for run in runs)
+        grid, _ = harness.bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
+        alone = []
+        for i in range(cfg.samples):
+            (instance,) = harness.sample_instance(cfg.dim,
+                                                  [np.random.SeedSequence([cfg.seed, i])])
+            seed = int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0])
+            search = SearchConfig(cfg.restarts, cfg.iterations, seed)
+            alone += harness.certify_grid([instance], grid, [search], seed=cfg.seed)
+        assert len(alone) == cfg.samples * len(grid)
+        assert runs[0] == alone
 
 
 fork_only = pytest.mark.skipif(

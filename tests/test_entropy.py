@@ -298,7 +298,7 @@ GRADIENT_ORDERS = [
     EntropyOrder(alpha, family)
     for family in ("renyi", "tsallis", "shannon")
     for alpha in (0.3, 1 - 1e-8, 1.0, 1 + 1e-8, 2.0)
-    if family != "shannon" or abs(alpha - 1.0) < 1e-7
+    if family != "shannon" or abs(alpha - 1.0) < SHANNON_BRANCH
 ]
 
 
@@ -383,7 +383,7 @@ def column_entropy_formula(p, mult, alpha, family):
     mult, p = mult[p > 0.0], p[p > 0.0]
     if alpha == math.inf:
         return -math.log(p.max())
-    if abs(alpha - 1.0) < 1e-7:
+    if abs(alpha - 1.0) < SHANNON_BRANCH:
         return -float(np.sum(mult * p * np.log(p)))
     power_sum = float(np.sum(mult * p ** alpha))
     value = math.log(power_sum) if family == "renyi" else power_sum - 1.0

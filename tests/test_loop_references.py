@@ -277,7 +277,7 @@ def test_flag_apply_matches_loop(name, x_obs, z_obs, inst):
     # the package's blocks are the flag blocks of the full flagged evolution,
     # and the full evolution has nothing outside them
     n = inst.n_outcomes
-    got = flag_apply(inst, z_obs.projectors)
+    got = flag_apply(inst.kraus, inst.by_outcome, z_obs.projectors)
     assert got.shape == (len(z_obs.projectors), n, inst.dim_out, inst.dim_out)
     for g, p in zip(got, z_obs.projectors):
         full = loop_flag_apply(inst, p)
@@ -313,7 +313,8 @@ def test_correction_joint_matches_loop(name, x_obs, z_obs, inst):
 FLAG_APPLY, TABLE = noise_disturbance.flag_apply, noise_disturbance._table
 MUTATIONS = {
     "flag_apply-outcomes-rolled": (
-        "flag_apply", lambda inst, op: np.roll(FLAG_APPLY(inst, op), 1, axis=-3)),
+        "flag_apply", lambda kraus, by_outcome, op: np.roll(FLAG_APPLY(kraus, by_outcome, op), 1,
+                                                            axis=-3)),
     "table-outcomes-reversed": ("_table", lambda povm, rho: TABLE(povm[..., ::-1, :, :, :], rho)),
     "table-of-rho-transposed": ("_table", lambda povm, rho: TABLE(povm, rho.swapaxes(-1, -2))),
     "table-transposed": ("_table", lambda povm, rho: TABLE(povm, rho).swapaxes(-1, -2)),
@@ -322,7 +323,7 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_two_pictures_catch_a_mutated_table(monkeypatch, name):
-    x_obs, z_obs, inst = sample_instance(3, 14)
+    x_obs, z_obs, inst = sample_instance(3, [14])[0]
     _, blocks = naimark_kraus(z_obs, inst, seed=3)
     povm = pinch(np.conj(blocks).swapaxes(-1, -2) @ blocks, inst)
     assert two_picture_gap(x_obs, z_obs, inst, povm) <= TOL

@@ -50,7 +50,7 @@ def test_noise_joint_projective_measurement_is_diagonal(qubit_pair):
     inst = luders_instrument(z_obs)
     j = noise_joint(z_obs, inst)
     assert np.allclose(j, np.diag([0.5, 0.5]), atol=1e-12)
-    assert noise(z_obs, inst, [EntropyOrder.shannon()])[0] == pytest.approx(0.0, abs=1e-12)
+    assert noise([(z_obs, inst)], [EntropyOrder.shannon()])[0][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_noise_joint_trivial_instrument(qubit_pair):
@@ -58,8 +58,8 @@ def test_noise_joint_trivial_instrument(qubit_pair):
     inst = trivial_instrument(2)
     j = noise_joint(x_obs, inst)
     assert np.allclose(j, [[0.5], [0.5]], atol=1e-12)
-    assert noise(x_obs, inst, [EntropyOrder.shannon()])[0] == pytest.approx(LN2, abs=1e-12)
-    assert noise(x_obs, inst, [EntropyOrder.tsallis(2.0)])[0] == pytest.approx(
+    assert noise([(x_obs, inst)], [EntropyOrder.shannon()])[0][0] == pytest.approx(LN2, abs=1e-12)
+    assert noise([(x_obs, inst)], [EntropyOrder.tsallis(2.0)])[0][0] == pytest.approx(
         alpha_log(2.0, 2.0), abs=1e-12
     )
 
@@ -68,7 +68,7 @@ def test_noise_joint_conjugate_pair_uniform(anchor):
     x_obs, _, inst = anchor
     j = noise_joint(x_obs, inst)
     assert np.allclose(j, np.full((2, 2), 0.25), atol=1e-12)
-    assert noise(x_obs, inst, [EntropyOrder.renyi(1.0)])[0] == pytest.approx(LN2, abs=1e-9)
+    assert noise([(x_obs, inst)], [EntropyOrder.renyi(1.0)])[0][0] == pytest.approx(LN2, abs=1e-9)
 
 
 def test_noise_degenerate_observable_weights():
@@ -79,27 +79,27 @@ def test_noise_degenerate_observable_weights():
 
 def test_noise_renyi_order_restrictions(anchor):
     x_obs, _, inst = anchor
-    noise(x_obs, inst, [EntropyOrder.renyi(2.0)])  # d = 2 admits up to 2
+    noise([(x_obs, inst)], [EntropyOrder.renyi(2.0)])  # d = 2 admits up to 2
     with pytest.raises(AdmissibilityError):
-        noise(x_obs, inst, [EntropyOrder.renyi(2.5)])
+        noise([(x_obs, inst)], [EntropyOrder.renyi(2.5)])
     obs3 = sample_random_observable(3, None, seed=1)
     inst3 = trivial_instrument(3)
     with pytest.raises(AdmissibilityError):
-        noise(obs3, inst3, [EntropyOrder.renyi(1.5)])
-    noise(obs3, inst3, [EntropyOrder.renyi(1.0)])
+        noise([(obs3, inst3)], [EntropyOrder.renyi(1.5)])
+    noise([(obs3, inst3)], [EntropyOrder.renyi(1.0)])
 
 
 def test_noise_tsallis_any_positive_order(anchor):
     x_obs, _, inst = anchor
-    assert noise(x_obs, inst, [EntropyOrder.tsallis(7.0)])[0] >= 0.0
+    assert noise([(x_obs, inst)], [EntropyOrder.tsallis(7.0)])[0][0] >= 0.0
 
 
 def test_noise_of_many_orders_equals_one_conditional_entropy_per_order():
-    x_obs, _, inst = sample_instance(2, 4)
+    x_obs, _, inst = sample_instance(2, [4])[0]
     orders = [EntropyOrder(a, f) for f in ("renyi", "tsallis") for a in (0.3, 1.0, 1 + 1e-8, 2.0)]
     orders.append(EntropyOrder.shannon())
     joint = noise_joint(x_obs, inst)
-    for order, value in zip(orders, noise(x_obs, inst, orders)):
+    for order, value in zip(orders, noise([(x_obs, inst)], orders)[0]):
         assert abs(value - conditional_entropy(joint, order)) <= 1e-12
 
 
@@ -155,7 +155,7 @@ def test_disturbance_conjugate_measurement_saturates(qubit_pair):
 
 
 def test_disturbance_more_restarts_never_worse():
-    _, z_obs, inst = sample_instance(2, 17)
+    _, z_obs, inst = sample_instance(2, [17])[0]
     vals = []
     for r in (0, 1, 2):
         (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.tsallis(2.0)],
@@ -170,7 +170,7 @@ def test_disturbance_more_iterations_never_worse():
     orders = [EntropyOrder.tsallis(0.5), EntropyOrder.tsallis(2.0), EntropyOrder.renyi(0.5),
               EntropyOrder.shannon()]
     for dim, seeds in ((2, (17, 18, 19, 20)), (3, (21, 22, 23))):
-        chunk = [sample_instance(dim, seed)[1:] for seed in seeds]
+        chunk = [instance[1:] for instance in sample_instance(dim, seeds)]
         previous = None
         for budget in (4, 7, 13, 25, 50, 100, 200, 400):
             searches = [SearchConfig(restarts=2, iterations=budget, seed=seed) for seed in seeds]
@@ -193,7 +193,7 @@ def test_disturbance_search_converges_at_sweep_budget():
 
 
 def test_disturbance_bounded_by_identity_correction():
-    _, z_obs, inst = sample_instance(2, 31)
+    _, z_obs, inst = sample_instance(2, [31])[0]
     ident = discard_flag_correction(z_obs, inst)
     order = EntropyOrder.tsallis(1.0)
     ident_val = conditional_entropy(disturbance_joint(z_obs, inst, ident), order)
@@ -205,7 +205,7 @@ def test_disturbance_bounded_by_identity_correction():
 def test_disturbance_one_order_equals_that_order_in_a_grid():
     # no row of the lockstep search depends on the rows beside it, bit for bit: neither on
     # the other orders nor on the other instances of a chunk
-    _, z_obs, inst = sample_instance(2, 23)
+    _, z_obs, inst = sample_instance(2, [23])[0]
     orders = [EntropyOrder.tsallis(a) for a in (0.3, 0.5, 1.0, 1.5, 2.0)]
     orders += [EntropyOrder.renyi(a) for a in (0.3, 0.5, 1.5, 2.0)]
     search = SearchConfig(restarts=2, iterations=90, seed=8)
@@ -216,7 +216,7 @@ def test_disturbance_one_order_equals_that_order_in_a_grid():
         assert np.array_equal(one.best_povm, res.best_povm)
         assert one.best_candidate == res.best_candidate
         assert one.iterations == res.iterations
-    chunk = [sample_instance(2, seed)[1:] for seed in (23, 24, 25)]
+    chunk = [instance[1:] for instance in sample_instance(2, (23, 24, 25))]
     searches = [SearchConfig(restarts=2, iterations=90, seed=seed) for seed in (8, 9, 10)]
     for pair, search, results in zip(chunk, searches, disturbance(chunk, orders, searches)):
         for res, alone in zip(results, disturbance_alone(*pair, orders, search)):
@@ -226,7 +226,7 @@ def test_disturbance_one_order_equals_that_order_in_a_grid():
                 alone.best_candidate, alone.iterations, alone.converged)
     # a chunk shares one shape and one search budget
     with pytest.raises(ValueError, match="one shape"):
-        disturbance([chunk[0], sample_instance(3, 1)[1:]], orders, searches[:2])
+        disturbance([chunk[0], sample_instance(3, [1])[0][1:]], orders, searches[:2])
     with pytest.raises(ValueError, match="one search budget"):
         disturbance(chunk[:2], orders, [searches[0], SearchConfig(restarts=1, seed=9)])
 
@@ -234,7 +234,7 @@ def test_disturbance_one_order_equals_that_order_in_a_grid():
 def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
     winners = set()
     for dim, seed in ((2, 1), (2, 3), (3, 4), (4, 5)):
-        _, z_obs, inst = sample_instance(dim, seed)
+        _, z_obs, inst = sample_instance(dim, [seed])[0]
         orders = [EntropyOrder.tsallis(0.5), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
         for search in (SearchConfig(restarts=0), SearchConfig(restarts=2, iterations=60, seed=1)):
             for order, res in zip(orders, disturbance_alone(z_obs, inst, orders, search)):
@@ -245,7 +245,7 @@ def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
 
 
 def test_disturbance_search_beats_both_fixed_corrections_at_d3():
-    _, z_obs, inst = sample_instance(3, 0)
+    _, z_obs, inst = sample_instance(3, [0])[0]
     order = EntropyOrder.tsallis(2.0)
     fixed = [discard_flag_correction(z_obs, inst), reprepare_correction(z_obs, inst)]
     fixed_values = [conditional_entropy(disturbance_joint(z_obs, inst, ch), order) for ch in fixed]
@@ -265,7 +265,7 @@ def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
     assert res.best_value == pytest.approx(LN2, abs=1e-12)
     # without a search the best candidate (the flag-discarding identity
     # here) is not stationary
-    _, z_obs, inst = sample_instance(2, 1)
+    _, z_obs, inst = sample_instance(2, [1])[0]
     (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=0))
     assert res.iterations == 0 and res.best_candidate == "discard_flag"
     assert not res.converged
@@ -277,9 +277,9 @@ def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
 def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
     # one call scores every order's candidates together; each flag must still be the
     # stationarity test of that order's own winner
-    _, z_obs, inst = sample_instance(2, 3)
+    _, z_obs, inst = sample_instance(2, [3])[0]
     orders = [EntropyOrder.tsallis(2.0), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
-    rho = flag_apply(inst, z_obs.projectors) / 2
+    rho = flag_apply(inst.kraus, inst.by_outcome, z_obs.projectors) / 2
     for search in (SearchConfig(restarts=0), SearchConfig(2, 2000, seed=1)):
         results = disturbance_alone(z_obs, inst, orders, search)
         for order, res in zip(orders, results):
@@ -291,7 +291,7 @@ def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
 
 
 def test_disturbance_shares_one_search_per_computed_entropy():
-    _, z_obs, inst = sample_instance(2, 9)
+    _, z_obs, inst = sample_instance(2, [9])[0]
     orders = [EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1 + 1e-8), EntropyOrder.shannon()]
     results = disturbance_alone(z_obs, inst, orders,
                                 SearchConfig(restarts=1, iterations=60, seed=2))
@@ -300,7 +300,7 @@ def test_disturbance_shares_one_search_per_computed_entropy():
 
 
 def test_disturbance_without_restarts_runs_no_search():
-    _, z_obs, inst = sample_instance(2, 9)
+    _, z_obs, inst = sample_instance(2, [9])[0]
     (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.renyi(0.5)],
                                SearchConfig(restarts=0, seed=2))
     assert res.iterations == 0
@@ -310,7 +310,7 @@ def test_disturbance_without_restarts_runs_no_search():
 def test_noise_disturbance_shannon_agreement(anchor):
     x_obs, z_obs, inst = anchor
     for order in (EntropyOrder.shannon(), EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1.0)):
-        assert noise(x_obs, inst, [order])[0] == pytest.approx(LN2, abs=1e-9)
+        assert noise([(x_obs, inst)], [order])[0][0] == pytest.approx(LN2, abs=1e-9)
         (res,) = disturbance_alone(z_obs, inst, [order], SearchConfig(restarts=0))
         assert res.best_value == pytest.approx(0.0, abs=1e-9)
 
@@ -318,7 +318,7 @@ def test_noise_disturbance_shannon_agreement(anchor):
 def test_renyi_noise_monotone_in_order(qubit_pair):
     x_obs, _ = qubit_pair
     inst = sample_random_instrument(2, 2, 2, 2, seed=8)
-    values = noise(x_obs, inst, [EntropyOrder.renyi(a) for a in (0.5, 1.0, 1.5, 2.0)])
+    (values,) = noise([(x_obs, inst)], [EntropyOrder.renyi(a) for a in (0.5, 1.0, 1.5, 2.0)])
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-10
 
@@ -327,11 +327,11 @@ def test_zero_noise_iff_zero_error(anchor):
     x_obs, z_obs, inst = anchor
     # the Z-measuring instrument identifies Z eigenstates perfectly ...
     nj = noise_joint(z_obs, inst)
-    assert noise(z_obs, inst, [EntropyOrder.shannon()])[0] < 1e-9
+    assert noise([(z_obs, inst)], [EntropyOrder.shannon()])[0][0] < 1e-9
     assert standard_decision(nj) < 1e-9
     # ... and is maximally noisy for the conjugate observable
     nx = noise_joint(x_obs, inst)
-    assert noise(x_obs, inst, [EntropyOrder.shannon()])[0] > 0.5
+    assert noise([(x_obs, inst)], [EntropyOrder.shannon()])[0][0] > 0.5
     assert standard_decision(nx) > 0.4
 
 

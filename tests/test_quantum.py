@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from etoff import linalg
+from etoff.harness import sample_instance
 from etoff.quantum import (
     ProjectiveObservable,
     QuantumInstrument,
@@ -26,7 +27,7 @@ from conftest import random_hermitian
 
 def outcome_blocks(inst, rho):
     """Phi^(m)(rho), the block of the flagged evolution, for every outcome m."""
-    return list(flag_apply(inst, rho))
+    return list(flag_apply(inst.kraus, inst.by_outcome, rho))
 
 
 def outcome_probabilities(inst, rho):
@@ -127,7 +128,7 @@ def test_post_measurement_state_degenerate_branch():
 def test_flag_map_single_outcome():
     inst = trivial_instrument(2)
     rho = np.diag([0.7, 0.3]).astype(complex)
-    out = flag_apply(inst, rho)
+    out = flag_apply(inst.kraus, inst.by_outcome, rho)
     assert out.shape == (1, 2, 2) and np.allclose(out[0], rho, atol=1e-12)
 
 
@@ -136,7 +137,8 @@ def test_flag_map_block_traces_are_outcome_probabilities(rng):
     rho = random_hermitian(rng, 3)
     rho = rho @ rho.conj().T
     rho /= np.trace(rho)
-    assert abs(np.trace(flag_apply(inst, rho), axis1=1, axis2=2).sum().real - 1.0) < 1e-9
+    blocks = flag_apply(inst.kraus, inst.by_outcome, rho)
+    assert abs(np.trace(blocks, axis1=1, axis2=2).sum().real - 1.0) < 1e-9
     for m, p in enumerate(outcome_probabilities(inst, rho)):
         direct = sum(
             np.trace(k @ rho @ k.conj().T).real for k in inst.kraus[inst.outcome == m]
@@ -147,7 +149,7 @@ def test_flag_map_block_traces_are_outcome_probabilities(rng):
 def test_flag_apply_blocks_match_kraus_sums(rng):
     inst = sample_random_instrument(2, 3, 3, 2, rng)
     rho = random_hermitian(rng, 2)
-    out = flag_apply(inst, rho)
+    out = flag_apply(inst.kraus, inst.by_outcome, rho)
     assert out.shape == (3, 3, 3)
     for m in range(3):
         direct = sum(k @ rho @ k.conj().T for k in inst.kraus[inst.outcome == m])
@@ -157,17 +159,18 @@ def test_flag_apply_blocks_match_kraus_sums(rng):
 def test_flag_apply_keeps_batch_axes(rng):
     inst = sample_random_instrument(3, 2, 2, 2, rng)
     ops = np.array([[random_hermitian(rng, 3) for _ in range(4)] for _ in range(2)])
-    out = flag_apply(inst, ops)
+    out = flag_apply(inst.kraus, inst.by_outcome, ops)
     assert out.shape == (2, 4, 2, 2, 2)
     for i in range(2):
         for j in range(4):
-            assert np.allclose(out[i, j], flag_apply(inst, ops[i, j]), atol=1e-12)
+            one = flag_apply(inst.kraus, inst.by_outcome, ops[i, j])
+            assert np.allclose(out[i, j], one, atol=1e-12)
 
 
 def test_flag_apply_outcome_without_kraus_is_zero():
     inst = QuantumInstrument(2, 2, ("m0", "m1"), np.eye(2)[None], np.zeros(1, dtype=int))
     rho = np.diag([0.6, 0.4]).astype(complex)
-    out = flag_apply(inst, rho)
+    out = flag_apply(inst.kraus, inst.by_outcome, rho)
     assert np.allclose(out[0], rho, atol=1e-12)
     assert np.all(out[1] == 0.0)
 
@@ -194,6 +197,37 @@ def test_haar_unitary_deterministic_per_seed():
     a = sample_haar_unitary(4, 123)
     b = sample_haar_unitary(4, 123)
     assert np.array_equal(a, b)
+
+
+def full_haar_unitary(rng, dim):
+    """The per-instance construction: QR of the whole Ginibre matrix, R's diagonal made positive."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g / math.sqrt(2))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def test_chunk_sampler_is_bit_for_bit_the_per_instance_construction():
+    # a sweep chunk is sampled as one stack, with M's isometry QR'd on its d kept columns
+    # alone; each sample must still be bit for bit the per-instance draw from its generator:
+    # X and Z one projector u_i u_i† per column of a full unitary, and the Kraus stack cut
+    # from the first d columns of the full total x total unitary.  Should LAPACK round the
+    # narrow QR differently somewhere, this fails here instead of re-drawing every sweep
+    for dim in range(2, 7):
+        total = 2 * dim * dim
+        for seed in (0, 1, 17):
+            seeds = [np.random.SeedSequence([seed, i]) for i in range(8)]
+            for sequence, (x_obs, z_obs, inst) in zip(seeds, sample_instance(dim, seeds)):
+                rng = np.random.default_rng(sequence)
+                for obs in (x_obs, z_obs):
+                    u = full_haar_unitary(rng, dim)
+                    columns = [u[:, i:i + 1] @ u[:, i:i + 1].conj().T for i in range(dim)]
+                    projectors = [(p + p.conj().T) / 2 for p in columns]
+                    assert np.array_equal(obs.projectors, projectors), (dim, seed)
+                v = full_haar_unitary(rng, total)[:, :dim].reshape(dim, 2, dim, dim)
+                kraus = v.transpose(2, 1, 0, 3).reshape(-1, dim, dim)
+                assert np.array_equal(inst.kraus, kraus), (dim, seed)
+                assert np.array_equal(inst.outcome, np.repeat(np.arange(dim), 2))
 
 
 def test_sampled_instruments_complete(rng):
