@@ -11,13 +11,17 @@ sums the entropies of two parametric distributions, each a value
 repeated n times plus a remainder; they go through the column kernel of
 ``entropy`` as 2-row columns with multiplicities, so no entropy formula
 is written out here, and a whole list of (family, alpha, beta) pairs is
-minimised at once.  The points every pair shares, the breakpoints and a
-first scan of each smooth piece, are evaluated once per family and order
-(``_shared_terms``).  The zoom that follows works on one bracket per pair
-and piece, evaluating each bracket's own pair alone (``_objective``):
-each is refined on its own, geometrically toward a piece end that holds
-its best point, and stops on its own, so a pair's bound and argmin_theta
-are bit for bit those of a call with that pair alone.
+minimised at once.  Swapping alpha and beta mirrors the objective about
+eta/2, so each unordered pair of orders is minimised once, and the pair
+with alpha > beta reflects its swapped pair's argmin.  The points every
+pair shares, the breakpoints and a first scan of each smooth piece, are
+evaluated once per family and order (``_shared_terms``), and once for
+both families at an order on the Shannon branch.  The zoom that follows
+works on one bracket per pair and piece, evaluating each bracket's own
+pair alone (``_objective``): each is refined on its own, geometrically
+toward a piece end that holds its best point, and stops on its own, so a
+pair's bound and argmin_theta are bit for bit those of a call with that
+pair alone.
 A certificate keeps a noise value, a (one-sided) disturbance value and
 the applicable bound, and derives its margin and verdict from them.
 ``admissible_grid`` checks a (relation, alpha, beta) grid against the
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyOrder, _column_entropies, alpha_log
+from .entropy import SHANNON_BRANCH, EntropyOrder, _column_entropies, alpha_log
 from .linalg import pair_overlaps
 from .noise_disturbance import AdmissibilityError, SearchConfig, check_order, disturbance, noise
 from .quantum import ProjectiveObservable, QuantumInstrument
@@ -229,21 +233,29 @@ def _objective(families, alphas, betas, breaks, theta, eta) -> np.ndarray:
 
     ``families``, ``alphas`` and ``betas`` list the pairs, a pair being one
     (family, alpha, beta), one per row of ``theta``, with ``eta``
-    broadcasting against it.  A column's entropy does not depend on the
-    columns beside it, so a pair's values are bit for bit those of a call
-    with that pair alone.
+    broadcasting against it.  Both terms come from one ``_term`` call, the
+    beta rows (at eta - theta) stacked below the alpha rows (at theta).  A
+    column's entropy does not depend on the columns beside it, so a pair's
+    values are bit for bit those of a call with that pair alone, and of one
+    ``_term`` call per term.
     """
-    alpha = _term(theta, alphas, families, breaks)
-    alpha += _term(eta - theta, betas, families, breaks)
-    return alpha
+    both = _term(np.concatenate(np.broadcast_arrays(theta, eta - theta)),
+                 np.concatenate([alphas, betas]), np.concatenate([families, families]), breaks)
+    return both[:len(alphas)] + both[len(alphas):]
 
 
 def _shared_terms(families, orders, theta, breaks) -> np.ndarray:
-    """``_term`` of every pair at points they share, evaluated once per distinct (family, order)."""
-    keys = sorted(set(zip(families.tolist(), orders)))
+    """``_term`` of every pair at points they share, evaluated once per distinct (family, order).
+
+    The family enters only the power branch of the entropy kernel, so an
+    order within ``SHANNON_BRANCH`` of 1 takes one row for both families.
+    """
+    wanted = [("shannon", o) if abs(o - 1.0) < SHANNON_BRANCH else (f, o)
+              for f, o in zip(families.tolist(), orders)]
+    keys = sorted(set(wanted))
     index = {key: k for k, key in enumerate(keys)}
     terms = _term(theta, [o for _, o in keys], [f for f, _ in keys], breaks)
-    return terms[[index[key] for key in zip(families.tolist(), orders)]]
+    return terms[[index[key] for key in wanted]]
 
 
 def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -317,7 +329,14 @@ def bbar_bound(cs, pairs) -> list:
     of its ends holds its best point, for every pair and every c at once
     (at most ``_MAX_POINTS`` values per family per step); a piece
     replaces the best value only if strictly lower, so ties go to the
-    breakpoints and to the smallest theta.  Returns one {(family, alpha,
+    breakpoints and to the smallest theta.  Theta -> eta - theta turns
+    the objective of (family, alpha, beta) into that of (family, beta,
+    alpha), so only pairs with alpha <= beta are scanned and zoomed.  A
+    pair with alpha > beta takes eta - theta* as its argmin_theta, theta*
+    being the argmin of its swapped pair, so its ties go to the largest
+    theta; its value is its own objective at that theta, evaluated for
+    every such pair and c in one ``_objective`` call, and it equals the
+    swapped pair's value up to rounding.  Returns one {(family, alpha,
     beta): BoundValue} per c; every value is zero when c = 1.  A pair's
     value and argmin_theta at a c are bit for bit those of a call with
     that pair and that c alone.  Each c must lie in [C_FLOOR, 1]: the
@@ -349,7 +368,10 @@ def bbar_bound(cs, pairs) -> list:
         lo.append(pts[:-1][keep])
         hi.append(pts[1:][keep])
     n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in lo]
-    families, alphas, betas = np.array(families), np.array(alphas), np.array(betas)
+    # (f, beta, alpha) is (f, alpha, beta) mirrored about eta/2: minimise each unordered pair once
+    asked = [(f, min(a, b), max(a, b)) for f, a, b in pairs]
+    index = {pair: k for k, pair in enumerate(dict.fromkeys(asked))}
+    families, alphas, betas = (np.array(axis) for axis in zip(*index))
 
     def shared(theta, eta):
         """The objective of every pair at points all pairs share, each term once per order."""
@@ -365,7 +387,7 @@ def bbar_bound(cs, pairs) -> list:
 
     piece_lo, piece_hi = np.concatenate(lo), np.concatenate(hi)
     piece_eta = np.repeat(etas, n_pieces)
-    piece_x, piece_f = (np.empty((len(pairs), piece_lo.size)) for _ in range(2))
+    piece_x, piece_f = (np.empty((len(index), piece_lo.size)) for _ in range(2))
     per_family = max(np.unique(families, return_counts=True)[1])
     chunk = max(1, _MAX_POINTS // (int(per_family) * SCAN))
     for s in range(0, piece_lo.size, chunk):
@@ -375,11 +397,11 @@ def bbar_bound(cs, pairs) -> list:
         eta = piece_eta[pieces]
         brackets = _shrink(grid[None], shared(grid[None], eta[:, None]))
         shape = brackets[0].shape  # (pairs, pieces)
-        rows = np.repeat(np.arange(len(pairs)), shape[1])
-        x, fx = _zoom(*(v.ravel() for v in brackets), np.tile(eta, len(pairs)), rows, per_bracket)
+        rows = np.repeat(np.arange(len(index)), shape[1])
+        x, fx = _zoom(*(v.ravel() for v in brackets), np.tile(eta, len(index)), rows, per_bracket)
         piece_x[:, pieces], piece_f[:, pieces] = x.reshape(shape), fx.reshape(shape)
 
-    results = []
+    best_x, best_f = [], []
     cut_ends, cut_pieces = np.cumsum(n_ends)[:-1], np.cumsum(n_pieces)[:-1]
     for pts, f_end, x_piece, f_piece in zip(ends, np.split(end_vals, cut_ends, -1),
                                             np.split(piece_x, cut_pieces, -1),
@@ -387,14 +409,23 @@ def bbar_bound(cs, pairs) -> list:
         # the first smallest value, ends before pieces: ties go to the smallest end theta
         vals = np.concatenate([f_end, f_piece], -1)
         k = np.argmin(vals, axis=-1)[..., None]
-        best_x = _at(np.concatenate([np.broadcast_to(pts, f_end.shape), x_piece], -1), k)
-        best_f = _at(vals, k)
-        results.append({
-            pair: BoundValue("B_R" if pair[0] == "renyi" else "B_T", max(0.0, float(f)),
-                             argmin_theta=float(x))
-            for pair, x, f in zip(pairs, best_x, best_f)
-        })
-    return results
+        best_x.append(_at(np.concatenate([np.broadcast_to(pts, f_end.shape), x_piece], -1), k))
+        best_f.append(_at(vals, k))
+    # per c and asked pair: one with alpha > beta reflects its swapped pair's argmin, and its
+    # value is its own objective there, for every c and such pair in one call
+    rows = [index[pair] for pair in asked]
+    best_x, best_f = np.array(best_x)[:, rows], np.array(best_f)[:, rows]
+    swapped = np.array([a > b for _, a, b in pairs])
+    if swapped.any():
+        eta = np.array(etas)[:, None]
+        best_x[:, swapped] = eta - best_x[:, swapped]
+        mirrored = (np.tile(np.array(axis)[swapped], len(cs)) for axis in zip(*pairs))
+        best_f[:, swapped] = _objective(*mirrored, breaks, best_x[:, swapped].reshape(-1, 1),
+                                        np.repeat(eta, swapped.sum(), 0)).reshape(len(cs), -1)
+    return [{pair: BoundValue("B_R" if pair[0] == "renyi" else "B_T", max(0.0, float(f)),
+                              argmin_theta=float(x))
+             for pair, x, f in zip(pairs, x_at_c, f_at_c)}
+            for x_at_c, f_at_c in zip(best_x, best_f)]
 
 
 def conjugate_orders(alpha: float, beta: float) -> bool:

@@ -389,19 +389,22 @@ def disturbance(chunk, orders: list, searches: list) -> list:
     values, grads = conditional_entropy_gradient(
         tables[:, pick], np.array(keys, dtype=object)[:, None])
     best = np.argmin(values, axis=-1)  # ties go to the fixed corrections
-    key_ix, results = np.arange(len(keys)), []
+    key_ix, inst_ix = np.arange(len(keys)), np.arange(len(chunk))[:, None]
+    chosen = pick[key_ix, best]  # (instance, key)
+    # one call for the chunk: at d = 4 the gradients of 8 instances over the sweep's default
+    # grid peak at 1.2 MB (tracemalloc)
+    _, norms = _riemannian_gradient(povms[inst_ix, chosen], grads[inst_ix, key_ix, best],
+                                    rho[:, None])
+    results = []
     for i, b in enumerate(best):
-        chosen = pick[key_ix, b]
-        # one instance at a time: the gradients of a whole chunk at d = 4 take megabytes
-        _, norms = _riemannian_gradient(povms[i, chosen], grads[i, key_ix, b], rho[i])
         by_key = {
             key: CorrectionSearchResult(
                 best_value=max(0.0, float(values[i, k, b[k]])),
-                best_povm=povms[i, chosen[k]],
+                best_povm=povms[i, chosen[i, k]],
                 restarts=restarts,
                 iterations=int(evals[i, k]) if restarts > 0 else 0,
-                converged=bool(norms[k] < GRAD_TOL),
-                best_candidate=names[chosen[k]] if chosen[k] < n_fixed
+                converged=bool(norms[i, k] < GRAD_TOL),
+                best_candidate=names[chosen[i, k]] if chosen[i, k] < n_fixed
                 else f"parametrized_restart_{restart[i, k]}",
             )
             for k, key in enumerate(keys)

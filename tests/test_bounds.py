@@ -201,9 +201,11 @@ def test_bbar_matches_grid_oracle():
 
 
 def test_bbar_grid_call_equals_one_call_per_pair():
-    # the grid minimises every pair through one order-per-column kernel call per term, and
-    # each bracket stops on its own; at the last two c, with the benchmark's orders, a
-    # bracket that stopped on the widest bracket of its piece moved argmin_theta by 2.4e-10
+    # the grid minimises every pair with alpha <= beta through one order-per-column kernel
+    # call per zoom step, both terms in that call, and each bracket stops on its own; a pair
+    # with alpha > beta reflects its swapped pair; at the last two c, with the benchmark's
+    # orders, a bracket that stopped on the widest bracket of its piece moved argmin_theta by
+    # 2.4e-10
     cases = [((0.3, 1 / math.sqrt(3), 0.8, 0.999999), (0.0, 0.3, 1.0, 1.0 + 1e-8, 2.0, 5.0)),
              ((0.7684901429171704, 0.6982543424827681), (0.3, 0.5, 0.75, 1.0, 1.5, 2.0))]
     for cs, orders in cases:
@@ -239,6 +241,26 @@ def test_bbar_value_is_the_objective_at_its_argmin_and_no_nearby_theta_is_lower(
         near = np.linspace(b.argmin_theta - 1e-6, b.argmin_theta + 1e-6, 2001)
         vals = _objective([family], [alpha], [beta], breaks, np.clip(near, 0.0, eta)[None], eta)
         assert vals.min() >= b.value - 1e-13, (alpha, beta)
+
+
+@pytest.mark.parametrize("family", ["renyi", "tsallis"])
+def test_swapped_orders_give_the_mirrored_argmin_and_the_same_value(family):
+    # (family, beta, alpha) is (family, alpha, beta) mirrored about eta/2, so one of the two is
+    # minimised and the other reflected; the dense scan checks the reflected pair without the mirror
+    cs = (0.3, 0.55, 1 / math.sqrt(2), 0.9, 0.999999, 1.0)
+    orders = (0.0, 0.3, 1.0, 1.0 + 1e-8, 2.0, 5.0)
+    breaks = _breakpoints(min(cs))
+    with np.errstate(all="raise"):
+        grids = bbar_bound(cs, pairs_of([family], orders, orders))
+    for c, grid in zip(cs, grids):
+        eta = math.acos(c)
+        for alpha, beta in itertools.combinations(orders, 2):
+            kept, swapped = grid[family, alpha, beta], grid[family, beta, alpha]
+            assert swapped.argmin_theta == eta - kept.argmin_theta, (c, alpha, beta)
+            assert abs(swapped.value - kept.value) <= 1e-15, (c, alpha, beta)
+            near = np.linspace(swapped.argmin_theta - 1e-6, swapped.argmin_theta + 1e-6, 2001)
+            vals = _objective([family], [beta], [alpha], breaks, np.clip(near, 0.0, eta)[None], eta)
+            assert vals.min() >= swapped.value - 1e-13, (c, alpha, beta)
 
 
 def test_bound_table_over_many_c_equals_one_table_per_c():
