@@ -148,28 +148,21 @@ class TradeoffCertificate:
 # --- overlap characteristic ----------------------------------------------------
 
 
-def overlap(pairs) -> list[float]:
-    """Overlap characteristic c of each (X, Z) pair of observables, capped at 1.
+def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> np.ndarray:
+    """Overlap characteristic c of each (X, Z) pair of two stacks of observables, capped at 1.
 
     c is the largest spectral norm of a projector product, each product
     evaluated in both orders and maximised, so swapping the observables
-    returns exactly the same c.  The pairs share one shape (else
-    ValueError names the shapes), so two SVD calls take every product of
-    every pair.  Nondegenerate pairs are checked against the unitarity
-    floor d**-1/2.
+    returns exactly the same c.  Two SVD calls take every product of
+    every pair, and return a (k,) array.  Nondegenerate pairs are checked
+    against the unitarity floor d**-1/2.
     """
-    shapes = sorted({(x_obs.projectors.shape, z_obs.projectors.shape) for x_obs, z_obs in pairs})
-    if len(shapes) > 1:
-        raise ValueError(f"the pairs must share one shape, got (X, Z) projectors in {shapes}")
-    (x_shape, z_shape), = shapes
-    if x_shape[1:] != z_shape[1:]:
-        raise ValueError(f"dimension mismatch: {x_shape[1]} vs {z_shape[1]}")
-    xs, zs = (np.array([pair[k].projectors for pair in pairs]) for k in (0, 1))
-    cs = [min(float(c), 1.0) for c in pair_overlaps(xs, zs).max(axis=(-2, -1))]
-    lo = 1.0 / math.sqrt(x_shape[1])
-    for (x_obs, z_obs), c in zip(pairs, cs):
-        if x_obs.nondegenerate and z_obs.nondegenerate and c < lo - 1e-9:
-            raise ValueError(f"overlap {c!r} below the unitarity floor {lo!r}")
+    if x_obs.dim != z_obs.dim:
+        raise ValueError(f"dimension mismatch: {x_obs.dim} vs {z_obs.dim}")
+    cs = np.minimum(pair_overlaps(x_obs.projectors, z_obs.projectors).max(axis=(-2, -1)), 1.0)
+    lo = 1.0 / math.sqrt(x_obs.dim)
+    if x_obs.nondegenerate and z_obs.nondegenerate and cs.min() < lo - 1e-9:
+        raise ValueError(f"overlap {float(cs.min())!r} below the unitarity floor {lo!r}")
     return cs
 
 
@@ -314,7 +307,7 @@ def _zoom(x, fx, lo, hi, side, eta, rows, objective):
     return x, fx
 
 
-def bbar_bound(cs, pairs) -> list:
+def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Minimised two-parameter uncertainty bound of every (family, alpha, beta) pair, at every c.
 
     For each pair, family "tsallis" or "renyi", minimises the alpha term
@@ -336,8 +329,8 @@ def bbar_bound(cs, pairs) -> list:
     being the argmin of its swapped pair, so its ties go to the largest
     theta; its value is its own objective at that theta, evaluated for
     every such pair and c in one ``_objective`` call, and it equals the
-    swapped pair's value up to rounding.  Returns one {(family, alpha,
-    beta): BoundValue} per c; every value is zero when c = 1.  A pair's
+    swapped pair's value up to rounding.  Returns (values, argmin_theta),
+    each (len(cs), len(pairs)); every value is zero when c = 1.  A pair's
     value and argmin_theta at a c are bit for bit those of a call with
     that pair and that c alone.  Each c must lie in [C_FLOOR, 1]: the
     cost grows as c**-2, and the floor 0.01 is at most the overlap of any
@@ -422,10 +415,7 @@ def bbar_bound(cs, pairs) -> list:
         mirrored = (np.tile(np.array(axis)[swapped], len(cs)) for axis in zip(*pairs))
         best_f[:, swapped] = _objective(*mirrored, breaks, best_x[:, swapped].reshape(-1, 1),
                                         np.repeat(eta, swapped.sum(), 0)).reshape(len(cs), -1)
-    return [{pair: BoundValue("B_R" if pair[0] == "renyi" else "B_T", max(0.0, float(f)),
-                              argmin_theta=float(x))
-             for pair, x, f in zip(pairs, x_at_c, f_at_c)}
-            for x_at_c, f_at_c in zip(best_x, best_f)]
+    return np.maximum(best_f, 0.0), best_x
 
 
 def conjugate_orders(alpha: float, beta: float) -> bool:
@@ -509,13 +499,14 @@ def _bounds(grid, cs) -> list:
 
     The minimised bounds of Prop1 and Prop2 come from one ``bbar_bound``
     call over every c and exactly the (family, alpha, beta) pairs of those
-    relations in the grid.
+    relations in the grid, in its order.
     """
-    minimised = [(relation_family(r), a, b) for r, a, b in grid if r in ("Prop1", "Prop2")]
-    bbar = [{}] * len(cs)
-    if minimised:
-        bbar = bbar_bound(cs, minimised)
-    return [[bbar_at_c[relation_family(r), a, b] if r in ("Prop1", "Prop2")
+    pairs = [(relation_family(r), a, b) for r, a, b in grid if r in ("Prop1", "Prop2")]
+    values, argmins = bbar_bound(cs, pairs) if pairs else np.empty((2, len(cs), 0))
+    bbar = [iter([BoundValue("B_R" if f == "renyi" else "B_T", v, argmin_theta=x)
+                  for (f, _, _), v, x in zip(pairs, values_c, argmins_c)])
+            for values_c, argmins_c in zip(values.tolist(), argmins.tolist())]
+    return [[next(bbar_at_c) if r in ("Prop1", "Prop2")
              else mu_bounds(c, a, b)[0] if r == "Prop3"
              else BoundValue("STND_R1", max(0.0, -2.0 * math.log(c)), mu=max(a, b))
              for r, a, b in grid]
@@ -543,38 +534,38 @@ def certify(
     if x_obs.dim != z_obs.dim or x_obs.dim != inst.dim_in:
         raise ValueError("observables and instrument must share the input dimension")
     check_admissible(relation, alpha, beta, x_obs.dim)
-    chunk = [(x_obs, z_obs, inst)]
+    chunk = (x_obs[None], z_obs[None], inst[None])
     return certify_grid(chunk, [(relation, alpha, beta)], [search or SearchConfig()], seed)[0]
 
 
 def certify_grid(chunk, grid, searches, seed: int | None = None) -> list[TradeoffCertificate]:
     """Certify every (relation, alpha, beta) of an admissible grid on every instance of a chunk.
 
-    ``chunk`` holds (X, Z, M) instances of one shape, ``searches`` one
-    ``SearchConfig`` per instance, and ``grid`` is checked already
-    (``admissible_grid`` or ``check_admissible``).  ``noise``,
-    ``overlap`` and ``disturbance`` each take the whole chunk as stacked
-    arrays, ``noise`` first, so that a chunk of mixed shapes raises
-    ValueError before any work; ``disturbance`` searches every instance
+    ``chunk`` is the triple (X, Z, M) of stacks of k instances,
+    ``searches`` one ``SearchConfig`` per instance, and ``grid`` is
+    checked already (``admissible_grid`` or ``check_admissible``).
+    Stacks or searches of different counts raise ValueError before any
+    work.  ``noise``, ``overlap`` and ``disturbance`` each take the
+    stacks whole; ``disturbance`` searches every instance
     and order at once, and the minimised bounds of both families come
     from one ``bbar_bound`` call over every c (``_bounds``).  An
     instance's certificates equal, bit for bit, those of a chunk of it
     alone.  They come back ordered by instance, then in the grid's order.
     """
-    noises = noise([(x_obs, inst) for x_obs, _, inst in chunk],
-                   [EntropyOrder(a, relation_family(r)) for r, a, _ in grid])
-    cs = overlap([(x_obs, z_obs) for x_obs, z_obs, _ in chunk])
-    dists = disturbance(
-        [(z_obs, inst) for _, z_obs, inst in chunk],
-        [EntropyOrder(b, relation_family(r)) for r, _, b in grid], searches,
-    )
-    bounds = _bounds(grid, cs)
+    x_obs, z_obs, inst = chunk
+    counts = (len(x_obs.projectors), len(z_obs.projectors), len(inst.kraus), len(searches))
+    if len(set(counts)) > 1:
+        raise ValueError(f"X, Z, M and searches count different numbers of instances: {counts}")
+    noises = noise(x_obs, inst, [EntropyOrder(a, relation_family(r)) for r, a, _ in grid])
+    cs = overlap(x_obs, z_obs).tolist()
+    dists = disturbance(z_obs, inst, [EntropyOrder(b, relation_family(r)) for r, _, b in grid],
+                        searches)
     return [
         TradeoffCertificate(
             relation, x_obs.dim, a, b, c, n, dist.best_value, bound, seed,
             dist.restarts, dist.iterations, dist.converged, dist.best_candidate,
         )
-        for (x_obs, _, _), c, noises_at_c, bounds_at_c, dists_at_c
-        in zip(chunk, cs, noises, bounds, dists)
+        for c, noises_at_c, bounds_at_c, dists_at_c
+        in zip(cs, noises.tolist(), _bounds(grid, cs), dists)
         for (relation, a, b), n, dist, bound in zip(grid, noises_at_c, dists_at_c, bounds_at_c)
     ]

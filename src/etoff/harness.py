@@ -1,11 +1,11 @@
 """Reproducible sweep and self-test machinery behind the command line.
 
 A sweep task is a fixed chunk of ``CHUNK`` consecutive samples, sampled
-and certified as one stack of arrays; no sample's rows depend on the
-samples beside it.  Each sample derives its generators from (master
-seed, sample index), so results are deterministic per sample, whatever
-the worker count.  A chunk is a range of sample indices,
-and the list of chunks is cut into one contiguous share per job: the
+and certified as one triple (X, Z, M) of stacked objects; no sample's
+rows depend on the samples beside it.  Each sample derives its
+generators from (master seed, sample index), so results are
+deterministic per sample, whatever the worker count.  A chunk is a range
+of sample indices, and the list of chunks is cut into one contiguous share per job: the
 calling process certifies the first share while one helper process per
 further share certifies the rest, each with the sweep's config and grid,
 and the shares are joined in sample order, so two runs with the same
@@ -155,8 +155,8 @@ def saturation_instance():
     return x_obs, z_obs, inst
 
 
-def sample_instance(dim: int, seeds) -> list[tuple]:
-    """One random (X, Z, M) draw per seed for the certification sweep, sampled as one stack.
+def sample_instance(dim: int, seeds) -> tuple:
+    """A chunk for the certification sweep: the triple (X, Z, M) of stacks, one draw per seed.
 
     Each seed's generator draws X, Z and M in turn, so a sample depends on
     its own seed alone; each kind is QR'd in one call for all seeds.
@@ -164,7 +164,7 @@ def sample_instance(dim: int, seeds) -> list[tuple]:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x_obs = sample_random_observables(dim, None, rngs)
     z_obs = sample_random_observables(dim, None, rngs)
-    return list(zip(x_obs, z_obs, sample_random_instruments(dim, dim, dim, 2, rngs)))
+    return x_obs, z_obs, sample_random_instruments(dim, dim, dim, 2, rngs)
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -288,31 +288,26 @@ def tabulate_bounds(c_grid, alphas, betas) -> str:
     """CSV table of the minimised and conjugacy bounds over a parameter grid.
 
     One ``bounds.bbar_bound`` call covers both families, every pair of
-    orders and every c; its rows equal those of one table per c and pair of
-    orders.  The conjugacy columns are populated
-    only where 1/alpha + 1/beta = 2.  ``bounds.bbar_bound`` rejects any c
+    orders and every c, and rows are formatted straight from its arrays;
+    they equal those of one table per c and pair of orders.  The conjugacy
+    columns are populated only where 1/alpha + 1/beta = 2.  ``bounds.bbar_bound`` rejects any c
     or order outside its domain.
     """
     num = "{:.9g}".format
     lines = [BOUNDS_CSV_HEADER]
-    pairs = itertools.product(("tsallis", "renyi"), alphas, betas)
-    for c, bbar in zip(c_grid, bounds.bbar_bound(c_grid, pairs)):
-        for alpha in alphas:
-            for beta in betas:
-                bt, br = bbar["tsallis", alpha, beta], bbar["renyi", alpha, beta]
-                mu_t = mu_r = ""
-                if bounds.conjugate_orders(alpha, beta):
-                    mt, mr = mu_bounds(c, alpha, beta)
-                    mu_t, mu_r = num(mt.value), num(mr.value)
-                lines.append(
-                    ",".join(
-                        [
-                            num(c), num(alpha), num(beta),
-                            num(bt.value), num(br.value), mu_t, mu_r,
-                            num(bt.argmin_theta), num(br.argmin_theta),
-                        ]
-                    )
-                )
+    orders = list(itertools.product(alphas, betas))
+    values, argmins = bounds.bbar_bound(c_grid, [(f, *ab) for f in ("tsallis", "renyi")
+                                                 for ab in orders])
+    shape = (len(c_grid), 2, len(orders))  # (c, family, pair of orders)
+    for c, (bt, br), (xt, xr) in zip(c_grid, values.reshape(shape).tolist(),
+                                     argmins.reshape(shape).tolist()):
+        for (alpha, beta), row in zip(orders, zip(bt, br, xt, xr)):
+            mu_t = mu_r = ""
+            if bounds.conjugate_orders(alpha, beta):
+                mt, mr = mu_bounds(c, alpha, beta)
+                mu_t, mu_r = num(mt.value), num(mr.value)
+            lines.append(",".join([num(c), num(alpha), num(beta), *map(num, row[:2]), mu_t, mu_r,
+                                   *map(num, row[2:])]))
     return "\n".join(lines) + "\n"
 
 
@@ -370,8 +365,8 @@ def selftest_checks(seed: int = SELFTEST_SEED):
 
     # both pictures of the noise and disturbance tables, on the anchor and a random qutrit
     yield "two_pictures_qubit", *two_picture_check(x_obs, z_obs, inst, seed)
-    (qutrit,) = sample_instance(3, [np.random.SeedSequence([seed, 3])])
-    yield "two_pictures_qutrit", *two_picture_check(*qutrit, seed)
+    qutrit = sample_instance(3, [np.random.SeedSequence([seed, 3])])
+    yield "two_pictures_qutrit", *two_picture_check(*(stack[0] for stack in qutrit), seed)
 
     # sandwich of conditional entropies between error-probability bounds
     rng = np.random.default_rng(seed)

@@ -32,9 +32,9 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_stack(a, name: str = "stack") -> np.ndarray:
-    """Copy to a read-only, finite 3-d complex array of matrices."""
+    """Copy to a read-only, finite complex stack of matrices, 3-d, or 4-d for a stack of stacks."""
     s = np.array(a, dtype=complex)
-    if s.ndim != 3:
+    if s.ndim not in (3, 4):
         raise ValueError(f"{name} must be a stack of matrices, got array of shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError(f"{name} contains NaN or Inf entries")

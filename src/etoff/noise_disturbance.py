@@ -30,10 +30,10 @@ on the true disturbance; it can refute a trade-off relation
 disturbance (ROADMAP direction A).
 
 Both joint tables come from the stacked arrays of the objects in
-``quantum`` by batched matrix products; every disturbance table,
-p(z, z') = sum_m Tr[E_z'^(m) sigma_z^(m)], comes from ``_table``.
-``two_picture_gap`` checks both tables against the same ones read off
-the POVMs pulled back to the input system.
+``quantum``, a chunk being one stack, by batched matrix products; every
+disturbance table, p(z, z') = sum_m Tr[E_z'^(m) sigma_z^(m)], comes
+from ``_table``.  ``two_picture_gap`` checks both tables against the
+same ones read off the POVMs pulled back to the input system.
 """
 
 from __future__ import annotations
@@ -111,25 +111,19 @@ def check_order(order: EntropyOrder, dim: int) -> None:
 # --- the first experiment: noise ---------------------------------------------
 
 
-def _flagged(chunk) -> tuple[np.ndarray, np.ndarray]:
-    """Flagged blocks and checked joint tables of (observable, instrument) pairs of one shape.
+def _flagged(obs: ProjectiveObservable, inst: QuantumInstrument) -> tuple:
+    """Flagged blocks and checked joint tables of k observables and k instruments, two stacks.
 
-    The blocks Phi^(m)(Pi(o)), (n, |O|, n_outcomes, d_out, d_out), come
+    The blocks Phi^(m)(Pi(o)), (k, |O|, n_outcomes, d_out, d_out), come
     from one ``flag_apply`` over the stacked Kraus operators, and the
-    tables p(o, m) = Tr[Phi^(m)(Pi(o))]/d, (n, |O|, n_outcomes), from one
-    ``check_table``; a pair's equal, bit for bit, those of it alone.  A
-    chunk of mixed shapes raises ValueError naming them.
+    tables p(o, m) = Tr[Phi^(m)(Pi(o))]/d, (k, |O|, n_outcomes), from one
+    ``check_table``; an instance's equal, bit for bit, those of it alone.
     """
-    shapes = sorted({(obs.projectors.shape, inst.kraus.shape, inst.n_outcomes,
-                      tuple(inst.outcome.tolist())) for obs, inst in chunk})
-    if len(shapes) > 1:
-        raise ValueError(f"a chunk's instances must share one shape, got (projectors, Kraus "
-                         f"operators, outcomes, outcome index) in {shapes}")
-    obs, inst = chunk[0]
     if obs.dim != inst.dim_in:
         raise ValueError(f"observable dim {obs.dim} != instrument input dim {inst.dim_in}")
-    kraus = np.array([inst.kraus for _, inst in chunk])[:, None]
-    blocks = flag_apply(kraus, inst.by_outcome, np.array([obs.projectors for obs, _ in chunk]))
+    if obs.projectors.ndim != 4 or obs.projectors.shape[:1] != inst.kraus.shape[:-3]:
+        raise ValueError(f"need two stacks of k, got {obs.projectors.shape}, {inst.kraus.shape}")
+    blocks = flag_apply(inst.kraus[:, None], inst.by_outcome, obs.projectors)
     return blocks, check_table(np.trace(blocks, axis1=-2, axis2=-1).real / obs.dim)
 
 
@@ -141,28 +135,27 @@ def noise_joint(x_obs: ProjectiveObservable, inst: QuantumInstrument) -> np.ndar
     Pi(x)/d_x, p(x, m) = (d_x / d) p(m | x) is the trace of block m of the
     evolution of Pi(x), over d, as ``_flagged`` computes it.
     """
-    return _flagged([(x_obs, inst)])[1][0]
+    return _flagged(x_obs[None], inst[None])[1][0]
 
 
-def noise(chunk, orders: list) -> list:
+def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) -> np.ndarray:
     """Information-theoretic noise per instance and order: conditional entropy of X given M.
 
-    ``chunk`` holds (x_obs, inst) pairs of one shape, whose joint tables
+    ``x_obs`` and ``inst`` are stacks of k instances, whose joint tables
     come from one ``_flagged`` call; the orders are checked once, and one
     entropy-kernel call evaluates every table in every distinct computed
-    order.  Returns one list per pair, one float per order.  No
+    order.  Returns a (k, len(orders)) array.  No
     optimisation over guessing functions is applied; the admitted Renyi
     interval is exactly the one for which conditioning on more variables
     cannot increase the entropy.
     """
     for order in orders:
-        check_order(order, chunk[0][0].dim)
-    tables = _flagged(chunk)[1]
+        check_order(order, x_obs.dim)
+    tables = _flagged(x_obs, inst)[1]
     keys = list(dict.fromkeys(order.computed for order in orders))
     stack = np.broadcast_to(tables[:, None], (len(tables), len(keys)) + tables.shape[1:])
     values = conditional_entropy(stack, np.array(keys, dtype=object))
-    column = [keys.index(order.computed) for order in orders]
-    return [[float(v) for v in row[column]] for row in values]
+    return values[:, [keys.index(order.computed) for order in orders]]
 
 
 # --- the second experiment: disturbance --------------------------------------
@@ -183,7 +176,7 @@ def _checked_povm(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) ->
     shape = (inst.n_outcomes, len(z_obs.projectors), inst.dim_out, inst.dim_out)
     if np.shape(povm) != shape:
         raise ValueError(f"POVM shape {np.shape(povm)} is not (n, |Z|, d_out, d_out) = {shape}")
-    e = linalg.as_stack(np.reshape(povm, (-1,) + shape[2:]), "POVM").reshape(shape)
+    e = linalg.as_stack(povm, "POVM")
     if max_abs(e - dagger(e)) > DECOMP_TOL:
         raise ValueError("POVM elements are not Hermitian")
     res = max_abs(e.sum(axis=1) - np.eye(inst.dim_out))
@@ -202,7 +195,7 @@ def disturbance_joint(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm
     re-measurement POVM, one per outcome; it is validated here.
     """
     povm = _checked_povm(z_obs, inst, povm)
-    return _table(povm, _flagged([(z_obs, inst)])[0][0] / z_obs.dim)
+    return _table(povm, _flagged(z_obs[None], inst[None])[0][0] / z_obs.dim)
 
 
 def discard_flag_correction(
@@ -211,11 +204,12 @@ def discard_flag_correction(
     """Ignore the outcome and measure Z on the quantum output: E_z'^(m) = Lambda(z') for every m.
 
     Only available when the instrument's output space matches the Z
-    system; returns None otherwise.
+    system; returns None otherwise.  A stack of Z gives (k, n, |Z|, d, d).
     """
     if inst.dim_out != z_obs.dim:
         return None
-    return np.broadcast_to(z_obs.projectors, (inst.n_outcomes,) + z_obs.projectors.shape)
+    p = z_obs.projectors
+    return np.broadcast_to(p[..., None, :, :, :], p.shape[:-3] + (inst.n_outcomes,) + p.shape[-3:])
 
 
 def reprepare_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -> np.ndarray:
@@ -340,44 +334,43 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
     return povm[rows].reshape(shape[:2] + povm.shape[1:]), best, evals[rows].reshape(shape[:2])
 
 
-def disturbance(chunk, orders: list, searches: list) -> list:
+def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list,
+                searches: list) -> list:
     """Best-found disturbance per instance and order: upper bounds on the minima over corrections.
 
-    ``chunk`` holds (z_obs, inst) pairs of one shape, and ``searches`` one
-    ``SearchConfig`` per pair, all with one budget; a mixed chunk raises
-    ValueError.  The flagged states rho are the blocks of one ``_flagged``
+    ``z_obs`` and ``inst`` are stacks of k instances, and ``searches`` one
+    ``SearchConfig`` per instance, all with one budget, else ValueError.
+    The flagged states rho are the blocks of one ``_flagged``
     call, over d.  The candidates are the flag-discarding identity (when
     dimensions permit) and the classical repreparation, exact in the
     zero-disturbance regimes, which decides on that call's tables, and
     per restart a POVM descent run for every pair and order at once
     (``_povm_search``).  Every candidate is its
     re-measurement POVM, all are scored by one ``_table`` and one
-    entropy-kernel call, each pair's against its own, and ties go to the
-    fixed corrections.  Orders computing the same entropy share one result,
-    and a pair's results equal, bit for bit, those of that pair alone.
+    entropy-kernel call, each instance's against its own, and ties go to
+    the fixed corrections.  Orders computing the same entropy share one
+    result, and an instance's results equal, bit for bit, those of it alone.
     ``iterations`` is the evaluation count of the search's best restart.
     ``converged`` means the Riemannian gradient norm at the reported
     POVM, a stationarity test that saddle points pass too, is below
-    ``GRAD_TOL``.  Returns one list per pair, one result per order.
+    ``GRAD_TOL``.  Returns one list per instance, one result per order.
     """
     budgets = sorted({(s.restarts, s.iterations) for s in searches})
-    if len(budgets) > 1 or len(searches) != len(chunk):
+    if len(budgets) > 1 or len(searches) != len(z_obs.projectors):
         raise ValueError(f"a chunk's instances must share one search budget, got "
-                         f"{len(searches)} searches for {len(chunk)} instances with "
+                         f"{len(searches)} searches for {len(z_obs.projectors)} instances with "
                          f"(restarts, iterations) in {budgets}")
     for order in orders:
-        check_order(order, chunk[0][0].dim)
-    blocks, joints = _flagged(chunk)
+        check_order(order, z_obs.dim)
+    blocks, joints = _flagged(z_obs, inst)
     keys = list(dict.fromkeys(order.computed for order in orders))
     if not keys:
-        return [[] for _ in chunk]
-    z_obs, inst = chunk[0]
+        return [[] for _ in searches]
     rho = blocks / z_obs.dim
-    names, povms = ["reprepare"], [_reprepare(joints, inst.dim_out)]
-    if inst.dim_out == z_obs.dim:
-        names.insert(0, "discard_flag")
-        povms.insert(0, np.array([discard_flag_correction(z, m) for z, m in chunk]))
-    povms = np.stack(povms, axis=1)
+    fixed = {"discard_flag": discard_flag_correction(z_obs, inst),
+             "reprepare": _reprepare(joints, inst.dim_out)}
+    names = [name for name, povm in fixed.items() if povm is not None]
+    povms = np.stack([fixed[name] for name in names], axis=1)
     n_fixed, restarts = len(names), searches[0].restarts
     if restarts > 0:
         found, restart, evals = _povm_search(rho, keys, searches)
@@ -389,7 +382,7 @@ def disturbance(chunk, orders: list, searches: list) -> list:
     values, grads = conditional_entropy_gradient(
         tables[:, pick], np.array(keys, dtype=object)[:, None])
     best = np.argmin(values, axis=-1)  # ties go to the fixed corrections
-    key_ix, inst_ix = np.arange(len(keys)), np.arange(len(chunk))[:, None]
+    key_ix, inst_ix = np.arange(len(keys)), np.arange(len(searches))[:, None]
     chosen = pick[key_ix, best]  # (instance, key)
     # one call for the chunk: at d = 4 the gradients of 8 instances over the sweep's default
     # grid peak at 1.2 MB (tracemalloc)

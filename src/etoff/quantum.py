@@ -4,19 +4,22 @@ Every object holds its matrices in one array: an observable an (n, d, d)
 stack of projectors, and an instrument an (R, d_out, d_in) Kraus stack
 together with an (R,) index naming the outcome each Kraus operator
 belongs to, so that outcomes may have different numbers of Kraus
-operators.  (A correction is not an object here: ``noise_disturbance``
-keeps it as its re-measurement POVM.)  The structural invariants are
-checked once, on construction: projectors must be Hermitian, idempotent,
-mutually orthogonal and complete; Kraus sets trace-preserving.  Complete
-positivity is automatic from the Kraus form.
-The stacks are stored as read-only copies, so nothing downstream needs to
-validate them again.  Sampling takes explicit seeds, or a list of
-generators for a stack of samples, so parallel sweeps can partition the
-seed space.
+operators.  A leading axis, (k, n, d, d) or (k, R, d_out, d_in), makes
+the object a stack of k instances sharing labels, outcome index and
+degeneracy profile; ``obj[i]`` is instance i, and ``obj[None]`` an
+instance as a stack of one.  (A correction is not an object here:
+``noise_disturbance`` keeps it as its re-measurement POVM.)  The
+invariants are checked once, on construction, over the whole stack:
+projectors must be Hermitian, idempotent, mutually orthogonal and
+complete; Kraus sets trace-preserving (complete positivity is automatic).
+The arrays are stored as read-only copies, so nothing downstream,
+indexing included, validates them again.  Sampling takes a list of
+generators and returns one stack, so parallel sweeps can split seeds.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -33,15 +36,24 @@ def _first_over(deviation: np.ndarray, tol: float):
     return tuple(int(i) for i in over[0]) if len(over) else None
 
 
+def _indexed(obj, name: str, index):
+    """``obj`` with its array ``name`` indexed on the stack axis, validated no further."""
+    if (index is None) == (getattr(obj, name).ndim == 4):
+        raise IndexError("index a stack by instance, or an instance by None")
+    out = copy.copy(obj)
+    object.__setattr__(out, name, getattr(obj, name)[index])
+    return out
+
+
 # --- observables ------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveObservable:
-    """Eigenvalue-labelled orthogonal projectors resolving the identity.
+    """Eigenvalue-labelled orthogonal projectors resolving the identity, or a stack of such.
 
-    ``projectors[i]`` projects onto the eigenspace of ``eigenvalues[i]``;
-    ``degeneracies`` are the projector ranks, read off their traces.
+    ``projectors[..., i, :, :]`` projects onto the eigenspace of ``eigenvalues[i]``;
+    ``degeneracies``, the projector ranks read off their traces, are shared by a stack.
     """
 
     eigenvalues: tuple[float, ...]
@@ -51,43 +63,48 @@ class ProjectiveObservable:
     def __post_init__(self):
         labels = tuple(float(v) for v in self.eigenvalues)
         p = as_stack(self.projectors, "projector stack")
-        n, d = p.shape[:2]
-        if p.shape[2] != d:
-            raise ValueError(f"projectors must be square, got shape {p.shape[1:]}")
+        q = p.reshape(-1, *p.shape[-3:])  # (instances, n, d, d)
+        n, d = q.shape[1:3]
+        if q.shape[3] != d:
+            raise ValueError(f"projectors must be square, got shape {p.shape[-2:]}")
         if len(labels) != n:
             raise ValueError(f"{len(labels)} eigenvalue labels for {n} projectors")
-        bad = _first_over(np.abs(p - dagger(p)).max(axis=(1, 2)), DECOMP_TOL)
+        bad = _first_over(np.abs(q - dagger(q)).max(axis=(2, 3)), DECOMP_TOL)
         if bad is not None:
-            raise ValueError(f"projector for eigenvalue {labels[bad[0]]} is not Hermitian")
-        bad = _first_over(np.abs(p @ p - p).max(axis=(1, 2)), DECOMP_TOL)
+            raise ValueError(f"projector for eigenvalue {labels[bad[1]]} is not Hermitian")
+        bad = _first_over(np.abs(q @ q - q).max(axis=(2, 3)), DECOMP_TOL)
         if bad is not None:
-            raise ValueError(f"projector for eigenvalue {labels[bad[0]]} is not idempotent")
-        traces = np.trace(p, axis1=1, axis2=2).real
+            raise ValueError(f"projector for eigenvalue {labels[bad[1]]} is not idempotent")
+        traces = np.trace(q, axis1=2, axis2=3).real
         bad = _first_over(np.abs(traces - np.round(traces)), DEGENERACY_TOL)
         if bad is not None:
-            raise ValueError(
-                f"projector trace {float(traces[bad[0]])!r} for eigenvalue "
-                f"{labels[bad[0]]} is not an integer rank"
-            )
+            raise ValueError(f"projector trace {float(traces[bad])!r} for eigenvalue "
+                             f"{labels[bad[1]]} is not an integer rank")
         if len(set(labels)) != n:
             raise ValueError(f"duplicate eigenvalue label in {labels}")
-        overlaps = np.triu(np.abs(p[:, None] @ p[None, :]).max(axis=(2, 3)), k=1)
+        overlaps = np.triu(np.abs(q[:, :, None] @ q[:, None]).max(axis=(3, 4)), k=1)
         bad = _first_over(overlaps, DECOMP_TOL)
         if bad is not None:
-            i, k = bad
+            _, i, k = bad
             raise ValueError(f"projectors for {labels[i]} and {labels[k]} are not orthogonal")
-        if max_abs(p.sum(axis=0) - np.eye(d)) > DECOMP_TOL:
+        if max_abs(q.sum(axis=1) - np.eye(d)) > DECOMP_TOL:
             raise ValueError("projectors do not resolve the identity")
-        degeneracies = tuple(int(round(t)) for t in traces)
-        if sum(degeneracies) != d:
+        profiles = sorted(set(map(tuple, np.round(traces).astype(int).tolist())))
+        if len(profiles) > 1:
+            raise ValueError(f"a stack's observables differ in degeneracy profile: {profiles}")
+        if sum(profiles[0]) != d:
             raise ValueError("degeneracies do not sum to the dimension")
         object.__setattr__(self, "eigenvalues", labels)
         object.__setattr__(self, "projectors", p)
-        object.__setattr__(self, "degeneracies", degeneracies)
+        object.__setattr__(self, "degeneracies", profiles[0])
+
+    def __getitem__(self, index) -> ProjectiveObservable:
+        """Observable ``index`` of a stack, or with ``None`` this observable as a stack of one."""
+        return _indexed(self, "projectors", index)
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return self.projectors.shape[-1]
 
     @property
     def nondegenerate(self) -> bool:
@@ -111,10 +128,10 @@ def observable_from_basis(columns: np.ndarray) -> ProjectiveObservable:
 
 @dataclass(frozen=True, eq=False)
 class QuantumInstrument:
-    """Outcome-labelled Kraus operators that are jointly trace-preserving.
+    """Outcome-labelled Kraus operators that are jointly trace-preserving, or a stack of such.
 
-    ``kraus`` is one (R, dim_out, dim_in) stack and ``outcome[r]`` the
-    index into ``labels`` of the outcome Kraus operator r belongs to.
+    ``kraus`` is one (R, dim_out, dim_in) stack, or (k, R, dim_out, dim_in), and
+    ``outcome[r]`` the index into ``labels`` of the outcome Kraus operator r belongs to.
     """
 
     dim_in: int
@@ -130,30 +147,32 @@ class QuantumInstrument:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate outcome labels in {list(labels)}")
         k = as_stack(self.kraus, "Kraus stack")
-        if k.shape[1:] != (self.dim_out, self.dim_in):
+        if k.shape[-2:] != (self.dim_out, self.dim_in):
             raise ValueError(
-                f"Kraus shape {k.shape[1:]} does not match ({self.dim_out}, {self.dim_in})"
+                f"Kraus shape {k.shape[-2:]} does not match ({self.dim_out}, {self.dim_in})"
             )
-        res = max_abs((dagger(k) @ k).sum(axis=0) - np.eye(self.dim_in))
+        res = max_abs((dagger(k) @ k).sum(axis=-3) - np.eye(self.dim_in))
         if res > DECOMP_TOL:
             raise ValueError(
                 f"instrument completeness residual {res:.3e} exceeds {DECOMP_TOL:.0e}"
             )
         idx = np.array(self.outcome)
         if (
-            idx.shape != (len(k),)
+            idx.shape != k.shape[-3:-2]
             or idx.dtype.kind not in "iu"
             or np.any(idx < 0)
             or np.any(idx >= len(labels))
         ):
-            raise ValueError(
-                f"the outcome index must give each of the {len(k)} Kraus operators "
-                f"one of the {len(labels)} outcomes"
-            )
+            raise ValueError(f"the outcome index must give each of the {k.shape[-3]} Kraus "
+                             f"operators one of the {len(labels)} outcomes")
         idx.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "kraus", k)
         object.__setattr__(self, "outcome", idx)
+
+    def __getitem__(self, index) -> QuantumInstrument:
+        """Instrument ``index`` of a stack, or with ``None`` this instrument as a stack of one."""
+        return _indexed(self, "kraus", index)
 
     @property
     def n_outcomes(self) -> int:
@@ -217,8 +236,8 @@ def sample_haar_unitary(dim: int, seed=None) -> np.ndarray:
     return sample_haar_isometries(dim, dim, [np.random.default_rng(seed)])[0]
 
 
-def sample_random_observables(dim: int, degeneracies, rngs) -> list[ProjectiveObservable]:
-    """One Haar-random observable per generator with the degeneracy profile (default rank-1).
+def sample_random_observables(dim: int, degeneracies, rngs) -> ProjectiveObservable:
+    """A stack of Haar-random observables, one per generator, of one profile (default rank-1).
 
     One QR call takes every generator's unitary, and one matrix product
     per block of the profile the projectors of the whole stack.
@@ -232,7 +251,7 @@ def sample_random_observables(dim: int, degeneracies, rngs) -> list[ProjectiveOb
     blocks = np.split(u, np.cumsum(degeneracies)[:-1], axis=-1)
     projectors = np.stack([hermitize(block @ dagger(block)) for block in blocks], axis=1)
     labels = tuple(float(i) for i in range(len(degeneracies)))
-    return [ProjectiveObservable(labels, p) for p in projectors]
+    return ProjectiveObservable(labels, projectors)
 
 
 def sample_random_observable(dim: int, degeneracies=None, seed=None) -> ProjectiveObservable:
@@ -242,8 +261,8 @@ def sample_random_observable(dim: int, degeneracies=None, seed=None) -> Projecti
 
 def sample_random_instruments(
     dim_in: int, dim_out: int, n_outcomes: int, kraus_per_outcome: int, rngs
-) -> list[QuantumInstrument]:
-    """One generic random instrument per generator, each from a Haar-random isometry.
+) -> QuantumInstrument:
+    """A stack of generic random instruments, one per generator, each from a Haar-random isometry.
 
     The isometry maps the input space into output ⊗ environment ⊗ outcome
     register; splitting by outcome and tracing the environment gives
@@ -265,7 +284,7 @@ def sample_random_instruments(
     kraus = v.transpose(0, 3, 2, 1, 4).reshape(len(v), -1, dim_out, dim_in)
     labels = tuple(f"m{m}" for m in range(n_outcomes))
     outcome = np.repeat(np.arange(n_outcomes), kraus_per_outcome)
-    return [QuantumInstrument(dim_in, dim_out, labels, k, outcome) for k in kraus]
+    return QuantumInstrument(dim_in, dim_out, labels, kraus, outcome)
 
 
 def sample_random_instrument(

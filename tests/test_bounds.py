@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -24,13 +26,13 @@ from etoff.entropy import EntropyOrder
 from etoff.harness import DEFAULT_ALPHAS, sample_instance, tabulate_bounds
 from etoff.noise_disturbance import SearchConfig, check_order
 from etoff.quantum import (
-    QuantumInstrument,
     basis_observable,
     observable_from_basis,
-    sample_random_instrument,
     sample_random_observable,
     trivial_instrument,
 )
+
+from conftest import sample_one
 
 LN2 = math.log(2)
 # the six orders of the bounds-grid benchmark, both sides of the Shannon branch, and 5
@@ -41,8 +43,18 @@ PRECISION_CS = (0.1, 0.3, 1 / math.sqrt(3), 1 / math.sqrt(2), 0.8, 0.999999,
 PRECISION_ORDERS = (0.0, 0.3, 1.0 - 1e-8, 1.0 + 1e-8, 2.0, 5.0)
 
 
+Bound = namedtuple("Bound", "value argmin_theta")
+
+
+def bbar_grids(cs, pairs):
+    """``bbar_bound``'s arrays as one {(family, alpha, beta): Bound} per c."""
+    values, argmins = bbar_bound(cs, pairs)
+    return [{pair: Bound(v, x) for pair, v, x in zip(pairs, vs, xs)}
+            for vs, xs in zip(values.tolist(), argmins.tolist())]
+
+
 def bbar(c, alpha, beta, family):
-    (grid,) = bbar_bound([c], [(family, alpha, beta)])
+    (grid,) = bbar_grids([c], [(family, alpha, beta)])
     return grid[family, alpha, beta]
 
 
@@ -101,14 +113,14 @@ def grid_oracle(c, alpha, beta, family, n=20001):
 
 def test_overlap_equal_observables_is_one():
     obs = basis_observable(3)
-    (c,) = overlap([(obs, obs)])
+    (c,) = overlap(obs[None], obs[None])
     assert c == pytest.approx(1.0, abs=1e-12)
     assert math.acos(c) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_overlap_conjugate_qubit(qubit_pair):
     x_obs, z_obs = qubit_pair
-    (c,) = overlap([(x_obs, z_obs)])
+    (c,) = overlap(x_obs[None], z_obs[None])
     assert c == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     assert math.acos(c) == pytest.approx(math.pi / 4, abs=1e-9)
 
@@ -117,7 +129,7 @@ def test_overlap_fourier_qutrit():
     d = 3
     omega = np.exp(2j * math.pi / d)
     f = np.array([[omega ** (j * k) for k in range(d)] for j in range(d)]) / math.sqrt(d)
-    (c,) = overlap([(basis_observable(d), observable_from_basis(f))])
+    (c,) = overlap(basis_observable(d)[None], observable_from_basis(f)[None])
     assert c == pytest.approx(1 / math.sqrt(3), abs=1e-9)
 
 
@@ -125,7 +137,7 @@ def test_overlap_symmetric_exactly(rng):
     for _ in range(10):
         a = sample_random_observable(3, None, rng)
         b = sample_random_observable(3, (2, 1), rng)
-        assert overlap([(a, b)]) == overlap([(b, a)])
+        assert np.array_equal(overlap(a[None], b[None]), overlap(b[None], a[None]))
 
 
 def test_overlap_nondegenerate_range(rng):
@@ -133,13 +145,13 @@ def test_overlap_nondegenerate_range(rng):
         d = int(rng.integers(2, 5))
         a = sample_random_observable(d, None, rng)
         b = sample_random_observable(d, None, rng)
-        (c,) = overlap([(a, b)])
+        (c,) = overlap(a[None], b[None])
         assert 1 / math.sqrt(d) - 1e-9 <= c <= 1.0 + 1e-12
 
 
 def test_overlap_dimension_mismatch():
     with pytest.raises(ValueError):
-        overlap([(basis_observable(2), basis_observable(3))])
+        overlap(basis_observable(2)[None], basis_observable(3)[None])
 
 
 # --- parametric distribution ---------------------------------------------------------
@@ -194,7 +206,7 @@ def test_bbar_trivial_at_full_overlap():
 def test_bbar_matches_grid_oracle():
     for c in (0.3, 1 / math.sqrt(2), 0.9):
         for fam in ("renyi", "tsallis"):
-            (grid,) = bbar_bound([c], pairs_of([fam], ORACLE_ORDERS, ORACLE_ORDERS))
+            (grid,) = bbar_grids([c], pairs_of([fam], ORACLE_ORDERS, ORACLE_ORDERS))
             for (_, alpha, beta), b in grid.items():
                 want = grid_oracle(c, alpha, beta, fam)
                 assert b.value == pytest.approx(want, abs=1e-6), (c, fam, alpha, beta)
@@ -210,7 +222,7 @@ def test_bbar_grid_call_equals_one_call_per_pair():
              ((0.7684901429171704, 0.6982543424827681), (0.3, 0.5, 0.75, 1.0, 1.5, 2.0))]
     for cs, orders in cases:
         with np.errstate(all="raise"):
-            for c, grid in zip(cs, bbar_bound(cs, pairs_of(("renyi", "tsallis"), orders, orders))):
+            for c, grid in zip(cs, bbar_grids(cs, pairs_of(("renyi", "tsallis"), orders, orders))):
                 for (fam, alpha, beta), b in grid.items():
                     alone = bbar(c, alpha, beta, fam)
                     assert b.value == alone.value, (c, fam, alpha, beta)
@@ -224,9 +236,9 @@ def test_bbar_over_many_c_equals_one_call_per_c():
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
     for fam in ("renyi", "tsallis"):
         with np.errstate(all="raise"):
-            together = bbar_bound(cs, pairs_of([fam], orders, orders))
+            together = bbar_grids(cs, pairs_of([fam], orders, orders))
             for c, grid in zip(cs, together):
-                (alone,) = bbar_bound([c], pairs_of([fam], orders, orders))
+                (alone,) = bbar_grids([c], pairs_of([fam], orders, orders))
                 assert grid == alone, (c, fam)
 
 
@@ -234,7 +246,7 @@ def test_bbar_over_many_c_equals_one_call_per_c():
 @pytest.mark.parametrize("c", PRECISION_CS)
 def test_bbar_value_is_the_objective_at_its_argmin_and_no_nearby_theta_is_lower(c, family):
     eta, breaks = math.acos(c), _breakpoints(c)
-    (grid,) = bbar_bound([c], pairs_of([family], PRECISION_ORDERS, PRECISION_ORDERS))
+    (grid,) = bbar_grids([c], pairs_of([family], PRECISION_ORDERS, PRECISION_ORDERS))
     for (_, alpha, beta), b in grid.items():
         at = _objective([family], [alpha], [beta], breaks, np.array([[b.argmin_theta]]), eta)
         assert b.value == at[0, 0], (alpha, beta)
@@ -251,7 +263,7 @@ def test_swapped_orders_give_the_mirrored_argmin_and_the_same_value(family):
     orders = (0.0, 0.3, 1.0, 1.0 + 1e-8, 2.0, 5.0)
     breaks = _breakpoints(min(cs))
     with np.errstate(all="raise"):
-        grids = bbar_bound(cs, pairs_of([family], orders, orders))
+        grids = bbar_grids(cs, pairs_of([family], orders, orders))
     for c, grid in zip(cs, grids):
         eta = math.acos(c)
         for alpha, beta in itertools.combinations(orders, 2):
@@ -475,7 +487,7 @@ def test_certify_trivial_instrument_maximal_noise():
 
 
 def test_certify_rejects_inadmissible():
-    x_obs, z_obs, inst = sample_instance(3, [12])[0]
+    x_obs, z_obs, inst = sample_one(3, 12)
     with pytest.raises(AdmissibilityError):
         certify(x_obs, z_obs, inst, 1.5, 1.0, "Prop2", SearchConfig(restarts=0))
 
@@ -501,42 +513,45 @@ def test_certify_grid_requests_only_the_pairs_of_its_grid(monkeypatch):
     for dim, want in ((2, 50), (3, 34)):
         chunk = sample_instance(dim, [300 + k for k in range(3)])
         grid, _ = admissible_grid(RELATIONS, DEFAULT_ALPHAS, DEFAULT_ALPHAS, dim)
-        certs = certify_grid(chunk, grid, [SearchConfig(restarts=0)] * len(chunk))
+        certs = certify_grid(chunk, grid, [SearchConfig(restarts=0)] * 3)
         pairs = requested.pop()
         assert not requested
         assert len(pairs) == len(set(pairs)) == want
         assert sorted(pairs) == sorted({(cert.family, cert.alpha, cert.beta) for cert in certs
                                         if cert.relation in ("Prop1", "Prop2")})
         cs = [cert.c for cert in certs[::len(grid)]]
-        full = bbar_bound(cs, pairs_of(("tsallis", "renyi"), DEFAULT_ALPHAS, DEFAULT_ALPHAS))
+        full = bbar_grids(cs, pairs_of(("tsallis", "renyi"), DEFAULT_ALPHAS, DEFAULT_ALPHAS))
         for k, cert in enumerate(certs):
             if cert.relation in ("Prop1", "Prop2"):
-                assert cert.bound == full[k // len(grid)][cert.family, cert.alpha, cert.beta]
+                assert cert.bound.bound_id == ("B_T", "B_R")[cert.relation == "Prop2"]
+                assert cert.bound.mu is None
+                assert (cert.bound.value, cert.bound.argmin_theta) == full[k // len(grid)][
+                    cert.family, cert.alpha, cert.beta]
 
 
-def test_certify_grid_rejects_a_mixed_chunk_before_any_work(monkeypatch):
-    # a chunk is computed as one stack, so its instruments must share their Kraus count and
-    # outcome index; the error names the shapes, and nothing is computed before it
+def test_certify_grid_rejects_stacks_of_unequal_counts_before_any_work(monkeypatch):
+    # a chunk is one stack each of X, Z and M, and one search per instance: the four must
+    # count the same instances, the error names the counts, and nothing is computed before it
     def no_work(*args):
-        raise AssertionError("work started on a mixed chunk")
+        raise AssertionError("work started on a chunk of unequal counts")
 
     monkeypatch.setattr("etoff.noise_disturbance.flag_apply", no_work)
     monkeypatch.setattr("etoff.bounds.pair_overlaps", no_work)
     monkeypatch.setattr("etoff.bounds.bbar_bound", no_work)
-    (x_obs, z_obs, inst), second = sample_instance(2, [1, 2])
-    fewer = sample_random_instrument(2, 2, 2, 1, 3)
-    reordered = QuantumInstrument(2, 2, inst.labels, inst.kraus, np.array([0, 1, 0, 1]))
-    grid, searches = [("Prop1", 1.0, 1.0)], [SearchConfig(restarts=0)] * 2
-    for other, shapes in ((fewer, r"\(2, 2, 2\), 2, \(0, 1\)\).*\(4, 2, 2\), 2, \(0, 0, 1, 1\)"),
-                          (reordered, r"\(0, 0, 1, 1\).*\(0, 1, 0, 1\)")):
-        with pytest.raises(ValueError, match="one shape, got .*" + shapes):
-            certify_grid([second, (x_obs, z_obs, other)], grid, searches)
+    x_obs, z_obs, inst = sample_instance(2, [1, 2, 3])
+    grid, search = [("Prop1", 1.0, 1.0)], SearchConfig(restarts=0)
+    for chunk, searches, counts in (((x_obs[:2], z_obs, inst), [search] * 3, (2, 3, 3, 3)),
+                                    ((x_obs, z_obs[1:], inst), [search] * 3, (3, 2, 3, 3)),
+                                    ((x_obs, z_obs, inst[:1]), [search] * 3, (3, 3, 1, 3)),
+                                    ((x_obs, z_obs, inst), [search] * 2, (3, 3, 3, 2))):
+        with pytest.raises(ValueError, match="different numbers of instances: " +
+                           re.escape(str(counts))):
+            certify_grid(chunk, grid, searches)
 
 
 def test_certify_grid_skips_inadmissible():
-    x_obs, z_obs, inst = sample_instance(3, [55])[0]
     grid, skipped = admissible_grid(("Prop1", "Prop2"), (0.5, 1.0, 2.0), (0.5, 1.0), 3)
-    certs = certify_grid([(x_obs, z_obs, inst)], grid, [SearchConfig(restarts=0)], seed=55)
+    certs = certify_grid(sample_instance(3, [55]), grid, [SearchConfig(restarts=0)], seed=55)
     # Prop1 takes all six combinations; Prop2 at d=3 drops alpha = 2
     assert len(certs) == 6 + 4
     assert skipped == 2
@@ -549,15 +564,15 @@ def test_a_relations_bound_does_not_depend_on_the_family_sharing_its_zoom():
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
     for dim in (2, 3):
         chunk = sample_instance(dim, [100 + k for k in range(8)])
-        searches = [SearchConfig(restarts=0)] * len(chunk)
+        searches = [SearchConfig(restarts=0)] * 8
         alone = {}
         for relation in ("Prop1", "Prop2"):
             grid, _ = admissible_grid((relation,), orders, orders, dim)
             alone[relation] = certify_grid(chunk, grid, searches)
         grid, _ = admissible_grid(("Prop1", "Prop2"), orders, orders, dim)
         shared = certify_grid(chunk, grid, searches)
-        per_instance = len(shared) // len(chunk)
-        split = [shared[k * per_instance:(k + 1) * per_instance] for k in range(len(chunk))]
+        per_instance = len(shared) // 8
+        split = [shared[k * per_instance:(k + 1) * per_instance] for k in range(8)]
         for relation in ("Prop1", "Prop2"):
             together = [c for certs in split for c in certs if c.relation == relation]
             assert len(together) == len(alone[relation])

@@ -300,11 +300,10 @@ def test_sweep_chunks_give_each_sample_its_own_certificates():
         grid, _ = harness.bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
         alone = []
         for i in range(cfg.samples):
-            (instance,) = harness.sample_instance(cfg.dim,
-                                                  [np.random.SeedSequence([cfg.seed, i])])
+            instance = harness.sample_instance(cfg.dim, [np.random.SeedSequence([cfg.seed, i])])
             seed = int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0])
             search = SearchConfig(cfg.restarts, cfg.iterations, seed)
-            alone += harness.certify_grid([instance], grid, [search], seed=cfg.seed)
+            alone += harness.certify_grid(instance, grid, [search], seed=cfg.seed)
         assert len(alone) == cfg.samples * len(grid)
         assert runs[0] == alone
 

@@ -33,7 +33,6 @@ from etoff.entropy import (
     entropy,
 )
 from etoff import noise_disturbance
-from etoff.harness import sample_instance
 from etoff.noise_disturbance import (
     disturbance_joint,
     discard_flag_correction,
@@ -50,6 +49,8 @@ from etoff.quantum import (
     sample_random_observable,
     trivial_instrument,
 )
+
+from conftest import sample_one
 
 TOL = 1e-12
 NEAR_ONE = (1.0 - 1e-8, 1.0, 1.0 + 1e-8)
@@ -323,7 +324,7 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_two_pictures_catch_a_mutated_table(monkeypatch, name):
-    x_obs, z_obs, inst = sample_instance(3, [14])[0]
+    x_obs, z_obs, inst = sample_one(3, 14)
     _, blocks = naimark_kraus(z_obs, inst, seed=3)
     povm = pinch(np.conj(blocks).swapaxes(-1, -2) @ blocks, inst)
     assert two_picture_gap(x_obs, z_obs, inst, povm) <= TOL

@@ -18,7 +18,9 @@ from etoff.quantum import (
     observable_to_json,
     sample_haar_unitary,
     sample_random_instrument,
+    sample_random_instruments,
     sample_random_observable,
+    sample_random_observables,
     trivial_instrument,
 )
 
@@ -77,6 +79,103 @@ def test_validated_stacks_are_read_only_copies():
     assert p.flags.writeable
     inst = luders_instrument(obs)
     assert not inst.kraus.flags.writeable and not inst.outcome.flags.writeable
+
+
+# --- stacks ------------------------------------------------------------------------
+
+
+BROKEN = 5  # the one broken instance of a stack of 8
+
+
+def hadamard_halves(dim):
+    """Two rank-dim/2 projectors (I ± H/sqrt(dim))/2, H the symmetric Sylvester Hadamard matrix.
+
+    Every entry of the reflection H/sqrt(dim) is ±dim**-1/2, so P + eps I has an idempotence
+    residual of only about eps dim**-1/2 but a trace off by eps dim: at dim = 128 and eps =
+    1.1e-8 the residual, 9.7e-10, passes the 1e-9 check, and the trace, off by 1.4e-6, fails
+    the 1e-6 one.  At small dimensions no such projector passes the idempotence check.
+    """
+    h = np.ones((1, 1))
+    while len(h) < dim:
+        h = np.block([[h, h], [h, -h]])
+    return np.stack([np.eye(dim) + h / math.sqrt(dim), np.eye(dim) - h / math.sqrt(dim)]) / 2
+
+
+def broken_observable(projectors):
+    """Each structural check's name, and the projectors with only that check failing."""
+    p = np.array(projectors)
+    non_hermitian, non_idempotent, repeated, incomplete = (p.copy() for _ in range(4))
+    non_hermitian[1, 0, 1] += 1e-3
+    non_idempotent[1] *= 0.99
+    repeated[2] = p[1]
+    incomplete[2] = 0.0
+    return {"not Hermitian": non_hermitian, "not idempotent": non_idempotent,
+            "not orthogonal": repeated, "do not resolve the identity": incomplete}
+
+
+def assert_stack_raises_as_its_broken_instance(make, stack, broken):
+    """``make`` on ``stack`` with instance BROKEN replaced by ``broken`` raises ValueError, and
+    with the message of ``make`` on ``broken`` alone."""
+    with pytest.raises(ValueError) as alone:
+        make(broken)
+    stack = np.array(stack)
+    stack[BROKEN] = broken
+    with pytest.raises(ValueError) as stacked:
+        make(stack)
+    assert str(stacked.value) == str(alone.value)
+    return str(alone.value)
+
+
+def test_a_stack_is_checked_instance_by_instance():
+    # each structural check runs once over the whole stack, and a stack whose instance 5
+    # alone is broken fails as that instance alone does, with the same message
+    rngs = [np.random.default_rng(k) for k in range(8)]
+    obs = sample_random_observables(3, None, rngs)
+    labels = obs.eigenvalues
+    for check, broken in broken_observable(obs.projectors[BROKEN]).items():
+        message = assert_stack_raises_as_its_broken_instance(
+            lambda p: ProjectiveObservable(labels, p), obs.projectors, broken)
+        assert check in message
+    halves = hadamard_halves(128)
+    ProjectiveObservable((0.0, 1.0), np.stack([halves] * 8))
+    off_rank = halves + [1.1e-8 * np.eye(128), 0.0 * np.eye(128)]
+    message = assert_stack_raises_as_its_broken_instance(
+        lambda p: ProjectiveObservable((0.0, 1.0), p), np.stack([halves] * 8), off_rank)
+    assert "not an integer rank" in message
+    inst = sample_random_instruments(3, 3, 3, 2, rngs)
+    message = assert_stack_raises_as_its_broken_instance(
+        lambda k: QuantumInstrument(3, 3, inst.labels, k, inst.outcome), inst.kraus,
+        0.99 * inst.kraus[BROKEN])
+    assert "completeness residual" in message
+
+
+def test_a_stack_shares_one_degeneracy_profile():
+    rngs = [np.random.default_rng(k) for k in range(8)]
+    p = np.array(sample_random_observables(4, (2, 1, 1), rngs).projectors)
+    other = sample_random_observable(4, (1, 2, 1), seed=8)
+    p[BROKEN] = other.projectors
+    with pytest.raises(ValueError, match=r"degeneracy profile: \[\(1, 2, 1\), \(2, 1, 1\)\]"):
+        ProjectiveObservable(other.eigenvalues, p)
+
+
+def test_indexing_a_stack_returns_its_instances_unvalidated(monkeypatch):
+    rngs = [np.random.default_rng(k) for k in range(8)]
+    obs = sample_random_observables(3, (2, 1), rngs)
+    inst = sample_random_instruments(3, 2, 3, 2, rngs)
+    monkeypatch.setattr(ProjectiveObservable, "__post_init__", None)
+    monkeypatch.setattr(QuantumInstrument, "__post_init__", None)
+    one, single = obs[BROKEN], inst[BROKEN]
+    assert np.array_equal(one.projectors, obs.projectors[BROKEN])
+    assert (one.eigenvalues, one.degeneracies, one.dim) == (obs.eigenvalues, (2, 1), 3)
+    assert np.array_equal(single.kraus, inst.kraus[BROKEN])
+    assert (single.labels, single.dim_in, single.dim_out) == (inst.labels, 3, 2)
+    assert one[None].projectors.shape == (1, 2, 3, 3)
+    assert single[None].kraus.shape == (1, 6, 2, 3)
+    assert obs[2:4].projectors.shape == (2, 2, 3, 3)
+    assert not one.projectors.flags.writeable and not single.kraus.flags.writeable
+    for bad in (lambda: one[0], lambda: obs[None], lambda: single[0], lambda: inst[None]):
+        with pytest.raises(IndexError):
+            bad()
 
 
 # --- acting on states ---------------------------------------------------------------
@@ -217,7 +316,9 @@ def test_chunk_sampler_is_bit_for_bit_the_per_instance_construction():
         total = 2 * dim * dim
         for seed in (0, 1, 17):
             seeds = [np.random.SeedSequence([seed, i]) for i in range(8)]
-            for sequence, (x_obs, z_obs, inst) in zip(seeds, sample_instance(dim, seeds)):
+            xs, zs, ms = sample_instance(dim, seeds)
+            for k, sequence in enumerate(seeds):
+                x_obs, z_obs, inst = xs[k], zs[k], ms[k]
                 rng = np.random.default_rng(sequence)
                 for obs in (x_obs, z_obs):
                     u = full_haar_unitary(rng, dim)

@@ -44,8 +44,8 @@ def test_unsharp_noise_and_disturbance_in_closed_form(lam):
     p_e = (1 - math.sqrt(1 - lam ** 2)) / 2
     want_noise = (binary_entropy((1 - lam) / 2), (1 - lam ** 2) / 2, -math.log((1 + lam ** 2) / 2))
     want_dist = (binary_entropy(p_e), lam ** 2 / 2, -math.log(1 - lam ** 2 / 2))
-    (noises,) = noise([(x_obs, inst)], list(ORDERS))
-    (dists,) = disturbance([(z_obs, inst)], list(ORDERS), [SEARCH])
+    (noises,) = noise(x_obs[None], inst[None], list(ORDERS))
+    (dists,) = disturbance(z_obs[None], inst[None], list(ORDERS), [SEARCH])
     for order, got, want in zip(ORDERS, noises, want_noise):
         assert abs(got - want) <= 1e-12, (order, lam)
     for order, res, want in zip(ORDERS, dists, want_dist):
