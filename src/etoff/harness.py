@@ -290,24 +290,24 @@ def tabulate_bounds(c_grid, alphas, betas) -> str:
     One ``bounds.bbar_bound`` call covers both families, every pair of
     orders and every c, and rows are formatted straight from its arrays;
     they equal those of one table per c and pair of orders.  The conjugacy
-    columns are populated only where 1/alpha + 1/beta = 2.  ``bounds.bbar_bound`` rejects any c
-    or order outside its domain.
+    columns are populated only where 1/alpha + 1/beta = 2.
+    ``bounds.bbar_bound`` rejects any c or order outside its domain.
     """
     num = "{:.9g}".format
     lines = [BOUNDS_CSV_HEADER]
     orders = list(itertools.product(alphas, betas))
-    values, argmins = bounds.bbar_bound(c_grid, [(f, *ab) for f in ("tsallis", "renyi")
-                                                 for ab in orders])
-    shape = (len(c_grid), 2, len(orders))  # (c, family, pair of orders)
-    for c, (bt, br), (xt, xr) in zip(c_grid, values.reshape(shape).tolist(),
-                                     argmins.reshape(shape).tolist()):
-        for (alpha, beta), row in zip(orders, zip(bt, br, xt, xr)):
+    pairs = [(family, *ab) for family in ("tsallis", "renyi") for ab in orders]
+    # per c, the Tsallis and the Renyi row of each array, over the table's pairs of orders
+    values, argmins = (a.reshape(len(c_grid), 2, -1).tolist()
+                       for a in bounds.bbar_bound(c_grid, pairs))
+    for c, (values_t, values_r), (thetas_t, thetas_r) in zip(c_grid, values, argmins):
+        for (alpha, beta), bt, br, xt, xr in zip(orders, values_t, values_r, thetas_t, thetas_r):
             mu_t = mu_r = ""
             if bounds.conjugate_orders(alpha, beta):
                 mt, mr = mu_bounds(c, alpha, beta)
                 mu_t, mu_r = num(mt.value), num(mr.value)
-            lines.append(",".join([num(c), num(alpha), num(beta), *map(num, row[:2]), mu_t, mu_r,
-                                   *map(num, row[2:])]))
+            lines.append(",".join([num(c), num(alpha), num(beta), num(bt), num(br), mu_t, mu_r,
+                                   num(xt), num(xr)]))
     return "\n".join(lines) + "\n"
 
 
