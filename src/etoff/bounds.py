@@ -541,12 +541,11 @@ def certify(
 def certify_grid(chunk, grid, searches, seed: int | None = None) -> list[TradeoffCertificate]:
     """Certify every (relation, alpha, beta) of an admissible grid on every instance of a chunk.
 
-    ``chunk`` is the triple (X, Z, M) of stacks of k instances,
-    ``searches`` one ``SearchConfig`` per instance, and ``grid`` is
-    checked already (``admissible_grid`` or ``check_admissible``).
-    Stacks or searches of different counts raise ValueError before any
-    work.  ``noise``, ``overlap`` and ``disturbance`` each take the
-    stacks whole; ``disturbance`` searches every instance
+    ``chunk`` is the triple (X, Z, M) of stacks of k instances, ``searches``
+    one ``SearchConfig`` per instance (different counts raise ValueError
+    before any work), and ``grid`` is checked already (``admissible_grid``
+    or ``check_admissible``).  ``noise``, ``overlap`` and ``disturbance``
+    each take the stacks whole; ``disturbance`` searches every instance
     and order at once, and the minimised bounds of both families come
     from one ``bbar_bound`` call over every c (``_bounds``).  An
     instance's certificates equal, bit for bit, those of a chunk of it

@@ -122,7 +122,8 @@ def _flagged(obs: ProjectiveObservable, inst: QuantumInstrument) -> tuple:
     if obs.dim != inst.dim_in:
         raise ValueError(f"observable dim {obs.dim} != instrument input dim {inst.dim_in}")
     if obs.projectors.ndim != 4 or obs.projectors.shape[:1] != inst.kraus.shape[:-3]:
-        raise ValueError(f"need two stacks of k, got {obs.projectors.shape}, {inst.kraus.shape}")
+        raise ValueError(f"expected stacks of k observables and k instruments, got projectors "
+                         f"{obs.projectors.shape} and Kraus operators {inst.kraus.shape}")
     blocks = flag_apply(inst.kraus[:, None], inst.by_outcome, obs.projectors)
     return blocks, check_table(np.trace(blocks, axis1=-2, axis2=-1).real / obs.dim)
 

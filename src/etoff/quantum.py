@@ -39,7 +39,8 @@ def _first_over(deviation: np.ndarray, tol: float):
 def _indexed(obj, name: str, index):
     """``obj`` with its array ``name`` indexed on the stack axis, validated no further."""
     if (index is None) == (getattr(obj, name).ndim == 4):
-        raise IndexError("index a stack by instance, or an instance by None")
+        # TypeError, not IndexError, so that iterating over an instance fails instead of ending
+        raise TypeError("index a stack by instance, or an instance by None")
     out = copy.copy(obj)
     object.__setattr__(out, name, getattr(obj, name)[index])
     return out

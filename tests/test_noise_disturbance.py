@@ -108,6 +108,15 @@ def test_noise_of_many_orders_equals_one_conditional_entropy_per_order():
         assert abs(value - conditional_entropy(joint, order)) <= 1e-12
 
 
+def test_noise_and_disturbance_take_stacks_of_equal_length():
+    x_obs, z_obs, inst = sample_instance(2, [1, 2])
+    orders, searches = [EntropyOrder.shannon()], [SearchConfig(restarts=0)] * 2
+    for bad in (lambda: noise(x_obs[0], inst[0], orders), lambda: noise(x_obs, inst[:1], orders),
+                lambda: disturbance(z_obs[:1], inst, orders, searches[:1])):
+        with pytest.raises(ValueError, match="expected stacks of k observables and k instruments"):
+            bad()
+
+
 # --- disturbance -------------------------------------------------------------------
 
 

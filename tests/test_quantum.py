@@ -93,7 +93,8 @@ def hadamard_halves(dim):
     Every entry of the reflection H/sqrt(dim) is ±dim**-1/2, so P + eps I has an idempotence
     residual of only about eps dim**-1/2 but a trace off by eps dim: at dim = 128 and eps =
     1.1e-8 the residual, 9.7e-10, passes the 1e-9 check, and the trace, off by 1.4e-6, fails
-    the 1e-6 one.  At small dimensions no such projector passes the idempotence check.
+    the 1e-6 one.  At small dimensions no matrix passing the idempotence check has a trace
+    that far off an integer.
     """
     h = np.ones((1, 1))
     while len(h) < dim:
@@ -173,9 +174,12 @@ def test_indexing_a_stack_returns_its_instances_unvalidated(monkeypatch):
     assert single[None].kraus.shape == (1, 6, 2, 3)
     assert obs[2:4].projectors.shape == (2, 2, 3, 3)
     assert not one.projectors.flags.writeable and not single.kraus.flags.writeable
-    for bad in (lambda: one[0], lambda: obs[None], lambda: single[0], lambda: inst[None]):
-        with pytest.raises(IndexError):
+    for bad in (lambda: one[0], lambda: obs[None], lambda: single[0], lambda: inst[None],
+                lambda: list(one)):
+        with pytest.raises(TypeError):
             bad()
+    # a stack iterates over its instances
+    assert [np.array_equal(a.projectors, b) for a, b in zip(obs, obs.projectors)] == [True] * 8
 
 
 # --- acting on states ---------------------------------------------------------------
