@@ -76,9 +76,11 @@ class TradeoffCertificate:
     ``passed`` records only noise + upper disturbance >= bound, and the
     JSON marks the disturbance as an upper bound.  ``best_candidate``
     names the correction that gave the disturbance value:
-    ``discard_flag``, ``reprepare`` or ``parametrized_restart_<r>``.
-    ``iterations`` counts the evaluations of the search's best restart,
-    so it is at most the per-restart budget, and 0 when no search ran.
+    ``discard_flag``, ``reprepare``, ``support_angle`` (two Z outcomes)
+    or ``parametrized_restart_<r>`` (three or more).  ``iterations``
+    counts the support points of the angle search, or the evaluations of
+    the descent's best restart, at most the per-restart budget; it is 0
+    when no search ran.
     """
 
     relation: str

@@ -116,8 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=0,
-                   help="random refinement restarts (requires a seed)")
-    p.add_argument("--iterations", type=int, default=150)
+                   help="restarts of the POVM descent when Z has three or more outcomes; with "
+                   "two, any positive value runs the support-angle search, which has no "
+                   "budget (requires a seed either way)")
+    p.add_argument("--iterations", type=int, default=150,
+                   help="evaluations per restart of the descent; unused when Z has two outcomes")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_certify)
@@ -130,8 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=float, nargs="+", default=None)
     p.add_argument("--beta", dest="betas", metavar="BETA", type=float, nargs="+", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="restarts of the POVM descent when Z has three or more outcomes (d >= "
+                   "3); at d = 2 any positive value runs the support-angle search, which has "
+                   "no budget; default 1")
+    p.add_argument("--iterations", type=int, default=None,
+                   help="evaluations per restart of the descent (d >= 3); unused at d = 2; "
+                   "default 150")
     p.add_argument("--jobs", type=int, default=None,
                    help="processes certifying chunks, this one included; default: the CPUs "
                    "this process may use")

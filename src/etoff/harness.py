@@ -28,7 +28,7 @@ from .bounds import RELATIONS, TradeoffCertificate, certify, certify_grid, mu_bo
 from .decision import fano_upper_bounds, lower_bounds, standard_decision
 from .entropy import SHANNON_BRANCH, EntropyOrder, check_table, conditional_entropy
 from .linalg import dagger
-from .noise_disturbance import SearchConfig, reprepare_correction, two_picture_gap
+from .noise_disturbance import SearchConfig, disturbance, reprepare_correction, two_picture_gap
 from .quantum import (
     instrument_from_json,
     instrument_to_json,
@@ -153,6 +153,27 @@ def saturation_instance():
     x_obs, z_obs = conjugate_qubit_pair()
     inst = luders_instrument(z_obs)
     return x_obs, z_obs, inst
+
+
+def unsharp_luders_instance(lam: float):
+    """(X, Z, M): the conjugate qubit pair and the Lüders instrument of the unsharp X measurement.
+
+    With sharpness ``lam`` in [0, 1] the Kraus operators are
+    K_+- = a Pi_+- + b Pi_-+, a = sqrt((1 + lam)/2), b = sqrt((1 - lam)/2),
+    Pi_+- = (I +- sigma_x)/2 the X projectors, written out entry by entry
+    so that no roundoff of a matrix product enters them.  Against the
+    conjugate Z the best correction leaves a binary symmetric channel
+    with flip probability (1 - sqrt(1 - lam**2))/2, the Helstrom error of
+    the two states each outcome leaves (ROADMAP direction G), so the
+    noise and the disturbance are known in closed form.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"sharpness must lie in [0, 1], got {lam!r}")
+    x_obs, z_obs = conjugate_qubit_pair()
+    a, b = math.sqrt((1 + lam) / 2), math.sqrt((1 - lam) / 2)
+    even, odd = (a + b) / 2, (a - b) / 2
+    kraus = np.array([[[even, odd], [odd, even]], [[even, -odd], [-odd, even]]], dtype=complex)
+    return x_obs, z_obs, quantum.QuantumInstrument(2, 2, ("m0", "m1"), kraus, np.arange(2))
 
 
 def sample_instance(dim: int, seeds) -> tuple:
@@ -362,6 +383,14 @@ def selftest_checks(seed: int = SELFTEST_SEED):
     x_obs, z_obs, inst = saturation_instance()
     cert = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0, seed=seed))
     yield "saturation_margin", abs(cert.margin) <= 1e-7, f"margin={cert.margin:.3e}"
+
+    # the support-angle search meets the Helstrom value of the unsharp X measurement at the
+    # sweep's budget: Tsallis-2 disturbance lambda**2/2 = 1/4 at lambda = 1/sqrt(2)
+    _, z_half, m_half = unsharp_luders_instance(1 / math.sqrt(2))
+    (res,) = disturbance(z_half[None], m_half[None], [EntropyOrder.tsallis(2.0)],
+                         [SearchConfig(1, 150, seed)])[0]
+    gap = res.best_value - 0.25
+    yield "unsharp_disturbance", abs(gap) <= 1e-9, f"D_up - 1/4={gap:.3e}"
 
     # both pictures of the noise and disturbance tables, on the anchor and a random qutrit
     yield "two_pictures_qubit", *two_picture_check(x_obs, z_obs, inst, seed)

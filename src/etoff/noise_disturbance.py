@@ -19,8 +19,9 @@ CP and keeps every Tr[E_z' sigma_z].  So a correction is one |Z|-outcome
 POVM per outcome, an (n, |Z|, d_out, d_out) stack.  ``disturbance``
 reports the best value found among two fixed corrections
 (flag-discarding identity, classical repreparation by outcome) and a
-Riemannian gradient descent over the blocks' Naimark isometries, run for
-all requested orders and restarts of an instance as one stacked
+searched one.  For three or more outcomes the search is a Riemannian
+gradient descent over the blocks' Naimark isometries, run for all
+requested orders and restarts of an instance as one stacked
 computation.  Each descent step tries a short ladder of step lengths
 whose top rung is the Barzilai-Borwein step of the row's last move where
 that step is defined (Wen & Yin, Math. Program. 142, 397 (2013)), and
@@ -28,6 +29,23 @@ one rung above the step taken otherwise.  The result is an upper bound
 on the true disturbance; it can refute a trade-off relation
 (N + D_upper < B) but not certify one, which needs a lower bound on the
 disturbance (ROADMAP direction A).
+
+When Z has two outcomes the minimum is a one-angle problem, which an
+arc branch-and-bound solves up to ``ANGLE_TOL``.  The table has fixed
+row sums p_z, so it is fixed by t = (p(0, 0), p(1, 0)); t is affine in
+each block's 0 <= E_0 <= I, so the reachable t form a convex set, a sum
+of one per block.  Every admitted objective is concave in the table
+there: Shannon, Tsallis per column for every order, and Renyi per
+column, which on binary columns is concave up to order 2 (Ben-Bassat &
+Raviv, IEEE Trans. Inf. Theory 24, 324 (1978)), which covers every
+order ``check_order`` admits.  So the minimum lies at an extreme point, the
+support point t(phi) of some direction (cos phi, sin phi), where E_0 of
+block m projects onto the positive part of cos phi sigma_0^(m) +
+sin phi sigma_1^(m).  The quarter phi in [pi/2, pi] holds every value:
+phi + pi swaps the two columns, which leaves every conditional entropy
+unchanged, and on (0, pi/2) every block operator is positive
+semidefinite, which gives the trivial POVM E_0 = I, of the same value as
+the trivial E_0 = 0 at phi = pi.
 
 Both joint tables come from the stacked arrays of the objects in
 ``quantum``, a chunk being one stack, by batched matrix products; every
@@ -59,7 +77,12 @@ class AdmissibilityError(ValueError):
 class SearchConfig:
     """Budget for the correction search: restarts, and evaluations per restart.
 
-    With a seed the whole search is deterministic, and restart r depends
+    The budget applies to the POVM descent, which runs when Z has three or
+    more outcomes.  With two outcomes, ``restarts`` > 0 only switches on
+    the support-angle search, which closes its bracket to ``ANGLE_TOL``
+    whatever the budget, and ``iterations`` is not used.
+
+    With a seed the whole descent is deterministic, and restart r depends
     only on (seed, r); a restart's steps, Barzilai-Borwein lengths
     included, depend only on its own path, so a bigger budget continues
     the same descent and growing either number can never worsen the
@@ -83,7 +106,8 @@ class SearchConfig:
 
 @dataclass(frozen=True, eq=False)
 class CorrectionSearchResult:
-    """The best correction's POVM; ``iterations`` counts the best restart's evaluations."""
+    """The best correction's POVM; ``iterations`` counts the search's evaluations (see
+    ``disturbance``)."""
 
     best_value: float
     best_povm: np.ndarray
@@ -335,6 +359,132 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
     return povm[rows].reshape(shape[:2] + povm.shape[1:]), best, evals[rows].reshape(shape[:2])
 
 
+# --- the support angle, |Z| = 2 -------------------------------------------------------
+
+ANGLE_TOL = 1e-9      # closed bracket width; see ``disturbance`` for the roundoff it covers
+_ARCS = 16            # starting arcs over the quarter [pi/2, pi], shared by every order
+_ANGLE_ROUNDS = 40    # bisection rounds, which leave every arc wider than 1e-13
+_ROUNDOFF = 1e-15     # table entries below this count as 0 in lower bounds
+_HALVES = np.array([[0, 1], [1, 2]])  # an arc's halves, as pairs of (start, middle, end)
+
+
+def _support(rho: np.ndarray, phi: np.ndarray) -> tuple:
+    """POVMs and checked tables of the support points in direction (cos phi, sin phi).
+
+    ``rho`` (..., 2, n, d, d) broadcasts against the angles ``phi``; per
+    block, E_0 projects onto the positive part of cos phi sigma_0 +
+    sin phi sigma_1, and E_1 onto the rest of its eigenvectors, not I - E_0,
+    whose roundoff would add about 1e-16 to an entry that should be 0.  Returns
+    the (..., n, 2, d, d) POVMs and their (..., 2, 2) tables, whose
+    column 0 is the support point t(phi).
+    """
+    c, s = (f(phi)[..., None, None, None] for f in (np.cos, np.sin))
+    w, v = np.linalg.eigh(c * rho[..., 0, :, :, :] + s * rho[..., 1, :, :, :])
+    up = (w > 0.0)[..., None, :]
+    povm = np.stack([(v * up) @ dagger(v), (v * ~up) @ dagger(v)], axis=-3)
+    return povm, _table(povm, rho)
+
+
+def _floor(tables: np.ndarray) -> np.ndarray:
+    """Tables with entries below ``_ROUNDOFF``, negative roundoff included, set to 0.
+
+    A computed table misses an exact 0 by roundoff, and at an order
+    alpha < 1 an entry e adds about e**alpha to the value (3e-6 at
+    e = 5e-19 and alpha = 0.3), so a bound taken on it could exceed the
+    minimum it bounds.  For lower bounds only: dropping such entries only
+    lowers a bound.
+    """
+    return np.where(tables < _ROUNDOFF, 0.0, tables)
+
+
+def _vertex(phi: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Floored table at the meeting point of the support lines at the ends of arcs.
+
+    ``phi`` (..., 2) holds the ends phi_1 < phi_2 of arcs in [pi/2, pi],
+    and ``tables`` (..., 2, 2, 2) their support tables.  On that quarter
+    both coordinates of t fall as phi grows, so the meeting point lies in
+    the rectangle the two support points span; clipping to it absorbs
+    roundoff only.
+    """
+    t, p = tables[..., 0], tables[..., 0, :, :].sum(axis=-1)
+    c, s = np.cos(phi), np.sin(phi)
+    h = c * t[..., 0] + s * t[..., 1]
+    det = np.sin(phi[..., 1] - phi[..., 0])
+    v = np.stack([h[..., 0] * s[..., 1] - h[..., 1] * s[..., 0],
+                  h[..., 1] * c[..., 0] - h[..., 0] * c[..., 1]], axis=-1) / det[..., None]
+    v = np.clip(v, t.min(axis=-2), t.max(axis=-2))
+    return _floor(np.stack([v, p - v], axis=-1))
+
+
+def _angle_search(rho: np.ndarray, orders: list) -> tuple:
+    """Arc branch-and-bound over the support angle, for two-outcome Z.
+
+    ``rho`` is (instances, 2, n, d, d) as in ``_table``.  Rows are
+    (instance, order) pairs.  The ``_ARCS`` + 1 support points that cut
+    [pi/2, pi] into equal arcs are shared by an instance's orders; then,
+    per round, every arc whose lower bound lies below its row's best value
+    - ``ANGLE_TOL`` is bisected, the other arcs being dropped, for at most
+    ``_ANGLE_ROUNDS`` rounds.  A row's best point changes only to a strictly
+    lower one, the first in angle order, so no row's arithmetic depends on
+    another row.  An arc's lower bound is the smallest value at its two
+    ends and at ``_vertex``, each on its ``_floor``ed table: the boundary
+    between two support points lies in the triangle they form with the
+    meeting point of their support lines, and a concave function on a
+    triangle is at least its smallest value at a corner.  Where table
+    roundoff rather than the triangle sets an arc's gap, the live arcs
+    double each round; a row with more than ``_ARCS`` of them stops
+    there, its bracket open (on 7200 rows of d = 2 sweeps, no row had
+    more than 5).  Returns, per (instance, order), the best point's
+    POVM, the count of support points the row evaluated, and whether its
+    bracket closed, no arc being left.
+    """
+    rows = np.arange(len(rho) * len(orders))
+    row_inst = rows // len(orders)
+    row_order = np.tile(np.array(orders, dtype=object), len(rho))[:, None]
+    phi = np.pi / 2 * (1.0 + np.arange(_ARCS + 1) / _ARCS)
+    povm, tables = _support(rho[:, None], phi)
+    arcs = np.arange(_ARCS)[:, None] + [0, 1]  # the ends of arc j are points j and j + 1
+    f = conditional_entropy(np.concatenate(
+        [tables, _floor(tables), _vertex(phi[arcs], tables[:, arcs])], axis=1)[row_inst], row_order)
+    first = f[:, :_ARCS + 1].argmin(axis=1)
+    best, best_povm = f[rows, first], povm[row_inst, first]
+    evals = np.full(len(rows), _ARCS + 1)
+    # every arc: its row, its ends, their tables and floored values, and its lower bound
+    arc_row, arc_phi = np.repeat(rows, _ARCS), np.tile(phi[arcs], (len(rows), 1))
+    arc_tab = tables[row_inst][:, arcs].reshape(-1, 2, 2, 2)
+    arc_f = f[:, _ARCS + 1:][:, arcs].reshape(-1, 2)
+    bound = np.minimum(arc_f.min(axis=-1), f[:, 2 * _ARCS + 2:].ravel())
+    stuck = np.zeros(len(rows), dtype=bool)
+    for done in range(_ANGLE_ROUNDS + 1):
+        keep = bound < best[arc_row] - ANGLE_TOL
+        stuck |= np.bincount(arc_row[keep], minlength=len(rows)) > _ARCS
+        keep &= ~stuck[arc_row]
+        arc_row, arc_phi, arc_tab, arc_f = arc_row[keep], arc_phi[keep], arc_tab[keep], arc_f[keep]
+        if not len(arc_row) or done == _ANGLE_ROUNDS:
+            break
+        mid = arc_phi.mean(axis=-1)
+        mid_povm, mid_tab = _support(rho[row_inst[arc_row]], mid)
+        evals += np.bincount(arc_row, minlength=len(rows))
+        arc_phi = np.stack([arc_phi[:, 0], mid, arc_phi[:, 1]], axis=1)[:, _HALVES]
+        arc_tab = np.stack([arc_tab[:, 0], mid_tab, arc_tab[:, 1]], axis=1)[:, _HALVES]
+        f = conditional_entropy(np.concatenate(
+            [mid_tab[:, None], _floor(mid_tab)[:, None], _vertex(arc_phi, arc_tab)], axis=1),
+            row_order[arc_row])
+        arc_f = np.stack([arc_f[:, 0], f[:, 1], arc_f[:, 1]], axis=1)[:, _HALVES]
+        bound = np.minimum(arc_f.min(axis=-1), f[:, 2:]).ravel()
+        # per row, the first midpoint in angle order at the lowest value, if below the best
+        low = best.copy()
+        np.minimum.at(low, arc_row, f[:, 0])
+        hit = np.nonzero((f[:, 0] == low[arc_row]) & (f[:, 0] < best[arc_row]))[0]
+        better, first = np.unique(arc_row[hit], return_index=True)
+        best[better], best_povm[better] = low[better], mid_povm[hit[first]]
+        arc_row = np.repeat(arc_row, 2)
+        arc_phi, arc_tab, arc_f = (a.reshape(-1, *a.shape[2:]) for a in (arc_phi, arc_tab, arc_f))
+    shape = (len(rho), len(orders))
+    return (best_povm.reshape(shape + best_povm.shape[1:]), evals.reshape(shape),
+            ((np.bincount(arc_row, minlength=len(rows)) == 0) & ~stuck).reshape(shape))
+
+
 def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list,
                 searches: list) -> list:
     """Best-found disturbance per instance and order: upper bounds on the minima over corrections.
@@ -344,17 +494,33 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     The flagged states rho are the blocks of one ``_flagged``
     call, over d.  The candidates are the flag-discarding identity (when
     dimensions permit) and the classical repreparation, exact in the
-    zero-disturbance regimes, which decides on that call's tables, and
-    per restart a POVM descent run for every pair and order at once
-    (``_povm_search``).  Every candidate is its
+    zero-disturbance regimes, which decides on that call's tables, and,
+    when ``restarts`` > 0, one searched POVM per instance and order.
+    Every candidate is its
     re-measurement POVM, all are scored by one ``_table`` and one
     entropy-kernel call, each instance's against its own, and ties go to
     the fixed corrections.  Orders computing the same entropy share one
     result, and an instance's results equal, bit for bit, those of it alone.
-    ``iterations`` is the evaluation count of the search's best restart.
-    ``converged`` means the Riemannian gradient norm at the reported
-    POVM, a stationarity test that saddle points pass too, is below
-    ``GRAD_TOL``.  Returns one list per instance, one result per order.
+
+    With two Z outcomes the search is ``_angle_search``, whose candidate
+    is ``support_angle`` (why one angle and a quarter of the circle
+    suffice is in the module docstring).  ``iterations`` is then the
+    count of support points the row evaluated, and ``converged`` means
+    that no arc's lower bound is left below the best value -
+    ``ANGLE_TOL``, whichever candidate won.  The bracket holds for the
+    values as computed: tables come from ``eigh`` and matrix products with
+    entries off by about 1e-16, which moves values at orders >= 1 by
+    about as much, far below ``ANGLE_TOL``; at orders alpha < 1 an entry
+    that should be 0 adds about its roundoff to the power alpha instead
+    (about 1e-8 at alpha = 0.5), and a minimum with a zero entry is then
+    known only to that.  With three or more outcomes the search is the
+    POVM descent (``_povm_search``), whose candidate is
+    ``parametrized_restart_<r>`` for its best restart r; ``iterations``
+    is that restart's evaluation count.  Without a search, or with the
+    descent, ``converged`` means the Riemannian gradient norm at the
+    reported POVM, a stationarity test that saddle points pass too, is
+    below ``GRAD_TOL``.  Returns one list per instance, one result per
+    order.
     """
     budgets = sorted({(s.restarts, s.iterations) for s in searches})
     if len(budgets) > 1 or len(searches) != len(z_obs.projectors):
@@ -373,8 +539,12 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     names = [name for name, povm in fixed.items() if povm is not None]
     povms = np.stack([fixed[name] for name in names], axis=1)
     n_fixed, restarts = len(names), searches[0].restarts
-    if restarts > 0:
+    angle = restarts > 0 and rho.shape[1] == 2
+    if angle:
+        found, evals, closed = _angle_search(rho, keys)
+    elif restarts > 0:
         found, restart, evals = _povm_search(rho, keys, searches)
+    if restarts > 0:
         povms = np.concatenate([povms, found], axis=1)
     tables = _table(povms, rho[:, None])
     # the candidates of each computed order: the fixed corrections, then its own search result
@@ -385,10 +555,11 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     best = np.argmin(values, axis=-1)  # ties go to the fixed corrections
     key_ix, inst_ix = np.arange(len(keys)), np.arange(len(searches))[:, None]
     chosen = pick[key_ix, best]  # (instance, key)
-    # one call for the chunk: at d = 4 the gradients of 8 instances over the sweep's default
-    # grid peak at 1.2 MB (tracemalloc)
-    _, norms = _riemannian_gradient(povms[inst_ix, chosen], grads[inst_ix, key_ix, best],
-                                    rho[:, None])
+    if not angle:
+        # one call for the chunk: at d = 4 the gradients of 8 instances over the sweep's
+        # default grid peak at 1.2 MB (tracemalloc)
+        _, norms = _riemannian_gradient(povms[inst_ix, chosen], grads[inst_ix, key_ix, best],
+                                        rho[:, None])
     results = []
     for i, b in enumerate(best):
         by_key = {
@@ -397,9 +568,9 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
                 best_povm=povms[i, chosen[i, k]],
                 restarts=restarts,
                 iterations=int(evals[i, k]) if restarts > 0 else 0,
-                converged=bool(norms[i, k] < GRAD_TOL),
+                converged=bool(closed[i, k] if angle else norms[i, k] < GRAD_TOL),
                 best_candidate=names[chosen[i, k]] if chosen[i, k] < n_fixed
-                else f"parametrized_restart_{restart[i, k]}",
+                else "support_angle" if angle else f"parametrized_restart_{restart[i, k]}",
             )
             for k, key in enumerate(keys)
         }

@@ -243,10 +243,11 @@ def test_run_config_checks_the_search_budget_and_jobs():
 
 
 def test_sweep_reports_the_evaluations_of_one_restart(tmp_path):
-    # iterations is a per-restart budget, and the JSON reports the best restart's count
+    # iterations is a per-restart budget of the descent, which runs at three or more Z
+    # outcomes, and the JSON reports the best restart's count
     out = tmp_path / "o.json"
     code = main(
-        ["sweep", "--dim", "2", "--samples", "2", "--seed", "1", "--restarts", "3",
+        ["sweep", "--dim", "3", "--samples", "2", "--seed", "1", "--restarts", "3",
          "--iterations", "4", "--relation", "Prop3", "--alpha", "1", "--beta", "1",
          "--format", "json", "--out", str(out)]
     )
@@ -471,16 +472,18 @@ def test_sweep_json_format(tmp_path):
 
 
 def test_sweep_json_names_the_winning_correction(tmp_path):
-    # without restarts only the two fixed corrections can win; the CSV header is unchanged
-    base = ["sweep", "--dim", "2", "--samples", "2", "--seed", "8", "--iterations", "40"]
+    # without restarts only the two fixed corrections can win; with them, the support angle
+    # (two Z outcomes) or the descent (three); the CSV header is unchanged
+    base = ["sweep", "--samples", "2", "--seed", "8", "--iterations", "40", "--format", "json"]
     out = tmp_path / "fixed.json"
-    assert main(base + ["--restarts", "0", "--format", "json", "--out", str(out)]) == 0
+    assert main(base + ["--dim", "2", "--restarts", "0", "--out", str(out)]) == 0
     names = {cert["search"]["best_candidate"] for cert in json.loads(out.read_text())}
     assert names and names <= {"discard_flag", "reprepare"}
-    out = tmp_path / "search.json"
-    assert main(base + ["--restarts", "1", "--format", "json", "--out", str(out)]) == 0
-    names = {cert["search"]["best_candidate"] for cert in json.loads(out.read_text())}
-    assert "parametrized_restart_0" in names
+    for dim, name in ((2, "support_angle"), (3, "parametrized_restart_0")):
+        out = tmp_path / f"search{dim}.json"
+        assert main(base + ["--dim", str(dim), "--restarts", "1", "--out", str(out)]) == 0
+        names = {cert["search"]["best_candidate"] for cert in json.loads(out.read_text())}
+        assert name in names
     assert TradeoffCertificate.CSV_HEADER == (
         "relation,d,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"
     )
