@@ -46,7 +46,10 @@ def _open_out(out: str | None):
 
 def cmd_certify(args) -> int:
     x_obs, z_obs, inst = harness.load_instance(args.instance)
-    seed = _resolve_seed(args.seed) if args.restarts > 0 or args.seed is not None else None
+    # only the descent (three or more Z outcomes) draws at random; a seed given is still checked
+    descent = args.restarts > 0 and len(z_obs.eigenvalues) > 2
+    given = args.seed is not None or (args.restarts > 0 and SEED_ENV_VAR in os.environ)
+    seed = _resolve_seed(args.seed) if descent or given else None
     search = SearchConfig(restarts=args.restarts, iterations=args.iterations, seed=seed)
     cert = certify(x_obs, z_obs, inst, args.alpha, args.beta, args.relation, search, seed=seed)
     text = (harness.certificates_to_csv([cert]) if args.format == "csv"
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=0,
                    help="restarts of the POVM descent when Z has three or more outcomes; with "
                    "two, any positive value runs the support-angle search, which has no "
-                   "budget (requires a seed either way)")
+                   "budget and needs no seed (the descent needs one)")
     p.add_argument("--iterations", type=int, default=150,
                    help="evaluations per restart of the descent; unused when Z has two outcomes")
     p.add_argument("--out", default=None)

@@ -7,13 +7,16 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from etoff import bounds
 from etoff.bounds import (
+    C_FLOOR,
     RELATIONS,
     SCAN,
     AdmissibilityError,
     _breakpoints,
     _objective,
     _parametric_column,
+    _term,
     admissible_grid,
     bbar_bound,
     certify,
@@ -41,6 +44,8 @@ ORACLE_ORDERS = (0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 1.0 - 1e-8, 1.0 + 1e-8, 5.0)
 PRECISION_CS = (0.1, 0.3, 1 / math.sqrt(3), 1 / math.sqrt(2), 0.8, 0.999999,
                 math.cos(math.pi / 4 + 1e-11))
 PRECISION_ORDERS = (0.0, 0.3, 1.0 - 1e-8, 1.0 + 1e-8, 2.0, 5.0)
+# the orders at which bbar_bound's pruning premise, terms that never fall along theta, is checked
+MONOTONE_ORDERS = (0.0, 0.3, 0.5, 1.0, 1.0 - 1e-8, 1.0 + 1e-8, 2.0, 5.0, 20.0)
 
 
 Bound = namedtuple("Bound", "value argmin_theta")
@@ -357,6 +362,60 @@ def test_bbar_rejects_invalid_c():
         bbar(0.0, 1.0, 1.0, "renyi")
     with pytest.raises(ValueError):
         bbar(1.2, 1.0, 1.0, "tsallis")
+
+
+@pytest.mark.parametrize("c", [0.05, 0.3, 0.6, 0.9])
+def test_computed_terms_never_decrease_along_theta(c):
+    # the premise of bbar_bound's pruning, checked on the computed values themselves, with the
+    # breakpoints and their mirror images, where the remainder is exactly 0, on the grid
+    eta, breaks = math.acos(c), _breakpoints(c)
+    theta = oracle_grid_points(eta, 20001)
+    families = [f for f in ("renyi", "tsallis") for _ in MONOTONE_ORDERS]
+    terms = _term(theta[None], MONOTONE_ORDERS * 2, families, breaks)
+    for (family, order), row in zip(zip(families, MONOTONE_ORDERS * 2), terms):
+        assert np.all(np.diff(row) >= 0.0), (family, order)
+
+
+# (cs, orders): unpruned, the cost grows as c**-2 times the pairs, so at C_FLOOR only the
+# ends of the orders' range, both sides of the Shannon branch and Hartley, are taken
+@pytest.mark.parametrize("cs, orders", [
+    ([C_FLOOR], (0.0, 1.0 - 1e-8, 20.0)),
+    ([*np.exp(np.random.default_rng(23).uniform(math.log(0.05), 0.0, 5)), 1 / math.sqrt(3), 1.0],
+     MONOTONE_ORDERS),
+])
+def test_pruning_changes_no_value_and_no_argmin(monkeypatch, cs, orders):
+    # a dropped piece or bracket could not have held the minimum: with an infinite slack
+    # nothing is dropped, and every value and argmin_theta stays bit for bit the same
+    pairs = pairs_of(("renyi", "tsallis"), orders, orders)
+    pruned = bbar_bound(cs, pairs)
+    monkeypatch.setattr(bounds, "PRUNE_SLACK", math.inf)
+    everything = bbar_bound(cs, pairs)
+    for got, want in zip(pruned, everything):
+        assert np.array_equal(got, want)
+
+
+def test_pruning_zooms_fewer_brackets_than_exist(monkeypatch):
+    # at c = 0.05 each of the 20 unordered pairs has one bracket per piece; with an infinite
+    # slack every one of them reaches the zoom, and with PRUNE_SLACK 55 of the 15,940 do
+    zoomed = []
+
+    def counting(x, *args):
+        zoomed.append(len(x))
+        return zoom(x, *args)
+
+    zoom = bounds._zoom
+    monkeypatch.setattr(bounds, "_zoom", counting)
+    orders = (0.3, 0.5, 1.0, 2.0)
+    pairs = pairs_of(("renyi", "tsallis"), orders, orders)
+    bbar_bound([0.05], pairs)
+    pruned, zoomed[:] = sum(zoomed), []
+    monkeypatch.setattr(bounds, "PRUNE_SLACK", math.inf)
+    bbar_bound([0.05], pairs)
+    eta = math.acos(0.05)
+    inner = _breakpoints(0.05)[1:]
+    pieces = np.unique(np.concatenate([[0.0, eta], inner[inner < eta], eta - inner[inner < eta]]))
+    assert sum(zoomed) == 20 * (pieces.size - 1)
+    assert pruned < sum(zoomed) / 100
 
 
 @pytest.mark.parametrize("empty", ["cs", "pairs"])

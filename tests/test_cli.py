@@ -158,13 +158,38 @@ def test_malformed_input_file_exits_two(anchor_file, tmp_path, capsys, kind, con
         assert captured.err.startswith("error:") and named in captured.err
 
 
-def test_certify_restarts_require_seed(anchor_file, monkeypatch):
+@pytest.fixture
+def qutrit_file(tmp_path):
+    # Z has three outcomes, so a search runs the POVM descent, and the output is wider than d
+    x_obs, z_obs = (sample_random_observable(3, None, seed) for seed in (1, 2))
+    inst = sample_random_instrument(3, 4, 2, 2, 3)
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps(instance_to_json(x_obs, z_obs, inst)))
+    return str(path)
+
+
+def test_certify_restarts_require_seed(qutrit_file, monkeypatch, capsys):
     monkeypatch.delenv("ETOFF_SEED", raising=False)
     code = main(
-        ["certify", anchor_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1",
+        ["certify", qutrit_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1",
          "--restarts", "2"]
     )
     assert code == 2
+    assert "a seed is required" in capsys.readouterr().err
+
+
+def test_certify_angle_search_needs_no_seed(anchor_file, monkeypatch, tmp_path):
+    # at two Z outcomes a search is the support-angle search, which draws nothing at random
+    monkeypatch.delenv("ETOFF_SEED", raising=False)
+    out = tmp_path / "cert.json"
+    code = main(
+        ["certify", anchor_file, "--relation", "Prop1", "--alpha", "0.3", "--beta", "0.3",
+         "--restarts", "1", "--out", str(out)]
+    )
+    assert code == 0
+    cert = json.loads(out.read_text())
+    assert cert["seed"] is None and cert["search"]["best_candidate"] in (
+        "discard_flag", "reprepare", "support_angle")
 
 
 # (flags, ETOFF_SEED, part of the message): a search with fewer than 4 evaluations per
@@ -555,12 +580,8 @@ def test_selftest_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_selftest_fixture_passes_on_a_qutrit_with_a_wider_output(tmp_path, capsys):
-    x_obs, z_obs = (sample_random_observable(3, None, seed) for seed in (1, 2))
-    inst = sample_random_instrument(3, 4, 2, 2, 3)
-    path = tmp_path / "qutrit.json"
-    path.write_text(json.dumps(instance_to_json(x_obs, z_obs, inst)))
-    assert main(["selftest", "--fixture", str(path)]) == 0
+def test_selftest_fixture_passes_on_a_qutrit_with_a_wider_output(qutrit_file, capsys):
+    assert main(["selftest", "--fixture", qutrit_file]) == 0
     out = capsys.readouterr().out
     assert "two_pictures: PASS" in out and "FAIL" not in out
 
