@@ -24,9 +24,7 @@ from .entropy import (
     conditional_entropy,
     entropy,
 )
-from .linalg import NumericalFailure
 from .noise_disturbance import (
-    CorrectionSearchResult,
     SearchConfig,
     discard_flag_correction,
     disturbance,

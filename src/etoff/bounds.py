@@ -594,7 +594,8 @@ def certify(
 
     Computes the noise of the instrument against X, the best-found
     disturbance against Z, and the bound selected by the relation:
-    ``certify_grid`` on a chunk of one instance and one combination.
+    ``certify_grid`` on a chunk of one instance and one combination,
+    ``seed`` seeding the search and being recorded in the certificate.
     Raises AdmissibilityError when (relation, alpha, beta, d) fall
     outside the admitted region.
     """
@@ -602,36 +603,38 @@ def certify(
         raise ValueError("observables and instrument must share the input dimension")
     check_admissible(relation, alpha, beta, x_obs.dim)
     chunk = (x_obs[None], z_obs[None], inst[None])
-    return certify_grid(chunk, [(relation, alpha, beta)], [search or SearchConfig()], seed)[0]
+    return certify_grid(chunk, [(relation, alpha, beta)], search or SearchConfig(), [seed], seed)[0]
 
 
-def certify_grid(chunk, grid, searches, seed: int | None = None) -> list[TradeoffCertificate]:
+def certify_grid(chunk, grid, search: SearchConfig, seeds: list,
+                 seed: int | None = None) -> list[TradeoffCertificate]:
     """Certify every (relation, alpha, beta) of an admissible grid on every instance of a chunk.
 
-    ``chunk`` is the triple (X, Z, M) of stacks of k instances, ``searches``
-    one ``SearchConfig`` per instance (different counts raise ValueError
-    before any work), and ``grid`` is checked already (``admissible_grid``
-    or ``check_admissible``).  ``noise``, ``overlap`` and ``disturbance``
-    each take the stacks whole; ``disturbance`` searches every instance
-    and order at once, and the minimised bounds of both families come
-    from one ``bbar_bound`` call over every c (``_bounds``).  An
-    instance's certificates equal, bit for bit, those of a chunk of it
-    alone.  They come back ordered by instance, then in the grid's order.
+    ``chunk`` is the triple (X, Z, M) of stacks of k instances, searched on
+    the one budget ``search`` with one seed per instance from ``seeds``
+    (different counts raise ValueError before any work); ``seed`` is the
+    one the certificates record.  ``grid`` is checked already
+    (``admissible_grid`` or ``check_admissible``).  ``noise``, ``overlap``
+    and ``disturbance`` each take the stacks whole; ``disturbance``
+    searches every instance and order at once, and the minimised bounds of
+    both families come from one ``bbar_bound`` call over every c
+    (``_bounds``).  One comprehension reads the certificates off the
+    (k, len(grid)) arrays of ``noise`` and ``disturbance``.  An instance's
+    certificates equal, bit for bit, those of a chunk of it alone.  They
+    come back ordered by instance, then in the grid's order.
     """
     x_obs, z_obs, inst = chunk
-    counts = (len(x_obs.projectors), len(z_obs.projectors), len(inst.kraus), len(searches))
+    counts = (len(x_obs.projectors), len(z_obs.projectors), len(inst.kraus), len(seeds))
     if len(set(counts)) > 1:
-        raise ValueError(f"X, Z, M and searches count different numbers of instances: {counts}")
+        raise ValueError(f"X, Z, M and seeds count different numbers of instances: {counts}")
     noises = noise(x_obs, inst, [EntropyOrder(a, relation_family(r)) for r, a, _ in grid])
     cs = overlap(x_obs, z_obs).tolist()
-    dists = disturbance(z_obs, inst, [EntropyOrder(b, relation_family(r)) for r, _, b in grid],
-                        searches)
+    value, _, iterations, converged, candidate = disturbance(
+        z_obs, inst, [EntropyOrder(b, relation_family(r)) for r, _, b in grid], search, seeds)
     return [
-        TradeoffCertificate(
-            relation, x_obs.dim, a, b, c, n, dist.best_value, bound, seed,
-            dist.restarts, dist.iterations, dist.converged, dist.best_candidate,
-        )
-        for c, noises_at_c, bounds_at_c, dists_at_c
-        in zip(cs, noises.tolist(), _bounds(grid, cs), dists)
-        for (relation, a, b), n, dist, bound in zip(grid, noises_at_c, dists_at_c, bounds_at_c)
+        TradeoffCertificate(relation, x_obs.dim, a, b, c, n, d, bound, seed, search.restarts,
+                            evals, ok, name)
+        for c, *rows in zip(cs, noises.tolist(), _bounds(grid, cs), value.tolist(),
+                            iterations.tolist(), converged.tolist(), candidate.tolist())
+        for (relation, a, b), n, bound, d, evals, ok, name in zip(grid, *rows)
     ]

@@ -50,8 +50,8 @@ def cmd_certify(args) -> int:
     descent = args.restarts > 0 and len(z_obs.eigenvalues) > 2
     given = args.seed is not None or (args.restarts > 0 and SEED_ENV_VAR in os.environ)
     seed = _resolve_seed(args.seed) if descent or given else None
-    search = SearchConfig(restarts=args.restarts, iterations=args.iterations, seed=seed)
-    cert = certify(x_obs, z_obs, inst, args.alpha, args.beta, args.relation, search, seed=seed)
+    search = SearchConfig(restarts=args.restarts, iterations=args.iterations)
+    cert = certify(x_obs, z_obs, inst, args.alpha, args.beta, args.relation, search, seed)
     text = (harness.certificates_to_csv([cert]) if args.format == "csv"
             else json.dumps(cert.to_json_dict(), indent=2) + "\n")
     with _open_out(args.out) as fh:
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restarts of the POVM descent when Z has three or more outcomes; with "
                    "two, any positive value runs the support-angle search, which has no "
                    "budget and needs no seed (the descent needs one)")
-    p.add_argument("--iterations", type=int, default=150,
+    p.add_argument("--iterations", type=int, default=SearchConfig.iterations,
                    help="evaluations per restart of the descent; unused when Z has two outcomes")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")

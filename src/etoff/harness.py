@@ -55,8 +55,8 @@ class RunConfig:
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     betas: tuple[float, ...] = DEFAULT_ALPHAS
     seed: int | None = None
-    restarts: int = 1
-    iterations: int = 150
+    restarts: int = SearchConfig.restarts
+    iterations: int = SearchConfig.iterations
     jobs: int | None = None
     out: str | None = None
     fmt: str = "csv"
@@ -201,8 +201,7 @@ def _sweep_task(cfg: RunConfig, grid, indices) -> list[TradeoffCertificate]:
     """
     chunk = sample_instance(cfg.dim, [np.random.SeedSequence([cfg.seed, i]) for i in indices])
     seeds = [int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0]) for i in indices]
-    searches = [SearchConfig(cfg.restarts, cfg.iterations, seed) for seed in seeds]
-    return certify_grid(chunk, grid, searches, seed=cfg.seed)
+    return certify_grid(chunk, grid, SearchConfig(cfg.restarts, cfg.iterations), seeds, cfg.seed)
 
 
 def _certify_share(cfg: RunConfig, grid, chunks) -> list[TradeoffCertificate]:
@@ -381,15 +380,15 @@ def selftest_checks(seed: int = SELFTEST_SEED):
     """Run the built-in consistency checks; yields (name, ok, detail)."""
     # saturation anchor
     x_obs, z_obs, inst = saturation_instance()
-    cert = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0, seed=seed))
+    cert = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0))
     yield "saturation_margin", abs(cert.margin) <= 1e-7, f"margin={cert.margin:.3e}"
 
     # the support-angle search meets the Helstrom value of the unsharp X measurement at the
     # sweep's budget: Tsallis-2 disturbance lambda**2/2 = 1/4 at lambda = 1/sqrt(2)
     _, z_half, m_half = unsharp_luders_instance(1 / math.sqrt(2))
-    (res,) = disturbance(z_half[None], m_half[None], [EntropyOrder.tsallis(2.0)],
-                         [SearchConfig(1, 150, seed)])[0]
-    gap = res.best_value - 0.25
+    value = disturbance(z_half[None], m_half[None], [EntropyOrder.tsallis(2.0)], SearchConfig(),
+                        [seed])[0]
+    gap = value[0, 0] - 0.25
     yield "unsharp_disturbance", abs(gap) <= 1e-9, f"D_up - 1/4={gap:.3e}"
 
     # both pictures of the noise and disturbance tables, on the anchor and a random qutrit

@@ -17,10 +17,6 @@ STRUCT_TOL = 1e-10   # Hermiticity / trace / positivity checks
 DECOMP_TOL = 1e-9    # decomposition and reconstruction residuals
 
 
-class NumericalFailure(RuntimeError):
-    """A dense matrix decomposition did not converge."""
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
     m = np.asarray(a, dtype=complex)
@@ -76,13 +72,11 @@ def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     The stacks are (..., |P|, d, d) and (..., |Q|, d, d), their leading
     axes broadcasting, so one call takes a table per pair of stacks.  Each
     pair is multiplied in both orders and the larger norm kept, so
-    swapping the two stacks transposes the table exactly.
+    swapping the two stacks transposes the table exactly.  An SVD that does
+    not converge raises numpy's LinAlgError, a ValueError.
     """
     ps, qs = ps[..., :, None, :, :], qs[..., None, :, :, :]
-    try:
-        pq = np.linalg.svd(ps @ qs, compute_uv=False)[..., 0]
-        qp = np.linalg.svd(qs @ ps, compute_uv=False)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"svd did not converge: {exc}") from exc
+    pq = np.linalg.svd(ps @ qs, compute_uv=False)[..., 0]
+    qp = np.linalg.svd(qs @ ps, compute_uv=False)[..., 0]
     return np.maximum(pq, qp)
 

@@ -50,8 +50,13 @@ the trivial E_0 = 0 at phi = pi.
 Both joint tables come from the stacked arrays of the objects in
 ``quantum``, a chunk being one stack, by batched matrix products; every
 disturbance table, p(z, z') = sum_m Tr[E_z'^(m) sigma_z^(m)], comes
-from ``_table``.  ``two_picture_gap`` checks both tables against the
-same ones read off the POVMs pulled back to the input system.
+from ``_table``.  ``noise`` and ``disturbance`` answer alike: a chunk of
+k instances and a list of orders in, (k, len(orders)) arrays out, each
+order checked once and computed once per distinct computed order
+(``_computed``).  The disturbance search of a chunk runs on one budget,
+a ``SearchConfig``, with one seed per instance.  ``two_picture_gap``
+checks both tables against the same ones read off the POVMs pulled back
+to the input system.
 """
 
 from __future__ import annotations
@@ -77,22 +82,24 @@ class AdmissibilityError(ValueError):
 class SearchConfig:
     """Budget for the correction search: restarts, and evaluations per restart.
 
-    The budget applies to the POVM descent, which runs when Z has three or
-    more outcomes.  With two outcomes, ``restarts`` > 0 only switches on
-    the support-angle search, which closes its bracket to ``ANGLE_TOL``
-    whatever the budget, and ``iterations`` is not used.
+    A budget holds for a whole chunk of instances; the seeds come one per
+    instance, next to it (``disturbance``).  The budget applies to the
+    POVM descent, which runs when Z has three or more outcomes.  With two
+    outcomes, ``restarts`` > 0 only switches on the support-angle search,
+    which closes its bracket to ``ANGLE_TOL`` whatever the budget, and
+    ``iterations`` is not used.  The defaults are the sweep's.
 
-    With a seed the whole descent is deterministic, and restart r depends
-    only on (seed, r); a restart's steps, Barzilai-Borwein lengths
-    included, depend only on its own path, so a bigger budget continues
-    the same descent and growing either number can never worsen the
-    reported minimum.  A restart scores its start, then one step ladder
-    per iteration, so it needs 1 + len(_LADDER) evaluations for one step.
+    With a seed the whole descent of an instance is deterministic, and
+    restart r depends only on (seed, r); a restart's steps,
+    Barzilai-Borwein lengths included, depend only on its own path, so a
+    bigger budget continues the same descent and growing either number
+    can never worsen the reported minimum.  A restart scores its start,
+    then one step ladder per iteration, so it needs 1 + len(_LADDER)
+    evaluations for one step.
     """
 
-    restarts: int = 8
-    iterations: int = 2000
-    seed: int | None = None
+    restarts: int = 1
+    iterations: int = 150
 
     def __post_init__(self):
         if self.restarts < 0:
@@ -102,19 +109,6 @@ class SearchConfig:
         if self.restarts > 0 and self.iterations < 1 + len(_LADDER):
             raise ValueError(f"iterations must be at least {1 + len(_LADDER)} when restarts "
                              f"> 0, got {self.iterations}")
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectionSearchResult:
-    """The best correction's POVM; ``iterations`` counts the search's evaluations (see
-    ``disturbance``)."""
-
-    best_value: float
-    best_povm: np.ndarray
-    restarts: int
-    iterations: int
-    converged: bool
-    best_candidate: str
 
 
 # --- admissible orders -------------------------------------------------------
@@ -130,6 +124,14 @@ def check_order(order: EntropyOrder, dim: int) -> None:
             f"Renyi order {order.alpha} not admitted at dimension {dim} "
             f"(allowed interval (0, {limit:g}])"
         )
+
+
+def _computed(orders: list, dim: int) -> tuple:
+    """Check the orders at ``dim``; return their distinct computed orders, and each one's index."""
+    for order in orders:
+        check_order(order, dim)
+    keys = list(dict.fromkeys(order.computed for order in orders))
+    return keys, [keys.index(order.computed) for order in orders]
 
 
 # --- the first experiment: noise ---------------------------------------------
@@ -174,13 +176,10 @@ def noise(x_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list) ->
     interval is exactly the one for which conditioning on more variables
     cannot increase the entropy.
     """
-    for order in orders:
-        check_order(order, x_obs.dim)
+    keys, columns = _computed(orders, x_obs.dim)
     tables = _flagged(x_obs, inst)[1]
-    keys = list(dict.fromkeys(order.computed for order in orders))
     stack = np.broadcast_to(tables[:, None], (len(tables), len(keys)) + tables.shape[1:])
-    values = conditional_entropy(stack, np.array(keys, dtype=object))
-    return values[:, [keys.index(order.computed) for order in orders]]
+    return conditional_entropy(stack, np.array(keys, dtype=object))[:, columns]
 
 
 # --- the second experiment: disturbance --------------------------------------
@@ -276,7 +275,7 @@ def _riemannian_gradient(povm: np.ndarray, g: np.ndarray, rho: np.ndarray) -> tu
     return d, np.sqrt(np.maximum(sq, 0.0))
 
 
-def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
+def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig, seeds: list) -> tuple:
     """Riemannian descent over the Naimark isometries of the per-outcome POVMs.
 
     A point is on Stiefel(|Z| d, d)^n, the outcome m one more stacked
@@ -284,8 +283,9 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
     as in ``_table``.  Rows are
     (instance, order, restart) triples moving in lockstep, and one kernel
     call per iteration takes the entropy and its gradient of every row in
-    that row's order.  Restart r of instance i starts from
-    (searches[i].seed, r) alone, and no row's arithmetic depends on
+    that row's order.  Every row runs on the one budget ``search``, and
+    restart r of instance i starts from (seeds[i], r) alone, or from fresh
+    entropy where seeds[i] is None, so no row's arithmetic depends on
     another row.  An iteration evaluates the step ladder as one batch and
     takes the longest step with Armijo decrease.  After a step the next
     ladder's top rung is the BB1 step <s, s>/<s, y> (Barzilai & Borwein,
@@ -296,17 +296,17 @@ def _povm_search(rho: np.ndarray, orders: list, searches: list) -> tuple:
     or the quotient is not finite, the ladder starts a rung above the step
     taken instead; after a failed ladder, a rung below it.  A row stops
     when its gradient norm is below ``GRAD_TOL`` or its next ladder would
-    overrun the shared evaluation budget.  Returns, per (instance, order),
-    the best restart's POVM, its index and its number of evaluations.
+    overrun ``search.iterations``.  Returns, per (instance, order), the
+    best restart's POVM, its index and its number of evaluations.
     """
     nz, n, d = rho.shape[1:4]
-    n_rest, budget = searches[0].restarts, searches[0].iterations
+    n_rest, budget = search.restarts, search.iterations
     shape = (len(rho), len(orders), n_rest)
     row_orders = np.tile(np.repeat(np.array(orders, dtype=object), n_rest), len(rho))
     row_rho = np.repeat(np.arange(len(rho)), len(orders) * n_rest)
-    gauss = np.array([[np.random.default_rng(None if s.seed is None else [s.seed, r])
+    gauss = np.array([[np.random.default_rng(None if seed is None else [seed, r])
                        .standard_normal((2, n, nz * d, d)) for r in range(n_rest)]
-                      for s in searches])
+                      for seed in seeds])
     starts = qr_retract(gauss[:, :, 0] + 1j * gauss[:, :, 1])
     a = np.repeat(starts, len(orders), axis=0).reshape(-1, n, nz * d, d)
 
@@ -486,21 +486,22 @@ def _angle_search(rho: np.ndarray, orders: list) -> tuple:
 
 
 def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: list,
-                searches: list) -> list:
+                search: SearchConfig, seeds: list) -> tuple:
     """Best-found disturbance per instance and order: upper bounds on the minima over corrections.
 
-    ``z_obs`` and ``inst`` are stacks of k instances, and ``searches`` one
-    ``SearchConfig`` per instance, all with one budget, else ValueError.
-    The flagged states rho are the blocks of one ``_flagged``
-    call, over d.  The candidates are the flag-discarding identity (when
-    dimensions permit) and the classical repreparation, exact in the
-    zero-disturbance regimes, which decides on that call's tables, and,
-    when ``restarts`` > 0, one searched POVM per instance and order.
-    Every candidate is its
+    ``z_obs`` and ``inst`` are stacks of k instances, searched on the one
+    budget ``search``, and ``seeds`` holds one seed (or None) per instance;
+    another count raises ValueError before any search.  The flagged states
+    rho are the blocks of one ``_flagged`` call, over d.  The candidates
+    are the flag-discarding identity (when dimensions permit) and the
+    classical repreparation, exact in the zero-disturbance regimes, which
+    decides on that call's tables, and, when ``restarts`` > 0, one
+    searched POVM per instance and order.  Every candidate is its
     re-measurement POVM, all are scored by one ``_table`` and one
     entropy-kernel call, each instance's against its own, and ties go to
     the fixed corrections.  Orders computing the same entropy share one
-    result, and an instance's results equal, bit for bit, those of it alone.
+    computed column, and an instance's row equals, bit for bit, that of
+    it alone.
 
     With two Z outcomes the search is ``_angle_search``, whose candidate
     is ``support_angle`` (why one angle and a quarter of the circle
@@ -519,31 +520,35 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     is that restart's evaluation count.  Without a search, or with the
     descent, ``converged`` means the Riemannian gradient norm at the
     reported POVM, a stationarity test that saddle points pass too, is
-    below ``GRAD_TOL``.  Returns one list per instance, one result per
-    order.
+    below ``GRAD_TOL``.
+
+    Returns the tuple (value, POVM, iterations, converged, candidate) of
+    arrays with leading axes (k, len(orders)), as ``noise`` shapes its
+    values: the best value, clamped at 0; its (n_outcomes, |Z|, d_out,
+    d_out) re-measurement POVM; the search's evaluation count, 0 without
+    a search; the flag above; and the name of the winning candidate.
     """
-    budgets = sorted({(s.restarts, s.iterations) for s in searches})
-    if len(budgets) > 1 or len(searches) != len(z_obs.projectors):
-        raise ValueError(f"a chunk's instances must share one search budget, got "
-                         f"{len(searches)} searches for {len(z_obs.projectors)} instances with "
-                         f"(restarts, iterations) in {budgets}")
-    for order in orders:
-        check_order(order, z_obs.dim)
+    keys, columns = _computed(orders, z_obs.dim)
     blocks, joints = _flagged(z_obs, inst)
-    keys = list(dict.fromkeys(order.computed for order in orders))
-    if not keys:
-        return [[] for _ in searches]
+    if len(seeds) != len(blocks):
+        raise ValueError(f"expected one seed per instance, got {len(seeds)} seeds for "
+                         f"{len(blocks)} instances")
     rho = blocks / z_obs.dim
     fixed = {"discard_flag": discard_flag_correction(z_obs, inst),
              "reprepare": _reprepare(joints, inst.dim_out)}
     names = [name for name, povm in fixed.items() if povm is not None]
     povms = np.stack([fixed[name] for name in names], axis=1)
-    n_fixed, restarts = len(names), searches[0].restarts
+    if not keys:
+        shape = (len(rho), 0)
+        return (np.zeros(shape), np.zeros(shape + povms.shape[2:], complex),
+                np.zeros(shape, int), np.zeros(shape, bool), np.zeros(shape, str))
+    n_fixed, restarts = len(names), search.restarts
     angle = restarts > 0 and rho.shape[1] == 2
+    evals = restart = np.zeros((len(rho), len(keys)), dtype=int)
     if angle:
-        found, evals, closed = _angle_search(rho, keys)
+        found, evals, converged = _angle_search(rho, keys)
     elif restarts > 0:
-        found, restart, evals = _povm_search(rho, keys, searches)
+        found, restart, evals = _povm_search(rho, keys, search, seeds)
     if restarts > 0:
         povms = np.concatenate([povms, found], axis=1)
     tables = _table(povms, rho[:, None])
@@ -553,29 +558,21 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     values, grads = conditional_entropy_gradient(
         tables[:, pick], np.array(keys, dtype=object)[:, None])
     best = np.argmin(values, axis=-1)  # ties go to the fixed corrections
-    key_ix, inst_ix = np.arange(len(keys)), np.arange(len(searches))[:, None]
+    key_ix, inst_ix = np.arange(len(keys)), np.arange(len(rho))[:, None]
     chosen = pick[key_ix, best]  # (instance, key)
     if not angle:
         # one call for the chunk: at d = 4 the gradients of 8 instances over the sweep's
         # default grid peak at 1.2 MB (tracemalloc)
         _, norms = _riemannian_gradient(povms[inst_ix, chosen], grads[inst_ix, key_ix, best],
                                         rho[:, None])
-    results = []
-    for i, b in enumerate(best):
-        by_key = {
-            key: CorrectionSearchResult(
-                best_value=max(0.0, float(values[i, k, b[k]])),
-                best_povm=povms[i, chosen[i, k]],
-                restarts=restarts,
-                iterations=int(evals[i, k]) if restarts > 0 else 0,
-                converged=bool(closed[i, k] if angle else norms[i, k] < GRAD_TOL),
-                best_candidate=names[chosen[i, k]] if chosen[i, k] < n_fixed
-                else "support_angle" if angle else f"parametrized_restart_{restart[i, k]}",
-            )
-            for k, key in enumerate(keys)
-        }
-        results.append([by_key[order.computed] for order in orders])
-    return results
+        converged = norms < GRAD_TOL
+    labels = names + (["support_angle"] if angle
+                      else [f"parametrized_restart_{r}" for r in range(restarts)])
+    candidate = np.array(labels)[np.where(chosen < n_fixed, chosen, n_fixed + restart)]
+    value = values[inst_ix, key_ix, best]
+    value = np.where(value > 0.0, value, 0.0)  # max(0.0, v), -0.0 and NaN read 0.0
+    return tuple(a[:, columns] for a in (value, povms[inst_ix, chosen], evals, converged,
+                                         candidate))
 
 
 # --- the two-picture check -------------------------------------------------------

@@ -572,7 +572,7 @@ def test_certify_grid_requests_only_the_pairs_of_its_grid(monkeypatch):
     for dim, want in ((2, 50), (3, 34)):
         chunk = sample_instance(dim, [300 + k for k in range(3)])
         grid, _ = admissible_grid(RELATIONS, DEFAULT_ALPHAS, DEFAULT_ALPHAS, dim)
-        certs = certify_grid(chunk, grid, [SearchConfig(restarts=0)] * 3)
+        certs = certify_grid(chunk, grid, SearchConfig(restarts=0), [None] * 3)
         pairs = requested.pop()
         assert not requested
         assert len(pairs) == len(set(pairs)) == want
@@ -589,7 +589,7 @@ def test_certify_grid_requests_only_the_pairs_of_its_grid(monkeypatch):
 
 
 def test_certify_grid_rejects_stacks_of_unequal_counts_before_any_work(monkeypatch):
-    # a chunk is one stack each of X, Z and M, and one search per instance: the four must
+    # a chunk is one stack each of X, Z and M, and one seed per instance: the four must
     # count the same instances, the error names the counts, and nothing is computed before it
     def no_work(*args):
         raise AssertionError("work started on a chunk of unequal counts")
@@ -599,18 +599,18 @@ def test_certify_grid_rejects_stacks_of_unequal_counts_before_any_work(monkeypat
     monkeypatch.setattr("etoff.bounds.bbar_bound", no_work)
     x_obs, z_obs, inst = sample_instance(2, [1, 2, 3])
     grid, search = [("Prop1", 1.0, 1.0)], SearchConfig(restarts=0)
-    for chunk, searches, counts in (((x_obs[:2], z_obs, inst), [search] * 3, (2, 3, 3, 3)),
-                                    ((x_obs, z_obs[1:], inst), [search] * 3, (3, 2, 3, 3)),
-                                    ((x_obs, z_obs, inst[:1]), [search] * 3, (3, 3, 1, 3)),
-                                    ((x_obs, z_obs, inst), [search] * 2, (3, 3, 3, 2))):
+    for chunk, seeds, counts in (((x_obs[:2], z_obs, inst), [1, 2, 3], (2, 3, 3, 3)),
+                                 ((x_obs, z_obs[1:], inst), [1, 2, 3], (3, 2, 3, 3)),
+                                 ((x_obs, z_obs, inst[:1]), [1, 2, 3], (3, 3, 1, 3)),
+                                 ((x_obs, z_obs, inst), [1, 2], (3, 3, 3, 2))):
         with pytest.raises(ValueError, match="different numbers of instances: " +
                            re.escape(str(counts))):
-            certify_grid(chunk, grid, searches)
+            certify_grid(chunk, grid, search, seeds)
 
 
 def test_certify_grid_skips_inadmissible():
     grid, skipped = admissible_grid(("Prop1", "Prop2"), (0.5, 1.0, 2.0), (0.5, 1.0), 3)
-    certs = certify_grid(sample_instance(3, [55]), grid, [SearchConfig(restarts=0)], seed=55)
+    certs = certify_grid(sample_instance(3, [55]), grid, SearchConfig(restarts=0), [55], seed=55)
     # Prop1 takes all six combinations; Prop2 at d=3 drops alpha = 2
     assert len(certs) == 6 + 4
     assert skipped == 2
@@ -623,13 +623,13 @@ def test_a_relations_bound_does_not_depend_on_the_family_sharing_its_zoom():
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
     for dim in (2, 3):
         chunk = sample_instance(dim, [100 + k for k in range(8)])
-        searches = [SearchConfig(restarts=0)] * 8
+        search, seeds = SearchConfig(restarts=0), [None] * 8
         alone = {}
         for relation in ("Prop1", "Prop2"):
             grid, _ = admissible_grid((relation,), orders, orders, dim)
-            alone[relation] = certify_grid(chunk, grid, searches)
+            alone[relation] = certify_grid(chunk, grid, search, seeds)
         grid, _ = admissible_grid(("Prop1", "Prop2"), orders, orders, dim)
-        shared = certify_grid(chunk, grid, searches)
+        shared = certify_grid(chunk, grid, search, seeds)
         per_instance = len(shared) // 8
         split = [shared[k * per_instance:(k + 1) * per_instance] for k in range(8)]
         for relation in ("Prop1", "Prop2"):

@@ -120,6 +120,23 @@ MALFORMED_INPUTS = [
     pytest.param("instance", lambda d: d.update(X=observable_to_json(basis_observable(3)),
                                                 Z=observable_to_json(basis_observable(3))),
                  "dimensions differ", id="dim-mismatch"),
+    pytest.param("instance", lambda d: [b.update(projector=[row + [[0.0, 0.0]] for row in
+                                                            b["projector"]])
+                                        for b in d["X"]["branches"]],
+                 "projectors must be square", id="non-square-projector"),
+    pytest.param("instance", lambda d: d["X"]["branches"][1].update(
+        eigenvalue=d["X"]["branches"][0]["eigenvalue"]), "duplicate eigenvalue label",
+                 id="shared-eigenvalue"),
+    pytest.param("instance", lambda d: d["M"].update(branches=[]), "at least one outcome",
+                 id="no-branches"),
+    pytest.param("instance", lambda d: [b.update(kraus=[k[:1] for k in b["kraus"]])
+                                        for b in d["M"]["branches"]],
+                 "Kraus shape (1, 2) does not match (2, 2)", id="kraus-wrong-shape"),
+    pytest.param("instance", lambda d: d["Z"]["branches"][0]["projector"][0][0].__setitem__(
+        0, {"re": 1.0}), "matrix JSON entry is not a number", id="object-entry"),
+    pytest.param("instance", lambda d: d["Z"]["branches"][0].update(
+        projector=[[e[0] for e in row] for row in d["Z"]["branches"][0]["projector"]]),
+                 "nested list of [re, im] pairs", id="row-without-pairs"),
     pytest.param("config", [{"dim": 2}], "not an object", id="config-list"),
     pytest.param("config", {"dim": 2, "bogus": 1}, "'bogus'", id="config-unknown-key"),
     pytest.param("config", {"dim": "2"}, "dim must be an integer", id="config-string-dim"),
@@ -133,6 +150,13 @@ MALFORMED_INPUTS = [
                  id="config-bool-seed"),
     pytest.param("config", {"alphas": [True]}, "alphas must be finite numbers, got True",
                  id="config-bool-alpha"),
+    pytest.param("config", {"dim": 1}, "dimension must be at least 2, got 1", id="config-dim-1"),
+    pytest.param("config", {"relations": []}, "relations, alphas and betas must be non-empty",
+                 id="config-no-relations"),
+    pytest.param("config", {"relations": ["Prop9"]}, "unknown relation 'Prop9'",
+                 id="config-unknown-relation"),
+    pytest.param("config", {"fmt": "xml"}, "format must be csv or json, got 'xml'",
+                 id="config-xml-format"),
 ]
 
 
@@ -203,6 +227,8 @@ BAD_BUDGETS = [
     pytest.param(["--restarts", "1", "--seed", "-1"], "1", "ETOFF_SEED) must not be negative",
                  id="--seed--1"),
     pytest.param(["--restarts", "1"], "-3", "ETOFF_SEED) must not be negative", id="ETOFF_SEED--3"),
+    pytest.param(["--restarts", "1"], "abc", "ETOFF_SEED must be an integer, got 'abc'",
+                 id="ETOFF_SEED-abc"),
     # non-finite orders: a sweep's config names the entry, certify the relation and the entry
     pytest.param(["--relation", "Prop3", "--alpha", "nan", "--beta", "1"], "1", "nan",
                  id="Prop3-alpha-nan"),
@@ -219,7 +245,8 @@ def test_certify_rejects_a_bad_search_budget(anchor_file, capsys, monkeypatch, b
         ["certify", anchor_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1", *budget]
     )
     assert code == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
 def test_seed_env_fallback(anchor_file, monkeypatch, tmp_path):
@@ -251,7 +278,8 @@ def test_sweep_rejects_a_bad_budget_before_any_sample_runs(monkeypatch, capsys, 
     monkeypatch.setenv("ETOFF_SEED", seed)
     code = main(["sweep", "--dim", "2", "--samples", "2", "--jobs", "1", *budget])
     assert code == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
     assert ran == []
 
 
@@ -328,8 +356,8 @@ def test_sweep_chunks_give_each_sample_its_own_certificates():
         for i in range(cfg.samples):
             instance = harness.sample_instance(cfg.dim, [np.random.SeedSequence([cfg.seed, i])])
             seed = int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0])
-            search = SearchConfig(cfg.restarts, cfg.iterations, seed)
-            alone += harness.certify_grid(instance, grid, [search], seed=cfg.seed)
+            search = SearchConfig(cfg.restarts, cfg.iterations)
+            alone += harness.certify_grid(instance, grid, search, [seed], seed=cfg.seed)
         assert len(alone) == cfg.samples * len(grid)
         assert runs[0] == alone
 
@@ -578,6 +606,29 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_names_its_first_failing_property(monkeypatch, capsys):
+    # every check still runs and prints; the first failure is named and the exit code is 1
+    monkeypatch.setattr(harness, "two_picture_check", lambda *args: (False, "patched"))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "selftest: two_pictures_qubit: FAIL (patched)" in out
+    assert "two_pictures_qutrit: FAIL" in out and "negative_fixture_rejected: PASS" in out
+    assert out.endswith("selftest: first failing property: two_pictures_qubit\n")
+
+
+def test_certify_exits_two_when_the_svd_does_not_converge(anchor_file, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, so the command line reports it as an input error
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    code = main(["certify", anchor_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "error: SVD did not converge\n"
 
 
 def test_selftest_fixture_passes_on_a_qutrit_with_a_wider_output(qutrit_file, capsys):

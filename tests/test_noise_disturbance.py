@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from etoff import noise_disturbance
 from etoff.decision import standard_decision
 from etoff.entropy import (
     EntropyOrder,
@@ -46,10 +48,9 @@ from conftest import sample_one
 LN2 = math.log(2)
 
 
-def disturbance_alone(z_obs, inst, orders, search):
-    """``disturbance`` on a chunk of one instance: its results, one per order."""
-    (results,) = disturbance(z_obs[None], inst[None], orders, [search])
-    return results
+def disturbance_alone(z_obs, inst, orders, search, seed=None):
+    """``disturbance`` on a chunk of one instance: its five arrays, one entry per order."""
+    return tuple(a[0] for a in disturbance(z_obs[None], inst[None], orders, search, [seed]))
 
 
 # --- noise ---------------------------------------------------------------------
@@ -118,9 +119,9 @@ def test_noise_of_many_orders_equals_one_conditional_entropy_per_order():
 
 def test_noise_and_disturbance_take_stacks_of_equal_length():
     x_obs, z_obs, inst = sample_instance(2, [1, 2])
-    orders, searches = [EntropyOrder.shannon()], [SearchConfig(restarts=0)] * 2
+    orders, search = [EntropyOrder.shannon()], SearchConfig(restarts=0)
     for bad in (lambda: noise(x_obs[0], inst[0], orders), lambda: noise(x_obs, inst[:1], orders),
-                lambda: disturbance(z_obs[:1], inst, orders, searches[:1])):
+                lambda: disturbance(z_obs[:1], inst, orders, search, [None])):
         with pytest.raises(ValueError, match="expected stacks of k observables and k instruments"):
             bad()
 
@@ -154,35 +155,35 @@ def test_disturbance_joint_conjugate_measurement(qubit_pair):
 
 def test_disturbance_identity_instrument_zero():
     z_obs = basis_observable(2)
-    (res,) = disturbance_alone(z_obs, trivial_instrument(2), [EntropyOrder.shannon()],
-                               SearchConfig(restarts=0))
-    assert res.best_value == pytest.approx(0.0, abs=1e-12)
-    assert res.best_candidate == "discard_flag"
+    value, _, _, _, name = disturbance_alone(z_obs, trivial_instrument(2),
+                                             [EntropyOrder.shannon()], SearchConfig(restarts=0))
+    assert value[0] == pytest.approx(0.0, abs=1e-12)
+    assert name[0] == "discard_flag"
 
 
 def test_disturbance_projective_z_zero_via_reprepare(anchor):
     _, z_obs, inst = anchor
-    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.tsallis(1.3)], SearchConfig(restarts=0))
-    assert res.best_value <= 1e-9
+    value = disturbance_alone(z_obs, inst, [EntropyOrder.tsallis(1.3)], SearchConfig(restarts=0))[0]
+    assert value[0] <= 1e-9
 
 
 def test_disturbance_conjugate_measurement_saturates(qubit_pair):
     x_obs, z_obs = qubit_pair
     inst = luders_instrument(x_obs)
-    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()],
-                               SearchConfig(restarts=2, iterations=150, seed=4))
+    value = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()],
+                              SearchConfig(restarts=2, iterations=150), seed=4)[0]
     # the trade-off pins the disturbance at ln 2 because the noise is zero
-    assert res.best_value >= LN2 - 1e-7
-    assert res.best_value <= LN2 + 1e-9
+    assert value[0] >= LN2 - 1e-7
+    assert value[0] <= LN2 + 1e-9
 
 
 def test_disturbance_more_restarts_never_worse():
     _, z_obs, inst = sample_one(2, 17)
     vals = []
     for r in (0, 1, 2):
-        (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.tsallis(2.0)],
-                                   SearchConfig(restarts=r, iterations=120, seed=99))
-        vals.append(res.best_value)
+        value = disturbance_alone(z_obs, inst, [EntropyOrder.tsallis(2.0)],
+                                  SearchConfig(restarts=r, iterations=120), seed=99)[0]
+        vals.append(value[0])
     assert vals[1] <= vals[0] + 1e-12
     assert vals[2] <= vals[1] + 1e-12
 
@@ -195,9 +196,8 @@ def test_disturbance_more_iterations_never_worse():
         _, z_obs, inst = sample_instance(dim, seeds)
         previous = None
         for budget in (4, 7, 13, 25, 50, 100, 200, 400):
-            searches = [SearchConfig(restarts=2, iterations=budget, seed=seed) for seed in seeds]
-            values = np.array([[res.best_value for res in results]
-                               for results in disturbance(z_obs, inst, orders, searches)])
+            search = SearchConfig(restarts=2, iterations=budget)
+            values = disturbance(z_obs, inst, orders, search, list(seeds))[0]
             if previous is not None:
                 assert np.all(values <= previous), (dim, budget)
             previous = values
@@ -219,7 +219,7 @@ def test_povm_descent_converges_at_sweep_budget():
     certs = np.array([orders.count(key) for key in keys]) * np.ones((CHUNK, 1))
     assert len(keys) == 9 and certs.sum() == 416
     rho = _flagged(z_obs, inst)[0] / 2
-    povm, _, evals = _povm_search(rho, keys, [SearchConfig(1, 150, seed) for seed in seeds])
+    povm, _, evals = _povm_search(rho, keys, SearchConfig(1, 150), seeds)
     _, grads = conditional_entropy_gradient(_table(povm, rho[:, None]),
                                             np.array(keys, dtype=object))
     _, norms = _riemannian_gradient(povm, grads, rho[:, None])
@@ -243,36 +243,40 @@ def test_disturbance_bounded_by_identity_correction():
     ident = discard_flag_correction(z_obs, inst)
     order = EntropyOrder.tsallis(1.0)
     ident_val = conditional_entropy(disturbance_joint(z_obs, inst, ident), order)
-    (res,) = disturbance_alone(z_obs, inst, [order],
-                               SearchConfig(restarts=1, iterations=100, seed=2))
-    assert res.best_value <= ident_val + 1e-12
+    value = disturbance_alone(z_obs, inst, [order], SearchConfig(restarts=1, iterations=100),
+                              seed=2)[0]
+    assert value[0] <= ident_val + 1e-12
 
 
-def test_disturbance_one_order_equals_that_order_in_a_grid():
+def test_disturbance_one_order_equals_that_order_in_a_grid(monkeypatch):
     # no row of the lockstep search depends on the rows beside it, bit for bit: neither on
-    # the other orders nor on the other instances of a chunk
+    # the other orders nor on the other instances of a chunk.  Each of the five arrays
+    # (value, POVM, iterations, converged, candidate) is compared
     _, z_obs, inst = sample_one(2, 23)
     orders = [EntropyOrder.tsallis(a) for a in (0.3, 0.5, 1.0, 1.5, 2.0)]
     orders += [EntropyOrder.renyi(a) for a in (0.3, 0.5, 1.5, 2.0)]
-    search = SearchConfig(restarts=2, iterations=90, seed=8)
-    grid = disturbance_alone(z_obs, inst, orders, search)
-    for order, res in zip(orders, grid):
-        (one,) = disturbance_alone(z_obs, inst, [order], search)
-        assert one.best_value == res.best_value
-        assert np.array_equal(one.best_povm, res.best_povm)
-        assert one.best_candidate == res.best_candidate
-        assert one.iterations == res.iterations
+    search = SearchConfig(restarts=2, iterations=90)
+    grid = disturbance_alone(z_obs, inst, orders, search, seed=8)
+    for k, order in enumerate(orders):
+        one = disturbance_alone(z_obs, inst, [order], search, seed=8)
+        for a, b in zip(one, grid):
+            assert np.array_equal(a[0], b[k]), order
     _, zs, ms = sample_instance(2, (23, 24, 25))
-    searches = [SearchConfig(restarts=2, iterations=90, seed=seed) for seed in (8, 9, 10)]
-    for k, (search, results) in enumerate(zip(searches, disturbance(zs, ms, orders, searches))):
-        for res, alone in zip(results, disturbance_alone(zs[k], ms[k], orders, search)):
-            assert res.best_value == alone.best_value
-            assert np.array_equal(res.best_povm, alone.best_povm)
-            assert (res.best_candidate, res.iterations, res.converged) == (
-                alone.best_candidate, alone.iterations, alone.converged)
-    # a chunk shares one search budget
-    with pytest.raises(ValueError, match="one search budget"):
-        disturbance(zs[:2], ms[:2], orders, [searches[0], SearchConfig(restarts=1, seed=9)])
+    chunk = disturbance(zs, ms, orders, search, [8, 9, 10])
+    for k, seed in enumerate((8, 9, 10)):
+        for a, alone in zip(chunk, disturbance_alone(zs[k], ms[k], orders, search, seed)):
+            assert np.array_equal(a[k], alone), k
+    # one seed per instance, checked before the support-angle search or the descent runs
+    def no_search(*args):
+        raise AssertionError("a search ran on a chunk with the wrong number of seeds")
+
+    monkeypatch.setattr(noise_disturbance, "_angle_search", no_search)
+    monkeypatch.setattr(noise_disturbance, "_povm_search", no_search)
+    _, z3, m3 = sample_instance(3, (23, 24))
+    for z, m in ((zs[:2], ms[:2]), (z3, m3)):  # the angle search, then the descent
+        for seeds in ([8], [8, 9, 10]):
+            with pytest.raises(ValueError, match=f"got {len(seeds)} seeds for 2 instances"):
+                disturbance(z, m, orders[:5], search, seeds)
 
 
 def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
@@ -280,11 +284,12 @@ def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
     for dim, seed in ((2, 1), (2, 3), (3, 4), (4, 5)):
         _, z_obs, inst = sample_one(dim, seed)
         orders = [EntropyOrder.tsallis(0.5), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
-        for search in (SearchConfig(restarts=0), SearchConfig(restarts=2, iterations=60, seed=1)):
-            for order, res in zip(orders, disturbance_alone(z_obs, inst, orders, search)):
-                j = disturbance_joint(z_obs, inst, res.best_povm)
-                assert res.best_value == pytest.approx(conditional_entropy(j, order), abs=1e-12)
-                winners.add(res.best_candidate.rstrip("0123456789"))
+        for search in (SearchConfig(restarts=0), SearchConfig(restarts=2, iterations=60)):
+            values, povms, _, _, names = disturbance_alone(z_obs, inst, orders, search, seed=1)
+            for order, value, povm, name in zip(orders, values, povms, names):
+                j = disturbance_joint(z_obs, inst, povm)
+                assert value == pytest.approx(conditional_entropy(j, order), abs=1e-12)
+                winners.add(name.rstrip("0123456789"))
     assert winners == {"discard_flag", "reprepare", "parametrized_restart_", "support_angle"}
 
 
@@ -293,29 +298,30 @@ def test_disturbance_search_beats_both_fixed_corrections_at_d3():
     order = EntropyOrder.tsallis(2.0)
     fixed = [discard_flag_correction(z_obs, inst), reprepare_correction(z_obs, inst)]
     fixed_values = [conditional_entropy(disturbance_joint(z_obs, inst, ch), order) for ch in fixed]
-    (res,) = disturbance_alone(z_obs, inst, [order],
-                               SearchConfig(restarts=1, iterations=150, seed=1))
-    assert res.best_candidate == "parametrized_restart_0"
-    assert res.best_value < min(fixed_values) - 0.1
+    value, _, _, _, name = disturbance_alone(z_obs, inst, [order],
+                                             SearchConfig(restarts=1, iterations=150), seed=1)
+    assert name[0] == "parametrized_restart_0"
+    assert value[0] < min(fixed_values) - 0.1
 
 
 def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
     x_obs, z_obs = qubit_pair
     # measuring the conjugate basis leaves every flagged Z state equal, so
     # every POVM is stationary, the flag-discarding identity included
-    (res,) = disturbance_alone(z_obs, luders_instrument(x_obs), [EntropyOrder.shannon()],
-                               SearchConfig(restarts=0))
-    assert res.converged
-    assert res.best_value == pytest.approx(LN2, abs=1e-12)
+    value, _, _, converged, _ = disturbance_alone(
+        z_obs, luders_instrument(x_obs), [EntropyOrder.shannon()], SearchConfig(restarts=0))
+    assert converged[0]
+    assert value[0] == pytest.approx(LN2, abs=1e-12)
     # without a search the best candidate (the flag-discarding identity
     # here) is not stationary; the descent's is (three Z outcomes)
     _, z_obs, inst = sample_one(3, 1)
-    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=0))
-    assert res.iterations == 0 and res.best_candidate == "discard_flag"
-    assert not res.converged
-    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()],
-                               SearchConfig(restarts=1, iterations=2000, seed=4))
-    assert res.converged and res.best_candidate == "parametrized_restart_0"
+    _, _, evals, converged, name = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()],
+                                                     SearchConfig(restarts=0))
+    assert evals[0] == 0 and name[0] == "discard_flag"
+    assert not converged[0]
+    _, _, _, converged, name = disturbance_alone(
+        z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=1, iterations=2000), seed=4)
+    assert converged[0] and name[0] == "parametrized_restart_0"
 
 
 def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
@@ -324,41 +330,52 @@ def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
     _, z_obs, inst = sample_one(3, 3)
     orders = [EntropyOrder.tsallis(2.0), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
     rho = flag_apply(inst.kraus, inst.by_outcome, z_obs.projectors) / 3
-    for search in (SearchConfig(restarts=0), SearchConfig(2, 2000, seed=1)):
-        results = disturbance_alone(z_obs, inst, orders, search)
-        for order, res in zip(orders, results):
-            table = disturbance_joint(z_obs, inst, res.best_povm)
+    for search in (SearchConfig(restarts=0), SearchConfig(2, 2000)):
+        _, povms, _, converged, names = disturbance_alone(z_obs, inst, orders, search, seed=1)
+        for order, povm, ok in zip(orders, povms, converged):
+            table = disturbance_joint(z_obs, inst, povm)
             _, grad = conditional_entropy_gradient(table, order)
-            _, norm = _riemannian_gradient(res.best_povm, grad, rho)
-            assert res.converged == bool(norm < GRAD_TOL)
-    assert all(res.converged and res.best_candidate.startswith("parametrized") for res in results)
+            _, norm = _riemannian_gradient(povm, grad, rho)
+            assert ok == bool(norm < GRAD_TOL)
+    assert all(converged) and all(name.startswith("parametrized") for name in names)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_disturbance_shares_one_search_per_computed_entropy(dim):
+def test_disturbance_shares_one_search_per_computed_entropy(dim, monkeypatch):
+    # the three orders compute the Shannon entropy: the search sees that one computed order,
+    # and the three columns of every array are bit for bit the same
     _, z_obs, inst = sample_one(dim, 9)
     orders = [EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1 + 1e-8), EntropyOrder.shannon()]
-    results = disturbance_alone(z_obs, inst, orders,
-                                SearchConfig(restarts=1, iterations=60, seed=2))
-    assert results[0] is results[1] is results[2]
+    searched = []
+    for name in ("_angle_search", "_povm_search"):
+        def spy(rho, keys, *rest, search=getattr(noise_disturbance, name)):
+            searched.append(keys)
+            return search(rho, keys, *rest)
+
+        monkeypatch.setattr(noise_disturbance, name, spy)
+    results = disturbance_alone(z_obs, inst, orders, SearchConfig(restarts=1, iterations=60),
+                                seed=2)
+    assert searched == [[EntropyOrder.shannon()]]
+    for a in results:
+        assert a[0].tobytes() == a[1].tobytes() == a[2].tobytes()
     if dim == 3:  # the descent's budget; the support-angle search has none
-        assert results[0].iterations <= 60
+        assert results[2][0] <= 60
 
 
 def test_disturbance_without_restarts_runs_no_search():
     _, z_obs, inst = sample_one(2, 9)
-    (res,) = disturbance_alone(z_obs, inst, [EntropyOrder.renyi(0.5)],
-                               SearchConfig(restarts=0, seed=2))
-    assert res.iterations == 0
-    assert res.best_candidate in ("discard_flag", "reprepare")
+    _, _, evals, _, name = disturbance_alone(z_obs, inst, [EntropyOrder.renyi(0.5)],
+                                             SearchConfig(restarts=0), seed=2)
+    assert evals[0] == 0
+    assert name[0] in ("discard_flag", "reprepare")
 
 
 def test_noise_disturbance_shannon_agreement(anchor):
     x_obs, z_obs, inst = anchor
     for order in (EntropyOrder.shannon(), EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1.0)):
         assert noise(x_obs[None], inst[None], [order])[0][0] == pytest.approx(LN2, abs=1e-9)
-        (res,) = disturbance_alone(z_obs, inst, [order], SearchConfig(restarts=0))
-        assert res.best_value == pytest.approx(0.0, abs=1e-9)
+        value = disturbance_alone(z_obs, inst, [order], SearchConfig(restarts=0))[0]
+        assert value[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_renyi_noise_monotone_in_order(qubit_pair):
@@ -413,6 +430,10 @@ def test_search_config_rejects_a_bad_budget():
     cfg = SearchConfig(restarts=0, iterations=1)
     assert (cfg.restarts, cfg.iterations) == (0, 1)
     SearchConfig(restarts=1, iterations=4)
+    # a budget is two numbers, seeds come per instance, and the default budget is the sweep's
+    assert [f.name for f in fields(SearchConfig)] == ["restarts", "iterations"]
+    cfg, run = SearchConfig(), RunConfig()
+    assert (cfg.restarts, cfg.iterations) == (run.restarts, run.iterations) == (1, 150)
 
 
 def test_disturbance_joint_rejects_a_non_povm(anchor):
@@ -461,21 +482,23 @@ def test_support_angle_is_a_global_minimum_at_two_outcomes(d_out):
     else:
         orders = [EntropyOrder.tsallis(0.5), EntropyOrder.tsallis(2.0), EntropyOrder.tsallis(3.0),
                   EntropyOrder.renyi(0.3), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
-    results = disturbance(z_obs, inst, orders, [SearchConfig(1, 150, seed) for seed in seeds])
+    values, _, _, converged, _ = disturbance(z_obs, inst, orders, SearchConfig(1, 150),
+                                             list(seeds))
     rho = _flagged(z_obs, inst)[0] / z_obs.dim
-    descent, _, _ = _povm_search(rho, orders, [SearchConfig(4, 2000, seed) for seed in seeds])
+    descent, _, _ = _povm_search(rho, orders, SearchConfig(4, 2000), seeds)
     rng = np.random.default_rng(d_out or 0)  # d = 2 draws from seed 0
     n, d = inst.n_outcomes, inst.dim_out
     a = np.array([sample_haar_unitary(2 * d, rng)[:, :d] for _ in range(300 * n)])
     a = a.reshape(300, n, 2, d, d)
     others = np.concatenate([descent, np.broadcast_to(dagger(a) @ a, (len(seeds),) + a.shape)],
                             axis=1)
-    for i, row in enumerate(results):
+    for i in range(len(seeds)):
         tables = _table(others[i], rho[i])
-        for k, (order, res) in enumerate(zip(orders, row)):
-            floor = 0.0 if res.converged else 2 * 1e-16 ** order.alpha / (1 - order.alpha)
-            assert res.converged or (d_out in (3, 4) and order.alpha < 1), (d_out, i, order)
+        for k, order in enumerate(orders):
+            closed = converged[i, k]
+            floor = 0.0 if closed else 2 * 1e-16 ** order.alpha / (1 - order.alpha)
+            assert closed or (d_out in (3, 4) and order.alpha < 1), (d_out, i, order)
             lowest = conditional_entropy(tables[[k] + list(range(len(orders), len(tables)))],
                                          order).min()
-            assert lowest >= res.best_value - 1e-9 - floor, (d_out, i, order,
-                                                            lowest - res.best_value)
+            assert lowest >= values[i, k] - 1e-9 - floor, (d_out, i, order,
+                                                          lowest - values[i, k])
