@@ -84,7 +84,9 @@ class TradeoffCertificate:
     or ``parametrized_restart_<r>`` (three or more).  ``iterations``
     counts the support points of the angle search, or the evaluations of
     the descent's best restart, at most the per-restart budget; it is 0
-    when no search ran.
+    when no search ran.  ``converged`` means that the search that ran met
+    its own stopping rule (a closed angle bracket, or the best restart's
+    gradient norm below ``GRAD_TOL``); it is false when no search ran.
     """
 
     relation: str
@@ -95,11 +97,11 @@ class TradeoffCertificate:
     noise: float
     disturbance: float
     bound: BoundValue
-    seed: int | None = None
-    restarts: int = 0
-    iterations: int = 0
-    converged: bool = True
-    best_candidate: str = ""
+    seed: int | None
+    restarts: int
+    iterations: int
+    converged: bool
+    best_candidate: str
 
     @property
     def family(self) -> str:

@@ -295,9 +295,12 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig, seeds: lis
     coordinates, and <., .> the real Frobenius product.  Where <s, y> <= 0
     or the quotient is not finite, the ladder starts a rung above the step
     taken instead; after a failed ladder, a rung below it.  A row stops
-    when its gradient norm is below ``GRAD_TOL`` or its next ladder would
-    overrun ``search.iterations``.  Returns, per (instance, order), the
-    best restart's POVM, its index and its number of evaluations.
+    when it meets its stopping rule, a gradient norm below ``GRAD_TOL``,
+    or when its next ladder would overrun ``search.iterations``.
+    Returns, per (instance, order), the best restart's POVM, its number of
+    evaluations and whether it met the stopping rule, the three arrays
+    ``_angle_search`` returns, then the restart's index.  ``disturbance``
+    reports the flag as ``converged``.
     """
     nz, n, d = rho.shape[1:4]
     n_rest, budget = search.restarts, search.iterations
@@ -356,7 +359,7 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig, seeds: lis
         step[rows[bb > 0]] = bb[bb > 0]
     best = f.reshape(shape).argmin(axis=-1)
     rows = np.arange(shape[0] * shape[1]) * n_rest + best.ravel()
-    return povm[rows].reshape(shape[:2] + povm.shape[1:]), best, evals[rows].reshape(shape[:2])
+    return *(a[rows].reshape(shape[:2] + a.shape[1:]) for a in (povm, evals, norm < GRAD_TOL)), best
 
 
 # --- the support angle, |Z| = 2 -------------------------------------------------------
@@ -503,24 +506,24 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     computed column, and an instance's row equals, bit for bit, that of
     it alone.
 
-    With two Z outcomes the search is ``_angle_search``, whose candidate
-    is ``support_angle`` (why one angle and a quarter of the circle
-    suffice is in the module docstring).  ``iterations`` is then the
-    count of support points the row evaluated, and ``converged`` means
+    ``converged`` means one thing on every row: the search that ran met
+    its own stopping rule, whichever candidate won; it is false where no
+    search ran.  With two Z outcomes the search is ``_angle_search``, whose
+    candidate is ``support_angle`` (why one angle and a quarter of the
+    circle suffice is in the module docstring).  ``iterations`` is then the
+    count of support points the row evaluated, and its stopping rule is
     that no arc's lower bound is left below the best value -
-    ``ANGLE_TOL``, whichever candidate won.  The bracket holds for the
-    values as computed: tables come from ``eigh`` and matrix products with
-    entries off by about 1e-16, which moves values at orders >= 1 by
-    about as much, far below ``ANGLE_TOL``; at orders alpha < 1 an entry
-    that should be 0 adds about its roundoff to the power alpha instead
-    (about 1e-8 at alpha = 0.5), and a minimum with a zero entry is then
-    known only to that.  With three or more outcomes the search is the
-    POVM descent (``_povm_search``), whose candidate is
-    ``parametrized_restart_<r>`` for its best restart r; ``iterations``
-    is that restart's evaluation count.  Without a search, or with the
-    descent, ``converged`` means the Riemannian gradient norm at the
-    reported POVM, a stationarity test that saddle points pass too, is
-    below ``GRAD_TOL``.
+    ``ANGLE_TOL``.  The bracket holds for the values as computed: tables
+    come from ``eigh`` and matrix products with entries off by about
+    1e-16, which moves values at orders >= 1 by about as much, far below
+    ``ANGLE_TOL``; at orders alpha < 1 an entry that should be 0 adds
+    about its roundoff to the power alpha instead (about 1e-8 at
+    alpha = 0.5), and a minimum with a zero entry is then known only to
+    that.  With three or more outcomes the search is the POVM descent
+    (``_povm_search``), whose candidate is ``parametrized_restart_<r>``
+    for its best restart r; ``iterations`` is that restart's evaluation
+    count, and its stopping rule is a Riemannian gradient norm below
+    ``GRAD_TOL`` at that restart's POVM.
 
     Returns the tuple (value, POVM, iterations, converged, candidate) of
     arrays with leading axes (k, len(orders)), as ``noise`` shapes its
@@ -545,27 +548,21 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     n_fixed, restarts = len(names), search.restarts
     angle = restarts > 0 and rho.shape[1] == 2
     evals = restart = np.zeros((len(rho), len(keys)), dtype=int)
+    converged = np.zeros(evals.shape, dtype=bool)
     if angle:
         found, evals, converged = _angle_search(rho, keys)
     elif restarts > 0:
-        found, restart, evals = _povm_search(rho, keys, search, seeds)
+        found, evals, converged, restart = _povm_search(rho, keys, search, seeds)
     if restarts > 0:
         povms = np.concatenate([povms, found], axis=1)
     tables = _table(povms, rho[:, None])
     # the candidates of each computed order: the fixed corrections, then its own search result
     pick = np.array([list(range(n_fixed)) + [n_fixed + k] * (restarts > 0)
                      for k in range(len(keys))])
-    values, grads = conditional_entropy_gradient(
-        tables[:, pick], np.array(keys, dtype=object)[:, None])
+    values = conditional_entropy(tables[:, pick], np.array(keys, dtype=object)[:, None])
     best = np.argmin(values, axis=-1)  # ties go to the fixed corrections
     key_ix, inst_ix = np.arange(len(keys)), np.arange(len(rho))[:, None]
     chosen = pick[key_ix, best]  # (instance, key)
-    if not angle:
-        # one call for the chunk: at d = 4 the gradients of 8 instances over the sweep's
-        # default grid peak at 1.2 MB (tracemalloc)
-        _, norms = _riemannian_gradient(povms[inst_ix, chosen], grads[inst_ix, key_ix, best],
-                                        rho[:, None])
-        converged = norms < GRAD_TOL
     labels = names + (["support_angle"] if angle
                       else [f"parametrized_restart_{r}" for r in range(restarts)])
     candidate = np.array(labels)[np.where(chosen < n_fixed, chosen, n_fixed + restart)]

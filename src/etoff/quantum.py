@@ -324,6 +324,11 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ValueError(f"matrix JSON entry is not a number: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix JSON must be a nested list of [re, im] pairs")
+    # every JSON matrix is a projector or a Kraus operator, of norm at most 1, and so is each
+    # of its entries; checked before any arithmetic, which NaN, Inf and 1e308 upset
+    if not np.all(np.hypot(arr[..., 0], arr[..., 1]) <= 1.0 + DECOMP_TOL):
+        raise ValueError("matrix JSON has NaN or Inf entries, or entries above 1 in modulus, "
+                         "which no projector or Kraus operator has")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

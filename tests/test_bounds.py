@@ -13,6 +13,7 @@ from etoff.bounds import (
     RELATIONS,
     SCAN,
     AdmissibilityError,
+    BoundValue,
     _breakpoints,
     _objective,
     _parametric_column,
@@ -157,6 +158,13 @@ def test_overlap_nondegenerate_range(rng):
 def test_overlap_dimension_mismatch():
     with pytest.raises(ValueError):
         overlap(basis_observable(2)[None], basis_observable(3)[None])
+
+
+def test_certify_rejects_mismatched_dimensions():
+    x2, x3 = basis_observable(2), basis_observable(3)
+    for x_obs, z_obs, inst in ((x2, x3, trivial_instrument(2)), (x2, x2, trivial_instrument(3))):
+        with pytest.raises(ValueError, match="must share the input dimension"):
+            certify(x_obs, z_obs, inst, "Prop3", 1.0, 1.0)
 
 
 # --- parametric distribution ---------------------------------------------------------
@@ -425,6 +433,12 @@ def test_bbar_bound_names_an_empty_grid(empty):
         bbar_bound(grid["cs"], grid["pairs"])
 
 
+def test_bbar_bound_rejects_the_shannon_family():
+    # the Shannon order is the alpha = 1 member of both families, not a family of B-bar
+    with pytest.raises(ValueError, match="family must be 'renyi' or 'tsallis', got 'shannon'"):
+        bbar_bound([0.5], [("renyi", 1.0, 1.0), ("shannon", 1.0, 1.0)])
+
+
 # --- conjugacy bounds ----------------------------------------------------------------
 
 
@@ -451,6 +465,15 @@ def test_mu_bounds_order_two():
 def test_mu_bounds_constraint_enforced():
     with pytest.raises(AdmissibilityError):
         mu_bounds(0.5, 2.0, 2.0)
+    for c in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"overlap characteristic must lie in \(0, 1\]"):
+            mu_bounds(c, 1.0, 1.0)
+
+
+def test_bound_value_must_be_finite():
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="bound value must be finite"):
+            BoundValue("bbar_renyi", value)
 
 
 def test_mu_consistency_with_classic_bound(rng):

@@ -137,6 +137,14 @@ MALFORMED_INPUTS = [
     pytest.param("instance", lambda d: d["Z"]["branches"][0].update(
         projector=[[e[0] for e in row] for row in d["Z"]["branches"][0]["projector"]]),
                  "nested list of [re, im] pairs", id="row-without-pairs"),
+    # numbers JSON admits that no projector or Kraus operator holds, each rejected before
+    # arithmetic on it: 1j * inf and the product of a 1e308 entry with itself warn
+    pytest.param("instance", lambda d: d["X"]["branches"][0]["projector"][0][0].__setitem__(
+        0, math.nan), "NaN or Inf entries", id="nan-projector-entry"),
+    pytest.param("instance", lambda d: d["M"]["branches"][0]["kraus"][0][0][0].__setitem__(
+        1, math.inf), "matrix JSON has NaN or Inf", id="infinite-kraus-imaginary-part"),
+    pytest.param("instance", lambda d: d["Z"]["branches"][0]["projector"][0][0].__setitem__(
+        0, 1e308), "entries above 1 in modulus", id="1e308-projector-entry"),
     pytest.param("config", [{"dim": 2}], "not an object", id="config-list"),
     pytest.param("config", {"dim": 2, "bogus": 1}, "'bogus'", id="config-unknown-key"),
     pytest.param("config", {"dim": "2"}, "dim must be an integer", id="config-string-dim"),
@@ -264,12 +272,18 @@ def test_sweep_requires_seed(monkeypatch):
     monkeypatch.delenv("ETOFF_SEED", raising=False)
     code = main(["sweep", "--dim", "2", "--samples", "1"])
     assert code == 2
+    # the Python API checks it too, before any sample runs
+    monkeypatch.setattr(harness, "_sweep_task", lambda *args: pytest.fail("a sample ran"))
+    with pytest.raises(ValueError, match="a randomized sweep needs a seed"):
+        run_sweep(RunConfig(dim=2, samples=1))
 
 
 @pytest.mark.parametrize(
     "budget, seed, named",
     BAD_BUDGETS + [pytest.param(["--jobs", "0"], "1", "jobs", id="--jobs-0"),
-                   pytest.param(["--jobs", "-2"], "1", "jobs", id="--jobs--2")],
+                   pytest.param(["--jobs", "-2"], "1", "jobs", id="--jobs--2"),
+                   pytest.param(["--samples", "0"], "1", "samples must be positive",
+                                id="--samples-0")],
 )
 def test_sweep_rejects_a_bad_budget_before_any_sample_runs(monkeypatch, capsys, budget, seed,
                                                            named):

@@ -116,6 +116,14 @@ def test_renyi_power_mean_value():
     assert vals["renyi_power_mean"] == pytest.approx(expected, abs=1e-12)
 
 
+def test_bounds_reject_an_unknown_family():
+    j = check_table([[0.4, 0.1], [0.1, 0.4]])
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        lower_bounds(j, 2.0, "x")
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        fano_upper_bounds(j, 2.0, "x", standard_decision(j))
+
+
 def test_renyi_low_order_requires_standard_rule():
     j = check_table([[0.4, 0.1], [0.1, 0.4]])
     # the error of the rule guessing the other row in each column: 0.8, above the standard 0.2

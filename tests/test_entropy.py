@@ -50,6 +50,8 @@ def test_alpha_log_rejects_nonpositive():
         alpha_log(0.0, 2.0)
     with pytest.raises(ValueError):
         alpha_log(-1.0, 2.0)
+    with pytest.raises(ValueError, match="entropic order must be positive, got 0.0"):
+        alpha_log(2.0, 0.0)
 
 
 # --- unconditional entropies ---------------------------------------------------
@@ -279,6 +281,10 @@ def test_joint_rejects_bad_tables():
         entropy(5, EntropyOrder.shannon())
     with pytest.raises(ValueError):
         check_table([[0.9, -0.2], [0.2, 0.1]])
+    with pytest.raises(ValueError, match=r"2-d and non-empty, got shape \(0, 2\)"):
+        check_table(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="non-finite entries"):
+        check_table([[0.5, math.nan], [0.25, 0.25]])
 
 
 def test_entropy_order_validation():
@@ -288,6 +294,8 @@ def test_entropy_order_validation():
         EntropyOrder(2.0, "shannon")
     with pytest.raises(ValueError):
         EntropyOrder(math.inf, "tsallis")
+    with pytest.raises(ValueError, match="family must be one of"):
+        EntropyOrder(1.0, "x")
     assert EntropyOrder.renyi(math.inf).alpha == math.inf
     assert EntropyOrder.shannon().alpha == 1.0
 

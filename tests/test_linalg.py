@@ -38,3 +38,12 @@ def test_unitary_norms_haar(rng):
 def test_as_matrix_rejects_nan():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"expected a matrix, got array of shape \(1, 2, 2\)"):
+        linalg.as_matrix(np.eye(2)[None])
+
+
+def test_as_stack_rejects_a_matrix_and_inf():
+    with pytest.raises(ValueError, match=r"POVM must be a stack of matrices, got array of shape"):
+        linalg.as_stack(np.eye(2), "POVM")
+    with pytest.raises(ValueError, match="POVM contains NaN or Inf entries"):
+        linalg.as_stack(np.array([[[np.inf, 0.0], [0.0, 1.0]]]), "POVM")

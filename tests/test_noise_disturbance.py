@@ -126,6 +126,14 @@ def test_noise_and_disturbance_take_stacks_of_equal_length():
             bad()
 
 
+def test_noise_and_disturbance_joint_reject_mismatched_dimensions():
+    obs, inst = basis_observable(3), trivial_instrument(2)
+    with pytest.raises(ValueError, match="observable dim 3 != instrument input dim 2"):
+        noise(obs[None], inst[None], [EntropyOrder.shannon()])
+    with pytest.raises(ValueError, match="observable dim 3 != instrument input dim 2"):
+        disturbance_joint(obs, inst, np.broadcast_to(np.eye(2), (1, 3, 2, 2)) / 3)
+
+
 # --- disturbance -------------------------------------------------------------------
 
 
@@ -209,7 +217,8 @@ def test_povm_descent_converges_at_sweep_budget():
     # sweep runs the support-angle search instead, so _povm_search is called directly, and
     # each row counts once per certificate it served.  With Barzilai-Borwein steps 396 of the
     # 416 end at a stationary point, after 60.8 evaluations on average, as when the sweep ran
-    # the descent; with the one-rung rule alone, 300 after 94.7
+    # the descent; with the one-rung rule alone, 300 after 94.7.  The descent's own flag is
+    # its stopping test, which the Riemannian gradient at its reported POVM checks
     cfg = RunConfig(dim=2, samples=CHUNK, seed=7, jobs=1)
     _, z_obs, inst = sample_instance(2, [np.random.SeedSequence([7, i]) for i in range(CHUNK)])
     seeds = [int(np.random.SeedSequence([7, i, 1]).generate_state(1)[0]) for i in range(CHUNK)]
@@ -219,11 +228,12 @@ def test_povm_descent_converges_at_sweep_budget():
     certs = np.array([orders.count(key) for key in keys]) * np.ones((CHUNK, 1))
     assert len(keys) == 9 and certs.sum() == 416
     rho = _flagged(z_obs, inst)[0] / 2
-    povm, _, evals = _povm_search(rho, keys, SearchConfig(1, 150), seeds)
+    povm, evals, converged, _ = _povm_search(rho, keys, SearchConfig(1, 150), seeds)
     _, grads = conditional_entropy_gradient(_table(povm, rho[:, None]),
                                             np.array(keys, dtype=object))
     _, norms = _riemannian_gradient(povm, grads, rho[:, None])
-    assert np.sum(certs * (norms < GRAD_TOL)) >= 0.9 * certs.sum()
+    assert np.array_equal(converged, norms < GRAD_TOL)
+    assert np.sum(certs * converged) >= 0.9 * certs.sum()
     assert np.sum(certs * evals) <= 75 * certs.sum()
 
 
@@ -251,7 +261,9 @@ def test_disturbance_bounded_by_identity_correction():
 def test_disturbance_one_order_equals_that_order_in_a_grid(monkeypatch):
     # no row of the lockstep search depends on the rows beside it, bit for bit: neither on
     # the other orders nor on the other instances of a chunk.  Each of the five arrays
-    # (value, POVM, iterations, converged, candidate) is compared
+    # (value, POVM, iterations, converged, candidate) is compared, on a d = 2 chunk, where
+    # the angle search runs, and on a d = 3 chunk (its admitted orders), where the descent
+    # runs and its own flag reads true on some rows and false on others
     _, z_obs, inst = sample_one(2, 23)
     orders = [EntropyOrder.tsallis(a) for a in (0.3, 0.5, 1.0, 1.5, 2.0)]
     orders += [EntropyOrder.renyi(a) for a in (0.3, 0.5, 1.5, 2.0)]
@@ -261,11 +273,13 @@ def test_disturbance_one_order_equals_that_order_in_a_grid(monkeypatch):
         one = disturbance_alone(z_obs, inst, [order], search, seed=8)
         for a, b in zip(one, grid):
             assert np.array_equal(a[0], b[k]), order
-    _, zs, ms = sample_instance(2, (23, 24, 25))
-    chunk = disturbance(zs, ms, orders, search, [8, 9, 10])
-    for k, seed in enumerate((8, 9, 10)):
-        for a, alone in zip(chunk, disturbance_alone(zs[k], ms[k], orders, search, seed)):
-            assert np.array_equal(a[k], alone), k
+    for dim, admitted in ((2, orders), (3, orders[:7])):
+        _, zs, ms = sample_instance(dim, (23, 24, 25))
+        chunk = disturbance(zs, ms, admitted, search, [8, 9, 10])
+        for k, seed in enumerate((8, 9, 10)):
+            for a, alone in zip(chunk, disturbance_alone(zs[k], ms[k], admitted, search, seed)):
+                assert np.array_equal(a[k], alone), (dim, k)
+        assert dim == 2 or chunk[3].any() and not chunk[3].all()
     # one seed per instance, checked before the support-angle search or the descent runs
     def no_search(*args):
         raise AssertionError("a search ran on a chunk with the wrong number of seeds")
@@ -304,16 +318,26 @@ def test_disturbance_search_beats_both_fixed_corrections_at_d3():
     assert value[0] < min(fixed_values) - 0.1
 
 
-def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
+def test_disturbance_converged_flag_is_the_searchs_own_stopping_rule(qubit_pair):
     x_obs, z_obs = qubit_pair
-    # measuring the conjugate basis leaves every flagged Z state equal, so
-    # every POVM is stationary, the flag-discarding identity included
-    value, _, _, converged, _ = disturbance_alone(
-        z_obs, luders_instrument(x_obs), [EntropyOrder.shannon()], SearchConfig(restarts=0))
-    assert converged[0]
+    # measuring the conjugate basis leaves every flagged Z state equal, so every POVM is
+    # stationary, the flag-discarding identity included; still, no search ran, so the flag
+    # reads false, and the angle search, which runs at two Z outcomes, closes its bracket
+    inst = luders_instrument(x_obs)
+    value, povm, evals, converged, _ = disturbance_alone(
+        z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=0))
+    assert evals[0] == 0 and not converged[0]
     assert value[0] == pytest.approx(LN2, abs=1e-12)
-    # without a search the best candidate (the flag-discarding identity
-    # here) is not stationary; the descent's is (three Z outcomes)
+    rho = flag_apply(inst.kraus, inst.by_outcome, z_obs.projectors) / 2
+    _, grad = conditional_entropy_gradient(disturbance_joint(z_obs, inst, povm[0]),
+                                           EntropyOrder.shannon())
+    assert _riemannian_gradient(povm[0], grad, rho)[1] < GRAD_TOL
+    value, _, evals, converged, _ = disturbance_alone(
+        z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=1))
+    assert evals[0] > 0 and converged[0]
+    assert value[0] == pytest.approx(LN2, abs=1e-12)
+    # without a search the flag reads false whatever the best candidate (the
+    # flag-discarding identity here); the descent's reads true (three Z outcomes)
     _, z_obs, inst = sample_one(3, 1)
     _, _, evals, converged, name = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()],
                                                      SearchConfig(restarts=0))
@@ -326,18 +350,34 @@ def test_disturbance_converged_flag_is_a_stationarity_test(qubit_pair):
 
 def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
     # one call scores every order's candidates together; each flag must still be the
-    # stationarity test of that order's own winner (three Z outcomes, where the descent runs)
-    _, z_obs, inst = sample_one(3, 3)
+    # stopping test of that order's own descent, a stationarity test at the POVM it reports
+    # (three Z outcomes, where the descent runs)
     orders = [EntropyOrder.tsallis(2.0), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
+    _, z_obs, inst = sample_one(3, 3)
     rho = flag_apply(inst.kraus, inst.by_outcome, z_obs.projectors) / 3
-    for search in (SearchConfig(restarts=0), SearchConfig(2, 2000)):
-        _, povms, _, converged, names = disturbance_alone(z_obs, inst, orders, search, seed=1)
-        for order, povm, ok in zip(orders, povms, converged):
-            table = disturbance_joint(z_obs, inst, povm)
-            _, grad = conditional_entropy_gradient(table, order)
-            _, norm = _riemannian_gradient(povm, grad, rho)
-            assert ok == bool(norm < GRAD_TOL)
+    _, povms, _, converged, names = disturbance_alone(z_obs, inst, orders, SearchConfig(2, 2000),
+                                                      seed=1)
+    for order, povm, ok in zip(orders, povms, converged):
+        _, grad = conditional_entropy_gradient(disturbance_joint(z_obs, inst, povm), order)
+        _, norm = _riemannian_gradient(povm, grad, rho)
+        assert ok == bool(norm < GRAD_TOL)
     assert all(converged) and all(name.startswith("parametrized") for name in names)
+    # without a search every flag reads false.  A stationarity test would not tell the fixed
+    # winners apart from a search: it fails at the flag-discarding identity here (seed 3) and
+    # passes vacuously at the repreparation (seed 2), whose blocks are 0 or I, so that the
+    # Riemannian gradient is exactly 0
+    norms = {}
+    for seed in (3, 2):
+        _, z_obs, inst = sample_one(3, seed)
+        rho = flag_apply(inst.kraus, inst.by_outcome, z_obs.projectors) / 3
+        _, povms, evals, converged, names = disturbance_alone(z_obs, inst, orders,
+                                                              SearchConfig(restarts=0))
+        assert not any(converged) and not any(evals)
+        for order, povm, name in zip(orders, povms, names):
+            _, grad = conditional_entropy_gradient(disturbance_joint(z_obs, inst, povm), order)
+            norms.setdefault(str(name), []).append(_riemannian_gradient(povm, grad, rho)[1])
+    assert min(norms["discard_flag"]) >= GRAD_TOL
+    assert norms["reprepare"] == [0.0] * len(orders)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -485,7 +525,7 @@ def test_support_angle_is_a_global_minimum_at_two_outcomes(d_out):
     values, _, _, converged, _ = disturbance(z_obs, inst, orders, SearchConfig(1, 150),
                                              list(seeds))
     rho = _flagged(z_obs, inst)[0] / z_obs.dim
-    descent, _, _ = _povm_search(rho, orders, SearchConfig(4, 2000), seeds)
+    descent = _povm_search(rho, orders, SearchConfig(4, 2000), seeds)[0]
     rng = np.random.default_rng(d_out or 0)  # d = 2 draws from seed 0
     n, d = inst.n_outcomes, inst.dim_out
     a = np.array([sample_haar_unitary(2 * d, rng)[:, :d] for _ in range(300 * n)])

@@ -16,6 +16,7 @@ from etoff.quantum import (
     luders_instrument,
     observable_from_json,
     observable_to_json,
+    sample_haar_isometries,
     sample_haar_unitary,
     sample_random_instrument,
     sample_random_instruments,
@@ -43,6 +44,11 @@ def test_observable_rejects_incomplete_projectors():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         ProjectiveObservable((0.0,), p0[None])
+
+
+def test_observable_rejects_a_label_too_many():
+    with pytest.raises(ValueError, match="3 eigenvalue labels for 2 projectors"):
+        ProjectiveObservable((0.0, 1.0, 2.0), np.eye(2, dtype=complex)[:, None] * np.eye(2))
 
 
 def test_observable_rejects_non_orthogonal():
@@ -353,6 +359,12 @@ def test_sampled_instrument_deterministic():
 def test_sampled_instrument_invalid_shape():
     with pytest.raises(ValueError):
         sample_random_instrument(8, 2, 1, 1, seed=0)
+    rngs = [np.random.default_rng(0)]
+    with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+        sample_haar_isometries(0, 1, rngs)
+    for dims in ((0, 2, 2, 1), (2, 0, 2, 1), (2, 2, 0, 1), (2, 2, 2, 0)):
+        with pytest.raises(ValueError, match="all instrument dimensions must be positive"):
+            sample_random_instruments(*dims, rngs)
 
 
 def test_sampled_observable_profiles(rng):
