@@ -362,10 +362,11 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     pair's best end value at that c by more than PRUNE_SLACK.  Before the
     zoom, a (pair, piece) bracket is dropped when its bound, from the
     scan grid, exceeds the best value the pair reaches at that c, at an
-    end or at a scanned piece's best point, by more than PRUNE_SLACK; a
-    dropped piece or bracket enters the selection as +inf.  Every value a
-    dropped one could have produced lies above a value already attained
-    by more than roundoff, and the selection keeps the first strict
+    end or at a scanned piece's best point, by more than PRUNE_SLACK.  The
+    selection reads each c's ends and scanned pieces, a dropped bracket
+    entering it as +inf.  Every value a dropped piece or bracket could
+    have produced lies above a value already attained by more than
+    roundoff, and the selection keeps the first strict
     minimum, so it could never have won: values and argmin_theta are bit
     for bit those of scanning and zooming everything, at a fraction of
     the work (on c in [0.3, 0.995] and six orders, 82 % of the pieces are
@@ -406,7 +407,7 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
         piece_lo.append(sum(map(len, ends)) + np.flatnonzero(pts[1:] - pts[:-1] >= 1e-14))
         ends.append(pts)
     n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in piece_lo]
-    cut_ends, cut_pieces = np.cumsum(n_ends)[:-1], np.cumsum(n_pieces)[:-1]
+    cut_ends = np.cumsum(n_ends)[:-1]
     # (f, beta, alpha) is (f, alpha, beta) mirrored about eta/2: minimise each unordered pair once
     asked = [(f, min(a, b), max(a, b)) for f, a, b in pairs]
     index = {pair: k for k, pair in enumerate(dict.fromkeys(asked))}
@@ -449,8 +450,7 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     # below as +inf
     np.minimum.at(best.T, piece_c[scanned], scan[1].T)
     zoomed = _can_hold_minimum(scan[5], scan[6], best[:, piece_c[scanned]])
-    piece_x, piece_f = (np.full((len(index), piece_lo.size), v) for v in (0.0, np.inf))
-    piece_f[:, scanned] = np.where(zoomed, scan[1], np.inf)
+    scan[1][~zoomed] = np.inf
     rows, cols = np.nonzero(zoomed)
 
     def per_bracket(rows, grid, eta):
@@ -460,14 +460,14 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     for s in range(0, rows.size, span):
         r, k = rows[s:s + span], cols[s:s + span]
         x, fx, lo, hi, side = scan[:5, r, k]
-        pieces = scanned[k]
-        piece_x[r, pieces], piece_f[r, pieces] = _zoom(
-            x, fx, lo, hi, side.astype(np.int8), piece_eta[pieces], r, per_bracket)
+        scan[0, r, k], scan[1, r, k] = _zoom(
+            x, fx, lo, hi, side.astype(np.int8), piece_eta[scanned[k]], r, per_bracket)
 
     best_x, best_f = [], []
+    cut_scanned = np.searchsorted(piece_c[scanned], np.arange(1, len(cs)))
     for pts, f_end, x_piece, f_piece in zip(ends, np.split(end_vals, cut_ends, -1),
-                                            np.split(piece_x, cut_pieces, -1),
-                                            np.split(piece_f, cut_pieces, -1)):
+                                            np.split(scan[0], cut_scanned, -1),
+                                            np.split(scan[1], cut_scanned, -1)):
         # the first smallest value, ends before pieces: ties go to the smallest end theta
         vals = np.concatenate([f_end, f_piece], -1)
         k = np.argmin(vals, axis=-1)[..., None]

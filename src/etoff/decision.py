@@ -16,12 +16,7 @@ import math
 
 import numpy as np
 
-from .entropy import (
-    SHANNON_BRANCH,
-    _column_entropies,
-    alpha_log,
-    binary_tsallis,
-)
+from .entropy import EntropyOrder, _column_entropies, alpha_log, binary_tsallis
 
 _RULE_TOL = 1e-12
 
@@ -37,10 +32,10 @@ def lower_bounds(table: np.ndarray, alpha: float, family: str) -> list[tuple[str
     Returns (bound-id, value) pairs for every bound applicable to the
     given family, order and row cardinality d; inapplicable combinations
     are simply omitted.  The matching conditional entropy is
-    ``conditional_entropy`` in the family's order.
+    ``conditional_entropy`` in the family's order, and (alpha, family)
+    must make an ``EntropyOrder``, or ValueError is raised.
     """
-    if family not in ("shannon", "tsallis", "renyi"):
-        raise ValueError(f"unknown family {family!r}")
+    EntropyOrder(alpha, family)
     pe = standard_decision(table)
     d = table.shape[0]
     out: list[tuple[str, float]] = []
@@ -70,40 +65,26 @@ def fano_upper_bounds(
 
     The Shannon and Tsallis bounds hold for the error probability of any
     rule.  The Renyi bound for alpha < 1 is stated for the standard
-    decision only; an error above the standard one raises ValueError.
+    decision only; an error above the standard one raises ValueError, as
+    does an (alpha, family) that makes no ``EntropyOrder``.  Orders within
+    ``SHANNON_BRANCH`` of 1, and Renyi orders above 1, take the Shannon bound.
     """
-    if family not in ("shannon", "tsallis", "renyi"):
-        raise ValueError(f"unknown family {family!r}")
+    order = EntropyOrder(alpha, family)
     d = table.shape[0]
-
-    def _shannon_fano(q: float) -> float:
-        tail = q * math.log(d - 1) if (q > 0.0 and d > 1) else 0.0
-        return binary_tsallis(q, 1.0) + tail
-
-    out: list[tuple[str, float]] = []
-    if family == "shannon":
-        out.append(("fano_shannon", _shannon_fano(p_error)))
-    elif family == "tsallis":
-        if abs(alpha - 1.0) < SHANNON_BRANCH:
-            out.append(("fano_shannon", _shannon_fano(p_error)))
+    if order.computed.family == "shannon" or (family == "renyi" and alpha >= 1.0):
+        tail = p_error * math.log(d - 1) if (p_error > 0.0 and d > 1) else 0.0
+        return [("fano_shannon", binary_tsallis(p_error, 1.0) + tail)]
+    if family == "tsallis":
+        if p_error > 0.0 and d > 2:
+            tail = alpha_log(float(d - 1), alpha)
+            tail *= p_error ** alpha if alpha < 1.0 else p_error
         else:
-            if p_error > 0.0 and d > 2:
-                tail = alpha_log(float(d - 1), alpha)
-                tail *= p_error ** alpha if alpha < 1.0 else p_error
-            else:
-                tail = 0.0
-            out.append(("fano_tsallis", binary_tsallis(p_error, alpha) + tail))
-    else:
-        if alpha >= 1.0 or abs(alpha - 1.0) < SHANNON_BRANCH:
-            out.append(("fano_shannon", _shannon_fano(p_error)))
-        else:
-            pe_std = standard_decision(table)
-            if p_error > pe_std + _RULE_TOL:
-                raise ValueError(
-                    "the Renyi upper bound for alpha < 1 requires the standard decision"
-                )
-            # Renyi entropy of 1 - pe_std followed by d - 1 equal shares of pe_std
-            column = np.array([1.0 - pe_std, pe_std / max(d - 1, 1)])
-            value = _column_entropies(column, alpha, "renyi", np.array([1, d - 1]))
-            out.append(("renyi_power_mean", float(value)))
-    return out
+            tail = 0.0
+        return [("fano_tsallis", binary_tsallis(p_error, alpha) + tail)]
+    pe_std = standard_decision(table)
+    if p_error > pe_std + _RULE_TOL:
+        raise ValueError("the Renyi upper bound for alpha < 1 requires the standard decision")
+    # Renyi entropy of 1 - pe_std followed by d - 1 equal shares of pe_std
+    column = np.array([1.0 - pe_std, pe_std / max(d - 1, 1)])
+    value = _column_entropies(column, alpha, "renyi", np.array([1, d - 1]))
+    return [("renyi_power_mean", float(value))]

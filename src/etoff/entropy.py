@@ -44,6 +44,7 @@ alpha = inf (min-entropy).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,9 @@ def _column_entropies(cond: np.ndarray, alpha, family, mult=1) -> np.ndarray:
     bit as on columns broadcast out explicitly, and the result takes the
     broadcast shape.  Every column follows its own order: the Shannon
     form within ``SHANNON_BRANCH`` of 1, the min-entropy at alpha = inf,
-    the Hartley form at alpha = 0, p = 0 terms dropped, the clamp at 0.
+    the Hartley form at alpha = 0, p = 0 terms dropped, the clamp at 0,
+    and at large Renyi orders the power sum taken relative to the
+    column's largest entry where it underflows (``_log_power_sums``).
     Each form is evaluated only on its own columns (ufunc
     ``where`` masks), so no discarded branch takes a log of 0 or divides
     by 1 - alpha = 0.  ``mult`` is an integer multiplicity per entry
@@ -143,10 +146,37 @@ def _column_entropies(cond: np.ndarray, alpha, family, mult=1) -> np.ndarray:
     np.negative(h, out=h, where=shannon)
     if minimum.any():
         np.negative(np.log(cond.max(axis=0)), out=h, where=minimum)
-    np.log(h, out=h, where=power & renyi)
+    _log_power_sums(h, cond, alpha, mult, power & renyi)
     np.subtract(h, 1.0, out=h, where=power & ~renyi)
     np.divide(h, 1.0 - alpha, out=h, where=power)
     return np.maximum(h, 0.0, out=h)
+
+
+def _log_power_sums(h, cond, alpha, mult, where) -> None:
+    """h = ln h wherever ``where``, h holding sum m p**alpha over each column of ``cond``.
+
+    At a large order such a sum can leave the normal floats (0.7 ** 1986
+    does), losing its digits or reaching 0; where it has, ln sum m p**alpha
+    is taken as alpha ln p_max + ln sum m (p / p_max)**alpha instead, and
+    every other column keeps the plain log.  The search for such sums runs
+    only when some h, of any column, lies below the least normal float, so
+    that most calls pay one pass over h for it.
+    """
+    tiny = sys.float_info.min
+    if not np.minimum.reduce(h, axis=None, initial=np.inf) < tiny:
+        np.log(h, out=h, where=where)
+        return
+    scale = where & (h < tiny)
+    np.log(h, out=h, where=where & ~scale)
+    if not scale.any():
+        return
+    top = cond.max(axis=0)
+    terms = np.zeros((cond.shape[0],) + h.shape)
+    _power(np.divide(cond, top, out=np.zeros(cond.shape), where=cond > 0.0), alpha, terms, scale)
+    terms *= mult
+    np.log(terms.sum(axis=0), out=h, where=scale)
+    np.add(h, np.multiply(alpha, np.log(top), out=np.zeros(h.shape), where=scale), out=h,
+           where=scale)
 
 
 def _column_gradients(cond: np.ndarray, alpha, family) -> np.ndarray:

@@ -118,10 +118,37 @@ def test_renyi_power_mean_value():
 
 def test_bounds_reject_an_unknown_family():
     j = check_table([[0.4, 0.1], [0.1, 0.4]])
-    with pytest.raises(ValueError, match="unknown family 'x'"):
+    with pytest.raises(ValueError, match="family must be one of .*, got 'x'"):
         lower_bounds(j, 2.0, "x")
-    with pytest.raises(ValueError, match="unknown family 'x'"):
+    with pytest.raises(ValueError, match="family must be one of .*, got 'x'"):
         fano_upper_bounds(j, 2.0, "x", standard_decision(j))
+
+
+@pytest.mark.parametrize("bounds", [
+    lambda j, alpha, family: lower_bounds(j, alpha, family),
+    lambda j, alpha, family: fano_upper_bounds(j, alpha, family, standard_decision(j)),
+], ids=["lower_bounds", "fano_upper_bounds"])
+@pytest.mark.parametrize("alpha, family", [
+    (-1.0, "renyi"), (0.0, "renyi"), (math.nan, "renyi"), (math.inf, "tsallis"), (0.5, "shannon"),
+])
+def test_bounds_reject_what_is_no_entropic_order(bounds, alpha, family):
+    # the orders EntropyOrder rejects: nonpositive or NaN, inf outside the Renyi family, and the
+    # Shannon family away from 1
+    j = check_table([[0.4, 0.1], [0.2, 0.3]])
+    with pytest.raises(ValueError):
+        EntropyOrder(alpha, family)
+    with pytest.raises(ValueError):
+        bounds(j, alpha, family)
+
+
+@pytest.mark.parametrize("alpha", [1.0 - 1e-8, 1.0 + 1e-8])
+def test_fano_takes_the_shannon_bound_on_the_shannon_branch(alpha):
+    j = check_table([[0.3, 0.1, 0.05], [0.1, 0.2, 0.05], [0.05, 0.05, 0.1]])
+    for p_error in (standard_decision(j), 0.6):
+        shannon = fano_upper_bounds(j, 1.0, "shannon", p_error)
+        assert shannon[0][0] == "fano_shannon"
+        for family in ("tsallis", "renyi"):
+            assert fano_upper_bounds(j, alpha, family, p_error) == shannon
 
 
 def test_renyi_low_order_requires_standard_rule():

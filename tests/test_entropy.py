@@ -109,6 +109,35 @@ def test_renyi_monotone_in_alpha(rng):
             assert lo <= hi + 1e-10
 
 
+def test_renyi_stays_monotone_and_bounded_at_large_orders(rng):
+    # sum p**alpha leaves the normal floats once alpha ln p_max < -708 (alpha ~ 2000 at p_max
+    # = 0.7): the entropy must still fall with alpha, and H_inf <= H_alpha <= alpha/(alpha - 1)
+    # H_inf for alpha > 1
+    orders = np.concatenate([np.geomspace(0.3, 1e6, 120), [1986.0, 2088.0, 2089.0, 3000.0]])
+    orders.sort()
+    for _ in range(100):
+        # from near uniform, where the sum is smallest for its p_max, to skewed
+        p = rng.random(int(rng.integers(2, 9))) ** rng.uniform(0.0, 3.0)
+        p /= p.sum()
+        # one order per call, and all of them in one call
+        vals = np.concatenate([_column_entropies(p[:, None], [a], "renyi") for a in orders])
+        assert np.allclose(_column_entropies(p[:, None], orders, "renyi"), vals, rtol=1e-13)
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.diff(vals) <= 1e-12)
+        h_inf = entropy(p, renyi(math.inf))
+        big = orders > 1.0 + 1e-6
+        assert np.all(vals[big] >= h_inf * (1.0 - 1e-12))
+        assert np.all(vals[big] <= orders[big] / (orders[big] - 1.0) * h_inf * (1.0 + 1e-12))
+    h = entropy([0.3, 0.7], renyi(3000.0))
+    assert entropy([0.3, 0.7], renyi(math.inf)) <= h <= entropy([0.3, 0.7], renyi(700.0))
+    # n equal entries give the least sum for their count, n**(1 - alpha), and ln n at every order;
+    # the sum underflows at 1023 / 646 / 342 for n = 2 / 3 / 8
+    for n in (2, 3, 8):
+        column = np.full((n, 1), 1.0 / n)
+        vals = [_column_entropies(column, [a], "renyi")[0] for a in np.linspace(300, 1200, 3001)]
+        assert np.allclose(vals, math.log(n), rtol=1e-12)
+
+
 # --- conditional forms ------------------------------------------------------------
 
 
