@@ -3,9 +3,11 @@
 Exit codes: 0 = no relation refuted, 1 = a relation refuted on an
 instance (noise + upper disturbance < bound - MARGIN_SLACK; an upper
 bound on the disturbance can refute a relation, never certify it) or a
-self-test failed, 2 = input or usage error.  An input error is an
-OSError or ValueError out of a command, caught in ``main`` alone, which
-prints ``error: <message>``; any other exception is a bug and prints its
+self-test failed, 2 = input or usage error, 141 = standard output was
+closed by its reader (128 + SIGPIPE, as a shell reports a process that
+SIGPIPE ended), which prints nothing.  An input error is an OSError or
+ValueError out of a command, caught in ``main`` alone, which prints
+``error: <message>``; any other exception is a bug and prints its
 traceback.  Randomized commands need a non-negative seed, from --seed or
 the ETOFF_SEED environment variable.
 """
@@ -71,6 +73,7 @@ def cmd_sweep(args) -> int:
         certs, summary = harness.run_sweep(cfg)
         to_text = harness.certificates_to_csv if cfg.fmt == "csv" else harness.certificates_to_json
         fh.write(to_text(certs))
+        fh.flush()  # a closed output pipe fails here, before the summary
     print("sweep: {certificates} certificates from {samples} samples (d={dim}), min margin "
           "{min_margin:.3e}, {failures} failures, {inadmissible_skipped} inadmissible "
           "combinations skipped, seed {seed}".format(**summary),
@@ -107,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Certify entropic noise-disturbance trade-off relations for finite-dimensional "
             "quantum instruments.  Exit codes: 0 = no relation refuted, 1 = a relation "
-            "refuted or a self-test failed, 2 = input or usage error."
+            "refuted or a self-test failed, 2 = input or usage error, 141 = standard output "
+            "closed by its reader."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,7 +179,14 @@ def main(argv=None) -> int:
     # an unreadable or unwritable file is an OSError; malformed JSON, a bad instance or
     # config entry and an inadmissible order (AdmissibilityError) are ValueErrors
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not in the exit flush
+        return status
+    except BrokenPipeError:
+        # the reader of the output has gone; what is still buffered goes to devnull at exit,
+        # as the note on SIGPIPE in Python's signal documentation recommends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

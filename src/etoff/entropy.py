@@ -16,7 +16,13 @@ A joint distribution p(x, y) is the array ``check_table`` returns, checked
 once there: rows index X, whose uncertainty is measured, and columns the
 conditioning Y.  ``conditional_entropy`` takes such a table or a stack of
 them, and ``conditional_entropy_gradient`` adds the derivative with
-respect to each entry, for the disturbance search.
+respect to each entry, for the disturbance search.  The gradient restates
+no entropy formula: each term p(y) H(X | Y = y) is 1-homogeneous in its
+column, so by Euler's theorem its gradient is H + D - sum_x q D, where q
+is the column's conditional distribution and D = dH/dq, and it reads H
+from the kernel below.  So sum p grad is the conditional entropy.  Only
+columns of positive finite order are differentiated, which are all the
+descent meets.
 
 Every entropy here, conditional or not, is a weighted sum of per-column
 entropies from one kernel, so each formula is written out once.  The
@@ -26,10 +32,10 @@ table of a stack, as an array of orders broadcast to the columns, and
 ``bounds`` passes an order array, which broadcasts against columns
 shared by every order.  A column of order 2 or 0.5 is raised to its
 power by numpy's scalar square and sqrt paths, as a single-order call
-would be, so its value does not depend on the orders beside it.  The kernel also takes a multiplicity per entry,
-which lets ``bounds`` evaluate the parametric distributions of the
-minimised bound (one value repeated n times, plus a remainder) as 2-row
-columns.
+would be, so its value does not depend on the orders beside it.  The
+kernel also takes a multiplicity per entry, which lets ``bounds``
+evaluate the parametric distributions of the minimised bound (one value
+repeated n times, plus a remainder) as 2-row columns.
 
 The order's family picks the conditional form.  Of the two conditional
 Tsallis forms, which weight the columns by p(y)**alpha or by p(y), only
@@ -179,31 +185,30 @@ def _log_power_sums(h, cond, alpha, mult, where) -> None:
            where=scale)
 
 
-def _column_gradients(cond: np.ndarray, alpha, family) -> np.ndarray:
+def _column_gradients(cond: np.ndarray, alpha, family, h: np.ndarray) -> np.ndarray:
     """Gradient companion of ``_column_entropies``: d[p(y) H(X | Y = y)] / dp(x, y).
 
-    With S = sum p**alpha over the column and q = alpha p**(alpha - 1):
-    -ln p (Shannon), (ln S + q/S - alpha)/(1 - alpha) (Renyi) and
-    S + (q - 1)/(1 - alpha) (Tsallis), each column in its own order as in
-    ``_column_entropies``; columns of order inf read 0.  At p = 0, where
-    it is infinite for alpha <= 1, ln p and q read 0 (exact for alpha > 1).
+    ``h`` holds the columns' entropies, as ``_column_entropies`` returns
+    them.  A term p(y) H(q), with q the column, is 1-homogeneous in the
+    column, so its gradient is h + D - sum q D, where D = dH/dq is
+    -ln q (Shannon), alpha/(1 - alpha) q**(alpha - 1) / S (Renyi, with
+    S = sum q**alpha = exp((1 - alpha) h)) or the same without the 1/S
+    (Tsallis), each column in its own order; so sum p grad is the
+    entropy.  D reads 0 at q = 0, where it is infinite for alpha < 1,
+    which makes the gradient there exact for alpha > 1.  Only columns of
+    positive finite order are differentiated: D reads 0 on columns of
+    order inf or 0, whose gradient reads h.
     """
     alpha, shannon, _, power, renyi = _branches(alpha, family)
     support = cond > 0.0
-    p = np.where(support, cond, 1.0)
-    grad = np.zeros(cond.shape)
-    np.negative(np.log(p, out=grad, where=shannon), out=grad, where=shannon)
-    q = np.zeros(grad.shape)
-    _power(p, alpha - 1.0, q, power & support)
-    power_sum = np.sum(p * q, axis=0)
-    np.multiply(q, alpha, out=q, where=power)
-    log_sum = np.log(power_sum, out=np.zeros(power_sum.shape), where=power & renyi)
-    ratio = np.divide(q, power_sum, out=np.zeros(q.shape), where=power & renyi)
-    part = np.where(renyi, log_sum + ratio - alpha, q - 1.0)
-    np.divide(part, 1.0 - alpha, out=part, where=power)
-    np.add(power_sum, part, out=grad, where=power & ~renyi)
-    np.copyto(grad, part, where=power & renyi)
-    return grad
+    log_q = np.log(cond, out=np.zeros(cond.shape), where=support)
+    partial = np.where(shannon, -log_q, 0.0)
+    # q**(alpha - 1) / S = exp((alpha - 1)(ln q + h)), finite where S under- or overflows
+    np.multiply(alpha - 1.0, log_q + np.where(renyi, h, 0.0), out=partial, where=power & support)
+    np.exp(partial, out=partial, where=power & support)
+    np.multiply(partial, np.divide(alpha, 1.0 - alpha, where=power, out=np.zeros(alpha.shape)),
+                out=partial, where=power)
+    return h + partial - np.sum(cond * partial, axis=0)
 
 
 def _weighted_entropy(table: np.ndarray, order, gradient: bool = False):
@@ -224,14 +229,15 @@ def _weighted_entropy(table: np.ndarray, order, gradient: bool = False):
     alpha = np.broadcast_to(alpha, keep.shape)[keep]
     family = np.broadcast_to(family, keep.shape)[keep]
     cond = table.swapaxes(-2, -1)[keep].T / weights[keep]
+    h = _column_entropies(cond, alpha, family)
     terms = np.zeros(weights.shape)
-    terms[keep] = weights[keep] * _column_entropies(cond, alpha, family)
+    terms[keep] = weights[keep] * h
     total = terms.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total
     if not gradient:
         return total
     grad = np.zeros(table.shape)
-    grad.swapaxes(-2, -1)[keep] = _column_gradients(cond, alpha, family).T
+    grad.swapaxes(-2, -1)[keep] = _column_gradients(cond, alpha, family, h).T
     return total, grad
 
 

@@ -675,3 +675,31 @@ def test_cli_imports_without_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import etoff.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a pipe without a reader fails with EPIPE on POSIX")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [
+    ["selftest"],
+    ["bounds", "--c", "0.5", "--alpha", "0.3", "1", "--beta", "0.3", "1"],
+    # one certificate, so that the output stays in the buffer until the summary is due
+    ["sweep", "--dim", "2", "--samples", "1", "--seed", "1", "--restarts", "0", "--jobs", "1",
+     "--relation", "Prop1", "--alpha", "1", "--beta", "1"],
+], ids=lambda command: command[0])
+def test_a_closed_output_pipe_exits_141_and_prints_nothing(command, unbuffered):
+    # the reader of standard output has gone before the command writes: no input error, no
+    # traceback at the interpreter's exit flush, and the status a shell shows for SIGPIPE
+    src = str(Path(etoff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = "import sys; from etoff.cli import main; sys.exit(main(sys.argv[1:]))"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-c", code, *command], stdout=write,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr.decode()) == (141, "")

@@ -380,6 +380,39 @@ def test_gradient_is_continuous_across_the_shannon_branch(rng, family):
             assert np.max(np.abs(grad - shannon)[t > 0.0]) <= 1e-4
 
 
+LARGE_ORDERS = [renyi(600.0), renyi(3000.0), tsallis(3000.0)]
+
+
+@pytest.mark.parametrize("order", LARGE_ORDERS, ids=repr)
+def test_gradient_stays_finite_at_large_orders(order):
+    # at Renyi 3000 a column's power sum can underflow (0.6 ** 3000 is 0 in floats); the
+    # gradient reads the columns' entropies, which stay finite there, not the sums' logs
+    zeros = np.array([[0.05, 0.0, 0.2], [0.25, 0.15, 0.0], [0.0, 0.15, 0.2]])
+    for t in (check_table([[0.1, 0.2], [0.4, 0.3]]), check_table(zeros)):
+        value, grad = conditional_entropy_gradient(t, order)
+        assert np.all(np.isfinite(grad))
+        h = 1e-7
+        for x, y in zip(*np.nonzero(t)):
+            e = np.zeros_like(t)
+            e[x, y] = h
+            fd = (conditional_entropy(t + e, order) - conditional_entropy(t - e, order)) / (2 * h)
+            assert abs(grad[x, y] - fd) <= 1e-8
+
+
+@pytest.mark.parametrize("order", GRADIENT_ORDERS + LARGE_ORDERS, ids=repr)
+def test_gradient_weighted_by_the_table_sums_to_the_entropy(rng, order):
+    # each term p(y) H(X | Y = y) is 1-homogeneous in its column, so by Euler's theorem
+    # sum p(x, y) d/dp(x, y) of the conditional entropy is the conditional entropy
+    for _ in range(20):
+        t = rng.random((3, 4))
+        t[rng.random(t.shape) < 0.25] = 0.0
+        t[:, 3] = 0.0  # a zero-probability column
+        t[0, 0] += 0.1  # never an all-zero table
+        t = check_table(t / t.sum())
+        value, grad = conditional_entropy_gradient(t, order)
+        assert abs(np.sum(t * grad) - value) <= 1e-12
+
+
 def test_entropy_and_gradient_of_a_stack_match_each_table():
     rng = np.random.default_rng(5)
     stack = rng.random((2, 3, 3, 2))
@@ -441,7 +474,7 @@ def test_kernel_with_an_order_per_column_matches_one_call_per_order():
     family = np.array([f for _, f in MIXED_ORDERS])[pick]
     with np.errstate(all="raise"):
         values = _column_entropies(cond, alpha, family, mult)
-        grads = _column_gradients(cond, alpha, family)
+        grads = _column_gradients(cond, alpha, family, _column_entropies(cond, alpha, family))
         for i, j in np.ndindex(pick.shape):
             a, f = MIXED_ORDERS[pick[i, j]]
             one = _column_entropies(cond[:, i, j], a, f, mult[:, i, j])
@@ -449,21 +482,27 @@ def test_kernel_with_an_order_per_column_matches_one_call_per_order():
             formula = column_entropy_formula(cond[:, i, j], mult[:, i, j], a, f)
             assert abs(values[i, j] - formula) <= 1e-12
             if 0.0 < a < math.inf:
-                grad = _column_gradients(cond[:, i, j, None], a, f)[:, 0]
+                column = cond[:, i, j, None]
+                grad = _column_gradients(column, a, f, _column_entropies(column, a, f))[:, 0]
                 assert np.max(np.abs(grads[:, i, j] - grad)) <= 1e-12
 
 
 def test_orders_on_numpy_fast_paths_do_not_depend_on_their_neighbours():
     # exponents 2 and 0.5 are raised by numpy's scalar square and sqrt also in a mixed call,
-    # so those columns are bitwise what a call of their order alone gives: the entropies
-    # of orders 2 and 0.5 and the gradients of orders 3 and 1.5 (exponents alpha - 1)
+    # so the entropies of orders 2 and 0.5 are bitwise what a call of their order alone gives;
+    # the gradients take their powers by exp, not by those paths, and are checked at orders
+    # 3 and 1.5 (exponents alpha - 1 of 2 and 0.5) to be bitwise so too
     rng = np.random.default_rng(33)
     cond = rng.random((3, 400))
     cond /= cond.sum(axis=0)
     alone = cond[:, 1::2]
+
+    def gradients(cond, alpha, family):
+        return _column_gradients(cond, alpha, family, _column_entropies(cond, alpha, family))
+
     for family in ("renyi", "tsallis"):
         for kernel, alpha in [(_column_entropies, 2.0), (_column_entropies, 0.5),
-                              (_column_gradients, 3.0), (_column_gradients, 1.5)]:
+                              (gradients, 3.0), (gradients, 1.5)]:
             mixed = np.where(np.arange(400) % 2, alpha, 0.3)
             batched = kernel(cond, mixed, family)[..., 1::2]
             assert np.array_equal(batched, kernel(alone, alpha, family))
