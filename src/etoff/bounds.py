@@ -599,10 +599,11 @@ def certify(
     ``certify_grid`` on a chunk of one instance and one combination,
     ``seed`` seeding the search and being recorded in the certificate.
     Raises AdmissibilityError when (relation, alpha, beta, d) fall
-    outside the admitted region.
+    outside the admitted region, d being X's dimension.  Mismatched
+    dimensions raise ValueError from ``noise`` (X against M), ``overlap``
+    (X against Z) or ``disturbance`` (Z against M), before any
+    certificate.
     """
-    if x_obs.dim != z_obs.dim or x_obs.dim != inst.dim_in:
-        raise ValueError("observables and instrument must share the input dimension")
     check_admissible(relation, alpha, beta, x_obs.dim)
     chunk = (x_obs[None], z_obs[None], inst[None])
     return certify_grid(chunk, [(relation, alpha, beta)], search or SearchConfig(), [seed], seed)[0]

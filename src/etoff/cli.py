@@ -7,9 +7,10 @@ self-test failed, 2 = input or usage error, 141 = standard output was
 closed by its reader (128 + SIGPIPE, as a shell reports a process that
 SIGPIPE ended), which prints nothing.  An input error is an OSError or
 ValueError out of a command, caught in ``main`` alone, which prints
-``error: <message>``; any other exception is a bug and prints its
-traceback.  Randomized commands need a non-negative seed, from --seed or
-the ETOFF_SEED environment variable.
+``error: <message>``; a JSON file nested too deeply to decode is one
+too.  Any other exception is a bug and prints its traceback.
+Randomized commands need a non-negative seed, from --seed or the
+ETOFF_SEED environment variable.
 """
 
 from __future__ import annotations

@@ -93,8 +93,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(path)
         if not isinstance(data, dict):
             raise ValueError(f"sweep config {path} holds a {type(data).__name__}, not an object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -126,9 +125,17 @@ def instance_from_json(data: dict):
     return x_obs, z_obs, inst
 
 
-def load_instance(path: str):
+def _read_json(path: str):
+    """The JSON value in the file ``path``; a value nested too deeply to decode is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError as exc:  # the decoder recurses once per level of nesting
+            raise ValueError(f"{path} is nested too deeply to decode as JSON") from exc
+
+
+def load_instance(path: str):
+    return instance_from_json(_read_json(path))
 
 
 # --- canonical instances ----------------------------------------------------------
@@ -335,21 +342,15 @@ def tabulate_bounds(c_grid, alphas, betas) -> str:
 
 
 def broken_instrument_json() -> dict:
-    """Negative fixture: a two-outcome 'instrument' violating completeness."""
-    eye = np.eye(2, dtype=complex)
-    inst = {
-        "dim_in": 2,
-        "dim_out": 2,
-        "branches": [
-            {"label": "m0", "kraus": [quantum.matrix_to_json(eye)]},
-            {"label": "m1", "kraus": [quantum.matrix_to_json(0.5 * eye)]},
-        ],
-    }
-    return {
-        "X": observable_to_json(quantum.basis_observable(2)),
-        "Z": observable_to_json(quantum.basis_observable(2)),
-        "M": inst,
-    }
+    """Negative fixture: the saturation anchor with a third outcome, Kraus operator I/2.
+
+    It breaks one property, the instrument's completeness: the Kraus
+    operators give sum K†K = 5/4 I, a residual of 1/4.  Everything else
+    about the file is a valid instance.
+    """
+    data = instance_to_json(*saturation_instance())
+    data["M"]["branches"].append({"label": "m2", "kraus": [quantum.matrix_to_json(np.eye(2) / 2)]})
+    return data
 
 
 SELFTEST_SEED = 20240901

@@ -130,8 +130,9 @@ def _computed(orders: list, dim: int) -> tuple:
     """Check the orders at ``dim``; return their distinct computed orders, and each one's index."""
     for order in orders:
         check_order(order, dim)
-    keys = list(dict.fromkeys(order.computed for order in orders))
-    return keys, [keys.index(order.computed) for order in orders]
+    index = {}
+    columns = [index.setdefault(order.computed, len(index)) for order in orders]
+    return list(index), columns
 
 
 # --- the first experiment: noise ---------------------------------------------
@@ -195,8 +196,6 @@ def _table(povm: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _checked_povm(z_obs: ProjectiveObservable, inst: QuantumInstrument, povm) -> np.ndarray:
     """Validate a correction: per outcome, |Z| Hermitian positive elements summing to I."""
-    if z_obs.dim != inst.dim_in:
-        raise ValueError(f"observable dim {z_obs.dim} != instrument input dim {inst.dim_in}")
     shape = (inst.n_outcomes, len(z_obs.projectors), inst.dim_out, inst.dim_out)
     if np.shape(povm) != shape:
         raise ValueError(f"POVM shape {np.shape(povm)} is not (n, |Z|, d_out, d_out) = {shape}")
@@ -530,6 +529,8 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     values: the best value, clamped at 0; its (n_outcomes, |Z|, d_out,
     d_out) re-measurement POVM; the search's evaluation count, 0 without
     a search; the flag above; and the name of the winning candidate.
+    With no orders nothing is searched, whatever the budget, and every
+    array has shape (k, 0).
     """
     keys, columns = _computed(orders, z_obs.dim)
     blocks, joints = _flagged(z_obs, inst)
@@ -541,11 +542,7 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
              "reprepare": _reprepare(joints, inst.dim_out)}
     names = [name for name, povm in fixed.items() if povm is not None]
     povms = np.stack([fixed[name] for name in names], axis=1)
-    if not keys:
-        shape = (len(rho), 0)
-        return (np.zeros(shape), np.zeros(shape + povms.shape[2:], complex),
-                np.zeros(shape, int), np.zeros(shape, bool), np.zeros(shape, str))
-    n_fixed, restarts = len(names), search.restarts
+    n_fixed, restarts = len(names), search.restarts if keys else 0
     angle = restarts > 0 and rho.shape[1] == 2
     evals = restart = np.zeros((len(rho), len(keys)), dtype=int)
     converged = np.zeros(evals.shape, dtype=bool)
@@ -557,8 +554,8 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
         povms = np.concatenate([povms, found], axis=1)
     tables = _table(povms, rho[:, None])
     # the candidates of each computed order: the fixed corrections, then its own search result
-    pick = np.array([list(range(n_fixed)) + [n_fixed + k] * (restarts > 0)
-                     for k in range(len(keys))])
+    slots = np.arange(n_fixed + (restarts > 0))
+    pick = np.where(slots < n_fixed, slots, n_fixed + np.arange(len(keys))[:, None])
     values = conditional_entropy(tables[:, pick], np.array(keys, dtype=object)[:, None])
     best = np.argmin(values, axis=-1)  # ties go to the fixed corrections
     key_ix, inst_ix = np.arange(len(keys)), np.arange(len(rho))[:, None]

@@ -89,6 +89,24 @@ def test_certify_malformed_json_exits_two(command, tmp_path, capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    pytest.param(["certify", "{deep}", "--relation", "Prop1", "--alpha", "1", "--beta", "1"],
+                 id="certify"),
+    pytest.param(["sweep", "--config", "{deep}", "--seed", "1", "--samples", "1"], id="sweep"),
+    pytest.param(["selftest", "--fixture", "{deep}"], id="selftest"),
+])
+def test_json_nested_too_deeply_exits_two(command, tmp_path, capsys):
+    # the decoder recurses once per level, so a deep enough file exhausts the recursion
+    # limit; that is an input error (exit 2), not a refuted relation (exit 1)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main([arg.format(deep=deep) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "nested too deeply" in captured.err
+
+
 def test_certify_broken_instrument_exits_two(broken_file):
     code = main(
         ["certify", broken_file, "--relation", "Prop1", "--alpha", "1", "--beta", "1"]

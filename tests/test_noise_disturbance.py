@@ -410,6 +410,19 @@ def test_disturbance_without_restarts_runs_no_search():
     assert name[0] in ("discard_flag", "reprepare")
 
 
+@pytest.mark.parametrize("dim", [2, 3])  # two and three Z outcomes
+@pytest.mark.parametrize("search", [SearchConfig(0), SearchConfig(1, 60)],
+                         ids=["no-budget", "budget"])
+def test_disturbance_of_no_orders_searches_nothing(dim, search, monkeypatch):
+    # no order leaves nothing to score: five arrays of leading shape (k, 0), and no search runs
+    _, z_obs, inst = sample_instance(dim, [1, 2])
+    for name in ("_angle_search", "_povm_search"):
+        monkeypatch.setattr(noise_disturbance, name,
+                            lambda *args, name=name: pytest.fail(f"{name} ran"))
+    results = disturbance(z_obs, inst, [], search, [1, 2])
+    assert [a.shape[:2] for a in results] == [(2, 0)] * 5
+
+
 def test_noise_disturbance_shannon_agreement(anchor):
     x_obs, z_obs, inst = anchor
     for order in (EntropyOrder.shannon(), EntropyOrder.renyi(1.0), EntropyOrder.tsallis(1.0)):
