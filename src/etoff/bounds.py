@@ -259,12 +259,10 @@ def _shared_terms(families, orders, theta, breaks) -> np.ndarray:
     The family enters only the power branch of the entropy kernel, so an
     order within ``SHANNON_BRANCH`` of 1 takes one row for both families.
     """
-    wanted = [("shannon", o) if abs(o - 1.0) < SHANNON_BRANCH else (f, o)
-              for f, o in zip(families.tolist(), orders)]
-    keys = sorted(set(wanted))
-    index = {key: k for k, key in enumerate(keys)}
-    terms = _term(theta, [o for _, o in keys], [f for f, _ in keys], breaks)
-    return terms[[index[key] for key in wanted]]
+    index = {}
+    rows = [index.setdefault(("shannon", o) if abs(o - 1.0) < SHANNON_BRANCH else (f, o),
+                             len(index)) for f, o in zip(families.tolist(), orders)]
+    return _term(theta, [o for _, o in index], [f for f, _ in index], breaks)[rows]
 
 
 def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -409,8 +407,8 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in piece_lo]
     cut_ends = np.cumsum(n_ends)[:-1]
     # (f, beta, alpha) is (f, alpha, beta) mirrored about eta/2: minimise each unordered pair once
-    asked = [(f, min(a, b), max(a, b)) for f, a, b in pairs]
-    index = {pair: k for k, pair in enumerate(dict.fromkeys(asked))}
+    index = {}
+    columns = [index.setdefault((f, min(a, b), max(a, b)), len(index)) for f, a, b in pairs]
     families, alphas, betas = (np.array(axis) for axis in zip(*index))
 
     def shared(theta, eta):
@@ -475,8 +473,7 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
         best_f.append(_at(vals, k))
     # per c and asked pair: one with alpha > beta reflects its swapped pair's argmin, and its
     # value is its own objective there, for every c and such pair in one call
-    rows = [index[pair] for pair in asked]
-    best_x, best_f = np.array(best_x)[:, rows], np.array(best_f)[:, rows]
+    best_x, best_f = np.array(best_x)[:, columns], np.array(best_f)[:, columns]
     swapped = np.array([a > b for _, a, b in pairs])
     if swapped.any():
         eta = np.array(etas)[:, None]

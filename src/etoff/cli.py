@@ -75,9 +75,10 @@ def cmd_sweep(args) -> int:
         to_text = harness.certificates_to_csv if cfg.fmt == "csv" else harness.certificates_to_json
         fh.write(to_text(certs))
         fh.flush()  # a closed output pipe fails here, before the summary
+    margin = "none" if summary["min_margin"] is None else f"{summary['min_margin']:.3e}"
     print("sweep: {certificates} certificates from {samples} samples (d={dim}), min margin "
-          "{min_margin:.3e}, {failures} failures, {inadmissible_skipped} inadmissible "
-          "combinations skipped, seed {seed}".format(**summary),
+          "{margin}, {failures} failures, {inadmissible_skipped} inadmissible combinations "
+          "skipped, seed {seed}".format(margin=margin, **summary),
           file=sys.stderr if cfg.out is None else sys.stdout)
     return 0 if summary["failures"] == 0 else 1
 

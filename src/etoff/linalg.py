@@ -1,14 +1,14 @@
 """Dense complex linear algebra for small Hilbert spaces (d <= ~16).
 
 Everything works on plain numpy arrays of complex dtype, mostly on
-stacks of matrices.  No eigendecomposition wrapper is kept here: the
-package computes eigenvalues in two places in ``noise_disturbance``,
-``np.linalg.eigvalsh`` of a user-supplied POVM, which its POVM check
-admits down to -``STRUCT_TOL``, and ``np.linalg.eigh`` of each block
-operator at every support angle of the two-outcome search, whose signs
-split the eigenvectors; decomposition residuals get the looser
-``DECOMP_TOL``.  Small dimensions keep conditioning benign, so a single
-pair of module-wide constants is enough.
+stacks of matrices.  The package computes eigenvalues in two places,
+both in ``noise_disturbance``: ``np.linalg.eigvalsh`` of a user-supplied
+POVM, which its POVM check admits down to -``STRUCT_TOL``, and
+``np.linalg.eigh`` of each block operator at every support angle of the
+two-outcome search, whose signs split the eigenvectors; decomposition
+residuals get the looser ``DECOMP_TOL``.  Small dimensions keep
+conditioning benign, so a single pair of module-wide constants is
+enough.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ def check_order(order: EntropyOrder, dim: int) -> None:
     if order.family != "renyi":
         return
     limit = 2.0 if dim == 2 else 1.0
-    if math.isinf(order.alpha) or order.alpha > limit + _RANGE_TOL:
+    if order.alpha > limit + _RANGE_TOL:  # an infinite order too
         raise AdmissibilityError(
             f"Renyi order {order.alpha} not admitted at dimension {dim} "
             f"(allowed interval (0, {limit:g}])"
@@ -546,11 +546,9 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     angle = restarts > 0 and rho.shape[1] == 2
     evals = restart = np.zeros((len(rho), len(keys)), dtype=int)
     converged = np.zeros(evals.shape, dtype=bool)
-    if angle:
-        found, evals, converged = _angle_search(rho, keys)
-    elif restarts > 0:
-        found, evals, converged, restart = _povm_search(rho, keys, search, seeds)
-    if restarts > 0:
+    if restarts > 0:  # the angle search has one start, restart 0
+        found, evals, converged, restart = ((*_angle_search(rho, keys), restart) if angle
+                                            else _povm_search(rho, keys, search, seeds))
         povms = np.concatenate([povms, found], axis=1)
     tables = _table(povms, rho[:, None])
     # the candidates of each computed order: the fixed corrections, then its own search result

@@ -15,6 +15,7 @@ import etoff
 from etoff import harness
 from etoff.bounds import TradeoffCertificate
 from etoff.cli import main
+from etoff.entropy import EntropyOrder, conditional_entropy
 from etoff.harness import (
     RunConfig,
     broken_instrument_json,
@@ -530,6 +531,28 @@ def test_sweep_with_no_admissible_combination_writes_no_certificates(tmp_path, c
     assert "0 certificates" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweep_with_nothing_admissible_does_no_work(jobs, monkeypatch, tmp_path, capsys):
+    # an empty grid cuts no chunk: nothing is sampled or certified, no helper starts, and the
+    # summary says there is no margin rather than printing nan
+    calls = []
+    for name in ("sample_instance", "certify_grid"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name, run=getattr(harness, name):
+                            calls.append(name) or run(*args))
+
+    def no_helper(*args, **kwargs):
+        raise AssertionError("a helper was started")
+
+    monkeypatch.setattr(harness, "Process", no_helper)
+    path = tmp_path / "s.csv"
+    code = main(["sweep", "--dim", "3", "--samples", str(8 * harness.CHUNK), "--seed", "1",
+                 "--relation", "Binary", "--jobs", str(jobs), "--out", str(path)])
+    assert code == 0 and calls == []
+    assert path.read_text().splitlines() == [TradeoffCertificate.CSV_HEADER]
+    summary = capsys.readouterr().out
+    assert "min margin none," in summary and "nan" not in summary
+
+
 def test_sweep_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -638,6 +661,27 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_shannon_limit_is_one_stacked_call_equal_to_the_loop(monkeypatch):
+    # the 100 tables against the 8 orders near 1 take one call, and the Shannon entropies
+    # another; each value equals, bit for bit, that of its table and order alone
+    calls = []
+    monkeypatch.setattr(harness, "conditional_entropy", lambda table, order: calls.append(
+        (table, order, conditional_entropy(table, order))) or calls[-1][2])
+    detail = dict((name, detail) for name, _, detail in harness.selftest_checks())
+    (stack, orders, values), = [call for call in calls if np.ndim(call[0]) == 4]
+    (tables, shannon, h1), = [call for call in calls if np.ndim(call[0]) == 3]
+    assert stack.shape == (100, 8, 3, 3) and len(orders) == 8
+    assert shannon == EntropyOrder.shannon()
+    worst = 0.0
+    for t, table in enumerate(tables):
+        assert np.array_equal(stack[t], np.broadcast_to(table, stack[t].shape))
+        assert h1[t] == conditional_entropy(table, shannon)
+        for k, order in enumerate(orders):
+            assert values[t, k] == conditional_entropy(table, order), (t, order)
+            worst = max(worst, abs(values[t, k] - h1[t]))
+    assert detail["shannon_limit"] == f"worst gap={worst:.3e}"
 
 
 def test_selftest_names_its_first_failing_property(monkeypatch, capsys):
