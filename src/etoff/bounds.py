@@ -13,7 +13,9 @@ repeated n times plus a remainder; they go through the column kernel of
 is written out here, and a whole list of (family, alpha, beta) pairs is
 minimised at once.  Swapping alpha and beta mirrors the objective about
 eta/2, so each unordered pair of orders is minimised once, and the pair
-with alpha > beta reflects its swapped pair's argmin.  The points every
+with alpha > beta reflects its swapped pair's argmin.  The piece ends of
+every c are read off one flat table, c by c: each c's breakpoints and
+their mirrors about eta/2, sorted, each value once.  The points every
 pair shares, the breakpoints and a first scan of each smooth piece, are
 evaluated once per family and order (``_shared_terms``), and once for
 both families at an order on the Shannon branch.  The zoom that follows
@@ -180,8 +182,8 @@ def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> np.ndar
 # it covers every d <= 10**4, and it caps the cost.  There are floor(c**-2) + 2 breakpoints,
 # about 2 c**-2 piece ends, and every end is evaluated per order; the scan and the zoom take
 # only the pieces and brackets that can hold a minimum.  At c = 0.01 with 8 orders in both
-# families (72 pairs, 1 BLAS thread) a call takes 0.16 s, where scanning and zooming every
-# piece took 3.9 s
+# families (72 pairs, 1 BLAS thread) a call takes 0.15 s and peaks at 60 MB by tracemalloc,
+# where scanning and zooming every piece takes 4.9 s
 C_FLOOR = 0.01
 SCAN = 65  # grid points per piece in the first scan, shared by every pair of orders
 ZOOM = 9  # grid points per bracket at every later zoom step
@@ -338,17 +340,22 @@ def _zoom(x, fx, lo, hi, side, eta, rows, objective):
 def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Minimised two-parameter uncertainty bound of every (family, alpha, beta) pair, at every c.
 
-    For each pair, family "tsallis" or "renyi", minimises the alpha term
-    at theta plus the beta term at eta - theta over theta in [0, eta], eta
-    = arccos(c); a term is the entropy of the parametric distribution
-    (``_parametric_column``) in that family.  The breakpoints of both
-    terms are evaluated first, and smooth pieces between them are
-    scanned on SCAN evenly spaced points; both are shared by every pair,
-    so each term is evaluated there once per family and order.  Each
-    (pair, piece) bracket around the scan's best point is then refined on
-    its own by ``_zoom`` down to THETA_TOL, geometrically toward whichever
-    of its ends holds its best point, for every pair and every c at once
-    (in chunks of at most ``_MAX_POINTS`` values per step); a piece
+    For each pair, family "tsallis" or "renyi", minimises the alpha term at
+    theta plus the beta term at eta - theta over theta in [0, eta], eta =
+    arccos(c); a term is the entropy of the parametric distribution
+    (``_parametric_column``) in that family.  The piece ends of every c come
+    from one (len(cs), 2 len(breaks)) table: the breakpoints theta_k and
+    their mirrors eta - theta_k, clipped to [0, eta] (theta_1 = 0 gives both
+    0 and eta), each row sorted and kept where a value first appears, then
+    flattened c by c; two consecutive ends at least 1e-14 apart bound a
+    piece, and a c's last end never bounds one with the next c's first, 0.
+    The breakpoints of both terms are evaluated first, and smooth pieces
+    between them are scanned on SCAN evenly spaced points; both are shared
+    by every pair, so each term is evaluated there once per family and
+    order.  Each (pair, piece) bracket around the scan's best point is then
+    refined on its own by ``_zoom`` down to THETA_TOL, geometrically toward
+    whichever of its ends holds its best point, for every pair and every c
+    at once (in chunks of at most ``_MAX_POINTS`` values per step); a piece
     replaces the best value only if strictly lower, so ties go to the
     breakpoints and to the smallest theta.
 
@@ -397,15 +404,13 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("orders must be finite and nonnegative")
     # theta_k does not depend on c, so the table of the smallest c serves every c
     breaks = _breakpoints(min(cs))
-    etas = [math.acos(c) for c in cs]
-    ends, piece_lo = [], []  # a piece runs from an end point (its index here) to the next one
-    for eta in etas:
-        inner = breaks[(breaks > 0.0) & (breaks < eta)]
-        pts = np.unique(np.concatenate([[0.0, eta], inner, eta - inner]))
-        piece_lo.append(sum(map(len, ends)) + np.flatnonzero(pts[1:] - pts[:-1] >= 1e-14))
-        ends.append(pts)
-    n_ends, n_pieces = [len(p) for p in ends], [len(p) for p in piece_lo]
-    cut_ends = np.cumsum(n_ends)[:-1]
+    eta = np.array([math.acos(c) for c in cs])[:, None]
+    # per c, the breakpoints and their mirrors clipped to [0, eta] and sorted, each value once;
+    # flattened c by c, they are the piece ends, and end_c names each end's c
+    pts = np.sort(np.clip(np.hstack(np.broadcast_arrays(breaks, eta - breaks)), 0.0, eta))
+    distinct = np.diff(pts, axis=1, prepend=-1.0) != 0
+    end_pts, (end_c, _) = pts[distinct], np.nonzero(distinct)
+    cut_ends = np.searchsorted(end_c, np.arange(1, len(cs)))
     # (f, beta, alpha) is (f, alpha, beta) mirrored about eta/2: minimise each unordered pair once
     index = {}
     columns = [index.setdefault((f, min(a, b), max(a, b)), len(index)) for f, a, b in pairs]
@@ -416,19 +421,17 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
         return (_shared_terms(families, alphas, theta, breaks),
                 _shared_terms(families, betas, eta - theta, breaks))
 
-    end_pts = np.concatenate(ends)
-    end_terms = shared(end_pts[None], np.repeat(etas, n_ends))
+    end_terms = shared(end_pts[None], eta[end_c, 0])
     end_vals = end_terms[0] + end_terms[1]
-    piece_lo = np.concatenate(piece_lo)
-    piece_c = np.repeat(np.arange(len(cs)), n_pieces)
-    piece_eta = np.array(etas)[piece_c]
     # per pair and c, the least value it reaches so far: at an end point (every c has one)
     best = np.minimum.reduceat(end_vals, np.r_[0, cut_ends], axis=-1)
-    # a piece is scanned, for every pair, if it can hold the minimum of some pair
-    scanned = np.flatnonzero(np.any(_can_hold_minimum(
-        end_terms[0][:, piece_lo], end_terms[1][:, piece_lo + 1],
-        np.repeat(best, n_pieces, axis=-1)), axis=0))
-    del end_terms  # pairs x about 2 c**-2 values each, not needed beyond here
+    # a piece, two consecutive ends at least 1e-14 apart (never a c's last end and the next c's
+    # first, 0), is scanned, for every pair, if it can hold the minimum of some pair; it is
+    # named by its low end
+    scanned = np.flatnonzero((np.diff(end_pts) >= 1e-14) & np.any(_can_hold_minimum(
+        end_terms[0][:, :-1], end_terms[1][:, 1:], best[:, end_c[:-1]]), axis=0))
+    del end_terms  # pairs x the ends of every c, about 2 c**-2 each: not needed beyond here
+    piece_c = end_c[scanned]
     # per bracket: x, fx, lo, hi and side (as _shrink returns them), the alpha term at lo and the
     # beta term at eta - hi
     scan = np.empty((7, len(index), scanned.size))
@@ -437,17 +440,16 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     for s in range(0, scanned.size, chunk):
         pieces = scanned[s:s + chunk]
         # the spacing, width / 64, is exact in both of linspace's branches: no piece moves another
-        grid = np.linspace(end_pts[piece_lo[pieces]], end_pts[piece_lo[pieces] + 1], SCAN,
-                           axis=-1)
-        terms = shared(grid[None], piece_eta[pieces, None])
+        grid = np.linspace(end_pts[pieces], end_pts[pieces + 1], SCAN, axis=-1)
+        terms = shared(grid[None], eta[piece_c[s:s + chunk]])
         brackets, at_ends = _shrink(grid[None], terms[0] + terms[1])
         scan[:, :, s:s + chunk] = *brackets, _at(terms[0], at_ends[0]), _at(terms[1], at_ends[1])
 
     # a bracket is zoomed if it can hold its pair's minimum, given the best value the pair
     # reaches at an end or at a scanned piece's best point; a dropped one enters the selection
     # below as +inf
-    np.minimum.at(best.T, piece_c[scanned], scan[1].T)
-    zoomed = _can_hold_minimum(scan[5], scan[6], best[:, piece_c[scanned]])
+    np.minimum.at(best.T, piece_c, scan[1].T)
+    zoomed = _can_hold_minimum(scan[5], scan[6], best[:, piece_c])
     scan[1][~zoomed] = np.inf
     rows, cols = np.nonzero(zoomed)
 
@@ -459,24 +461,24 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
         r, k = rows[s:s + span], cols[s:s + span]
         x, fx, lo, hi, side = scan[:5, r, k]
         scan[0, r, k], scan[1, r, k] = _zoom(
-            x, fx, lo, hi, side.astype(np.int8), piece_eta[scanned[k]], r, per_bracket)
+            x, fx, lo, hi, side.astype(np.int8), eta[piece_c[k], 0], r, per_bracket)
 
     best_x, best_f = [], []
-    cut_scanned = np.searchsorted(piece_c[scanned], np.arange(1, len(cs)))
-    for pts, f_end, x_piece, f_piece in zip(ends, np.split(end_vals, cut_ends, -1),
-                                            np.split(scan[0], cut_scanned, -1),
-                                            np.split(scan[1], cut_scanned, -1)):
+    cut_scanned = np.searchsorted(piece_c, np.arange(1, len(cs)))
+    for x_end, f_end, x_piece, f_piece in zip(np.split(end_pts, cut_ends),
+                                              np.split(end_vals, cut_ends, -1),
+                                              np.split(scan[0], cut_scanned, -1),
+                                              np.split(scan[1], cut_scanned, -1)):
         # the first smallest value, ends before pieces: ties go to the smallest end theta
         vals = np.concatenate([f_end, f_piece], -1)
         k = np.argmin(vals, axis=-1)[..., None]
-        best_x.append(_at(np.concatenate([np.broadcast_to(pts, f_end.shape), x_piece], -1), k))
+        best_x.append(_at(np.concatenate([np.broadcast_to(x_end, f_end.shape), x_piece], -1), k))
         best_f.append(_at(vals, k))
     # per c and asked pair: one with alpha > beta reflects its swapped pair's argmin, and its
     # value is its own objective there, for every c and such pair in one call
     best_x, best_f = np.array(best_x)[:, columns], np.array(best_f)[:, columns]
     swapped = np.array([a > b for _, a, b in pairs])
     if swapped.any():
-        eta = np.array(etas)[:, None]
         best_x[:, swapped] = eta - best_x[:, swapped]
         mirrored = (np.tile(np.array(axis)[swapped], len(cs)) for axis in zip(*pairs))
         best_f[:, swapped] = _objective(*mirrored, breaks, best_x[:, swapped].reshape(-1, 1),

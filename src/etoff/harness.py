@@ -357,15 +357,15 @@ def broken_instrument_json() -> dict:
 SELFTEST_SEED = 20240901
 
 
-def two_picture_check(x_obs, z_obs, inst, seed: int = SELFTEST_SEED) -> tuple[bool, str]:
+def two_picture_check(x_obs, z_obs, inst) -> tuple[bool, str]:
     """(ok, detail) of ``two_picture_gap`` under two corrections, ok within 1e-9.
 
     The corrections are the repreparation and random Naimark POVMs
     E_z'^(m) = A_z'^(m)† A_z'^(m), A^(m) the first d_out columns of its own
-    Haar unitary from ``seed``: they have no symmetry that could hide a
+    Haar unitary from ``SELFTEST_SEED``: they have no symmetry that could hide a
     transposed table, and no outcome shares another's to hide a mix-up.
     """
-    rng, d = np.random.default_rng(seed), inst.dim_out
+    rng, d = np.random.default_rng(SELFTEST_SEED), inst.dim_out
     a = np.array([quantum.sample_haar_unitary(len(z_obs.projectors) * d, rng)[:, :d]
                   for _ in inst.labels]).reshape(inst.n_outcomes, -1, d, d)
     gap = max(two_picture_gap(x_obs, z_obs, inst, povm)
@@ -378,7 +378,7 @@ def _random_joint(rng, nx: int, ny: int) -> np.ndarray:
     return check_table(t / t.sum())
 
 
-def selftest_checks(seed: int = SELFTEST_SEED):
+def selftest_checks():
     """Run the built-in consistency checks; yields (name, ok, detail)."""
     # saturation anchor
     x_obs, z_obs, inst = saturation_instance()
@@ -389,17 +389,17 @@ def selftest_checks(seed: int = SELFTEST_SEED):
     # sweep's budget: Tsallis-2 disturbance lambda**2/2 = 1/4 at lambda = 1/sqrt(2)
     _, z_half, m_half = unsharp_luders_instance(1 / math.sqrt(2))
     value = disturbance(z_half[None], m_half[None], [EntropyOrder.tsallis(2.0)], SearchConfig(),
-                        [seed])[0]
+                        [SELFTEST_SEED])[0]
     gap = value[0, 0] - 0.25
     yield "unsharp_disturbance", abs(gap) <= 1e-9, f"D_up - 1/4={gap:.3e}"
 
     # both pictures of the noise and disturbance tables, on the anchor and a random qutrit
-    yield "two_pictures_qubit", *two_picture_check(x_obs, z_obs, inst, seed)
-    qutrit = sample_instance(3, [np.random.SeedSequence([seed, 3])])
-    yield "two_pictures_qutrit", *two_picture_check(*(stack[0] for stack in qutrit), seed)
+    yield "two_pictures_qubit", *two_picture_check(x_obs, z_obs, inst)
+    qutrit = sample_instance(3, [np.random.SeedSequence([SELFTEST_SEED, 3])])
+    yield "two_pictures_qutrit", *two_picture_check(*(stack[0] for stack in qutrit))
 
     # sandwich of conditional entropies between error-probability bounds
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SELFTEST_SEED)
     worst = 0.0
     for _ in range(200):
         j = _random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))

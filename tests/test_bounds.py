@@ -244,15 +244,17 @@ def test_bbar_grid_call_equals_one_call_per_pair():
 
 def test_bbar_over_many_c_equals_one_call_per_c():
     # one call zooms the pieces of every c together (21 pieces at c = 0.3, none at c = 1;
-    # at c = 0.1 more than one zoom step holds), and each c keeps its own stopping rule
-    cs = (0.3, 0.55, 0.8, 0.99, 1.0, 0.1)
+    # at c = 0.1 more than one zoom step holds), and each c keeps its own stopping rule; the
+    # second list starts with c = 1, whose only end is 0, repeats a c and holds the floor c,
+    # whose breakpoint table serves every c of the call
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
-    for fam in ("renyi", "tsallis"):
-        with np.errstate(all="raise"):
-            together = bbar_grids(cs, pairs_of([fam], orders, orders))
-            for c, grid in zip(cs, together):
-                (alone,) = bbar_grids([c], pairs_of([fam], orders, orders))
-                assert grid == alone, (c, fam)
+    for cs in ((0.3, 0.55, 0.8, 0.99, 1.0, 0.1), (1.0, 0.3, 0.3, 0.01, 0.9, 1 / math.sqrt(2))):
+        for fam in ("renyi", "tsallis"):
+            with np.errstate(all="raise"):
+                together = bbar_grids(cs, pairs_of([fam], orders, orders))
+                for c, grid in zip(cs, together):
+                    (alone,) = bbar_grids([c], pairs_of([fam], orders, orders))
+                    assert grid == alone, (cs, c, fam)
 
 
 @pytest.mark.parametrize("family", ["renyi", "tsallis"])
@@ -354,15 +356,19 @@ def test_bbar_finds_a_minimum_inside_the_end_cell_of_its_scan(c, pair):
 
 def test_bbar_bound_memory_stays_capped_at_many_pieces():
     # at c = 0.02 each c has about 5000 pieces, zoomed in chunks of at most _MAX_POINTS
-    # objective values per family per step; uncapped, the first scan alone would hold 83 MB
-    orders = (0.3, 0.5, 1.0, 2.0)
-    tracemalloc.start()
-    try:
-        bbar_bound([0.02], pairs_of(("tsallis", "renyi"), orders, orders))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16e6
+    # objective values per family per step; uncapped, the first scan alone would hold 83 MB.
+    # At c = 0.01, about 20000 ends and 72 pairs, the peak is the piece prune's (pairs x ends)
+    # arrays: 60 MB, where taking each piece's ends apart held 83 MB
+    for c, orders, cap in (
+            (0.02, (0.3, 0.5, 1.0, 2.0), 16e6),
+            (0.01, (0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0), 70e6)):
+        tracemalloc.start()
+        try:
+            bbar_bound([c], pairs_of(("tsallis", "renyi"), orders, orders))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, (c, peak)
 
 
 def test_bbar_rejects_invalid_c():
