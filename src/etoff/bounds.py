@@ -20,14 +20,16 @@ pair shares, the breakpoints and a first scan of each smooth piece, are
 evaluated once per family and order (``_shared_terms``), and once for
 both families at an order on the Shannon branch.  The zoom that follows
 works on one bracket per pair and piece, evaluating each bracket's own
-pair alone (``_objective``): each is refined on its own, geometrically
-toward a piece end that holds its best point, and stops on its own, so a
-pair's bound and argmin_theta are bit for bit those of a call with that
-pair alone.  Each term is nondecreasing in its argument, so on an
-interval [lo, hi] the alpha term at lo plus the beta term at eta - hi
-bound the objective from below (``_can_hold_minimum``): a piece is
-scanned, and a bracket zoomed, only where that bound does not exceed a
-value the pair already reaches.
+pair alone (``_objective``).  A bracket whose best point is a piece end
+takes one geometric grid step toward it; an interior one takes Newton
+steps on the objective's slope, which ``_slope`` reads off the kernel's
+gradient, and falls back to grid steps where they fail.  Each bracket
+is refined and stops on its own, so a pair's bound and argmin_theta are
+bit for bit those of a call with that pair alone.  Each term is
+nondecreasing in its argument, so on an interval [lo, hi] the alpha term
+at lo plus the beta term at eta - hi bound the objective from below
+(``_can_hold_minimum``): a piece is scanned, and a bracket zoomed, only
+where that bound does not exceed a value the pair already reaches.
 A certificate keeps a noise value, a (one-sided) disturbance value and
 the applicable bound, and derives its margin and verdict from them.
 ``admissible_grid`` checks a (relation, alpha, beta) grid against the
@@ -43,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SHANNON_BRANCH, EntropyOrder, _column_entropies, alpha_log
+from .entropy import (SHANNON_BRANCH, EntropyOrder, _column_entropies, _column_gradients,
+                      alpha_log)
 from .linalg import pair_overlaps
 from .noise_disturbance import AdmissibilityError, SearchConfig, check_order, disturbance, noise
 from .quantum import ProjectiveObservable, QuantumInstrument
@@ -182,24 +185,28 @@ def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> np.ndar
 # it covers every d <= 10**4, and it caps the cost.  There are floor(c**-2) + 2 breakpoints,
 # about 2 c**-2 piece ends, and every end is evaluated per order; the scan and the zoom take
 # only the pieces and brackets that can hold a minimum.  At c = 0.01 with 8 orders in both
-# families (72 pairs, 1 BLAS thread) a call takes 0.15 s and peaks at 60 MB by tracemalloc,
-# where scanning and zooming every piece takes 4.9 s
+# families (72 pairs, 1 BLAS thread) a call takes 0.1 s and peaks at 60 MB by tracemalloc,
+# where scanning and zooming every piece takes 5 s
 C_FLOOR = 0.01
 SCAN = 65  # grid points per piece in the first scan, shared by every pair of orders
-ZOOM = 9  # grid points per bracket at every later zoom step
-# a bracket narrower than THETA_TOL counts as refined; below about 4e-8 rounding decides the
-# argmin, so a finer stop buys no digit of the bound
+ZOOM = 9  # grid points per bracket at every grid step of the zoom
+# a bracket narrower than THETA_TOL counts as refined, and a Newton step shorter than a quarter
+# of it as converged; rounding decides a grid step's argmin below about 4e-8, while Newton
+# steps find the slope's zero to about 1e-14 away from order 1
 THETA_TOL = 1e-9
 # a piece or bracket whose lower bound exceeds a value its pair reaches by more than this is not
 # searched; the computed terms never fall along theta, and their roundoff is far below it
 PRUNE_SLACK = 1e-9
-# objective values per family per scan step, and per term per zoom step; more pieces or
+# objective values per family per scan step, and per term per grid step; more pieces or
 # brackets go in chunks
 _MAX_POINTS = 1 << 17
-# fractions of a bracket's width at which a zoom step evaluates it: evenly spaced, or, from
-# the end that holds the bracket's best point, that end, 8**-7, ..., 8**-1 and 1
+# Newton rounds an interior bracket takes before it falls back to grid steps: on the calls of
+# the bounds-grid benchmark a bracket converges in at most 6 rounds, 2.9 on average
+NEWTON_ROUNDS = 8
+# fractions of a bracket's width at which a grid step evaluates it: evenly spaced, or, from
+# the end that holds the bracket's best point, that end, 16**-7, ..., 16**-1 and 1
 _EVEN = np.arange(ZOOM) / (ZOOM - 1)
-_TOWARD_END = np.concatenate([[0.0], (ZOOM - 1.0) ** -np.arange(ZOOM - 2, -1, -1)])
+_TOWARD_END = np.concatenate([[0.0], 16.0 ** -np.arange(ZOOM - 2, -1, -1)])
 
 
 def _breakpoints(c: float) -> np.ndarray:
@@ -239,7 +246,24 @@ def _term(theta: np.ndarray, orders, families, breaks: np.ndarray) -> np.ndarray
     return _column_entropies(probs, np.reshape(orders, rows), np.reshape(families, rows), mult)
 
 
-def _objective(families, alphas, betas, breaks, theta, eta) -> np.ndarray:
+def _slope(theta: np.ndarray, orders, families, breaks: np.ndarray) -> np.ndarray:
+    """d/dtheta of ``_term``, read off the entropy kernel's gradient.
+
+    The n copies of cos^2 theta move by -sin 2 theta each and the
+    remainder by +n sin 2 theta, so the slope is n sin 2 theta (D_r - D_1),
+    D being dH/dq per entry; ``_column_gradients`` returns h + D - sum q D
+    per row, whose difference of rows is D_r - D_1.  Columns of order 0
+    read slope 0.
+    """
+    probs, mult = _parametric_column(theta, breaks)
+    rows = (-1,) + (1,) * (theta.ndim - 1)
+    orders, families = np.reshape(orders, rows), np.reshape(families, rows)
+    g = _column_gradients(probs, orders, families,
+                          _column_entropies(probs, orders, families, mult))
+    return mult[0] * np.sin(2.0 * theta) * (g[1] - g[0])
+
+
+def _objective(families, alphas, betas, breaks, theta, eta, slope=False) -> np.ndarray:
     """The alpha term at theta plus the beta term at eta - theta, per (family, alpha, beta).
 
     ``families``, ``alphas`` and ``betas`` list the pairs, a pair being one
@@ -248,11 +272,15 @@ def _objective(families, alphas, betas, breaks, theta, eta) -> np.ndarray:
     beta rows (at eta - theta) stacked below the alpha rows (at theta).  A
     column's entropy does not depend on the columns beside it, so a pair's
     values are bit for bit those of a call with that pair alone, and of one
-    ``_term`` call per term.
+    ``_term`` call per term.  With ``slope``, the objective's derivative
+    in theta, the alpha term's slope minus the beta term's, from one
+    ``_slope`` call stacked the same way.
     """
-    both = _term(np.concatenate(np.broadcast_arrays(theta, eta - theta)),
-                 np.concatenate([alphas, betas]), np.concatenate([families, families]), breaks)
-    return both[:len(alphas)] + both[len(alphas):]
+    both = (_slope if slope else _term)(
+        np.concatenate(np.broadcast_arrays(theta, eta - theta)),
+        np.concatenate([alphas, betas]), np.concatenate([families, families]), breaks)
+    alpha_rows, beta_rows = both[:len(alphas)], both[len(alphas):]
+    return alpha_rows - beta_rows if slope else alpha_rows + beta_rows
 
 
 def _shared_terms(families, orders, theta, breaks) -> np.ndarray:
@@ -300,40 +328,98 @@ def _shrink(grid: np.ndarray, vals: np.ndarray):
     return (_at(grid, i), _at(vals, i), _at(grid, at_lo), _at(grid, at_hi), side), (at_lo, at_hi)
 
 
+def _grid_step(x, fx, lo, hi, side, eta, rows, objective, live) -> None:
+    """One grid zoom step of the brackets ``live``, updating every array in place.
+
+    It evaluates ZOOM points of each such bracket, ``objective(rows, grid,
+    eta)``, the first and last exactly lo and hi.  Where the best point
+    lies inside the bracket, the points are evenly spaced and the bracket
+    shrinks to the two grid cells around the step's best point
+    (``_shrink``).  Where it lies at an end, the points run geometrically
+    toward that end (``_TOWARD_END``): while the end stays best, the
+    bracket shrinks to 16**-7 of its width; once a lower point shows
+    inside, the bracket is kept whole and is interior from then on.
+    """
+    s = side[live]
+    width = (hi[live] - lo[live])[:, None]
+    frac = np.where(s[:, None] == 0, _EVEN, _TOWARD_END)
+    grid = np.where(s[:, None] > 0, hi[live, None] - width * frac[:, ::-1],
+                    lo[live, None] + width * frac)
+    grid[:, 0], grid[:, -1] = lo[live], hi[live]
+    (x[live], fx[live], new_lo, new_hi, new_side), _ = _shrink(
+        grid, objective(rows[live], grid, eta[live, None]))
+    back = (s != 0) & (new_side != s)
+    lo[live], hi[live] = np.where(back, lo[live], new_lo), np.where(back, hi[live], new_hi)
+    side[live] = np.where(back, 0, new_side)
+
+
+def _newton(x, fx, lo, hi, eta, rows, objective, live) -> np.ndarray:
+    """Newton steps on the objective's slope from the best point of each bracket ``live``.
+
+    A round takes the slope at t and the curvature as a forward difference
+    of slopes over d = 1e-7 of the bracket's width (at least 1e-12),
+    toward the bracket's inside, then steps t to t - slope / curvature,
+    clipped to the bracket.  A bracket converges once a step moves t by
+    less than THETA_TOL / 4; its objective at t then replaces its best
+    value and point where strictly lower.  Returns the brackets whose
+    curvature was not positive or that did not converge in NEWTON_ROUNDS
+    rounds, untouched.
+    """
+    t, low, high = x[live], lo[live], hi[live]
+    span, mid = np.maximum(1e-7 * (high - low), 1e-12), 0.5 * (low + high)
+    active, failed = np.arange(live.size), np.zeros(live.size, dtype=bool)
+    for _ in range(NEWTON_ROUNDS):
+        if not active.size:
+            break
+        at = live[active]
+        d = np.where(t[active] < mid[active], span[active], -span[active])
+        slopes = objective(rows[at], t[active, None] + [0.0, 1.0] * d[:, None], eta[at, None],
+                           slope=True)
+        curvature = (slopes[:, 1] - slopes[:, 0]) / d
+        ok = curvature > 0.0
+        step = np.divide(slopes[:, 0], curvature, out=np.zeros(active.size), where=ok)
+        new_t = np.clip(t[active] - step, low[active], high[active])
+        moving = np.abs(new_t - t[active]) >= THETA_TOL / 4
+        t[active] = new_t
+        failed[active[~ok]] = True
+        active = active[ok & moving]
+    failed[active] = True
+    at, t = live[~failed], t[~failed]
+    value = objective(rows[at], t[:, None], eta[at, None])[:, 0]
+    lower = value < fx[at]
+    x[at], fx[at] = np.where(lower, t, x[at]), np.where(lower, value, fx[at])
+    return live[failed]
+
+
 def _zoom(x, fx, lo, hi, side, eta, rows, objective):
-    """Refine every bracket [lo, hi] on its own, by grid zoom, until narrower than THETA_TOL.
+    """Refine every bracket [lo, hi] on its own, down to THETA_TOL, in a handful of passes.
 
     Every argument but ``objective`` holds one entry per bracket: the best
     theta and value found so far, the bracket, the side of it that point
     lies on (as ``_shrink`` returns it), the piece's eta and the row of the
-    bracket's pair.  A step evaluates ZOOM points of each live bracket,
-    ``objective(rows, grid, eta)``, the first and last exactly lo and hi.
-    Where the best point lies inside the bracket, the points are evenly
-    spaced and the bracket shrinks to the two grid cells around the step's
-    best point (``_shrink``).  Where it lies at an end, the points run
-    geometrically toward that end (``_TOWARD_END``): while the end stays
-    best, the bracket shrinks to 8**-7 of its width, so it closes in a step
-    or two; once a lower point shows inside, the same bracket is zoomed
-    evenly next, as an interior one.  A bracket stops, keeping that step's
-    best point and value, once narrower than THETA_TOL, so its result
-    depends on its own entry alone.  Returns ``x`` and ``fx``, updated in
-    place to each bracket's final best theta and value.
+    bracket's pair.  ``objective(rows, theta, eta)`` evaluates each
+    bracket's pair, and with ``slope=True`` its slope in theta.  A bracket
+    whose best point lies at an end takes one geometric grid step toward
+    it (``_grid_step``): a scan bracket is at most 2 (pi/2) / 64 wide, so
+    if the end stays best the bracket closes below THETA_TOL in that step.
+    Every interior bracket, from the scan or from that step, takes Newton
+    steps on the slope (``_newton``).  A bracket whose Newton steps fail,
+    as on the flat pieces of an order-0 pair, runs grid steps from where
+    it stood until narrower than THETA_TOL, evenly spaced while its best
+    point lies inside.  Each bracket's arithmetic depends on its own entry
+    alone.  Returns ``x`` and ``fx``, updated in place to each bracket's
+    final best theta and value; ``lo``, ``hi`` and ``side`` are
+    overwritten.
     """
     live = np.flatnonzero(hi - lo >= THETA_TOL)
-    lo, hi, side, eta, rows = (v[live] for v in (lo, hi, side, eta, rows))
-    while live.size:
-        width = (hi - lo)[:, None]
-        frac = np.where(side[:, None] == 0, _EVEN, _TOWARD_END)
-        grid = np.where(side[:, None] > 0, hi[:, None] - width * frac[:, ::-1],
-                        lo[:, None] + width * frac)
-        grid[:, 0], grid[:, -1] = lo, hi
-        (x[live], fx[live], new_lo, new_hi, new_side), _ = _shrink(
-            grid, objective(rows, grid, eta[:, None]))
-        back = (side != 0) & (new_side != side)
-        lo, hi = np.where(back, lo, new_lo), np.where(back, hi, new_hi)
-        side = np.where(back, 0, new_side)
-        keep = hi - lo >= THETA_TOL
-        live, lo, hi, side, eta, rows = (v[keep] for v in (live, lo, hi, side, eta, rows))
+    _grid_step(x, fx, lo, hi, side, eta, rows, objective, live[side[live] != 0])
+    live = live[hi[live] - lo[live] >= THETA_TOL]
+    interior = side[live] == 0
+    grid = np.concatenate([live[~interior],
+                           _newton(x, fx, lo, hi, eta, rows, objective, live[interior])])
+    while grid.size:
+        _grid_step(x, fx, lo, hi, side, eta, rows, objective, grid)
+        grid = grid[hi[grid] - lo[grid] >= THETA_TOL]
     return x, fx
 
 
@@ -353,9 +439,10 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     between them are scanned on SCAN evenly spaced points; both are shared
     by every pair, so each term is evaluated there once per family and
     order.  Each (pair, piece) bracket around the scan's best point is then
-    refined on its own by ``_zoom`` down to THETA_TOL, geometrically toward
-    whichever of its ends holds its best point, for every pair and every c
-    at once (in chunks of at most ``_MAX_POINTS`` values per step); a piece
+    refined on its own by ``_zoom``, for every pair and every c at once (in
+    chunks of at most ``_MAX_POINTS`` values per grid step): one geometric
+    grid step toward an end that holds its best point, else Newton steps on
+    the slope, and grid steps down to THETA_TOL where those fail.  A piece
     replaces the best value only if strictly lower, so ties go to the
     breakpoints and to the smallest theta.
 
@@ -453,8 +540,8 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     scan[1][~zoomed] = np.inf
     rows, cols = np.nonzero(zoomed)
 
-    def per_bracket(rows, grid, eta):
-        return _objective(families[rows], alphas[rows], betas[rows], breaks, grid, eta)
+    def per_bracket(rows, theta, eta, slope=False):
+        return _objective(families[rows], alphas[rows], betas[rows], breaks, theta, eta, slope)
 
     span = _MAX_POINTS // ZOOM  # brackets per zoom call
     for s in range(0, rows.size, span):

@@ -74,6 +74,8 @@ class RunConfig:
             for v in getattr(self, name):
                 if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                     raise ValueError(f"{name} must be finite numbers, got {v!r}")
+            # a config file's 1 is the command line's 1.0, so both write the same JSON
+            setattr(self, name, tuple(map(float, getattr(self, name))))
         if not isinstance(self.out, (str, type(None))):
             raise ValueError(f"out must be a file path, got {self.out!r}")
         if self.dim < 2:

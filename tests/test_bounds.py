@@ -17,6 +17,7 @@ from etoff.bounds import (
     _breakpoints,
     _objective,
     _parametric_column,
+    _slope,
     _term,
     admissible_grid,
     bbar_bound,
@@ -26,7 +27,7 @@ from etoff.bounds import (
     mu_bounds,
     overlap,
 )
-from etoff.entropy import EntropyOrder
+from etoff.entropy import SHANNON_BRANCH, EntropyOrder
 from etoff.harness import DEFAULT_ALPHAS, sample_instance, tabulate_bounds
 from etoff.noise_disturbance import SearchConfig, check_order
 from etoff.quantum import (
@@ -333,6 +334,51 @@ def test_bbar_supports_order_zero():
     # the Hartley objective jumps at breakpoints, so no exact value is pinned
     b = bbar(0.6, 0.0, 1.0, "renyi")
     assert b.value >= 0.0
+
+
+@pytest.mark.parametrize("c", [0.05, 0.3, 0.7])
+@pytest.mark.parametrize("family", ["renyi", "tsallis"])
+def test_slope_matches_central_differences_of_the_term(c, family):
+    # five-point differences with h = 3e-4 leave at most 9e-7 of the largest slope, at the
+    # edges of the Shannon branch too, where the term itself rounds to eps / |1 - alpha|
+    orders = (0.3, 0.5, 1.0 - 2 * SHANNON_BRANCH, 1.0 + 2 * SHANNON_BRANCH, 2.0, 5.0, 20.0)
+    families, breaks, h = [family] * len(orders), _breakpoints(c), 3e-4
+    theta = np.linspace(0.0, math.acos(c), 2001)
+    theta = theta[None, np.min(np.abs(theta[:, None] - breaks), axis=1) > 1e-2]
+
+    def term(k):
+        return _term(theta + k * h, orders, families, breaks)
+
+    central = (term(-2) - 8 * term(-1) + 8 * term(1) - term(2)) / (12 * h)
+    slope = _slope(theta, orders, families, breaks)
+    scale = np.max(np.abs(slope), axis=1)
+    assert np.all(scale > 0.0)
+    assert np.all(np.max(np.abs(slope - central), axis=1) <= 1e-5 * scale), orders
+
+
+def test_equal_orders_put_an_interior_argmin_exactly_at_half_eta():
+    # at alpha = beta the objective is symmetric about eta/2, so a minimum found near eta/2 is
+    # at eta/2, and Newton steps on the slope land there to rounding
+    cs = np.linspace(0.5, 0.99, 50)
+    orders = (0.3, 0.5, 0.75, 1.5, 2.0, 3.0, 5.0)
+    _, argmins = bbar_bound(cs.tolist(), [(f, o, o) for f in ("renyi", "tsallis") for o in orders])
+    error = np.abs(argmins - np.array([math.acos(c) / 2 for c in cs])[:, None])
+    near = error <= 1e-6
+    assert near.sum() >= 200
+    assert error[near].max() <= 1e-12
+
+
+def test_grid_fallback_gives_the_newton_values(monkeypatch):
+    # with no Newton round allowed, every interior bracket falls back to grid steps; order 0,
+    # whose flat pieces have no curvature, and c = 0.01, with its many small pieces, included
+    cs = [0.01, 0.3, 1 / math.sqrt(2), 0.9]
+    orders = (0.0, 0.3, 1.0, 2.0, 5.0)
+    pairs = pairs_of(("renyi", "tsallis"), orders, orders)
+    values, argmins = bbar_bound(cs, pairs)
+    monkeypatch.setattr(bounds, "NEWTON_ROUNDS", 0)
+    grid_values, grid_argmins = bbar_bound(cs, pairs)
+    assert np.max(np.abs(grid_values - values)) <= 1e-13
+    assert np.max(np.abs(grid_argmins - argmins)) <= 1e-6
 
 
 @pytest.mark.parametrize("c, pair", [(0.767, ("renyi", 0.75, 1.0)),

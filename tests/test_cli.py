@@ -567,6 +567,19 @@ def test_sweep_config_file_with_flag_override(tmp_path):
     assert len(rows) == 2  # header + one sample x one combination
 
 
+def test_sweep_config_file_with_integer_orders_writes_the_json_of_the_same_flags(tmp_path):
+    # a config file's integer order is the command line's float: "alpha": 1.0 in both outputs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"relations": ["Prop1"], "alphas": [1], "betas": [2]}))
+    common = ["--samples", "1", "--seed", "1", "--restarts", "0", "--format", "json"]
+    from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+    assert main(["sweep", "--config", str(cfg), *common, "--out", str(from_file)]) == 0
+    assert main(["sweep", "--relation", "Prop1", "--alpha", "1", "--beta", "2", *common,
+                 "--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    assert '"alpha": 1.0,' in from_file.read_text()
+
+
 def test_sweep_json_format(tmp_path):
     out = tmp_path / "o.json"
     code = main(
