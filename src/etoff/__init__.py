@@ -2,8 +2,7 @@
 
 from .bounds import (
     AdmissibilityError,
-    BoundValue,
-    TradeoffCertificate,
+    CertificateTable,
     admissible_grid,
     bbar_bound,
     certify,

@@ -30,8 +30,9 @@ nondecreasing in its argument, so on an interval [lo, hi] the alpha term
 at lo plus the beta term at eta - hi bound the objective from below
 (``_can_hold_minimum``): a piece is scanned, and a bracket zoomed, only
 where that bound does not exceed a value the pair already reaches.
-A certificate keeps a noise value, a (one-sided) disturbance value and
-the applicable bound, and derives its margin and verdict from them.
+The checks of a chunk form one ``CertificateTable``, one array per
+column: noise values, (one-sided) disturbance values and the applicable
+bounds, with the margins and verdicts derived from them as arrays.
 ``admissible_grid`` checks a (relation, alpha, beta) grid against the
 relations' admissible regions once; ``certify_grid`` only evaluates an
 admissible grid.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,104 +59,66 @@ _CONSTRAINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class BoundValue:
-    """One evaluated lower bound, with the conjugacy order or the minimising theta."""
+class CertificateTable:
+    """Noise + disturbance >= bound checks, one array per column and one entry per row.
 
-    bound_id: str
-    value: float
-    mu: float | None = None
-    argmin_theta: float | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"bound value must be finite, got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class TradeoffCertificate:
-    """Record of one noise + disturbance >= bound check.
-
-    ``margin`` (noise + disturbance - bound) and ``passed`` (margin at
-    least -MARGIN_SLACK) are derived from the stored values, and
-    ``family`` from the relation.  The disturbance entry is the best
-    value found by the correction search, hence an upper bound on the
-    true disturbance.  A margin below zero therefore refutes the relation
-    for this instance, but a nonnegative margin does not certify it: that
-    needs a lower bound on the disturbance (ROADMAP direction A).
-    ``passed`` records only noise + upper disturbance >= bound, and the
-    JSON marks the disturbance as an upper bound.  ``best_candidate``
-    names the correction that gave the disturbance value:
-    ``discard_flag``, ``reprepare``, ``support_angle`` (two Z outcomes)
-    or ``parametrized_restart_<r>`` (three or more).  ``iterations``
-    counts the support points of the angle search, or the evaluations of
-    the descent's best restart, at most the per-restart budget; it is 0
-    when no search ran.  ``converged`` means that the search that ran met
-    its own stopping rule (a closed angle bracket, or the best restart's
-    gradient norm below ``GRAD_TOL``); it is false when no search ran.
+    ``certify_grid`` builds one per chunk and ``join`` stacks them.  A row
+    is one (instance, relation, alpha, beta) check.  ``family`` is
+    the relation's entropy family, ``dim`` the instances' dimension, ``c``
+    the overlap of the row's (X, Z) pair.  ``bound_id`` names the bound:
+    ``B_T`` and ``B_R`` are the minimised bounds, whose ``argmin_theta``
+    is set and ``mu`` NaN, and ``MU_T`` and ``STND_R1`` the conjugacy
+    bounds, whose ``mu`` is max(alpha, beta) and ``argmin_theta`` NaN.
+    ``seed`` holds the recorded seed, an int or None.  ``margin`` (noise +
+    disturbance - bound) and ``passed`` (margin at least -MARGIN_SLACK)
+    are derived from the stored columns.  The disturbance entry is the best
+    value found by the correction search, hence an upper bound on the true
+    disturbance.  A margin below zero therefore refutes the relation for
+    this instance, but a nonnegative margin does not certify it: that needs
+    a lower bound on the disturbance (ROADMAP direction A).  ``passed``
+    records only noise + upper disturbance >= bound, and the JSON marks the
+    disturbance as an upper bound.  ``best_candidate`` names the correction
+    that gave the disturbance value: ``discard_flag``, ``reprepare``,
+    ``support_angle`` (two Z outcomes) or ``parametrized_restart_<r>``
+    (three or more).  ``iterations`` counts the support points of the angle
+    search, or the evaluations of the descent's best restart, at most the
+    per-restart budget; it is 0 when no search ran.  ``converged`` means
+    that the search that ran met its own stopping rule (a closed angle
+    bracket, or the best restart's gradient norm below ``GRAD_TOL``); it is
+    false when no search ran.
     """
 
-    relation: str
-    dim: int
-    alpha: float
-    beta: float
-    c: float
-    noise: float
-    disturbance: float
-    bound: BoundValue
-    seed: int | None
-    restarts: int
-    iterations: int
-    converged: bool
-    best_candidate: str
+    relation: np.ndarray
+    family: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    dim: np.ndarray
+    c: np.ndarray
+    noise: np.ndarray
+    disturbance: np.ndarray
+    bound_id: np.ndarray
+    bound: np.ndarray
+    mu: np.ndarray
+    argmin_theta: np.ndarray
+    seed: np.ndarray
+    restarts: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    best_candidate: np.ndarray
 
     @property
-    def family(self) -> str:
-        return relation_family(self.relation)
+    def margin(self) -> np.ndarray:
+        return self.noise + self.disturbance - self.bound
 
     @property
-    def margin(self) -> float:
-        return self.noise + self.disturbance - self.bound.value
-
-    @property
-    def passed(self) -> bool:
+    def passed(self) -> np.ndarray:
         return self.margin >= -MARGIN_SLACK
 
-    def to_json_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "dim": self.dim,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "family": self.family,
-            "c": self.c,
-            "noise": self.noise,
-            "disturbance": self.disturbance,
-            "disturbance_is_upper_bound": True,
-            "bound": {
-                "id": self.bound.bound_id,
-                "value": self.bound.value,
-                "mu": self.bound.mu,
-                "argmin_theta": self.bound.argmin_theta,
-            },
-            "margin": self.margin,
-            "passed": self.passed,
-            "seed": self.seed,
-            "search": {
-                "restarts": self.restarts,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "best_candidate": self.best_candidate,
-            },
-        }
-
-    CSV_HEADER = "relation,d,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"
-
-    def to_csv_row(self) -> str:
-        numbers = (self.alpha, self.beta, self.c, self.noise, self.disturbance,
-                   self.bound.value, self.margin)
-        seed = "" if self.seed is None else str(self.seed)
-        return ",".join([self.relation, str(self.dim), *map("{:.9g}".format, numbers),
-                         str(self.passed).lower(), seed])
+    @classmethod
+    def join(cls, tables) -> "CertificateTable":
+        """The rows of ``tables`` in turn; no table gives a table of no rows."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables] or [np.empty(0)])
+                     for f in fields(cls)))
 
 
 # --- overlap characteristic ----------------------------------------------------
@@ -578,7 +541,7 @@ def conjugate_orders(alpha: float, beta: float) -> bool:
     return alpha > 0 and beta > 0 and abs(1.0 / alpha + 1.0 / beta - 2.0) <= _CONSTRAINT_TOL
 
 
-def mu_bounds(c: float, alpha: float, beta: float) -> tuple[BoundValue, BoundValue]:
+def mu_bounds(c: float, alpha: float, beta: float) -> tuple[float, float]:
     """Maassen-Uffink-type bounds under the constraint 1/alpha + 1/beta = 2.
 
     Returns the Tsallis bound alpha_log(c**-2) at order mu = max(alpha,
@@ -591,10 +554,7 @@ def mu_bounds(c: float, alpha: float, beta: float) -> tuple[BoundValue, BoundVal
         raise AdmissibilityError(
             f"the MU bounds need positive orders with 1/alpha + 1/beta = 2, got ({alpha}, {beta})"
         )
-    mu = max(alpha, beta)
-    mu_t = BoundValue("MU_T", max(0.0, alpha_log(c ** -2, mu)), mu=mu)
-    mu_r = BoundValue("MU_R", max(0.0, -2.0 * math.log(c)), mu=mu)
-    return mu_t, mu_r
+    return max(0.0, alpha_log(c ** -2, max(alpha, beta))), max(0.0, -2.0 * math.log(c))
 
 
 # --- certification ----------------------------------------------------------------
@@ -649,23 +609,28 @@ def admissible_grid(relations, alphas, betas, dim: int):
     return grid, skipped
 
 
-def _bounds(grid, cs) -> list:
-    """Per c, the bound of each (relation, alpha, beta) of ``grid``, in the grid's order.
+def _bounds(grid, cs) -> tuple:
+    """The bound columns (id, value, mu, argmin_theta), per c and then per entry of ``grid``.
 
     The minimised bounds of Prop1 and Prop2 come from one ``bbar_bound``
     call over every c and exactly the (family, alpha, beta) pairs of those
-    relations in the grid, in its order.
+    relations in the grid, in its order; they have no mu.  The conjugacy
+    bounds of Prop3 and Binary, with mu = max(alpha, beta) and no
+    argmin_theta, are evaluated one at a time with ``math``.  An absent mu
+    or argmin_theta is NaN.  A bound that is not finite raises ValueError.
     """
     pairs = [(relation_family(r), a, b) for r, a, b in grid if r in ("Prop1", "Prop2")]
     values, argmins = bbar_bound(cs, pairs) if pairs else np.empty((2, len(cs), 0))
-    bbar = [iter([BoundValue("B_R" if f == "renyi" else "B_T", v, argmin_theta=x)
-                  for (f, _, _), v, x in zip(pairs, values_c, argmins_c)])
-            for values_c, argmins_c in zip(values.tolist(), argmins.tolist())]
-    return [[next(bbar_at_c) if r in ("Prop1", "Prop2")
-             else mu_bounds(c, a, b)[0] if r == "Prop3"
-             else BoundValue("STND_R1", max(0.0, -2.0 * math.log(c)), mu=max(a, b))
-             for r, a, b in grid]
-            for c, bbar_at_c in zip(cs, bbar)]
+    bbar = zip(values.ravel().tolist(), itertools.repeat(None), argmins.ravel().tolist())
+    ids, *floats = zip(*[
+        ("B_T" if r == "Prop1" else "B_R", *next(bbar)) if r in ("Prop1", "Prop2")
+        else ("MU_T", mu_bounds(c, a, b)[0], max(a, b), None) if r == "Prop3"
+        else ("STND_R1", max(0.0, -2.0 * math.log(c)), max(a, b), None)
+        for c in cs for r, a, b in grid])
+    value, mu, argmin_theta = np.array(floats, dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError(f"bound value must be finite, got {value[~np.isfinite(value)][0]!r}")
+    return np.array(ids), value, mu, argmin_theta
 
 
 def certify(
@@ -677,53 +642,54 @@ def certify(
     relation: str,
     search: SearchConfig | None = None,
     seed: int | None = None,
-) -> TradeoffCertificate:
-    """Certify one trade-off relation on a concrete (X, Z, M) instance.
+) -> CertificateTable:
+    """Certify one trade-off relation on a concrete (X, Z, M) instance; a table of one row.
 
     Computes the noise of the instrument against X, the best-found
     disturbance against Z, and the bound selected by the relation:
     ``certify_grid`` on a chunk of one instance and one combination,
-    ``seed`` seeding the search and being recorded in the certificate.
-    Raises AdmissibilityError when (relation, alpha, beta, d) fall
-    outside the admitted region, d being X's dimension.  Mismatched
-    dimensions raise ValueError from ``noise`` (X against M), ``overlap``
-    (X against Z) or ``disturbance`` (Z against M), before any
-    certificate.
+    ``seed`` seeding the search and being recorded in the row.  Raises
+    AdmissibilityError when (relation, alpha, beta, d) fall outside the
+    admitted region, d being X's dimension.  Mismatched dimensions raise
+    ValueError from ``noise`` (X against M), ``overlap`` (X against Z) or
+    ``disturbance`` (Z against M), before any table.
     """
     check_admissible(relation, alpha, beta, x_obs.dim)
     chunk = (x_obs[None], z_obs[None], inst[None])
-    return certify_grid(chunk, [(relation, alpha, beta)], search or SearchConfig(), [seed], seed)[0]
+    return certify_grid(chunk, [(relation, alpha, beta)], search or SearchConfig(), [seed], seed)
 
 
 def certify_grid(chunk, grid, search: SearchConfig, seeds: list,
-                 seed: int | None = None) -> list[TradeoffCertificate]:
+                 seed: int | None = None) -> CertificateTable:
     """Certify every (relation, alpha, beta) of an admissible grid on every instance of a chunk.
 
     ``chunk`` is the triple (X, Z, M) of stacks of k instances, searched on
     the one budget ``search`` with one seed per instance from ``seeds``
     (different counts raise ValueError before any work); ``seed`` is the
-    one the certificates record.  ``grid`` is checked already
+    one the table records.  ``grid`` is non-empty and checked already
     (``admissible_grid`` or ``check_admissible``).  ``noise``, ``overlap``
     and ``disturbance`` each take the stacks whole; ``disturbance``
     searches every instance and order at once, and the minimised bounds of
     both families come from one ``bbar_bound`` call over every c
-    (``_bounds``).  One comprehension reads the certificates off the
-    (k, len(grid)) arrays of ``noise`` and ``disturbance``.  An instance's
-    certificates equal, bit for bit, those of a chunk of it alone.  They
-    come back ordered by instance, then in the grid's order.
+    (``_bounds``).  The table's k len(grid) rows are ordered by instance,
+    then in the grid's order: the (k, len(grid)) arrays of ``noise`` and
+    ``disturbance`` are raveled, c repeats per grid entry and the grid's
+    columns repeat per instance.  An instance's rows equal, bit for bit,
+    those of a chunk of it alone.
     """
     x_obs, z_obs, inst = chunk
     counts = (len(x_obs.projectors), len(z_obs.projectors), len(inst.kraus), len(seeds))
     if len(set(counts)) > 1:
         raise ValueError(f"X, Z, M and seeds count different numbers of instances: {counts}")
-    noises = noise(x_obs, inst, [EntropyOrder(a, relation_family(r)) for r, a, _ in grid])
-    cs = overlap(x_obs, z_obs).tolist()
+    relations, alphas, betas = zip(*grid)
+    families = [relation_family(r) for r in relations]
+    noises = noise(x_obs, inst, [EntropyOrder(a, f) for a, f in zip(alphas, families)])
+    cs = overlap(x_obs, z_obs)
     value, _, iterations, converged, candidate = disturbance(
-        z_obs, inst, [EntropyOrder(b, relation_family(r)) for r, _, b in grid], search, seeds)
-    return [
-        TradeoffCertificate(relation, x_obs.dim, a, b, c, n, d, bound, seed, search.restarts,
-                            evals, ok, name)
-        for c, *rows in zip(cs, noises.tolist(), _bounds(grid, cs), value.tolist(),
-                            iterations.tolist(), converged.tolist(), candidate.tolist())
-        for (relation, a, b), n, bound, d, evals, ok, name in zip(grid, *rows)
-    ]
+        z_obs, inst, [EntropyOrder(b, f) for b, f in zip(betas, families)], search, seeds)
+    k, n = noises.shape
+    return CertificateTable(
+        *(np.tile(axis, k) for axis in (relations, families, alphas, betas)),
+        np.full(k * n, x_obs.dim), np.repeat(cs, n), noises.ravel(), value.ravel(),
+        *_bounds(grid, cs.tolist()), np.full(k * n, seed, dtype=object),
+        np.full(k * n, search.restarts), iterations.ravel(), converged.ravel(), candidate.ravel())

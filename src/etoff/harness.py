@@ -24,7 +24,7 @@ from multiprocessing import Pipe, Process
 import numpy as np
 
 from . import bounds, quantum
-from .bounds import RELATIONS, TradeoffCertificate, certify, certify_grid, mu_bounds
+from .bounds import RELATIONS, CertificateTable, certify, certify_grid, mu_bounds
 from .decision import fano_upper_bounds, lower_bounds, standard_decision
 from .entropy import SHANNON_BRANCH, EntropyOrder, check_table, conditional_entropy
 from .linalg import dagger
@@ -203,7 +203,7 @@ def sample_instance(dim: int, seeds) -> tuple:
 CHUNK = 8  # samples per sweep task; fixed, so that chunks do not depend on the worker count
 
 
-def _sweep_task(cfg: RunConfig, grid, indices) -> list[TradeoffCertificate]:
+def _sweep_task(cfg: RunConfig, grid, indices) -> CertificateTable:
     """Sample and certify the samples ``indices`` as one stack, over ``grid``.
 
     ``grid`` and the config are checked once, in run_sweep.
@@ -213,12 +213,12 @@ def _sweep_task(cfg: RunConfig, grid, indices) -> list[TradeoffCertificate]:
     return certify_grid(chunk, grid, SearchConfig(cfg.restarts, cfg.iterations), seeds, cfg.seed)
 
 
-def _certify_share(cfg: RunConfig, grid, chunks) -> list[TradeoffCertificate]:
-    return [cert for indices in chunks for cert in _sweep_task(cfg, grid, indices)]
+def _certify_share(cfg: RunConfig, grid, chunks) -> list[CertificateTable]:
+    return [_sweep_task(cfg, grid, indices) for indices in chunks]
 
 
 def _helper(conn, cfg: RunConfig, grid, chunks) -> None:
-    """Certify a share in a helper process; send (ok, certificates or exception)."""
+    """Certify a share in a helper process; send (ok, its chunks' tables or exception)."""
     try:
         result = (True, _certify_share(cfg, grid, chunks))
     except Exception as exc:  # the parent raises it again
@@ -235,22 +235,23 @@ def _usable_cpus() -> int:
 
 
 def run_sweep(cfg: RunConfig):
-    """Run the sweep; returns (certificates, summary dict).
+    """Run the sweep; returns (certificate table, summary dict).
 
     Each chunk, a range of up to CHUNK sample indices, is certified in one
     ``certify_grid`` call.  The list of chunks is cut into ``jobs``
     contiguous shares, jobs being ``cfg.jobs`` (by default the CPUs this
     process may use) but at most one per chunk.  This process certifies
     share 0 while one helper process per further share certifies it and
-    sends the certificates back through its own pipe; one job or one chunk
-    starts no helper.  An exception in a helper is raised again here, a
-    helper that dies without a result raises RuntimeError, and every
-    helper has ended when run_sweep returns or raises.  Certificates come
-    back ordered by (sample index, relation, alpha, beta) regardless of
-    worker count.  The admissible grid is the same for every sample, so
-    it is checked once; an empty grid cuts no chunk, samples nothing and
-    starts no helper.  The summary's ``min_margin`` is None when there
-    are no certificates.
+    sends its chunks' tables back through its own pipe; one job or one
+    chunk starts no helper.  An exception in a helper is raised again
+    here, a helper that dies without a result raises RuntimeError, and
+    every helper has ended when run_sweep returns or raises.  The tables
+    are joined column by column into one, its rows ordered by (sample
+    index, relation, alpha, beta) regardless of worker count.  The
+    admissible grid is the same for every sample, so it is checked once;
+    an empty grid cuts no chunk, samples nothing, starts no helper and
+    gives a table of no rows.  The summary counts the rows that did not
+    pass and takes the least margin, None when there are no rows.
     """
     if cfg.seed is None:
         raise ValueError("a randomized sweep needs a seed")
@@ -267,7 +268,7 @@ def run_sweep(cfg: RunConfig):
             helper.start()
             helpers.append((helper, receiver))
             sender.close()  # so that a helper dying unheard reads as EOF, not a hang
-        certs = _certify_share(cfg, grid, shares[0])
+        tables = _certify_share(cfg, grid, shares[0])
         for helper, receiver in helpers:
             try:
                 ok, result = receiver.recv()
@@ -277,32 +278,62 @@ def run_sweep(cfg: RunConfig):
                                    f"{helper.exitcode} before sending its certificates") from None
             if not ok:
                 raise result
-            certs += result
+            tables += result
     finally:
         for helper, receiver in helpers:
             receiver.close()
             helper.terminate()  # harmless on a helper that has exited
             helper.join()
+    certs = CertificateTable.join(tables)
+    margin = certs.margin
     summary = {
         "samples": cfg.samples,
         "dim": cfg.dim,
-        "certificates": len(certs),
-        "failures": sum(1 for c in certs if not c.passed),
+        "certificates": margin.size,
+        "failures": int(np.count_nonzero(~certs.passed)),
         "inadmissible_skipped": skipped * cfg.samples,
-        "min_margin": min((c.margin for c in certs), default=None),
+        "min_margin": float(margin.min()) if margin.size else None,
         "seed": cfg.seed,
     }
     return certs, summary
 
 
-def certificates_to_csv(certs) -> str:
-    lines = [TradeoffCertificate.CSV_HEADER]
-    lines.extend(c.to_csv_row() for c in certs)
+CSV_HEADER = "relation,d,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"
+
+
+def _columns(table: CertificateTable, names: str) -> zip:
+    """The rows of the columns ``names`` (comma-separated), as tuples of Python values."""
+    return zip(*(getattr(table, name).tolist() for name in names.split(",")))
+
+
+def certificates_to_csv(table: CertificateTable) -> str:
+    """CSV_HEADER and one line per row, numbers to 9 significant digits, no seed as empty."""
+    lines = [CSV_HEADER]
+    lines.extend(",".join([relation, str(dim), *map("{:.9g}".format, numbers), str(passed).lower(),
+                           "" if seed is None else str(seed)])
+                 for relation, dim, *numbers, passed, seed in _columns(
+                     table, "relation,dim,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"))
     return "\n".join(lines) + "\n"
 
 
-def certificates_to_json(certs) -> str:
-    return json.dumps([c.to_json_dict() for c in certs], indent=2) + "\n"
+def json_rows(table: CertificateTable) -> list[dict]:
+    """One JSON object per row; a NaN mu or argmin_theta is null."""
+    return [{
+        "relation": relation, "dim": dim, "alpha": alpha, "beta": beta, "family": family, "c": c,
+        "noise": noise, "disturbance": disturbance, "disturbance_is_upper_bound": True,
+        "bound": {"id": bound_id, "value": bound, "mu": None if math.isnan(mu) else mu,
+                  "argmin_theta": None if math.isnan(theta) else theta},
+        "margin": margin, "passed": passed, "seed": seed,
+        "search": {"restarts": restarts, "iterations": iterations, "converged": converged,
+                   "best_candidate": candidate},
+    } for (relation, dim, alpha, beta, family, c, noise, disturbance, bound_id, bound, mu, theta,
+           margin, passed, seed, restarts, iterations, converged, candidate) in _columns(
+        table, "relation,dim,alpha,beta,family,c,noise,disturbance,bound_id,bound,mu,"
+        "argmin_theta,margin,passed,seed,restarts,iterations,converged,best_candidate")]
+
+
+def certificates_to_json(table: CertificateTable) -> str:
+    return json.dumps(json_rows(table), indent=2) + "\n"
 
 
 # --- bound tabulation ---------------------------------------------------------------
@@ -334,8 +365,7 @@ def tabulate_bounds(c_grid, alphas, betas) -> str:
         for (alpha, beta), bt, br, xt, xr in zip(orders, values_t, values_r, thetas_t, thetas_r):
             mu_t = mu_r = ""
             if bounds.conjugate_orders(alpha, beta):
-                mt, mr = mu_bounds(c, alpha, beta)
-                mu_t, mu_r = num(mt.value), num(mr.value)
+                mu_t, mu_r = map(num, mu_bounds(c, alpha, beta))
             lines.append(",".join([num(c), num(alpha), num(beta), num(bt), num(br), mu_t, mu_r,
                                    num(xt), num(xr)]))
     return "\n".join(lines) + "\n"
@@ -384,8 +414,8 @@ def selftest_checks():
     """Run the built-in consistency checks; yields (name, ok, detail)."""
     # saturation anchor
     x_obs, z_obs, inst = saturation_instance()
-    cert = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0))
-    yield "saturation_margin", abs(cert.margin) <= 1e-7, f"margin={cert.margin:.3e}"
+    (margin,) = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0)).margin
+    yield "saturation_margin", abs(margin) <= 1e-7, f"margin={margin:.3e}"
 
     # the support-angle search meets the Helstrom value of the unsharp X measurement at the
     # sweep's budget: Tsallis-2 disturbance lambda**2/2 = 1/4 at lambda = 1/sqrt(2)

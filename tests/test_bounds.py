@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -13,7 +14,6 @@ from etoff.bounds import (
     RELATIONS,
     SCAN,
     AdmissibilityError,
-    BoundValue,
     _breakpoints,
     _objective,
     _parametric_column,
@@ -28,7 +28,8 @@ from etoff.bounds import (
     overlap,
 )
 from etoff.entropy import SHANNON_BRANCH, EntropyOrder
-from etoff.harness import DEFAULT_ALPHAS, sample_instance, tabulate_bounds
+from etoff.harness import (DEFAULT_ALPHAS, certificates_to_csv, json_rows, sample_instance,
+                           tabulate_bounds)
 from etoff.noise_disturbance import SearchConfig, check_order
 from etoff.quantum import (
     basis_observable,
@@ -496,22 +497,21 @@ def test_bbar_bound_rejects_the_shannon_family():
 
 def test_mu_bounds_trivial_at_full_overlap():
     mt, mr = mu_bounds(1.0, 1.0, 1.0)
-    assert mt.value == 0.0
-    assert mr.value == 0.0
+    assert mt == 0.0
+    assert mr == 0.0
 
 
 def test_mu_bounds_order_one():
     mt, mr = mu_bounds(1 / math.sqrt(2), 1.0, 1.0)
-    assert mt.value == pytest.approx(LN2, abs=1e-12)
-    assert mr.value == pytest.approx(LN2, abs=1e-12)
+    assert mt == pytest.approx(LN2, abs=1e-12)
+    assert mr == pytest.approx(LN2, abs=1e-12)
 
 
 def test_mu_bounds_order_two():
     # alpha = 2 forces beta = 2/3 and mu = 2; alpha_log(2, 2) = 1/2
     mt, mr = mu_bounds(1 / math.sqrt(2), 2.0, 2.0 / 3.0)
-    assert mt.value == pytest.approx(0.5, abs=1e-12)
-    assert mr.value == pytest.approx(LN2, abs=1e-12)
-    assert mt.mu == 2.0
+    assert mt == pytest.approx(0.5, abs=1e-12)
+    assert mr == pytest.approx(LN2, abs=1e-12)
 
 
 def test_mu_bounds_constraint_enforced():
@@ -522,18 +522,22 @@ def test_mu_bounds_constraint_enforced():
             mu_bounds(c, 1.0, 1.0)
 
 
-def test_bound_value_must_be_finite():
+def test_bound_value_must_be_finite(monkeypatch):
+    # a minimised bound that is not finite is rejected before any table is built
+    chunk = sample_instance(2, [1])
     for value in (math.nan, math.inf):
+        monkeypatch.setattr("etoff.bounds.bbar_bound", lambda cs, pairs, value=value: (
+            np.full((len(cs), len(pairs)), value), np.zeros((len(cs), len(pairs)))))
         with pytest.raises(ValueError, match="bound value must be finite"):
-            BoundValue("bbar_renyi", value)
+            certify_grid(chunk, [("Prop2", 1.0, 1.0)], SearchConfig(restarts=0), [None])
 
 
 def test_mu_consistency_with_classic_bound(rng):
     for c in (0.2, 1 / math.sqrt(3), 0.8, 1.0):
         mt, mr = mu_bounds(c, 1.0, 1.0)
         ref = -2 * math.log(c)
-        assert abs(mt.value - ref) < 1e-12
-        assert abs(mr.value - ref) < 1e-12
+        assert abs(mt - ref) < 1e-12
+        assert abs(mr - ref) < 1e-12
 
 
 def test_bound_families_differ_somewhere():
@@ -542,7 +546,7 @@ def test_bound_families_differ_somewhere():
     directions = {}
     for c in (0.15, 0.3, 1 / math.sqrt(3), 1 / math.sqrt(2), 0.9):
         bb = bbar(c, 1.0, 1.0, "renyi").value
-        mu = mu_bounds(c, 1.0, 1.0)[1].value
+        mu = mu_bounds(c, 1.0, 1.0)[1]
         directions[c] = "mu" if mu > bb + 1e-9 else ("bbar" if bb > mu + 1e-9 else "tie")
     assert any(v != "tie" for v in directions.values())
 
@@ -603,12 +607,13 @@ def test_renyi_relations_admit_exactly_the_orders_check_order_admits(dim, offset
 def test_certify_saturation_anchor(anchor):
     x_obs, z_obs, inst = anchor
     cert = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0))
-    assert cert.noise == pytest.approx(LN2, abs=1e-9)
-    assert cert.disturbance == pytest.approx(0.0, abs=1e-9)
-    assert cert.c == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-    assert cert.bound.value == pytest.approx(LN2, abs=1e-9)
-    assert abs(cert.margin) <= 1e-7
-    assert cert.passed
+    assert cert.relation.tolist() == ["Prop3"]
+    assert cert.noise[0] == pytest.approx(LN2, abs=1e-9)
+    assert cert.disturbance[0] == pytest.approx(0.0, abs=1e-9)
+    assert cert.c[0] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+    assert cert.bound[0] == pytest.approx(LN2, abs=1e-9)
+    assert abs(cert.margin[0]) <= 1e-7
+    assert cert.passed.tolist() == [True]
 
 
 def test_certify_trivial_instrument_maximal_noise():
@@ -616,8 +621,8 @@ def test_certify_trivial_instrument_maximal_noise():
     z_obs = sample_random_observable(3, None, seed=22)
     inst = trivial_instrument(3)
     cert = certify(x_obs, z_obs, inst, 2.0, 0.5, "Prop1", SearchConfig(restarts=0))
-    assert cert.passed
-    assert cert.noise == pytest.approx(1.0 - 1.0 / 3.0, abs=1e-9)  # alpha_log(3) at order 2
+    assert cert.passed.tolist() == [True]
+    assert cert.noise[0] == pytest.approx(1.0 - 1.0 / 3.0, abs=1e-9)  # alpha_log(3) at order 2
 
 
 def test_certify_rejects_inadmissible():
@@ -629,9 +634,20 @@ def test_certify_rejects_inadmissible():
 def test_certify_binary_relation(anchor):
     x_obs, z_obs, inst = anchor
     cert = certify(x_obs, z_obs, inst, 2.0, 2.0 / 3.0, "Binary", SearchConfig(restarts=0))
-    assert cert.bound.bound_id == "STND_R1"
-    assert cert.bound.value == pytest.approx(LN2, abs=1e-12)
-    assert cert.passed
+    assert cert.bound_id.tolist() == ["STND_R1"]
+    assert cert.bound[0] == pytest.approx(LN2, abs=1e-12)
+    assert cert.passed.tolist() == [True]
+
+
+def test_conjugacy_rows_carry_mu_and_no_argmin(anchor):
+    # Prop3 and Binary rows record their order mu = max(alpha, beta), here 2, and no theta
+    for relation, bound_id in (("Prop3", "MU_T"), ("Binary", "STND_R1")):
+        cert = certify(*anchor, 2.0, 2.0 / 3.0, relation, SearchConfig(restarts=0))
+        assert cert.bound_id.tolist() == [bound_id]
+        assert cert.mu.tolist() == [2.0]
+        assert np.isnan(cert.argmin_theta).all()
+        (row,) = json_rows(cert)
+        assert row["bound"]["mu"] == 2.0 and row["bound"]["argmin_theta"] is None
 
 
 def test_certify_grid_requests_only_the_pairs_of_its_grid(monkeypatch):
@@ -651,16 +667,16 @@ def test_certify_grid_requests_only_the_pairs_of_its_grid(monkeypatch):
         pairs = requested.pop()
         assert not requested
         assert len(pairs) == len(set(pairs)) == want
-        assert sorted(pairs) == sorted({(cert.family, cert.alpha, cert.beta) for cert in certs
-                                        if cert.relation in ("Prop1", "Prop2")})
-        cs = [cert.c for cert in certs[::len(grid)]]
+        minimised = np.flatnonzero(np.isin(certs.relation, ("Prop1", "Prop2")))
+        rows = list(zip(*(getattr(certs, name)[minimised].tolist() for name in (
+            "relation", "family", "alpha", "beta", "bound_id", "bound", "mu", "argmin_theta"))))
+        assert sorted(pairs) == sorted({(family, a, b) for _, family, a, b, *_ in rows})
+        cs = certs.c[::len(grid)].tolist()
         full = bbar_grids(cs, pairs_of(("tsallis", "renyi"), DEFAULT_ALPHAS, DEFAULT_ALPHAS))
-        for k, cert in enumerate(certs):
-            if cert.relation in ("Prop1", "Prop2"):
-                assert cert.bound.bound_id == ("B_T", "B_R")[cert.relation == "Prop2"]
-                assert cert.bound.mu is None
-                assert (cert.bound.value, cert.bound.argmin_theta) == full[k // len(grid)][
-                    cert.family, cert.alpha, cert.beta]
+        for k, (relation, family, a, b, bound_id, value, mu, theta) in zip(minimised, rows):
+            assert bound_id == ("B_T", "B_R")[relation == "Prop2"]
+            assert math.isnan(mu)
+            assert (value, theta) == full[k // len(grid)][family, a, b]
 
 
 def test_certify_grid_rejects_stacks_of_unequal_counts_before_any_work(monkeypatch):
@@ -687,9 +703,9 @@ def test_certify_grid_skips_inadmissible():
     grid, skipped = admissible_grid(("Prop1", "Prop2"), (0.5, 1.0, 2.0), (0.5, 1.0), 3)
     certs = certify_grid(sample_instance(3, [55]), grid, SearchConfig(restarts=0), [55], seed=55)
     # Prop1 takes all six combinations; Prop2 at d=3 drops alpha = 2
-    assert len(certs) == 6 + 4
+    assert certs.relation.tolist() == ["Prop1"] * 6 + ["Prop2"] * 4
     assert skipped == 2
-    assert all(c.passed for c in certs)
+    assert certs.passed.all()
 
 
 def test_a_relations_bound_does_not_depend_on_the_family_sharing_its_zoom():
@@ -704,30 +720,27 @@ def test_a_relations_bound_does_not_depend_on_the_family_sharing_its_zoom():
             grid, _ = admissible_grid((relation,), orders, orders, dim)
             alone[relation] = certify_grid(chunk, grid, search, seeds)
         grid, _ = admissible_grid(("Prop1", "Prop2"), orders, orders, dim)
-        shared = certify_grid(chunk, grid, search, seeds)
-        per_instance = len(shared) // 8
-        split = [shared[k * per_instance:(k + 1) * per_instance] for k in range(8)]
+        shared = json_rows(certify_grid(chunk, grid, search, seeds))
         for relation in ("Prop1", "Prop2"):
-            together = [c for certs in split for c in certs if c.relation == relation]
-            assert len(together) == len(alone[relation])
-            for a, b in zip(alone[relation], together):
-                assert (a.alpha, a.beta, a.c) == (b.alpha, b.beta, b.c)
-                assert a.bound == b.bound, (dim, relation, a.alpha, a.beta)
-                assert a.to_csv_row() == b.to_csv_row()
+            # every column of every row, in instance order, serialised
+            together = [row for row in shared if row["relation"] == relation]
+            assert len(together) == alone[relation].relation.size
+            assert json.dumps(together) == json.dumps(json_rows(alone[relation])), (dim, relation)
 
 
 def test_certificate_json_and_csv_round_trip(anchor):
     x_obs, z_obs, inst = anchor
     cert = certify(x_obs, z_obs, inst, 1.0, 1.0, "Prop3", SearchConfig(restarts=0), seed=7)
-    data = cert.to_json_dict()
+    (data,) = json_rows(cert)
     for key in ("relation", "dim", "alpha", "beta", "family", "c", "noise",
                 "disturbance", "margin", "passed", "seed"):
-        assert data[key] == getattr(cert, key)
-    assert data["bound"]["value"] == cert.bound.value
-    assert data["bound"]["id"] == cert.bound.bound_id
-    assert data["search"]["restarts"] == cert.restarts
-    assert data["search"]["best_candidate"] == cert.best_candidate == "discard_flag"
-    assert cert.to_csv_row().split(",")[7] == "{:.9g}".format(cert.bound.value)
+        assert [data[key]] == getattr(cert, key).tolist()
+    assert [data["bound"]["value"]] == cert.bound.tolist()
+    assert [data["bound"]["id"]] == cert.bound_id.tolist()
+    assert [data["search"]["restarts"]] == cert.restarts.tolist()
+    assert [data["search"]["best_candidate"]] == cert.best_candidate.tolist() == ["discard_flag"]
+    row = certificates_to_csv(cert).splitlines()[1]
+    assert row.split(",")[7] == "{:.9g}".format(cert.bound[0])
 
 
 def test_certify_saturation_anchor_at_low_orders(anchor):
@@ -735,5 +748,5 @@ def test_certify_saturation_anchor_at_low_orders(anchor):
     x_obs, z_obs, inst = anchor
     for relation in ("Prop1", "Prop2"):
         cert = certify(x_obs, z_obs, inst, 0.3, 0.3, relation, SearchConfig(restarts=0))
-        assert abs(cert.margin) <= 1e-7
-        assert cert.passed
+        assert abs(cert.margin[0]) <= 1e-7
+        assert cert.passed.tolist() == [True]

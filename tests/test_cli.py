@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import etoff
 from etoff import harness
-from etoff.bounds import TradeoffCertificate
+from etoff.bounds import CertificateTable
 from etoff.cli import main
 from etoff.entropy import EntropyOrder, conditional_entropy
 from etoff.harness import (
@@ -70,7 +71,7 @@ def test_certify_csv_output(anchor_file, capsys):
     )
     assert code == 0
     got = capsys.readouterr().out.strip().splitlines()
-    assert got[0] == TradeoffCertificate.CSV_HEADER
+    assert got[0] == harness.CSV_HEADER
     assert got[1].startswith("Prop3,2,1,1,")
 
 
@@ -362,7 +363,7 @@ def test_sweep_tasks_carry_the_validated_config(monkeypatch):
     assert [list(indices) for _, _, indices in tasks] == [
         list(range(harness.CHUNK)), list(range(harness.CHUNK, samples))]
     assert all(task_cfg is cfg and grid == [("Prop3", 1.0, 1.0)] for task_cfg, grid, _ in tasks)
-    assert validations == [] and len(grids) == 1 and len(certs) == samples
+    assert validations == [] and len(grids) == 1 and certs.relation.size == samples
     assert summary["inadmissible_skipped"] == samples  # Prop3 at (2, 1) is not conjugate
 
 
@@ -379,10 +380,11 @@ def test_sweep_chunks_give_each_sample_its_own_certificates():
     ]
     for setting, job_counts in settings:
         cfg = RunConfig(**setting, seed=7, jobs=1)
+        # a run is compared by its JSON, which holds every column
         runs = []
         for jobs in job_counts:
             cfg.jobs = jobs
-            runs.append(run_sweep(cfg)[0])
+            runs.append(harness.certificates_to_json(run_sweep(cfg)[0]))
         assert all(run == runs[0] for run in runs)
         grid, _ = harness.bounds.admissible_grid(cfg.relations, cfg.alphas, cfg.betas, cfg.dim)
         alone = []
@@ -390,9 +392,10 @@ def test_sweep_chunks_give_each_sample_its_own_certificates():
             instance = harness.sample_instance(cfg.dim, [np.random.SeedSequence([cfg.seed, i])])
             seed = int(np.random.SeedSequence([cfg.seed, i, 1]).generate_state(1)[0])
             search = SearchConfig(cfg.restarts, cfg.iterations)
-            alone += harness.certify_grid(instance, grid, search, [seed], seed=cfg.seed)
-        assert len(alone) == cfg.samples * len(grid)
-        assert runs[0] == alone
+            alone.append(harness.certify_grid(instance, grid, search, [seed], seed=cfg.seed))
+        alone = CertificateTable.join(alone)
+        assert alone.relation.size == cfg.samples * len(grid)
+        assert runs[0] == harness.certificates_to_json(alone)
 
 
 fork_only = pytest.mark.skipif(
@@ -488,7 +491,7 @@ def test_default_jobs_are_the_cpus_this_process_may_use(monkeypatch, affinity):
     started = record_helpers(monkeypatch)
     cfg = RunConfig(dim=2, samples=2 * harness.CHUNK, seed=1, restarts=0)
     certs, _ = run_sweep(cfg)
-    assert started == [] and len(certs) > 0
+    assert started == [] and certs.relation.size > 0
 
 
 def test_sweep_deterministic_across_runs_and_jobs(tmp_path):
@@ -527,7 +530,7 @@ def test_sweep_with_no_admissible_combination_writes_no_certificates(tmp_path, c
          "--restarts", "1", "--out", str(path)]
     )
     assert code == 0
-    assert path.read_text().splitlines() == [TradeoffCertificate.CSV_HEADER]
+    assert path.read_text().splitlines() == [harness.CSV_HEADER]
     assert "0 certificates" in capsys.readouterr().out
 
 
@@ -548,7 +551,7 @@ def test_a_sweep_with_nothing_admissible_does_no_work(jobs, monkeypatch, tmp_pat
     code = main(["sweep", "--dim", "3", "--samples", str(8 * harness.CHUNK), "--seed", "1",
                  "--relation", "Binary", "--jobs", str(jobs), "--out", str(path)])
     assert code == 0 and calls == []
-    assert path.read_text().splitlines() == [TradeoffCertificate.CSV_HEADER]
+    assert path.read_text().splitlines() == [harness.CSV_HEADER]
     summary = capsys.readouterr().out
     assert "min margin none," in summary and "nan" not in summary
 
@@ -563,7 +566,7 @@ def test_sweep_config_file_with_flag_override(tmp_path):
     code = main(["sweep", "--config", str(cfg), "--samples", "1", "--out", str(out)])
     assert code == 0
     rows = out.read_text().strip().splitlines()
-    assert rows[0] == TradeoffCertificate.CSV_HEADER
+    assert rows[0] == harness.CSV_HEADER
     assert len(rows) == 2  # header + one sample x one combination
 
 
@@ -605,7 +608,7 @@ def test_sweep_json_names_the_winning_correction(tmp_path):
         assert main(base + ["--dim", str(dim), "--restarts", "1", "--out", str(out)]) == 0
         names = {cert["search"]["best_candidate"] for cert in json.loads(out.read_text())}
         assert name in names
-    assert TradeoffCertificate.CSV_HEADER == (
+    assert harness.CSV_HEADER == (
         "relation,d,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"
     )
 
@@ -616,15 +619,131 @@ def test_csv_round_trips_through_json(tmp_path):
         betas=(1.0,), seed=19, restarts=1, iterations=40, jobs=1,
     )
     certs, _ = run_sweep(cfg)
-    for cert in certs:
-        data = json.loads(json.dumps(cert.to_json_dict()))
-        row = dict(zip(TradeoffCertificate.CSV_HEADER.split(","), cert.to_csv_row().split(",")))
+    header, *lines = harness.certificates_to_csv(certs).splitlines()
+    rows = json.loads(harness.certificates_to_json(certs))
+    assert len(rows) == len(lines) == certs.relation.size > 0
+    for k, (data, line) in enumerate(zip(rows, lines)):
+        row = dict(zip(header.split(","), line.split(",")))
         for key in ("relation", "alpha", "beta", "c", "noise", "disturbance", "margin"):
-            assert data[key] == getattr(cert, key)
-        assert data["bound"]["value"] == cert.bound.value
+            assert data[key] == getattr(certs, key)[k]
+        assert data["bound"]["value"] == certs.bound[k]
         assert float(row["bound"]) == pytest.approx(data["bound"]["value"], rel=1e-8)
         assert float(row["margin"]) == pytest.approx(data["margin"], rel=1e-8, abs=1e-15)
         assert row["passed"] == str(data["passed"]).lower()
+
+
+def two_row_table() -> CertificateTable:
+    """A hand-built table: a refuted Prop1 row without seed or mu, a Prop3 row with both."""
+    return CertificateTable(
+        relation=np.array(["Prop1", "Prop3"]), family=np.array(["tsallis", "tsallis"]),
+        alpha=np.array([0.3, 2.0]), beta=np.array([0.5, 2 / 3]), dim=np.array([2, 3]),
+        c=np.array([0.75, 1 / math.sqrt(2)]), noise=np.array([0.25, 0.5]),
+        disturbance=np.array([0.125, 0.0]), bound_id=np.array(["B_T", "MU_T"]),
+        bound=np.array([0.5, 0.25]), mu=np.array([np.nan, 2.0]),
+        argmin_theta=np.array([0.125, np.nan]), seed=np.array([None, 2**64 + 1], dtype=object),
+        restarts=np.array([0, 1]), iterations=np.array([0, 7]), converged=np.array([False, True]),
+        best_candidate=np.array(["discard_flag", "support_angle"]))
+
+
+TWO_ROW_JSON = """[
+  {
+    "relation": "Prop1",
+    "dim": 2,
+    "alpha": 0.3,
+    "beta": 0.5,
+    "family": "tsallis",
+    "c": 0.75,
+    "noise": 0.25,
+    "disturbance": 0.125,
+    "disturbance_is_upper_bound": true,
+    "bound": {
+      "id": "B_T",
+      "value": 0.5,
+      "mu": null,
+      "argmin_theta": 0.125
+    },
+    "margin": -0.125,
+    "passed": false,
+    "seed": null,
+    "search": {
+      "restarts": 0,
+      "iterations": 0,
+      "converged": false,
+      "best_candidate": "discard_flag"
+    }
+  },
+  {
+    "relation": "Prop3",
+    "dim": 3,
+    "alpha": 2.0,
+    "beta": 0.6666666666666666,
+    "family": "tsallis",
+    "c": 0.7071067811865475,
+    "noise": 0.5,
+    "disturbance": 0.0,
+    "disturbance_is_upper_bound": true,
+    "bound": {
+      "id": "MU_T",
+      "value": 0.25,
+      "mu": 2.0,
+      "argmin_theta": null
+    },
+    "margin": 0.25,
+    "passed": true,
+    "seed": 18446744073709551617,
+    "search": {
+      "restarts": 1,
+      "iterations": 7,
+      "converged": true,
+      "best_candidate": "support_angle"
+    }
+  }
+]
+"""
+
+
+def test_writers_pin_the_output_format():
+    # the byte layout of both formats, apart from any LAPACK rounding: numbers to 9 significant
+    # digits in the CSV and as repr in the JSON, no seed as an empty CSV field and a JSON null,
+    # a NaN mu or argmin_theta as null, and the margin and verdict derived from the columns
+    table = two_row_table()
+    assert harness.certificates_to_csv(table).splitlines() == [
+        "relation,d,alpha,beta,c,noise,disturbance,bound,margin,passed,seed",
+        "Prop1,2,0.3,0.5,0.75,0.25,0.125,0.5,-0.125,false,",
+        "Prop3,3,2,0.666666667,0.707106781,0.5,0,0.25,0.25,true,18446744073709551617",
+    ]
+    assert harness.certificates_to_json(table) == TWO_ROW_JSON
+    empty = CertificateTable.join([])
+    assert harness.certificates_to_csv(empty) == harness.CSV_HEADER + "\n"
+    assert harness.certificates_to_json(empty) == "[]\n"
+
+
+def test_a_raised_bound_is_refuted_and_exits_one(anchor_file, monkeypatch, tmp_path, capsys):
+    # B-bar raised by 10 lies above noise + disturbance on every Prop1 and Prop2 row, and the
+    # conjugacy bounds of Prop3 and Binary are untouched: certify and sweep exit 1, exactly the
+    # raised rows read passed = false, and the summary counts them as failures
+    real = etoff.bounds.bbar_bound
+
+    def raised(cs, pairs):
+        values, argmins = real(cs, pairs)
+        return values + 10.0, argmins
+
+    monkeypatch.setattr("etoff.bounds.bbar_bound", raised)
+    out = tmp_path / "cert.json"
+    assert main(["certify", anchor_file, "--relation", "Prop1", "--alpha", "0.3", "--beta", "0.3",
+                 "--out", str(out)]) == 1
+    cert = json.loads(out.read_text())
+    assert cert["passed"] is False and cert["margin"] < -9
+    path = tmp_path / "s.csv"
+    assert main(["sweep", "--dim", "2", "--samples", "3", "--seed", "2", "--restarts", "0",
+                 "--jobs", "1", "--out", str(path)]) == 1
+    header, *lines = path.read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    raised_rows = [row["relation"] in ("Prop1", "Prop2") for row in rows]
+    assert len(rows) == 3 * 52 and sum(raised_rows) == 3 * 50
+    assert [row["passed"] == "false" for row in rows] == raised_rows
+    failures = re.search(r", (\d+) failures,", capsys.readouterr().out)
+    assert failures and int(failures.group(1)) == sum(raised_rows)
 
 
 def test_bounds_command(tmp_path, capsys):

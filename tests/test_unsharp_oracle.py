@@ -91,8 +91,8 @@ def test_unsharp_support_angle_alone_meets_the_helstrom_value(lam):
                                            (0.3, 0.6, 1 / math.sqrt(2), 0.9)]
                          + [("Prop2", 1 / math.sqrt(2))])
 def test_unsharp_measurement_saturates_the_minimised_bound(relation, lam):
-    cert = certify(*unsharp_luders_instance(lam), 2.0, 2.0, relation, SEARCH)
-    assert abs(cert.margin) <= MARGIN_SLACK, (relation, lam, cert.margin)
+    (margin,) = certify(*unsharp_luders_instance(lam), 2.0, 2.0, relation, SEARCH).margin
+    assert abs(margin) <= MARGIN_SLACK, (relation, lam, margin)
 
 
 @pytest.mark.parametrize("relation", ["Prop1", "Prop2"])
