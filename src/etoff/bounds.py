@@ -17,10 +17,11 @@ with alpha > beta reflects its swapped pair's argmin.  The piece ends of
 every c are read off one flat table, c by c: each c's breakpoints and
 their mirrors about eta/2, sorted, each value once.  The points every
 pair shares, the breakpoints and a first scan of each smooth piece, are
-evaluated once per family and order (``_shared_terms``), and once for
-both families at an order on the Shannon branch.  The zoom that follows
-works on one bracket per pair and piece, evaluating each bracket's own
-pair alone (``_objective``).  A bracket whose best point is a piece end
+evaluated once per family and order of each term, and once for both
+families at an order on the Shannon branch, both terms in one kernel
+call per pass (``_shared_terms``).  The zoom that follows works on one
+bracket per pair and piece, evaluating each bracket's own pair alone
+(``_objective``).  A bracket whose best point is a piece end
 takes one geometric grid step toward it; an interior one takes Newton
 steps on the objective's slope, which ``_slope`` reads off the kernel's
 gradient, and falls back to grid steps where they fail.  Each bracket
@@ -203,9 +204,15 @@ def _parametric_column(theta: np.ndarray, breaks: np.ndarray):
 
 
 def _term(theta: np.ndarray, orders, families, breaks: np.ndarray) -> np.ndarray:
-    """The entropy of the parametric distribution at theta, per row's (family, order)."""
+    """The entropy of the parametric distribution at theta, per row's (family, order).
+
+    ``orders`` and ``families`` list the rows along theta's axis
+    ``np.ndim(orders) - 1``, where theta has length 1 or one point per
+    row.  Given as (m, width) tables, with theta of shape (m, 1, ...),
+    table row i lists the rows evaluated at theta[i].
+    """
     probs, mult = _parametric_column(theta, breaks)
-    rows = (-1,) + (1,) * (theta.ndim - 1)
+    rows = np.shape(orders) + (1,) * (theta.ndim - np.ndim(orders))
     return _column_entropies(probs, np.reshape(orders, rows), np.reshape(families, rows), mult)
 
 
@@ -246,16 +253,30 @@ def _objective(families, alphas, betas, breaks, theta, eta, slope=False) -> np.n
     return alpha_rows - beta_rows if slope else alpha_rows + beta_rows
 
 
-def _shared_terms(families, orders, theta, breaks) -> np.ndarray:
-    """``_term`` of every pair at points they share, evaluated once per distinct (family, order).
+def _shared_terms(families, alphas, betas, theta, eta, breaks) -> tuple:
+    """Both terms of every pair at points all pairs share, from one ``_term`` call.
 
-    The family enters only the power branch of the entropy kernel, so an
-    order within ``SHANNON_BRANCH`` of 1 takes one row for both families.
+    Returns the alpha terms at theta and the beta terms at eta - theta,
+    one row per pair.  Each side is evaluated once per distinct (family,
+    order) of its own; the family enters only the power branch of the
+    entropy kernel, so an order within ``SHANNON_BRANCH`` of 1 takes one
+    row for both families.  The two sides go in as one (2, width) table
+    against theta and eta - theta stacked on a leading axis, the side with
+    fewer rows padded with its own first.  A column's entropy does not
+    depend on the columns beside it, so the terms are bit for bit those of
+    one ``_term`` call per side.
     """
-    index = {}
-    rows = [index.setdefault(("shannon", o) if abs(o - 1.0) < SHANNON_BRANCH else (f, o),
-                             len(index)) for f, o in zip(families.tolist(), orders)]
-    return _term(theta, [o for _, o in index], [f for f, _ in index], breaks)[rows]
+    keys, rows = [], []
+    for side in (alphas, betas):
+        index = {}
+        rows.append([index.setdefault(("shannon", o) if abs(o - 1.0) < SHANNON_BRANCH else (f, o),
+                                      len(index)) for f, o in zip(families.tolist(), side)])
+        keys.append(list(index))
+    width = max(map(len, keys))
+    # each side's (families, orders), padded to the width with its own first key
+    fams, orders = zip(*(zip(*side, *side[:1] * (width - len(side))) for side in keys))
+    terms = _term(np.stack(np.broadcast_arrays(theta, eta - theta)), orders, fams, breaks)
+    return terms[0][rows[0]], terms[1][rows[1]]
 
 
 def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -300,8 +321,10 @@ def _grid_step(x, fx, lo, hi, side, eta, rows, objective, live) -> None:
     shrinks to the two grid cells around the step's best point
     (``_shrink``).  Where it lies at an end, the points run geometrically
     toward that end (``_TOWARD_END``): while the end stays best, the
-    bracket shrinks to 16**-7 of its width; once a lower point shows
-    inside, the bracket is kept whole and is interior from then on.
+    bracket shrinks to 16**-7 of its width; once a point inside is lower
+    by more than four ulps of the end's value, the bracket is kept whole
+    and is interior from then on.  An end that stays best keeps its own
+    value, even where a point inside rounds a few ulps lower.
     """
     s = side[live]
     width = (hi[live] - lo[live])[:, None]
@@ -309,8 +332,12 @@ def _grid_step(x, fx, lo, hi, side, eta, rows, objective, live) -> None:
     grid = np.where(s[:, None] > 0, hi[live, None] - width * frac[:, ::-1],
                     lo[live, None] + width * frac)
     grid[:, 0], grid[:, -1] = lo[live], hi[live]
-    (x[live], fx[live], new_lo, new_hi, new_side), _ = _shrink(
-        grid, objective(rows[live], grid, eta[live, None]))
+    vals = objective(rows[live], grid, eta[live, None])
+    # an end stays best unless a point inside is lower by more than the end value's rounding
+    end, at = np.where(s > 0, ZOOM - 1, 0), np.arange(s.size)
+    held = (s != 0) & (vals.min(axis=-1) >= vals[at, end] - 4 * np.spacing(vals[at, end]))
+    vals[held] = np.where(np.arange(ZOOM) == end[held, None], vals[held], np.inf)
+    (x[live], fx[live], new_lo, new_hi, new_side), _ = _shrink(grid, vals)
     back = (s != 0) & (new_side != s)
     lo[live], hi[live] = np.where(back, lo[live], new_lo), np.where(back, hi[live], new_hi)
     side[live] = np.where(back, 0, new_side)
@@ -401,13 +428,16 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     The breakpoints of both terms are evaluated first, and smooth pieces
     between them are scanned on SCAN evenly spaced points; both are shared
     by every pair, so each term is evaluated there once per family and
-    order.  Each (pair, piece) bracket around the scan's best point is then
+    order, both terms in one kernel call per pass (``_shared_terms``).
+    Each (pair, piece) bracket around the scan's best point is then
     refined on its own by ``_zoom``, for every pair and every c at once (in
     chunks of at most ``_MAX_POINTS`` values per grid step): one geometric
     grid step toward an end that holds its best point, else Newton steps on
-    the slope, and grid steps down to THETA_TOL where those fail.  A piece
-    replaces the best value only if strictly lower, so ties go to the
-    breakpoints and to the smallest theta.
+    the slope, and grid steps down to THETA_TOL where those fail.  One
+    pass over every c's ends and then its scanned pieces, in c order,
+    picks each pair's first least value at each c (two
+    ``np.minimum.reduceat``, of the values and of the places they are
+    reached), so ties go to the breakpoints and to the smallest theta.
 
     Two prune points skip work that cannot hold a minimum.  Both terms
     are nondecreasing in their arguments, so on [lo, hi] the objective is
@@ -466,12 +496,7 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     columns = [index.setdefault((f, min(a, b), max(a, b)), len(index)) for f, a, b in pairs]
     families, alphas, betas = (np.array(axis) for axis in zip(*index))
 
-    def shared(theta, eta):
-        """Both terms of every pair at points all pairs share, each once per distinct order."""
-        return (_shared_terms(families, alphas, theta, breaks),
-                _shared_terms(families, betas, eta - theta, breaks))
-
-    end_terms = shared(end_pts[None], eta[end_c, 0])
+    end_terms = _shared_terms(families, alphas, betas, end_pts[None], eta[end_c, 0], breaks)
     end_vals = end_terms[0] + end_terms[1]
     # per pair and c, the least value it reaches so far: at an end point (every c has one)
     best = np.minimum.reduceat(end_vals, np.r_[0, cut_ends], axis=-1)
@@ -491,7 +516,7 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
         pieces = scanned[s:s + chunk]
         # the spacing, width / 64, is exact in both of linspace's branches: no piece moves another
         grid = np.linspace(end_pts[pieces], end_pts[pieces + 1], SCAN, axis=-1)
-        terms = shared(grid[None], eta[piece_c[s:s + chunk]])
+        terms = _shared_terms(families, alphas, betas, grid[None], eta[piece_c[s:s + chunk]], breaks)
         brackets, at_ends = _shrink(grid[None], terms[0] + terms[1])
         scan[:, :, s:s + chunk] = *brackets, _at(terms[0], at_ends[0]), _at(terms[1], at_ends[1])
 
@@ -513,20 +538,20 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
         scan[0, r, k], scan[1, r, k] = _zoom(
             x, fx, lo, hi, side.astype(np.int8), eta[piece_c[k], 0], r, per_bracket)
 
-    best_x, best_f = [], []
-    cut_scanned = np.searchsorted(piece_c, np.arange(1, len(cs)))
-    for x_end, f_end, x_piece, f_piece in zip(np.split(end_pts, cut_ends),
-                                              np.split(end_vals, cut_ends, -1),
-                                              np.split(scan[0], cut_scanned, -1),
-                                              np.split(scan[1], cut_scanned, -1)):
-        # the first smallest value, ends before pieces: ties go to the smallest end theta
-        vals = np.concatenate([f_end, f_piece], -1)
-        k = np.argmin(vals, axis=-1)[..., None]
-        best_x.append(_at(np.concatenate([np.broadcast_to(x_end, f_end.shape), x_piece], -1), k))
-        best_f.append(_at(vals, k))
+    # every c's ends, then its scanned pieces, in c order (the sort is stable); per pair and c,
+    # the first place its least value is reached, so ties go to the ends and to the smallest theta
+    owner = np.r_[end_c, piece_c]
+    order = np.argsort(owner, kind="stable")
+    owner, vals = owner[order], np.hstack([end_vals, scan[1]])[:, order]
+    starts = np.searchsorted(owner, np.arange(len(cs)))
+    least = np.minimum.reduceat(vals, starts, axis=-1)[:, owner]
+    k = np.minimum.reduceat(np.where(vals == least, np.arange(owner.size), owner.size), starts,
+                            axis=-1)
+    thetas = np.hstack([np.broadcast_to(end_pts, end_vals.shape), scan[0]])
     # per c and asked pair: one with alpha > beta reflects its swapped pair's argmin, and its
     # value is its own objective there, for every c and such pair in one call
-    best_x, best_f = np.array(best_x)[:, columns], np.array(best_f)[:, columns]
+    best_x = np.take_along_axis(thetas, order[k], -1).T[:, columns]
+    best_f = np.take_along_axis(vals, k, -1).T[:, columns]
     swapped = np.array([a > b for _, a, b in pairs])
     if swapped.any():
         best_x[:, swapped] = eta - best_x[:, swapped]

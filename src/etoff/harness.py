@@ -307,10 +307,13 @@ def _columns(table: CertificateTable, names: str) -> zip:
 
 
 def certificates_to_csv(table: CertificateTable) -> str:
-    """CSV_HEADER and one line per row, numbers to 9 significant digits, no seed as empty."""
+    """CSV_HEADER and one line per row, numbers to 9 significant digits, no seed as empty.
+
+    Each line fills one %-template; "%.9g" % x is "{:.9g}".format(x) for every float.
+    """
+    row = "%s,%s" + ",%.9g" * 7 + ",%s,%s"
     lines = [CSV_HEADER]
-    lines.extend(",".join([relation, str(dim), *map("{:.9g}".format, numbers), str(passed).lower(),
-                           "" if seed is None else str(seed)])
+    lines.extend(row % (relation, dim, *numbers, str(passed).lower(), "" if seed is None else seed)
                  for relation, dim, *numbers, passed, seed in _columns(
                      table, "relation,dim,alpha,beta,c,noise,disturbance,bound,margin,passed,seed"))
     return "\n".join(lines) + "\n"
@@ -349,25 +352,27 @@ def tabulate_bounds(c_grid, alphas, betas) -> str:
     """CSV table of the minimised and conjugacy bounds over a parameter grid.
 
     One ``bounds.bbar_bound`` call covers both families, every pair of
-    orders and every c, and rows are formatted straight from its arrays;
-    they equal those of one table per c and pair of orders.  The conjugacy
-    columns are populated only where 1/alpha + 1/beta = 2.
-    ``bounds.bbar_bound`` rejects any c or order outside its domain.
+    orders and every c, and each row fills one %-template straight from its
+    arrays; the rows equal those of one table per c and pair of orders.
+    The conjugacy columns are populated only where 1/alpha + 1/beta = 2,
+    which is decided once per pair of orders.  ``bounds.bbar_bound``
+    rejects any c or order outside its domain.
     """
-    num = "{:.9g}".format
     lines = [BOUNDS_CSV_HEADER]
     orders = list(itertools.product(alphas, betas))
+    # a row's template, with its conjugacy columns empty or filled
+    empty = "%.9g,%.9g,%.9g,%.9g,%.9g,,,%.9g,%.9g"
+    filled = empty.replace(",,,", ",%.9g,%.9g,")
+    conjugate = [bounds.conjugate_orders(alpha, beta) for alpha, beta in orders]
     pairs = [(family, *ab) for family in ("tsallis", "renyi") for ab in orders]
     # per c, the Tsallis and the Renyi row of each array, over the table's pairs of orders
     values, argmins = (a.reshape(len(c_grid), 2, -1).tolist()
                        for a in bounds.bbar_bound(c_grid, pairs))
     for c, (values_t, values_r), (thetas_t, thetas_r) in zip(c_grid, values, argmins):
-        for (alpha, beta), bt, br, xt, xr in zip(orders, values_t, values_r, thetas_t, thetas_r):
-            mu_t = mu_r = ""
-            if bounds.conjugate_orders(alpha, beta):
-                mu_t, mu_r = map(num, mu_bounds(c, alpha, beta))
-            lines.append(",".join([num(c), num(alpha), num(beta), num(bt), num(br), mu_t, mu_r,
-                                   num(xt), num(xr)]))
+        for conj, (alpha, beta), bt, br, xt, xr in zip(conjugate, orders, values_t, values_r,
+                                                       thetas_t, thetas_r):
+            mu = mu_bounds(c, alpha, beta) if conj else ()
+            lines.append((filled if conj else empty) % (c, alpha, beta, bt, br, *mu, xt, xr))
     return "\n".join(lines) + "\n"
 
 

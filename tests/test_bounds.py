@@ -17,6 +17,7 @@ from etoff.bounds import (
     _breakpoints,
     _objective,
     _parametric_column,
+    _shared_terms,
     _slope,
     _term,
     admissible_grid,
@@ -246,17 +247,51 @@ def test_bbar_grid_call_equals_one_call_per_pair():
 
 def test_bbar_over_many_c_equals_one_call_per_c():
     # one call zooms the pieces of every c together (21 pieces at c = 0.3, none at c = 1;
-    # at c = 0.1 more than one zoom step holds), and each c keeps its own stopping rule; the
-    # second list starts with c = 1, whose only end is 0, repeats a c and holds the floor c,
-    # whose breakpoint table serves every c of the call
+    # at c = 0.1 more than one zoom step holds), each c keeps its own stopping rule, and one
+    # selection pass picks every c's minimum; the second and third lists hold c = 1, whose only
+    # end is 0, first and amid the others, repeat a c and hold the floor c, whose breakpoint
+    # table serves every c of the call
     orders = (0.3, 0.5, 1.0, 1.5, 2.0)
-    for cs in ((0.3, 0.55, 0.8, 0.99, 1.0, 0.1), (1.0, 0.3, 0.3, 0.01, 0.9, 1 / math.sqrt(2))):
+    for cs in ((0.3, 0.55, 0.8, 0.99, 1.0, 0.1), (1.0, 0.3, 0.3, 0.01, 0.9, 1 / math.sqrt(2)),
+               (0.9, 1.0, 0.3, 0.3, 0.01, 1 / math.sqrt(2))):
         for fam in ("renyi", "tsallis"):
             with np.errstate(all="raise"):
                 together = bbar_grids(cs, pairs_of([fam], orders, orders))
                 for c, grid in zip(cs, together):
                     (alone,) = bbar_grids([c], pairs_of([fam], orders, orders))
                     assert grid == alone, (cs, c, fam)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_shared_terms_equal_one_term_call_per_side(swap):
+    # both sides go through one kernel call as one (2, width) table of distinct (family, order)
+    # keys; the alpha side has 3 keys, the Renyi and Tsallis rows of 1 - 1e-9 sharing one on the
+    # Shannon branch, and the beta side 4, so the alpha side is padded (the beta side when swapped)
+    families = np.array(["renyi", "tsallis", "renyi", "tsallis"])
+    alphas, betas = np.array([0.5, 0.5, 1.0 - 1e-9, 1.0 - 1e-9]), np.array([0.3, 2.0, 5.0, 20.0])
+    if swap:
+        alphas, betas = betas, alphas
+    c = 0.2
+    breaks, eta = _breakpoints(c), math.acos(c)
+    ends = np.linspace(0.0, eta, 40)
+    pieces = np.linspace(ends[:-1], ends[1:], SCAN, axis=-1)
+    for theta, etas in ((ends[None], np.full(ends.size, eta)),
+                        (pieces[None], np.full((pieces.shape[0], 1), eta))):
+        alpha_terms, beta_terms = _shared_terms(families, alphas, betas, theta, etas, breaks)
+        assert np.array_equal(alpha_terms, _term(theta, alphas, families, breaks))
+        assert np.array_equal(beta_terms, _term(etas - theta, betas, families, breaks))
+
+
+def test_a_tie_between_an_end_and_a_scanned_piece_goes_to_the_end(monkeypatch):
+    # Tsallis order 0 counts the nonzero entries less one, so the objective takes whole values
+    # and every end ties some piece; a zoom that reports its bracket's midpoint at the scan's
+    # value makes each such tie fall at a theta no end has.  Every c's first end, theta = 0,
+    # holds its least value, so it must win over every later end and every piece
+    monkeypatch.setattr(bounds, "_zoom", lambda x, fx, lo, hi, *rest: ((lo + hi) / 2, fx))
+    cs = (0.6, 0.9, 0.6, 1.0, 0.7)
+    values, argmins = bbar_bound(cs, [("tsallis", 0.0, 0.0)])
+    assert np.array_equal(argmins, np.zeros((len(cs), 1)))
+    assert values.ravel().tolist() == [2.0, 1.0, 2.0, 0.0, 2.0]
 
 
 @pytest.mark.parametrize("family", ["renyi", "tsallis"])
@@ -399,6 +434,29 @@ def test_bbar_finds_a_minimum_inside_the_end_cell_of_its_scan(c, pair):
     b = bbar(c, alpha, beta, family)
     assert b.value <= scan[0] - 4e-4
     assert abs(b.value - dense) <= 1e-9
+
+
+def test_an_end_bracket_stays_at_its_end_unless_a_point_inside_is_lower_beyond_rounding(
+        monkeypatch):
+    # at c = 0.01, Tsallis (2, 2), a point 16**-6 of a sliver's width inside its best end read one
+    # ulp below the end; taken as interior, the sliver's concave objective stopped the Newton
+    # steps at once, and all 29 brackets fell back to the full grid zoom
+    steps, fell_back = [], []
+    grid_step, newton = bounds._grid_step, bounds._newton
+
+    def counting_step(*args):
+        steps.append(args[-1].size)
+        return grid_step(*args)
+
+    def counting_newton(*args):
+        fell_back.append(newton(*args))
+        return fell_back[-1]
+
+    monkeypatch.setattr(bounds, "_grid_step", counting_step)
+    monkeypatch.setattr(bounds, "_newton", counting_newton)
+    bbar_bound([0.01], [("tsallis", 2.0, 2.0)])
+    assert sum(steps) > 0
+    assert len(steps) == len(fell_back) and sum(map(len, fell_back)) == 0
 
 
 def test_bbar_bound_memory_stays_capped_at_many_pieces():

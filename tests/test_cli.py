@@ -718,6 +718,48 @@ def test_writers_pin_the_output_format():
     assert harness.certificates_to_json(empty) == "[]\n"
 
 
+# floats whose 9-digit text is easy to get wrong: a signed zero, the least subnormal, a tiny
+# normal, two that round up into the next decade, and one that takes the exponent form
+AWKWARD_FLOATS = (-0.0, 5e-324, 1e-300, 0.9999999995, 123456789.5, 1e16)
+
+
+def test_both_csv_writers_equal_a_per_field_format(monkeypatch):
+    # each writer fills one %-template per row; the reference formats every field on its own
+    num, n = "{:.9g}".format, len(AWKWARD_FLOATS)
+    col = np.array(AWKWARD_FLOATS)
+    table = CertificateTable(
+        relation=np.array(["Prop1", "Prop2"] * 3), family=np.array(["tsallis", "renyi"] * 3),
+        alpha=col, beta=np.roll(col, 1), dim=np.full(n, 2), c=np.roll(col, 2),
+        noise=np.roll(col, 3), disturbance=np.roll(col, 4), bound_id=np.array(["B_T", "B_R"] * 3),
+        bound=np.roll(col, 5), mu=np.full(n, np.nan), argmin_theta=col,
+        seed=np.array([None, 3, None, 2**70, 0, None], dtype=object), restarts=np.zeros(n, int),
+        iterations=np.zeros(n, int), converged=np.zeros(n, bool),
+        best_candidate=np.full(n, "discard_flag"))
+    names = "relation,dim,alpha,beta,c,noise,disturbance,bound,margin,passed,seed".split(",")
+    assert harness.certificates_to_csv(table).splitlines() == [harness.CSV_HEADER] + [
+        ",".join([relation, str(dim), *map(num, numbers), str(passed).lower(),
+                  "" if seed is None else str(seed)])
+        for relation, dim, *numbers, passed, seed in zip(
+            *(getattr(table, name).tolist() for name in names))]
+
+    def fake_bbar(cs, pairs):
+        return np.resize(col, (len(cs), len(pairs))), np.resize(col[::-1], (len(cs), len(pairs)))
+
+    monkeypatch.setattr("etoff.bounds.bbar_bound", fake_bbar)
+    monkeypatch.setattr(harness, "mu_bounds", lambda c, alpha, beta: (c, alpha))
+    orders = (*AWKWARD_FLOATS, 1.0)
+    ab = [(a, b) for a in orders for b in orders]
+    values, argmins = fake_bbar(AWKWARD_FLOATS, ab * 2)
+    want = [harness.BOUNDS_CSV_HEADER]
+    for i, c in enumerate(AWKWARD_FLOATS):
+        for j, (a, b) in enumerate(ab):
+            mu = map(num, (c, a)) if etoff.bounds.conjugate_orders(a, b) else ("", "")
+            t, r = j, j + len(ab)
+            want.append(",".join([num(c), num(a), num(b), num(values[i, t]), num(values[i, r]),
+                                  *mu, num(argmins[i, t]), num(argmins[i, r])]))
+    assert harness.tabulate_bounds(AWKWARD_FLOATS, orders, orders).splitlines() == want
+
+
 def test_a_raised_bound_is_refuted_and_exits_one(anchor_file, monkeypatch, tmp_path, capsys):
     # B-bar raised by 10 lies above noise + disturbance on every Prop1 and Prop2 row, and the
     # conjugacy bounds of Prop3 and Binary are untouched: certify and sweep exit 1, exactly the
