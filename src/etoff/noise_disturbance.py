@@ -31,7 +31,10 @@ on the true disturbance; it can refute a trade-off relation
 disturbance (ROADMAP direction A).
 
 When Z has two outcomes the minimum is a one-angle problem, which an
-arc branch-and-bound solves up to ``ANGLE_TOL``.  The table has fixed
+arc branch-and-bound solves up to ``ANGLE_TOL``: a scan of equal arcs,
+then rounds that each cut every arc that may still hold a lower value
+into four, with one batch of support points and one entropy-kernel call
+per round (``_angle_search``).  The table has fixed
 row sums p_z, so it is fixed by t = (p(0, 0), p(1, 0)); t is affine in
 each block's 0 <= E_0 <= I, so the reachable t form a convex set, a sum
 of one per block.  Every admitted objective is concave in the table
@@ -365,9 +368,9 @@ def _povm_search(rho: np.ndarray, orders: list, search: SearchConfig, seeds: lis
 
 ANGLE_TOL = 1e-9      # closed bracket width; see ``disturbance`` for the roundoff it covers
 _ARCS = 16            # starting arcs over the quarter [pi/2, pi], shared by every order
-_ANGLE_ROUNDS = 40    # bisection rounds, which leave every arc wider than 1e-13
+_ANGLE_ROUNDS = 20    # quartering rounds: no arc gets narrower than 2**-40 of its start
 _ROUNDOFF = 1e-15     # table entries below this count as 0 in lower bounds
-_HALVES = np.array([[0, 1], [1, 2]])  # an arc's halves, as pairs of (start, middle, end)
+_QUARTERS = np.arange(4)[:, None] + [0, 1]  # an arc's quarters, as pairs of its five points
 
 
 def _support(rho: np.ndarray, phi: np.ndarray) -> tuple:
@@ -425,20 +428,25 @@ def _angle_search(rho: np.ndarray, orders: list) -> tuple:
     (instance, order) pairs.  The ``_ARCS`` + 1 support points that cut
     [pi/2, pi] into equal arcs are shared by an instance's orders; then,
     per round, every arc whose lower bound lies below its row's best value
-    - ``ANGLE_TOL`` is bisected, the other arcs being dropped, for at most
-    ``_ANGLE_ROUNDS`` rounds.  A row's best point changes only to a strictly
-    lower one, the first in angle order, so no row's arithmetic depends on
-    another row.  An arc's lower bound is the smallest value at its two
-    ends and at ``_vertex``, each on its ``_floor``ed table: the boundary
-    between two support points lies in the triangle they form with the
-    meeting point of their support lines, and a concave function on a
-    triangle is at least its smallest value at a corner.  Where table
-    roundoff rather than the triangle sets an arc's gap, the live arcs
-    double each round; a row with more than ``_ARCS`` of them stops
-    there, its bracket open (on 7200 rows of d = 2 sweeps, no row had
-    more than 5).  Returns, per (instance, order), the best point's
-    POVM, the count of support points the row evaluated, and whether its
-    bracket closed, no arc being left.
+    - ``ANGLE_TOL`` is cut into quarters at its three quarter points, the
+    other arcs being dropped, for at most ``_ANGLE_ROUNDS`` rounds.  Every
+    cut point is the midpoint of two points already there, so it is a
+    dyadic point of the scan's arcs.  A round makes one ``_support`` call
+    over every live arc's three cut points and one entropy-kernel call
+    over their tables, floored tables and the four quarters' vertices.
+    A row's best point changes only to a strictly lower one, the first in
+    angle order, so no row's arithmetic depends on another row.  An arc's
+    lower bound is the smallest value at its two ends and at ``_vertex``,
+    each on its ``_floor``ed table: the boundary between two support
+    points lies in the triangle they form with the meeting point of their
+    support lines, and a concave function on a triangle is at least its
+    smallest value at a corner.  Where table roundoff rather than the
+    triangle sets an arc's gap, the live arcs grow fourfold each round; a
+    row with more than ``_ARCS`` of them stops there, its bracket open (on
+    the 7200 rows of the first chunks of d = 2 sweeps seeded 0 to 99, no
+    row had more than 5).  Returns, per (instance, order), the best
+    point's POVM, the count of support points the row evaluated, and
+    whether its bracket closed, no arc being left.
     """
     rows = np.arange(len(rho) * len(orders))
     row_inst = rows // len(orders)
@@ -465,22 +473,25 @@ def _angle_search(rho: np.ndarray, orders: list) -> tuple:
         if not len(arc_row) or done == _ANGLE_ROUNDS:
             break
         mid = arc_phi.mean(axis=-1)
-        mid_povm, mid_tab = _support(rho[row_inst[arc_row]], mid)
-        evals += np.bincount(arc_row, minlength=len(rows))
-        arc_phi = np.stack([arc_phi[:, 0], mid, arc_phi[:, 1]], axis=1)[:, _HALVES]
-        arc_tab = np.stack([arc_tab[:, 0], mid_tab, arc_tab[:, 1]], axis=1)[:, _HALVES]
+        cut = np.stack([(arc_phi[:, 0] + mid) / 2, mid, (mid + arc_phi[:, 1]) / 2], axis=1)
+        cut_povm, cut_tab = _support(rho[row_inst[arc_row], None], cut)
+        evals += 3 * np.bincount(arc_row, minlength=len(rows))
+        arc_phi = np.concatenate([arc_phi[:, :1], cut, arc_phi[:, 1:]], axis=1)[:, _QUARTERS]
+        arc_tab = np.concatenate([arc_tab[:, :1], cut_tab, arc_tab[:, 1:]], axis=1)[:, _QUARTERS]
         f = conditional_entropy(np.concatenate(
-            [mid_tab[:, None], _floor(mid_tab)[:, None], _vertex(arc_phi, arc_tab)], axis=1),
-            row_order[arc_row])
-        arc_f = np.stack([arc_f[:, 0], f[:, 1], arc_f[:, 1]], axis=1)[:, _HALVES]
-        bound = np.minimum(arc_f.min(axis=-1), f[:, 2:]).ravel()
-        # per row, the first midpoint in angle order at the lowest value, if below the best
+            [cut_tab, _floor(cut_tab), _vertex(arc_phi, arc_tab)], axis=1), row_order[arc_row])
+        arc_f = np.concatenate([arc_f[:, :1], f[:, 3:6], arc_f[:, 1:]], axis=1)[:, _QUARTERS]
+        bound = np.minimum(arc_f.min(axis=-1), f[:, 6:]).ravel()
+        # per row, the first cut point in angle order at the lowest value, if below the best;
+        # arcs are in angle order within a row, so the arc-major flattening is too
+        cut_row, cut_f = np.repeat(arc_row, 3), f[:, :3].ravel()
         low = best.copy()
-        np.minimum.at(low, arc_row, f[:, 0])
-        hit = np.nonzero((f[:, 0] == low[arc_row]) & (f[:, 0] < best[arc_row]))[0]
-        better, first = np.unique(arc_row[hit], return_index=True)
-        best[better], best_povm[better] = low[better], mid_povm[hit[first]]
-        arc_row = np.repeat(arc_row, 2)
+        np.minimum.at(low, cut_row, cut_f)
+        hit = np.nonzero((cut_f == low[cut_row]) & (cut_f < best[cut_row]))[0]
+        better, first = np.unique(cut_row[hit], return_index=True)
+        best[better] = low[better]
+        best_povm[better] = cut_povm.reshape(-1, *cut_povm.shape[2:])[hit[first]]
+        arc_row = np.repeat(arc_row, 4)
         arc_phi, arc_tab, arc_f = (a.reshape(-1, *a.shape[2:]) for a in (arc_phi, arc_tab, arc_f))
     shape = (len(rho), len(orders))
     return (best_povm.reshape(shape + best_povm.shape[1:]), evals.reshape(shape),

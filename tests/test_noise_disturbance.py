@@ -16,12 +16,14 @@ from etoff.entropy import (
 from etoff.bounds import admissible_grid, relation_family
 from etoff.harness import CHUNK, RunConfig, run_sweep, sample_instance
 from etoff.noise_disturbance import (
+    ANGLE_TOL,
     GRAD_TOL,
     AdmissibilityError,
     SearchConfig,
     _flagged,
     _povm_search,
     _riemannian_gradient,
+    _support,
     _table,
     discard_flag_correction,
     disturbance,
@@ -554,3 +556,59 @@ def test_support_angle_is_a_global_minimum_at_two_outcomes(d_out):
                                          order).min()
             assert lowest >= values[i, k] - 1e-9 - floor, (d_out, i, order,
                                                           lowest - values[i, k])
+
+
+def sweep_chunk_and_orders(seed):
+    """Z, M and search seeds of a d = 2 sweep's first chunk, and the default grid's computed orders."""
+    cfg = RunConfig(dim=2, samples=CHUNK, seed=seed, jobs=1)
+    _, z_obs, inst = sample_instance(2, [np.random.SeedSequence([seed, i]) for i in range(CHUNK)])
+    seeds = [int(np.random.SeedSequence([seed, i, 1]).generate_state(1)[0]) for i in range(CHUNK)]
+    grid, _ = admissible_grid(cfg.relations, cfg.alphas, cfg.betas, 2)
+    keys = list(dict.fromkeys(EntropyOrder(b, relation_family(r)).computed for r, _, b in grid))
+    return z_obs, inst, seeds, keys
+
+
+@pytest.mark.parametrize("chunk", [("sweep", 7), ("sweep", 11), ("d_out", 3), ("d_out", 4)],
+                         ids=["sweep7", "sweep11", "d_out3", "d_out4"])
+def test_no_support_point_on_a_dense_angle_grid_beats_the_bracket(chunk):
+    # the support points at 4097 even angles over [pi/2, pi]: none scores below
+    # D_up - ANGLE_TOL where the bracket closed, nor below that less the roundoff allowance
+    # of test_support_angle_is_a_global_minimum_at_two_outcomes where it stayed open
+    kind, arg = chunk
+    if kind == "sweep":
+        z_obs, inst, seeds, orders = sweep_chunk_and_orders(arg)
+        assert len(orders) == 9
+    else:
+        seeds = [41, 42, 43]
+        z_obs, inst = two_outcome_chunk(arg, seeds)
+        orders = [EntropyOrder.tsallis(0.5), EntropyOrder.tsallis(2.0), EntropyOrder.tsallis(3.0),
+                  EntropyOrder.renyi(0.3), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
+    values, _, _, converged, _ = disturbance(z_obs, inst, orders, SearchConfig(1, 150), seeds)
+    rho = _flagged(z_obs, inst)[0] / z_obs.dim
+    tables = _support(rho[:, None], np.linspace(np.pi / 2, np.pi, 4097))[1]
+    shape = (len(rho), len(orders)) + tables.shape[1:]
+    dense = conditional_entropy(np.broadcast_to(tables[:, None], shape),
+                                np.array(orders, dtype=object)[:, None])
+    lowest = dense.min(axis=-1)
+    for (i, k), closed in np.ndenumerate(converged):
+        alpha = orders[k].alpha
+        assert closed or (kind == "d_out" and alpha < 1), (chunk, i, orders[k])
+        slack = ANGLE_TOL + (0.0 if closed else 2 * 1e-16 ** alpha / (1 - alpha))
+        assert lowest[i, k] >= values[i, k] - slack, (chunk, i, orders[k],
+                                                      lowest[i, k] - values[i, k])
+
+
+def test_support_angle_search_closes_a_sweep_chunk_in_six_rounds(monkeypatch):
+    # each round cuts every live arc in four with one _support call, so the brackets of the
+    # seed-7 sweep chunk close within six rounds after the scan; cut in two, they took ten
+    calls = []
+    support = noise_disturbance._support
+
+    def counted(rho, phi):
+        calls.append(phi.shape)
+        return support(rho, phi)
+
+    monkeypatch.setattr(noise_disturbance, "_support", counted)
+    certs, _ = run_sweep(RunConfig(dim=2, samples=CHUNK, seed=7, jobs=1))
+    assert certs.converged.all()
+    assert 2 <= len(calls) <= 1 + 6, calls
