@@ -19,12 +19,13 @@ their mirrors about eta/2, sorted, each value once.  The points every
 pair shares, the breakpoints and a first scan of each smooth piece, are
 evaluated once per family and order of each term, and once for both
 families at an order on the Shannon branch, both terms in one kernel
-call per pass (``_shared_terms``).  The zoom that follows works on one
-bracket per pair and piece, evaluating each bracket's own pair alone
-(``_objective``).  A bracket whose best point is a piece end
-takes one geometric grid step toward it; an interior one takes Newton
-steps on the objective's slope, which ``_slope`` reads off the kernel's
-gradient, and falls back to grid steps where they fail.  Each bracket
+call per pass (``_shared_terms``).  The scan also takes the points
+16**-7, ..., 16**-1 of a scan cell's width from each piece end, so a
+bracket whose best point is a piece end is settled by the scan.  The
+zoom that follows works on every other bracket of a pair and piece,
+evaluating each bracket's own pair alone (``_objective``): Newton steps
+on the objective's slope, which ``_slope`` reads off the kernel's
+gradient, and evenly spaced grid steps where they fail.  Each bracket
 is refined and stops on its own, so a pair's bound and argmin_theta are
 bit for bit those of a call with that pair alone.  Each term is
 nondecreasing in its argument, so on an interval [lo, hi] the alpha term
@@ -149,14 +150,15 @@ def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> np.ndar
 # it covers every d <= 10**4, and it caps the cost.  There are floor(c**-2) + 2 breakpoints,
 # about 2 c**-2 piece ends, and every end is evaluated per order; the scan and the zoom take
 # only the pieces and brackets that can hold a minimum.  At c = 0.01 with 8 orders in both
-# families (72 pairs, 1 BLAS thread) a call takes 0.1 s and peaks at 60 MB by tracemalloc,
-# where scanning and zooming every piece takes 5 s
+# families (72 pairs, 1 BLAS thread) a call takes 0.14 s and peaks at 60 MB by tracemalloc,
+# where scanning and zooming every piece takes 1.8 s
 C_FLOOR = 0.01
-SCAN = 65  # grid points per piece in the first scan, shared by every pair of orders
-ZOOM = 9  # grid points per bracket at every grid step of the zoom
-# a bracket narrower than THETA_TOL counts as refined, and a Newton step shorter than a quarter
-# of it as converged; rounding decides a grid step's argmin below about 4e-8, while Newton
-# steps find the slope's zero to about 1e-14 away from order 1
+SCAN = 65  # evenly spaced points per piece in the first scan, shared by every pair of orders
+ZOOM = 9  # evenly spaced points per bracket at every grid step, where Newton steps fail
+# a bracket narrower than THETA_TOL counts as refined, as every scan bracket at a piece end is
+# (_END_CELL), and a Newton step shorter than a quarter of it as converged; rounding decides a
+# grid step's argmin below about 4e-8, while Newton steps find the slope's zero to about 1e-14
+# away from order 1
 THETA_TOL = 1e-9
 # a piece or bracket whose lower bound exceeds a value its pair reaches by more than this is not
 # searched; the computed terms never fall along theta, and their roundoff is far below it
@@ -167,10 +169,12 @@ _MAX_POINTS = 1 << 17
 # Newton rounds an interior bracket takes before it falls back to grid steps: on the calls of
 # the bounds-grid benchmark a bracket converges in at most 6 rounds, 2.9 on average
 NEWTON_ROUNDS = 8
-# fractions of a bracket's width at which a grid step evaluates it: evenly spaced, or, from
-# the end that holds the bracket's best point, that end, 16**-7, ..., 16**-1 and 1
+# fractions of a bracket's width at which a grid step evaluates it, 0 and 1 among them
 _EVEN = np.arange(ZOOM) / (ZOOM - 1)
-_TOWARD_END = np.concatenate([[0.0], 16.0 ** -np.arange(ZOOM - 2, -1, -1)])
+# fractions of the scan cell next to a piece end at which the scan also evaluates the piece,
+# measured from that end: a piece is at most pi/4 wide, so an end that stays best leaves a
+# bracket at most (pi/4) / 64 * 16**-7 < 5e-11 wide, narrower than THETA_TOL, never zoomed
+_END_CELL = 16.0 ** -np.arange(7, 0, -1)
 
 
 def _breakpoints(c: float) -> np.ndarray:
@@ -301,46 +305,27 @@ def _shrink(grid: np.ndarray, vals: np.ndarray):
 
     ``vals`` holds the objective on ``grid`` (the two broadcast against
     each other).  Returns the best theta and value, the first smallest
-    value winning ties, the bracket's lo and hi, and on which side of the
-    bracket the best point lies: -1 at lo, 1 at hi, 0 inside; then, apart,
-    the grid indices of lo and hi.
+    value winning ties, and the bracket's lo and hi, one grid cell only
+    where the best point is the grid's first or last; then, apart, the
+    grid indices of lo and hi.
     """
-    last = grid.shape[-1] - 1
     i = np.argmin(vals, axis=-1)[..., None]
-    at_lo, at_hi = np.maximum(i - 1, 0), np.minimum(i + 1, last)
-    side = (i[..., 0] == last).astype(np.int8) - (i[..., 0] == 0)
-    return (_at(grid, i), _at(vals, i), _at(grid, at_lo), _at(grid, at_hi), side), (at_lo, at_hi)
+    at_lo, at_hi = np.maximum(i - 1, 0), np.minimum(i + 1, grid.shape[-1] - 1)
+    return (_at(grid, i), _at(vals, i), _at(grid, at_lo), _at(grid, at_hi)), (at_lo, at_hi)
 
 
-def _grid_step(x, fx, lo, hi, side, eta, rows, objective, live) -> None:
+def _grid_step(x, fx, lo, hi, eta, rows, objective, live) -> None:
     """One grid zoom step of the brackets ``live``, updating every array in place.
 
-    It evaluates ZOOM points of each such bracket, ``objective(rows, grid,
-    eta)``, the first and last exactly lo and hi.  Where the best point
-    lies inside the bracket, the points are evenly spaced and the bracket
-    shrinks to the two grid cells around the step's best point
-    (``_shrink``).  Where it lies at an end, the points run geometrically
-    toward that end (``_TOWARD_END``): while the end stays best, the
-    bracket shrinks to 16**-7 of its width; once a point inside is lower
-    by more than four ulps of the end's value, the bracket is kept whole
-    and is interior from then on.  An end that stays best keeps its own
-    value, even where a point inside rounds a few ulps lower.
+    It evaluates each such bracket at ZOOM evenly spaced points,
+    ``objective(rows, grid, eta)``, the first and last exactly lo and hi,
+    and shrinks it to the two grid cells around the step's best point
+    (``_shrink``).
     """
-    s = side[live]
-    width = (hi[live] - lo[live])[:, None]
-    frac = np.where(s[:, None] == 0, _EVEN, _TOWARD_END)
-    grid = np.where(s[:, None] > 0, hi[live, None] - width * frac[:, ::-1],
-                    lo[live, None] + width * frac)
-    grid[:, 0], grid[:, -1] = lo[live], hi[live]
+    grid = lo[live, None] + (hi[live] - lo[live])[:, None] * _EVEN
+    grid[:, -1] = hi[live]
     vals = objective(rows[live], grid, eta[live, None])
-    # an end stays best unless a point inside is lower by more than the end value's rounding
-    end, at = np.where(s > 0, ZOOM - 1, 0), np.arange(s.size)
-    held = (s != 0) & (vals.min(axis=-1) >= vals[at, end] - 4 * np.spacing(vals[at, end]))
-    vals[held] = np.where(np.arange(ZOOM) == end[held, None], vals[held], np.inf)
-    (x[live], fx[live], new_lo, new_hi, new_side), _ = _shrink(grid, vals)
-    back = (s != 0) & (new_side != s)
-    lo[live], hi[live] = np.where(back, lo[live], new_lo), np.where(back, hi[live], new_hi)
-    side[live] = np.where(back, 0, new_side)
+    (x[live], fx[live], lo[live], hi[live]), _ = _shrink(grid, vals)
 
 
 def _newton(x, fx, lo, hi, eta, rows, objective, live) -> np.ndarray:
@@ -381,34 +366,25 @@ def _newton(x, fx, lo, hi, eta, rows, objective, live) -> np.ndarray:
     return live[failed]
 
 
-def _zoom(x, fx, lo, hi, side, eta, rows, objective):
+def _zoom(x, fx, lo, hi, eta, rows, objective):
     """Refine every bracket [lo, hi] on its own, down to THETA_TOL, in a handful of passes.
 
     Every argument but ``objective`` holds one entry per bracket: the best
-    theta and value found so far, the bracket, the side of it that point
-    lies on (as ``_shrink`` returns it), the piece's eta and the row of the
-    bracket's pair.  ``objective(rows, theta, eta)`` evaluates each
-    bracket's pair, and with ``slope=True`` its slope in theta.  A bracket
-    whose best point lies at an end takes one geometric grid step toward
-    it (``_grid_step``): a scan bracket is at most 2 (pi/2) / 64 wide, so
-    if the end stays best the bracket closes below THETA_TOL in that step.
-    Every interior bracket, from the scan or from that step, takes Newton
-    steps on the slope (``_newton``).  A bracket whose Newton steps fail,
-    as on the flat pieces of an order-0 pair, runs grid steps from where
-    it stood until narrower than THETA_TOL, evenly spaced while its best
-    point lies inside.  Each bracket's arithmetic depends on its own entry
+    theta and value found so far, the bracket, the piece's eta and the row
+    of the bracket's pair.  ``objective(rows, theta, eta)`` evaluates each
+    bracket's pair, and with ``slope=True`` its slope in theta.  Every
+    bracket at least THETA_TOL wide takes Newton steps on the slope
+    (``_newton``); one whose best scan point is a piece end is narrower
+    (``_END_CELL``) and is left as it is.  A bracket whose Newton steps
+    fail, as on the flat pieces of an order-0 pair, runs evenly spaced
+    grid steps from where it stood until narrower than THETA_TOL
+    (``_grid_step``).  Each bracket's arithmetic depends on its own entry
     alone.  Returns ``x`` and ``fx``, updated in place to each bracket's
-    final best theta and value; ``lo``, ``hi`` and ``side`` are
-    overwritten.
+    final best theta and value; ``lo`` and ``hi`` are overwritten.
     """
-    live = np.flatnonzero(hi - lo >= THETA_TOL)
-    _grid_step(x, fx, lo, hi, side, eta, rows, objective, live[side[live] != 0])
-    live = live[hi[live] - lo[live] >= THETA_TOL]
-    interior = side[live] == 0
-    grid = np.concatenate([live[~interior],
-                           _newton(x, fx, lo, hi, eta, rows, objective, live[interior])])
+    grid = _newton(x, fx, lo, hi, eta, rows, objective, np.flatnonzero(hi - lo >= THETA_TOL))
     while grid.size:
-        _grid_step(x, fx, lo, hi, side, eta, rows, objective, grid)
+        _grid_step(x, fx, lo, hi, eta, rows, objective, grid)
         grid = grid[hi[grid] - lo[grid] >= THETA_TOL]
     return x, fx
 
@@ -426,16 +402,18 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     flattened c by c; two consecutive ends at least 1e-14 apart bound a
     piece, and a c's last end never bounds one with the next c's first, 0.
     The breakpoints of both terms are evaluated first, and smooth pieces
-    between them are scanned on SCAN evenly spaced points; both are shared
-    by every pair, so each term is evaluated there once per family and
-    order, both terms in one kernel call per pass (``_shared_terms``).
-    Each (pair, piece) bracket around the scan's best point is then
-    refined on its own by ``_zoom``, for every pair and every c at once (in
-    chunks of at most ``_MAX_POINTS`` values per grid step): one geometric
-    grid step toward an end that holds its best point, else Newton steps on
-    the slope, and grid steps down to THETA_TOL where those fail.  One
-    pass over every c's ends and then its scanned pieces, in c order,
-    picks each pair's first least value at each c (two
+    between them are scanned on SCAN evenly spaced points, and in each end
+    cell of that grid on the points end +- w 16**-k, k = 7, ..., 1, w the
+    cell's width (``_END_CELL``); both are shared by every pair, so each
+    term is evaluated there once per family and order, both terms in one
+    kernel call per pass (``_shared_terms``).  A (pair, piece) bracket,
+    the grid cells around the scan's best point, is narrower than
+    THETA_TOL where that point is a piece end; every wider one is refined
+    on its own by ``_zoom``, for every pair and every c at once (in chunks
+    of at most ``_MAX_POINTS`` values per grid step): Newton steps on the
+    slope, and evenly spaced grid steps down to THETA_TOL where those
+    fail.  One pass over every c's ends and then its scanned pieces, in c
+    order, picks each pair's first least value at each c (two
     ``np.minimum.reduceat``, of the values and of the places they are
     reached), so ties go to the breakpoints and to the smallest theta.
 
@@ -454,8 +432,9 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     roundoff, and the selection keeps the first strict
     minimum, so it could never have won: values and argmin_theta are bit
     for bit those of scanning and zooming everything, at a fraction of
-    the work (on c in [0.3, 0.995] and six orders, 82 % of the pieces are
-    scanned and 35 % of the brackets zoomed).  Theta -> eta - theta turns
+    the work (on the bounds-grid benchmark's calls, c in [0.3, 0.995] and
+    six orders, 83 % of the pieces are scanned, 42 % of the brackets pass
+    the prune and 5 % take Newton steps).  Theta -> eta - theta turns
     the objective of (family, alpha, beta) into that of (family, beta,
     alpha), so only pairs with alpha <= beta are scanned and zoomed.  A
     pair with alpha > beta takes eta - theta* as its argmin_theta, theta*
@@ -507,15 +486,19 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
         end_terms[0][:, :-1], end_terms[1][:, 1:], best[:, end_c[:-1]]), axis=0))
     del end_terms  # pairs x the ends of every c, about 2 c**-2 each: not needed beyond here
     piece_c = end_c[scanned]
-    # per bracket: x, fx, lo, hi and side (as _shrink returns them), the alpha term at lo and the
-    # beta term at eta - hi
-    scan = np.empty((7, len(index), scanned.size))
+    # per bracket: x, fx, lo and hi (as _shrink returns them), the alpha term at lo and the beta
+    # term at eta - hi
+    scan = np.empty((6, len(index), scanned.size))
     per_family = max(np.unique(families, return_counts=True)[1])
-    chunk = max(1, _MAX_POINTS // (int(per_family) * SCAN))
+    chunk = max(1, _MAX_POINTS // (int(per_family) * (SCAN + 2 * _END_CELL.size)))
     for s in range(0, scanned.size, chunk):
         pieces = scanned[s:s + chunk]
-        # the spacing, width / 64, is exact in both of linspace's branches: no piece moves another
-        grid = np.linspace(end_pts[pieces], end_pts[pieces + 1], SCAN, axis=-1)
+        # the spacing w, width / 64, is exact in both of linspace's branches: no piece moves
+        # another; the end cells also take end +- w 16**-k, k = 7, ..., 1
+        even = np.linspace(end_pts[pieces], end_pts[pieces + 1], SCAN, axis=-1)
+        lo, hi = even[:, :1], even[:, -1:]
+        grid = np.hstack([lo, lo + (even[:, 1:2] - lo) * _END_CELL, even[:, 1:-1],
+                          hi - (hi - even[:, -2:-1]) * _END_CELL[::-1], hi])
         terms = _shared_terms(families, alphas, betas, grid[None], eta[piece_c[s:s + chunk]], breaks)
         brackets, at_ends = _shrink(grid[None], terms[0] + terms[1])
         scan[:, :, s:s + chunk] = *brackets, _at(terms[0], at_ends[0]), _at(terms[1], at_ends[1])
@@ -524,7 +507,7 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     # reaches at an end or at a scanned piece's best point; a dropped one enters the selection
     # below as +inf
     np.minimum.at(best.T, piece_c, scan[1].T)
-    zoomed = _can_hold_minimum(scan[5], scan[6], best[:, piece_c])
+    zoomed = _can_hold_minimum(scan[4], scan[5], best[:, piece_c])
     scan[1][~zoomed] = np.inf
     rows, cols = np.nonzero(zoomed)
 
@@ -534,9 +517,7 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     span = _MAX_POINTS // ZOOM  # brackets per zoom call
     for s in range(0, rows.size, span):
         r, k = rows[s:s + span], cols[s:s + span]
-        x, fx, lo, hi, side = scan[:5, r, k]
-        scan[0, r, k], scan[1, r, k] = _zoom(
-            x, fx, lo, hi, side.astype(np.int8), eta[piece_c[k], 0], r, per_bracket)
+        scan[0, r, k], scan[1, r, k] = _zoom(*scan[:4, r, k], eta[piece_c[k], 0], r, per_bracket)
 
     # every c's ends, then its scanned pieces, in c order (the sort is stable); per pair and c,
     # the first place its least value is reached, so ties go to the ends and to the smallest theta
@@ -650,7 +631,7 @@ def _bounds(grid, cs) -> tuple:
     ids, *floats = zip(*[
         ("B_T" if r == "Prop1" else "B_R", *next(bbar)) if r in ("Prop1", "Prop2")
         else ("MU_T", mu_bounds(c, a, b)[0], max(a, b), None) if r == "Prop3"
-        else ("STND_R1", max(0.0, -2.0 * math.log(c)), max(a, b), None)
+        else ("STND_R1", mu_bounds(c, a, b)[1], max(a, b), None)
         for c in cs for r, a, b in grid])
     value, mu, argmin_theta = np.array(floats, dtype=float)
     if not np.isfinite(value).all():

@@ -436,27 +436,40 @@ def test_bbar_finds_a_minimum_inside_the_end_cell_of_its_scan(c, pair):
     assert abs(b.value - dense) <= 1e-9
 
 
-def test_an_end_bracket_stays_at_its_end_unless_a_point_inside_is_lower_beyond_rounding(
-        monkeypatch):
-    # at c = 0.01, Tsallis (2, 2), a point 16**-6 of a sliver's width inside its best end read one
-    # ulp below the end; taken as interior, the sliver's concave objective stopped the Newton
-    # steps at once, and all 29 brackets fell back to the full grid zoom
-    steps, fell_back = [], []
-    grid_step, newton = bounds._grid_step, bounds._newton
+def test_a_bracket_at_a_piece_end_is_settled_by_the_scan_and_never_reaches_newton(monkeypatch):
+    # the scan also evaluates each piece at 16**-7, ..., 16**-1 of its end cells, so a piece end
+    # that stays best leaves a bracket narrower than THETA_TOL.  At c = 0.01, Tsallis (2, 2), the
+    # minimum sits at a piece end beside slivers whose concave objective stops Newton steps at
+    # once: no bracket falls back, and the bound is the objective at that end
+    at_ends, reached, fell_back = [], [], []
+    zoom, newton = bounds._zoom, bounds._newton
 
-    def counting_step(*args):
-        steps.append(args[-1].size)
-        return grid_step(*args)
+    def spying_zoom(x, fx, lo, hi, *rest):
+        at_ends.append(np.sum((x == lo) | (x == hi)))
+        return zoom(x, fx, lo, hi, *rest)
 
-    def counting_newton(*args):
-        fell_back.append(newton(*args))
+    def spying_newton(x, fx, lo, hi, eta, rows, objective, live):
+        reached.append((lo[live] < x[live]) & (x[live] < hi[live]))
+        fell_back.append(newton(x, fx, lo, hi, eta, rows, objective, live))
         return fell_back[-1]
 
-    monkeypatch.setattr(bounds, "_grid_step", counting_step)
-    monkeypatch.setattr(bounds, "_newton", counting_newton)
-    bbar_bound([0.01], [("tsallis", 2.0, 2.0)])
-    assert sum(steps) > 0
-    assert len(steps) == len(fell_back) and sum(map(len, fell_back)) == 0
+    monkeypatch.setattr(bounds, "_zoom", spying_zoom)
+    monkeypatch.setattr(bounds, "_newton", spying_newton)
+    c = 0.01
+    eta, breaks = math.acos(c), _breakpoints(c)
+    b = bbar(c, 2.0, 2.0, "tsallis")
+    assert sum(at_ends) > 0 and sum(map(len, fell_back)) == 0
+    assert b.argmin_theta in eta - breaks
+    assert b.value == _objective(["tsallis"], [2.0], [2.0], breaks, np.array([[b.argmin_theta]]),
+                                 eta)[0, 0]
+    # every bracket that reaches Newton holds its best scan point strictly inside, over many c,
+    # both families and orders from 0, whose flat pieces tie their ends, to 20
+    at_ends[:] = reached[:] = []
+    orders = (0.0, 0.3, 0.9999, 1.0, 1.001, 2.0, 20.0)
+    bbar_bound([0.01, 0.05, 0.3, 1 / math.sqrt(3), 1 / math.sqrt(2), 0.9, 0.999999],
+               pairs_of(("renyi", "tsallis"), orders, orders))
+    assert sum(at_ends) > 0 and sum(map(len, reached)) > 0
+    assert all(map(np.all, reached))
 
 
 def test_bbar_bound_memory_stays_capped_at_many_pieces():
