@@ -129,11 +129,13 @@ class CertificateTable:
 def overlap(x_obs: ProjectiveObservable, z_obs: ProjectiveObservable) -> np.ndarray:
     """Overlap characteristic c of each (X, Z) pair of two stacks of observables, capped at 1.
 
-    c is the largest spectral norm of a projector product, each product
-    evaluated in both orders and maximised, so swapping the observables
-    returns exactly the same c.  Two SVD calls take every product of
-    every pair, and return a (k,) array.  Nondegenerate pairs are checked
-    against the unitarity floor d**-1/2.
+    c is the largest spectral norm of a projector product, read off one
+    ``pair_overlaps`` table per pair, which is the same bit for bit in
+    either order, so swapping the observables returns exactly the same c.
+    A rank-one projector, every projector of a nondegenerate observable,
+    takes the norm as the square root of a trace; only pairs of
+    projectors of rank two or more take an SVD.  Returns a (k,) array.
+    Nondegenerate pairs are checked against the unitarity floor d**-1/2.
     """
     if x_obs.dim != z_obs.dim:
         raise ValueError(f"dimension mismatch: {x_obs.dim} vs {z_obs.dim}")

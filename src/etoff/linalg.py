@@ -3,12 +3,14 @@
 Everything works on plain numpy arrays of complex dtype, mostly on
 stacks of matrices.  The package computes eigenvalues in two places,
 both in ``noise_disturbance``: ``np.linalg.eigvalsh`` of a user-supplied
-POVM, which its POVM check admits down to -``STRUCT_TOL``, and
-``np.linalg.eigh`` of each block operator at every support angle of the
-two-outcome search, whose signs split the eigenvectors; decomposition
-residuals get the looser ``DECOMP_TOL``.  Small dimensions keep
-conditioning benign, so a single pair of module-wide constants is
-enough.
+POVM, which its POVM check admits down to -``STRUCT_TOL``, and the signs
+of the eigenvalues of each block operator at every support angle of the
+two-outcome search, which split the eigenvectors: a closed form on 2 x 2
+blocks, ``np.linalg.eigh`` on wider ones.  ``pair_overlaps`` takes
+singular values only of products of two projectors of rank two or
+more.  Decomposition residuals get the looser ``DECOMP_TOL``.  Small
+dimensions keep conditioning benign, so a single pair of module-wide
+constants is enough.
 """
 
 from __future__ import annotations
@@ -72,13 +74,22 @@ def pair_overlaps(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Table of spectral norms ||p q|| over two stacks of projectors, (..., |P|, |Q|).
 
     The stacks are (..., |P|, d, d) and (..., |Q|, d, d), their leading
-    axes broadcasting, so one call takes a table per pair of stacks.  Each
-    pair is multiplied in both orders and the larger norm kept, so
-    swapping the two stacks transposes the table exactly.  An SVD that does
-    not converge raises numpy's LinAlgError, a ValueError.
+    axes broadcasting, so one call takes a table per pair of stacks.  Where
+    p or q has rank at most one, ||p q||**2 = Tr(p q) exactly, and Tr(p q)
+    is read as the sum of Re p Re q + Im p Im q over the entries, a sum
+    that is the same term by term in either order; its square root,
+    clamped at 0, is the norm.  Only pairs of rank at least two, the
+    ranks read off the rounded traces, go through the SVD: each product
+    is taken in both orders and the larger norm kept.  So swapping the two
+    stacks transposes the table exactly.  An SVD that does not converge
+    raises numpy's LinAlgError, a ValueError.
     """
     ps, qs = ps[..., :, None, :, :], qs[..., None, :, :, :]
-    pq = np.linalg.svd(ps @ qs, compute_uv=False)[..., 0]
-    qp = np.linalg.svd(qs @ ps, compute_uv=False)[..., 0]
-    return np.maximum(pq, qp)
-
+    table = np.sqrt(np.maximum((ps.real * qs.real + ps.imag * qs.imag).sum(axis=(-2, -1)), 0.0))
+    ranks = [np.rint(np.trace(s, axis1=-2, axis2=-1).real) for s in (ps, qs)]
+    both = (ranks[0] >= 2) & (ranks[1] >= 2)
+    if both.any():
+        p, q = (np.broadcast_to(s, both.shape + s.shape[-2:])[both] for s in (ps, qs))
+        pq, qp = (np.linalg.svd(a @ b, compute_uv=False)[..., 0] for a, b in ((p, q), (q, p)))
+        table[both] = np.maximum(pq, qp)
+    return table

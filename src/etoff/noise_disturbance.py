@@ -377,16 +377,38 @@ def _support(rho: np.ndarray, phi: np.ndarray) -> tuple:
     """POVMs and checked tables of the support points in direction (cos phi, sin phi).
 
     ``rho`` (..., 2, n, d, d) broadcasts against the angles ``phi``; per
-    block, E_0 projects onto the positive part of cos phi sigma_0 +
-    sin phi sigma_1, and E_1 onto the rest of its eigenvectors, not I - E_0,
-    whose roundoff would add about 1e-16 to an entry that should be 0.  Returns
+    block, E_0 projects onto the eigenvectors of H = cos phi sigma_0 +
+    sin phi sigma_1 whose eigenvalues are > 0, and E_1 onto the others.
+    E_1 is built from its own eigenvectors, not as I - E_0, whose roundoff
+    would add about 1e-16 to an entry that should be 0.  At d = 2 the
+    eigenvalues are m +- r, with m = (a + e)/2, h = (a - e)/2 and
+    r = hypot(h, |b|) read off H = [[a, b], [b*, e]], and their
+    projectors (I +- K)/2, with K = (H - m I)/r; so E_0 is I where
+    m - r > 0, 0 where m + r <= 0, and (I + K)/2 otherwise, and E_1
+    alike.  An eigenvalue within roundoff of 0 goes by the sign of m - r
+    or m + r as computed, and ``eigh`` may place it on the other side;
+    both are support points.  On wider blocks, from a degenerate Z or an
+    output wider than 2, ``eigh`` splits the eigenvectors.  Returns
     the (..., n, 2, d, d) POVMs and their (..., 2, 2) tables, whose
     column 0 is the support point t(phi).
     """
     c, s = (f(phi)[..., None, None, None] for f in (np.cos, np.sin))
-    w, v = np.linalg.eigh(c * rho[..., 0, :, :, :] + s * rho[..., 1, :, :, :])
-    up = (w > 0.0)[..., None, :]
-    povm = np.stack([(v * up) @ dagger(v), (v * ~up) @ dagger(v)], axis=-3)
+    h = c * rho[..., 0, :, :, :] + s * rho[..., 1, :, :, :]
+    if h.shape[-1] == 2:
+        a, e, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+        m, half = (a + e) / 2, (a - e) / 2
+        r = np.hypot(half, np.abs(b))
+        k = np.stack([half, b, b.conj(), -half], axis=-1).reshape(h.shape)
+        k /= np.where(r > 0.0, r, 1.0)[..., None, None]  # r = 0 only where H = m I
+        # E_0 = x I + y K and E_1 = (1 - x) I - y K: x is half the count of eigenvalues > 0,
+        # y is 1/2 where m + r alone is, and 0 elsewhere
+        upper, lower = (m + r > 0.0).astype(float), m - r > 0.0
+        x, y = ((upper + lower) / 2)[..., None, None], ((upper - lower) / 2)[..., None, None]
+        povm = np.stack([x * np.eye(2) + y * k, (1.0 - x) * np.eye(2) - y * k], axis=-3)
+    else:
+        w, v = np.linalg.eigh(h)
+        up = (w > 0.0)[..., None, :]
+        povm = np.stack([(v * up) @ dagger(v), (v * ~up) @ dagger(v)], axis=-3)
     return povm, _table(povm, rho)
 
 
@@ -524,8 +546,9 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     count of support points the row evaluated, and its stopping rule is
     that no arc's lower bound is left below the best value -
     ``ANGLE_TOL``.  The bracket holds for the values as computed: tables
-    come from ``eigh`` and matrix products with entries off by about
-    1e-16, which moves values at orders >= 1 by about as much, far below
+    come from the 2 x 2 closed form of ``_support`` (``eigh`` on wider
+    blocks) and matrix products with entries off by about 1e-16, which
+    moves values at orders >= 1 by about as much, far below
     ``ANGLE_TOL``; at orders alpha < 1 an entry that should be 0 adds
     about its roundoff to the power alpha instead (about 1e-8 at
     alpha = 0.5), and a minimum with a zero entry is then known only to

@@ -143,10 +143,12 @@ def test_overlap_fourier_qutrit():
 
 
 def test_overlap_symmetric_exactly(rng):
-    for _ in range(10):
-        a = sample_random_observable(3, None, rng)
-        b = sample_random_observable(3, (2, 1), rng)
-        assert np.array_equal(overlap(a[None], b[None]), overlap(b[None], a[None]))
+    # rank-one pairs take the trace, and (2, 2) x (2, 2) at d = 4 the SVD in both orders
+    for d, a_profile, b_profile in ((3, None, (2, 1)), (4, (2, 2), (2, 2))):
+        for _ in range(10):
+            a = sample_random_observable(d, a_profile, rng)
+            b = sample_random_observable(d, b_profile, rng)
+            assert np.array_equal(overlap(a[None], b[None]), overlap(b[None], a[None]))
 
 
 def test_overlap_nondegenerate_range(rng):

@@ -868,17 +868,41 @@ def test_selftest_names_its_first_failing_property(monkeypatch, capsys):
     assert out.endswith("selftest: first failing property: two_pictures_qubit\n")
 
 
-def test_certify_exits_two_when_the_svd_does_not_converge(anchor_file, monkeypatch, capsys):
+def degenerate_file(tmp_path, dim, x_profile, z_profile):
+    """An instance file with the given X and Z degeneracy profiles and a random two-outcome M."""
+    x_obs, z_obs = (sample_random_observable(dim, g, seed) for g, seed in ((x_profile, 1),
+                                                                          (z_profile, 2)))
+    path = tmp_path / f"degenerate{dim}.json"
+    inst = sample_random_instrument(dim, dim, 2, 2, 3)
+    path.write_text(json.dumps(instance_to_json(x_obs, z_obs, inst)))
+    return str(path)
+
+
+def check_exits_two_when(kernel, message, path, search, monkeypatch, capsys):
     # numpy's LinAlgError is a ValueError, so the command line reports it as an input error
     def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError(message)
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    code = main(["certify", anchor_file, "--relation", "Prop3", "--alpha", "1", "--beta", "1"])
+    monkeypatch.setattr(np.linalg, kernel, no_convergence)
+    code = main(["certify", path, "--relation", "Prop3", "--alpha", "1", "--beta", "1", *search])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err == "error: SVD did not converge\n"
+    assert captured.err == f"error: {message}\n"
+
+
+def test_certify_exits_two_when_the_svd_does_not_converge(tmp_path, monkeypatch, capsys):
+    # the overlap takes an SVD only on pairs of projectors of rank two or more
+    path = degenerate_file(tmp_path, 4, (2, 2), (2, 2))
+    check_exits_two_when("svd", "SVD did not converge", path, [], monkeypatch, capsys)
+
+
+def test_certify_exits_two_when_eigh_does_not_converge(tmp_path, monkeypatch, capsys):
+    # the support-angle search takes eigh only on blocks wider than 2: a degenerate
+    # two-outcome Z at d = 3
+    path = degenerate_file(tmp_path, 3, None, (2, 1))
+    check_exits_two_when("eigh", "Eigenvalues did not converge", path, ["--restarts", "1"],
+                         monkeypatch, capsys)
 
 
 def test_selftest_fixture_passes_on_a_qutrit_with_a_wider_output(qutrit_file, capsys):

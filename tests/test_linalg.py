@@ -28,11 +28,26 @@ def test_spectral_norm_rank_one_product():
     assert overlap == pytest.approx(0.70710678, abs=1e-8)
 
 
-def test_unitary_norms_haar(rng):
-    for _ in range(50):
-        d = int(rng.integers(2, 9))
-        u = sample_haar_unitary(d, rng)
-        assert linalg.pair_overlaps(u[None], np.eye(d)[None])[0, 0] == pytest.approx(1.0, abs=1e-9)
+def random_projectors(d, rng, draws):
+    """(draws, d + 1, d, d): per draw, a random projector of each rank 0, 1, ..., d."""
+    u = np.array([sample_haar_unitary(d, rng) for _ in range(draws * (d + 1))])
+    u = u.reshape(draws, d + 1, d, d) * (np.arange(d) < np.arange(d + 1)[:, None])[:, None, :]
+    return u @ linalg.dagger(u)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_pair_overlaps_match_an_explicit_svd_at_every_rank_pair(d, rng):
+    # rank 0 and rank d are the zero and identity projectors; the square root of the trace
+    # serves every pair with a rank at most one, the SVD the others, and neither may move a
+    # norm beyond roundoff of the explicit two-order SVD, nor break the exact swap symmetry
+    ps, qs = random_projectors(d, rng, 6), random_projectors(d, rng, 6)
+    table = linalg.pair_overlaps(ps, qs)
+    pq = np.linalg.svd(ps[:, :, None] @ qs[:, None], compute_uv=False)[..., 0]
+    qp = np.linalg.svd(qs[:, None] @ ps[:, :, None], compute_uv=False)[..., 0]
+    assert table.shape == (6, d + 1, d + 1)
+    assert np.abs(table - np.maximum(pq, qp)).max() <= 1e-15
+    assert np.array_equal(table, linalg.pair_overlaps(qs, ps).swapaxes(-1, -2))
+    assert np.all(table[:, 0] == 0.0) and np.all(table[:, :, 0] == 0.0)
 
 
 def test_as_matrix_rejects_nan():

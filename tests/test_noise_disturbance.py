@@ -14,7 +14,14 @@ from etoff.entropy import (
     conditional_entropy_gradient,
 )
 from etoff.bounds import admissible_grid, relation_family
-from etoff.harness import CHUNK, RunConfig, run_sweep, sample_instance
+from etoff.harness import (
+    CHUNK,
+    RunConfig,
+    run_sweep,
+    sample_instance,
+    saturation_instance,
+    unsharp_luders_instance,
+)
 from etoff.noise_disturbance import (
     ANGLE_TOL,
     GRAD_TOL,
@@ -596,6 +603,61 @@ def test_no_support_point_on_a_dense_angle_grid_beats_the_bracket(chunk):
         slack = ANGLE_TOL + (0.0 if closed else 2 * 1e-16 ** alpha / (1 - alpha))
         assert lowest[i, k] >= values[i, k] - slack, (chunk, i, orders[k],
                                                       lowest[i, k] - values[i, k])
+
+
+def eigh_support(rho, phi):
+    """``_support`` by ``eigh``, E_0 on the eigenvalues > 0, and per block eigenvalue, the
+    eigenvalue and the weight sum_z v* rho_z v of its eigenvector v."""
+    c, s = (f(phi)[..., None, None, None] for f in (np.cos, np.sin))
+    w, v = np.linalg.eigh(c * rho[..., 0, :, :, :] + s * rho[..., 1, :, :, :])
+    up = (w > 0.0)[..., None, :]
+    povm = np.stack([(v * up) @ dagger(v), (v * ~up) @ dagger(v)], axis=-3)
+    weight = np.diagonal(dagger(v) @ rho.sum(axis=-4) @ v, axis1=-2, axis2=-1).real
+    return povm, _table(povm, rho), w, weight
+
+
+def two_by_two_case(case):
+    """rho (instances, 2, n, 2, 2) of a d = 2 sweep chunk, an anchor, or a block H = m I."""
+    kind, arg = case
+    if kind == "sweep":
+        z_obs, inst = sweep_chunk_and_orders(arg)[:2]
+    elif kind == "scalar":  # sigma_0 = I/8 and sigma_1 = 3I/8, so m changes sign on the quarter
+        return (np.array([1.0, 3.0])[:, None, None, None] * np.eye(2, dtype=complex) / 8)[None]
+    else:
+        x_obs, z_obs, inst = (saturation_instance() if kind == "anchor"
+                              else unsharp_luders_instance(arg))
+        z_obs, inst = z_obs[None], inst[None]
+    return _flagged(z_obs, inst)[0] / z_obs.dim
+
+
+@pytest.mark.parametrize("case", [("sweep", 7), ("sweep", 11), ("anchor", None),
+                                  ("unsharp", 0.0), ("unsharp", 1 / math.sqrt(2)),
+                                  ("unsharp", 1.0), ("scalar", None)],
+                         ids=["sweep7", "sweep11", "anchor", "unsharp0", "unsharp_half",
+                              "unsharp1", "scalar"])
+def test_support_point_at_d2_matches_eigh(case):
+    # the closed form of a 2 x 2 positive part against eigh, at pi/2, pi and 4097 even angles
+    # between.  An eigenvalue within roundoff of 0 goes to E_0 by the sign of m +- r as
+    # computed, and eigh may put its eigenvector v on the other side: that moves the table by
+    # up to the weight of v, 0 up to roundoff in the anchors' rank-deficient blocks, where v
+    # spans the kernel of both sigma_z, but 1/4 at pi/2 in the unsharp family, where sigma_1 has
+    # rank one.  Both are support points, so the support value cos phi t_0 + sin phi t_1 agrees
+    # everywhere, the tables up to those weights, and the POVMs on blocks with no such eigenvalue
+    rho = two_by_two_case(case)
+    phi = np.concatenate([[np.pi / 2, np.pi], np.linspace(np.pi / 2, np.pi, 4097)])
+    povm, tables = _support(rho[:, None], phi)
+    ref_povm, ref_tables, w, weight = eigh_support(rho[:, None], phi)
+    assert povm.shape == ref_povm.shape and tables.shape == ref_tables.shape
+    assert np.abs(povm.sum(axis=-3) - np.eye(2)).max() <= 1e-15
+    value, ref_value = (np.cos(phi) * t[..., 0, 0] + np.sin(phi) * t[..., 1, 0]
+                        for t in (tables, ref_tables))
+    assert np.abs(value - ref_value).max() <= 1e-15
+    near = np.abs(w) <= 1e-12
+    moved = (weight * near).sum(axis=(-2, -1))
+    assert np.all(np.abs(tables - ref_tables).max(axis=(-2, -1)) <= 1e-14 + moved)
+    clear = ~near.any(axis=-1)
+    assert np.abs(povm - ref_povm)[clear].max(initial=0.0) <= 1e-14
+    assert clear.all() == (case[0] in ("sweep", "scalar"))
 
 
 def test_support_angle_search_closes_a_sweep_chunk_in_six_rounds(monkeypatch):
