@@ -13,13 +13,14 @@ repeated n times plus a remainder; they go through the column kernel of
 is written out here, and a whole list of (family, alpha, beta) pairs is
 minimised at once.  Swapping alpha and beta mirrors the objective about
 eta/2, so each unordered pair of orders is minimised once, and the pair
-with alpha > beta reflects its swapped pair's argmin.  The piece ends of
-every c are read off one flat table, c by c: each c's breakpoints and
-their mirrors about eta/2, sorted, each value once.  The points every
-pair shares, the breakpoints and a first scan of each smooth piece, are
-evaluated once per family and order of each term, and once for both
-families at an order on the Shannon branch, both terms in one kernel
-call per pass (``_shared_terms``).  The scan also takes the points
+with alpha > beta reflects its swapped pair's argmin; a pair whose two
+terms are one entropy reports the first of its two mirror minima.  The
+piece ends of every c are read off one flat table, c by c: each c's
+breakpoints and their mirrors about eta/2, sorted, each value once.  The
+points every pair shares, the breakpoints and a first scan of each
+smooth piece, are evaluated once per family and order of each term, and
+once for both families at an order on the Shannon branch, both terms in
+one kernel call per pass (``_shared_terms``).  The scan also takes the points
 16**-7, ..., 16**-1 of a scan cell's width from each piece end, so a
 bracket whose best point is a piece end is settled by the scan.  The
 zoom that follows works on every other bracket of a pair and piece,
@@ -81,10 +82,13 @@ class CertificateTable:
     records only noise + upper disturbance >= bound, and the JSON marks the
     disturbance as an upper bound.  ``best_candidate`` names the correction
     that gave the disturbance value: ``discard_flag``, ``reprepare``,
-    ``support_angle`` (two Z outcomes) or ``parametrized_restart_<r>``
-    (three or more).  ``iterations`` counts the support points of the angle
-    search, or the evaluations of the descent's best restart, at most the
-    per-restart budget; it is 0 when no search ran.  ``converged`` means
+    ``square_root`` (the square-root measurement, scored wherever the
+    angle search does not run: at three or more Z outcomes, and at two
+    without restarts), ``support_angle`` (two Z outcomes) or
+    ``parametrized_restart_<r>`` (three or more), an exact tie going to
+    the earlier in that list.  ``iterations`` counts the support points of
+    the angle search, or the evaluations of the descent's best restart, at
+    most the per-restart budget; it is 0 when no search ran.  ``converged`` means
     that the search that ran met its own stopping rule (a closed angle
     bracket, or the best restart's gradient norm below ``GRAD_TOL``); it is
     false when no search ran.
@@ -443,7 +447,13 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     being the argmin of its swapped pair, so its ties go to the largest
     theta; its value is its own objective at that theta, evaluated for
     every such pair and c in one ``_objective`` call, and it equals the
-    swapped pair's value up to rounding.  Returns (values, argmin_theta),
+    swapped pair's value up to rounding.  A pair whose two terms compute
+    the same entropy, alpha = beta or both orders within
+    ``SHANNON_BRANCH`` of 1, has an objective symmetric about eta/2, so
+    its minima come in mirror pairs, theta* and eta - theta*, between
+    which rounding alone would choose; it is not mirrored, and both its
+    orders report the first, min(theta*, eta - theta*), with the value
+    computed at theta* bit for bit.  Returns (values, argmin_theta),
     each (len(cs), len(pairs)); every value is zero when c = 1.  A pair's
     value and argmin_theta at a c are bit for bit those of a call with
     that pair and that c alone.  Each c must lie in [C_FLOOR, 1]: the
@@ -535,7 +545,12 @@ def bbar_bound(cs, pairs) -> tuple[np.ndarray, np.ndarray]:
     # value is its own objective there, for every c and such pair in one call
     best_x = np.take_along_axis(thetas, order[k], -1).T[:, columns]
     best_f = np.take_along_axis(vals, k, -1).T[:, columns]
-    swapped = np.array([a > b for _, a, b in pairs])
+    # a pair whose two terms are one computed entropy is symmetric about eta/2, and rounding
+    # picked one of its mirror minima: both its orders report the first, with the column's value
+    same = np.array([a == b or max(abs(a - 1.0), abs(b - 1.0)) < SHANNON_BRANCH
+                     for _, a, b in pairs])
+    best_x[:, same] = np.minimum(best_x[:, same], eta - best_x[:, same])
+    swapped = np.array([a > b for _, a, b in pairs]) & ~same
     if swapped.any():
         best_x[:, swapped] = eta - best_x[:, swapped]
         mirrored = (np.tile(np.array(axis)[swapped], len(cs)) for axis in zip(*pairs))

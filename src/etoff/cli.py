@@ -127,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=0,
                    help="restarts of the POVM descent when Z has three or more outcomes; with "
                    "two, any positive value runs the support-angle search, which has no "
-                   "budget and needs no seed (the descent needs one)")
+                   "budget and needs no seed (the descent needs one).  Without restarts the "
+                   "best of the fixed corrections is reported: the flag-discarding identity, "
+                   "the repreparation and the square-root measurement")
     p.add_argument("--iterations", type=int, default=SearchConfig.iterations,
                    help="evaluations per restart of the descent; unused when Z has two outcomes")
     p.add_argument("--out", default=None)
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None,
                    help="restarts of the POVM descent when Z has three or more outcomes (d >= "
                    "3); at d = 2 any positive value runs the support-angle search, which has "
-                   "no budget; default 1")
+                   "no budget, in place of the square-root measurement; default 1")
     p.add_argument("--iterations", type=int, default=None,
                    help="evaluations per restart of the descent (d >= 3); unused at d = 2; "
                    "default 150")

@@ -28,7 +28,8 @@ from .bounds import RELATIONS, CertificateTable, certify, certify_grid, mu_bound
 from .decision import fano_upper_bounds, lower_bounds, standard_decision
 from .entropy import SHANNON_BRANCH, EntropyOrder, check_table, conditional_entropy
 from .linalg import dagger
-from .noise_disturbance import SearchConfig, disturbance, reprepare_correction, two_picture_gap
+from .noise_disturbance import (SearchConfig, disturbance, reprepare_correction,
+                                square_root_correction, two_picture_gap)
 from .quantum import (
     instrument_from_json,
     instrument_to_json,
@@ -200,7 +201,10 @@ def sample_instance(dim: int, seeds) -> tuple:
 # --- sweep ------------------------------------------------------------------------
 
 
-CHUNK = 8  # samples per sweep task; fixed, so that chunks do not depend on the worker count
+# samples per sweep task: a chunk's fixed cost (a B-bar call, the kernel calls, the pool's
+# messages) falls per sample as it grows, and its memory and the balance of the shares between
+# jobs get worse; 8 is today's compromise, and ROADMAP item S sizes chunks by the work instead
+CHUNK = 8
 
 
 def _sweep_task(cfg: RunConfig, grid, indices) -> CertificateTable:
@@ -395,18 +399,21 @@ SELFTEST_SEED = 20240901
 
 
 def two_picture_check(x_obs, z_obs, inst) -> tuple[bool, str]:
-    """(ok, detail) of ``two_picture_gap`` under two corrections, ok within 1e-9.
+    """(ok, detail) of ``two_picture_gap`` under three corrections, ok within 1e-9.
 
-    The corrections are the repreparation and random Naimark POVMs
-    E_z'^(m) = A_z'^(m)† A_z'^(m), A^(m) the first d_out columns of its own
-    Haar unitary from ``SELFTEST_SEED``: they have no symmetry that could hide a
-    transposed table, and no outcome shares another's to hide a mix-up.
+    The corrections are the repreparation, the square-root measurement,
+    whose (n, |Z|, d_out, d_out) stack is built apart from the others, and
+    random Naimark POVMs E_z'^(m) = A_z'^(m)† A_z'^(m), A^(m) the first
+    d_out columns of its own Haar unitary from ``SELFTEST_SEED``: they have
+    no symmetry that could hide a transposed table, and no outcome shares
+    another's to hide a mix-up.
     """
     rng, d = np.random.default_rng(SELFTEST_SEED), inst.dim_out
     a = np.array([quantum.sample_haar_unitary(len(z_obs.projectors) * d, rng)[:, :d]
                   for _ in inst.labels]).reshape(inst.n_outcomes, -1, d, d)
     gap = max(two_picture_gap(x_obs, z_obs, inst, povm)
-              for povm in (reprepare_correction(z_obs, inst), dagger(a) @ a))
+              for povm in (reprepare_correction(z_obs, inst), square_root_correction(z_obs, inst),
+                           dagger(a) @ a))
     return gap <= 1e-9, f"max gap={gap:.3e}"
 
 

@@ -17,18 +17,19 @@ classical, the flagged states sigma_z = sum_m Phi^(m)(Pi(z))/d ⊗ |m><m|
 are block diagonal; pinching a POVM onto the n flag blocks is unital and
 CP and keeps every Tr[E_z' sigma_z].  So a correction is one |Z|-outcome
 POVM per outcome, an (n, |Z|, d_out, d_out) stack.  ``disturbance``
-reports the best value found among two fixed corrections
-(flag-discarding identity, classical repreparation by outcome) and a
-searched one.  For three or more outcomes the search is a Riemannian
-gradient descent over the blocks' Naimark isometries, run for all
-requested orders and restarts of an instance as one stacked
-computation.  Each descent step tries a short ladder of step lengths
-whose top rung is the Barzilai-Borwein step of the row's last move where
-that step is defined (Wen & Yin, Math. Program. 142, 397 (2013)), and
-one rung above the step taken otherwise.  The result is an upper bound
-on the true disturbance; it can refute a trade-off relation
-(N + D_upper < B) but not certify one, which needs a lower bound on the
-disturbance (ROADMAP direction A).
+reports the best value found among fixed corrections (flag-discarding
+identity, classical repreparation by outcome, and, wherever the
+two-outcome angle search does not run, the square-root measurement of
+each outcome block) and a searched one.  For three or more outcomes the
+search is a Riemannian gradient descent over the blocks' Naimark
+isometries, run for all requested orders and restarts of an instance as
+one stacked computation.  Each descent step tries a short ladder of
+step lengths whose top rung is the Barzilai-Borwein step of the row's
+last move where that step is defined (Wen & Yin, Math. Program. 142,
+397 (2013)), and one rung above the step taken otherwise.  The result
+is an upper bound on the true disturbance; it can refute a trade-off
+relation (N + D_upper < B) but not certify one, which needs a lower
+bound on the disturbance (ROADMAP direction A).
 
 When Z has two outcomes the minimum is a one-angle problem, which an
 arc branch-and-bound solves up to ``ANGLE_TOL``: a scan of equal arcs,
@@ -254,6 +255,49 @@ def _reprepare(joint: np.ndarray, dim_out: int) -> np.ndarray:
     """``reprepare_correction`` read off joint tables p(z, m), or a stack of them."""
     picks = np.argmax(joint, axis=-2)[..., None] == np.arange(joint.shape[-2])
     return picks[..., None, None] * np.eye(dim_out)
+
+
+def square_root_correction(z_obs: ProjectiveObservable, inst: QuantumInstrument) -> np.ndarray:
+    """Square-root measurement of each outcome's states Phi^(m)(Pi(z))/d: see ``_square_root``."""
+    return _square_root(_flagged(z_obs[None], inst[None])[0][0] / z_obs.dim)
+
+
+_SUPPORT_REL = 1e-5     # eigenvalues of a block sum at most this share of its largest are kernel
+_SUPPORT_FLOOR = 1e-14  # and so are eigenvalues at most this, as in a block of probability 0
+
+
+def _square_root(rho: np.ndarray) -> np.ndarray:
+    """Square-root measurement of every outcome block: (..., n, |Z|, d, d) from ``_table``'s rho.
+
+    Per block m, with rho_m = sum_z sigma_z^(m), E_z' = R sigma_z' R,
+    R = rho_m^(-1/2) on the support of rho_m, and the projector onto its
+    kernel is added to E_0 (Hausladen & Wootters, J. Mod. Opt. 41, 2385
+    (1994)); for two pure states of equal prior it is the Helstrom
+    measurement.  One batched ``eigh`` of the block sums gives R and the
+    kernel.  The rank rule: an eigenvalue w of rho_m is in the support
+    when w > max(``_SUPPORT_REL`` w_max, ``_SUPPORT_FLOOR``), w_max the
+    block's largest, and in the kernel otherwise.  R scales the roundoff
+    of sigma, about 1e-16 of w_max, by up to 1/w, so the relative cut
+    keeps the completeness residual and the elements' negative
+    eigenvalues below about 1e-10 (3e-11 and 2e-15 at worst on blocks
+    whose eigenvalues reach the cut), inside ``_checked_povm``'s
+    tolerances; the floor gives a block of probability 0 no support, so
+    its E_0 = I.  As sigma_z <= rho_m, the states put no weight on a true
+    kernel of rho_m, and at most the cut eigenvalues' sum on the
+    directions the rule cuts.
+    """
+    *k, nz, n, d, _ = rho.shape
+    w, v = np.linalg.eigh(rho.sum(axis=-4))
+    kept = w > np.maximum(_SUPPORT_REL * w[..., -1:], _SUPPORT_FLOOR)
+    r = (v * (np.where(kept, w, np.inf) ** -0.5)[..., None, :]) @ dagger(v)
+    # R [sigma_0 ... sigma_|Z|-1], then each R sigma_z' stacked in rows times R: one matrix
+    # product per block and side, not one per element
+    left = r @ np.moveaxis(rho, -4, -2).reshape(*k, n, d, nz * d)
+    povm = left.reshape(*k, n, d, nz, d).swapaxes(-2, -3).reshape(*k, n, nz * d, d) @ r
+    povm = povm.reshape(*k, n, nz, d, d)
+    if not kept.all():  # a kernel; the blocks of a sweep's sampled instruments have none
+        povm[..., 0, :, :] += (v * ~kept[..., None, :]) @ dagger(v)
+    return povm
 
 
 # --- the POVM search ------------------------------------------------------------
@@ -528,15 +572,20 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
     budget ``search``, and ``seeds`` holds one seed (or None) per instance;
     another count raises ValueError before any search.  The flagged states
     rho are the blocks of one ``_flagged`` call, over d.  The candidates
-    are the flag-discarding identity (when dimensions permit) and the
+    are the flag-discarding identity (when dimensions permit), the
     classical repreparation, exact in the zero-disturbance regimes, which
-    decides on that call's tables, and, when ``restarts`` > 0, one
-    searched POVM per instance and order.  Every candidate is its
+    decides on that call's tables, the square-root measurement of each
+    block (``_square_root``, named ``square_root``) wherever the angle
+    search does not run, that is always at three or more Z outcomes and
+    at two without restarts, and, when ``restarts`` > 0, one searched POVM
+    per instance and order.  Where the angle search runs it is exact, so
+    the square-root measurement could only tie it.  Every candidate is its
     re-measurement POVM, all are scored by one ``_table`` and one
-    entropy-kernel call, each instance's against its own, and ties go to
-    the fixed corrections.  Orders computing the same entropy share one
-    computed column, and an instance's row equals, bit for bit, that of
-    it alone.
+    entropy-kernel call, each instance's against its own, and an exact
+    tie goes to the earlier candidate in that order; values that differ
+    by rounding alone do not tie.  Orders computing the same entropy
+    share one computed column, and an instance's row equals, bit for
+    bit, that of it alone.
 
     ``converged`` means one thing on every row: the search that ran met
     its own stopping rule, whichever candidate won; it is false where no
@@ -572,12 +621,14 @@ def disturbance(z_obs: ProjectiveObservable, inst: QuantumInstrument, orders: li
         raise ValueError(f"expected one seed per instance, got {len(seeds)} seeds for "
                          f"{len(blocks)} instances")
     rho = blocks / z_obs.dim
+    restarts = search.restarts if keys else 0
+    angle = restarts > 0 and rho.shape[1] == 2
     fixed = {"discard_flag": discard_flag_correction(z_obs, inst),
-             "reprepare": _reprepare(joints, inst.dim_out)}
+             "reprepare": _reprepare(joints, inst.dim_out),
+             "square_root": None if angle else _square_root(rho)}
     names = [name for name, povm in fixed.items() if povm is not None]
     povms = np.stack([fixed[name] for name in names], axis=1)
-    n_fixed, restarts = len(names), search.restarts if keys else 0
-    angle = restarts > 0 and rho.shape[1] == 2
+    n_fixed = len(names)
     evals = restart = np.zeros((len(rho), len(keys)), dtype=int)
     converged = np.zeros(evals.shape, dtype=bool)
     if restarts > 0:  # the angle search has one start, restart 0

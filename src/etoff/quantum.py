@@ -221,15 +221,17 @@ def flag_apply(kraus: np.ndarray, by_outcome: np.ndarray, op) -> np.ndarray:
 def sample_haar_isometries(dim: int, cols: int, rngs) -> np.ndarray:
     """The first ``cols`` columns of a Haar-random dim × dim unitary per generator, stacked.
 
-    Each generator draws the whole complex Ginibre matrix, so it moves on
-    as for the full unitary, but one QR call takes only the kept columns.
-    In exact arithmetic they are the full Q's first columns; on a large
-    matrix LAPACK may round them differently in the last place.
+    Each generator draws the whole complex Ginibre matrix in one call,
+    real parts then imaginary parts, so it moves on as for the full
+    unitary, but complex entries are formed, and one QR call taken, for
+    the kept columns only.  In exact arithmetic they are the full Q's
+    first columns; on a large matrix LAPACK may round them differently in
+    the last place.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    z = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for rng in rngs]
-    return qr_retract(np.array(z)[..., :cols] / math.sqrt(2))
+    g = np.array([rng.standard_normal((2, dim, dim))[..., :cols] for rng in rngs])
+    return qr_retract((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2))
 
 
 def sample_haar_unitary(dim: int, seed=None) -> np.ndarray:

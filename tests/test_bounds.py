@@ -312,7 +312,9 @@ def test_bbar_value_is_the_objective_at_its_argmin_and_no_nearby_theta_is_lower(
 @pytest.mark.parametrize("family", ["renyi", "tsallis"])
 def test_swapped_orders_give_the_mirrored_argmin_and_the_same_value(family):
     # (family, beta, alpha) is (family, alpha, beta) mirrored about eta/2, so one of the two is
-    # minimised and the other reflected; the dense scan checks the reflected pair without the mirror
+    # minimised and the other reflected; the dense scan checks the reflected pair without the
+    # mirror.  Orders 1 and 1 + 1e-8 compute one entropy, so that pair is symmetric itself, and
+    # both orders report the first of its mirror minima
     cs = (0.3, 0.55, 1 / math.sqrt(2), 0.9, 0.999999, 1.0)
     orders = (0.0, 0.3, 1.0, 1.0 + 1e-8, 2.0, 5.0)
     breaks = _breakpoints(min(cs))
@@ -322,7 +324,11 @@ def test_swapped_orders_give_the_mirrored_argmin_and_the_same_value(family):
         eta = math.acos(c)
         for alpha, beta in itertools.combinations(orders, 2):
             kept, swapped = grid[family, alpha, beta], grid[family, beta, alpha]
-            assert swapped.argmin_theta == eta - kept.argmin_theta, (c, alpha, beta)
+            if max(abs(alpha - 1.0), abs(beta - 1.0)) < SHANNON_BRANCH:
+                assert swapped.argmin_theta == kept.argmin_theta <= eta / 2, (c, alpha, beta)
+                assert swapped.value == kept.value, (c, alpha, beta)
+            else:
+                assert swapped.argmin_theta == eta - kept.argmin_theta, (c, alpha, beta)
             assert abs(swapped.value - kept.value) <= 1e-15, (c, alpha, beta)
             near = np.linspace(swapped.argmin_theta - 1e-6, swapped.argmin_theta + 1e-6, 2001)
             vals = _objective([family], [beta], [alpha], breaks, np.clip(near, 0.0, eta)[None], eta)
@@ -404,6 +410,27 @@ def test_equal_orders_put_an_interior_argmin_exactly_at_half_eta():
     near = error <= 1e-6
     assert near.sum() >= 200
     assert error[near].max() <= 1e-12
+
+
+def test_a_pair_of_one_entropy_reports_the_first_of_its_mirror_minima():
+    # its objective is symmetric about eta/2, so its minima come in mirror pairs that rounding
+    # alone chose between: one ulp of c, as between an overlap read off a trace and one off an
+    # SVD, moved the (1, 1) argmin from 0.0868 to 0.5590.  Each such pair reports the first,
+    # min(theta*, eta - theta*), and keeps the value it found
+    cs = [0.7985955362893002, 0.7985955362893, 0.737]
+    pairs = [("tsallis", 1.0, 1.0), ("renyi", 1.0, 1.0), ("tsallis", 1.5, 1.5),
+             ("renyi", 1.0 + 1e-8, 1.0 - 1e-8), ("tsallis", 1.0 - 1e-8, 1.0)]
+    values, argmins = bbar_bound(cs, pairs)
+    eta = np.arccos(cs)[:, None]
+    assert np.all(argmins <= eta / 2)
+    assert np.abs(argmins[0] - argmins[1]).max() <= 1e-8
+    assert argmins[0, 0] == pytest.approx(0.0868, abs=1e-4)
+    for c, e, row_values, row_argmins in zip(cs, eta[:, 0], values, argmins):
+        for (family, alpha, beta), value, theta in zip(pairs, row_values, row_argmins):
+            (alone,), _ = bbar_bound([c], [(family, alpha, beta)])
+            assert value == alone[0]
+            at = _objective([family], [alpha], [beta], _breakpoints(c), np.array([[theta]]), e)
+            assert abs(at[0, 0] - value) <= 1e-14, (c, family, alpha, beta)
 
 
 def test_grid_fallback_gives_the_newton_values(monkeypatch):

@@ -596,13 +596,14 @@ def test_sweep_json_format(tmp_path):
 
 
 def test_sweep_json_names_the_winning_correction(tmp_path):
-    # without restarts only the two fixed corrections can win; with them, the support angle
-    # (two Z outcomes) or the descent (three); the CSV header is unchanged
+    # without restarts only the fixed corrections, the square-root measurement among them, can
+    # win; with them, the support angle (two Z outcomes) or the descent (three); the CSV header
+    # is unchanged
     base = ["sweep", "--samples", "2", "--seed", "8", "--iterations", "40", "--format", "json"]
     out = tmp_path / "fixed.json"
     assert main(base + ["--dim", "2", "--restarts", "0", "--out", str(out)]) == 0
     names = {cert["search"]["best_candidate"] for cert in json.loads(out.read_text())}
-    assert names and names <= {"discard_flag", "reprepare"}
+    assert names and names <= {"discard_flag", "reprepare", "square_root"}
     for dim, name in ((2, "support_angle"), (3, "parametrized_restart_0")):
         out = tmp_path / f"search{dim}.json"
         assert main(base + ["--dim", str(dim), "--restarts", "1", "--out", str(out)]) == 0

@@ -29,7 +29,9 @@ from etoff.noise_disturbance import (
     SearchConfig,
     _flagged,
     _povm_search,
+    _checked_povm,
     _riemannian_gradient,
+    _square_root,
     _support,
     _table,
     discard_flag_correction,
@@ -38,9 +40,11 @@ from etoff.noise_disturbance import (
     noise,
     noise_joint,
     reprepare_correction,
+    square_root_correction,
 )
 from etoff.linalg import dagger
 from etoff.quantum import (
+    QuantumInstrument,
     basis_observable,
     flag_apply,
     luders_instrument,
@@ -302,8 +306,11 @@ def test_disturbance_one_order_equals_that_order_in_a_grid(monkeypatch):
 
 
 def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
+    # every kind of candidate wins somewhere: the square-root measurement wins every row of the
+    # first four instances without a search, the flag-discarding identity those of (2, 5) and
+    # the repreparation those of (2, 11)
     winners = set()
-    for dim, seed in ((2, 1), (2, 3), (3, 4), (4, 5)):
+    for dim, seed in ((2, 1), (2, 3), (3, 4), (4, 5), (2, 5), (2, 11)):
         _, z_obs, inst = sample_one(dim, seed)
         orders = [EntropyOrder.tsallis(0.5), EntropyOrder.renyi(0.5), EntropyOrder.shannon()]
         for search in (SearchConfig(restarts=0), SearchConfig(restarts=2, iterations=60)):
@@ -312,7 +319,8 @@ def test_disturbance_value_is_the_reported_povm_on_the_exact_path():
                 j = disturbance_joint(z_obs, inst, povm)
                 assert value == pytest.approx(conditional_entropy(j, order), abs=1e-12)
                 winners.add(name.rstrip("0123456789"))
-    assert winners == {"discard_flag", "reprepare", "parametrized_restart_", "support_angle"}
+    assert winners == {"discard_flag", "reprepare", "square_root", "parametrized_restart_",
+                       "support_angle"}
 
 
 def test_disturbance_search_beats_both_fixed_corrections_at_d3():
@@ -344,12 +352,12 @@ def test_disturbance_converged_flag_is_the_searchs_own_stopping_rule(qubit_pair)
         z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=1))
     assert evals[0] > 0 and converged[0]
     assert value[0] == pytest.approx(LN2, abs=1e-12)
-    # without a search the flag reads false whatever the best candidate (the
-    # flag-discarding identity here); the descent's reads true (three Z outcomes)
+    # without a search the flag reads false whatever the best candidate (the square-root
+    # measurement here); the descent's reads true (three Z outcomes)
     _, z_obs, inst = sample_one(3, 1)
     _, _, evals, converged, name = disturbance_alone(z_obs, inst, [EntropyOrder.shannon()],
                                                      SearchConfig(restarts=0))
-    assert evals[0] == 0 and name[0] == "discard_flag"
+    assert evals[0] == 0 and name[0] == "square_root"
     assert not converged[0]
     _, _, _, converged, name = disturbance_alone(
         z_obs, inst, [EntropyOrder.shannon()], SearchConfig(restarts=1, iterations=2000), seed=4)
@@ -371,9 +379,9 @@ def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
         assert ok == bool(norm < GRAD_TOL)
     assert all(converged) and all(name.startswith("parametrized") for name in names)
     # without a search every flag reads false.  A stationarity test would not tell the fixed
-    # winners apart from a search: it fails at the flag-discarding identity here (seed 3) and
-    # passes vacuously at the repreparation (seed 2), whose blocks are 0 or I, so that the
-    # Riemannian gradient is exactly 0
+    # corrections apart from a search: it fails at the square-root measurement, which wins
+    # every row here (seeds 3 and 2), and passes vacuously at the repreparation (seed 2),
+    # whose blocks are 0 or I, so that the Riemannian gradient is exactly 0
     norms = {}
     for seed in (3, 2):
         _, z_obs, inst = sample_one(3, seed)
@@ -384,8 +392,11 @@ def test_disturbance_converged_flag_is_taken_at_each_orders_reported_povm():
         for order, povm, name in zip(orders, povms, names):
             _, grad = conditional_entropy_gradient(disturbance_joint(z_obs, inst, povm), order)
             norms.setdefault(str(name), []).append(_riemannian_gradient(povm, grad, rho)[1])
-    assert min(norms["discard_flag"]) >= GRAD_TOL
-    assert norms["reprepare"] == [0.0] * len(orders)
+    assert set(norms) == {"square_root"} and min(norms["square_root"]) >= GRAD_TOL
+    povm = reprepare_correction(z_obs, inst)
+    for order in orders:
+        _, grad = conditional_entropy_gradient(disturbance_joint(z_obs, inst, povm), order)
+        assert _riemannian_gradient(povm, grad, rho)[1] == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -415,7 +426,7 @@ def test_disturbance_without_restarts_runs_no_search():
     _, _, evals, _, name = disturbance_alone(z_obs, inst, [EntropyOrder.renyi(0.5)],
                                              SearchConfig(restarts=0), seed=2)
     assert evals[0] == 0
-    assert name[0] in ("discard_flag", "reprepare")
+    assert name[0] in ("discard_flag", "reprepare", "square_root")
 
 
 @pytest.mark.parametrize("dim", [2, 3])  # two and three Z outcomes
@@ -514,6 +525,110 @@ def test_disturbance_joint_rejects_a_non_povm(anchor):
         with pytest.raises(ValueError, match=match):
             disturbance_joint(z_obs, inst, povm)
 
+
+# --- the square-root measurement -------------------------------------------------------
+
+SQRT_ORDERS = [EntropyOrder(a, f) for f in ("tsallis", "renyi") for a in (0.3, 0.5, 1.5, 2.0)]
+SQRT_ORDERS += [EntropyOrder.tsallis(3.0), EntropyOrder.shannon()]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (3, 4), (2, 3)],
+                         ids=["d2", "d3", "d4", "d3-out4", "d2-out3"])
+def test_the_square_root_candidate_never_raises_d_up(dims, monkeypatch):
+    # scoring the square-root measurement beside the other candidates can only lower a row's
+    # value, bit for bit against the same call without it; the descent does not start from it,
+    # so with restarts it gives min(the descent, the square root).  Without restarts, at three
+    # or more Z outcomes, it lowers most rows
+    d, d_out = dims
+    rngs = [np.random.default_rng([d, d_out, i]) for i in range(8)]
+    z_obs = sample_random_observables(d, None, rngs)
+    inst = sample_random_instruments(d, d_out, d, 2, rngs)
+    orders = [order for order in SQRT_ORDERS if d == 2 or order.family != "renyi"
+              or order.alpha <= 1]
+    seeds = list(range(8))
+    calls = [disturbance(z_obs, inst, orders, search, seeds)
+             for search in (SearchConfig(restarts=0), SearchConfig(1, 60))]
+    monkeypatch.setattr(noise_disturbance, "_square_root", lambda rho: None)
+    for search, (values, _, _, _, names) in zip((0, 1), calls):
+        before, _, _, _, before_names = disturbance(z_obs, inst, orders, SearchConfig(search, 60),
+                                                    seeds)
+        assert "square_root" not in before_names
+        assert np.all(values <= before)
+        assert np.array_equal(values[names != "square_root"], before[names != "square_root"])
+        if search == 0:
+            assert np.array_equal(values == before, names != "square_root")
+            if d >= 3:
+                assert np.mean(values < before) >= 0.9
+
+
+def test_the_square_root_measurement_gives_the_anchor_no_disturbance(anchor):
+    _, z_obs, inst = anchor
+    povm = square_root_correction(z_obs, inst)
+    for order in SQRT_ORDERS:
+        assert conditional_entropy(disturbance_joint(z_obs, inst, povm), order) == 0.0
+
+
+def test_the_square_root_measurement_of_two_pure_states_is_helstroms():
+    # equal priors: E_0 projects onto the positive part of sigma_0 - sigma_1, and at d = 3 the
+    # kernel of sigma_0 + sigma_1 joins E_0, so the success probability is Helstrom's
+    # (1 + sqrt(1 - |<a|b>|**2))/2 there too
+    rng = np.random.default_rng(5)
+    for d in (2, 2, 2, 3, 3):
+        g = rng.standard_normal((2, 2, d))
+        a, b = (v / np.linalg.norm(v) for v in g[:, 0] + 1j * g[:, 1])
+        sigma = np.array([np.outer(v, v.conj()) / 2 for v in (a, b)])
+        povm = _square_root(sigma[:, None])[0]
+        w, v = np.linalg.eigh(sigma[0] - sigma[1])
+        positive = v[:, w > 1e-12] @ dagger(v[:, w > 1e-12])
+        if d == 2:
+            assert np.abs(povm[0] - positive).max() <= 1e-12
+        success = np.trace(povm[0] @ sigma[0] + povm[1] @ sigma[1]).real
+        helstrom = (1 + math.sqrt(1 - abs(np.vdot(a, b)) ** 2)) / 2
+        assert abs(success - helstrom) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["luders", "zero_outcome", "wider_output"])
+def test_the_square_root_measurement_is_a_povm_on_blocks_with_a_kernel(case):
+    # rank-one blocks (a Lueders instrument), a block of probability 0, and blocks of rank 3 in
+    # an output of 4: each kernel joins E_0, and _checked_povm takes the result
+    z_obs = sample_random_observable(3, None, seed=2)
+    if case == "luders":
+        inst = luders_instrument(sample_random_observable(3, None, seed=3))
+    elif case == "zero_outcome":
+        inst = QuantumInstrument(3, 3, ("m0", "m1"), np.stack([np.eye(3), np.zeros((3, 3))]),
+                                 np.arange(2))
+    else:
+        inst = sample_random_instrument(3, 4, 3, 1, seed=4)
+    povm = square_root_correction(z_obs, inst)
+    assert np.array_equal(_checked_povm(z_obs, inst, povm), povm)
+    rho = flag_apply(inst.kraus, inst.by_outcome, z_obs.projectors) / 3
+    ranks = np.linalg.matrix_rank(rho.sum(axis=0), tol=1e-12)
+    assert ranks.tolist() == {"luders": [1, 1, 1], "zero_outcome": [3, 0],
+                              "wider_output": [3, 3, 3]}[case]
+    if case == "zero_outcome":  # no support: E_0 = I
+        assert np.array_equal(povm[1], np.eye(3) * (np.arange(3) == 0)[:, None, None])
+
+
+def test_the_square_root_rank_rule_keeps_the_povm_within_the_checks_tolerances():
+    # block sums with eigenvalues from 1 down to 1e-7 of the largest, just above and below the
+    # relative cut, and exact zeros, split among |Z| states by random POVMs: R scales each
+    # state's roundoff by at most 1 / _SUPPORT_REL, so the elements stay Hermitian, complete
+    # and positive within _checked_povm's tolerances (DECOMP_TOL and STRUCT_TOL)
+    rng = np.random.default_rng(11)
+    worst = np.zeros(3)
+    for _ in range(200):
+        d, nz = rng.integers(2, 6), rng.integers(2, 5)
+        u = sample_random_observables(d, None, [rng] * 3).projectors  # (3, d, d, d) rank one
+        w = 10.0 ** rng.uniform(-7, 0, (3, d))
+        w[rng.random((3, d)) < 0.2] = 0.0
+        half = np.einsum("mi,miab->mab", np.sqrt(w), u)
+        a = sample_haar_unitary(nz * d, rng)[:, :d].reshape(nz, d, d)
+        sigma = half[:, None] @ (dagger(a) @ a) @ half[:, None]  # (n, |Z|, d, d)
+        povm = _square_root(sigma.swapaxes(0, 1))
+        worst = np.maximum(worst, [np.abs(povm - dagger(povm)).max(),
+                                   np.abs(povm.sum(axis=1) - np.eye(d)).max(),
+                                   -np.linalg.eigvalsh(povm).min()])
+    assert worst[0] <= 1e-10 and worst[1] <= 1e-10 and worst[2] <= 1e-12, worst
 
 
 # --- the support angle, |Z| = 2 -----------------------------------------------------

@@ -30,6 +30,7 @@ from etoff.noise_disturbance import (
     disturbance,
     disturbance_joint,
     noise,
+    square_root_correction,
 )
 
 SHARPNESS = (0.0, 0.3, 0.5, 1 / math.sqrt(2), 0.8, 0.95, 1.0)
@@ -85,6 +86,33 @@ def test_unsharp_support_angle_alone_meets_the_helstrom_value(lam):
         got = conditional_entropy(disturbance_joint(z_obs, inst, povms[0, k]), order)
         assert abs(got - want) <= 1e-9, (order, lam)
         assert closed[0, k], (order, lam)
+
+
+def binary_symmetric_entropy(p: float, order: EntropyOrder) -> float:
+    """The entropy of (p, 1 - p) at ``order``: every column's of a binary symmetric channel."""
+    if order.family == "shannon":
+        return binary_entropy(p)
+    power = p ** order.alpha + (1 - p) ** order.alpha
+    if order.family == "tsallis":
+        return (1 - power) / (order.alpha - 1)
+    return math.log(power) / (1 - order.alpha)
+
+
+@pytest.mark.parametrize("lam", [1 / math.sqrt(2), 0.8, 1.0])
+def test_unsharp_square_root_measurement_meets_the_closed_form_without_a_search(lam):
+    # each outcome leaves two pure states of equal prior, whose square-root measurement is the
+    # Helstrom measurement: without restarts the fixed corrections, the square-root
+    # measurement among them, meet the closed-form disturbance at every admitted order
+    _, z_obs, inst = unsharp_luders_instance(lam)
+    orders = [EntropyOrder(a, f) for f in ("tsallis", "renyi") for a in (0.3, 0.5, 1.5, 2.0)]
+    orders += [EntropyOrder.tsallis(3.0), EntropyOrder.shannon()]
+    p_e = (1 - math.sqrt(1 - lam ** 2)) / 2
+    (values,) = disturbance(z_obs[None], inst[None], orders, SearchConfig(restarts=0), [None])[0]
+    povm = square_root_correction(z_obs, inst)
+    for order, value in zip(orders, values):
+        want = binary_symmetric_entropy(p_e, order)
+        alone = conditional_entropy(disturbance_joint(z_obs, inst, povm), order)
+        assert abs(value - want) <= 1e-9 and abs(alone - want) <= 1e-9, (order, lam)
 
 
 @pytest.mark.parametrize("relation, lam", [("Prop1", lam) for lam in
